@@ -1,17 +1,15 @@
-//! Bench (extension): the commit stage off the critical path — parallel
-//! local BA, the async merge worker, and what they do to per-frame
-//! commit latency (the serialized half of the round pipeline measured by
+//! Bench (extension): the commit stage off the critical path — local
+//! BA, the async merge worker, and what they do to per-frame commit
+//! latency (the serialized half of the round pipeline measured by
 //! `tracking_throughput`).
 //!
 //! Writes `results/BENCH_mapping.json` with three sections:
 //!
-//! * `ba` — local-BA wall time vs worker count on one real map, with a
-//!   bit-identity check against the sequential pass and a modeled
-//!   4-worker speedup from the measured parallel fraction;
-//! * `commit` — commit-stage p50/p95/max per frame for three server
-//!   configurations (sequential BA + inline merge, parallel BA + inline
-//!   merge, parallel BA + async merge worker). With the worker on, the
-//!   merge contributes nothing to the commit block by construction;
+//! * `ba` — local-BA wall time and its pose/point pass split on one
+//!   real map;
+//! * `commit` — commit-stage p50/p95/max per frame with the merge inline
+//!   and on the async merge worker. With the worker on, the merge
+//!   contributes nothing to the commit block by construction;
 //! * `merge` — merge latencies as the client sees them (inline) vs as
 //!   the worker measures them (async), cross-checked against the
 //!   Table 4 reference in `results/table4_merge_latency.json`.
@@ -42,31 +40,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 #[derive(Serialize)]
-struct BaRow {
-    workers: usize,
-    wall_ms: f64,
-    pose_pass_ms: f64,
-    point_pass_ms: f64,
-    speedup_vs_1_worker: f64,
-    /// Map after BA is bit-identical to the 1-worker result.
-    bit_identical: bool,
-}
-
-#[derive(Serialize)]
 struct BaSection {
     n_keyframes: usize,
     n_points: usize,
-    /// Share of BA wall time in the data-parallel passes (1-worker run).
-    parallel_fraction: f64,
-    /// Amdahl speedup of the whole BA at 4 workers given that fraction.
-    modeled_speedup_4_workers: f64,
-    rows: Vec<BaRow>,
+    wall_ms: f64,
+    pose_pass_ms: f64,
+    point_pass_ms: f64,
 }
 
 #[derive(Serialize)]
 struct CommitRow {
     config: &'static str,
-    ba_workers: usize,
     async_merge: bool,
     /// Commit-block percentiles over frames that inserted a keyframe
     /// (mapping + any inline merge the commit had to wait for).
@@ -100,19 +84,6 @@ struct BenchMapping {
     merge: MergeSection,
 }
 
-/// Full-precision map digest (Debug f64 round-trips exactly).
-fn fingerprint(map: &Map) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    for (id, kf) in &map.keyframes {
-        writeln!(s, "kf {id:?} {:?}", kf.pose_cw).unwrap();
-    }
-    for (id, mp) in &map.mappoints {
-        writeln!(s, "mp {id:?} {:?}", mp.position).unwrap();
-    }
-    s
-}
-
 /// Build one real single-client map so BA has covisibility to chew on.
 fn build_map(frames: usize) -> (Dataset, Map) {
     let ds = Dataset::build(
@@ -140,44 +111,25 @@ fn build_map(frames: usize) -> (Dataset, Map) {
     (ds, map)
 }
 
-fn ba_sweep(ds: &Dataset, base: &Map) -> BaSection {
+fn ba_once(ds: &Dataset, base: &Map) -> BaSection {
     let center = base.latest_keyframe().expect("map has keyframes").id;
-    let mut rows = Vec::new();
-    let mut reference: Option<(String, f64)> = None; // (fingerprint, wall_ms)
-    let mut parallel_fraction = 0.0;
-    let mut stats_kf = 0;
-    let mut stats_pts = 0;
-    for workers in [1usize, 2, 4] {
-        let mut map = base.clone();
-        let exec = GpuExecutor::cpu_with_workers(workers);
-        let mut scratch = BaScratch::default();
-        let t0 = Instant::now();
-        let stats =
-            local_bundle_adjust_with(&mut map, &ds.rig.cam, center, 6, 3, &exec, &mut scratch);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let fp = fingerprint(&map);
-        let (ref_fp, ref_ms) = reference.get_or_insert_with(|| (fp.clone(), wall_ms));
-        if workers == 1 {
-            parallel_fraction = ((stats.pose_ms + stats.point_ms) / stats.total_ms).clamp(0.0, 1.0);
-            stats_kf = stats.n_keyframes;
-            stats_pts = stats.n_points;
-        }
-        rows.push(BaRow {
-            workers,
-            wall_ms,
-            pose_pass_ms: stats.pose_ms,
-            point_pass_ms: stats.point_ms,
-            speedup_vs_1_worker: *ref_ms / wall_ms,
-            bit_identical: fp == *ref_fp,
-        });
-    }
-    let f = parallel_fraction;
+    let mut map = base.clone();
+    let t0 = Instant::now();
+    let stats = local_bundle_adjust_with(
+        &mut map,
+        &ds.rig.cam,
+        center,
+        6,
+        3,
+        &GpuExecutor::cpu(),
+        &mut BaScratch::default(),
+    );
     BaSection {
-        n_keyframes: stats_kf,
-        n_points: stats_pts,
-        parallel_fraction: f,
-        modeled_speedup_4_workers: 1.0 / ((1.0 - f) + f / 4.0),
-        rows,
+        n_keyframes: stats.n_keyframes,
+        n_points: stats.n_points,
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        pose_pass_ms: stats.pose_ms,
+        point_pass_ms: stats.point_ms,
     }
 }
 
@@ -206,7 +158,6 @@ impl Workload {
 /// inline merge stalls, and the count of merges that landed.
 fn run_commit_config(
     config_name: &'static str,
-    ba_workers: usize,
     async_merge: bool,
     frames: usize,
 ) -> (CommitRow, Vec<f64>, Option<MergeWorkerSnapshot>) {
@@ -214,11 +165,12 @@ fn run_commit_config(
     let mut load = Workload::new(CLIENTS, frames);
     let vocab = Arc::new(vocabulary::train_random(42));
     let mut config = ServerConfig::stereo_default(load.datasets[0].rig);
-    config.slam.mapping.ba_workers = ba_workers;
     config.async_merge = async_merge;
     let mut server = EdgeServer::new(config, vocab);
     for c in 0..CLIENTS {
-        server.register_client(c as u16 + 1);
+        server
+            .try_register_client(c as u16 + 1)
+            .expect("fresh server");
     }
     server.set_round_workers(CLIENTS);
 
@@ -248,7 +200,10 @@ fn run_commit_config(
                 pose_hint: (c == 0 && i == 0).then(|| load.datasets[0].gt_pose_cw(0)),
             })
             .collect();
-        for r in server.process_round(&batch) {
+        for r in server
+            .try_process_round(&batch)
+            .expect("one frame per registered client")
+        {
             // The merge blocks the commit only on the inline path; the
             // worker plans it on its own thread.
             let inline_merge = if async_merge {
@@ -283,7 +238,6 @@ fn run_commit_config(
     };
     let row = CommitRow {
         config: config_name,
-        ba_workers,
         async_merge,
         p50_commit_ms: pct(0.50),
         p95_commit_ms: pct(0.95),
@@ -297,7 +251,7 @@ fn run_commit_config(
 #[derive(Serialize)]
 struct ShardRow {
     shards: usize,
-    /// Post-merge `process_video` wall time percentiles (speculative
+    /// Post-merge round-of-one wall time percentiles (speculative
     /// track + commit, including region-lock waits), ms.
     commit_p50_ms: f64,
     commit_p95_ms: f64,
@@ -388,7 +342,20 @@ fn run_sharding_config(
     config.region_cell_m = CELL_M;
     config.merge_after_keyframes = usize::MAX;
     let mut server = EdgeServer::new(config, vocab);
-    server.register_client(1);
+    server.try_register_client(1).expect("fresh server");
+    let process_one = |server: &EdgeServer, i: usize, (l, r): &(Vec<u8>, Vec<u8>)| {
+        server
+            .try_process_round(&[ClientFrame {
+                client: 1,
+                frame_idx: i,
+                timestamp: ds.frame_time(i),
+                left: l,
+                right: Some(r),
+                imu: &[],
+                pose_hint: (i == 0).then(|| ds.gt_pose_cw(0)),
+            }])
+            .expect("client 1 is registered");
+    };
 
     let mut enc: (VideoEncoder, VideoEncoder) = Default::default();
     let encoded: Vec<(Vec<u8>, Vec<u8>)> = (0..frames)
@@ -400,16 +367,8 @@ fn run_sharding_config(
             )
         })
         .collect();
-    for (i, (l, r)) in encoded.iter().enumerate().take(MERGE_AT + 1) {
-        server.process_video(
-            1,
-            i,
-            ds.frame_time(i),
-            l,
-            Some(r),
-            &[],
-            (i == 0).then(|| ds.gt_pose_cw(0)),
-        );
+    for (i, payload) in encoded.iter().enumerate().take(MERGE_AT + 1) {
+        process_one(&server, i, payload);
     }
     server
         .merge_client_now(1, ds.frame_time(MERGE_AT))
@@ -454,9 +413,9 @@ fn run_sharding_config(
             }
             (durations, locked)
         });
-        for (i, (l, r)) in encoded.iter().enumerate().skip(MERGE_AT + 1) {
+        for (i, payload) in encoded.iter().enumerate().skip(MERGE_AT + 1) {
             let t0 = Instant::now();
-            server.process_video(1, i, ds.frame_time(i), l, Some(r), &[], None);
+            process_one(server, i, payload);
             commit_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         }
         absorber.join().expect("absorber thread panicked")
@@ -501,32 +460,17 @@ fn bench(c: &mut Criterion) {
     let frames = bench_effort().frames(40).clamp(12, 40);
 
     let (ds, base) = build_map(frames.min(16));
-    let ba = ba_sweep(&ds, &base);
-    for row in &ba.rows {
-        println!(
-            "ba workers={}: {:.2} ms wall (pose {:.2} + point {:.2}), {:.2}x, identical={}",
-            row.workers,
-            row.wall_ms,
-            row.pose_pass_ms,
-            row.point_pass_ms,
-            row.speedup_vs_1_worker,
-            row.bit_identical,
-        );
-    }
+    let ba = ba_once(&ds, &base);
     println!(
-        "ba parallel fraction {:.2} -> modeled {:.2}x at 4 workers",
-        ba.parallel_fraction, ba.modeled_speedup_4_workers
+        "ba: {:.2} ms wall (pose {:.2} + point {:.2})",
+        ba.wall_ms, ba.pose_pass_ms, ba.point_pass_ms
     );
 
     let mut commit = Vec::new();
     let mut inline_stalls = Vec::new();
     let mut worker_snapshot = None;
-    for (name, ba_workers, async_merge) in [
-        ("sequential_ba_inline_merge", 1usize, false),
-        ("parallel_ba_inline_merge", 0, false),
-        ("parallel_ba_async_merge", 0, true),
-    ] {
-        let (row, stalls, worker) = run_commit_config(name, ba_workers, async_merge, frames);
+    for (name, async_merge) in [("inline_merge", false), ("async_merge", true)] {
+        let (row, stalls, worker) = run_commit_config(name, async_merge, frames);
         println!(
             "commit [{name}]: p50 {:.2} ms, p95 {:.2} ms, max {:.2} ms, \
              worst merge stall {:.2} ms, {} merge(s)",
@@ -596,22 +540,14 @@ fn bench(c: &mut Criterion) {
         },
     );
 
-    // Kernel: one local-BA invocation, sequential vs parallel passes.
+    // Kernel: one local-BA invocation.
     let center = base.latest_keyframe().expect("map has keyframes").id;
-    let seq_exec = GpuExecutor::cpu_with_workers(1);
-    let par_exec = GpuExecutor::cpu_with_workers(host_cores.min(4));
-    c.bench_function("mapping/local_ba_sequential", |b| {
+    let exec = GpuExecutor::cpu();
+    c.bench_function("mapping/local_ba", |b| {
         let mut scratch = BaScratch::default();
         b.iter(|| {
             let mut m = base.clone();
-            local_bundle_adjust_with(&mut m, &ds.rig.cam, center, 6, 3, &seq_exec, &mut scratch)
-        })
-    });
-    c.bench_function("mapping/local_ba_parallel", |b| {
-        let mut scratch = BaScratch::default();
-        b.iter(|| {
-            let mut m = base.clone();
-            local_bundle_adjust_with(&mut m, &ds.rig.cam, center, 6, 3, &par_exec, &mut scratch)
+            local_bundle_adjust_with(&mut m, &ds.rig.cam, center, 6, 3, &exec, &mut scratch)
         })
     });
 }

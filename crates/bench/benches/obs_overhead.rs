@@ -81,7 +81,9 @@ fn run_session(frames: usize, record: bool) -> (Vec<f64>, Option<ObsSnapshot>) {
     let config = ServerConfig::stereo_default(load.datasets[0].rig);
     let mut server = EdgeServer::new(config, vocab);
     for c in 0..CLIENTS {
-        server.register_client(c as u16 + 1);
+        server
+            .try_register_client(c as u16 + 1)
+            .expect("fresh server");
     }
     server.set_round_workers(CLIENTS);
 
@@ -114,7 +116,9 @@ fn run_session(frames: usize, record: bool) -> (Vec<f64>, Option<ObsSnapshot>) {
             })
             .collect();
         let t0 = Instant::now();
-        server.process_round(&batch);
+        server
+            .try_process_round(&batch)
+            .expect("one frame per registered client");
         round_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     let snapshot = record.then(|| {

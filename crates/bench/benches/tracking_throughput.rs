@@ -1,5 +1,5 @@
 //! Bench (extension): multi-client tracking throughput through the
-//! concurrent round pipeline (`EdgeServer::process_round`) vs the same
+//! concurrent round pipeline (`EdgeServer::try_process_round`) vs the same
 //! workload processed sequentially — the perf trajectory behind the
 //! paper's "one edge server, many users" claim (Figs. 10/13).
 //!
@@ -73,7 +73,9 @@ impl Workload {
         let mut server = EdgeServer::new(ServerConfig::stereo_default(self.datasets[0].rig), vocab);
         server.set_round_workers(workers);
         for c in 0..self.datasets.len() {
-            server.register_client(c as u16 + 1);
+            server
+                .try_register_client(c as u16 + 1)
+                .expect("fresh server");
         }
         server
     }
@@ -113,7 +115,9 @@ fn run_workload(
             })
             .collect();
         let t0 = Instant::now();
-        let results = server.process_round(&batch);
+        let results = server
+            .try_process_round(&batch)
+            .expect("one frame per registered client");
         round_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         for r in &results {
             track_total += r.decode_ms + r.timings.total_ms();

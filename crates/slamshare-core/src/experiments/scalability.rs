@@ -3,7 +3,7 @@
 //! (tens) of users" because readers share the lock and only writes
 //! serialize. This experiment measures it on the real server pipeline: N
 //! registered clients feed one frame each per round through
-//! [`EdgeServer::process_round`], whose tracking stage runs the clients
+//! [`EdgeServer::try_process_round`], whose tracking stage runs the clients
 //! on concurrent workers (read locks on the global map) while keyframe
 //! insertions and merges serialize on the write lock. We report the
 //! per-round frame latency and the store's lock-contention statistics as
@@ -67,7 +67,9 @@ pub fn run(effort: Effort) -> ScalabilityResult {
             let mut server = EdgeServer::new(ServerConfig::stereo_default(ds.rig), vocab.clone());
             server.set_round_workers(n_clients);
             for cid in 0..n_clients {
-                server.register_client(cid as u16 + 1);
+                server
+                    .try_register_client(cid as u16 + 1)
+                    .expect("fresh unbounded server, distinct ids");
             }
 
             // Per-client encoders (the codec is stateful, delta frames).
@@ -104,7 +106,9 @@ pub fn run(effort: Effort) -> ScalabilityResult {
                     })
                     .collect();
                 let t0 = Instant::now();
-                server.process_round(&batch);
+                server
+                    .try_process_round(&batch)
+                    .expect("one frame per registered client");
                 round_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             }
 

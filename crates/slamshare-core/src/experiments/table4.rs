@@ -10,7 +10,7 @@
 
 use super::Effort;
 use crate::baseline::{baseline_exchange_round, BaselineClient, BaselineConfig, BaselineServer};
-use crate::server::{EdgeServer, ServerConfig};
+use crate::server::{ClientFrame, EdgeServer, ServerConfig};
 use serde::Serialize;
 use slamshare_net::codec::VideoEncoder;
 use slamshare_net::link::{Channel, LinkConfig};
@@ -128,8 +128,11 @@ pub fn run(effort: Effort) -> Table4Result {
         // explicitly to time it.
         config.merge_after_keyframes = usize::MAX;
         let mut server = EdgeServer::new(config, vocab.clone());
-        server.register_client(1);
-        server.register_client(2);
+        for id in [1, 2] {
+            server
+                .try_register_client(id)
+                .expect("fresh unbounded server, distinct ids");
+        }
 
         let mut encode_ms_total = 0.0;
         let mut frames_encoded = 0usize;
@@ -149,15 +152,17 @@ pub fn run(effort: Effort) -> Table4Result {
                 let now = SimTime::from_secs(ds.frame_time(i));
                 let sent = schannel.uplink.send(now, el.data.len() + er.data.len());
                 uplink_ms += sent.since(now).as_millis();
-                server.process_video(
-                    cid,
-                    i,
-                    ds.frame_time(i),
-                    &el.data,
-                    Some(&er.data),
-                    &[],
-                    (anchor && i == 0).then(|| ds.gt_pose_cw(0)),
-                );
+                server
+                    .try_process_round(&[ClientFrame {
+                        client: cid,
+                        frame_idx: i,
+                        timestamp: ds.frame_time(i),
+                        left: &el.data,
+                        right: Some(&er.data),
+                        imu: &[],
+                        pose_hint: (anchor && i == 0).then(|| ds.gt_pose_cw(0)),
+                    }])
+                    .expect("registered client");
             }
         }
         let merge_a = server

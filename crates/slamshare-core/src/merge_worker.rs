@@ -36,7 +36,7 @@ use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use crate::metrics::{MergeWorkerStats, MetricsCut};
 use parking_lot::Mutex;
 use slamshare_features::bow::Vocabulary;
-use slamshare_gpu::{GpuExecutor, SharedGpu, WorkClass};
+use slamshare_gpu::{SharedGpu, WorkClass};
 use slamshare_sim::camera::PinholeCamera;
 use slamshare_slam::ids::{KeyFrameId, MapPointId};
 use slamshare_slam::map::{transform_pose_cw, Map};
@@ -112,8 +112,8 @@ pub(crate) struct MergeContext {
     /// The server's metrics consistent-cut gate: the worker's stat
     /// updates count as a write section, like any round's.
     pub cut: Arc<MetricsCut>,
-    /// Shared GPU to draw a mapping-class slice from for seam BA and
-    /// descriptor fusion; `None` runs those kernels on the CPU path.
+    /// Shared GPU the worker holds a mapping-class slice on (the slice
+    /// shapes the modeled layout; seam BA and fusion run inline).
     pub gpu: Option<Arc<SharedGpu>>,
     /// Map maintenance (prune/evict) driver; `None` when the server has
     /// lifecycle disabled.
@@ -279,12 +279,6 @@ fn run_job(
     arena: &mut MappingArena,
     job: MergeJob,
 ) -> MergeCompletion {
-    // Re-fetch the slice each job: rebalances between jobs move it.
-    let exec = ctx
-        .gpu
-        .as_ref()
-        .and_then(|g| g.executor_class(MERGE_STREAM, WorkClass::Mapping))
-        .unwrap_or_else(|| Arc::new(GpuExecutor::cpu()));
     let t0 = Instant::now();
     let absorbed_kfs: BTreeSet<KeyFrameId> = job.cmap.keyframes.keys().copied().collect();
     let absorbed_mps: BTreeSet<MapPointId> = job.cmap.mappoints.keys().copied().collect();
@@ -324,15 +318,8 @@ fn run_job(
             if stale {
                 return (None, false);
             }
-            let (report, fused) = apply_merge_plan_with(
-                gmap,
-                &ctx.db,
-                job.cmap.clone(),
-                &plan,
-                &ctx.cam,
-                &exec,
-                arena,
-            );
+            let (report, fused) =
+                apply_merge_plan_with(gmap, &ctx.db, job.cmap.clone(), &plan, &ctx.cam, arena);
             (Some((report, fused)), true)
         });
         match applied {
@@ -369,15 +356,8 @@ fn run_job(
             return (None, false);
         }
         let _span = slamshare_obs::span!("merge.apply");
-        let (report, fused) = apply_merge_plan_with(
-            gmap,
-            &ctx.db,
-            job.cmap.clone(),
-            &plan,
-            &ctx.cam,
-            &exec,
-            arena,
-        );
+        let (report, fused) =
+            apply_merge_plan_with(gmap, &ctx.db, job.cmap.clone(), &plan, &ctx.cam, arena);
         (Some((report, fused)), true)
     });
     match result {

@@ -24,7 +24,7 @@
 //!
 //! Each client process sits behind its own mutex, so the server itself is
 //! `&self` throughout and frames for *different* clients can be processed
-//! concurrently. [`EdgeServer::process_round`] batches one frame per
+//! concurrently. [`EdgeServer::try_process_round`] batches one frame per
 //! client and runs the tracking stage (decode + ORB + pose) on a pool of
 //! scoped worker threads; only the short commit stage (keyframe insertion
 //! under the write lock, merge trigger) is serialized. Tracking is
@@ -195,8 +195,7 @@ pub struct ServerFrameResult {
     pub relocalized: bool,
 }
 
-/// Typed rejection of a server API call — the panic-free alternative the
-/// ingest path uses ([`EdgeServer::try_process_video`] /
+/// Typed rejection of a frame ([`EdgeServer::offer_frame`] /
 /// [`EdgeServer::try_process_round`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientError {
@@ -227,7 +226,7 @@ pub struct MergeOutcome {
     pub merge_ms: f64,
 }
 
-/// One uploaded frame for [`EdgeServer::process_round`].
+/// One uploaded frame for [`EdgeServer::try_process_round`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClientFrame<'a> {
     pub client: u16,
@@ -346,11 +345,11 @@ pub struct EdgeServer {
     retired: Mutex<RetiredSnapshot>,
     /// `(timestamp, client, outcome)` log of merges.
     merge_log: Mutex<Vec<(f64, u16, MergeOutcome)>>,
-    /// Worker threads used by [`EdgeServer::process_round`]'s tracking
-    /// stage. Results are identical at any value (see module docs).
+    /// Worker threads used by the round pipeline's tracking stage.
+    /// Results are identical at any value (see module docs).
     round_workers: usize,
-    /// Worker threads used by [`EdgeServer::process_round`]'s decode
-    /// stage (decode runs *before* and off the tracking critical path).
+    /// Worker threads used by the round pipeline's decode stage (decode
+    /// runs *before* and off the tracking critical path).
     decode_workers: usize,
     /// Background merge thread (async mode; see [`crate::merge_worker`]).
     merge_worker: Option<MergeWorker>,
@@ -550,23 +549,9 @@ impl EdgeServer {
 
     /// Spawn the per-client process (Fig. 3's Process A/B).
     ///
-    /// Panics on a refused registration (server at capacity, or the id is
-    /// already live); churn-facing callers should prefer
-    /// [`EdgeServer::try_register_client`].
-    pub fn register_client(&mut self, id: u16) {
-        if let Err(e) = self.try_register_client(id) {
-            panic!("register_client({id}): {e}");
-        }
-    }
-
-    /// [`EdgeServer::register_client`] with a typed refusal instead of a
-    /// panic.
-    ///
     /// Admission control: at most [`ServerConfig::max_clients`] clients
-    /// are live at once, and a live id cannot be re-registered — it used
-    /// to silently *replace* the running process, leaking the old one's
-    /// GPU slices and counter registrations; now the existing process is
-    /// left untouched and the caller gets
+    /// are live at once, and a live id cannot be re-registered — the
+    /// existing process is left untouched and the caller gets
     /// [`RegisterError::AlreadyRegistered`]. A deregistered (departed or
     /// crashed) client's id can be re-registered freely — the slot was
     /// reclaimed in full.
@@ -574,10 +559,9 @@ impl EdgeServer {
         self.admission.try_admit(id)?;
         let client_id = ClientId(id);
         let exec = if self.config.use_gpu {
-            // Tracking and mapping register as separate streams: the
-            // client's local-BA/cull kernels compete for SM slices
-            // alongside everyone's extraction instead of running scalar
-            // beside the device.
+            // The mapping-class slice is part of the modeled slice
+            // layout every virtual-time baseline was recorded against
+            // (ROADMAP 3c); local BA and culling themselves run inline.
             let exec = self.gpu.register(id as u32);
             self.gpu.register_class(id as u32, WorkClass::Mapping);
             exec
@@ -680,21 +664,19 @@ impl EdgeServer {
     /// staged simply don't participate. Returns `(client, result)` pairs
     /// in client-id order.
     pub fn process_queued_round(&self) -> Vec<(u16, ServerFrameResult)> {
-        let mut ids: Vec<u16> = self.clients.keys().copied().collect();
-        ids.sort_unstable();
-        let mut popped: Vec<(u16, QueuedFrame)> = Vec::new();
-        for id in ids {
-            let Some(process) = self.clients.get(&id) else {
-                continue;
-            };
-            let mut process = process.lock();
-            if let Some(frame) = process.queue.pop() {
+        let mut clients: Vec<(u16, &Mutex<ClientProcess>)> =
+            self.clients.iter().map(|(&id, p)| (id, p)).collect();
+        clients.sort_unstable_by_key(|&(id, _)| id);
+        let mut popped: Vec<(u16, &Mutex<ClientProcess>, QueuedFrame)> = Vec::new();
+        for (id, process) in clients {
+            let mut locked = process.lock();
+            if let Some(frame) = locked.queue.pop() {
                 // A frame staged after an eviction decodes against a
                 // reference that no longer exists: resync first.
                 if frame.follows_gap {
-                    process.ingest.note_discontinuity();
+                    locked.ingest.note_discontinuity();
                 }
-                popped.push((id, frame));
+                popped.push((id, process, frame));
             }
         }
         if popped.is_empty() {
@@ -702,7 +684,7 @@ impl EdgeServer {
         }
         let frames: Vec<ClientFrame> = popped
             .iter()
-            .map(|(id, q)| ClientFrame {
+            .map(|(id, _, q)| ClientFrame {
                 client: *id,
                 frame_idx: q.frame_idx,
                 timestamp: q.timestamp,
@@ -712,11 +694,9 @@ impl EdgeServer {
                 pose_hint: q.pose_hint,
             })
             .collect();
-        let results = self
-            .cut
-            .write(|| self.round_locked(&frames))
-            .expect("queued frames are distinct and registered");
-        popped.iter().map(|(id, _)| *id).zip(results).collect()
+        let processes: Vec<&Mutex<ClientProcess>> = popped.iter().map(|&(_, p, _)| p).collect();
+        let results = self.cut.write(|| self.round_locked(&frames, &processes));
+        popped.iter().map(|(id, _, _)| *id).zip(results).collect()
     }
 
     /// Whether a client's map has been merged into the global map.
@@ -727,85 +707,14 @@ impl EdgeServer {
             .unwrap_or(false)
     }
 
-    /// Process one uploaded video frame for `client`.
-    ///
-    /// `left`/`right` are encoded video payloads; `imu` carries the
-    /// samples since the previous frame (used only for monocular
-    /// bootstrap); `pose_hint` optionally seeds bootstrap (session
-    /// anchor).
-    ///
-    /// Panics on an unregistered client; the ingest path should prefer
-    /// [`EdgeServer::try_process_video`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_video(
-        &self,
-        client: u16,
-        frame_idx: usize,
-        timestamp: f64,
-        left: &[u8],
-        right: Option<&[u8]>,
-        imu: &[ImuSample],
-        pose_hint: Option<SE3>,
-    ) -> ServerFrameResult {
-        self.try_process_video(client, frame_idx, timestamp, left, right, imu, pose_hint)
-            .expect("unregistered client")
-    }
-
-    /// [`EdgeServer::process_video`] with a typed error instead of a
-    /// panic when the client is unknown. Malformed video payloads are
-    /// *not* errors at this level: they come back as a normal
-    /// [`ServerFrameResult`] with [`ServerFrameResult::decode_error`]
-    /// set and a resync request — a broken client must not be able to
-    /// distinguish itself from a slow one, let alone crash the server.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_process_video(
-        &self,
-        client: u16,
-        frame_idx: usize,
-        timestamp: f64,
-        left: &[u8],
-        right: Option<&[u8]>,
-        imu: &[ImuSample],
-        pose_hint: Option<SE3>,
-    ) -> Result<ServerFrameResult, ClientError> {
-        let frame = ClientFrame {
-            client,
-            frame_idx,
-            timestamp,
-            left,
-            right,
-            imu,
-            pose_hint,
-        };
-        let process = self
-            .clients
-            .get(&client)
-            .ok_or(ClientError::UnknownClient(client))?;
-        let mut process = process.lock();
-        self.cut.write(|| {
-            let decoded = process.ingest.decode(frame.left, frame.right);
-            let staged = self.track_stage(&mut process, &frame, decoded);
-            Ok(self.commit_stage(&mut process, client, timestamp, staged))
-        })
-    }
-
-    /// Process one frame for each of several *distinct* clients.
-    ///
-    /// Panics on duplicate clients in one round or an unregistered
-    /// client; the ingest path should prefer
-    /// [`EdgeServer::try_process_round`].
-    pub fn process_round(&self, frames: &[ClientFrame]) -> Vec<ServerFrameResult> {
-        match self.try_process_round(frames) {
-            Ok(results) => results,
-            Err(ClientError::DuplicateInRound(id)) => {
-                panic!("client {id} appears twice in one round")
-            }
-            Err(ClientError::UnknownClient(_)) => panic!("unregistered client"),
-        }
-    }
-
-    /// Process one frame for each of several *distinct* clients, with a
-    /// typed error instead of a panic on an invalid batch.
+    /// Process one frame for each of several *distinct* clients; a
+    /// single frame is a round of one. A duplicate or unregistered client
+    /// rejects the whole batch with a typed error before anything runs.
+    /// Malformed video payloads are *not* errors at this level: they come
+    /// back as a normal [`ServerFrameResult`] with
+    /// [`ServerFrameResult::decode_error`] set and a resync request — a
+    /// broken client must not be able to distinguish itself from a slow
+    /// one, let alone crash the server.
     ///
     /// The pipeline has three stages:
     ///
@@ -822,8 +731,7 @@ impl EdgeServer {
     ///    sequentially in input order; if a commit writes the global
     ///    map, the remaining merged clients' speculative tracks are
     ///    stale and are redone in the commit stage, so the returned
-    ///    results are exactly what sequential
-    ///    [`EdgeServer::process_video`] calls in input order would
+    ///    results are exactly what rounds of one in input order would
     ///    produce (timing fields aside).
     pub fn try_process_round(
         &self,
@@ -838,28 +746,34 @@ impl EdgeServer {
                 }
             }
         }
-        for f in frames {
-            if !self.clients.contains_key(&f.client) {
-                return Err(ClientError::UnknownClient(f.client));
-            }
-        }
+        let processes = frames
+            .iter()
+            .map(|f| {
+                self.clients
+                    .get(&f.client)
+                    .ok_or(ClientError::UnknownClient(f.client))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Every metric this round writes (ingest counters, region lock
         // stats, merge stats) lands inside one consistent-cut write
         // section, so `metrics()` never reports a torn mid-round total.
-        self.cut.write(|| self.round_locked(frames))
+        Ok(self.cut.write(|| self.round_locked(frames, &processes)))
     }
 
-    /// The round pipeline body (validation already done).
-    fn round_locked(&self, frames: &[ClientFrame]) -> Result<Vec<ServerFrameResult>, ClientError> {
+    /// The round pipeline body: `processes[i]` is the client process of
+    /// `frames[i]`, resolved once by the caller (distinct clients).
+    fn round_locked(
+        &self,
+        frames: &[ClientFrame],
+        processes: &[&Mutex<ClientProcess>],
+    ) -> Vec<ServerFrameResult> {
         // Phase 0: decode every client's payloads off the tracking path.
-        // `&self` guarantees the client set cannot change under us, so
-        // the lookups validated above stay valid.
         let decode_workers = self.decode_workers.min(frames.len()).max(1);
         let decoded: Vec<DecodeOutcome> = par_map_owned(
             decode_workers,
-            frames.iter().collect::<Vec<&ClientFrame>>(),
-            |f| self.decode_one(f),
+            frames.iter().zip(processes).collect::<Vec<_>>(),
+            |(f, p)| p.lock().ingest.decode(f.left, f.right),
         );
 
         // Phase 1: speculative parallel tracking against the round-start
@@ -867,8 +781,12 @@ impl EdgeServer {
         let workers = self.round_workers.min(frames.len()).max(1);
         let staged: Vec<StagedFrame> = par_map_owned(
             workers,
-            frames.iter().zip(decoded).collect::<Vec<_>>(),
-            |(f, d)| self.track_one(f, d),
+            frames
+                .iter()
+                .zip(processes)
+                .zip(decoded)
+                .collect::<Vec<_>>(),
+            |((f, p), d)| self.track_stage(&mut p.lock(), f, d),
         );
 
         // Phase 2: serialized commits in input order. Each staged shared
@@ -876,29 +794,12 @@ impl EdgeServer {
         // commit stage re-tracks exactly those whose epoch the map has
         // since moved past (an earlier commit this round, or a background
         // merge).
-        Ok(frames
+        frames
             .iter()
+            .zip(processes)
             .zip(staged)
-            .map(|(f, st)| {
-                let process = self.clients.get(&f.client).expect("validated above");
-                let mut process = process.lock();
-                self.commit_stage(&mut process, f.client, f.timestamp, st)
-            })
-            .collect())
-    }
-
-    /// Lock one client and decode its payloads (phase-0 worker body).
-    fn decode_one(&self, frame: &ClientFrame) -> DecodeOutcome {
-        let process = self.clients.get(&frame.client).expect("validated above");
-        let mut process = process.lock();
-        process.ingest.decode(frame.left, frame.right)
-    }
-
-    /// Lock one client and run its tracking stage (phase-1 worker body).
-    fn track_one(&self, frame: &ClientFrame, decoded: DecodeOutcome) -> StagedFrame {
-        let process = self.clients.get(&frame.client).expect("validated above");
-        let mut process = process.lock();
-        self.track_stage(&mut process, frame, decoded)
+            .map(|((f, p), st)| self.commit_stage(&mut p.lock(), f.client, f.timestamp, st))
+            .collect()
     }
 
     /// The parallelizable half of frame processing: track the decoded
@@ -1125,18 +1026,6 @@ impl EdgeServer {
                 else {
                     unreachable!("staged shared frame for a pre-merge client")
                 };
-                // Mapping kernels run on this client's mapping-class
-                // slice of the shared GPU, re-fetched per commit (slices
-                // move as clients come and go). Explicit `ba_workers`
-                // configs are left alone inside refresh_executor.
-                if self.config.use_gpu {
-                    if let Some(exec) = self
-                        .gpu
-                        .executor_class(process.id.0 as u32, WorkClass::Mapping)
-                    {
-                        mapper.refresh_executor(&exec);
-                    }
-                }
                 // Cheap staleness pre-check (lock-free): an earlier
                 // commit (same round) or a background merge bumped a
                 // region this track read. Rewind the motion state and
@@ -1785,6 +1674,30 @@ mod tests {
         }
     }
 
+    /// A round of one stereo frame for a registered client.
+    fn process_one(
+        server: &EdgeServer,
+        client: u16,
+        frame_idx: usize,
+        timestamp: f64,
+        (left, right): &(Vec<u8>, Vec<u8>),
+        pose_hint: Option<SE3>,
+    ) -> ServerFrameResult {
+        let frame = ClientFrame {
+            client,
+            frame_idx,
+            timestamp,
+            left,
+            right: Some(right),
+            imu: &[],
+            pose_hint,
+        };
+        server
+            .try_process_round(&[frame])
+            .expect("registered client")
+            .remove(0)
+    }
+
     fn dataset(preset: TracePreset, frames: usize, seed: u64) -> Dataset {
         Dataset::build(
             DatasetConfig::new(preset)
@@ -1798,19 +1711,17 @@ mod tests {
         let ds = dataset(TracePreset::V202, 10, 21);
         let vocab = Arc::new(vocabulary::train_random(42));
         let mut server = EdgeServer::new(ServerConfig::stereo_default(ds.rig), vocab);
-        server.register_client(1);
+        server.try_register_client(1).unwrap();
         let mut sim = ClientSim::new();
 
         let mut merged_at = None;
         for i in 0..10 {
-            let (l, r) = sim.encode(&ds, i);
-            let res = server.process_video(
+            let res = process_one(
+                &server,
                 1,
                 i,
                 ds.frame_time(i),
-                &l,
-                Some(&r),
-                &[],
+                &sim.encode(&ds, i),
                 (i == 0).then(|| ds.gt_pose_cw(0)),
             );
             if res.merge.is_some() && merged_at.is_none() {
@@ -1843,22 +1754,20 @@ mod tests {
         let ds_b = dataset(TracePreset::MH05, 12, 32);
         let vocab = Arc::new(vocabulary::train_random(42));
         let mut server = EdgeServer::new(ServerConfig::stereo_default(ds_a.rig), vocab);
-        server.register_client(1);
-        server.register_client(2);
+        server.try_register_client(1).unwrap();
+        server.try_register_client(2).unwrap();
         let mut sim_a = ClientSim::new();
         let mut sim_b = ClientSim::new();
 
         // Client A maps first. Anchor its map at ground truth so the
         // global frame is the world frame (pure gauge choice).
         for i in 0..12 {
-            let (l, r) = sim_a.encode(&ds_a, i);
-            server.process_video(
+            process_one(
+                &server,
                 1,
                 i,
                 ds_a.frame_time(i),
-                &l,
-                Some(&r),
-                &[],
+                &sim_a.encode(&ds_a, i),
                 (i == 0).then(|| ds_a.gt_pose_cw(0)),
             );
         }
@@ -1869,8 +1778,8 @@ mod tests {
         let mut b_merge: Option<MergeOutcome> = None;
         let mut post_merge_errs = Vec::new();
         for i in 0..12 {
-            let (l, r) = sim_b.encode(&ds_b, i);
-            let res = server.process_video(2, i, 1.0 + ds_b.frame_time(i), &l, Some(&r), &[], None);
+            let payload = sim_b.encode(&ds_b, i);
+            let res = process_one(&server, 2, i, 1.0 + ds_b.frame_time(i), &payload, None);
             if let Some(m) = &res.merge {
                 b_merge = Some(m.clone());
             }
@@ -1908,9 +1817,9 @@ mod tests {
         let ds = dataset(TracePreset::V202, 2, 23);
         let vocab = Arc::new(vocabulary::train_random(42));
         let mut server = EdgeServer::new(ServerConfig::stereo_default(ds.rig), vocab);
-        server.register_client(1);
+        server.try_register_client(1).unwrap();
         let solo = server.gpu.allocation()[&1];
-        server.register_client(2);
+        server.try_register_client(2).unwrap();
         let duo = server.gpu.allocation()[&1];
         assert!(duo <= solo);
         server.deregister_client(2);
@@ -1923,8 +1832,8 @@ mod tests {
         let ds_b = dataset(TracePreset::V202, 10, 42);
         let vocab = Arc::new(vocabulary::train_random(42));
         let mut server = EdgeServer::new(ServerConfig::stereo_default(ds_a.rig), vocab);
-        server.register_client(1);
-        server.register_client(2);
+        server.try_register_client(1).unwrap();
+        server.try_register_client(2).unwrap();
         server.set_round_workers(2);
         let mut sim_a = ClientSim::new();
         let mut sim_b = ClientSim::new();
@@ -1953,7 +1862,7 @@ mod tests {
                     pose_hint: None,
                 },
             ];
-            let results = server.process_round(&frames);
+            let results = server.try_process_round(&frames).unwrap();
             assert_eq!(results.len(), 2);
             assert_eq!(results[0].frame_idx, i);
             if i > 0 {
@@ -1967,12 +1876,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "appears twice")]
-    fn round_rejects_duplicate_clients() {
+    fn round_rejects_duplicate_and_unknown_clients() {
         let ds = dataset(TracePreset::V202, 1, 21);
         let vocab = Arc::new(vocabulary::train_random(42));
         let mut server = EdgeServer::new(ServerConfig::stereo_default(ds.rig), vocab);
-        server.register_client(1);
+        server.try_register_client(1).unwrap();
         let mut sim = ClientSim::new();
         let (l, r) = sim.encode(&ds, 0);
         let f = ClientFrame {
@@ -1984,6 +1892,16 @@ mod tests {
             imu: &[],
             pose_hint: None,
         };
-        server.process_round(&[f, f]);
+        assert_eq!(
+            server.try_process_round(&[f, f]).err(),
+            Some(ClientError::DuplicateInRound(1))
+        );
+        let stranger = ClientFrame { client: 9, ..f };
+        assert_eq!(
+            server.try_process_round(&[f, stranger]).err(),
+            Some(ClientError::UnknownClient(9))
+        );
+        // A rejected batch ran nothing: the valid frame still bootstraps.
+        assert!(server.try_process_round(&[f]).is_ok());
     }
 }

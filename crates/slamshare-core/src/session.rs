@@ -283,7 +283,9 @@ impl Session {
 
         let mut clients = self.build_clients();
         for c in &clients {
-            server.register_client(c.spec.id);
+            server
+                .try_register_client(c.spec.id)
+                .expect("session client ids are distinct and the server is unbounded");
         }
 
         let mut result = SessionResult {
@@ -378,7 +380,9 @@ impl Session {
                     pose_hint: e.hint,
                 })
                 .collect();
-            let results = server.process_round(&frames);
+            let results = server
+                .try_process_round(&frames)
+                .expect("one frame per registered client in a tick");
             drop(frames);
 
             // Post-round: downlink replies + timeline records.

@@ -21,13 +21,11 @@
 //! * [`shared_mutex`] — a read-concurrent / write-serialized lock with
 //!   contention statistics (the named sharable mutex);
 //! * [`segment`] — a named registry processes attach to;
-//! * [`store`] — [`SharedStore`], tying it together for a named shared
+//! * [`sharded`] — [`ShardedStore`], tying it together for a named shared
 //!   object: attach by name, concurrent zero-copy reads, serialized
-//!   writes, capacity accounting against the segment.
-//!
-//! * [`sharded`] — [`ShardedStore`], the region-sharded variant: N
-//!   occupants behind N locks with per-shard epoch counters, so a write
-//!   to one region never blocks readers of another.
+//!   writes, capacity accounting against the segment — over N occupants
+//!   behind N locks with per-shard epoch counters, so a write to one
+//!   region never blocks readers of another.
 //!
 //! The crate is deliberately independent of the SLAM types (generic over
 //! `T`) so it is testable in isolation; `slamshare-core` instantiates it
@@ -47,11 +45,9 @@ pub mod segment;
 pub mod sharded;
 pub mod shared_mutex;
 pub mod slab;
-pub mod store;
 
 pub use arena::Arena;
 pub use segment::{Segment, SegmentError};
 pub use sharded::ShardedStore;
 pub use shared_mutex::{LockStats, SharedMutex};
 pub use slab::{Slab, SlotHandle};
-pub use store::SharedStore;

@@ -1,11 +1,15 @@
 //! The region-sharded store: N lock-protected shards behind one name.
 //!
-//! [`ShardedStore<T>`] generalizes [`crate::store::SharedStore`] from one
-//! occupant behind one lock to N occupants (region shards of the global
-//! map) each behind its own [`SharedMutex`], plus a per-shard **epoch
-//! counter** replacing the single map-wide epoch: a writer that dirties a
-//! set of shards bumps exactly those shards' epochs, so a reader's
-//! staleness stamp only trips when a region it actually read has changed.
+//! [`ShardedStore<T>`] is the shape `slamshare-core` gives the global
+//! map: it lives in a [`Segment`], every client process attaches it by
+//! name, reads are concurrent and zero-copy (a closure over `&T`), writes
+//! are serialized, and the occupants' sizes are charged against the
+//! segment's arena so the system can report segment occupancy as the map
+//! grows. It holds N occupants (region shards of the global map) each
+//! behind its own [`SharedMutex`], plus a per-shard **epoch counter**: a
+//! writer that dirties a set of shards bumps exactly those shards'
+//! epochs, so a reader's staleness stamp only trips when a region it
+//! actually read has changed.
 //!
 //! Locking discipline (deadlock freedom): every multi-shard operation
 //! acquires its shard locks in **ascending shard-index order**. The store
@@ -114,11 +118,13 @@ impl<T: Send + Sync + 'static> ShardedStore<T> {
     /// locked shard's epoch is bumped before the locks are released —
     /// content may have been redistributed between the locked shards, so
     /// all of them count as potentially modified. Sizes are re-reported per
-    /// shard under the guards — growth is charged against the segment and
-    /// shrinkage (eviction, pruning) is released back to it (see
-    /// `SharedStore::with_write` for why in-lock reporting matters: a
-    /// report outside the guard can interleave with another writer's and
-    /// charge or release the same delta twice).
+    /// shard *while the write guards are still held* — growth is charged
+    /// against the segment (exhaustion saturates rather than panics,
+    /// mirroring the paper's fixed 2 GB budget: occupancy reporting shows
+    /// ≥ 100 %) and shrinkage (eviction, pruning) is released back to it.
+    /// A report after the drop could interleave with another writer's:
+    /// writer A publishes a stale smaller size over writer B's larger one,
+    /// and the next grower is charged for the difference a second time.
     pub fn with_write<R>(
         &self,
         segment: &Segment,
@@ -343,6 +349,48 @@ mod tests {
         // Both shards ended on the small size (199 is odd).
         assert_eq!(s.reported_bytes(), 512);
         assert_eq!(seg.arena.used(), 512);
+    }
+
+    #[test]
+    fn two_writers_on_one_shard_never_mischarge_growth() {
+        // Regression for the accounting race: size used to be reported
+        // *after* the write guard dropped, so two interleaved growers
+        // could publish their sizes out of order and double-charge the
+        // delta. With monotone growth and in-lock reporting, the charges
+        // telescope: total arena usage equals the final size exactly.
+        for round in 0..20 {
+            let seg = Arc::new(Segment::new(1 << 22));
+            let s = store(&seg, 1);
+            let mut handles = Vec::new();
+            for w in 0..2 {
+                let (s, seg) = (s.clone(), seg.clone());
+                handles.push(std::thread::spawn(move || {
+                    for i in 0..200 {
+                        // Growth steps are multiples of the arena's
+                        // 16-byte alignment so each charge is exact.
+                        s.with_write(
+                            &seg,
+                            &[0],
+                            |v| v.len(),
+                            |_, sh| {
+                                let grown = sh[0].len() + 16 * (1 + (w + i + round) % 4);
+                                (sh[0].resize(grown, 0), true)
+                            },
+                        );
+                    }
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            let final_size = s.with_read(&[0], |_, sh| sh[0].len());
+            assert_eq!(s.reported_bytes(), final_size);
+            assert_eq!(
+                seg.arena.used(),
+                final_size,
+                "growth charges did not telescope to the final size"
+            );
+        }
     }
 
     #[test]

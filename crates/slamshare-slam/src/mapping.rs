@@ -8,9 +8,7 @@
 
 use crate::ids::KeyFrameId;
 use crate::map::{KeyFrame, Map};
-use crate::optimize::{
-    kernel_or_scalar, local_bundle_adjust_with, BaScratch, BaStats, CULL_KERNEL_MIN_ITEMS,
-};
+use crate::optimize::{local_bundle_adjust_with, BaScratch, BaStats};
 use crate::tracking::{FrameObservation, SensorMode};
 use crate::triangulate;
 use slamshare_features::bow::Vocabulary;
@@ -31,11 +29,6 @@ pub struct MappingConfig {
     pub ba_every: usize,
     /// Coordinate-descent sweeps per BA invocation.
     pub ba_sweeps: usize,
-    /// Worker threads for the data-parallel BA passes (0 = one per host
-    /// core, and lets the server substitute the shared GPU's mapping
-    /// slice). Results are bit-identical at any value, so this only moves
-    /// wall time.
-    pub ba_workers: usize,
     /// Run batched keyframe culling every N insertions (0 = never).
     /// Leave 0 for shared-phase component maps: keyframe removal is a
     /// local-map operation.
@@ -54,7 +47,6 @@ impl Default for MappingConfig {
             ba_window: 6,
             ba_every: 2,
             ba_sweeps: 2,
-            ba_workers: 0,
             kf_cull_every: 0,
             point_cull_every: 0,
             point_cull_age_frames: 60,
@@ -87,25 +79,17 @@ pub struct LocalMapper {
     pub mode: SensorMode,
     pub rig: StereoRig,
     inserted: usize,
-    /// Worker pool for the data-parallel BA passes.
-    ba_exec: GpuExecutor,
     /// Point/keyframe-id buffers reused across BA invocations.
     ba_scratch: BaScratch,
 }
 
 impl LocalMapper {
     pub fn new(mode: SensorMode, rig: StereoRig, config: MappingConfig) -> LocalMapper {
-        let ba_exec = if config.ba_workers == 0 {
-            GpuExecutor::cpu_parallel()
-        } else {
-            GpuExecutor::cpu_with_workers(config.ba_workers)
-        };
         LocalMapper {
             config,
             mode,
             rig,
             inserted: 0,
-            ba_exec,
             ba_scratch: BaScratch::default(),
         }
     }
@@ -161,7 +145,7 @@ impl LocalMapper {
                 kf_id,
                 self.config.ba_window,
                 self.config.ba_sweeps,
-                &self.ba_exec,
+                &GpuExecutor::cpu(),
                 &mut self.ba_scratch,
             ));
         }
@@ -177,16 +161,6 @@ impl LocalMapper {
             report.n_keyframes_culled = self.cull_keyframes(map, kf_id);
         }
         report
-    }
-
-    /// Adopt a slice of the shared GPU for the mapping kernels (local BA,
-    /// keyframe culling). Applied only when `ba_workers` is 0 (auto): an
-    /// explicitly configured worker count — determinism tests, benches —
-    /// always wins over the device slice.
-    pub fn refresh_executor(&mut self, exec: &GpuExecutor) {
-        if self.config.ba_workers == 0 {
-            self.ba_exec = exec.clone();
-        }
     }
 
     /// Create points from the keyframe's stereo depths for keypoints not
@@ -333,68 +307,38 @@ impl LocalMapper {
         n
     }
 
-    /// Batched keyframe culling: flag every redundant keyframe with a
-    /// per-keyframe kernel over its covisibility observations, then
+    /// Batched keyframe culling: flag every redundant keyframe, then
     /// remove the flagged set. All verdicts are computed against the
-    /// pre-cull snapshot (observation counts are gathered before any
-    /// removal), so the batch is order-independent and bit-identical to
-    /// a scalar sweep applying the same snapshot rule — and runs on the
-    /// shared GPU slice when the candidate set clears the crossover.
-    /// `protect` (the just-inserted keyframe) is never culled.
+    /// pre-cull snapshot (no removal happens until every candidate has
+    /// been judged), so the batch is order-independent. `protect` (the
+    /// just-inserted keyframe) is never culled.
     pub fn cull_keyframes(&mut self, map: &mut Map, protect: KeyFrameId) -> usize {
         let t0 = std::time::Instant::now();
-        let Self {
-            ba_exec,
-            ba_scratch,
-            ..
-        } = self;
-        ba_scratch.cull_items.clear();
-        ba_scratch.cull_obs.clear();
+        let victims = &mut self.ba_scratch.cull_victims;
+        victims.clear();
         for (kf_id, kf) in map.keyframes.iter() {
             if *kf_id == protect {
                 continue;
             }
-            let lo = ba_scratch.cull_obs.len() as u32;
+            let (mut matched, mut well_observed) = (0usize, 0usize);
             for mp_id in kf.matched_points.iter().flatten() {
                 if let Some(mp) = map.mappoints.get(mp_id) {
-                    ba_scratch.cull_obs.push(mp.observations.len() as u32);
+                    matched += 1;
+                    if mp.observations.len() as u32 >= KF_CULL_MIN_OBS {
+                        well_observed += 1;
+                    }
                 }
             }
-            let hi = ba_scratch.cull_obs.len() as u32;
-            ba_scratch.cull_items.push((*kf_id, lo, hi));
-        }
-        {
-            let cull_obs: &[u32] = &ba_scratch.cull_obs;
-            kernel_or_scalar(
-                ba_exec,
-                &ba_scratch.cull_items,
-                CULL_KERNEL_MIN_ITEMS,
-                &mut ba_scratch.cull_out,
-                |&(_, lo, hi)| {
-                    let strip = &cull_obs[lo as usize..hi as usize];
-                    if strip.len() < KF_CULL_MIN_MATCHED {
-                        return false;
-                    }
-                    let well_observed = strip.iter().filter(|&&c| c >= KF_CULL_MIN_OBS).count();
-                    well_observed * 10 >= strip.len() * 9
-                },
-            );
-        }
-        ba_scratch.cull_victims.clear();
-        for ((kf_id, _, _), redundant) in ba_scratch.cull_items.iter().zip(&ba_scratch.cull_out) {
-            if *redundant {
-                ba_scratch.cull_victims.push(*kf_id);
+            if matched >= KF_CULL_MIN_MATCHED && well_observed * 10 >= matched * 9 {
+                victims.push(*kf_id);
             }
         }
-        for kf_id in ba_scratch.cull_victims.iter() {
+        for kf_id in victims.iter() {
             map.remove_keyframe(*kf_id);
         }
         slamshare_obs::observe_ms!("mapping.kf_cull", t0.elapsed().as_secs_f64() * 1e3);
-        slamshare_obs::counter_add!(
-            "mapping.keyframes_culled",
-            ba_scratch.cull_victims.len() as u64
-        );
-        ba_scratch.cull_victims.len()
+        slamshare_obs::counter_add!("mapping.keyframes_culled", victims.len() as u64);
+        victims.len()
     }
 }
 

@@ -194,29 +194,19 @@ pub fn apply_merge_plan(
     plan: &MergePlan,
     cam: &PinholeCamera,
 ) -> (MergeReport, Vec<(MapPointId, MapPointId)>) {
-    apply_merge_plan_with(
-        gmap,
-        db,
-        cmap,
-        plan,
-        cam,
-        &GpuExecutor::cpu(),
-        &mut MappingArena::default(),
-    )
+    apply_merge_plan_with(gmap, db, cmap, plan, cam, &mut MappingArena::default())
 }
 
-/// [`apply_merge_plan`] with an explicit executor and reusable mapping
-/// arena: the projection weld runs on the arena's SoA descriptor strips
-/// and the seam bundle adjustment on the kernelized BA path, so a
-/// long-lived caller (the async merge worker) fuses and adjusts without
-/// per-merge allocation churn and on its shared-GPU slice.
+/// [`apply_merge_plan`] with a reusable mapping arena: the projection
+/// weld runs on the arena's SoA descriptor strips and the seam bundle
+/// adjustment on its BA buffers, so a long-lived caller (the async merge
+/// worker) fuses and adjusts without per-merge allocation churn.
 pub fn apply_merge_plan_with(
     gmap: &mut Map,
     db: &ShardedKeyframeDatabase,
     mut cmap: Map,
     plan: &MergePlan,
     cam: &PinholeCamera,
-    exec: &GpuExecutor,
     arena: &mut MappingArena,
 ) -> (MergeReport, Vec<(MapPointId, MapPointId)>) {
     let mut report = MergeReport {
@@ -265,7 +255,13 @@ pub fn apply_merge_plan_with(
     // adjustment over the client keyframes and the local keyframes".
     if let Some(center) = client_kf_ids.last().copied().or(plan.ba_anchor) {
         report.ba = Some(local_bundle_adjust_with(
-            gmap, cam, center, 12, 3, exec, arena,
+            gmap,
+            cam,
+            center,
+            12,
+            3,
+            &GpuExecutor::cpu(),
+            arena,
         ));
     }
 

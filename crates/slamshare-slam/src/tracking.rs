@@ -294,14 +294,16 @@ impl Tracker {
         let (mut features, extract_ms) = self.extract(left);
         timings.orb_extract_ms = extract_ms;
 
-        // 2. Stereo matching.
+        // 2. Stereo matching, on its own clock: `right_ms` is modeled on
+        // the simulated-GPU device, so it must not be subtracted from a
+        // wall interval that spans the right-image extraction.
         if self.config.mode == SensorMode::Stereo {
             if let Some(right_img) = right {
-                let t0 = Instant::now();
                 let (right_features, right_ms) = self.extract(right_img);
-                self.stereo_match(&mut features, &right_features);
                 timings.orb_extract_ms += right_ms;
-                timings.orb_match_ms = t0.elapsed().as_secs_f64() * 1e3 - right_ms;
+                let t0 = Instant::now();
+                self.stereo_match(&mut features, &right_features);
+                timings.orb_match_ms = t0.elapsed().as_secs_f64() * 1e3;
             }
         }
 
@@ -393,19 +395,15 @@ impl Tracker {
             matched[m.train] = Some(mp_id);
         }
         let (pose, n_tracked, lost) = if obs.len() >= self.config.min_matches {
-            let result = optimize_pose(cam, predicted, &obs, 10);
+            let (optimized, n_inliers) = optimize_pose(cam, predicted, &obs, 10);
             // Clear outlier associations.
-            for (oi, ok) in result.inliers.iter().enumerate() {
-                if !ok {
-                    matched[obs_kp[oi]] = None;
+            for (o, &kp) in obs.iter().zip(&obs_kp) {
+                if !o.is_inlier(cam, optimized) {
+                    matched[kp] = None;
                 }
             }
-            let lost = result.n_inliers < self.config.min_matches;
-            (
-                if lost { predicted } else { result.pose },
-                result.n_inliers,
-                lost,
-            )
+            let lost = n_inliers < self.config.min_matches;
+            (if lost { predicted } else { optimized }, n_inliers, lost)
         } else {
             (predicted, obs.len(), true)
         };
@@ -663,6 +661,33 @@ mod tests {
             "device changed the answer"
         );
         assert_eq!(a.n_tracked, b.n_tracked);
+    }
+
+    #[test]
+    fn gpu_stereo_match_timing_is_wall_time_of_the_match_alone() {
+        // On the simulated-GPU device `extract` returns modeled latency;
+        // `orb_match_ms` must still be the wall time of the stereo match,
+        // not "real right-image extraction the model didn't charge".
+        let (map, ds, cpu_tracker) = seeded_map_and_dataset();
+        let mut tracker = Tracker::new(cpu_tracker.config.clone(), Arc::new(GpuExecutor::v100()));
+        tracker.reset_motion(ds.gt_pose_cw(0));
+        let (left, right) = ds.render_stereo_frame(1);
+        let (left_features, _) = tracker.extract(&left);
+        let (right_features, _) = tracker.extract(&right);
+        let direct_ms = (0..3)
+            .map(|_| {
+                let mut features = left_features.clone();
+                let t0 = Instant::now();
+                tracker.stereo_match(&mut features, &right_features);
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(0.0, f64::max);
+        let obs = tracker.track(1, ds.frame_time(1), &left, Some(&right), &map, None, None);
+        assert!(
+            obs.timings.orb_match_ms <= 10.0 * direct_ms + 5.0,
+            "track booked {} ms of stereo matching; the match alone takes {direct_ms} ms",
+            obs.timings.orb_match_ms
+        );
     }
 
     #[test]

@@ -74,9 +74,9 @@ proptest! {
             truth.rot * Quat::from_axis_angle(Vec3::Y, 0.05),
             truth.trans + Vec3::new(0.05, -0.04, 0.06),
         );
-        let result = optimize_pose(&cam, start, &obs, 15);
-        prop_assert!(result.pose.center_distance(&truth) < 1e-4,
-            "center err {}", result.pose.center_distance(&truth));
+        let (pose, _) = optimize_pose(&cam, start, &obs, 15);
+        prop_assert!(pose.center_distance(&truth) < 1e-4,
+            "center err {}", pose.center_distance(&truth));
     }
 
     /// Map bookkeeping: after arbitrary create/observe/remove sequences,

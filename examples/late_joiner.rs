@@ -15,7 +15,7 @@
 //! cargo run --release --example late_joiner
 //! ```
 
-use slamshare_core::server::{EdgeServer, ServerConfig};
+use slamshare_core::server::{ClientFrame, EdgeServer, ServerConfig};
 use slamshare_gpu::GpuExecutor;
 use slamshare_net::codec::VideoEncoder;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -41,19 +41,21 @@ fn main() {
     // ---- Phase 1: client A streams to the server; global map forms.
     println!("client A maps the hall through the server ({frames} frames)…");
     let mut server = EdgeServer::new(ServerConfig::stereo_default(ds_a.rig), vocab.clone());
-    server.register_client(1);
+    server.try_register_client(1).expect("fresh server");
     let (mut el, mut er) = (VideoEncoder::default(), VideoEncoder::default());
     for i in 0..frames {
         let (l, r) = ds_a.render_stereo_frame(i);
-        server.process_video(
-            1,
-            i,
-            ds_a.frame_time(i),
-            &el.encode(&l).data,
-            Some(&er.encode(&r).data),
-            &[],
-            (i == 0).then(|| ds_a.gt_pose_cw(0)),
-        );
+        server
+            .try_process_round(&[ClientFrame {
+                client: 1,
+                frame_idx: i,
+                timestamp: ds_a.frame_time(i),
+                left: &el.encode(&l).data,
+                right: Some(&er.encode(&r).data),
+                imu: &[],
+                pose_hint: (i == 0).then(|| ds_a.gt_pose_cw(0)),
+            }])
+            .expect("client 1 is registered");
     }
     let (kfs, mps, bytes) = server.global_map_stats();
     println!(
@@ -89,7 +91,7 @@ fn main() {
     // ---- Phase 3: B joins the session. The server checks ALL of B's
     // keyframes against the global map and welds immediately.
     println!("B joins the session — merging its whole existing map…");
-    server.register_client(2);
+    server.try_register_client(2).expect("unbounded server");
     // Hand B's offline map to its server process (in deployment this is
     // the map upload a late joiner performs once; here it is a move).
     server.adopt_local_map(2, offline.map);
@@ -112,16 +114,18 @@ fn main() {
     for i in 0..10 {
         let idx = frames - 10 + i;
         let (l, r) = ds_b.render_stereo_frame(idx);
-        let res = server.process_video(
-            2,
-            frames + i,
-            ds_b.frame_time(idx) + 10.0,
-            &VideoEncoder::default().encode(&l).data,
-            Some(&VideoEncoder::default().encode(&r).data),
-            &[],
-            None,
-        );
-        if let Some(p) = res.pose {
+        let results = server
+            .try_process_round(&[ClientFrame {
+                client: 2,
+                frame_idx: frames + i,
+                timestamp: ds_b.frame_time(idx) + 10.0,
+                left: &VideoEncoder::default().encode(&l).data,
+                right: Some(&VideoEncoder::default().encode(&r).data),
+                imu: &[],
+                pose_hint: None,
+            }])
+            .expect("client 2 is registered");
+        if let Some(p) = results[0].pose {
             errs.push(p.center_distance(&ds_b.gt_pose_cw(idx)));
         }
     }

@@ -35,7 +35,7 @@ if [[ "$SELFTEST" == 1 ]]; then
 fi
 
 # The benches whose JSON reports carry the gated p95 metrics.
-GATED_BENCHES=(tracking_throughput mapping_throughput mapping_kernels obs_overhead frame_micro load federation lifecycle)
+GATED_BENCHES=(tracking_throughput mapping_throughput obs_overhead frame_micro load federation lifecycle)
 if [[ "$RUN_BENCHES" == 1 ]]; then
     for b in "${GATED_BENCHES[@]}"; do
         echo "== cargo bench --bench $b =="

@@ -6,8 +6,8 @@
 #   scripts/check.sh              run every stage in order
 #   scripts/check.sh <stage>...   run only the named stage(s)
 #
-# Stages (in order): build test bench-norun clippy nopanic fmt load-smoke
-#                    fed-smoke soak
+# Stages (in order): build test bench-norun clippy nopanic fmt benchmark
+#                    load-smoke fed-smoke soak
 # Optional stage:    bench-gate   (also appended to the default run when
 #                                  SLAMSHARE_BENCH_GATE=1 — it runs the
 #                                  benchmarks, which takes a while)
@@ -60,6 +60,16 @@ stage_fmt() {
     cargo fmt --check
 }
 
+stage_benchmark() {
+    echo "== benchmark/ (its own package, outside the workspace): build, fmt, clippy =="
+    # The stages above never compile benchmark/, so an API deletion that
+    # breaks it would pass them. Read-only: nothing under benchmark/ that
+    # git tracks is written.
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    cargo fmt --check --manifest-path benchmark/Cargo.toml
+    cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
+}
+
 stage_load_smoke() {
     echo "== load-harness smoke (64 virtual clients, churn + admission bound) =="
     cargo run -q --release -p bench --bin load_smoke
@@ -88,11 +98,12 @@ run_stage() {
         clippy)      stage_clippy ;;
         nopanic)     stage_nopanic ;;
         fmt)         stage_fmt ;;
+        benchmark)   stage_benchmark ;;
         load-smoke)  stage_load_smoke ;;
         fed-smoke)   stage_fed_smoke ;;
         soak)        stage_soak ;;
         bench-gate)  stage_bench_gate ;;
-        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic fmt load-smoke fed-smoke soak bench-gate)" >&2
+        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke soak bench-gate)" >&2
            exit 2 ;;
     esac
 }
@@ -102,7 +113,7 @@ if [[ $# -gt 0 ]]; then
         run_stage "$stage"
     done
 else
-    for stage in build test bench-norun clippy nopanic fmt load-smoke fed-smoke soak; do
+    for stage in build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke soak; do
         run_stage "$stage"
     done
     if [[ "${SLAMSHARE_BENCH_GATE:-0}" == 1 ]]; then

@@ -1,16 +1,17 @@
 //! Determinism guarantees of the parallel pipeline (§4.2.1 makes the
 //! same claim for the CUDA kernels): data-parallel CPU extraction is
 //! bit-identical to the sequential extractor, and the server's
-//! concurrent round pipeline reproduces sequential per-client processing
-//! exactly, at any worker count.
+//! concurrent round pipeline reproduces sequential rounds of one exactly,
+//! at any worker count.
 
 use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig, ServerFrameResult};
 use slam_share::gpu::GpuExecutor;
+use slam_share::math::SE3;
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::ids::ClientId;
 use slam_share::slam::map::Map;
-use slam_share::slam::optimize::{local_bundle_adjust, local_bundle_adjust_with, BaScratch};
+use slam_share::slam::optimize::{local_bundle_adjust_with, BaScratch};
 use slam_share::slam::system::{FrameInput, SlamConfig, SlamSystem};
 use slam_share::slam::tracking::{Tracker, TrackerConfig};
 use slam_share::slam::vocabulary;
@@ -89,7 +90,7 @@ impl MultiClientRig {
         let vocab = Arc::new(vocabulary::train_random(42));
         let mut server = EdgeServer::new(ServerConfig::stereo_default(self.datasets[0].rig), vocab);
         for c in 0..self.datasets.len() {
-            server.register_client(c as u16 + 1);
+            server.try_register_client(c as u16 + 1).unwrap();
         }
         server
     }
@@ -106,6 +107,30 @@ impl MultiClientRig {
             })
             .collect()
     }
+}
+
+/// A round of one stereo frame for a registered client.
+fn process_one(
+    server: &EdgeServer,
+    client: u16,
+    frame_idx: usize,
+    timestamp: f64,
+    (left, right): &(Vec<u8>, Vec<u8>),
+    pose_hint: Option<SE3>,
+) -> ServerFrameResult {
+    let frame = ClientFrame {
+        client,
+        frame_idx,
+        timestamp,
+        left,
+        right: Some(right),
+        imu: &[],
+        pose_hint,
+    };
+    server
+        .try_process_round(&[frame])
+        .expect("registered client")
+        .remove(0)
 }
 
 fn run_rounds(server: &EdgeServer, rig: &mut MultiClientRig, frames: usize) -> Vec<String> {
@@ -125,7 +150,13 @@ fn run_rounds(server: &EdgeServer, rig: &mut MultiClientRig, frames: usize) -> V
                 pose_hint: (c == 0 && i == 0).then(|| rig.datasets[0].gt_pose_cw(0)),
             })
             .collect();
-        keys.extend(server.process_round(&batch).iter().map(result_key));
+        keys.extend(
+            server
+                .try_process_round(&batch)
+                .unwrap()
+                .iter()
+                .map(result_key),
+        );
     }
     keys
 }
@@ -135,20 +166,21 @@ fn round_pipeline_matches_sequential_process_video_exactly() {
     const CLIENTS: usize = 3;
     const FRAMES: usize = 8;
 
-    // Reference: plain sequential process_video calls, in client order.
+    // Reference: N sequential rounds of one per tick, in client order,
+    // on a single worker.
     let mut rig = MultiClientRig::new(CLIENTS, FRAMES);
-    let server = rig.server();
+    let mut server = rig.server();
+    server.set_round_workers(1);
     let mut sequential_keys = Vec::new();
     for i in 0..FRAMES {
         let payloads = rig.encode_tick(i);
-        for (c, (l, r)) in payloads.iter().enumerate() {
-            let res = server.process_video(
+        for (c, payload) in payloads.iter().enumerate() {
+            let res = process_one(
+                &server,
                 c as u16 + 1,
                 i,
                 rig.datasets[c].frame_time(i),
-                l,
-                Some(r),
-                &[],
+                payload,
                 (c == 0 && i == 0).then(|| rig.datasets[0].gt_pose_cw(0)),
             );
             sequential_keys.push(result_key(&res));
@@ -165,7 +197,7 @@ fn round_pipeline_matches_sequential_process_video_exactly() {
         "reference run never merged client 1 — test would be vacuous"
     );
 
-    // The batched round pipeline must reproduce it exactly, whatever the
+    // One round of N per tick must reproduce it exactly, whatever the
     // worker count.
     for workers in [1usize, 2, 4] {
         let mut rig = MultiClientRig::new(CLIENTS, FRAMES);
@@ -205,8 +237,8 @@ fn tracking_reads_run_concurrently_with_a_merge_write() {
     // hand so the write lands while the other client is tracking.
     config.merge_after_keyframes = usize::MAX;
     let mut server = EdgeServer::new(config, vocab);
-    server.register_client(1);
-    server.register_client(2);
+    server.try_register_client(1).unwrap();
+    server.try_register_client(2).unwrap();
 
     let mut enc_a = (VideoEncoder::default(), VideoEncoder::default());
     let encoded_a: Vec<(Vec<u8>, Vec<u8>)> = (0..FRAMES)
@@ -221,14 +253,13 @@ fn tracking_reads_run_concurrently_with_a_merge_write() {
 
     // Client 1 builds a local map, then is merged into the (empty)
     // global map so its remaining frames track under read locks.
-    for (i, (l, r)) in encoded_a.iter().enumerate().take(10) {
-        server.process_video(
+    for (i, payload) in encoded_a.iter().enumerate().take(10) {
+        process_one(
+            &server,
             1,
             i,
             ds_a.frame_time(i),
-            l,
-            Some(r),
-            &[],
+            payload,
             (i == 0).then(|| ds_a.gt_pose_cw(0)),
         );
     }
@@ -242,17 +273,16 @@ fn tracking_reads_run_concurrently_with_a_merge_write() {
     let mut enc_b = (VideoEncoder::default(), VideoEncoder::default());
     for i in 0..10 {
         let (l, r) = ds_b.render_stereo_frame(i);
-        let (l, r) = (
+        let payload = (
             enc_b.0.encode(&l).data.to_vec(),
             enc_b.1.encode(&r).data.to_vec(),
         );
-        server.process_video(
+        process_one(
+            &server,
             2,
             i,
             ds_b.frame_time(i),
-            &l,
-            Some(&r),
-            &[],
+            &payload,
             Some(ds_b.gt_pose_cw(0)).filter(|_| i == 0),
         );
     }
@@ -266,10 +296,8 @@ fn tracking_reads_run_concurrently_with_a_merge_write() {
                 .iter()
                 .enumerate()
                 .skip(10)
-                .map(|(i, (l, r))| {
-                    server
-                        .process_video(1, i, ds_a.frame_time(i), l, Some(r), &[], None)
-                        .tracked
+                .map(|(i, payload)| {
+                    process_one(server, 1, i, ds_a.frame_time(i), payload, None).tracked
                 })
                 .collect::<Vec<bool>>()
         });
@@ -302,6 +330,9 @@ fn map_fingerprint(map: &Map) -> String {
     s
 }
 
+/// Local BA has one (inline) route, so what is left of the old
+/// worker-count comparison is the scratch: a reused `BaScratch` must give
+/// the bits a fresh one gives.
 #[test]
 fn parallel_local_ba_is_bit_identical_to_sequential() {
     // A real map with covisibility: run the full single-client pipeline
@@ -332,44 +363,52 @@ fn parallel_local_ba_is_bit_identical_to_sequential() {
     assert!(base.n_keyframes() >= 3, "{} keyframes", base.n_keyframes());
     let center = base.latest_keyframe().expect("map has keyframes").id;
 
-    // Sequential reference (the public wrapper runs on a 1-worker pool).
-    let mut seq = base.clone();
-    let seq_stats = local_bundle_adjust(&mut seq, &ds.rig.cam, center, 6, 3);
-    assert!(
-        seq_stats.n_keyframes >= 2 && seq_stats.n_points > 0,
-        "BA window too small to exercise both passes: {seq_stats:?}"
+    // Reference: a cold scratch.
+    let mut scratch = BaScratch::default();
+    let mut cold = base.clone();
+    let cold_stats = local_bundle_adjust_with(
+        &mut cold,
+        &ds.rig.cam,
+        center,
+        6,
+        3,
+        &GpuExecutor::cpu(),
+        &mut scratch,
     );
-    let seq_fp = map_fingerprint(&seq);
+    assert!(
+        cold_stats.n_keyframes >= 2 && cold_stats.n_points > 0,
+        "BA window too small to exercise both passes: {cold_stats:?}"
+    );
+    let cold_fp = map_fingerprint(&cold);
     assert_ne!(
         map_fingerprint(&base),
-        seq_fp,
+        cold_fp,
         "BA changed nothing — the comparison would be vacuous"
     );
 
-    for workers in [1usize, 2, 4] {
-        let mut par = base.clone();
-        let mut scratch = BaScratch::default();
-        let par_stats = local_bundle_adjust_with(
-            &mut par,
-            &ds.rig.cam,
-            center,
-            6,
-            3,
-            &GpuExecutor::cpu_with_workers(workers),
-            &mut scratch,
-        );
-        assert_eq!(
-            seq_fp,
-            map_fingerprint(&par),
-            "local BA diverged from sequential at {workers} workers"
-        );
-        assert_eq!(
-            seq_stats.final_cost.to_bits(),
-            par_stats.final_cost.to_bits(),
-            "BA cost diverged at {workers} workers"
-        );
-        assert_eq!(seq_stats.n_observations, par_stats.n_observations);
-    }
+    // The same adjustment on the now-warm scratch (what a long-lived
+    // mapper runs) must not see anything the first call left behind.
+    let mut warm = base.clone();
+    let warm_stats = local_bundle_adjust_with(
+        &mut warm,
+        &ds.rig.cam,
+        center,
+        6,
+        3,
+        &GpuExecutor::cpu(),
+        &mut scratch,
+    );
+    assert_eq!(
+        cold_fp,
+        map_fingerprint(&warm),
+        "local BA on a reused scratch diverged from a cold one"
+    );
+    assert_eq!(
+        cold_stats.final_cost.to_bits(),
+        warm_stats.final_cost.to_bits(),
+        "BA cost diverged on a reused scratch"
+    );
+    assert_eq!(cold_stats.n_observations, warm_stats.n_observations);
 }
 
 #[test]
@@ -385,7 +424,7 @@ fn async_merge_lands_mid_round_without_changing_committed_results() {
         config.async_merge = async_merge;
         let mut server = EdgeServer::new(config, vocab);
         for c in 0..CLIENTS {
-            server.register_client(c as u16 + 1);
+            server.try_register_client(c as u16 + 1).unwrap();
         }
         server.set_round_workers(2);
         server
@@ -405,7 +444,7 @@ fn async_merge_lands_mid_round_without_changing_committed_results() {
                 pose_hint: (c == 0 && i == 0).then(|| rig.datasets[0].gt_pose_cw(0)),
             })
             .collect();
-        server.process_round(&batch)
+        server.try_process_round(&batch).unwrap()
     };
 
     // Reference: no merge ever happens. Client 1 stays on its private
@@ -464,51 +503,44 @@ fn fnv1a64(s: &str) -> u64 {
     h
 }
 
-/// The kernelized mapping path (SoA local BA, batched culling, the
-/// problem-size crossover) must leave every committed result and the
-/// final global map bit-identical whatever the BA worker count and
-/// however the global map is sharded. Same style as the extraction
-/// determinism test: the whole multi-client run is folded into one
-/// digest per configuration and all six must collide. Dataset and
+/// The mapping path (local BA, batched culling) must leave every
+/// committed result and the final global map bit-identical however the
+/// global map is sharded. Same style as the extraction determinism
+/// test: the whole multi-client run is folded into one digest per
+/// configuration and they must collide. Dataset and
 /// vocabulary seeds are pinned (independent of `SLAMSHARE_TEST_SEED`)
 /// so the digest is a true golden value for this host-independent
 /// pipeline.
 #[test]
-fn mapping_digest_is_identical_across_ba_workers_and_shards() {
+fn mapping_digest_is_identical_across_shards() {
     const CLIENTS: usize = 3;
     const FRAMES: usize = 8;
 
-    let mut digests: Vec<(usize, usize, u64)> = Vec::new();
+    let mut digests: Vec<(usize, u64)> = Vec::new();
     for shards in [1usize, 16] {
-        for ba_workers in [1usize, 2, 4] {
-            let mut rig = MultiClientRig::new(CLIENTS, FRAMES);
-            let vocab = Arc::new(vocabulary::train_random(42));
-            let mut config = ServerConfig::stereo_default(rig.datasets[0].rig);
-            config.map_shards = shards;
-            // An explicit worker count wins over the shared-GPU mapping
-            // slice (refresh_executor leaves it alone), so 2/4 really
-            // run the parallel kernel branch even on a small host.
-            config.slam.mapping.ba_workers = ba_workers;
-            let mut server = EdgeServer::new(config, vocab);
-            for c in 0..CLIENTS {
-                server.register_client(c as u16 + 1);
-            }
-            let keys = run_rounds(&server, &mut rig, FRAMES);
-            assert!(
-                server.merge_log().iter().any(|(_, c, _)| *c == 1),
-                "run never merged client 1 — digest would skip shared-phase mapping"
-            );
-            let mut transcript = keys.join("\n");
-            transcript.push('\n');
-            transcript.push_str(&map_fingerprint(&server.store.snapshot_map()));
-            digests.push((shards, ba_workers, fnv1a64(&transcript)));
+        let mut rig = MultiClientRig::new(CLIENTS, FRAMES);
+        let vocab = Arc::new(vocabulary::train_random(42));
+        let mut config = ServerConfig::stereo_default(rig.datasets[0].rig);
+        config.map_shards = shards;
+        let mut server = EdgeServer::new(config, vocab);
+        for c in 0..CLIENTS {
+            server.try_register_client(c as u16 + 1).unwrap();
         }
+        let keys = run_rounds(&server, &mut rig, FRAMES);
+        assert!(
+            server.merge_log().iter().any(|(_, c, _)| *c == 1),
+            "run never merged client 1 — digest would skip shared-phase mapping"
+        );
+        let mut transcript = keys.join("\n");
+        transcript.push('\n');
+        transcript.push_str(&map_fingerprint(&server.store.snapshot_map()));
+        digests.push((shards, fnv1a64(&transcript)));
     }
-    let (s0, w0, golden) = digests[0];
-    for &(shards, workers, d) in &digests[1..] {
+    let (s0, golden) = digests[0];
+    for &(shards, d) in &digests[1..] {
         assert_eq!(
             d, golden,
-            "mapping digest diverged: {workers} workers/{shards} shards vs {w0} workers/{s0} shards"
+            "mapping digest diverged: {shards} shards vs {s0} shards"
         );
     }
 }

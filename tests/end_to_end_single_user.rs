@@ -2,7 +2,7 @@
 //! (decode, GPU tracking, mapping, shared-memory map) → pose replies →
 //! client display chain. Crosses every crate in the workspace.
 
-use slam_share::core::server::{EdgeServer, ServerConfig};
+use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig};
 use slam_share::core::ClientDevice;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::{eval, vocabulary};
@@ -18,7 +18,7 @@ fn camera_to_display_pipeline() {
     );
     let vocab = Arc::new(vocabulary::train_random(42));
     let mut server = EdgeServer::new(ServerConfig::stereo_default(ds.rig), vocab);
-    server.register_client(7);
+    server.try_register_client(7).unwrap();
     let mut device = ClientDevice::new(7);
     device.init_pose(ds.gt_pose_cw(0));
 
@@ -35,15 +35,18 @@ fn camera_to_display_pipeline() {
         assert_eq!(upload.messages.len(), 2);
 
         // Server side: decode + track + map (+ merge when ready).
-        let res = server.process_video(
-            7,
-            i,
-            t,
-            &upload.messages[0].payload,
-            Some(&upload.messages[1].payload),
-            &imu,
-            (i == 0).then(|| ds.gt_pose_cw(0)),
-        );
+        let res = server
+            .try_process_round(&[ClientFrame {
+                client: 7,
+                frame_idx: i,
+                timestamp: t,
+                left: &upload.messages[0].payload,
+                right: Some(&upload.messages[1].payload),
+                imu: &imu,
+                pose_hint: (i == 0).then(|| ds.gt_pose_cw(0)),
+            }])
+            .expect("registered client")
+            .remove(0);
         // Pose reply reaches the device one frame later (ideal link).
         if let Some(pose) = res.pose {
             device.on_server_pose(t, i, pose);

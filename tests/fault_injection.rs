@@ -51,8 +51,8 @@ impl Rig {
     fn server(&self) -> EdgeServer {
         let vocab = Arc::new(vocabulary::train_random(42));
         let mut server = EdgeServer::new(ServerConfig::stereo_default(self.datasets[0].rig), vocab);
-        server.register_client(1);
-        server.register_client(2);
+        server.try_register_client(1).unwrap();
+        server.try_register_client(2).unwrap();
         server
     }
 
@@ -121,7 +121,7 @@ fn garbage_client_is_isolated_and_recovers() {
         if let Some((l, r)) = &c1 {
             batch.push(rig_a.frame(0, i, l, r));
         }
-        clean_keys.push(result_key(&server_a.process_round(&batch)[0]));
+        clean_keys.push(result_key(&server_a.try_process_round(&batch).unwrap()[0]));
     }
 
     // Faulty run: same world, but client 1 streams garbage after the
@@ -154,7 +154,7 @@ fn garbage_client_is_isolated_and_recovers() {
             rig_b.frame(1, i, &c2.0, &c2.1),
             rig_b.frame(0, i, &c1.0, &c1.1),
         ];
-        let results = server_b.process_round(&batch);
+        let results = server_b.try_process_round(&batch).unwrap();
         faulty_keys.push(result_key(&results[0]));
         client1_results.push(result_key(&results[1]));
 
@@ -266,8 +266,15 @@ fn metrics_snapshot_is_a_consistent_cut_under_concurrent_faults() {
             let mut idx = 0usize;
             while !stop.load(Ordering::Relaxed) {
                 for (l, r) in GARBAGE {
-                    let _ =
-                        server.try_process_video(1, idx, idx as f64 / 30.0, l, Some(r), &[], None);
+                    let _ = server.try_process_round(&[ClientFrame {
+                        client: 1,
+                        frame_idx: idx,
+                        timestamp: idx as f64 / 30.0,
+                        left: l,
+                        right: Some(r),
+                        imu: &[],
+                        pose_hint: None,
+                    }]);
                     idx += 1;
                 }
                 std::thread::sleep(std::time::Duration::from_micros(100));

@@ -309,10 +309,7 @@ fn extraction_deterministic_across_worker_counts() {
 }
 
 /// Batched keyframe culling picks exactly the victim set a scalar
-/// re-implementation of the snapshot rule picks, at any worker count —
-/// with enough candidate keyframes to clear the crossover, so the
-/// 4-worker run exercises the real parallel kernel branch, not the
-/// scalar fallback.
+/// re-implementation of the snapshot rule picks.
 #[test]
 fn batched_kf_culling_matches_scalar_snapshot_rule() {
     use slam_share::slam::ids::{ClientId, KeyFrameId};
@@ -398,30 +395,24 @@ fn batched_kf_culling_matches_scalar_snapshot_rule() {
         ever_culled |= !reference.is_empty();
         ever_spared |= reference.len() < n_kf - 1;
 
-        for workers in [1usize, 4] {
-            let mut m = map.clone();
-            let cfg = MappingConfig {
-                ba_workers: workers,
-                ..MappingConfig::default()
-            };
-            let mut mapper = LocalMapper::new(SensorMode::Stereo, rig, cfg);
-            let culled = mapper.cull_keyframes(&mut m, protect);
-            assert_eq!(
-                culled,
-                reference.len(),
-                "cull count diverged from the scalar rule at {workers} workers"
-            );
-            let survivors: Vec<KeyFrameId> = m.keyframes.keys().copied().collect();
-            let expected: Vec<KeyFrameId> = kf_ids
-                .iter()
-                .copied()
-                .filter(|id| !reference.contains(id))
-                .collect();
-            assert_eq!(
-                survivors, expected,
-                "victim set diverged from the scalar rule at {workers} workers"
-            );
-        }
+        let mut m = map.clone();
+        let mut mapper = LocalMapper::new(SensorMode::Stereo, rig, MappingConfig::default());
+        let culled = mapper.cull_keyframes(&mut m, protect);
+        assert_eq!(
+            culled,
+            reference.len(),
+            "cull count diverged from the scalar rule"
+        );
+        let survivors: Vec<KeyFrameId> = m.keyframes.keys().copied().collect();
+        let expected: Vec<KeyFrameId> = kf_ids
+            .iter()
+            .copied()
+            .filter(|id| !reference.contains(id))
+            .collect();
+        assert_eq!(
+            survivors, expected,
+            "victim set diverged from the scalar rule"
+        );
     }
     assert!(
         ever_culled && ever_spared,

@@ -238,7 +238,7 @@ fn ingress_queue_sheds_oldest_non_iframe_with_exact_accounting() {
     let mut config = ServerConfig::stereo_default(ds.rig);
     config.ingress_queue_cap = 2;
     let mut server = EdgeServer::new(config, vocab);
-    server.register_client(1);
+    server.try_register_client(1).unwrap();
 
     // A real encoded stream: frame 0 is an I-frame, the rest P-frames.
     let mut enc_l = VideoEncoder::new(2, 30);

@@ -11,7 +11,7 @@
 //! concurrent and interleaved bulk absorbs into both disjoint and
 //! overlapping region sets.
 
-use slam_share::core::server::{EdgeServer, ServerConfig, ServerFrameResult};
+use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig, ServerFrameResult};
 use slam_share::math::{Vec3, SE3};
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -152,8 +152,31 @@ fn build_server(ds: &Dataset, shards: usize) -> EdgeServer {
     // Merges are driven by hand at a fixed frame.
     config.merge_after_keyframes = usize::MAX;
     let mut server = EdgeServer::new(config, vocab);
-    server.register_client(1);
+    server.try_register_client(1).unwrap();
     server
+}
+
+/// A round of one stereo frame for client 1.
+fn process_one(
+    server: &EdgeServer,
+    frame_idx: usize,
+    timestamp: f64,
+    (left, right): &(Vec<u8>, Vec<u8>),
+    pose_hint: Option<SE3>,
+) -> ServerFrameResult {
+    let frame = ClientFrame {
+        client: 1,
+        frame_idx,
+        timestamp,
+        left,
+        right: Some(right),
+        imu: &[],
+        pose_hint,
+    };
+    server
+        .try_process_round(&[frame])
+        .expect("registered client")
+        .remove(0)
 }
 
 fn dataset() -> Dataset {
@@ -180,17 +203,15 @@ fn run_workload(
     let mut receipts = Vec::new();
     for i in 0..FRAMES {
         let (l, r) = ds.render_stereo_frame(i);
-        let (l, r) = (
+        let payload = (
             enc.0.encode(&l).data.to_vec(),
             enc.1.encode(&r).data.to_vec(),
         );
-        let res = server.process_video(
-            1,
+        let res = process_one(
+            &server,
             i,
             ds.frame_time(i),
-            &l,
-            Some(&r),
-            &[],
+            &payload,
             (i == 0).then(|| ds.gt_pose_cw(0)),
         );
         keys.push(result_key(&res));
@@ -300,14 +321,12 @@ fn concurrent_disjoint_absorbs_leave_commits_bit_identical() {
     // Local phase + merge first, so every frame of the measured stretch
     // commits into the sharded global map.
     let mut keys = Vec::new();
-    for (i, (l, r)) in encoded.iter().enumerate().take(MERGE_AT + 1) {
-        let res = server.process_video(
-            1,
+    for (i, payload) in encoded.iter().enumerate().take(MERGE_AT + 1) {
+        let res = process_one(
+            &server,
             i,
             ds.frame_time(i),
-            l,
-            Some(r),
-            &[],
+            payload,
             (i == 0).then(|| ds.gt_pose_cw(0)),
         );
         keys.push(result_key(&res));
@@ -323,8 +342,8 @@ fn concurrent_disjoint_absorbs_leave_commits_bit_identical() {
                 .map(|&x| server.absorb_external_fragment(make_fragment(100, x, 3)))
                 .collect::<Vec<Vec<usize>>>()
         });
-        for (i, (l, r)) in encoded.iter().enumerate().skip(MERGE_AT + 1) {
-            let res = server.process_video(1, i, ds.frame_time(i), l, Some(r), &[], None);
+        for (i, payload) in encoded.iter().enumerate().skip(MERGE_AT + 1) {
+            let res = process_one(server, i, ds.frame_time(i), payload, None);
             keys.push(result_key(&res));
         }
         absorber.join().expect("absorber thread panicked")
@@ -371,14 +390,12 @@ fn concurrent_overlapping_absorbs_serialize_without_losing_content() {
             )
         })
         .collect();
-    for (i, (l, r)) in encoded.iter().enumerate().take(MERGE_AT + 1) {
-        server.process_video(
-            1,
+    for (i, payload) in encoded.iter().enumerate().take(MERGE_AT + 1) {
+        process_one(
+            &server,
             i,
             ds.frame_time(i),
-            l,
-            Some(r),
-            &[],
+            payload,
             (i == 0).then(|| ds.gt_pose_cw(0)),
         );
     }
@@ -402,11 +419,7 @@ fn concurrent_overlapping_absorbs_serialize_without_losing_content() {
             .iter()
             .enumerate()
             .skip(MERGE_AT + 1)
-            .map(|(i, (l, r))| {
-                server
-                    .process_video(1, i, ds.frame_time(i), l, Some(r), &[], None)
-                    .tracked
-            })
+            .map(|(i, payload)| process_one(server, i, ds.frame_time(i), payload, None).tracked)
             .collect::<Vec<bool>>()
     });
     assert!(

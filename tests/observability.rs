@@ -41,7 +41,7 @@ impl Session {
         let vocab = Arc::new(vocabulary::train_random(42));
         let mut server = EdgeServer::new(ServerConfig::stereo_default(datasets[0].rig), vocab);
         for c in 0..CLIENTS {
-            server.register_client(c as u16 + 1);
+            server.try_register_client(c as u16 + 1).unwrap();
         }
         server.set_round_workers(workers);
         server.set_decode_workers(workers);
@@ -53,7 +53,7 @@ impl Session {
     }
 
     /// Run `frames` rounds; returns total wall time spent inside
-    /// `process_round`, ms.
+    /// `try_process_round`, ms.
     fn run(&mut self, frames: usize) -> f64 {
         let mut wall_ms = 0.0;
         for i in 0..frames {
@@ -80,7 +80,7 @@ impl Session {
                 })
                 .collect();
             let t0 = Instant::now();
-            self.server.process_round(&batch);
+            self.server.try_process_round(&batch).unwrap();
             wall_ms += t0.elapsed().as_secs_f64() * 1e3;
         }
         wall_ms
