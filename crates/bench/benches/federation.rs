@@ -2,10 +2,11 @@
 //!
 //! Writes `results/BENCH_federation.json` from two deterministic runs:
 //!
-//! 1. a **federated load-harness** run — N ownership bands, scripted
-//!    boundary roamers, client handoffs with exact release accounting —
-//!    on the harness's modeled service times, so every virtual latency
-//!    in the report is exact and machine-independent;
+//! 1. a **federated load-harness** run on the real `Federation` — N
+//!    ownership bands, scripted boundary roamers, client handoffs with
+//!    exact release accounting — on the harness's modeled service times,
+//!    so every virtual latency in the report is exact and
+//!    machine-independent;
 //! 2. a **delta-apply** microbench — map fragments encoded as federation
 //!    wire deltas and absorbed under the destination owner's region
 //!    locks, sampled over many applies.

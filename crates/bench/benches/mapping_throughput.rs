@@ -19,7 +19,7 @@
 //! shards, with a background writer bulk-absorbing map fragments while a
 //! merged client commits — the contention experiment for
 //! `slamshare_core::gmap`. At one shard every absorb serializes against
-//! every commit (the old single-lock behaviour); with 16 shards the
+//! every commit (the whole map behind one lock); with 16 shards the
 //! absorbs hold only their own regions' locks and the commit path stops
 //! waiting on them.
 
@@ -328,8 +328,8 @@ fn run_sharding_config(
     fragments: usize,
     frag_kfs: usize,
 ) -> ShardRow {
+    use slamshare_core::gmap::REGION_CELL_M;
     use slamshare_slam::map::RegionAssigner;
-    const CELL_M: f64 = 10.0;
     const MERGE_AT: usize = 9;
     let ds = Dataset::build(
         DatasetConfig::new(TracePreset::V202)
@@ -339,7 +339,6 @@ fn run_sharding_config(
     let vocab = Arc::new(vocabulary::train_random(42));
     let mut config = ServerConfig::stereo_default(ds.rig);
     config.map_shards = shards;
-    config.region_cell_m = CELL_M;
     config.merge_after_keyframes = usize::MAX;
     let mut server = EdgeServer::new(config, vocab);
     server.try_register_client(1).expect("fresh server");
@@ -377,7 +376,7 @@ fn run_sharding_config(
     // Far offsets whose cells hash outside the client's regions (always
     // region 0 == everything at one shard, where contention is the
     // point).
-    let assigner = RegionAssigner::new(shards, CELL_M);
+    let assigner = RegionAssigner::new(shards, REGION_CELL_M);
     let client_cells: Vec<usize> = (0..frames)
         .map(|i| {
             let c = ds

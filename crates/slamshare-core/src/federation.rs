@@ -5,7 +5,7 @@
 //! as a federation serving one logical global map. The partition is
 //! **static**: every [`crate::gmap`] region index is owned by exactly one
 //! server ([`OwnershipMap`]), and because the region assigner is a pure
-//! function of `(map_shards, region_cell_m)`, all servers with the same
+//! function of `(map_shards, REGION_CELL_M)`, all servers with the same
 //! [`ServerConfig`] agree on which region — hence which owner — any world
 //! position belongs to, with no coordination traffic.
 //!
@@ -304,7 +304,12 @@ impl Federation {
         client: u16,
         position: Vec3,
     ) -> Result<usize, RegisterError> {
-        let target = self.owner_of_position(position);
+        self.register_on(client, self.owner_of_position(position))
+    }
+
+    /// Register a client on server `target`, whatever placement policy
+    /// chose it. Returns the home server index.
+    pub fn register_on(&mut self, client: u16, target: usize) -> Result<usize, RegisterError> {
         match self.servers.get_mut(target) {
             Some(server) => {
                 server.try_register_client(client)?;
@@ -487,14 +492,7 @@ impl Federation {
     }
 
     /// Transfer `client` to the server owning `position`, if that is no
-    /// longer its home. `next_frame_idx`/`timestamp`/`last_pose` are the
-    /// session facts announced to the destination.
-    ///
-    /// On success the old home has fully released the client (GPU slices,
-    /// queue — purged frames counted in the retired aggregate — and
-    /// admission slot) and the destination holds a fresh registration
-    /// awaiting the forced I-frame resync. On refusal (destination at
-    /// capacity) the client stays on its old home untouched.
+    /// longer its home (see [`Federation::handoff_to`]).
     pub fn maybe_handoff(
         &mut self,
         client: u16,
@@ -504,11 +502,32 @@ impl Federation {
         timestamp: f64,
         last_pose: Option<SE3>,
     ) -> HandoffResult {
+        let to = self.owner_of_position(position);
+        self.handoff_to(client, to, now, next_frame_idx, timestamp, last_pose)
+    }
+
+    /// Transfer `client` to server `to`, if that is not already its home.
+    /// `next_frame_idx`/`timestamp`/`last_pose` are the session facts
+    /// announced to the destination.
+    ///
+    /// On success the old home has fully released the client (GPU slices,
+    /// queue — purged frames counted in the retired aggregate — and
+    /// admission slot) and the destination holds a fresh registration
+    /// awaiting the forced I-frame resync. On refusal (destination at
+    /// capacity) the client stays on its old home untouched.
+    pub fn handoff_to(
+        &mut self,
+        client: u16,
+        to: usize,
+        now: SimTime,
+        next_frame_idx: u64,
+        timestamp: f64,
+        last_pose: Option<SE3>,
+    ) -> HandoffResult {
         let from = match self.home.get(&client).copied() {
             Some(h) => h,
             None => return HandoffResult::NotNeeded,
         };
-        let to = self.owner_of_position(position);
         if to == from || self.servers.get(to).is_none() {
             return HandoffResult::NotNeeded;
         }

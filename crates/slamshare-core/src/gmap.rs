@@ -200,6 +200,10 @@ fn shard_bytes(s: &RegionShard) -> usize {
     s.map.approx_bytes()
 }
 
+/// Edge length, meters, of the spatial grid cells every
+/// [`crate::server::EdgeServer`] hashes its regions from.
+pub const REGION_CELL_M: f64 = 10.0;
+
 impl ShardedGlobalMap {
     /// Create the sharded map inside `segment` under `name` with
     /// `n_shards` regions of ~`cell_m`-meter grid cells.
@@ -249,17 +253,6 @@ impl ShardedGlobalMap {
     /// federation ownership map is built on.
     pub fn region_of(&self, p: Vec3) -> usize {
         self.dir.lock().assigner.region_of(p) as usize
-    }
-
-    /// Sorted set of region indices a map fragment's keyframe camera
-    /// centers fall in (ownership routing for federation deltas).
-    pub fn regions_of_fragment(&self, fragment: &Map) -> Vec<usize> {
-        let dir = self.dir.lock();
-        let mut set: BTreeSet<usize> = BTreeSet::new();
-        for kf in fragment.keyframes.values() {
-            set.insert(dir.assigner.region_of(kf.pose_cw.camera_center()) as usize);
-        }
-        set.into_iter().collect()
     }
 
     /// Current epoch of every region (lock-free).
@@ -690,22 +683,6 @@ impl ShardedGlobalMap {
         }
         dir.evicted.insert(region as u32, stub);
         true
-    }
-
-    /// Write under exactly `regions`' locks with the gather/scatter
-    /// protocol, **without** component validation — the caller must pass
-    /// a component-closed set (maintenance passes a snapshot of
-    /// [`ShardedGlobalMap::components`]; content it finds beyond that
-    /// snapshot is simply untouched).
-    pub fn with_regions_write<R>(
-        &self,
-        regions: &[usize],
-        f: impl FnOnce(&mut Map, &ComponentWrite) -> (R, bool),
-    ) -> R {
-        self.store
-            .with_write(&self.segment, regions, shard_bytes, |order, shards| {
-                self.run_write(order, shards, f)
-            })
     }
 
     /// Write to the components covering `seeds`. The closure receives the

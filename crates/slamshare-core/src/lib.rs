@@ -18,7 +18,7 @@
 //! * [`hologram`] — shared-hologram placement/perception (Fig. 11);
 //! * [`ingest`] — fault-isolated per-client video decode with the
 //!   I-frame resync protocol (no malformed byte may panic the server);
-//! * [`metrics`] — CPU/bandwidth/FPS accounting and ATE re-exports;
+//! * [`metrics`] — CPU/bandwidth accounting and ATE re-exports;
 //! * [`experiments`] — one runner per table/figure of the paper's
 //!   evaluation (see DESIGN.md §3), shared by the Criterion benches and
 //!   the examples.

@@ -5,34 +5,38 @@
 //! devices with heterogeneous radios join, leave, and crash mid-stream —
 //! is exactly the regime where the admission/backpressure machinery in
 //! [`crate::qos`] earns its keep. This module drives that machinery at
-//! scale without wall-clock cost: every client is synthetic, every link is
-//! a [`slamshare_net::link::Link`] flow model, and the whole run advances
-//! on a [`slamshare_sim::clock::EventQueue`] in virtual microseconds.
+//! scale: every client is synthetic, every link is a
+//! [`slamshare_net::link::Link`] flow model, and the whole run advances on
+//! a [`slamshare_sim::clock::EventQueue`] in virtual microseconds.
 //!
-//! What is *real* (the code under test):
+//! What is *real* is the whole server side. The harness builds a
+//! [`Federation`] of [`EdgeServer`](crate::server::EdgeServer)s (one of
+//! them when `n_servers == 1`) and enters it only through `register_on` /
+//! `offer_frame` / `process_queued_rounds` / `handoff_to` /
+//! `deregister_client`, so typed admission, the bounded staging queues
+//! with oldest-non-I-frame eviction, the per-client ingest resync state
+//! machine (fed real encoder output, real garbage-byte faults, real
+//! reference-chain gaps from uplink loss), the round pipeline, the slice
+//! scheduler with its [`slamshare_gpu::SlicePriority`] transitions, and
+//! the destination-first handoff are the code that ships. The synthetic
+//! 32×24 frames hold too little structure to bootstrap a map, so every
+//! client stays in its local phase and a frame costs well under a
+//! millisecond of wall time: the 512-client overload run takes about
+//! 3–4 s on 2 cores and the 96-client smoke 0.6 s.
 //!
-//! * [`crate::qos::Admission`] — typed capacity/duplicate rejection;
-//! * [`crate::qos::FrameQueue`] — bounded staging with
-//!   oldest-non-I-frame eviction and gap tagging;
-//! * [`crate::ingest::VideoIngest`] — per-client total decode with the
-//!   I-frame resync state machine (fed real encoder output, real
-//!   garbage-byte faults, real reference-chain gaps from uplink loss);
-//! * [`slamshare_gpu::SharedGpu`] — the slice scheduler, including
-//!   [`slamshare_gpu::SlicePriority`] transitions when a client degrades;
-//! * [`slamshare_net::link::Link`] — per-client uplink/downlink FIFO
-//!   flow models from a heterogeneous tier table.
-//!
-//! What is *modeled*: per-frame tracking compute. Running 512 full SLAM
-//! processes is neither affordable nor necessary — the quantities under
-//! test (queue depths, drop counters, admission outcomes, round latency)
-//! depend on the *service time* of tracking, not its output. Service time
-//! is charged as `cpu_ms + gpu_work_ms / slice_sms`, with `slice_sms`
-//! read from the real [`slamshare_gpu::SharedGpu`] layout, so priority
-//! transitions causally change latency. The recovered pose is the
-//! trajectory ground truth (the system computes bit-identical results on
-//! every device by construction — see DESIGN.md §2), which is what makes
-//! the churn-determinism property testable: a surviving client's served
-//! trajectory must be byte-for-byte independent of everyone else's churn.
+//! What is *modeled*: the clients (devices, links, churn script) and
+//! per-frame tracking **service time**. The quantities under test (queue
+//! depths, drop counters, admission outcomes, round latency) depend on
+//! how long tracking takes, not on its output, so each served frame is
+//! charged `cpu_ms + gpu_work_ms / slice_sms` on a virtual service lane,
+//! with `slice_sms` read from the server's live
+//! [`slamshare_gpu::SharedGpu`] layout as the round starts — priority
+//! transitions causally change latency. The served pose is the trajectory
+//! ground truth the front end staged with the frame (the system computes
+//! bit-identical results on every device by construction — see DESIGN.md
+//! §2), which is what makes the churn-determinism property testable: a
+//! surviving client's served trajectory must be byte-for-byte independent
+//! of everyone else's churn.
 //!
 //! Everything a client does is derived from `(seed, client_id)` alone —
 //! tier, trajectory, join time, churn fate, per-frame loss/fault draws —
@@ -42,18 +46,22 @@
 //! `tests/load_harness.rs`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::Serialize;
 use slamshare_features::GrayImage;
-use slamshare_gpu::{GpuModel, SharedGpu, SlicePriority, WorkClass};
+use slamshare_gpu::{GpuModel, SharedGpu};
 use slamshare_math::Vec3;
 use slamshare_net::link::{Channel, LinkConfig};
 use slamshare_net::VideoEncoder;
+use slamshare_sim::camera::StereoRig;
 use slamshare_sim::trajectory::GazePolicy;
 use slamshare_sim::{EventQueue, SimTime, Trajectory};
+use slamshare_slam::vocabulary;
 
-use crate::ingest::{DecodeOutcome, VideoIngest};
-use crate::qos::{Admission, FrameQueue, QueuedFrame, RegisterError};
+use crate::federation::{Federation, HandoffResult};
+use crate::qos::{QueuedFrame, RegisterError};
+use crate::server::ServerConfig;
 
 // ---------------------------------------------------------------------
 // Deterministic RNG
@@ -189,8 +197,6 @@ pub struct LoadConfig {
     pub fault_rate: f64,
     /// Whether uplink Bernoulli loss is applied.
     pub loss: bool,
-    /// Whether degraded clients are demoted in the GPU slice scheduler.
-    pub priorities: bool,
     /// Round-latency SLO asserted over interactive-class served frames.
     pub slo_p99_ms: f64,
     /// Synthetic video resolution (small: content only feeds the codec).
@@ -240,7 +246,6 @@ impl LoadConfig {
             fault_pct: 50,
             fault_rate: 0.05,
             loss: true,
-            priorities: true,
             slo_p99_ms: 400.0,
             frame_w: 32,
             frame_h: 24,
@@ -488,6 +493,9 @@ struct Device {
     lost_uplink: u64,
     faults: u64,
     rejoined: bool,
+    /// The server this device last registered on (a rejoiner reconnects
+    /// there).
+    home: Option<usize>,
     img: GrayImage,
 }
 
@@ -547,6 +555,7 @@ impl Device {
             lost_uplink: 0,
             faults: 0,
             rejoined: false,
+            home: None,
             img: GrayImage::new(config.frame_w, config.frame_h),
         }
     }
@@ -575,155 +584,91 @@ impl Device {
 }
 
 // ---------------------------------------------------------------------
-// Server side
+// Front end
 // ---------------------------------------------------------------------
 
-struct ServerClient {
-    ingest: VideoIngest,
-    queue: FrameQueue,
-    last_idx: Option<usize>,
+/// What a front end in front of the servers holds per live registration.
+/// Everything else about a client — its admission slot, staged queue,
+/// ingest state machine, GPU slice and counters — lives in the real
+/// [`EdgeServer`](crate::server::EdgeServer) it is registered on.
+#[derive(Default)]
+struct Registration {
     last_heard: SimTime,
+    last_idx: Option<usize>,
     resync_pending: bool,
-    degraded: bool,
+    /// The last served frame faulted: the server holds the client in the
+    /// degraded GPU class until a frame decodes again.
+    faulted: bool,
 }
 
-impl ServerClient {
-    fn new(queue_cap: usize, now: SimTime) -> ServerClient {
-        ServerClient {
-            ingest: VideoIngest::new(),
-            queue: FrameQueue::new(queue_cap),
-            last_idx: None,
-            last_heard: now,
-            resync_pending: false,
-            degraded: false,
-        }
-    }
-}
-
-/// Retired-state counter aggregate: `FrameQueue`/`VideoIngest` counters
-/// die with their owner on eviction, so the server folds each retiring
-/// client's snapshot into these totals.
-#[derive(Debug, Default)]
-struct Retired {
-    offered: u64,
-    served: u64,
-    dropped: u64,
-    purged: u64,
-    decoded: u64,
-    decode_errors: u64,
-    ingest_dropped: u64,
-    resyncs: u64,
-}
-
-struct SimServer {
-    admission: Admission,
-    gpu: SharedGpu,
-    states: BTreeMap<u16, ServerClient>,
-    lanes: Vec<SimTime>,
-    retired: Retired,
+/// The system under test plus the front end's bookkeeping around it.
+struct FrontEnd {
+    fed: Federation,
+    regs: BTreeMap<u16, Registration>,
+    /// Capture instant and ground-truth position of every staged
+    /// `(client, frame_idx)`; the server's result carries neither.
+    staged: BTreeMap<(u16, usize), (SimTime, [f64; 3])>,
+    /// Virtual service lanes, per server.
+    lanes: Vec<Vec<SimTime>>,
+    peak_live: Vec<usize>,
     crash_evictions: u64,
     stray: u64,
-    peak_live: usize,
     priority_demotions: u64,
-}
-
-impl SimServer {
-    fn new(config: &LoadConfig) -> SimServer {
-        let model = GpuModel {
-            sm_count: config.gpu_sms,
-            ..GpuModel::v100()
-        };
-        SimServer {
-            admission: Admission::new(config.max_clients),
-            gpu: SharedGpu::new(model),
-            states: BTreeMap::new(),
-            lanes: vec![SimTime(0); config.lanes.max(1)],
-            retired: Retired::default(),
-            crash_evictions: 0,
-            stray: 0,
-            peak_live: 0,
-            priority_demotions: 0,
-        }
-    }
-
-    fn admit(&mut self, id: u16, now: SimTime, queue_cap: usize) -> Result<(), RegisterError> {
-        self.admission.try_admit(id)?;
-        self.gpu.register(u32::from(id));
-        self.states.insert(id, ServerClient::new(queue_cap, now));
-        self.peak_live = self.peak_live.max(self.states.len());
-        Ok(())
-    }
-
-    fn retire(&mut self, id: u16) {
-        if let Some(mut s) = self.states.remove(&id) {
-            s.queue.purge();
-            let q = s.queue.counters().snapshot();
-            self.retired.offered += q.offered;
-            self.retired.served += q.served;
-            self.retired.dropped += q.dropped_overflow;
-            self.retired.purged += q.purged;
-            let i = s.ingest.counters().snapshot();
-            self.retired.decoded += i.frames_decoded;
-            self.retired.decode_errors += i.decode_errors;
-            self.retired.ingest_dropped += i.dropped_frames;
-            self.retired.resyncs += i.resyncs;
-        }
-        self.admission.depart(id);
-        self.gpu.deregister_client(u32::from(id));
-    }
-
-    fn set_degraded(&mut self, id: u16, degraded: bool, priorities: bool) {
-        let Some(s) = self.states.get_mut(&id) else {
-            return;
-        };
-        if s.degraded == degraded {
-            return;
-        }
-        s.degraded = degraded;
-        if priorities {
-            let prio = if degraded {
-                SlicePriority::Degraded
-            } else {
-                SlicePriority::Interactive
-            };
-            if self.gpu.set_priority(u32::from(id), prio) && degraded {
-                self.priority_demotions += 1;
-            }
-        }
-    }
-}
-
-/// The federation: one [`SimServer`] per ownership band plus the client
-/// → home-server routing table. With one server this is a transparent
-/// wrapper — every route resolves to server 0 and runs are bit-identical
-/// to the pre-federation harness.
-struct SimFederation {
-    servers: Vec<SimServer>,
-    home: BTreeMap<u16, usize>,
-    handoffs: u64,
-    handoffs_refused: u64,
     handoff_latency: Vec<f64>,
 }
 
-impl SimFederation {
-    fn new(config: &LoadConfig) -> SimFederation {
-        SimFederation {
-            servers: (0..config.n_servers.max(1))
-                .map(|_| SimServer::new(config))
-                .collect(),
-            home: BTreeMap::new(),
-            handoffs: 0,
-            handoffs_refused: 0,
+impl FrontEnd {
+    fn new(config: &LoadConfig) -> FrontEnd {
+        let n = config.n_servers.max(1);
+        let mut server_config = ServerConfig::stereo_default(StereoRig::euroc_like());
+        server_config.max_clients = config.max_clients;
+        server_config.ingress_queue_cap = config.queue_cap;
+        let vocab = Arc::new(vocabulary::train_random(config.seed));
+        let mut fed = Federation::new(n, server_config, vocab, LinkConfig::ten_gbe());
+        for i in 0..n {
+            if let Some(server) = fed.server_mut(i) {
+                server.gpu = Arc::new(SharedGpu::new(GpuModel {
+                    sm_count: config.gpu_sms,
+                    ..GpuModel::v100()
+                }));
+            }
+        }
+        FrontEnd {
+            fed,
+            regs: BTreeMap::new(),
+            staged: BTreeMap::new(),
+            lanes: vec![vec![SimTime(0); config.lanes.max(1)]; n],
+            peak_live: vec![0; n],
+            crash_evictions: 0,
+            stray: 0,
+            priority_demotions: 0,
             handoff_latency: Vec::new(),
         }
     }
 
-    /// The server currently responsible for `id` (its home band; clients
-    /// that never joined default to server 0, where their deliveries are
-    /// counted as stray).
-    fn home_of(&mut self, id: u16) -> &mut SimServer {
-        let h = self.home.get(&id).copied().unwrap_or(0);
-        &mut self.servers[h]
+    fn live_on(&self, server: usize) -> usize {
+        self.fed.server(server).map_or(0, |s| s.client_count())
+    }
+
+    /// A registration landed on `server`: start its front-end record.
+    fn note_admitted(&mut self, id: u16, server: usize, now: SimTime) {
+        let fresh = Registration {
+            last_heard: now,
+            ..Registration::default()
+        };
+        self.regs.insert(id, fresh);
+        self.peak_live[server] = self.peak_live[server].max(self.live_on(server));
+    }
+
+    /// Forget everything staged for `id` (its server purged the queue).
+    fn forget_staged(&mut self, id: u16) {
+        self.staged.retain(|&(c, _), _| c != id);
+    }
+
+    fn retire(&mut self, id: u16) {
+        self.fed.deregister_client(id);
+        self.regs.remove(&id);
+        self.forget_staged(id);
     }
 }
 
@@ -768,8 +713,8 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
         .iter()
         .map(|&id| (id, Device::new(config, id)))
         .collect();
-    let mut fed = SimFederation::new(config);
-    let n_servers = fed.servers.len();
+    let mut fe = FrontEnd::new(config);
+    let n_servers = fe.fed.n_servers();
     let mut q: EventQueue<Ev> = EventQueue::new();
 
     for (&id, dev) in &devices {
@@ -808,13 +753,13 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                     continue;
                 }
                 // Join (or rejoin) lands on the band the trajectory starts
-                // in; a rejoiner returns to its last home.
-                let target = fed
+                // in; a rejoiner returns to its last home. The x-band
+                // placement is this harness's policy, so it names the
+                // server itself instead of asking the federation's
+                // region-hash ownership.
+                let target = dev
                     .home
-                    .get(&id)
-                    .copied()
                     .unwrap_or_else(|| owner_of_x(n_servers, dev.traj.position(0.0).x));
-                let server = &mut fed.servers[target];
                 // A rejoin can land before the periodic timeout scan has
                 // evicted the crashed registration. The old registration is
                 // provably dead the moment its silence exceeds the crash
@@ -823,15 +768,16 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                 // replaces could push the retry past the session end (a
                 // lost rejoin), and the stale queue must not be inherited
                 // by the fresh registration either way.
-                if let Some(s) = server.states.get(&id) {
-                    if now.since(s.last_heard) > crash_timeout {
-                        server.retire(id);
-                        server.crash_evictions += 1;
+                if let Some(reg) = fe.regs.get(&id) {
+                    if now.since(reg.last_heard) > crash_timeout {
+                        fe.retire(id);
+                        fe.crash_evictions += 1;
                     }
                 }
-                match server.admit(id, now, config.queue_cap) {
-                    Ok(()) => {
-                        fed.home.insert(id, target);
+                match fe.fed.register_on(id, target) {
+                    Ok(_) => {
+                        fe.note_admitted(id, target, now);
+                        dev.home = Some(target);
                         if dev.phase == DevicePhase::Gone {
                             // Crash-rejoin: fresh encoder (the old
                             // reference chain died with the process),
@@ -867,11 +813,11 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                 // typed duplicate rejection that leaves the registration
                 // untouched (the pre-fix server leaked state here).
                 if devices.get(&id).map(|d| d.phase) == Some(DevicePhase::Live) {
-                    let server = fed.home_of(id);
-                    let before = server.states.contains_key(&id);
-                    let res = server.admit(id, now, config.queue_cap);
+                    let home = fe.fed.home_of(id).unwrap_or(0);
+                    let before = fe.live_on(home);
+                    let res = fe.fed.register_on(id, home);
                     assert!(matches!(res, Err(RegisterError::AlreadyRegistered(_))));
-                    assert_eq!(before, server.states.contains_key(&id));
+                    assert_eq!(before, fe.live_on(home));
                 }
             }
             Ev::Leave(id) => {
@@ -882,7 +828,7 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                     dev.phase = DevicePhase::Gone;
                     // Graceful: the client says goodbye, the server retires
                     // the registration immediately.
-                    fed.home_of(id).retire(id);
+                    fe.retire(id);
                 }
             }
             Ev::Crash(id) => {
@@ -913,7 +859,7 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                 // message on the uplink's latency (not its FIFO — it does
                 // not queue behind staged video).
                 if n_servers > 1 {
-                    if let Some(&h) = fed.home.get(&id) {
+                    if let Some(h) = fe.fed.home_of(id) {
                         let target = owner_of_x(n_servers, pose.x);
                         if target != h {
                             let at = dev.channel.uplink.one_shot(now, 64);
@@ -981,23 +927,33 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                 // Route to the current home: frames in flight across a
                 // handoff land on the new home, where the index gap they
                 // open drives the forced-I-frame resync below.
-                let server = fed.home_of(id);
-                let Some(s) = server.states.get_mut(&id) else {
+                let Some(reg) = fe.regs.get_mut(&id) else {
                     // Crashed-and-evicted (or never-admitted) sender.
-                    server.stray += 1;
+                    fe.stray += 1;
                     continue;
                 };
-                s.last_heard = now;
+                reg.last_heard = now;
                 delivered += 1;
                 // Uplink loss / mid-stream (re)join: the reference chain is
                 // broken at this frame, independent of queue evictions.
-                let gap = match s.last_idx {
+                let gap = match reg.last_idx {
                     Some(last) => frame.frame_idx != last + 1,
                     None => frame.frame_idx != 0,
                 };
                 frame.follows_gap = gap;
-                s.last_idx = Some(frame.frame_idx);
-                s.queue.offer(frame);
+                reg.last_idx = Some(frame.frame_idx);
+                let position = frame
+                    .pose_hint
+                    .map_or([0.0; 3], |h| [h.trans.x, h.trans.y, h.trans.z]);
+                fe.staged
+                    .insert((id, frame.frame_idx), (frame.captured_at, position));
+                let shed = fe
+                    .fed
+                    .offer_frame(id, frame)
+                    .expect("a live registration has a home server");
+                if let Some(victim) = shed {
+                    fe.staged.remove(&(id, victim.frame_idx));
+                }
             }
             Ev::Resync(id) => {
                 if let Some(dev) = devices.get_mut(&id) {
@@ -1011,131 +967,113 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                 target,
                 decided,
             } => {
-                // Only live clients transfer, and only if the pending
-                // request is still meaningful (the client may have crossed
-                // back, or a prior duplicate request may have already
-                // transferred it).
-                if devices.get(&id).map(|d| d.phase) != Some(DevicePhase::Live) {
-                    continue;
-                }
-                let Some(&h) = fed.home.get(&id) else {
+                // Only live clients transfer. A request that is no longer
+                // meaningful (the client crossed back, or a duplicate
+                // request already transferred it) is `NotNeeded`; a refusal
+                // leaves the old registration untouched (the federation
+                // admits on the destination FIRST) and is counted there.
+                let Some(dev) = devices.get_mut(&id) else {
                     continue;
                 };
-                if h == target || target >= n_servers {
+                if dev.phase != DevicePhase::Live {
                     continue;
                 }
-                // Admit on the destination FIRST: a refusal must leave the
-                // old registration untouched (the client is degraded, not
-                // stranded). Same ordering as `Federation::maybe_handoff`.
-                match fed.servers[target].admit(id, now, config.queue_cap) {
-                    Ok(()) => {
-                        // Old home retires the registration: staged frames
-                        // are purged (exactly accounted), the GPU slice and
-                        // admission slot are released. The fresh ingest on
-                        // the new home sees the next P-frame as a gap and
-                        // forces an I-frame resync — tracking resumes.
-                        fed.servers[h].retire(id);
-                        fed.home.insert(id, target);
-                        fed.handoffs += 1;
-                        fed.handoff_latency.push(now.since(decided).as_millis());
-                    }
-                    Err(_) => {
-                        fed.handoffs_refused += 1;
-                    }
+                let t_rel = now.since(dev.joined_at).as_secs();
+                let res = fe
+                    .fed
+                    .handoff_to(id, target, now, dev.frame_idx as u64, t_rel, None);
+                if let HandoffResult::Transferred(_) = res {
+                    // The old home purged the staged frames and released
+                    // the GPU slice and admission slot. The fresh ingest on
+                    // the new home sees the next P-frame as a gap and
+                    // forces an I-frame resync — tracking resumes.
+                    fe.forget_staged(id);
+                    fe.note_admitted(id, target, now);
+                    dev.home = Some(target);
+                    fe.handoff_latency.push(now.since(decided).as_millis());
                 }
             }
             Ev::Round => {
-                for server in &mut fed.servers {
-                    // Evict silent clients (crash detection).
-                    let timed_out: Vec<u16> = server
-                        .states
-                        .iter()
-                        .filter(|(_, s)| now.since(s.last_heard) > crash_timeout)
-                        .map(|(&id, _)| id)
-                        .collect();
-                    for id in timed_out {
-                        server.retire(id);
-                        server.crash_evictions += 1;
-                    }
-                    // Serve ≤1 staged frame per admitted client, in id order.
-                    let slices = server.gpu.slice_sms();
-                    let served_ids: Vec<u16> = server.states.keys().copied().collect();
-                    for id in served_ids {
-                        let Some(s) = server.states.get_mut(&id) else {
+                // Evict silent clients (crash detection).
+                let timed_out: Vec<u16> = fe
+                    .regs
+                    .iter()
+                    .filter(|(_, reg)| now.since(reg.last_heard) > crash_timeout)
+                    .map(|(&id, _)| id)
+                    .collect();
+                for id in timed_out {
+                    fe.retire(id);
+                    fe.crash_evictions += 1;
+                }
+                // The slice layout a round's service time is charged
+                // against is the one the round started with: priority
+                // transitions inside the round move the *next* round.
+                let slices: Vec<BTreeMap<u32, usize>> = (0..n_servers)
+                    .filter_map(|i| fe.fed.server(i))
+                    .map(|server| server.gpu.slice_sms())
+                    .collect();
+                // Every server serves ≤1 staged frame per admitted client,
+                // in id order, through its real decode → track → commit
+                // pipeline.
+                for (server, results) in fe.fed.process_queued_rounds(now) {
+                    for (id, res) in results {
+                        let Some(reg) = fe.regs.get_mut(&id) else {
                             continue;
                         };
-                        let Some(frame) = s.queue.pop() else { continue };
-                        if frame.follows_gap {
-                            s.ingest.note_discontinuity();
+                        let Some((captured_at, position)) = fe.staged.remove(&(id, res.frame_idx))
+                        else {
+                            continue;
+                        };
+                        if res.resync_requested {
+                            // Faulted, or dropped while awaiting the resync
+                            // I-frame: ask the device for one, once.
+                            if !reg.resync_pending {
+                                reg.resync_pending = true;
+                                if let Some(dev) = devices.get_mut(&id) {
+                                    let at = dev.channel.downlink.send(now, 64);
+                                    q.schedule(at, Ev::Resync(id));
+                                }
+                            }
+                            if !reg.faulted {
+                                reg.faulted = true;
+                                fe.priority_demotions += 1;
+                            }
+                            continue;
                         }
-                        match s.ingest.decode(&frame.left, None) {
-                            DecodeOutcome::Dropped { fault } => {
-                                if !s.resync_pending {
-                                    s.resync_pending = true;
-                                    let dev = devices.get_mut(&id);
-                                    if let Some(dev) = dev {
-                                        let at = dev.channel.downlink.send(now, 64);
-                                        q.schedule(at, Ev::Resync(id));
-                                    }
-                                }
-                                let _ = fault;
-                                server.set_degraded(id, true, config.priorities);
-                            }
-                            DecodeOutcome::Decoded {
-                                left, relocalize, ..
-                            } => {
-                                let sms = slices
-                                    .get(&(u32::from(id), WorkClass::Tracking))
-                                    .copied()
-                                    .unwrap_or(1)
-                                    .max(1);
-                                let service_ms =
-                                    config.cpu_service_ms + config.gpu_work_ms / sms as f64;
-                                // First-free lane, deterministic tie-break.
-                                let lane = (0..server.lanes.len())
-                                    .min_by_key(|&i| server.lanes[i])
-                                    .unwrap_or(0);
-                                let start = server.lanes[lane].max(now);
-                                let done = start + SimTime::from_millis(service_ms);
-                                server.lanes[lane] = done;
-                                let latency = done.since(frame.captured_at).as_millis();
-                                // The relocalizing frame itself is served in the
-                                // degraded class; the stream is interactive again
-                                // from the next frame on.
-                                if let Some(s2) = server.states.get(&id) {
-                                    if s2.degraded || relocalize {
-                                        lat_degraded.push(latency);
-                                    } else {
-                                        lat_interactive.push(latency);
-                                    }
-                                }
-                                if let Some(s2) = server.states.get_mut(&id) {
-                                    s2.resync_pending = false;
-                                    s2.ingest.recycle(left);
-                                }
-                                server.set_degraded(id, false, config.priorities);
-                                tracked += 1;
-                                if let (Some(traj), Some(hint)) =
-                                    (trajectories.get_mut(&id), frame.pose_hint)
-                                {
-                                    traj.push((
-                                        frame.frame_idx,
-                                        [hint.trans.x, hint.trans.y, hint.trans.z],
-                                    ));
-                                }
-                            }
+                        let sms = slices[server]
+                            .get(&u32::from(id))
+                            .copied()
+                            .unwrap_or(1)
+                            .max(1);
+                        let service_ms = config.cpu_service_ms + config.gpu_work_ms / sms as f64;
+                        // First-free lane, deterministic tie-break.
+                        let lanes = &mut fe.lanes[server];
+                        let lane = (0..lanes.len()).min_by_key(|&i| lanes[i]).unwrap_or(0);
+                        let start = lanes[lane].max(now);
+                        let done = start + SimTime::from_millis(service_ms);
+                        lanes[lane] = done;
+                        let latency = done.since(captured_at).as_millis();
+                        // The first frame served after a fault is still in
+                        // the degraded class (the server held the client
+                        // demoted while it tracked); the stream is
+                        // interactive again from the next frame on.
+                        if reg.faulted {
+                            lat_degraded.push(latency);
+                        } else {
+                            lat_interactive.push(latency);
+                        }
+                        reg.resync_pending = false;
+                        reg.faulted = false;
+                        tracked += 1;
+                        if let Some(traj) = trajectories.get_mut(&id) {
+                            traj.push((res.frame_idx, position));
                         }
                     }
                 }
                 // Next round: camera cadence, or as soon as a lane frees
                 // under saturation — no server can round faster than it
                 // can serve.
-                let lane_free = fed
-                    .servers
-                    .iter()
-                    .flat_map(|sv| sv.lanes.iter().copied())
-                    .min()
-                    .unwrap_or(now);
+                let lane_free = fe.lanes.iter().flatten().copied().min().unwrap_or(now);
                 let next = (now + frame_dt).max(lane_free);
                 if next <= end {
                     q.schedule(next, Ev::Round);
@@ -1145,81 +1083,78 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
     }
 
     // ------------------------------------------------------------------
-    // Fold counters across servers: live queues + retired aggregates.
+    // Fold the servers' own counters: live per-client + retired aggregate.
     // ------------------------------------------------------------------
-    let mut queue_offered = 0u64;
-    let mut queue_served = 0u64;
-    let mut queue_dropped = 0u64;
-    let mut queue_purged = 0u64;
+    let mut queues = crate::qos::QueueSnapshot::default();
     let mut queue_residual = 0u64;
     let mut decode_errors = 0u64;
     let mut ingest_dropped = 0u64;
     let mut resyncs = 0u64;
-    for server in &fed.servers {
-        queue_offered += server.retired.offered;
-        queue_served += server.retired.served;
-        queue_dropped += server.retired.dropped;
-        queue_purged += server.retired.purged;
-        decode_errors += server.retired.decode_errors;
-        ingest_dropped += server.retired.ingest_dropped;
-        resyncs += server.retired.resyncs;
-        for s in server.states.values() {
-            let qs = s.queue.counters().snapshot();
-            queue_offered += qs.offered;
-            queue_served += qs.served;
-            queue_dropped += qs.dropped_overflow;
-            queue_purged += qs.purged;
-            queue_residual += s.queue.len() as u64;
-            let is = s.ingest.counters().snapshot();
-            decode_errors += is.decode_errors;
-            ingest_dropped += is.dropped_frames;
-            resyncs += is.resyncs;
-        }
-    }
-    // Conservation: every delivered frame is accounted for, exactly.
-    assert_eq!(delivered, queue_offered, "delivered != offered to queues");
-    assert_eq!(
-        queue_offered,
-        queue_served + queue_dropped + queue_purged + queue_residual,
-        "queue conservation violated"
-    );
-
     let mut adm = crate::qos::AdmissionSnapshot::default();
-    for server in &fed.servers {
-        let a = server.admission.snapshot();
+    for server in (0..n_servers).filter_map(|i| fe.fed.server(i)) {
+        let m = server.metrics();
+        for q in m.queues.values().chain([&m.retired.queues]) {
+            queues.offered += q.offered;
+            queues.served += q.served;
+            queues.dropped_overflow += q.dropped_overflow;
+            queues.purged += q.purged;
+        }
+        queue_residual += m
+            .queues
+            .keys()
+            .map(|&id| server.staged_depth(id) as u64)
+            .sum::<u64>();
+        decode_errors += m.total_decode_errors();
+        resyncs += m.total_resyncs();
+        ingest_dropped += m
+            .per_client
+            .values()
+            .chain([&m.retired.ingest])
+            .map(|c| c.dropped_frames)
+            .sum::<u64>();
+        let a = server.admission_snapshot();
         adm.live += a.live;
         adm.admitted += a.admitted;
         adm.rejected_capacity += a.rejected_capacity;
         adm.rejected_duplicate += a.rejected_duplicate;
         adm.departed += a.departed;
     }
+    // Conservation: every delivered frame is accounted for, exactly.
+    assert_eq!(delivered, queues.offered, "delivered != offered to queues");
+    assert_eq!(
+        queues.offered,
+        queues.accounted() + queue_residual,
+        "queue conservation violated"
+    );
+
     let interactive = LatencySummary::from_samples(lat_interactive);
     let slo_met = interactive.n == 0 || interactive.p99_ms <= config.slo_p99_ms;
+    let fed_metrics = fe.fed.metrics();
     let report = LoadReport {
         clients_offered: ids.len(),
         virtual_secs: config.duration_s,
-        peak_live: fed.servers.iter().map(|sv| sv.peak_live).sum(),
+        peak_live: fe.peak_live.iter().sum(),
         admitted: adm.admitted,
         rejected_capacity: adm.rejected_capacity,
         rejected_duplicate: adm.rejected_duplicate,
         departed: adm.departed,
-        crash_evictions: fed.servers.iter().map(|sv| sv.crash_evictions).sum(),
+        crash_evictions: fe.crash_evictions,
         rejoins,
         frames_captured: devices.values().map(|d| d.captured).sum(),
         frames_lost_uplink: devices.values().map(|d| d.lost_uplink).sum(),
         faults_injected: devices.values().map(|d| d.faults).sum(),
         frames_delivered: delivered,
-        frames_stray: fed.servers.iter().map(|sv| sv.stray).sum(),
-        queue_offered,
-        queue_served,
-        queue_dropped,
-        queue_purged,
+        frames_stray: fe.stray,
+        queue_offered: queues.offered,
+        queue_served: queues.served,
+        queue_dropped: queues.dropped_overflow,
+        queue_purged: queues.purged,
         queue_residual,
         frames_tracked: tracked,
         decode_errors,
         ingest_dropped,
         resyncs,
-        gpu_priority_demotions: fed.servers.iter().map(|sv| sv.priority_demotions).sum(),
+        gpu_priority_demotions: fe.priority_demotions,
         latency: LatencyByClass {
             interactive,
             degraded: LatencySummary::from_samples(lat_degraded),
@@ -1227,9 +1162,9 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
         slo_p99_ms: config.slo_p99_ms,
         slo_met,
         n_servers,
-        handoffs: fed.handoffs,
-        handoffs_refused: fed.handoffs_refused,
-        handoff_latency: LatencySummary::from_samples(fed.handoff_latency),
+        handoffs: fed_metrics.handoffs,
+        handoffs_refused: fed_metrics.handoffs_refused,
+        handoff_latency: LatencySummary::from_samples(fe.handoff_latency),
     };
     LoadOutcome {
         report,

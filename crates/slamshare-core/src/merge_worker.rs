@@ -36,7 +36,6 @@ use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use crate::metrics::{MergeWorkerStats, MetricsCut};
 use parking_lot::Mutex;
 use slamshare_features::bow::Vocabulary;
-use slamshare_gpu::{SharedGpu, WorkClass};
 use slamshare_sim::camera::PinholeCamera;
 use slamshare_slam::ids::{KeyFrameId, MapPointId};
 use slamshare_slam::map::{transform_pose_cw, Map};
@@ -112,17 +111,10 @@ pub(crate) struct MergeContext {
     /// The server's metrics consistent-cut gate: the worker's stat
     /// updates count as a write section, like any round's.
     pub cut: Arc<MetricsCut>,
-    /// Shared GPU the worker holds a mapping-class slice on (the slice
-    /// shapes the modeled layout; seam BA and fusion run inline).
-    pub gpu: Option<Arc<SharedGpu>>,
     /// Map maintenance (prune/evict) driver; `None` when the server has
     /// lifecycle disabled.
     pub lifecycle: Option<Arc<crate::lifecycle::LifecycleManager>>,
 }
-
-/// Reserved stream id for the merge worker's mapping-class GPU slice;
-/// real clients are `u16` so this can never collide.
-const MERGE_STREAM: u32 = u32::MAX;
 
 /// Handle to the background merge thread. Dropping it closes the job
 /// channel and joins the thread.
@@ -143,9 +135,6 @@ impl MergeWorker {
         let handle = std::thread::Builder::new()
             .name("slam-share-merge".into())
             .spawn(move || {
-                if let Some(gpu) = &ctx.gpu {
-                    gpu.register_class(MERGE_STREAM, WorkClass::Mapping);
-                }
                 // One arena for the thread's lifetime: seam-BA and weld
                 // scratch reaches steady state after the first job.
                 let mut arena = MappingArena::default();
@@ -166,9 +155,6 @@ impl MergeWorker {
                             }
                         }
                     }
-                }
-                if let Some(gpu) = &ctx.gpu {
-                    gpu.deregister_client(MERGE_STREAM);
                 }
             })
             .expect("spawn merge worker");

@@ -1,4 +1,4 @@
-//! Evaluation metrics: CPU accounting, bandwidth, frame rate.
+//! Evaluation metrics: CPU accounting and bandwidth.
 //!
 //! The trajectory-error metrics (cumulative and short-term ATE) live in
 //! [`slamshare_slam::eval`] and are re-exported here; this module adds the
@@ -408,49 +408,6 @@ impl BandwidthAccounting {
     }
 }
 
-/// Frame-rate tracking: was each frame's result available within its
-/// deadline (33 ms for 30 FPS)?
-#[derive(Debug, Clone, Default)]
-pub struct FpsTracker {
-    latencies_ms: Vec<f64>,
-}
-
-impl FpsTracker {
-    pub fn new() -> FpsTracker {
-        FpsTracker::default()
-    }
-
-    pub fn record(&mut self, latency_ms: f64) {
-        self.latencies_ms.push(latency_ms);
-    }
-
-    pub fn mean_latency_ms(&self) -> f64 {
-        slamshare_math::stats::mean(&self.latencies_ms)
-    }
-
-    /// Effective frame rate implied by the mean per-frame latency, capped
-    /// at the camera rate.
-    pub fn effective_fps(&self, camera_fps: f64) -> f64 {
-        let mean = self.mean_latency_ms();
-        if mean <= 0.0 {
-            return camera_fps;
-        }
-        (1000.0 / mean).min(camera_fps)
-    }
-
-    /// Fraction of frames meeting the 33 ms real-time deadline.
-    pub fn realtime_fraction(&self) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return 1.0;
-        }
-        self.latencies_ms
-            .iter()
-            .filter(|&&l| l <= 1000.0 / 30.0)
-            .count() as f64
-            / self.latencies_ms.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,18 +435,6 @@ mod tests {
         assert!((bw.mean_mbps() - 1.5).abs() < 1e-12);
         assert!((bw.peak_mbps() - 2.0).abs() < 1e-12);
         assert_eq!(bw.total_bytes(), 375_000);
-    }
-
-    #[test]
-    fn fps_deadline_fraction() {
-        let mut fps = FpsTracker::new();
-        for l in [10.0, 20.0, 30.0, 50.0] {
-            fps.record(l);
-        }
-        assert!((fps.realtime_fraction() - 0.75).abs() < 1e-12);
-        assert!(fps.effective_fps(30.0) < 30.0 + 1e-9);
-        let empty = FpsTracker::new();
-        assert_eq!(empty.effective_fps(30.0), 30.0);
     }
 
     #[test]

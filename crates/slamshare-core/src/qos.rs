@@ -102,7 +102,7 @@ impl Admission {
         }
     }
 
-    /// The configured bound (`None` = unbounded, the legacy behaviour).
+    /// The configured bound (`None` = unbounded).
     pub fn max_clients(&self) -> Option<usize> {
         self.max_clients
     }

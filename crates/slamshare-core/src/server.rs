@@ -68,14 +68,14 @@ use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use crate::ingest::{DecodeOutcome, IngestCounters, VideoIngest};
 use crate::merge_worker::{AppliedMerge, MergeContext, MergeJob, MergeWorker};
 use crate::metrics::{
-    FpsTracker, MapShardingSnapshot, MergeWorkerSnapshot, MetricsCut, RegionLockStat,
-    RetiredSnapshot, ServerMetrics,
+    MapShardingSnapshot, MergeWorkerSnapshot, MetricsCut, RegionLockStat, RetiredSnapshot,
+    ServerMetrics,
 };
 use crate::qos::{Admission, FrameQueue, QueueCounters, QueuedFrame, RegisterError};
 use parking_lot::Mutex;
 use slamshare_features::bow::{BowVector, Vocabulary};
 use slamshare_features::image::GrayImage;
-use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu, WorkClass};
+use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu};
 use slamshare_math::{Sim3, SE3};
 use slamshare_net::codec::CodecError;
 use slamshare_shm::Segment;
@@ -105,8 +105,6 @@ pub struct ServerConfig {
     /// Merge a client's local map into the global map once it holds this
     /// many keyframes.
     pub merge_after_keyframes: usize,
-    /// Sim(3) merging (monocular maps) vs SE(3) (stereo).
-    pub with_scale_merge: bool,
     /// Run merge detection on a background worker thread instead of
     /// inline in the commit stage. Commits then never block on
     /// `DetectCommonRegion`/RANSAC; the worker applies merges under the
@@ -116,23 +114,20 @@ pub struct ServerConfig {
     pub async_merge: bool,
     /// Number of spatial/covisibility regions the global map is sharded
     /// into (each behind its own lock + epoch; see [`crate::gmap`]).
-    /// `1` reproduces the old single-lock behaviour exactly.
+    /// Results are bit-identical at any value; `1` puts the whole map
+    /// behind one lock.
     pub map_shards: usize,
-    /// Edge length, meters, of the spatial grid cells regions are hashed
-    /// from.
-    pub region_cell_m: f64,
     /// Admission bound: registrations beyond this many live clients are
     /// refused with [`RegisterError::AtCapacity`]. `None` (the default)
-    /// keeps the legacy unbounded behaviour.
+    /// admits every registration.
     pub max_clients: Option<usize>,
     /// Capacity of each client's staged-frame queue
     /// ([`EdgeServer::offer_frame`]); overflow sheds the oldest
     /// non-I-frame first (see [`crate::qos::FrameQueue`]).
     pub ingress_queue_cap: usize,
     /// Map lifecycle maintenance (pruning, cold-region eviction; see
-    /// [`crate::lifecycle`]). `None` — the default — disables
-    /// maintenance entirely: long-session footprint control is opt-in
-    /// and day-one behaviour is unchanged.
+    /// [`crate::lifecycle`]). `None` — the default — runs no
+    /// maintenance: nothing is ever pruned or evicted from the map.
     pub lifecycle: Option<crate::lifecycle::LifecycleConfig>,
 }
 
@@ -142,10 +137,8 @@ impl ServerConfig {
             slam: SlamConfig::stereo(rig),
             use_gpu: true,
             merge_after_keyframes: 3,
-            with_scale_merge: false,
             async_merge: false,
             map_shards: 8,
-            region_cell_m: 10.0,
             max_clients: None,
             ingress_queue_cap: 4,
             lifecycle: None,
@@ -157,10 +150,8 @@ impl ServerConfig {
             slam: SlamConfig::mono(rig),
             use_gpu: true,
             merge_after_keyframes: 3,
-            with_scale_merge: true,
             async_merge: false,
             map_shards: 8,
-            region_cell_m: 10.0,
             max_clients: None,
             ingress_queue_cap: 4,
             lifecycle: None,
@@ -264,7 +255,6 @@ struct ClientProcess {
     phase: Phase,
     /// Fault-isolated video decode + resync state machine.
     ingest: VideoIngest,
-    fps: FpsTracker,
     /// Keyframe count at which the merge process next examines this
     /// client's local map (grows after each failed attempt — process M
     /// retries continuously as global coverage expands).
@@ -409,7 +399,7 @@ impl EdgeServer {
             segment.clone(),
             GLOBAL_MAP_NAME,
             config.map_shards,
-            config.region_cell_m,
+            crate::gmap::REGION_CELL_M,
         )
         .expect("fresh segment");
         let db = Arc::new(ShardedKeyframeDatabase::new());
@@ -425,9 +415,8 @@ impl EdgeServer {
                 db: db.clone(),
                 vocab: vocab.clone(),
                 cam: config.slam.tracker.rig.cam,
-                with_scale: config.with_scale_merge,
+                with_scale: config.slam.tracker.mode == SensorMode::Mono,
                 cut: cut.clone(),
-                gpu: config.use_gpu.then(|| gpu.clone()),
                 lifecycle: lifecycle.clone(),
             })
         });
@@ -461,20 +450,10 @@ impl EdgeServer {
         self.clients.len()
     }
 
-    /// Worker threads the round pipeline tracks with.
-    pub fn round_workers(&self) -> usize {
-        self.round_workers
-    }
-
     /// Override the round pipeline's worker count (defaults to the host
     /// parallelism). Results do not depend on this; only wall time does.
     pub fn set_round_workers(&mut self, n: usize) {
         self.round_workers = n.max(1);
-    }
-
-    /// Worker threads the decode stage runs on.
-    pub fn decode_workers(&self) -> usize {
-        self.decode_workers
     }
 
     /// Override the decode stage's worker count. Results do not depend on
@@ -559,12 +538,7 @@ impl EdgeServer {
         self.admission.try_admit(id)?;
         let client_id = ClientId(id);
         let exec = if self.config.use_gpu {
-            // The mapping-class slice is part of the modeled slice
-            // layout every virtual-time baseline was recorded against
-            // (ROADMAP 3c); local BA and culling themselves run inline.
-            let exec = self.gpu.register(id as u32);
-            self.gpu.register_class(id as u32, WorkClass::Mapping);
-            exec
+            self.gpu.register(id as u32)
         } else {
             Arc::new(slamshare_gpu::GpuExecutor::cpu())
         };
@@ -584,7 +558,6 @@ impl EdgeServer {
                 id: client_id,
                 phase: Phase::Local(Box::new(system)),
                 ingest,
-                fps: FpsTracker::new(),
                 next_merge_at_kfs: self.config.merge_after_keyframes,
                 queue,
                 degraded: false,
@@ -622,7 +595,7 @@ impl EdgeServer {
                     .fold(queue.unwrap_or_default(), ingest.unwrap_or_default());
             }
             self.admission.depart(id);
-            self.gpu.deregister_client(id as u32);
+            self.gpu.deregister(id as u32);
         });
     }
 
@@ -719,12 +692,12 @@ impl EdgeServer {
     /// The pipeline has three stages:
     ///
     /// 1. **Decode** — every frame's video payloads decode on
-    ///    [`EdgeServer::decode_workers`] scoped threads, *off the
+    ///    [`EdgeServer::set_decode_workers`] scoped threads, *off the
     ///    tracking critical path*. A payload that fails to decode drops
     ///    only its own client into resync (see [`crate::ingest`]); the
     ///    other frames proceed untouched.
     /// 2. **Track** — the decoded frames run ORB extraction, stereo
-    ///    matching and pose estimation on [`EdgeServer::round_workers`]
+    ///    matching and pose estimation on [`EdgeServer::set_round_workers`]
     ///    scoped threads, each reading the global map under a concurrent
     ///    read lock.
     /// 3. **Commit** — keyframe insertion and merge triggering run
@@ -970,8 +943,8 @@ impl EdgeServer {
         self.gpu.set_priority(client as u32, prio);
     }
 
-    /// The serialized half: keyframe insertion under the write lock, FPS
-    /// accounting and the merge trigger. A shared-phase frame whose
+    /// The serialized half: keyframe insertion under the write lock and
+    /// the merge trigger. A shared-phase frame whose
     /// speculative track is stale (the map's epoch moved past the one it
     /// read under) is re-tracked against the current map first —
     /// bit-identical to having tracked at commit time in the first place.
@@ -1135,10 +1108,6 @@ impl EdgeServer {
             }
             StagedFrame::Faulted { .. } => unreachable!("handled above"),
         };
-
-        process
-            .fps
-            .record(result.decode_ms + result.timings.total_ms() + result.mapping_ms);
 
         // Merge trigger (process M).
         if !result.merged {
@@ -1416,10 +1385,9 @@ impl EdgeServer {
         let alloc = cmap.alloc.clone();
         let t0 = Instant::now();
         let cam = self.config.slam.tracker.rig.cam;
-        let with_scale = self.config.with_scale_merge;
+        let with_scale = self.config.slam.tracker.mode == SensorMode::Mono;
         // The synchronous merge welds against the whole map (detection
-        // may anchor anywhere), so it takes every region's write lock —
-        // exactly the old single-lock behaviour.
+        // may anchor anywhere), so it takes every region's write lock.
         let (merged, _) = self.store.with_write_all(|gmap, _| {
             let r = try_map_merge(gmap, cmap, &self.db, &self.vocab, &cam, with_scale);
             let dirty = r.is_ok();
@@ -1597,14 +1565,6 @@ impl EdgeServer {
             .collect()
     }
 
-    /// Per-client effective-FPS report.
-    pub fn fps_report(&self) -> HashMap<u16, f64> {
-        self.clients
-            .iter()
-            .map(|(&id, p)| (id, p.lock().fps.effective_fps(30.0)))
-            .collect()
-    }
-
     /// Snapshot of the global map's size (keyframes, map points, bytes).
     pub fn global_map_stats(&self) -> (usize, usize, usize) {
         self.store.stats()
@@ -1637,11 +1597,6 @@ impl EdgeServer {
                 None => ((), false),
             });
         locked
-    }
-
-    /// Mode of the configured SLAM pipeline.
-    pub fn sensor_mode(&self) -> SensorMode {
-        self.config.slam.tracker.mode
     }
 }
 

@@ -17,9 +17,7 @@
 //!   same identical-computation claim for its kernels);
 //! * [`kernels`] packages the two paper kernels on top of the executor;
 //! * [`share::SharedGpu`] implements GSlice-style spatial partitioning so
-//!   several client processes extract features concurrently, with
-//!   tracking and mapping submissions registered as separate
-//!   [`share::WorkClass`] streams competing for the same SM budget.
+//!   several client processes extract features concurrently.
 
 #![cfg_attr(
     not(test),
@@ -33,4 +31,4 @@ pub mod share;
 
 pub use device::{Device, GpuModel};
 pub use exec::{GpuExecutor, KernelStats};
-pub use share::{SharedGpu, SlicePriority, WorkClass};
+pub use share::{SharedGpu, SlicePriority};

@@ -7,14 +7,9 @@
 //! different tenants don't serialize, re-partitioning as tenants come and
 //! go.
 //!
-//! [`SharedGpu`] reproduces that behaviour: each registered submission
-//! stream gets an executor whose worker count is its SM slice;
-//! registering/deregistering streams re-balances slices. A stream is keyed
-//! by `(client, WorkClass)`: tracking and mapping submissions from the
-//! same client are *separate tenants* of the device, so a client's local
-//! BA competes for SMs with every other client's extraction instead of
-//! running scalar beside the GPU (the TurboMap extension of the paper's
-//! sharing scheme from tracking to mapping). Concurrent submission from
+//! [`SharedGpu`] reproduces that behaviour: each registered client gets
+//! an executor whose worker count is its SM slice; registering and
+//! deregistering clients re-balances slices. Concurrent submission from
 //! multiple threads is safe — slices execute independently.
 
 use crate::device::GpuModel;
@@ -24,23 +19,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The kind of work a GPU slice serves. Tracking (feature extraction +
-/// search-local-points) and mapping (local-BA passes, fusion, keyframe
-/// culling) register independently so both compete for SM slices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum WorkClass {
-    Tracking,
-    Mapping,
-}
-
-/// Scheduling class of a client's streams in the slice layout.
+/// Scheduling class of a client's slice in the slice layout.
 ///
 /// Admitted-and-tracking clients ([`SlicePriority::Interactive`]) outrank
 /// clients that are relocalizing or repeatedly lost
 /// ([`SlicePriority::Degraded`]): a degraded client's work no longer
 /// feeds a live AR overlay, so burning an equal SM share on it inflates
 /// every interactive client's latency. Weights are proportional-share —
-/// a degraded stream still makes progress (≥ 1 SM), it just stops
+/// a degraded client still makes progress (≥ 1 SM), it just stops
 /// competing at par.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum SlicePriority {
@@ -61,9 +47,8 @@ impl SlicePriority {
     }
 }
 
-/// One registered stream's slice: its modeled SM count, the priority
-/// class it inherited from its client, plus the executor built for
-/// exactly that count.
+/// One registered client's slice: its modeled SM count, its priority
+/// class, plus the executor built for exactly that count.
 #[derive(Debug)]
 struct SliceEntry {
     sms: usize,
@@ -71,11 +56,11 @@ struct SliceEntry {
     exec: Arc<GpuExecutor>,
 }
 
-/// A GPU spatially shared between client streams.
+/// A GPU spatially shared between clients.
 #[derive(Debug)]
 pub struct SharedGpu {
     model: GpuModel,
-    slices: RwLock<BTreeMap<(u32, WorkClass), SliceEntry>>,
+    slices: RwLock<BTreeMap<u32, SliceEntry>>,
 }
 
 impl SharedGpu {
@@ -86,59 +71,36 @@ impl SharedGpu {
         }
     }
 
-    /// Number of distinct clients with at least one registered stream.
+    /// Number of registered clients.
     pub fn client_count(&self) -> usize {
-        let slices = self.slices.read();
-        let mut n = 0;
-        let mut last: Option<u32> = None;
-        for &(id, _) in slices.keys() {
-            if last != Some(id) {
-                n += 1;
-                last = Some(id);
-            }
-        }
-        n
+        self.slices.read().len()
     }
 
-    /// Register a client's tracking stream and rebalance SM slices across
-    /// all registered streams. Returns that stream's executor. Each
-    /// stream receives at least one SM.
+    /// Register a client and rebalance SM slices across all registered
+    /// clients. The new entry's executor is allocated exactly once, with
+    /// the slice the post-registration layout assigns it — no placeholder
+    /// executor is ever constructed. Each client receives at least one
+    /// SM; re-registering a live client returns its current executor.
     pub fn register(&self, client_id: u32) -> Arc<GpuExecutor> {
-        self.register_class(client_id, WorkClass::Tracking)
-    }
-
-    /// Register one `(client, class)` stream. The new entry's executor is
-    /// allocated exactly once, with the slice the post-registration
-    /// layout assigns it — no placeholder executor is ever constructed.
-    /// Re-registering an existing stream returns its current executor.
-    pub fn register_class(&self, client_id: u32, class: WorkClass) -> Arc<GpuExecutor> {
-        let key = (client_id, class);
         let mut slices = self.slices.write();
-        if let Some(entry) = slices.get(&key) {
+        if let Some(entry) = slices.get(&client_id) {
             return entry.exec.clone();
         }
-        // A new stream inherits its client's existing priority class (set
-        // via `set_priority`) so registering a second work class mid-
-        // relocalization doesn't silently re-promote the client.
-        let prio = slices
-            .iter()
-            .find(|&(&(id, _), _)| id == client_id)
-            .map(|(_, e)| e.prio)
-            .unwrap_or_default();
+        let prio = SlicePriority::default();
         // Compute the slice this entry gets under the post-insert layout
-        // (entries in key order; remainder SMs go to the first entries).
-        let idx = slices.range(..key).count();
+        // (entries in id order; remainder SMs go to the first entries).
+        let idx = slices.range(..client_id).count();
         let mut weights: Vec<usize> = Vec::with_capacity(slices.len() + 1);
-        weights.extend(slices.range(..key).map(|(_, e)| e.prio.weight()));
+        weights.extend(slices.range(..client_id).map(|(_, e)| e.prio.weight()));
         weights.push(prio.weight());
-        weights.extend(slices.range(key..).map(|(_, e)| e.prio.weight()));
+        weights.extend(slices.range(client_id..).map(|(_, e)| e.prio.weight()));
         let sms = weighted_layout(&self.model, &weights)
             .get(idx)
             .copied()
             .unwrap_or(1);
         let exec = Arc::new(self.sliced_executor(sms));
         slices.insert(
-            key,
+            client_id,
             SliceEntry {
                 sms,
                 prio,
@@ -149,19 +111,19 @@ impl SharedGpu {
         exec
     }
 
-    /// Set the priority class of every stream of a client, rebalancing
-    /// the slice layout if it changed. Returns whether anything changed
-    /// (an unregistered client, or a no-op transition, returns `false`),
-    /// so callers can fire transitions only on edges.
+    /// Set a client's priority class, rebalancing the slice layout if it
+    /// changed. Returns whether anything changed (an unregistered client,
+    /// or a no-op transition, returns `false`), so callers can fire
+    /// transitions only on edges.
     pub fn set_priority(&self, client_id: u32, prio: SlicePriority) -> bool {
         let mut slices = self.slices.write();
-        let mut changed = false;
-        for (&(id, _), entry) in slices.iter_mut() {
-            if id == client_id && entry.prio != prio {
+        let changed = match slices.get_mut(&client_id) {
+            Some(entry) if entry.prio != prio => {
                 entry.prio = prio;
-                changed = true;
+                true
             }
-        }
+            _ => false,
+        };
         if changed {
             slamshare_obs::counter_inc!("gpu.priority_transition");
             self.rebalance(&mut slices);
@@ -169,74 +131,50 @@ impl SharedGpu {
         changed
     }
 
-    /// The priority class of a client's streams (`None` if the client has
-    /// no registered stream).
+    /// A client's priority class (`None` if it is not registered).
     pub fn priority(&self, client_id: u32) -> Option<SlicePriority> {
-        self.slices
-            .read()
-            .iter()
-            .find(|&(&(id, _), _)| id == client_id)
-            .map(|(_, e)| e.prio)
+        self.slices.read().get(&client_id).map(|e| e.prio)
     }
 
-    /// Deregister a client's tracking stream, returning its SMs to the
-    /// pool.
+    /// Deregister a client, returning its SMs to the pool.
     pub fn deregister(&self, client_id: u32) {
-        self.deregister_class(client_id, WorkClass::Tracking);
-    }
-
-    /// Deregister one `(client, class)` stream.
-    pub fn deregister_class(&self, client_id: u32, class: WorkClass) {
         let mut slices = self.slices.write();
-        slices.remove(&(client_id, class));
+        slices.remove(&client_id);
         self.rebalance(&mut slices);
     }
 
-    /// Deregister every stream of a client (tracking and mapping).
-    pub fn deregister_client(&self, client_id: u32) {
-        let mut slices = self.slices.write();
-        slices.retain(|&(id, _), _| id != client_id);
-        self.rebalance(&mut slices);
-    }
-
-    /// The executor currently assigned to a client's tracking stream
-    /// (slices change when streams join/leave, so callers should re-fetch
-    /// per frame).
+    /// The executor currently assigned to a client (slices change when
+    /// clients join/leave, so callers should re-fetch per frame). The
+    /// time spent waiting for the slice table (a rebalance in progress
+    /// holds it) is observed as `gpu.slice_wait`.
     pub fn executor(&self, client_id: u32) -> Option<Arc<GpuExecutor>> {
-        self.executor_class(client_id, WorkClass::Tracking)
-    }
-
-    /// The executor currently assigned to one `(client, class)` stream.
-    /// The time spent waiting for the slice table (a rebalance in
-    /// progress holds it) is observed as `gpu.slice_wait`.
-    pub fn executor_class(&self, client_id: u32, class: WorkClass) -> Option<Arc<GpuExecutor>> {
         let t0 = Instant::now();
         let slices = self.slices.read();
         slamshare_obs::observe_ms!("gpu.slice_wait", t0.elapsed().as_secs_f64() * 1e3);
-        slices.get(&(client_id, class)).map(|e| e.exec.clone())
+        slices.get(&client_id).map(|e| e.exec.clone())
     }
 
-    /// Per-client effective worker count (host-clamped SMs summed over
-    /// the client's streams) — for resource-utilization reporting.
+    /// Per-client effective worker count (host-clamped SMs) — for
+    /// resource-utilization reporting.
     pub fn allocation(&self) -> BTreeMap<u32, usize> {
-        let mut out = BTreeMap::new();
-        for (&(id, _), entry) in self.slices.read().iter() {
-            *out.entry(id).or_insert(0) += entry.exec.workers();
-        }
-        out
-    }
-
-    /// Modeled SM count of every registered stream. Unlike
-    /// [`SharedGpu::allocation`] these are *not* clamped to host
-    /// parallelism, so they always account the whole device: when the
-    /// stream count is within the SM budget the values sum exactly to
-    /// `sm_count`, and an oversubscribed device degrades to one SM per
-    /// stream.
-    pub fn slice_sms(&self) -> BTreeMap<(u32, WorkClass), usize> {
         self.slices
             .read()
             .iter()
-            .map(|(&key, entry)| (key, entry.sms))
+            .map(|(&id, entry)| (id, entry.exec.workers()))
+            .collect()
+    }
+
+    /// Modeled SM count of every registered client. Unlike
+    /// [`SharedGpu::allocation`] these are *not* clamped to host
+    /// parallelism, so they always account the whole device: when the
+    /// client count is within the SM budget the values sum exactly to
+    /// `sm_count`, and an oversubscribed device degrades to one SM per
+    /// client.
+    pub fn slice_sms(&self) -> BTreeMap<u32, usize> {
+        self.slices
+            .read()
+            .iter()
+            .map(|(&id, entry)| (id, entry.sms))
             .collect()
     }
 
@@ -248,7 +186,7 @@ impl SharedGpu {
 
     /// Bring every entry to the current layout, recreating only the
     /// executors whose SM count actually changed.
-    fn rebalance(&self, slices: &mut BTreeMap<(u32, WorkClass), SliceEntry>) {
+    fn rebalance(&self, slices: &mut BTreeMap<u32, SliceEntry>) {
         let weights: Vec<usize> = slices.values().map(|e| e.prio.weight()).collect();
         let layout = weighted_layout(&self.model, &weights);
         for (entry, &sms) in slices.values_mut().zip(layout.iter()) {
@@ -260,13 +198,13 @@ impl SharedGpu {
     }
 }
 
-/// SM slices for `weights.len()` streams (in key order) sharing the
-/// device: every stream is first reserved one SM, then the remaining SMs
+/// SM slices for `weights.len()` clients (in id order) sharing the
+/// device: every client is first reserved one SM, then the remaining SMs
 /// are split proportionally to the priority weights by largest remainder
 /// (ties go to earlier entries), so slices always sum to the full budget.
 /// With equal weights this is exactly an equal split with the remainder
 /// going one-each to the first entries. An oversubscribed device (more
-/// streams than SMs) degrades to one SM per stream.
+/// clients than SMs) degrades to one SM per client.
 fn weighted_layout(model: &GpuModel, weights: &[usize]) -> Vec<usize> {
     let n = weights.len();
     if n == 0 || model.sm_count <= n {
@@ -371,32 +309,11 @@ mod tests {
     }
 
     #[test]
-    fn mapping_and_tracking_classes_share_the_budget() {
-        let gpu = SharedGpu::new(GpuModel::v100());
-        gpu.register_class(7, WorkClass::Tracking);
-        let map = gpu.register_class(7, WorkClass::Mapping);
-        // Two streams, one client: the device splits between them. (The
-        // executor returned by the *first* registration is stale after the
-        // second one rebalanced; the live table is authoritative.)
-        assert_eq!(gpu.client_count(), 1);
-        let live = gpu.slice_sms();
-        let total: usize = live.values().sum();
-        assert_eq!(total, GpuModel::v100().sm_count);
-        assert_eq!(map.model_sms(), live[&(7, WorkClass::Mapping)]);
-        let track_live = gpu.executor_class(7, WorkClass::Tracking).unwrap();
-        assert_eq!(track_live.model_sms(), live[&(7, WorkClass::Tracking)]);
-        // Deregistering the whole client empties the table.
-        gpu.deregister_client(7);
-        assert_eq!(gpu.client_count(), 0);
-        assert!(gpu.executor_class(7, WorkClass::Mapping).is_none());
-    }
-
-    #[test]
     fn slice_counts_sum_to_sm_budget_under_churn() {
-        // Register/deregister churn across both work classes: after every
-        // operation the modeled slices must sum exactly to the SM budget
-        // (or degrade to one SM each when oversubscribed), with every
-        // stream keeping at least one SM.
+        // Register/deregister churn: after every operation the modeled
+        // slices must sum exactly to the SM budget (or degrade to one SM
+        // each when oversubscribed), with every client keeping at least
+        // one SM.
         let sm_count = GpuModel::v100().sm_count;
         let gpu = SharedGpu::new(GpuModel::v100());
         let check = |gpu: &SharedGpu| {
@@ -412,29 +329,27 @@ mod tests {
                 assert_eq!(total, slices.len(), "oversubscribed must be 1 SM each");
             }
         };
-        for id in 0..6u32 {
-            gpu.register_class(id, WorkClass::Tracking);
-            check(&gpu);
-            gpu.register_class(id, WorkClass::Mapping);
+        for id in 0..12u32 {
+            gpu.register(id);
             check(&gpu);
         }
-        for id in (0..6u32).step_by(2) {
-            gpu.deregister_class(id, WorkClass::Mapping);
+        for id in (0..12u32).step_by(2) {
+            gpu.deregister(id);
             check(&gpu);
         }
-        for id in 0..6u32 {
-            gpu.deregister_client(id);
+        for id in 0..12u32 {
+            gpu.deregister(id);
             check(&gpu);
         }
         assert_eq!(gpu.client_count(), 0);
 
-        // Oversubscription: more streams than SMs.
+        // Oversubscription: more clients than SMs.
         let mut small = GpuModel::v100();
         small.sm_count = 3;
         let small_sm = small.sm_count;
         let gpu = SharedGpu::new(small);
         for id in 0..5u32 {
-            gpu.register_class(id, WorkClass::Tracking);
+            gpu.register(id);
             let slices = gpu.slice_sms();
             assert!(slices.values().all(|&s| s >= 1));
             let total: usize = slices.values().sum();
@@ -450,16 +365,16 @@ mod tests {
         gpu.register(2);
         // Equal priorities: equal split.
         let even = gpu.slice_sms();
-        assert_eq!(even[&(1, WorkClass::Tracking)], sm / 2);
-        assert_eq!(even[&(2, WorkClass::Tracking)], sm / 2);
+        assert_eq!(even[&1], sm / 2);
+        assert_eq!(even[&2], sm / 2);
         assert_eq!(gpu.priority(1), Some(SlicePriority::Interactive));
         // Degrade client 2: it keeps ≥ 1 SM but the interactive client
         // takes the lion's share; the budget still sums exactly.
         assert!(gpu.set_priority(2, SlicePriority::Degraded));
         assert!(!gpu.set_priority(2, SlicePriority::Degraded), "no-op edge");
         let skewed = gpu.slice_sms();
-        let a = skewed[&(1, WorkClass::Tracking)];
-        let b = skewed[&(2, WorkClass::Tracking)];
+        let a = skewed[&1];
+        let b = skewed[&2];
         assert_eq!(a + b, sm);
         assert!(b >= 1);
         assert!(a > b, "interactive {a} must outrank degraded {b}");
@@ -473,18 +388,21 @@ mod tests {
     }
 
     #[test]
-    fn priority_survives_class_registration_and_churn() {
+    fn priority_survives_churn_and_oversubscription() {
         let sm = GpuModel::v100().sm_count;
         let gpu = SharedGpu::new(GpuModel::v100());
         gpu.register(1);
         gpu.register(2);
         gpu.set_priority(2, SlicePriority::Degraded);
-        // A mapping stream registered mid-degradation inherits the class.
-        gpu.register_class(2, WorkClass::Mapping);
+        // Another client joining and leaving rebalances the table but
+        // must not silently re-promote the degraded one.
+        gpu.register(3);
+        gpu.deregister(3);
+        assert_eq!(gpu.priority(2), Some(SlicePriority::Degraded));
         let slices = gpu.slice_sms();
         assert_eq!(slices.values().sum::<usize>(), sm);
-        assert!(slices[&(1, WorkClass::Tracking)] > slices[&(2, WorkClass::Mapping)]);
-        // Oversubscribed devices still degrade to one SM per stream
+        assert!(slices[&1] > slices[&2]);
+        // Oversubscribed devices still degrade to one SM per client
         // regardless of priority.
         let mut tiny = GpuModel::v100();
         tiny.sm_count = 2;

@@ -7,7 +7,7 @@
 #   scripts/check.sh <stage>...   run only the named stage(s)
 #
 # Stages (in order): build test bench-norun clippy nopanic fmt benchmark
-#                    load-smoke fed-smoke soak
+#                    load-smoke fed-smoke virtual-gate soak
 # Optional stage:    bench-gate   (also appended to the default run when
 #                                  SLAMSHARE_BENCH_GATE=1 — it runs the
 #                                  benchmarks, which takes a while)
@@ -45,8 +45,8 @@ stage_nopanic() {
     # Shared-state paths deny unwrap/expect/panic via in-source
     # #![cfg_attr(not(test), deny(...))] attributes (crate-level in
     # slamshare-net, slamshare-shm, and slamshare-gpu — the executor and
-    # slice scheduler sit under every client's tracking AND mapping
-    # submissions; module-level on
+    # slice scheduler sit under every client's tracking submissions;
+    # module-level on
     # slamshare-core::{ingest,gmap} and
     # slamshare-slam::{map,merge,recognition} — a panic under a region lock
     # would poison shared map state for every client). A plain clippy pass
@@ -80,6 +80,15 @@ stage_fed_smoke() {
     cargo run -q --release -p bench --bin fed_smoke
 }
 
+stage_virtual_gate() {
+    echo "== virtual-time gate (load + federation harness p99s vs results/baselines) =="
+    # The harness's latencies are virtual and machine-independent, so
+    # they are gated on every push; the wall-clock benches stay behind
+    # the optional bench-gate stage.
+    cargo bench -p bench --bench load --bench federation
+    scripts/bench_gate.sh --no-bench
+}
+
 stage_soak() {
     echo "== lifecycle soak (compressed virtual day: bounded arena + reload bit-identity) =="
     cargo run -q --release -p bench --bin soak_smoke
@@ -101,9 +110,10 @@ run_stage() {
         benchmark)   stage_benchmark ;;
         load-smoke)  stage_load_smoke ;;
         fed-smoke)   stage_fed_smoke ;;
+        virtual-gate) stage_virtual_gate ;;
         soak)        stage_soak ;;
         bench-gate)  stage_bench_gate ;;
-        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke soak bench-gate)" >&2
+        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke virtual-gate soak bench-gate)" >&2
            exit 2 ;;
     esac
 }
@@ -113,7 +123,7 @@ if [[ $# -gt 0 ]]; then
         run_stage "$stage"
     done
 else
-    for stage in build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke soak; do
+    for stage in build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke virtual-gate soak; do
         run_stage "$stage"
     done
     if [[ "${SLAMSHARE_BENCH_GATE:-0}" == 1 ]]; then

@@ -169,7 +169,7 @@ fn deregister_releases_slot_queue_and_gpu_exactly() {
     let mut server = EdgeServer::new(ServerConfig::stereo_default(ds.rig), vocab);
 
     server.try_register_client(1).expect("first registration");
-    assert!(server.gpu.slice_sms().keys().any(|(id, _)| *id == 1));
+    assert!(server.gpu.slice_sms().contains_key(&1));
 
     // Stage three frames (under the cap) so the queue holds live state.
     let mut enc_l = VideoEncoder::new(2, 30);
@@ -217,7 +217,7 @@ fn deregister_releases_slot_queue_and_gpu_exactly() {
     // Rejoin under the same id: clean slate, fresh counters, fresh slice.
     server.try_register_client(1).expect("rejoin");
     assert_eq!(server.staged_depth(1), 0);
-    assert!(server.gpu.slice_sms().keys().any(|(id, _)| *id == 1));
+    assert!(server.gpu.slice_sms().contains_key(&1));
     let m = server.metrics();
     assert_eq!(m.queues[&1].offered, 0, "rejoin inherited a stale queue");
     assert_eq!(m.retired.clients, 1, "rejoin must not touch the aggregate");

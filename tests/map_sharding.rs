@@ -11,6 +11,7 @@
 //! concurrent and interleaved bulk absorbs into both disjoint and
 //! overlapping region sets.
 
+use slam_share::core::gmap::REGION_CELL_M;
 use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig, ServerFrameResult};
 use slam_share::math::{Vec3, SE3};
 use slam_share::net::codec::VideoEncoder;
@@ -24,7 +25,6 @@ use std::sync::Arc;
 const FRAMES: usize = 16;
 const MERGE_AT: usize = 9;
 const N_SHARDS_MAX: usize = 16;
-const CELL_M: f64 = 10.0;
 
 /// Everything a frame result asserts about SLAM state, timing excluded
 /// (same shape as tests/determinism.rs).
@@ -148,7 +148,6 @@ fn build_server(ds: &Dataset, shards: usize) -> EdgeServer {
     let vocab = Arc::new(vocabulary::train_random(42));
     let mut config = ServerConfig::stereo_default(ds.rig);
     config.map_shards = shards;
-    config.region_cell_m = CELL_M;
     // Merges are driven by hand at a fixed frame.
     config.merge_after_keyframes = usize::MAX;
     let mut server = EdgeServer::new(config, vocab);
@@ -242,7 +241,7 @@ fn run_workload(
 #[test]
 fn commits_bit_identical_across_shard_counts() {
     let ds = dataset();
-    let assigner = RegionAssigner::new(N_SHARDS_MAX, CELL_M);
+    let assigner = RegionAssigner::new(N_SHARDS_MAX, REGION_CELL_M);
     let own = client_regions(&assigner, &ds);
     let far = pick_far_offsets(&assigner, &own, 3, 2);
     // Client camera center at the merge frame: an *overlapping* fragment
@@ -299,7 +298,7 @@ fn commits_bit_identical_across_shard_counts() {
 fn concurrent_disjoint_absorbs_leave_commits_bit_identical() {
     const N_FRAGMENTS: usize = 6;
     let ds = dataset();
-    let assigner = RegionAssigner::new(N_SHARDS_MAX, CELL_M);
+    let assigner = RegionAssigner::new(N_SHARDS_MAX, REGION_CELL_M);
     let own = client_regions(&assigner, &ds);
     let far = pick_far_offsets(&assigner, &own, 3, N_FRAGMENTS);
 

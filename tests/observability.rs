@@ -9,6 +9,7 @@
 //! mutex and leaves recording disabled and the registry reset behind it.
 
 use parking_lot::Mutex;
+use slam_share::core::load::{self, LoadConfig};
 use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig};
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -190,6 +191,33 @@ fn serialized_round_stage_spans_account_for_wall_time() {
         "stage spans sum to {stage_sum_ms:.1} ms but rounds took {wall_ms:.1} ms \
          (ratio {ratio:.2}; expected the three stages to tile the pipeline)"
     );
+}
+
+/// The load harness drives the real server, so a recorded harness run
+/// shows the round pipeline's own stages: every frame a queue served went
+/// through exactly one track stage and one commit stage.
+#[test]
+fn load_harness_rounds_run_the_real_round_pipeline() {
+    let _gate = OBS_GATE.lock();
+    let seed = std::env::var("SLAMSHARE_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(7);
+
+    let (report, obs) = with_recording(|| {
+        let report = load::run(&LoadConfig::smoke(16, seed)).report;
+        (report, slamshare_obs::snapshot())
+    });
+
+    assert!(report.queue_served > 0, "nothing served: {report:?}");
+    for stage in ["round.track", "round.commit"] {
+        let count = obs.hist(stage).map_or(0, |h| h.count);
+        assert_eq!(
+            count, report.queue_served,
+            "{stage} ran {count} times for {} served frames",
+            report.queue_served
+        );
+    }
 }
 
 #[test]
