@@ -14,7 +14,7 @@ fn build_client_map(
     seed: u64,
 ) -> (Map, slamshare_sim::dataset::Dataset) {
     use slamshare_slam::mapping::{LocalMapper, MappingConfig};
-    use slamshare_slam::tracking::{FrameObservation, SensorMode, Tracker, TrackerConfig};
+    use slamshare_slam::tracking::{SensorMode, Tracker, TrackerConfig};
     let max = frames.iter().max().unwrap() + 1;
     let ds = slamshare_sim::dataset::Dataset::build(
         slamshare_sim::dataset::DatasetConfig::new(slamshare_sim::dataset::TracePreset::V202)
@@ -30,26 +30,10 @@ fn build_client_map(
     let mut map = Map::new(ClientId(client));
     for &f in frames {
         let (left, right) = ds.render_stereo_frame(f);
-        let (mut features, _) = tracker.extract(&left);
-        let (rf, _) = tracker.extract(&right);
-        tracker.stereo_match(&mut features, &rf);
-        let n = features.keypoints.len();
-        mapper.insert_keyframe(
-            &mut map,
-            &vocab,
-            &FrameObservation {
-                frame_idx: f,
-                timestamp: ds.frame_time(f),
-                pose_cw: ds.gt_pose_cw(f),
-                keypoints: features.keypoints,
-                descriptors: features.descriptors,
-                matched: vec![None; n],
-                n_tracked: 0,
-                lost: false,
-                keyframe_requested: true,
-                timings: Default::default(),
-            },
-        );
+        let obs = tracker
+            .extract_frame(&left, Some(&right))
+            .into_seed_observation(f, ds.frame_time(f), ds.gt_pose_cw(f));
+        mapper.insert_keyframe(&mut map, &vocab, &obs);
     }
     (map, ds)
 }

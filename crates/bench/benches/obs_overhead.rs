@@ -11,9 +11,13 @@
 //!   noise budget (`within_noise_budget`);
 //! * `stages` — per-stage latency distributions (count/p50/p95/mean) of
 //!   the enabled run, drained from the span registry: the round pipeline
-//!   phases (`round.decode` / `round.track` / `round.commit`), the
-//!   tracking sub-stages, region lock wait/hold, local BA passes and the
-//!   merge worker, plus the monotonic counters.
+//!   phases (`round.decode` / `round.track` / `round.commit`, with the
+//!   lock-free `round.frontend` inside the track and the stale-track
+//!   redo `round.retrack` inside the commit), the tracking sub-stages,
+//!   region lock wait and read-/write-side hold, local BA passes and the
+//!   merge worker, plus the monotonic counters. The session is long
+//!   enough for both clients to share the map, so `round.retrack` has
+//!   samples and the gate can pin its p95.
 //!
 //! The Criterion kernels time one `span!` site directly in both states,
 //! which pins the per-site costs the module docs of `slamshare-obs`
@@ -34,17 +38,20 @@ const CLIENTS: usize = 2;
 
 /// The span taxonomy the instrumentation emits (see DESIGN.md); the
 /// report keeps this order so the JSON diff stays stable run to run.
-const STAGES: [&str; 13] = [
+const STAGES: [&str; 16] = [
     "round.decode",
     "round.track",
+    "round.frontend",
     "round.commit",
+    "round.retrack",
     "track.extract",
     "track.stereo_match",
     "track.predict",
     "track.search_local_points",
     "track.optimize",
     "gmap.region_lock_wait",
-    "gmap.region_lock_hold",
+    "gmap.region_read_hold",
+    "gmap.region_write_hold",
     "ba.pose_pass",
     "ba.point_pass",
     "ba.total",
@@ -182,7 +189,7 @@ fn bench(c: &mut Criterion) {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let frames = bench_effort().frames(40).clamp(10, 40);
+    let frames = bench_effort().frames(40).clamp(24, 40);
 
     // Warm-up session: page in the vocabulary, datasets and allocator so
     // the A/A pair measures steady state.

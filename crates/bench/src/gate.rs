@@ -6,7 +6,10 @@
 //! the bench reports (objects, arrays, numbers, strings, bools, null).
 //!
 //! A **metric** is any numeric field whose key contains `p95`, addressed
-//! by its path (e.g. `BENCH_mapping:commit[2].p95_commit_ms`). The gate
+//! by its path (e.g. `BENCH_mapping:commit[2].p95_commit_ms`); a row that
+//! names its `stage` is addressed by that name
+//! (`BENCH_obs:stages[round.retrack].p95_ms`), so adding or dropping a
+//! stage cannot silently re-pair the others. The gate
 //! is one-sided: only increases beyond the tolerance fail, improvements
 //! always pass. A metric present in the baseline but missing from the
 //! fresh report also fails — silently dropping a measurement must not
@@ -218,7 +221,8 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// Recursively collect every numeric field whose key contains `p95` or
 /// `p99` (tail latencies are what the SLOs bind) or `max_bytes`
 /// (deterministic footprint ceilings), keyed by its path
-/// (`section[3].p95_latency_ms`).
+/// (`section[3].p95_latency_ms`, or `stages[round.retrack].p95_ms` for
+/// a row with a `stage` name).
 pub fn collect_p95(json: &Json, path: &str, out: &mut BTreeMap<String, f64>) {
     match json {
         Json::Obj(fields) => {
@@ -239,7 +243,18 @@ pub fn collect_p95(json: &Json, path: &str, out: &mut BTreeMap<String, f64>) {
         }
         Json::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
-                collect_p95(item, &format!("{path}[{i}]"), out);
+                let stage = match item {
+                    Json::Obj(fields) => fields.iter().find_map(|(k, v)| match v {
+                        Json::Str(name) if k == "stage" => Some(name.as_str()),
+                        _ => None,
+                    }),
+                    _ => None,
+                };
+                let child = match stage {
+                    Some(name) => format!("{path}[{name}]"),
+                    None => format!("{path}[{i}]"),
+                };
+                collect_p95(item, &child, out);
             }
         }
         _ => {}
@@ -482,6 +497,33 @@ mod tests {
         collect_p95(&j, "", &mut m);
         assert_eq!(m.len(), 1);
         assert_eq!(m["a[2].p95_ms"], 30.0);
+    }
+
+    #[test]
+    fn stage_rows_are_keyed_by_name_not_position() {
+        let row = |stage: &str, p95: f64| format!(r#"{{"stage": "{stage}", "p95_ms": {p95}}}"#);
+        let p95s = |rows: &[String]| {
+            let j = parse(&format!(r#"{{"stages": [{}]}}"#, rows.join(","))).unwrap();
+            let mut m = BTreeMap::new();
+            collect_p95(&j, "", &mut m);
+            m
+        };
+        let base = p95s(&[row("round.track", 50.0), row("round.retrack", 5.0)]);
+        assert_eq!(base["stages[round.retrack].p95_ms"], 5.0);
+        // A row inserted ahead of the others moves no pairing…
+        let grown = p95s(&[
+            row("round.decode", 0.3),
+            row("round.track", 50.0),
+            row("round.retrack", 5.0),
+        ]);
+        assert!(compare(&base, &grown, 15.0)
+            .iter()
+            .all(|d| d.verdict == Verdict::Ok));
+        // …and a pinned stage that stops reporting is caught by name.
+        let dropped = p95s(&[row("round.track", 50.0)]);
+        assert!(compare(&base, &dropped, 15.0).iter().any(|d| {
+            d.metric == "stages[round.retrack].p95_ms" && d.verdict == Verdict::MissingInCurrent
+        }));
     }
 
     #[test]

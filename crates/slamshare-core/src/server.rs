@@ -25,15 +25,20 @@
 //! Each client process sits behind its own mutex, so the server itself is
 //! `&self` throughout and frames for *different* clients can be processed
 //! concurrently. [`EdgeServer::try_process_round`] batches one frame per
-//! client and runs the tracking stage (decode + ORB + pose) on a pool of
-//! scoped worker threads; only the short commit stage (keyframe insertion
-//! under the write lock, merge trigger) is serialized. Tracking is
-//! *speculative*: it reads the global map as it stood at round start, and
-//! a frame is transparently re-tracked in the commit stage if an earlier
-//! commit in the same round wrote the map — which makes a round's results
-//! bit-identical to processing its frames sequentially, at any worker
-//! count. Lock order is always client mutex → store lock, and never two
-//! client mutexes at once.
+//! client and runs decode and tracking on pools of scoped worker threads;
+//! only the short commit stage (keyframe insertion under the write lock,
+//! merge trigger) is serialized. A merged client's track runs in the two
+//! halves [`slamshare_slam::tracking`] splits it into: the map-free front
+//! half (both ORB extractions + stereo match, ~90 % of the cost) outside
+//! any map lock, once per frame, and the map-bound back half (search
+//! local points + pose optimisation, a few ms) under the component's read
+//! lock. Tracking is *speculative*: the back half reads the global map as
+//! it stood at round start, and the commit stage transparently redoes it
+//! — on the already-extracted features — if an earlier commit in the same
+//! round wrote the map, which makes a round's results bit-identical to
+//! processing its frames sequentially, at any worker count. Lock order is
+//! always client mutex → store lock, and never two client mutexes at
+//! once.
 //!
 //! The global map itself is **region-sharded** ([`crate::gmap`]): its
 //! content is partitioned into [`ServerConfig::map_shards`]
@@ -50,9 +55,9 @@
 //! Staleness is detected through the regions' **epochs**: every actual
 //! map mutation (keyframe insertion, merge apply) bumps the epochs of
 //! the regions it locked, and every speculative track records the
-//! `(region, epoch)` stamp it read under. A commit re-tracks only when a
-//! region it actually read has moved — a cheap lock-free comparison
-//! instead of a conservative per-round dirty flag. The same protocol
+//! `(region, epoch)` stamp it read under. A commit redoes the back half
+//! only when a region it actually read has moved — a cheap lock-free
+//! comparison instead of a conservative per-round dirty flag. The same protocol
 //! lets the optional **asynchronous merge worker**
 //! ([`crate::merge_worker`], enabled with [`ServerConfig::async_merge`])
 //! plan merges off the commit path against a snapshot and apply them
@@ -74,7 +79,6 @@ use crate::metrics::{
 use crate::qos::{Admission, FrameQueue, QueueCounters, QueuedFrame, RegisterError};
 use parking_lot::Mutex;
 use slamshare_features::bow::{BowVector, Vocabulary};
-use slamshare_features::image::GrayImage;
 use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu};
 use slamshare_math::{Sim3, SE3};
 use slamshare_net::codec::CodecError;
@@ -86,7 +90,7 @@ use slamshare_slam::mapping::LocalMapper;
 use slamshare_slam::merge::{try_map_merge, MergeReport};
 use slamshare_slam::recognition::{self, ShardedKeyframeDatabase};
 use slamshare_slam::system::{FrameInput, SlamConfig, SlamSystem};
-use slamshare_slam::tracking::{FrameObservation, MotionState, SensorMode, StageTimings, Tracker};
+use slamshare_slam::tracking::{FrontEnd, MotionState, SensorMode, StageTimings, Tracked, Tracker};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -286,22 +290,19 @@ enum StagedFrame {
     /// is private, so there is nothing to revalidate in the commit.
     Local(ServerFrameResult),
     /// A merged client tracked speculatively against the global map.
-    /// The decoded images and pre-track motion state let the commit
-    /// stage redo the track exactly if the map changed since; `stamp` is
-    /// the `(region, epoch)` set the speculative track read under.
-    /// `pose_hint` is the *effective* hint (upload hint or
+    /// The extracted front end and pre-track motion state let the commit
+    /// stage redo the map-bound half exactly if the map changed since;
+    /// `stamp` is the `(region, epoch)` set the speculative track read
+    /// under. `pose_hint` is the *effective* hint (upload hint or
     /// relocalization pose), so a redo replays the identical inputs.
     Shared {
-        frame_idx: usize,
-        timestamp: f64,
         decode_ms: f64,
-        obs: FrameObservation,
+        front_end: FrontEnd,
+        tracked: Tracked,
         stamp: Vec<(usize, u64)>,
         pre_track: MotionState,
         pose_hint: Option<SE3>,
         relocalized: bool,
-        left: GrayImage,
-        right: Option<GrayImage>,
     },
 }
 
@@ -388,6 +389,32 @@ fn par_map_owned<I: Send, O: Send>(
         .into_iter()
         .flat_map(|s| s.expect("round worker produced no result"))
         .collect()
+}
+
+/// Redo the map-bound half of a stale speculative track against the
+/// current `map`: rewind the motion state to before the track and run the
+/// back half again on the features already extracted — bit-identical to
+/// having tracked against `map` in the first place.
+fn retrack(
+    tracker: &mut Tracker,
+    pre_track: MotionState,
+    front_end: &FrontEnd,
+    stale: &Tracked,
+    map: &impl MapRead,
+    ref_kf: Option<KeyFrameId>,
+    pose_hint: Option<SE3>,
+) -> Tracked {
+    let _span = slamshare_obs::span!("round.retrack");
+    slamshare_obs::counter_inc!("round.retrack");
+    tracker.restore_motion_state(pre_track);
+    tracker.track_extracted(
+        front_end,
+        stale.frame_idx,
+        stale.timestamp,
+        map,
+        ref_kf,
+        pose_hint,
+    )
 }
 
 impl EdgeServer {
@@ -696,16 +723,19 @@ impl EdgeServer {
     ///    tracking critical path*. A payload that fails to decode drops
     ///    only its own client into resync (see [`crate::ingest`]); the
     ///    other frames proceed untouched.
-    /// 2. **Track** — the decoded frames run ORB extraction, stereo
-    ///    matching and pose estimation on [`EdgeServer::set_round_workers`]
-    ///    scoped threads, each reading the global map under a concurrent
-    ///    read lock.
+    /// 2. **Track** — on [`EdgeServer::set_round_workers`] scoped
+    ///    threads. A pre-merge client runs its whole pipeline on its own
+    ///    map. A merged client runs the *front half* (ORB extraction on
+    ///    both eyes, stereo matching) lock-free, then the *back half*
+    ///    (search local points, pose optimisation) reading the global
+    ///    map under its component's concurrent read lock.
     /// 3. **Commit** — keyframe insertion and merge triggering run
     ///    sequentially in input order; if a commit writes the global
     ///    map, the remaining merged clients' speculative tracks are
-    ///    stale and are redone in the commit stage, so the returned
-    ///    results are exactly what rounds of one in input order would
-    ///    produce (timing fields aside).
+    ///    stale and their back halves are redone in the commit stage on
+    ///    the features already extracted (milliseconds, not a second
+    ///    extraction), so the returned results are exactly what rounds
+    ///    of one in input order would produce (timing fields aside).
     pub fn try_process_round(
         &self,
         frames: &[ClientFrame],
@@ -749,8 +779,9 @@ impl EdgeServer {
             |(f, p)| p.lock().ingest.decode(f.left, f.right),
         );
 
-        // Phase 1: speculative parallel tracking against the round-start
-        // map (static chunking, same shape as GpuExecutor::par_map).
+        // Phase 1: lock-free extraction, then speculative parallel
+        // tracking against the round-start map (static chunking, same
+        // shape as GpuExecutor::par_map).
         let workers = self.round_workers.min(frames.len()).max(1);
         let staged: Vec<StagedFrame> = par_map_owned(
             workers,
@@ -764,9 +795,9 @@ impl EdgeServer {
 
         // Phase 2: serialized commits in input order. Each staged shared
         // frame carries the epoch its speculative track read under; the
-        // commit stage re-tracks exactly those whose epoch the map has
-        // since moved past (an earlier commit this round, or a background
-        // merge).
+        // commit stage redoes the map-bound half of exactly those whose
+        // epoch the map has since moved past (an earlier commit this
+        // round, or a background merge).
         frames
             .iter()
             .zip(processes)
@@ -775,9 +806,10 @@ impl EdgeServer {
             .collect()
     }
 
-    /// The parallelizable half of frame processing: track the decoded
-    /// images. Touches only the client's own state plus the global map
-    /// under a read lock.
+    /// The parallelizable half of frame processing: extract the decoded
+    /// images' features (no map lock), then track them. Touches only the
+    /// client's own state plus, for the map-bound half of a merged
+    /// client's track, the global map under a read lock.
     fn track_stage(
         &self,
         process: &mut ClientProcess,
@@ -852,6 +884,17 @@ impl EdgeServer {
                 if let Some(exec) = &exec {
                     tracker.exec = exec.clone();
                 }
+                // The map-free front half runs before any region lock is
+                // taken, and once: every later (re-)track of this frame,
+                // and the relocalization query, work from its features.
+                let front_end = {
+                    let _span = slamshare_obs::span!("round.frontend");
+                    tracker.extract_frame(&left_img, right_img.as_ref())
+                };
+                process.ingest.recycle(left_img);
+                if let Some(r) = right_img {
+                    process.ingest.recycle(r);
+                }
                 // Relocalizing / persistently lost clients drop to the
                 // degraded GPU class: their output no longer feeds a
                 // live overlay, so interactive clients outrank them for
@@ -873,8 +916,7 @@ impl EdgeServer {
                         let _ = self.store.ensure_all_resident();
                     }
                     if pose_hint.is_none() {
-                        let (features, _) = tracker.extract(&left_img);
-                        let bow = self.vocab.transform(&features.descriptors);
+                        let bow = self.vocab.transform(&front_end.features.descriptors);
                         let hint = self
                             .store
                             .with_view(|view| recognition::relocalize(&self.db, &bow, view));
@@ -889,18 +931,17 @@ impl EdgeServer {
                 // The pre-track snapshot is taken *after* relocalization
                 // so a commit-stage redo replays the identical inputs.
                 let pre_track = tracker.motion_state();
-                // Concurrent read for tracking, locking only the
+                // Concurrent read for the map-bound half, locking only the
                 // regions the reference keyframe's component covers; the
                 // `(region, epoch)` stamp read under the same locks
                 // tells the commit stage whether this track is still
                 // current when it runs.
-                let (obs, stamp) = self.store.with_track_read(*last_kf, |view, stamp| {
+                let (tracked, stamp) = self.store.with_track_read(*last_kf, |view, stamp| {
                     (
-                        tracker.track(
+                        tracker.track_extracted(
+                            &front_end,
                             frame.frame_idx,
                             frame.timestamp,
-                            &left_img,
-                            right_img.as_ref(),
                             view,
                             *last_kf,
                             pose_hint,
@@ -909,16 +950,13 @@ impl EdgeServer {
                     )
                 });
                 let staged = StagedFrame::Shared {
-                    frame_idx: frame.frame_idx,
-                    timestamp: frame.timestamp,
                     decode_ms,
-                    obs,
+                    front_end,
+                    tracked,
                     stamp,
                     pre_track,
                     pose_hint,
                     relocalized,
-                    left: left_img,
-                    right: right_img,
                 };
                 (staged, degraded_now)
             }
@@ -944,10 +982,11 @@ impl EdgeServer {
     }
 
     /// The serialized half: keyframe insertion under the write lock and
-    /// the merge trigger. A shared-phase frame whose
-    /// speculative track is stale (the map's epoch moved past the one it
-    /// read under) is re-tracked against the current map first —
-    /// bit-identical to having tracked at commit time in the first place.
+    /// the merge trigger. A shared-phase frame whose speculative track is
+    /// stale (the map's epoch moved past the one it read under) has its
+    /// map-bound half redone against the current map first — bit-identical
+    /// to having tracked at commit time in the first place, since the
+    /// front half never read the map.
     fn commit_stage(
         &self,
         process: &mut ClientProcess,
@@ -979,16 +1018,13 @@ impl EdgeServer {
         let mut result = match staged {
             StagedFrame::Local(result) => result,
             StagedFrame::Shared {
-                frame_idx,
-                timestamp,
                 decode_ms,
-                mut obs,
+                front_end,
+                mut tracked,
                 mut stamp,
                 pre_track,
                 pose_hint,
                 relocalized,
-                left,
-                right,
             } => {
                 let Phase::Shared {
                     tracker,
@@ -1002,25 +1038,14 @@ impl EdgeServer {
                 // Cheap staleness pre-check (lock-free): an earlier
                 // commit (same round) or a background merge bumped a
                 // region this track read. Rewind the motion state and
-                // redo against the current map.
+                // redo the map-bound half against the current map.
                 if !self.store.stamp_current(&stamp) {
-                    tracker.restore_motion_state(pre_track);
-                    let (new_obs, new_stamp) = self.store.with_track_read(*last_kf, |view, st| {
-                        (
-                            tracker.track(
-                                frame_idx,
-                                timestamp,
-                                &left,
-                                right.as_ref(),
-                                view,
-                                *last_kf,
-                                pose_hint,
-                            ),
-                            st.to_vec(),
-                        )
+                    (tracked, stamp) = self.store.with_track_read(*last_kf, |view, st| {
+                        let redo = retrack(
+                            tracker, pre_track, &front_end, &tracked, view, *last_kf, pose_hint,
+                        );
+                        (redo, st.to_vec())
                     });
-                    obs = new_obs;
-                    stamp = new_stamp;
                 }
                 // Keyframe insertion, write-locking only the component
                 // the keyframe lands in: the reference keyframe's
@@ -1029,14 +1054,20 @@ impl EdgeServer {
                 // (and a missing reference makes the in-lock re-track
                 // pick its own), so those cases escalate to all regions.
                 let mut mapping_ms = 0.0;
-                if !obs.lost && obs.keyframe_requested {
+                if !tracked.lost && tracked.keyframe_requested {
                     let t1 = Instant::now();
                     let seeds = LockSeeds {
                         kfs: last_kf.iter().copied().collect(),
-                        positions: vec![obs.pose_cw.camera_center()],
+                        positions: vec![tracked.pose_cw.camera_center()],
                         all: self.config.slam.tracker.mode == SensorMode::Mono || last_kf.is_none(),
                     };
+                    // The write closure runs at most once; the slot lets
+                    // it take the features by value.
+                    let mut front_end = Some(front_end);
                     let (inserted, _) = self.store.with_component_write(&seeds, |scratch, cw| {
+                        let Some(front_end) = front_end.take() else {
+                            return (None, false);
+                        };
                         // Authoritative staleness check under the write
                         // locks: any region of the track's stamp that
                         // moved — or left the locked set entirely —
@@ -1046,20 +1077,18 @@ impl EdgeServer {
                             .iter()
                             .any(|&(region, epoch)| cw.epoch_of(region) != Some(epoch));
                         if stale {
-                            tracker.restore_motion_state(pre_track);
-                            obs = tracker.track(
-                                frame_idx,
-                                timestamp,
-                                &left,
-                                right.as_ref(),
-                                &*scratch,
-                                *last_kf,
+                            tracked = retrack(
+                                tracker, pre_track, &front_end, &tracked, &*scratch, *last_kf,
                                 pose_hint,
                             );
-                            if obs.lost || !obs.keyframe_requested {
+                            if tracked.lost || !tracked.keyframe_requested {
                                 return (None, false);
                             }
                         }
+                        // No re-track can follow: the observation takes
+                        // the features by move (the clone copies only
+                        // `matched`; the frame's result reads the rest).
+                        let obs = front_end.into_observation(tracked.clone());
                         // New entities draw ids from the client's own
                         // allocator, not the scratch map's, so ids are
                         // independent of commit interleaving.
@@ -1081,23 +1110,17 @@ impl EdgeServer {
                         // lock — the sharded db carries its own locks.
                         self.db.add(kf_id.0, bow);
                         *last_kf = Some(kf_id);
-                        tracker.note_keyframe(obs.n_tracked + n_new);
+                        tracker.note_keyframe(tracked.n_tracked + n_new);
                     }
                     mapping_ms = t1.elapsed().as_secs_f64() * 1e3;
                 }
-                // The commit (and any re-track) is done with the images —
-                // hand the buffers back to the decode pool.
-                process.ingest.recycle(left);
-                if let Some(r) = right {
-                    process.ingest.recycle(r);
-                }
                 ServerFrameResult {
-                    frame_idx,
-                    pose: (!obs.lost).then_some(obs.pose_cw),
-                    tracked: !obs.lost,
+                    frame_idx: tracked.frame_idx,
+                    pose: (!tracked.lost).then_some(tracked.pose_cw),
+                    tracked: !tracked.lost,
                     merged: true,
-                    n_matches: obs.n_tracked,
-                    timings: obs.timings,
+                    n_matches: tracked.n_tracked,
+                    timings: tracked.timings,
                     decode_ms,
                     mapping_ms,
                     merge: None,

@@ -4,7 +4,10 @@
 //! `slamshare_` namespace prefix, and a unit suffix — `_ms` for latency
 //! histograms, `_total` for counters. The dotted span taxonomy used at
 //! instrumentation sites (`round.track`, `track.extract`) maps onto this
-//! by replacing separators: `round.track` → `slamshare_round_track_ms`.
+//! by replacing separators: `round.track` → `slamshare_round_track_ms`,
+//! `gmap.region_read_hold` → `slamshare_gmap_region_read_hold_ms`; a name
+//! used for both a span and a counter (`round.retrack`) exports as
+//! `slamshare_round_retrack_ms` and `slamshare_round_retrack_total`.
 
 use crate::hist::HistSnapshot;
 use serde::Serialize;
@@ -118,8 +121,23 @@ mod tests {
             "slamshare_gmap_region_lock_wait_ms"
         );
         assert_eq!(
+            prom_hist_key("gmap.region_read_hold"),
+            "slamshare_gmap_region_read_hold_ms"
+        );
+        assert_eq!(
+            prom_hist_key("gmap.region_write_hold"),
+            "slamshare_gmap_region_write_hold_ms"
+        );
+        assert_eq!(
             prom_counter_key("merge.submitted"),
             "slamshare_merge_submitted_total"
+        );
+        // A span and a counter may share a site name; the unit suffix
+        // keeps their keys apart.
+        assert_eq!(prom_hist_key("round.retrack"), "slamshare_round_retrack_ms");
+        assert_eq!(
+            prom_counter_key("round.retrack"),
+            "slamshare_round_retrack_total"
         );
         assert_eq!(
             prom_gauge_key("lifecycle.arena_used_bytes"),

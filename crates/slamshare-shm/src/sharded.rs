@@ -101,7 +101,7 @@ impl<T: Send + Sync + 'static> ShardedStore<T> {
             let _wait = slamshare_obs::span!("gmap.region_lock_wait");
             order.iter().map(|&i| self.shards[i].mutex.read()).collect()
         };
-        let _hold = slamshare_obs::span!("gmap.region_lock_hold");
+        let _hold = slamshare_obs::span!("gmap.region_read_hold");
         let refs: Vec<&T> = guards.iter().map(|g| &**g).collect();
         f(&order, &refs)
     }
@@ -140,7 +140,9 @@ impl<T: Send + Sync + 'static> ShardedStore<T> {
                 .map(|&i| self.shards[i].mutex.write())
                 .collect()
         };
-        let _hold = slamshare_obs::span!("gmap.region_lock_hold");
+        // Its own name: a write hold legitimately spans keyframe insertion
+        // and local BA, a read hold only the map-bound half of a track.
+        let _hold = slamshare_obs::span!("gmap.region_write_hold");
         let mut refs: Vec<&mut T> = guards.iter_mut().map(|g| &mut **g).collect();
         let (result, dirty) = f(&order, &mut refs);
         drop(refs);

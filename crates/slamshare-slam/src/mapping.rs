@@ -362,22 +362,9 @@ mod tests {
 
     fn observation_at(ds: &Dataset, tracker: &mut Tracker, i: usize) -> FrameObservation {
         let (left, right) = ds.render_stereo_frame(i);
-        let (mut features, _) = tracker.extract(&left);
-        let (rf, _) = tracker.extract(&right);
-        tracker.stereo_match(&mut features, &rf);
-        let n = features.keypoints.len();
-        FrameObservation {
-            frame_idx: i,
-            timestamp: ds.frame_time(i),
-            pose_cw: ds.gt_pose_cw(i),
-            keypoints: features.keypoints,
-            descriptors: features.descriptors,
-            matched: vec![None; n],
-            n_tracked: 0,
-            lost: false,
-            keyframe_requested: true,
-            timings: Default::default(),
-        }
+        tracker
+            .extract_frame(&left, Some(&right))
+            .into_seed_observation(i, ds.frame_time(i), ds.gt_pose_cw(i))
     }
 
     #[test]

@@ -453,7 +453,7 @@ mod tests {
     use super::*;
     use crate::ids::ClientId;
     use crate::mapping::{LocalMapper, MappingConfig};
-    use crate::tracking::{FrameObservation, SensorMode, Tracker, TrackerConfig};
+    use crate::tracking::{SensorMode, Tracker, TrackerConfig};
     use crate::vocabulary;
     use slamshare_gpu::GpuExecutor;
     use slamshare_math::Quat;
@@ -482,22 +482,9 @@ mod tests {
         let mut map = Map::new(ClientId(client));
         for &f in frames {
             let (left, right) = ds.render_stereo_frame(f);
-            let (mut features, _) = tracker.extract(&left);
-            let (rf, _) = tracker.extract(&right);
-            tracker.stereo_match(&mut features, &rf);
-            let n = features.keypoints.len();
-            let obs = FrameObservation {
-                frame_idx: f,
-                timestamp: ds.frame_time(f),
-                pose_cw: ds.gt_pose_cw(f),
-                keypoints: features.keypoints,
-                descriptors: features.descriptors,
-                matched: vec![None; n],
-                n_tracked: 0,
-                lost: false,
-                keyframe_requested: true,
-                timings: Default::default(),
-            };
+            let obs = tracker
+                .extract_frame(&left, Some(&right))
+                .into_seed_observation(f, ds.frame_time(f), ds.gt_pose_cw(f));
             mapper.insert_keyframe(&mut map, &vocab, &obs);
         }
         (map, ds)
@@ -611,26 +598,10 @@ mod tests {
         let mut mapper = LocalMapper::new(SensorMode::Stereo, kitti.rig, MappingConfig::default());
         let mut cmap = Map::new(ClientId(2));
         let (left, right) = kitti.render_stereo_frame(0);
-        let (mut features, _) = tracker.extract(&left);
-        let (rf, _) = tracker.extract(&right);
-        tracker.stereo_match(&mut features, &rf);
-        let n = features.keypoints.len();
-        mapper.insert_keyframe(
-            &mut cmap,
-            &vocab,
-            &FrameObservation {
-                frame_idx: 0,
-                timestamp: 0.0,
-                pose_cw: kitti.gt_pose_cw(0),
-                keypoints: features.keypoints,
-                descriptors: features.descriptors,
-                matched: vec![None; n],
-                n_tracked: 0,
-                lost: false,
-                keyframe_requested: true,
-                timings: Default::default(),
-            },
-        );
+        let obs = tracker
+            .extract_frame(&left, Some(&right))
+            .into_seed_observation(0, 0.0, kitti.gt_pose_cw(0));
+        mapper.insert_keyframe(&mut cmap, &vocab, &obs);
 
         let mut gmap = Map::new(ClientId(0));
         let db = ShardedKeyframeDatabase::new();

@@ -349,7 +349,7 @@ mod tests {
     use super::*;
     use crate::ids::ClientId;
     use crate::mapping::{LocalMapper, MappingConfig};
-    use crate::tracking::{FrameObservation, SensorMode, Tracker, TrackerConfig};
+    use crate::tracking::{SensorMode, Tracker, TrackerConfig};
     use crate::vocabulary;
     use slamshare_gpu::GpuExecutor;
     use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -366,22 +366,9 @@ mod tests {
         let mut mapper = LocalMapper::new(SensorMode::Stereo, ds.rig, MappingConfig::default());
         let mut map = Map::new(ClientId(client));
         let (left, right) = ds.render_stereo_frame(frame);
-        let (mut features, _) = tracker.extract(&left);
-        let (rf, _) = tracker.extract(&right);
-        tracker.stereo_match(&mut features, &rf);
-        let n = features.keypoints.len();
-        let obs = FrameObservation {
-            frame_idx: frame,
-            timestamp: ds.frame_time(frame),
-            pose_cw: ds.gt_pose_cw(frame),
-            keypoints: features.keypoints,
-            descriptors: features.descriptors,
-            matched: vec![None; n],
-            n_tracked: 0,
-            lost: false,
-            keyframe_requested: true,
-            timings: Default::default(),
-        };
+        let obs = tracker
+            .extract_frame(&left, Some(&right))
+            .into_seed_observation(frame, ds.frame_time(frame), ds.gt_pose_cw(frame));
         mapper.insert_keyframe(&mut map, &vocab, &obs);
         (map, ds)
     }

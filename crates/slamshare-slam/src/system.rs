@@ -190,28 +190,11 @@ impl SlamSystem {
 
     /// Stereo bootstrap: one frame suffices.
     fn bootstrap_stereo(&mut self, idx: usize, input: FrameInput<'_>) -> StepResult {
-        let (mut features, extract_ms) = self.tracker.extract(input.left);
-        if let Some(right) = input.right {
-            let (rf, _) = self.tracker.extract(right);
-            self.tracker.stereo_match(&mut features, &rf);
-        }
         let pose0 = input.pose_hint.unwrap_or(SE3::IDENTITY);
-        let n = features.keypoints.len();
-        let obs = FrameObservation {
-            frame_idx: idx,
-            timestamp: input.timestamp,
-            pose_cw: pose0,
-            keypoints: features.keypoints,
-            descriptors: features.descriptors,
-            matched: vec![None; n],
-            n_tracked: 0,
-            lost: false,
-            keyframe_requested: true,
-            timings: StageTimings {
-                orb_extract_ms: extract_ms,
-                ..Default::default()
-            },
-        };
+        let obs = self
+            .tracker
+            .extract_frame(input.left, input.right)
+            .into_seed_observation(idx, input.timestamp, pose0);
         let report = self
             .mapper
             .insert_keyframe(&mut self.map, &self.vocab, &obs);
@@ -240,23 +223,11 @@ impl SlamSystem {
     /// Monocular bootstrap: buffer the first frame; once a later frame has
     /// enough baseline, create two keyframes and triangulate.
     fn bootstrap_mono(&mut self, idx: usize, input: FrameInput<'_>) -> StepResult {
-        let (features, extract_ms) = self.tracker.extract(input.left);
-        let n = features.keypoints.len();
-        let obs = FrameObservation {
-            frame_idx: idx,
-            timestamp: input.timestamp,
-            pose_cw: SE3::IDENTITY,
-            keypoints: features.keypoints,
-            descriptors: features.descriptors,
-            matched: vec![None; n],
-            n_tracked: 0,
-            lost: false,
-            keyframe_requested: true,
-            timings: StageTimings {
-                orb_extract_ms: extract_ms,
-                ..Default::default()
-            },
-        };
+        let obs = self
+            .tracker
+            .extract_frame(input.left, None)
+            .into_seed_observation(idx, input.timestamp, SE3::IDENTITY);
+        let timings = obs.timings;
 
         let Some(init) = &self.mono_init else {
             self.mono_init = Some(MonoInit {
@@ -273,10 +244,7 @@ impl SlamSystem {
                 tracked: false,
                 keyframe_inserted: false,
                 n_matches: 0,
-                timings: StageTimings {
-                    orb_extract_ms: extract_ms,
-                    ..Default::default()
-                },
+                timings,
             };
         };
         let init_timestamp = init.timestamp;
@@ -321,10 +289,7 @@ impl SlamSystem {
                 tracked: false,
                 keyframe_inserted: false,
                 n_matches: 0,
-                timings: StageTimings {
-                    orb_extract_ms: extract_ms,
-                    ..Default::default()
-                },
+                timings,
             };
         }
 
@@ -333,7 +298,6 @@ impl SlamSystem {
         obs0.pose_cw = pose0;
         let mut obs1 = obs;
         obs1.pose_cw = pose1;
-        let timings = obs1.timings;
 
         self.mapper
             .insert_keyframe(&mut self.map, &self.vocab, &obs0);

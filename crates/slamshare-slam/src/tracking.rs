@@ -12,6 +12,15 @@
 //!    descriptor search (~30 % of CPU tracking time; the second GPU
 //!    kernel);
 //! 5. **Pose Optimization** — robust Gauss–Newton on the 3D→2D matches.
+//!
+//! Stages 1–2 read neither the map nor the motion model; stages 3–5 read
+//! both but cost a tenth as much. The tracker therefore runs in two
+//! halves: [`Tracker::extract_frame`] (1–2, the map-free *front half*,
+//! once per frame) produces a [`FrontEnd`], and
+//! [`Tracker::track_extracted`] (3–5, the map-bound *back half*) turns it
+//! into a [`Tracked`] pose. The server runs the front half outside every
+//! map lock and redoes only the back half when a speculative track went
+//! stale; [`Tracker::track`] is the composition of the two.
 
 use crate::ids::{KeyFrameId, MapPointId};
 use crate::map::MapRead;
@@ -129,8 +138,90 @@ pub struct FrameObservation {
     pub timings: StageTimings,
 }
 
-/// The inter-frame state [`Tracker::track`] carries between calls (see
-/// [`Tracker::motion_state`]).
+/// The map-free front half of one frame ([`Tracker::extract_frame`]):
+/// left-image features with stereo depth filled in, plus what the two
+/// stages cost. Depends only on the images, so any number of
+/// [`Tracker::track_extracted`] calls may share one.
+#[derive(Debug, Clone)]
+pub struct FrontEnd {
+    pub features: ExtractedFeatures,
+    /// Both eyes' extraction, on the configured device's clock (see
+    /// [`Tracker::extract`]).
+    pub extract_ms: f64,
+    /// Wall time of the stereo match alone (0 in mono).
+    pub stereo_match_ms: f64,
+}
+
+impl FrontEnd {
+    /// The two front-half stages' share of a frame's [`StageTimings`].
+    fn timings(&self) -> StageTimings {
+        StageTimings {
+            orb_extract_ms: self.extract_ms,
+            orb_match_ms: self.stereo_match_ms,
+            ..Default::default()
+        }
+    }
+
+    /// The observation of a frame placed at a known pose with nothing
+    /// tracked yet and a keyframe requested — what bootstrap feeds the
+    /// mapper before there is a map to track against.
+    pub fn into_seed_observation(
+        self,
+        frame_idx: usize,
+        timestamp: f64,
+        pose_cw: SE3,
+    ) -> FrameObservation {
+        let tracked = Tracked {
+            frame_idx,
+            timestamp,
+            pose_cw,
+            matched: vec![None; self.features.keypoints.len()],
+            n_tracked: 0,
+            lost: false,
+            keyframe_requested: true,
+            timings: self.timings(),
+        };
+        self.into_observation(tracked)
+    }
+
+    /// The frame's observation once `tracked` is final: the features move
+    /// in, nothing is copied.
+    pub fn into_observation(self, tracked: Tracked) -> FrameObservation {
+        FrameObservation {
+            frame_idx: tracked.frame_idx,
+            timestamp: tracked.timestamp,
+            pose_cw: tracked.pose_cw,
+            keypoints: self.features.keypoints,
+            descriptors: self.features.descriptors,
+            matched: tracked.matched,
+            n_tracked: tracked.n_tracked,
+            lost: tracked.lost,
+            keyframe_requested: tracked.keyframe_requested,
+            timings: tracked.timings,
+        }
+    }
+}
+
+/// The map-bound back half's result for one [`FrontEnd`]
+/// ([`Tracker::track_extracted`]): a [`FrameObservation`] minus the
+/// features.
+#[derive(Debug, Clone)]
+pub struct Tracked {
+    pub frame_idx: usize,
+    pub timestamp: f64,
+    pub pose_cw: SE3,
+    /// Map point each of the front end's keypoints was matched to.
+    pub matched: Vec<Option<MapPointId>>,
+    /// Pose-optimization inliers.
+    pub n_tracked: usize,
+    pub lost: bool,
+    pub keyframe_requested: bool,
+    /// All five stages: the front end's two plus this back half's three.
+    pub timings: StageTimings,
+}
+
+/// The inter-frame state [`Tracker::track_extracted`] carries between
+/// calls (see [`Tracker::motion_state`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MotionState {
     last_pose: Option<SE3>,
@@ -199,11 +290,12 @@ impl Tracker {
         self.consecutive_lost
     }
 
-    /// Snapshot the frame-to-frame state that [`Tracker::track`] mutates.
-    /// The server's speculative round pipeline saves this before a
-    /// parallel track and restores it when a frame must be re-tracked
-    /// against a map that changed mid-round, so the redo is bit-identical
-    /// to having tracked once at the right time.
+    /// Snapshot the frame-to-frame state that
+    /// [`Tracker::track_extracted`] mutates. The server's speculative
+    /// round pipeline saves this before a parallel track and restores it
+    /// when a frame must be re-tracked against a map that changed
+    /// mid-round, so the redo is bit-identical to having tracked once at
+    /// the right time.
     pub fn motion_state(&self) -> MotionState {
         MotionState {
             last_pose: self.last_pose,
@@ -274,9 +366,39 @@ impl Tracker {
         )
     }
 
-    /// Track one frame against `map`. `ref_kf` selects the local-map
-    /// neighbourhood (defaults to the newest keyframe). `pose_hint`
-    /// overrides the constant-velocity prediction (the IMU-assisted path).
+    /// The map-free front half: ORB extraction on both eyes and the
+    /// stereo match. Reads neither the map nor the motion state, so it
+    /// needs no map lock and its result survives any number of re-tracks.
+    pub fn extract_frame(&self, left: &GrayImage, right: Option<&GrayImage>) -> FrontEnd {
+        // 1. ORB extraction.
+        let (mut features, mut extract_ms) = self.extract(left);
+
+        // 2. Stereo matching, on its own clock: `right_ms` is modeled on
+        // the simulated-GPU device, so it must not be subtracted from a
+        // wall interval that spans the right-image extraction.
+        let mut stereo_match_ms = 0.0;
+        if self.config.mode == SensorMode::Stereo {
+            if let Some(right_img) = right {
+                let (right_features, right_ms) = self.extract(right_img);
+                extract_ms += right_ms;
+                let t0 = Instant::now();
+                self.stereo_match(&mut features, &right_features);
+                stereo_match_ms = t0.elapsed().as_secs_f64() * 1e3;
+            }
+        }
+
+        // Once per frame, however often the back half is redone.
+        slamshare_obs::observe_ms!("track.extract", extract_ms);
+        slamshare_obs::observe_ms!("track.stereo_match", stereo_match_ms);
+        FrontEnd {
+            features,
+            extract_ms,
+            stereo_match_ms,
+        }
+    }
+
+    /// Track one frame against `map`: [`Tracker::extract_frame`] then
+    /// [`Tracker::track_extracted`].
     #[allow(clippy::too_many_arguments)]
     pub fn track(
         &mut self,
@@ -288,24 +410,30 @@ impl Tracker {
         ref_kf: Option<KeyFrameId>,
         pose_hint: Option<SE3>,
     ) -> FrameObservation {
-        let mut timings = StageTimings::default();
+        let front_end = self.extract_frame(left, right);
+        let tracked =
+            self.track_extracted(&front_end, frame_idx, timestamp, map, ref_kf, pose_hint);
+        front_end.into_observation(tracked)
+    }
 
-        // 1. ORB extraction.
-        let (mut features, extract_ms) = self.extract(left);
-        timings.orb_extract_ms = extract_ms;
-
-        // 2. Stereo matching, on its own clock: `right_ms` is modeled on
-        // the simulated-GPU device, so it must not be subtracted from a
-        // wall interval that spans the right-image extraction.
-        if self.config.mode == SensorMode::Stereo {
-            if let Some(right_img) = right {
-                let (right_features, right_ms) = self.extract(right_img);
-                timings.orb_extract_ms += right_ms;
-                let t0 = Instant::now();
-                self.stereo_match(&mut features, &right_features);
-                timings.orb_match_ms = t0.elapsed().as_secs_f64() * 1e3;
-            }
-        }
+    /// The map-bound back half: predict, search local points, optimize,
+    /// then update the motion model and decide on a keyframe. `ref_kf`
+    /// selects the local-map neighbourhood (defaults to the newest
+    /// keyframe). `pose_hint` overrides the constant-velocity prediction
+    /// (the IMU-assisted path). With the motion state restored
+    /// ([`Tracker::restore_motion_state`]) a repeat call on the same
+    /// `front_end` and map is bit-identical.
+    pub fn track_extracted(
+        &mut self,
+        front_end: &FrontEnd,
+        frame_idx: usize,
+        timestamp: f64,
+        map: &impl MapRead,
+        ref_kf: Option<KeyFrameId>,
+        pose_hint: Option<SE3>,
+    ) -> Tracked {
+        let features = &front_end.features;
+        let mut timings = front_end.timings();
 
         // 3. Pose prediction.
         let t0 = Instant::now();
@@ -429,8 +557,6 @@ impl Tracker {
 
         // Fold the already-measured stage times into the observability
         // layer — Fig. 5's per-stage breakdown as live histograms.
-        slamshare_obs::observe_ms!("track.extract", timings.orb_extract_ms);
-        slamshare_obs::observe_ms!("track.stereo_match", timings.orb_match_ms);
         slamshare_obs::observe_ms!("track.predict", timings.pose_predict_ms);
         slamshare_obs::observe_ms!("track.search_local_points", timings.search_local_ms);
         slamshare_obs::observe_ms!("track.optimize", timings.optimize_ms);
@@ -438,12 +564,10 @@ impl Tracker {
             slamshare_obs::counter_inc!("track.lost");
         }
 
-        FrameObservation {
+        Tracked {
             frame_idx,
             timestamp,
             pose_cw: pose,
-            keypoints: features.keypoints,
-            descriptors: features.descriptors,
             matched,
             n_tracked,
             lost,
@@ -466,10 +590,14 @@ mod tests {
     /// track frame 1 against it — tracking should recover a pose close to
     /// the ground truth of frame 1.
     fn seeded_map_and_dataset() -> (Map, Dataset, Tracker) {
+        seeded_map_and_dataset_with(1)
+    }
+
+    fn seeded_map_and_dataset_with(seed: u64) -> (Map, Dataset, Tracker) {
         let ds = Dataset::build(
             DatasetConfig::new(TracePreset::V202)
                 .with_frames(4)
-                .with_seed(1),
+                .with_seed(seed),
         );
         let mut config = TrackerConfig::stereo(ds.rig);
         config.extractor.n_features = 600;
@@ -477,9 +605,7 @@ mod tests {
 
         // Frame 0 at ground truth, map points from stereo depth.
         let (left, right) = ds.render_stereo_frame(0);
-        let (mut features, _) = tracker.extract(&left);
-        let (right_features, _) = tracker.extract(&right);
-        tracker.stereo_match(&mut features, &right_features);
+        let features = tracker.extract_frame(&left, Some(&right)).features;
 
         let mut map = Map::new(ClientId(1));
         let pose0 = ds.gt_pose_cw(0);
@@ -522,6 +648,74 @@ mod tests {
         let err = obs.pose_cw.center_distance(&gt);
         assert!(err < 0.05, "pose error {err} m");
         assert!(obs.timings.total_ms() > 0.0);
+    }
+
+    fn test_seed() -> u64 {
+        std::env::var("SLAMSHARE_TEST_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1)
+    }
+
+    /// Everything a frame's result carries except wall-clock timings; the
+    /// pose as bits.
+    fn bits(obs: &FrameObservation) -> impl PartialEq + std::fmt::Debug + '_ {
+        let SE3 { rot, trans } = obs.pose_cw;
+        let pose_bits = [rot.w, rot.x, rot.y, rot.z, trans.x, trans.y, trans.z].map(f64::to_bits);
+        (
+            (obs.frame_idx, obs.timestamp.to_bits(), pose_bits),
+            (&obs.keypoints, &obs.descriptors, &obs.matched),
+            (obs.n_tracked, obs.lost, obs.keyframe_requested),
+        )
+    }
+
+    #[test]
+    fn track_is_the_composition_of_its_two_halves() {
+        let (map, ds, mut whole) = seeded_map_and_dataset_with(test_seed());
+        let mut halves = Tracker::new(whole.config.clone(), whole.exec.clone());
+        halves.restore_motion_state(whole.motion_state());
+        for i in 1..4 {
+            let (left, right) = ds.render_stereo_frame(i);
+            let t = ds.frame_time(i);
+            let want = whole.track(i, t, &left, Some(&right), &map, None, None);
+            let front_end = halves.extract_frame(&left, Some(&right));
+            let tracked = halves.track_extracted(&front_end, i, t, &map, None, None);
+            let got = front_end.into_observation(tracked);
+            assert!(!want.lost, "frame {i} lost — comparison is vacuous");
+            assert_eq!(bits(&got), bits(&want), "frame {i}");
+        }
+    }
+
+    #[test]
+    fn retrack_on_one_front_end_is_bit_identical_to_tracking_once() {
+        let (map, ds, mut once) = seeded_map_and_dataset_with(test_seed());
+        let mut twice = Tracker::new(once.config.clone(), once.exec.clone());
+        twice.restore_motion_state(once.motion_state());
+        for i in 1..4 {
+            let (left, right) = ds.render_stereo_frame(i);
+            let t = ds.frame_time(i);
+            let front_end = once.extract_frame(&left, Some(&right));
+            let want = once.track_extracted(&front_end, i, t, &map, None, None);
+
+            // The server's redo: speculative track, rewind, track again —
+            // here against an emptied map in between, so the rewind has
+            // real state (lost counter, velocity) to undo.
+            let pre_track = twice.motion_state();
+            let stale = twice.track_extracted(&front_end, i, t, &Map::new(ClientId(1)), None, None);
+            assert!(stale.lost);
+            twice.restore_motion_state(pre_track);
+            let got = twice.track_extracted(&front_end, i, t, &map, None, None);
+
+            assert!(!want.lost, "frame {i} lost — comparison is vacuous");
+            let got = front_end.clone().into_observation(got);
+            let want = front_end.into_observation(want);
+            assert_eq!(bits(&got), bits(&want), "frame {i}");
+        }
+        // The motion models ended in the same state, too.
+        assert_eq!(
+            format!("{:?}", twice.motion_state()),
+            format!("{:?}", once.motion_state())
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ SUITES=("$@")
 if [[ ${#SUITES[@]} -eq 0 ]]; then
     SUITES=(determinism map_sharding fault_injection
             end_to_end_single_user end_to_end_multi_user experiments_smoke
-            load_harness federation lifecycle)
+            load_harness federation lifecycle observability)
 fi
 
 ARGS=()
