@@ -171,7 +171,7 @@ pub fn run_gpu_sharing(effort: Effort) -> GpuSharingResult {
                 gpu.register(id as u32);
             }
             let exec = gpu.executor(0).unwrap();
-            let (_, _, stats) = kernels::gpu_extract(&exec, &extractor, &frame);
+            let (_, stats) = kernels::gpu_extract(&exec, &extractor, &frame);
             GpuSharingRow {
                 clients,
                 sms_per_client: gpu.allocation()[&0],

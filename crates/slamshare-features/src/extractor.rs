@@ -1,26 +1,24 @@
-//! The full ORB extraction pipeline, instrumented and decomposed for
-//! data-parallel execution.
+//! The ORB extraction pipeline: one body, instrumented, whose two hot
+//! loops are handed to a [`BatchRunner`].
 //!
 //! The paper's Fig. 5 shows ORB extraction is >50 % of tracking latency on a
-//! CPU, and its GPU kernel parallelizes FAST over the image. To support
-//! both execution modes with one implementation, extraction is split into
-//! pure work items:
-//!
-//! * [`OrbExtractor::cells`] enumerates `(level, rect)` detection tasks;
-//! * [`OrbExtractor::detect_cell`] runs FAST in one cell (pure);
-//! * [`OrbExtractor::describe_keypoint`] orients + describes one corner
-//!   (pure);
-//! * [`OrbExtractor::finalize`] distributes corners and assembles output.
-//!
-//! [`OrbExtractor::extract`] chains them sequentially (the "CPU" path);
-//! `slamshare-gpu` schedules the same items across its simulated SMs (the
-//! "GPU" path). Both paths produce *identical* features — the paper makes
-//! the same claim for its CUDA kernels ("performing identical computation
-//! as in the original CPU version", §4.2.1).
+//! CPU, and its GPU kernel parallelizes FAST over the image while
+//! "performing identical computation as in the original CPU version"
+//! (§4.2.1). Here that identity holds by construction:
+//! [`OrbExtractor::extract_on`] is the only orchestration — pyramid rebuilt
+//! in the [`FrameArena`], [`OrbExtractor::cells_into`], FAST per cell
+//! ([`OrbExtractor::detect_cell_into`]), level binning + quadtree
+//! distribution, orientation + BRIEF per survivor
+//! ([`OrbExtractor::describe_keypoint`]) — and the runner decides only how
+//! the two batches of pure, independent work items (cells, survivors) are
+//! spread over lanes. [`Sequential`] is a plain loop (zero steady-state
+//! allocations); `slamshare-gpu`'s executor fans contiguous chunks across
+//! its simulated SMs and stitches them back in item order, so every
+//! runner yields the same bits.
 
 use crate::arena::FrameArena;
 use crate::descriptor::Descriptor;
-use crate::distribute::{distribute_quadtree, distribute_quadtree_into};
+use crate::distribute::distribute_quadtree_into;
 use crate::fast;
 use crate::image::GrayImage;
 use crate::keypoint::KeyPoint;
@@ -70,18 +68,61 @@ pub struct CellTask {
     pub y1: usize,
 }
 
-/// Wall-clock stage timings from one extraction, in milliseconds.
-/// These feed the Fig. 5 / Fig. 8 latency-breakdown experiments.
+/// How a batch of independent work items is run — the one thing the
+/// extraction pipeline leaves to its caller.
+pub trait BatchRunner {
+    /// Split `items` into contiguous chunks and call `f(chunk, lane)` once
+    /// per chunk, each with its own lane. On return `lanes[i]` holds what
+    /// the `i`-th chunk (in item order) produced and `lanes.len()` is the
+    /// chunk count; lanes surviving from an earlier batch are handed out
+    /// again so their buffers are reused, and `f` clears what it fills.
+    fn for_each_chunk<T, S, F>(&self, items: &[T], lanes: &mut Vec<S>, f: F)
+    where
+        T: Sync,
+        S: Send + Default,
+        F: Fn(&[T], &mut S) + Sync;
+}
+
+/// The plain loop: one chunk, one lane, the calling thread.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sequential;
+
+impl BatchRunner for Sequential {
+    fn for_each_chunk<T, S, F>(&self, items: &[T], lanes: &mut Vec<S>, f: F)
+    where
+        T: Sync,
+        S: Send + Default,
+        F: Fn(&[T], &mut S) + Sync,
+    {
+        lanes.resize_with(1, S::default);
+        f(items, &mut lanes[0]);
+    }
+}
+
+/// What one extraction cost, stage by stage (wall-clock milliseconds; the
+/// four stages tile the call), and how much data its two batches moved.
+/// These feed the Fig. 5 / Fig. 8 latency-breakdown experiments and the
+/// simulated device's cost model.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExtractionTimings {
     pub pyramid_ms: f64,
+    /// FAST over every cell — the first batch handed to the runner.
     pub detect_ms: f64,
+    /// Level binning, per-level budgets and quadtree distribution, on the
+    /// calling thread between the two batches.
+    pub distribute_ms: f64,
+    /// Orientation + BRIEF over the survivors (the second batch), plus
+    /// stitching them into the output.
     pub describe_ms: f64,
+    /// Pixels over all pyramid levels: what the detect batch reads.
+    pub pyramid_pixels: usize,
+    /// Corners the describe batch was handed.
+    pub survivors: usize,
 }
 
 impl ExtractionTimings {
     pub fn total_ms(&self) -> f64 {
-        self.pyramid_ms + self.detect_ms + self.describe_ms
+        self.pyramid_ms + self.detect_ms + self.distribute_ms + self.describe_ms
     }
 }
 
@@ -114,10 +155,8 @@ pub struct OrbExtractor {
     pub config: OrbExtractorConfig,
     /// Per-frame buffer arena, behind a mutex so
     /// [`OrbExtractor::extract`] stays `&self` (the tracker calls it
-    /// through shared references, and the data-parallel scheduler shares
-    /// the extractor across workers). Uncontended in practice: one
-    /// extractor per client, and the parallel path builds its pyramid
-    /// outside the arena.
+    /// through shared references). Uncontended in practice: one extractor
+    /// per client.
     arena: parking_lot::Mutex<FrameArena>,
 }
 
@@ -140,7 +179,7 @@ impl OrbExtractor {
     pub fn new(config: OrbExtractorConfig) -> OrbExtractor {
         OrbExtractor {
             config,
-            arena: parking_lot::Mutex::new(FrameArena::new()),
+            arena: parking_lot::Mutex::default(),
         }
     }
 
@@ -165,15 +204,8 @@ impl OrbExtractor {
         }
     }
 
-    /// [`OrbExtractor::per_level_targets_into`] collecting into a fresh vec.
-    pub fn per_level_targets(&self, pyramid: &ImagePyramid) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.per_level_targets_into(pyramid, &mut out);
-        out
-    }
-
     /// Enumerate all detection work items for a pyramid into `tasks`
-    /// (overwritten).
+    /// (overwritten), level by level.
     pub fn cells_into(&self, pyramid: &ImagePyramid, tasks: &mut Vec<CellTask>) {
         tasks.clear();
         let cs = self.config.cell_size.max(8);
@@ -196,28 +228,13 @@ impl OrbExtractor {
         }
     }
 
-    /// [`OrbExtractor::cells_into`] collecting into a fresh vec.
-    pub fn cells(&self, pyramid: &ImagePyramid) -> Vec<CellTask> {
-        let mut tasks = Vec::new();
-        self.cells_into(pyramid, &mut tasks);
-        tasks
-    }
-
     /// Run FAST in one cell. Pure: identical output regardless of execution
-    /// order, so the CPU and simulated-GPU paths agree bit-for-bit.
+    /// order, so every runner agrees bit-for-bit. `cell_raw` is scratch
+    /// (overwritten); NMS survivors are *appended* to `out` and
+    /// subpixel-refined in place.
     ///
     /// Detection retries with `min_threshold` when the primary threshold
     /// yields nothing (low-contrast cells), mirroring ORB-SLAM.
-    pub fn detect_cell(&self, pyramid: &ImagePyramid, task: CellTask) -> Vec<KeyPoint> {
-        let mut cell_raw = Vec::new();
-        let mut kept = Vec::new();
-        self.detect_cell_into(pyramid, task, &mut cell_raw, &mut kept);
-        kept
-    }
-
-    /// [`OrbExtractor::detect_cell`] with caller-provided buffers:
-    /// `cell_raw` is scratch (overwritten), NMS survivors are *appended*
-    /// to `out` and subpixel-refined in place.
     pub fn detect_cell_into(
         &self,
         pyramid: &ImagePyramid,
@@ -277,36 +294,8 @@ impl OrbExtractor {
         Some((out, desc))
     }
 
-    /// Distribute per-level detections down to the per-level budgets and
-    /// describe the survivors. `raw` holds detections grouped by pyramid
-    /// level, in level-local coordinates.
-    pub fn finalize(&self, pyramid: &ImagePyramid, raw: Vec<Vec<KeyPoint>>) -> ExtractedFeatures {
-        self.finalize_levels(pyramid, &raw)
-    }
-
-    /// [`OrbExtractor::finalize`] over borrowed per-level bins (lets the
-    /// sequential path keep its scratch allocations).
-    fn finalize_levels(&self, pyramid: &ImagePyramid, raw: &[Vec<KeyPoint>]) -> ExtractedFeatures {
-        let targets = self.per_level_targets(pyramid);
-        let mut features = ExtractedFeatures::default();
-        for (level, kps) in raw.iter().enumerate() {
-            if level >= pyramid.num_levels() {
-                break;
-            }
-            let img = &pyramid.levels[level];
-            let kept = distribute_quadtree(kps, img.width, img.height, targets[level]);
-            for kp in kept {
-                if let Some((finished, desc)) = self.describe_keypoint(pyramid, kp) {
-                    features.keypoints.push(finished);
-                    features.descriptors.push(desc);
-                }
-            }
-        }
-        features
-    }
-
-    /// Sequential ("CPU") extraction with stage timing, reusing the
-    /// extractor's internal [`FrameArena`].
+    /// Sequential extraction with stage timing, reusing the extractor's
+    /// internal [`FrameArena`].
     pub fn extract(&self, image: &GrayImage) -> (ExtractedFeatures, ExtractionTimings) {
         let mut features = ExtractedFeatures::default();
         let timings = self.extract_into(image, &mut features);
@@ -321,98 +310,84 @@ impl OrbExtractor {
         image: &GrayImage,
         out: &mut ExtractedFeatures,
     ) -> ExtractionTimings {
-        let mut arena = self.arena.lock();
-        self.extract_with_arena(image, &mut arena, out)
+        self.extract_on(&Sequential, image, out)
     }
 
-    /// The allocation-free extraction path over an explicit arena.
-    pub fn extract_with_arena(
+    /// The extraction pipeline, its two batches run by `runner`. `out` is
+    /// overwritten; the features are the same bits on every runner.
+    pub fn extract_on(
         &self,
+        runner: &impl BatchRunner,
         image: &GrayImage,
-        arena: &mut FrameArena,
         out: &mut ExtractedFeatures,
     ) -> ExtractionTimings {
-        out.clear();
-        let mut timings = ExtractionTimings::default();
-
-        let t0 = Instant::now();
-        let pyramid = arena.pyramid.get_or_insert_with(ImagePyramid::empty);
-        pyramid.rebuild(image, self.config.n_levels, self.config.scale_factor);
-        timings.pyramid_ms = t0.elapsed().as_secs_f64() * 1e3;
-
+        let mut arena = self.arena.lock();
         let FrameArena {
-            pyramid: Some(pyramid),
-            raw,
+            pyramid,
             tasks,
-            cell_raw,
+            lanes,
+            raw,
             targets,
             survivors,
             distribute,
-        } = &mut *arena
-        else {
-            unreachable!("pyramid installed above")
-        };
-        let t1 = Instant::now();
-        for bin in raw.iter_mut() {
-            bin.clear();
-        }
-        if raw.len() < pyramid.num_levels() {
-            raw.resize_with(pyramid.num_levels(), Vec::new);
-        }
-        self.cells_into(pyramid, tasks);
-        for &task in tasks.iter() {
-            // Split borrow: detections for this cell go straight into the
-            // level's bin, with `cell_raw` as pre-NMS scratch.
-            self.detect_cell_into(pyramid, task, cell_raw, &mut raw[task.level]);
-        }
-        timings.detect_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-        let t2 = Instant::now();
-        self.per_level_targets_into(pyramid, targets);
-        for (level, kps) in raw[..pyramid.num_levels()].iter().enumerate() {
-            let img = &pyramid.levels[level];
-            survivors.clear();
-            distribute_quadtree_into(
-                kps,
-                img.width,
-                img.height,
-                targets[level],
-                distribute,
-                survivors,
-            );
-            for kp in survivors.iter() {
-                if let Some((finished, desc)) = self.describe_keypoint(pyramid, *kp) {
-                    out.keypoints.push(finished);
-                    out.descriptors.push(desc);
-                }
-            }
-        }
-        timings.describe_ms = t2.elapsed().as_secs_f64() * 1e3;
-        timings
-    }
-
-    /// Extraction that also returns the pyramid (tracking reuses it).
-    pub fn extract_with_pyramid(
-        &self,
-        image: &GrayImage,
-    ) -> (ExtractedFeatures, ImagePyramid, ExtractionTimings) {
+        } = &mut *arena;
         let mut timings = ExtractionTimings::default();
+
         let t0 = Instant::now();
-        let pyramid = ImagePyramid::build(image, self.config.n_levels, self.config.scale_factor);
+        pyramid.rebuild(image, self.config.n_levels, self.config.scale_factor);
+        let pyramid = &*pyramid;
+        timings.pyramid_pixels = pyramid.total_pixels();
         timings.pyramid_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t1 = Instant::now();
-        let mut raw: Vec<Vec<KeyPoint>> = vec![Vec::new(); pyramid.num_levels()];
-        for task in self.cells(&pyramid) {
-            let kps = self.detect_cell(&pyramid, task);
-            raw[task.level].extend(kps);
-        }
+        self.cells_into(pyramid, tasks);
+        runner.for_each_chunk(tasks, lanes, |cells, lane| {
+            lane.detected.clear();
+            for &task in cells {
+                self.detect_cell_into(pyramid, task, &mut lane.cell_raw, &mut lane.detected);
+            }
+        });
         timings.detect_ms = t1.elapsed().as_secs_f64() * 1e3;
 
+        // Cells are enumerated level by level and lanes hold contiguous
+        // runs of them, so stitching lanes in order fills each level's bin
+        // in cell order whatever the lane count.
         let t2 = Instant::now();
-        let features = self.finalize(&pyramid, raw);
-        timings.describe_ms = t2.elapsed().as_secs_f64() * 1e3;
-        (features, pyramid, timings)
+        raw.resize_with(pyramid.num_levels(), Vec::new);
+        for bin in raw.iter_mut() {
+            bin.clear();
+        }
+        for lane in lanes.iter() {
+            for kp in &lane.detected {
+                raw[kp.octave as usize].push(*kp);
+            }
+        }
+        self.per_level_targets_into(pyramid, targets);
+        survivors.clear();
+        for ((kps, img), &target) in raw.iter().zip(&pyramid.levels).zip(targets.iter()) {
+            distribute_quadtree_into(kps, img.width, img.height, target, distribute, survivors);
+        }
+        timings.survivors = survivors.len();
+        timings.distribute_ms = t2.elapsed().as_secs_f64() * 1e3;
+
+        let t3 = Instant::now();
+        runner.for_each_chunk(survivors, lanes, |corners, lane| {
+            lane.described.clear();
+            for &kp in corners {
+                if let Some((finished, desc)) = self.describe_keypoint(pyramid, kp) {
+                    lane.described.keypoints.push(finished);
+                    lane.described.descriptors.push(desc);
+                }
+            }
+        });
+        out.clear();
+        for lane in lanes.iter() {
+            out.keypoints.extend_from_slice(&lane.described.keypoints);
+            out.descriptors
+                .extend_from_slice(&lane.described.descriptors);
+        }
+        timings.describe_ms = t3.elapsed().as_secs_f64() * 1e3;
+        timings
     }
 }
 
@@ -497,7 +472,8 @@ mod tests {
         let img = GrayImage::new(320, 240);
         let ex = OrbExtractor::with_defaults();
         let pyr = ImagePyramid::build(&img, ex.config.n_levels, ex.config.scale_factor);
-        let tasks = ex.cells(&pyr);
+        let mut tasks = Vec::new();
+        ex.cells_into(&pyr, &mut tasks);
         // Each level's cells must cover its full area exactly once.
         for (level, li) in pyr.levels.iter().enumerate() {
             let area: usize = tasks
@@ -514,7 +490,8 @@ mod tests {
         let img = GrayImage::new(640, 480);
         let ex = OrbExtractor::with_defaults();
         let pyr = ImagePyramid::build_default(&img);
-        let targets = ex.per_level_targets(&pyr);
+        let mut targets = Vec::new();
+        ex.per_level_targets_into(&pyr, &mut targets);
         let sum: usize = targets.iter().sum();
         let n = ex.config.n_features;
         assert!(sum >= n * 95 / 100 && sum <= n * 105 / 100, "sum = {sum}");
@@ -532,14 +509,16 @@ mod tests {
         let ex = OrbExtractor::with_defaults();
         let pyr = ImagePyramid::build(&img, ex.config.n_levels, ex.config.scale_factor);
 
+        let mut tasks = Vec::new();
+        ex.cells_into(&pyr, &mut tasks);
+        let mut cell_raw = Vec::new();
         let mut raw_fwd: Vec<Vec<KeyPoint>> = vec![Vec::new(); pyr.num_levels()];
-        let tasks = ex.cells(&pyr);
         for t in &tasks {
-            raw_fwd[t.level].extend(ex.detect_cell(&pyr, *t));
+            ex.detect_cell_into(&pyr, *t, &mut cell_raw, &mut raw_fwd[t.level]);
         }
         let mut raw_rev: Vec<Vec<KeyPoint>> = vec![Vec::new(); pyr.num_levels()];
         for t in tasks.iter().rev() {
-            raw_rev[t.level].extend(ex.detect_cell(&pyr, *t));
+            ex.detect_cell_into(&pyr, *t, &mut cell_raw, &mut raw_rev[t.level]);
         }
         // Same multiset per level (order differs).
         for (f, r) in raw_fwd.iter().zip(&raw_rev) {

@@ -24,6 +24,14 @@ pub mod arena;
 pub mod bow;
 pub mod descriptor;
 pub mod distribute;
+// The extraction pipeline runs under every client's tracking submission
+// on the edge server's round workers. Lints are compiled into the module
+// (not passed via CLI -D, which would leak into the vendored workspace
+// path deps) — `cargo clippy -p slamshare-features` enforces them.
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod extractor;
 pub mod fast;
 pub mod image;

@@ -150,40 +150,50 @@ pub fn best_in_window(
     }
 }
 
-/// Run all projection queries sequentially (the CPU path of *search local
-/// points*). Resolves conflicts (two queries matched to the same frame
-/// feature) by keeping the smaller distance.
+/// Turn per-query hits (`hits[qi]` = [`best_in_window`] of query `qi`)
+/// into matches: where two queries hit the same frame feature the smaller
+/// distance wins (the earlier query on a tie); output is in query order.
+pub fn resolve_conflicts(
+    hits: impl IntoIterator<Item = Option<(usize, u32)>>,
+) -> Vec<FeatureMatch> {
+    let mut per_train: std::collections::HashMap<usize, FeatureMatch> =
+        std::collections::HashMap::new();
+    for (query, hit) in hits.into_iter().enumerate() {
+        if let Some((train, distance)) = hit {
+            let m = FeatureMatch {
+                query,
+                train,
+                distance,
+            };
+            per_train
+                .entry(train)
+                .and_modify(|cur| {
+                    if distance < cur.distance {
+                        *cur = m;
+                    }
+                })
+                .or_insert(m);
+        }
+    }
+    let mut out: Vec<FeatureMatch> = per_train.into_values().collect();
+    out.sort_by_key(|m| m.query);
+    out
+}
+
+/// Run all projection queries in a plain loop (mapping's fusion search,
+/// and the reference the fanned-out *search local points* is tested
+/// against), resolving conflicts with [`resolve_conflicts`].
 pub fn match_by_projection(
     queries: &[ProjectionQuery],
     positions: &[Vec2],
     descriptors: &[Descriptor],
     max_distance: u32,
 ) -> Vec<FeatureMatch> {
-    let mut per_train: std::collections::HashMap<usize, FeatureMatch> =
-        std::collections::HashMap::new();
-    for (qi, q) in queries.iter().enumerate() {
-        if let Some((ti, d)) = best_in_window(q, positions, descriptors, max_distance) {
-            per_train
-                .entry(ti)
-                .and_modify(|cur| {
-                    if d < cur.distance {
-                        *cur = FeatureMatch {
-                            query: qi,
-                            train: ti,
-                            distance: d,
-                        };
-                    }
-                })
-                .or_insert(FeatureMatch {
-                    query: qi,
-                    train: ti,
-                    distance: d,
-                });
-        }
-    }
-    let mut out: Vec<FeatureMatch> = per_train.into_values().collect();
-    out.sort_by_key(|m| m.query);
-    out
+    resolve_conflicts(
+        queries
+            .iter()
+            .map(|q| best_in_window(q, positions, descriptors, max_distance)),
+    )
 }
 
 /// Reusable buffers for [`stereo_match_rectified`]: the right image's SoA

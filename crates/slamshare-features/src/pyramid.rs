@@ -23,21 +23,23 @@ pub struct ImagePyramid {
     pub scale_factor: f64,
 }
 
-impl ImagePyramid {
-    /// Build a pyramid with the given number of levels and inter-level
-    /// scale factor. Levels that would shrink below 32 pixels on a side are
-    /// dropped (matching ORB-SLAM's minimum usable size).
-    /// A pyramid with no levels — scratch state for [`ImagePyramid::rebuild`].
-    pub fn empty() -> ImagePyramid {
+/// A pyramid with no levels — scratch state for [`ImagePyramid::rebuild`].
+impl Default for ImagePyramid {
+    fn default() -> ImagePyramid {
         ImagePyramid {
             levels: Vec::new(),
             scales: Vec::new(),
             scale_factor: DEFAULT_SCALE_FACTOR,
         }
     }
+}
 
+impl ImagePyramid {
+    /// Build a pyramid with the given number of levels and inter-level
+    /// scale factor. Levels that would shrink below 32 pixels on a side are
+    /// dropped (matching ORB-SLAM's minimum usable size).
     pub fn build(base: &GrayImage, n_levels: usize, scale_factor: f64) -> ImagePyramid {
-        let mut p = ImagePyramid::empty();
+        let mut p = ImagePyramid::default();
         p.rebuild(base, n_levels, scale_factor);
         p
     }

@@ -3,11 +3,15 @@
 //! `par_map` is the single primitive: apply a pure function to every item
 //! of a slice, partitioned across the device's SM pool (scoped crossbeam
 //! threads), preserving item order in the output. On `Device::Cpu` it
-//! degenerates to a sequential loop. [`KernelStats`] reports both the real
+//! degenerates to a sequential loop. The partitioning itself is the
+//! executor's [`BatchRunner`] impl, which the extraction pipeline in
+//! `slamshare-features` drives directly so each worker keeps its own
+//! reusable buffers. [`KernelStats`] reports both the real
 //! wall time and the modeled overheads (launch + copies) so experiment
 //! harnesses can account a discrete accelerator's latency honestly.
 
 use crate::device::{Device, GpuModel};
+use slamshare_features::extractor::BatchRunner;
 use std::time::Instant;
 
 /// Statistics from one kernel execution.
@@ -31,6 +35,15 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
+    /// Time spent on the host: costs the same on every device.
+    pub(crate) fn host(ms: f64) -> KernelStats {
+        KernelStats {
+            compute_ms: ms,
+            modeled_compute_ms: ms,
+            ..KernelStats::default()
+        }
+    }
+
     /// Real wall-clock latency of this kernel on the host.
     pub fn total_ms(&self) -> f64 {
         self.compute_ms + self.launch_ms + self.copy_ms
@@ -169,55 +182,66 @@ impl GpuExecutor {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let mut stats = KernelStats::default();
-        if let Some(m) = self.model() {
-            stats.launch_ms = m.launch_ms();
-            stats.copy_ms = m.copy_ms(transfer_bytes);
-        }
-
         let t0 = Instant::now();
         out.clear();
         if self.workers <= 1 || items.len() < 2 {
             out.extend(items.iter().map(&f));
         } else {
-            // Static chunking: contiguous chunks per worker, stitched back
-            // in order. FAST cells and projection queries have fairly even
-            // cost, so static partitioning is adequate and deterministic.
-            let n = items.len();
-            let workers = self.workers.min(n);
-            let chunk = n.div_ceil(workers);
-            let mut slots: Vec<Option<Vec<R>>> = (0..workers).map(|_| None).collect();
-            let scope_result = crossbeam::thread::scope(|scope| {
-                for (wi, slot) in slots.iter_mut().enumerate() {
-                    let start = wi * chunk;
-                    let end = ((wi + 1) * chunk).min(n);
-                    if start >= end {
-                        *slot = Some(Vec::new());
-                        continue;
-                    }
-                    let items = &items[start..end];
-                    let f = &f;
-                    scope.spawn(move |_| {
-                        *slot = Some(items.iter().map(f).collect());
-                    });
-                }
+            let mut slots: Vec<Vec<R>> = Vec::new();
+            self.for_each_chunk(items, &mut slots, |chunk, slot| {
+                slot.extend(chunk.iter().map(&f));
             });
-            if let Err(payload) = scope_result {
-                // A worker panicked: re-raise the original panic on the
-                // submitting thread rather than swallowing it.
-                std::panic::resume_unwind(payload);
-            }
-            out.extend(slots.into_iter().flat_map(|v| v.unwrap_or_default()));
+            out.extend(slots.into_iter().flatten());
         }
-        stats.compute_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // Modeled device latency: measured work rescaled from the workers
-        // the host could actually supply to the device's SM count.
-        stats.modeled_compute_ms = if self.device.is_gpu() {
-            stats.compute_ms * self.workers as f64 / self.model_sms as f64
-        } else {
-            stats.compute_ms
-        };
-        stats
+        self.kernel_stats(t0.elapsed().as_secs_f64() * 1e3, transfer_bytes)
+    }
+
+    /// What one kernel that ran for `compute_ms` on this executor's
+    /// workers and moved `transfer_bytes` between host and device costs:
+    /// the launch and copy overheads of the device model, and the measured
+    /// work rescaled from the workers the host could actually supply to
+    /// the device's SM count. On a CPU device it is `compute_ms` alone.
+    pub(crate) fn kernel_stats(&self, compute_ms: f64, transfer_bytes: usize) -> KernelStats {
+        match self.model() {
+            Some(m) => KernelStats {
+                compute_ms,
+                modeled_compute_ms: compute_ms * self.workers as f64 / self.model_sms as f64,
+                launch_ms: m.launch_ms(),
+                copy_ms: m.copy_ms(transfer_bytes),
+            },
+            None => KernelStats::host(compute_ms),
+        }
+    }
+}
+
+/// The executor as the extraction pipeline's runner: contiguous chunks,
+/// one per worker, on scoped threads. FAST cells and projection queries
+/// have fairly even cost, so static partitioning is adequate and
+/// deterministic.
+impl BatchRunner for GpuExecutor {
+    fn for_each_chunk<T, S, F>(&self, items: &[T], lanes: &mut Vec<S>, f: F)
+    where
+        T: Sync,
+        S: Send + Default,
+        F: Fn(&[T], &mut S) + Sync,
+    {
+        let chunk = items.len().div_ceil(self.workers).max(1);
+        let n_chunks = items.len().div_ceil(chunk).max(1);
+        lanes.resize_with(n_chunks, S::default);
+        if let [lane] = lanes.as_mut_slice() {
+            return f(items, lane);
+        }
+        let f = &f;
+        let scope_result = crossbeam::thread::scope(|scope| {
+            for (items, lane) in items.chunks(chunk).zip(lanes.iter_mut()) {
+                scope.spawn(move |_| f(items, lane));
+            }
+        });
+        if let Err(payload) = scope_result {
+            // A worker panicked: re-raise the original panic on the
+            // submitting thread rather than swallowing it.
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 

@@ -12,10 +12,12 @@
 //!   multiprocessors, plus a SIMT cost model charging kernel-launch and
 //!   host↔device copy overheads);
 //! * an [`exec::GpuExecutor`] runs *pure per-item work functions* across
-//!   the pool — the same work items the CPU path runs sequentially, so
-//!   results are bit-identical, only latency differs (the paper makes the
-//!   same identical-computation claim for its kernels);
-//! * [`kernels`] packages the two paper kernels on top of the executor;
+//!   the pool — the same work items, from the same pipeline, that a CPU
+//!   device runs in one loop, so results are bit-identical, only latency
+//!   differs (the paper makes the same identical-computation claim for
+//!   its kernels);
+//! * [`kernels`] runs the two paper kernels on an executor and charges
+//!   them on its device's clock;
 //! * [`share::SharedGpu`] implements GSlice-style spatial partitioning so
 //!   several client processes extract features concurrently.
 

@@ -325,26 +325,13 @@ impl Tracker {
     /// bootstrap path can reuse it.
     ///
     /// The returned latency is what the stage costs *on the configured
-    /// device*: real wall time on the CPU path; the simulated device's
-    /// modeled latency (launch + copies + SM-scaled compute) on the GPU
-    /// path, so experiments report V100-like numbers even on small hosts.
+    /// device*: the simulated device's modeled latency (launch + copies +
+    /// SM-scaled compute, host-side stages at wall time) on a GPU device,
+    /// so experiments report V100-like numbers even on small hosts; on a
+    /// CPU device that is the real wall time.
     pub fn extract(&self, image: &GrayImage) -> (ExtractedFeatures, f64) {
-        if self.exec.device.is_gpu() {
-            let (f, _, stats) = kernels::gpu_extract(&self.exec, &self.extractor, image);
-            (f, stats.modeled_total_ms())
-        } else if self.exec.workers() > 1 {
-            // Data-parallel CPU path: the same cell/describe work items as
-            // the GPU kernel, fanned across host cores. Bit-identical to
-            // the sequential extractor (order-preserving stitch), charged
-            // at real wall time.
-            let t0 = Instant::now();
-            let (f, _, _) = kernels::gpu_extract(&self.exec, &self.extractor, image);
-            (f, t0.elapsed().as_secs_f64() * 1e3)
-        } else {
-            let t0 = Instant::now();
-            let (f, _) = self.extractor.extract(image);
-            (f, t0.elapsed().as_secs_f64() * 1e3)
-        }
+        let (f, stats) = kernels::gpu_extract(&self.exec, &self.extractor, image);
+        (f, stats.modeled_total_ms())
     }
 
     /// Stereo-match left features against right-image features, filling
@@ -469,38 +456,17 @@ impl Tracker {
             query_points.push(mp_id);
         }
         let positions: Vec<Vec2> = features.keypoints.iter().map(|k| k.pt).collect();
-        let matches = if self.exec.device.is_gpu() {
-            let candidate_gather_ms = t1.elapsed().as_secs_f64() * 1e3;
-            let (m, stats) = kernels::gpu_search_local_points(
-                &self.exec,
-                &queries,
-                &positions,
-                &features.descriptors,
-                TH_LOW,
-            );
-            // Device-modeled kernel latency + the host-side candidate
-            // gathering measured above.
-            timings.search_local_ms = stats.modeled_total_ms() + candidate_gather_ms;
-            m
-        } else if self.exec.workers() > 1 {
-            // Data-parallel CPU path (same per-query work items as the
-            // GPU kernel; identical conflict resolution → identical
-            // matches), charged at real wall time.
-            let (m, _) = kernels::gpu_search_local_points(
-                &self.exec,
-                &queries,
-                &positions,
-                &features.descriptors,
-                TH_LOW,
-            );
-            timings.search_local_ms = t1.elapsed().as_secs_f64() * 1e3;
-            m
-        } else {
-            let m =
-                matching::match_by_projection(&queries, &positions, &features.descriptors, TH_LOW);
-            timings.search_local_ms = t1.elapsed().as_secs_f64() * 1e3;
-            m
-        };
+        let candidate_gather_ms = t1.elapsed().as_secs_f64() * 1e3;
+        let (matches, stats) = kernels::gpu_search_local_points(
+            &self.exec,
+            &queries,
+            &positions,
+            &features.descriptors,
+            TH_LOW,
+        );
+        // The kernel on the device's clock + the host-side candidate
+        // gathering measured above.
+        timings.search_local_ms = stats.modeled_total_ms() + candidate_gather_ms;
 
         // 5. Pose optimization.
         let t2 = Instant::now();

@@ -41,18 +41,20 @@ stage_clippy() {
 }
 
 stage_nopanic() {
-    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, core ingest/gmap, slam map/merge/recognition) =="
+    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor, core ingest/gmap, slam map/merge/recognition) =="
     # Shared-state paths deny unwrap/expect/panic via in-source
     # #![cfg_attr(not(test), deny(...))] attributes (crate-level in
     # slamshare-net, slamshare-shm, and slamshare-gpu — the executor and
     # slice scheduler sit under every client's tracking submissions;
     # module-level on
+    # slamshare-features::extractor — the one extraction pipeline those
+    # submissions run — and on
     # slamshare-core::{ingest,gmap} and
     # slamshare-slam::{map,merge,recognition} — a panic under a region lock
     # would poison shared map state for every client). A plain clippy pass
     # compiles those lints as hard errors; CLI -D flags must NOT be used
     # here — they leak into the vendored workspace path deps.
-    cargo clippy -q -p slamshare-net -p slamshare-core -p slamshare-shm -p slamshare-slam -p slamshare-gpu
+    cargo clippy -q -p slamshare-net -p slamshare-core -p slamshare-shm -p slamshare-slam -p slamshare-gpu -p slamshare-features
 }
 
 stage_fmt() {

@@ -9,6 +9,10 @@
 //! `clone` into the hot path fails this test, not a profiler session
 //! three weeks later.
 //!
+//! A second measured phase holds the server's route to the same pipeline
+//! (`Tracker::extract_frame` on a GPU-device executor) to the returned
+//! features' own buffers.
+//!
 //! One `#[test]` only: the counter is process-global, so a second
 //! concurrently-running test would attribute its allocations to ours.
 
@@ -136,5 +140,35 @@ fn steady_state_frame_path_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "steady-state frame path performed {delta} heap allocations over {MEASURED} frames"
+    );
+
+    // ---- Phase 2: the server's front half on a GPU-device executor ----
+    // `Tracker::extract_frame` runs the same arena-backed pipeline through
+    // the executor, so at one worker the only allocations left are the
+    // returned features' own buffers: keypoints + descriptors, two eyes.
+    use slam_share::gpu::{Device, GpuExecutor, GpuModel};
+    use slam_share::slam::tracking::{Tracker, TrackerConfig};
+    const PER_FRAME_BUDGET: u64 = 4;
+    let one_sm = GpuModel {
+        sm_count: 1,
+        ..GpuModel::v100()
+    };
+    let tracker = Tracker::new(
+        TrackerConfig::stereo(ds.rig),
+        std::sync::Arc::new(GpuExecutor::new(Device::Gpu(one_sm))),
+    );
+    for _ in 0..WARM {
+        tracker.extract_frame(&left_src, Some(&right_src));
+    }
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED {
+        let front_end = tracker.extract_frame(&left_src, Some(&right_src));
+        assert!(front_end.features.keypoints.iter().any(|k| k.has_stereo()));
+    }
+    let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    assert!(
+        delta <= PER_FRAME_BUDGET * MEASURED as u64,
+        "GPU-device front half performed {delta} heap allocations over {MEASURED} frames \
+         (budget {PER_FRAME_BUDGET} per frame)"
     );
 }

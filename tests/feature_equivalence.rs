@@ -10,7 +10,7 @@ use slam_share::features::descriptor::DescriptorBlock;
 use slam_share::features::matching::{self, MatchScratch, StereoScratch, TH_HIGH};
 use slam_share::features::orb;
 use slam_share::features::{Descriptor, GrayImage, KeyPoint};
-use slam_share::gpu::GpuExecutor;
+use slam_share::gpu::{Device, GpuExecutor, GpuModel};
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::tracking::{Tracker, TrackerConfig};
 use slamshare_math::Vec2;
@@ -276,8 +276,9 @@ fn fused_orient_describe_matches_scalar_pair() {
 }
 
 /// Full-frame extraction and stereo matching stay bit-identical at 1, 2
-/// and 4 workers — the batched kernels changed the arithmetic shape, not
-/// the results.
+/// and 4 workers and on both simulated-GPU devices — the batched kernels
+/// changed the arithmetic shape, and the executor changes the schedule and
+/// the clock, not the results.
 #[test]
 fn extraction_deterministic_across_worker_counts() {
     let ds = Dataset::build(
@@ -286,11 +287,18 @@ fn extraction_deterministic_across_worker_counts() {
             .with_seed(seed().wrapping_add(4)),
     );
     let reference = Tracker::new(TrackerConfig::stereo(ds.rig), Arc::new(GpuExecutor::cpu()));
-    for workers in [1usize, 2, 4] {
-        let tracker = Tracker::new(
-            TrackerConfig::stereo(ds.rig),
-            Arc::new(GpuExecutor::cpu_with_workers(workers)),
-        );
+    let executors = [
+        ("workers=1", GpuExecutor::cpu_with_workers(1)),
+        ("workers=2", GpuExecutor::cpu_with_workers(2)),
+        ("workers=4", GpuExecutor::cpu_with_workers(4)),
+        ("v100", GpuExecutor::v100()),
+        (
+            "jetson",
+            GpuExecutor::new(Device::Gpu(GpuModel::jetson_like())),
+        ),
+    ];
+    for (name, exec) in executors {
+        let tracker = Tracker::new(TrackerConfig::stereo(ds.rig), Arc::new(exec));
         for i in 0..2 {
             let (left, right) = ds.render_stereo_frame(i);
             // Keypoints carry `right_x`/`depth`, so equality covers the
@@ -298,8 +306,8 @@ fn extraction_deterministic_across_worker_counts() {
             let want = reference.extract_frame(&left, Some(&right)).features;
             let got = tracker.extract_frame(&left, Some(&right)).features;
             assert!(want.keypoints.iter().any(|k| k.has_stereo()));
-            assert_eq!(got.keypoints, want.keypoints, "workers={workers}");
-            assert_eq!(got.descriptors, want.descriptors, "workers={workers}");
+            assert_eq!(got.keypoints, want.keypoints, "{name}");
+            assert_eq!(got.descriptors, want.descriptors, "{name}");
         }
     }
 }
