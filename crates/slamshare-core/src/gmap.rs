@@ -151,7 +151,7 @@ struct Directory {
 /// What a write operation wants locked: the components of these keyframes
 /// plus the components of the regions containing these positions (new
 /// content lands where its camera centers fall). `all` escalates to every
-/// region (mono mapping, merge fallback, sync merge).
+/// region (mono mapping, a keyframe with no reference).
 #[derive(Debug, Clone, Default)]
 pub struct LockSeeds {
     pub kfs: Vec<KeyFrameId>,
@@ -743,8 +743,8 @@ impl ShardedGlobalMap {
         }
     }
 
-    /// Write under every region's lock (synchronous merge, merge-worker
-    /// pessimistic fallback). Same gather/scatter protocol.
+    /// Write under every region's lock (a merge job's pessimistic last
+    /// attempt). Same gather/scatter protocol.
     pub fn with_write_all<R>(
         &self,
         f: impl FnOnce(&mut Map, &ComponentWrite) -> (R, bool),

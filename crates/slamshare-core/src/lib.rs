@@ -52,6 +52,13 @@ pub mod hologram;
 pub mod ingest;
 pub mod lifecycle;
 pub mod load;
+// Merge jobs run under the destination regions' write locks, on a thread
+// nobody supervises (or on a committing round worker): a panic there
+// poisons shared map state or silently ends process M.
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod merge_worker;
 pub mod metrics;
 // Load-shedding decisions run on the shared ingress path for every

@@ -1,36 +1,38 @@
-//! The asynchronous merge process M.
+//! The merge process M: one merge body, two placements.
 //!
 //! SLAM-Share's merges "occur asynchronously, whenever a client observes
-//! something that matches the global map" (§4.1) — but until now the
-//! server ran `try_map_merge` inline in the commit stage, stalling every
-//! client's commits behind DetectCommonRegion + RANSAC + the weld BA.
-//! This module moves the expensive half off the commit path:
+//! something that matches the global map" (§4.1). Every merge the server
+//! performs is one [`MergeJob`] run by the same body:
 //!
-//! 1. the commit stage **submits** a clone of the client's local map and
-//!    returns immediately;
-//! 2. the worker thread snapshots the global map (with its per-region
-//!    epoch stamp) under read locks and runs [`plan_merge`] — the
-//!    read-only detect/align half — entirely off-lock, querying the
-//!    *live* sharded BoW index;
-//! 3. the worker applies the plan under **only the destination regions'
-//!    write locks** — the components where the transformed client
-//!    content lands, plus the weld anchor's and the fusion targets'.
-//!    The apply is valid only if none of the *locked* regions' epochs
-//!    moved since the snapshot; a region outside the locked set cannot
-//!    affect the apply (the absorb, fuse, weld and seam BA all stay
-//!    inside the locked components), so commits into unrelated regions
-//!    neither block the apply nor invalidate it. A conflicting commit
-//!    bumps a destination epoch and the worker re-plans against a fresh
-//!    snapshot (optimistic concurrency). After
-//!    [`MAX_OPTIMISTIC_ATTEMPTS`] losses it degrades to one pessimistic
-//!    plan+apply under every region's write lock, which cannot lose;
-//! 4. the client's next commit **collects** the completion: keyframes and
+//! 1. the commit stage **submits** a clone of the client's local map;
+//! 2. the job snapshots the global map (with its per-region epoch stamp)
+//!    under read locks and runs [`plan_merge`] — the read-only
+//!    detect/align half — entirely off-lock, querying the *live* sharded
+//!    BoW index;
+//! 3. it applies the plan under **only the destination regions' write
+//!    locks** — the components where the transformed client content
+//!    lands, plus the weld anchor's and the fusion targets'. The apply is
+//!    valid only if none of the *locked* regions' epochs moved since the
+//!    snapshot; a region outside the locked set cannot affect the apply
+//!    (the absorb, fuse, weld and seam BA all stay inside the locked
+//!    components), so commits into unrelated regions neither block the
+//!    apply nor invalidate it. A conflicting commit bumps a destination
+//!    epoch and the job re-plans against a fresh snapshot (optimistic
+//!    concurrency). After [`MAX_OPTIMISTIC_ATTEMPTS`] losses it degrades
+//!    to one pessimistic plan+apply under every region's write lock,
+//!    which cannot lose;
+//! 4. the client's commit **collects** the completion: keyframes and
 //!    points it created after the snapshot (the delta) are transformed,
-//!    remapped across the worker's point fusions and absorbed, and the
+//!    remapped across the job's point fusions and absorbed, and the
 //!    process switches to shared-map tracking.
 //!
-//! Commits therefore never block on merge detection; only commits into
-//! the merge's own destination regions ever wait for the apply section.
+//! [`ServerConfig::async_merge`](crate::server::ServerConfig::async_merge)
+//! picks only *where* a submitted job runs: on the worker thread (commits
+//! never block on merge detection; only commits into the merge's own
+//! destination regions wait for the apply section) or right there on the
+//! submitting caller (no thread is spawned; the completion is ready when
+//! `submit` returns, so the delta of step 4 is empty). Lifecycle
+//! maintenance passes take the same placement.
 
 use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use crate::metrics::{MergeWorkerStats, MetricsCut};
@@ -57,25 +59,24 @@ pub struct MergeJob {
     pub cmap: Map,
 }
 
-/// What travels down the worker channel. Lifecycle maintenance rides
-/// the same queue as merges so pruning and eviction run strictly off
-/// the commit critical path, serialized with merge applies.
+/// One unit of the worker's work. Lifecycle maintenance rides the same
+/// queue as merges so pruning and eviction run serialized with merge
+/// applies (and, on the thread placement, off the commit critical path).
 enum WorkItem {
     Merge(MergeJob),
     /// Run one maintenance pass at this virtual frame.
     Maintain(u64),
 }
 
-/// What the worker hands back to the client's commit path.
+/// What a finished job hands back to the client's commit path.
 pub struct MergeCompletion {
-    pub client: u16,
     pub timestamp: f64,
     /// `None` when no common region was found — the client keeps its
     /// local map and retries once coverage grows.
     pub applied: Option<AppliedMerge>,
 }
 
-/// A merge the worker landed in the global map.
+/// A merge landed in the global map.
 pub struct AppliedMerge {
     pub report: MergeReport,
     /// Snapshot → applied wall time, ms.
@@ -88,9 +89,6 @@ pub struct AppliedMerge {
     /// Client points fused away during the weld → the surviving global
     /// point, for remapping delta observations.
     pub fused: HashMap<MapPointId, MapPointId>,
-    /// Region indices the apply held write locks over (all of them on
-    /// the pessimistic path) — the write receipt.
-    pub locked_regions: Vec<usize>,
 }
 
 #[derive(Default)]
@@ -101,121 +99,177 @@ struct Desk {
     done: HashMap<u16, MergeCompletion>,
 }
 
-/// Everything the worker thread needs to plan and apply merges.
+/// Everything a job needs to plan and apply a merge.
 pub(crate) struct MergeContext {
     pub store: Arc<ShardedGlobalMap>,
     pub db: Arc<ShardedKeyframeDatabase>,
     pub vocab: Arc<Vocabulary>,
     pub cam: PinholeCamera,
     pub with_scale: bool,
-    /// The server's metrics consistent-cut gate: the worker's stat
-    /// updates count as a write section, like any round's.
+    /// The server's metrics consistent-cut gate: a job's stat updates
+    /// count as a write section, like any round's.
     pub cut: Arc<MetricsCut>,
     /// Map maintenance (prune/evict) driver; `None` when the server has
     /// lifecycle disabled.
     pub lifecycle: Option<Arc<crate::lifecycle::LifecycleManager>>,
 }
 
-/// Handle to the background merge thread. Dropping it closes the job
-/// channel and joins the thread.
+/// What both placements share: the context, the desk and the counters.
+struct Shared {
+    ctx: MergeContext,
+    desk: Mutex<Desk>,
+    stats: MergeWorkerStats,
+}
+
+impl Shared {
+    /// Run one work item to completion on the calling thread.
+    fn run(&self, item: WorkItem, arena: &mut MappingArena) {
+        match item {
+            WorkItem::Merge(job) => {
+                let client = job.client;
+                let completion = self
+                    .ctx
+                    .cut
+                    .write(|| run_job(&self.ctx, &self.stats, arena, job));
+                let mut desk = self.desk.lock();
+                desk.done.insert(client, completion);
+                desk.in_flight.remove(&client);
+            }
+            WorkItem::Maintain(now_frame) => {
+                if let Some(lc) = &self.ctx.lifecycle {
+                    let _ = self.ctx.cut.write(|| lc.tick(now_frame));
+                }
+            }
+        }
+    }
+}
+
+/// The thread placement: the queue into the merge thread and its handle.
+struct WorkerThread {
+    tx: mpsc::Sender<WorkItem>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+/// The server's merge process. Dropping it closes the job channel and
+/// joins the thread, when there is one.
 pub struct MergeWorker {
-    tx: Option<mpsc::Sender<WorkItem>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    desk: Arc<Mutex<Desk>>,
-    stats: Arc<MergeWorkerStats>,
+    shared: Arc<Shared>,
+    /// `None` on the caller placement: a submitted item runs on the
+    /// thread that submits it.
+    thread: Option<WorkerThread>,
 }
 
 impl MergeWorker {
-    pub(crate) fn spawn(ctx: MergeContext) -> MergeWorker {
-        let (tx, rx) = mpsc::channel::<WorkItem>();
-        let desk = Arc::new(Mutex::new(Desk::default()));
-        let stats = Arc::new(MergeWorkerStats::default());
-        let worker_desk = desk.clone();
-        let worker_stats = stats.clone();
-        let handle = std::thread::Builder::new()
-            .name("slam-share-merge".into())
-            .spawn(move || {
-                // One arena for the thread's lifetime: seam-BA and weld
-                // scratch reaches steady state after the first job.
-                let mut arena = MappingArena::default();
-                while let Ok(item) = rx.recv() {
-                    match item {
-                        WorkItem::Merge(job) => {
-                            let client = job.client;
-                            let completion = ctx
-                                .cut
-                                .write(|| run_job(&ctx, &worker_stats, &mut arena, job));
-                            let mut desk = worker_desk.lock();
-                            desk.done.insert(client, completion);
-                            desk.in_flight.remove(&client);
-                        }
-                        WorkItem::Maintain(now_frame) => {
-                            if let Some(lc) = &ctx.lifecycle {
-                                let _ = ctx.cut.write(|| lc.tick(now_frame));
-                            }
-                        }
-                    }
-                }
-            })
-            .expect("spawn merge worker");
-        MergeWorker {
-            tx: Some(tx),
-            handle: Some(handle),
-            desk,
-            stats,
+    /// `on_thread` spawns the merge thread; a spawn the OS refuses is
+    /// counted (`merge.worker_lost`) and leaves the caller placement.
+    pub(crate) fn new(ctx: MergeContext, on_thread: bool) -> MergeWorker {
+        let shared = Arc::new(Shared {
+            ctx,
+            desk: Mutex::new(Desk::default()),
+            stats: MergeWorkerStats::default(),
+        });
+        let thread = on_thread.then(|| spawn_thread(shared.clone())).flatten();
+        if on_thread && thread.is_none() {
+            shared.stats.record_worker_lost();
+        }
+        MergeWorker { shared, thread }
+    }
+
+    /// The one place a work item's placement is decided: down the channel
+    /// when `thread` is given, else right here. `false` when the thread is
+    /// gone (it panicked in a job) and nothing ran.
+    fn place(&self, item: WorkItem, thread: Option<&WorkerThread>) -> bool {
+        match thread {
+            Some(t) => t.tx.send(item).is_ok(),
+            None => {
+                // Merges come once per client: the caller placement has no
+                // scratch worth keeping between them.
+                self.shared.run(item, &mut MappingArena::default());
+                true
+            }
         }
     }
 
-    /// Queue a merge job unless one for this client is already in flight
-    /// or awaiting collection. Returns whether the job was accepted.
-    pub fn submit(&self, job: MergeJob) -> bool {
+    fn place_job(&self, job: MergeJob, thread: Option<&WorkerThread>) -> bool {
+        let client = job.client;
         {
-            let mut desk = self.desk.lock();
-            if desk.in_flight.contains(&job.client) || desk.done.contains_key(&job.client) {
+            let mut desk = self.shared.desk.lock();
+            if desk.in_flight.contains(&client) || desk.done.contains_key(&client) {
                 return false;
             }
-            desk.in_flight.insert(job.client);
+            desk.in_flight.insert(client);
         }
-        self.stats.record_submitted();
-        self.tx
-            .as_ref()
-            .expect("worker channel open while not dropping")
-            .send(WorkItem::Merge(job))
-            .is_ok()
+        let placed = self.place(WorkItem::Merge(job), thread);
+        if placed {
+            self.shared.stats.record_submitted();
+        } else {
+            self.shared.desk.lock().in_flight.remove(&client);
+            self.shared.stats.record_worker_lost();
+        }
+        placed
     }
 
-    /// Queue one lifecycle maintenance pass at virtual frame
-    /// `now_frame`. Runs after any merges already in the queue; a no-op
-    /// when the worker was built without a lifecycle manager.
+    /// Hand a merge job to the configured placement unless one for this
+    /// client is already in flight or awaiting collection. Returns
+    /// whether the job was accepted; on the caller placement its
+    /// completion is ready on return.
+    pub fn submit(&self, job: MergeJob) -> bool {
+        self.place_job(job, self.thread.as_ref())
+    }
+
+    /// [`MergeWorker::submit`], but on the calling thread whatever the
+    /// configured placement.
+    pub(crate) fn run_now(&self, job: MergeJob) -> bool {
+        self.place_job(job, None)
+    }
+
+    /// One lifecycle maintenance pass at virtual frame `now_frame`, after
+    /// any merges already queued; a no-op when the worker was built
+    /// without a lifecycle manager.
     pub fn submit_maintenance(&self, now_frame: u64) -> bool {
-        self.tx
-            .as_ref()
-            .expect("worker channel open while not dropping")
-            .send(WorkItem::Maintain(now_frame))
-            .is_ok()
+        self.place(WorkItem::Maintain(now_frame), self.thread.as_ref())
     }
 
     /// Collect a finished merge for `client`, if any.
     pub fn take_completion(&self, client: u16) -> Option<MergeCompletion> {
-        self.desk.lock().done.remove(&client)
+        self.shared.desk.lock().done.remove(&client)
     }
 
-    /// Whether the worker's queue is fully drained (completions may still
-    /// await collection).
+    /// Whether nothing is queued or running (completions may still await
+    /// collection). A thread that has died will never finish what it
+    /// held, so it counts as idle.
     pub fn is_idle(&self) -> bool {
-        self.desk.lock().in_flight.is_empty()
+        self.shared.desk.lock().in_flight.is_empty()
+            || self.thread.as_ref().is_some_and(|t| t.handle.is_finished())
     }
 
     pub fn stats(&self) -> &MergeWorkerStats {
-        &self.stats
+        &self.shared.stats
     }
+}
+
+fn spawn_thread(shared: Arc<Shared>) -> Option<WorkerThread> {
+    let (tx, rx) = mpsc::channel::<WorkItem>();
+    let handle = std::thread::Builder::new()
+        .name("slam-share-merge".into())
+        .spawn(move || {
+            // One arena for the thread's lifetime: seam-BA and weld
+            // scratch reaches steady state after the first job.
+            let mut arena = MappingArena::default();
+            while let Ok(item) = rx.recv() {
+                shared.run(item, &mut arena);
+            }
+        })
+        .ok()?;
+    Some(WorkerThread { tx, handle })
 }
 
 impl Drop for MergeWorker {
     fn drop(&mut self) {
-        // Closing the channel ends the worker loop after the current job.
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
+        if let Some(WorkerThread { tx, handle }) = self.thread.take() {
+            // Closing the channel ends the worker loop after the current
+            // job.
+            drop(tx);
             let _ = handle.join();
         }
     }
@@ -257,8 +311,7 @@ fn dest_seeds(gsnap: &Map, cmap: &Map, plan: &MergePlan) -> LockSeeds {
     seeds
 }
 
-/// One merge job: optimistic snapshot/plan/apply with per-region stamp
-/// retries, then a pessimistic all-region in-lock fallback.
+/// One merge job, timed snapshot → applied.
 fn run_job(
     ctx: &MergeContext,
     stats: &MergeWorkerStats,
@@ -266,37 +319,63 @@ fn run_job(
     job: MergeJob,
 ) -> MergeCompletion {
     let t0 = Instant::now();
-    let absorbed_kfs: BTreeSet<KeyFrameId> = job.cmap.keyframes.keys().copied().collect();
-    let absorbed_mps: BTreeSet<MapPointId> = job.cmap.mappoints.keys().copied().collect();
-    let completion = |applied: Option<AppliedMerge>| MergeCompletion {
-        client: job.client,
+    let applied = land(ctx, stats, arena, &job.cmap).map(|(report, fused)| {
+        let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
+        stats.record_applied(merge_ms);
+        AppliedMerge {
+            report,
+            merge_ms,
+            absorbed_kfs: job.cmap.keyframes.keys().copied().collect(),
+            absorbed_mps: job.cmap.mappoints.keys().copied().collect(),
+            fused: fused.into_iter().collect(),
+        }
+    });
+    if applied.is_none() {
+        stats.record_no_region();
+    }
+    MergeCompletion {
         timestamp: job.timestamp,
         applied,
+    }
+}
+
+/// Weld `cmap` into the global map: optimistic snapshot/plan/apply with
+/// per-region stamp retries, then one pessimistic all-region in-lock
+/// attempt. Returns the report and the `(client_mp, surviving_global_mp)`
+/// fusions applied; `None` when there is no common region yet.
+fn land(
+    ctx: &MergeContext,
+    stats: &MergeWorkerStats,
+    arena: &mut MappingArena,
+    cmap: &Map,
+) -> Option<(MergeReport, Vec<(MapPointId, MapPointId)>)> {
+    let plan_against = |gmap: &Map| {
+        let _span = slamshare_obs::span!("merge.plan");
+        plan_merge(gmap, cmap, &ctx.db, &ctx.vocab, ctx.with_scale)
+    };
+    let mut apply = |gmap: &mut Map, plan: &MergePlan| {
+        let _span = slamshare_obs::span!("merge.apply");
+        apply_merge_plan_with(gmap, &ctx.db, cmap.clone(), plan, &ctx.cam, arena)
     };
 
-    for attempt in 1..=MAX_OPTIMISTIC_ATTEMPTS {
+    for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
         // Snapshot the global map with its per-region epoch stamp; plan
         // entirely off-lock. The live sharded BoW index may run ahead of
         // the snapshot — plan_merge skips candidates the snapshot doesn't
         // hold yet.
         let (gsnap, stamp) = ctx.store.snapshot_with_stamp();
-        let plan = {
-            let _span = slamshare_obs::span!("merge.plan");
-            plan_merge(&gsnap, &job.cmap, &ctx.db, &ctx.vocab, ctx.with_scale)
-        };
+        let plan = plan_against(&gsnap);
         if !plan.viable() {
-            stats.record_no_region();
-            return completion(None);
+            return None;
         }
-        let seeds = dest_seeds(&gsnap, &job.cmap, &plan);
+        let seeds = dest_seeds(&gsnap, cmap, &plan);
         drop(gsnap);
 
         // Optimistic apply under only the destination components' write
         // locks: valid iff none of the *locked* regions moved since the
         // snapshot. Commits into regions outside the locked set neither
         // block this nor invalidate it.
-        let (applied, locked) = ctx.store.with_component_write(&seeds, |gmap, cw| {
-            let _span = slamshare_obs::span!("merge.apply");
+        let (applied, _) = ctx.store.with_component_write(&seeds, |gmap, cw| {
             let stale = cw.regions.iter().any(|&r| {
                 let snap_epoch = stamp.iter().find(|&&(i, _)| i == r).map(|&(_, e)| e);
                 cw.epoch_of(r) != snap_epoch
@@ -304,65 +383,86 @@ fn run_job(
             if stale {
                 return (None, false);
             }
-            let (report, fused) =
-                apply_merge_plan_with(gmap, &ctx.db, job.cmap.clone(), &plan, &ctx.cam, arena);
-            (Some((report, fused)), true)
+            (Some(apply(gmap, &plan)), true)
         });
-        match applied {
-            Some((report, fused)) => {
-                let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
-                stats.record_applied(merge_ms);
-                return completion(Some(AppliedMerge {
-                    report,
-                    merge_ms,
-                    absorbed_kfs,
-                    absorbed_mps,
-                    fused: fused.into_iter().collect(),
-                    locked_regions: locked,
-                }));
-            }
-            None => {
-                stats.record_conflict();
-                if attempt == MAX_OPTIMISTIC_ATTEMPTS {
-                    break;
-                }
-            }
+        if applied.is_some() {
+            return applied;
         }
+        stats.record_conflict();
     }
 
-    // Pessimistic fallback: plan and apply atomically under every
+    // Pessimistic last attempt: plan and apply atomically under every
     // region's write lock. Commits wait this once, but the outcome cannot
-    // be lost to a race — the same guarantee the old synchronous path had.
-    let (result, locked) = ctx.store.with_write_all(|gmap, _| {
-        let plan = {
-            let _span = slamshare_obs::span!("merge.plan");
-            plan_merge(gmap, &job.cmap, &ctx.db, &ctx.vocab, ctx.with_scale)
-        };
+    // be lost to a race.
+    let (applied, _) = ctx.store.with_write_all(|gmap, _| {
+        let plan = plan_against(gmap);
         if !plan.viable() {
             return (None, false);
         }
-        let _span = slamshare_obs::span!("merge.apply");
-        let (report, fused) =
-            apply_merge_plan_with(gmap, &ctx.db, job.cmap.clone(), &plan, &ctx.cam, arena);
-        (Some((report, fused)), true)
+        (Some(apply(gmap, &plan)), true)
     });
-    match result {
-        Some((report, fused)) => {
-            let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
-            stats.record_fallback();
-            stats.record_applied(merge_ms);
-            completion(Some(AppliedMerge {
-                report,
-                merge_ms,
-                absorbed_kfs,
-                absorbed_mps,
-                fused: fused.into_iter().collect(),
-                locked_regions: locked,
-            }))
+    if applied.is_some() {
+        stats.record_fallback();
+    }
+    applied
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slamshare_shm::Segment;
+    use slamshare_slam::ids::ClientId;
+
+    fn context() -> MergeContext {
+        let segment = Arc::new(Segment::new(64 * 1024 * 1024));
+        MergeContext {
+            store: ShardedGlobalMap::create(segment, "test/global-map", 4, 10.0)
+                .expect("fresh segment"),
+            db: Arc::new(ShardedKeyframeDatabase::new()),
+            vocab: Arc::new(slamshare_slam::vocabulary::train_random(42)),
+            cam: PinholeCamera::euroc_like(),
+            with_scale: false,
+            cut: Arc::new(MetricsCut::default()),
+            lifecycle: None,
         }
-        None => {
-            stats.record_no_region();
-            completion(None)
+    }
+
+    fn job(client: u16) -> MergeJob {
+        MergeJob {
+            client,
+            timestamp: 0.0,
+            cmap: Map::new(ClientId(client)),
         }
+    }
+
+    /// A merge thread that died (a panic in a job) must not wedge the
+    /// server: its queue refuses new jobs without leaving them booked as
+    /// in flight, and nobody waits for it to go idle.
+    #[test]
+    fn lost_worker_thread_refuses_jobs_without_wedging() {
+        let mut worker = MergeWorker::new(context(), false);
+        // The thread placement with the far end of the channel closed by
+        // hand and a thread that has already returned.
+        let (tx, rx) = mpsc::channel::<WorkItem>();
+        drop(rx);
+        let handle = std::thread::spawn(|| ());
+        while !handle.is_finished() {
+            std::thread::yield_now();
+        }
+        worker.thread = Some(WorkerThread { tx, handle });
+        // What the dead thread was holding when it went.
+        worker.shared.desk.lock().in_flight.insert(9);
+
+        assert!(!worker.submit(job(1)), "a closed channel accepted a job");
+        assert!(worker.is_idle(), "a dead thread is waited for");
+        assert!(worker.shared.desk.lock().in_flight.contains(&9));
+        assert!(!worker.shared.desk.lock().in_flight.contains(&1));
+        // Refused again because the thread is gone — not as a duplicate
+        // of the first, which would not count.
+        assert!(!worker.submit(job(1)));
+        let stats = worker.stats().snapshot();
+        assert_eq!(stats.worker_lost, 2, "{stats:?}");
+        assert_eq!(stats.submitted, 0, "{stats:?}");
+        assert!(!worker.submit_maintenance(0));
     }
 }

@@ -16,9 +16,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Aggregate server health report ([`crate::server::EdgeServer::metrics`]):
 /// per-client ingest counters (decode faults, drops, resyncs,
-/// relocalizations) plus the background merge worker's counters when one
-/// is running. Reads are lock-free with respect to the client processes —
-/// a wedged client cannot block the metrics endpoint.
+/// relocalizations) plus the merge worker's counters. Reads are lock-free
+/// with respect to the client processes — a wedged client cannot block the
+/// metrics endpoint.
 #[derive(Debug, Clone, Default)]
 pub struct ServerMetrics {
     pub per_client: BTreeMap<u16, ClientIngestSnapshot>,
@@ -31,6 +31,8 @@ pub struct ServerMetrics {
     /// and purges vanished from the server totals the moment its counter
     /// handles were removed.
     pub retired: RetiredSnapshot,
+    /// Always `Some`: every server has a merge worker. The `Option` stays
+    /// because `benchmark/src/main.rs` unwraps it.
     pub merge_worker: Option<MergeWorkerSnapshot>,
     /// Per-region contention of the sharded global map.
     pub map_sharding: MapShardingSnapshot,
@@ -106,12 +108,11 @@ impl RetiredSnapshot {
     }
 }
 
-/// Counters and latency samples for the asynchronous merge worker
-/// (process M off the commit path): how many jobs were submitted, how
-/// many merges landed, how often the optimistic epoch check lost a race
-/// and the worker retried or fell back to a pessimistic in-lock merge.
-/// All methods take `&self`; the worker thread and the server share one
-/// instance through an `Arc`.
+/// Counters and latency samples for the merge worker (process M): how
+/// many jobs were submitted, how many merges landed, how often the
+/// optimistic epoch check lost a race and the job retried or fell back to
+/// a pessimistic in-lock merge. All methods take `&self`; the worker
+/// thread and the server share one instance.
 ///
 /// Built on `slamshare-obs` primitives: counts are [`Counter`]s and the
 /// applied-merge latency is a fixed-bucket [`Histogram`] (so the
@@ -126,6 +127,8 @@ pub struct MergeWorkerStats {
     conflicts: Counter,
     fallback_applies: Counter,
     no_region: Counter,
+    worker_lost: Counter,
+    stale_completions: Counter,
     /// Wall time of each applied merge (snapshot → applied), ms.
     latency: Histogram,
 }
@@ -146,6 +149,12 @@ pub struct MergeWorkerSnapshot {
     pub fallback_applies: u64,
     /// Jobs that found no common region (the client retries later).
     pub no_region: u64,
+    /// Work items refused because the merge thread is gone (it panicked
+    /// in a job, or the OS refused to spawn it).
+    pub worker_lost: u64,
+    /// Completions dropped at collection because the client had already
+    /// left its local phase.
+    pub stale_completions: u64,
     pub p50_latency_ms: f64,
     pub p95_latency_ms: f64,
     pub max_latency_ms: f64,
@@ -179,6 +188,16 @@ impl MergeWorkerStats {
         slamshare_obs::counter_inc!("merge.no_region");
     }
 
+    pub fn record_worker_lost(&self) {
+        self.worker_lost.inc();
+        slamshare_obs::counter_inc!("merge.worker_lost");
+    }
+
+    pub fn record_stale_completion(&self) {
+        self.stale_completions.inc();
+        slamshare_obs::counter_inc!("merge.stale_completions");
+    }
+
     pub fn snapshot(&self) -> MergeWorkerSnapshot {
         let latency = self.latency.snapshot();
         MergeWorkerSnapshot {
@@ -187,6 +206,8 @@ impl MergeWorkerStats {
             conflicts: self.conflicts.get(),
             fallback_applies: self.fallback_applies.get(),
             no_region: self.no_region.get(),
+            worker_lost: self.worker_lost.get(),
+            stale_completions: self.stale_completions.get(),
             p50_latency_ms: latency.p50_ms,
             p95_latency_ms: latency.p95_ms,
             max_latency_ms: latency.max_ms,

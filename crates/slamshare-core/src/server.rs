@@ -58,11 +58,10 @@
 //! `(region, epoch)` stamp it read under. A commit redoes the back half
 //! only when a region it actually read has moved — a cheap lock-free
 //! comparison instead of a conservative per-round dirty flag. The same protocol
-//! lets the optional **asynchronous merge worker**
-//! ([`crate::merge_worker`], enabled with [`ServerConfig::async_merge`])
-//! plan merges off the commit path against a snapshot and apply them
-//! only when the destination regions haven't moved, so commits never
-//! block on merge detection.
+//! lets the **merge worker** ([`crate::merge_worker`]) plan every merge
+//! against a snapshot and apply it only when the destination regions
+//! haven't moved; with [`ServerConfig::async_merge`] it does so on its own
+//! thread, so commits never block on merge detection.
 //!
 //! The place-recognition inverted index ([`EdgeServer::db`]) lives
 //! *outside* the store: it is sharded with per-shard locks
@@ -87,7 +86,7 @@ use slamshare_sim::imu::ImuSample;
 use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId};
 use slamshare_slam::map::{transform_pose_cw, Map, MapRead};
 use slamshare_slam::mapping::LocalMapper;
-use slamshare_slam::merge::{try_map_merge, MergeReport};
+use slamshare_slam::merge::MergeReport;
 use slamshare_slam::recognition::{self, ShardedKeyframeDatabase};
 use slamshare_slam::system::{FrameInput, SlamConfig, SlamSystem};
 use slamshare_slam::tracking::{FrontEnd, MotionState, SensorMode, StageTimings, Tracked, Tracker};
@@ -109,11 +108,12 @@ pub struct ServerConfig {
     /// Merge a client's local map into the global map once it holds this
     /// many keyframes.
     pub merge_after_keyframes: usize,
-    /// Run merge detection on a background worker thread instead of
-    /// inline in the commit stage. Commits then never block on
-    /// `DetectCommonRegion`/RANSAC; the worker applies merges under the
-    /// write lock with an epoch check (see [`crate::merge_worker`]).
-    /// Off by default: the synchronous path is what the round pipeline's
+    /// Where a merge job runs — the job itself is the same either way
+    /// (see [`crate::merge_worker`]). `true`: on the merge worker's own
+    /// thread, so commits never block on `DetectCommonRegion`/RANSAC and
+    /// the client collects the result at a later commit. `false` (the
+    /// default): on the committing thread, no thread spawned, collected
+    /// in the same commit — the placement the round pipeline's
     /// bit-exactness guarantee is stated against.
     pub async_merge: bool,
     /// Number of spatial/covisibility regions the global map is sharded
@@ -218,6 +218,7 @@ impl std::error::Error for ClientError {}
 #[derive(Debug, Clone)]
 pub struct MergeOutcome {
     pub report: MergeReport,
+    /// Snapshot → applied wall time of the merge job, ms, wherever it ran.
     pub merge_ms: f64,
 }
 
@@ -342,10 +343,10 @@ pub struct EdgeServer {
     /// Worker threads used by the round pipeline's decode stage (decode
     /// runs *before* and off the tracking critical path).
     decode_workers: usize,
-    /// Background merge thread (async mode; see [`crate::merge_worker`]).
-    merge_worker: Option<MergeWorker>,
-    /// Map lifecycle maintenance driver ([`ServerConfig::lifecycle`]);
-    /// ticks run on the merge worker in async mode, inline otherwise.
+    /// The merge process M ([`crate::merge_worker`]); it runs merges and
+    /// maintenance ticks where [`ServerConfig::async_merge`] places them.
+    merge_worker: MergeWorker,
+    /// Map lifecycle maintenance driver ([`ServerConfig::lifecycle`]).
     lifecycle: Option<Arc<crate::lifecycle::LifecycleManager>>,
     /// Consistent-cut gate between metrics writers (frame processing,
     /// merges) and [`EdgeServer::metrics`] readers — see
@@ -419,7 +420,7 @@ fn retrack(
 
 impl EdgeServer {
     /// Orchestrator startup: allocate the segment, create the global map
-    /// store, bring up the GPU (and, in async mode, the merge worker).
+    /// store, bring up the GPU and the merge worker.
     pub fn new(config: ServerConfig, vocab: Arc<Vocabulary>) -> EdgeServer {
         let segment = Arc::new(Segment::new(2 * 1024 * 1024 * 1024));
         let store = ShardedGlobalMap::create(
@@ -436,8 +437,8 @@ impl EdgeServer {
             .lifecycle
             .clone()
             .map(|lc| Arc::new(crate::lifecycle::LifecycleManager::new(store.clone(), lc)));
-        let merge_worker = config.async_merge.then(|| {
-            MergeWorker::spawn(MergeContext {
+        let merge_worker = MergeWorker::new(
+            MergeContext {
                 store: store.clone(),
                 db: db.clone(),
                 vocab: vocab.clone(),
@@ -445,8 +446,9 @@ impl EdgeServer {
                 with_scale: config.slam.tracker.mode == SensorMode::Mono,
                 cut: cut.clone(),
                 lifecycle: lifecycle.clone(),
-            })
-        });
+            },
+            config.async_merge,
+        );
         let admission = Admission::new(config.max_clients);
         EdgeServer {
             config,
@@ -1132,129 +1134,60 @@ impl EdgeServer {
             StagedFrame::Faulted { .. } => unreachable!("handled above"),
         };
 
-        // Merge trigger (process M).
-        if !result.merged {
-            if let Some(worker) = &self.merge_worker {
-                self.merge_trigger_async(worker, process, client, timestamp, &mut result);
-            } else {
-                let ready = match &process.phase {
-                    Phase::Local(system) => {
-                        system.is_bootstrapped()
-                            && system.map.n_keyframes() >= process.next_merge_at_kfs
-                    }
-                    Phase::Shared { .. } => false,
-                };
-                if ready {
-                    match self.merge_locked(process, client, timestamp) {
-                        Some(outcome) => {
-                            result.merged = true;
-                            // Re-express the frame pose in the global frame.
-                            if let (Some(pose), Some(t)) =
-                                (result.pose, outcome.report.transform.as_ref())
-                            {
-                                result.pose = Some(transform_pose_cw(&pose, t));
-                            }
-                            result.merge = Some(outcome);
-                        }
-                        None => {
-                            // No common region yet: process M retries once the
-                            // client has contributed more keyframes.
-                            if let Phase::Local(system) = &process.phase {
-                                process.next_merge_at_kfs = system.map.n_keyframes() + 2;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        result
-    }
-
-    /// Async-mode merge trigger: first collect a finished background
-    /// merge for this client (absorbing its post-snapshot delta and
-    /// switching it to shared-phase tracking), else submit a job when the
-    /// client's local map is ready. Never blocks on merge detection.
-    fn merge_trigger_async(
-        &self,
-        worker: &MergeWorker,
-        process: &mut ClientProcess,
-        client: u16,
-        timestamp: f64,
-        result: &mut ServerFrameResult,
-    ) {
-        if let Some(completion) = worker.take_completion(client) {
-            match completion.applied {
-                Some(applied) => {
-                    let outcome =
-                        self.finish_async_merge(process, client, completion.timestamp, applied);
-                    result.merged = true;
-                    // Re-express the frame pose in the global frame.
-                    if let (Some(pose), Some(t)) = (result.pose, outcome.report.transform.as_ref())
-                    {
-                        result.pose = Some(transform_pose_cw(&pose, t));
-                    }
-                    result.merge = Some(outcome);
-                }
-                None => {
-                    // No common region yet: retry once the client has
-                    // contributed more keyframes.
-                    if let Phase::Local(system) = &process.phase {
-                        process.next_merge_at_kfs = system.map.n_keyframes() + 2;
-                    }
-                }
-            }
-            return;
-        }
-        let ready = match &process.phase {
-            Phase::Local(system) => {
-                system.is_bootstrapped() && system.map.n_keyframes() >= process.next_merge_at_kfs
-            }
-            Phase::Shared { .. } => false,
-        };
-        if ready {
-            if let Phase::Local(system) = &process.phase {
+        // Merge trigger (process M): a ready local map goes to the worker,
+        // and whatever the worker has finished for this client — just now
+        // on this thread, or earlier on its own — is collected.
+        if let Phase::Local(system) = &process.phase {
+            if system.is_bootstrapped() && system.map.n_keyframes() >= process.next_merge_at_kfs {
                 // The worker refuses duplicates, so re-offering every
                 // frame while a job is in flight is harmless.
-                worker.submit(MergeJob {
+                self.merge_worker.submit(MergeJob {
                     client,
                     timestamp,
                     cmap: system.map.clone(),
                 });
             }
+            if let Some(outcome) = self.collect_merge(process, client) {
+                result.merged = true;
+                // Re-express the frame pose in the global frame.
+                if let (Some(pose), Some(t)) = (result.pose, outcome.report.transform.as_ref()) {
+                    result.pose = Some(transform_pose_cw(&pose, t));
+                }
+                result.merge = Some(outcome);
+            }
         }
+        result
     }
 
-    /// Collect an applied background merge: the worker already welded the
-    /// submitted snapshot into the global map; absorb the client's
-    /// post-snapshot *delta* (keyframes/points it created while the
-    /// worker ran), remap delta observations across the worker's point
-    /// fusions, and switch the client to shared-map tracking.
-    fn finish_async_merge(
-        &self,
-        process: &mut ClientProcess,
-        client: u16,
-        timestamp: f64,
-        applied: AppliedMerge,
-    ) -> MergeOutcome {
+    /// Collect the worker's finished job for `client`, if there is one.
+    /// An applied merge already welded the submitted snapshot into the
+    /// global map; absorb the client's post-snapshot *delta* (keyframes
+    /// and points it created while the job ran on the worker's thread —
+    /// nothing, when it ran on this one), remap delta observations across
+    /// the job's point fusions, and switch the client to shared-map
+    /// tracking. A job that found no common region pushes the client's
+    /// next attempt out by two keyframes.
+    fn collect_merge(&self, process: &mut ClientProcess, client: u16) -> Option<MergeOutcome> {
+        let completion = self.merge_worker.take_completion(client)?;
+        let Phase::Local(system) = &mut process.phase else {
+            // The client left its local phase since the job was taken.
+            self.merge_worker.stats().record_stale_completion();
+            return None;
+        };
+        let Some(applied) = completion.applied else {
+            process.next_merge_at_kfs = system.map.n_keyframes() + 2;
+            return None;
+        };
         let AppliedMerge {
             report,
             merge_ms,
             absorbed_kfs,
             absorbed_mps,
             fused,
-            locked_regions: _,
         } = applied;
-        let (mut delta, exec, last_frame_pose) = {
-            let Phase::Local(system) = &mut process.phase else {
-                panic!("client {client} already merged");
-            };
-            let delta = std::mem::replace(&mut system.map, Map::new(process.id));
-            (
-                delta,
-                system.tracker.exec.clone(),
-                system.frame_poses.last().map(|(_, p)| *p),
-            )
-        };
+        let mut delta = std::mem::replace(&mut system.map, Map::new(process.id));
+        let exec = system.tracker.exec.clone();
+        let last_frame_pose = system.frame_poses.last().map(|(_, p)| *p);
 
         // Everything in the submitted snapshot is already global; what
         // remains is the delta.
@@ -1348,101 +1281,43 @@ impl EdgeServer {
         let outcome = MergeOutcome { report, merge_ms };
         self.merge_log
             .lock()
-            .push((timestamp, client, outcome.clone()));
-        outcome
+            .push((completion.timestamp, client, outcome.clone()));
+        Some(outcome)
     }
 
     /// Install an externally-built local map for a not-yet-merged client
     /// (the late-joiner upload of §4.3.1: a device arrives with a map it
-    /// built offline and contributes the whole thing at once).
+    /// built offline and contributes the whole thing at once). A no-op for
+    /// a client that is already merged.
     pub fn adopt_local_map(&self, client: u16, map: Map) {
         let process = self.clients.get(&client).expect("unregistered client");
-        let mut process = process.lock();
-        match &mut process.phase {
-            Phase::Local(system) => {
-                system.map = map;
-            }
-            Phase::Shared { .. } => panic!("client {client} already merged"),
+        if let Phase::Local(system) = &mut process.lock().phase {
+            system.map = map;
         }
     }
 
-    /// The merge process M: weld `client`'s local map into the global map
-    /// now (also the late-joiner entry point — a client arriving with an
-    /// existing map has *all* of its keyframes checked, §4.3.1).
+    /// The merge process M, on demand: weld `client`'s local map into the
+    /// global map now, on the calling thread (also the late-joiner entry
+    /// point — a client arriving with an existing map has *all* of its
+    /// keyframes checked, §4.3.1).
     ///
     /// Returns `None` when the global map is non-empty and no common
     /// region was found — the client keeps its local map and process M
-    /// retries later, exactly the paper's asynchronous-merge behaviour.
+    /// retries later, exactly the paper's asynchronous-merge behaviour —
+    /// and when the client is already merged or has a job in flight.
     pub fn merge_client_now(&self, client: u16, timestamp: f64) -> Option<MergeOutcome> {
         let process = self.clients.get(&client).expect("unregistered client");
         let mut process = process.lock();
-        self.cut
-            .write(|| self.merge_locked(&mut process, client, timestamp))
-    }
-
-    /// Merge body, with the client's mutex already held.
-    // `try_map_merge` returns the whole client map in its Err variant by
-    // design (failed merge hands ownership back) — the closure inherits
-    // that signature.
-    #[allow(clippy::result_large_err)]
-    fn merge_locked(
-        &self,
-        process: &mut ClientProcess,
-        client: u16,
-        timestamp: f64,
-    ) -> Option<MergeOutcome> {
-        let (cmap, exec, last_frame_pose) = {
-            let Phase::Local(system) = &mut process.phase else {
-                panic!("client {client} already merged");
-            };
-            // Move the local map out — in shared memory this is pointer
-            // handover, no copy, no serialization.
-            let cmap = std::mem::replace(&mut system.map, Map::new(process.id));
-            (
-                cmap,
-                system.tracker.exec.clone(),
-                system.frame_poses.last().map(|(_, p)| *p),
-            )
-        };
-
-        let alloc = cmap.alloc.clone();
-        let t0 = Instant::now();
-        let cam = self.config.slam.tracker.rig.cam;
-        let with_scale = self.config.slam.tracker.mode == SensorMode::Mono;
-        // The synchronous merge welds against the whole map (detection
-        // may anchor anywhere), so it takes every region's write lock.
-        let (merged, _) = self.store.with_write_all(|gmap, _| {
-            let r = try_map_merge(gmap, cmap, &self.db, &self.vocab, &cam, with_scale);
-            let dirty = r.is_ok();
-            (r, dirty)
-        });
-        let report = match merged {
-            Ok(report) => report,
-            Err((cmap, _)) => {
-                // No common region yet: hand the map back; the client
-                // continues locally and process M retries later.
-                if let Phase::Local(system) = &mut process.phase {
-                    system.map = cmap;
-                }
-                return None;
+        self.cut.write(|| {
+            if let Phase::Local(system) = &process.phase {
+                self.merge_worker.run_now(MergeJob {
+                    client,
+                    timestamp,
+                    cmap: system.map.clone(),
+                });
             }
-        };
-        let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        self.enter_shared_phase(
-            process,
-            client,
-            report.transform.as_ref(),
-            exec,
-            last_frame_pose,
-            alloc,
-        );
-
-        let outcome = MergeOutcome { report, merge_ms };
-        self.merge_log
-            .lock()
-            .push((timestamp, client, outcome.clone()));
-        Some(outcome)
+            self.collect_merge(&mut process, client)
+        })
     }
 
     /// Transition a just-merged client process to shared-map tracking,
@@ -1504,14 +1379,13 @@ impl EdgeServer {
         };
     }
 
-    /// Queue an asynchronous merge of `client`'s current local map.
-    /// Returns whether a job was accepted — `false` when the server runs
-    /// synchronous merges, the client is already merged or not yet
-    /// bootstrapped, or a job for it is already in flight.
+    /// Hand `client`'s current local map to the merge worker — queued on
+    /// its thread, or merged before this returns, per
+    /// [`ServerConfig::async_merge`]; the client's next commit collects
+    /// the result. Returns whether a job was accepted — `false` when the
+    /// client is already merged or not yet bootstrapped, or a job for it
+    /// is already in flight.
     pub fn submit_merge(&self, client: u16, timestamp: f64) -> bool {
-        let Some(worker) = &self.merge_worker else {
-            return false;
-        };
         let process = self.clients.get(&client).expect("unregistered client");
         let process = process.lock();
         let Phase::Local(system) = &process.phase else {
@@ -1520,47 +1394,37 @@ impl EdgeServer {
         if !system.is_bootstrapped() {
             return false;
         }
-        worker.submit(MergeJob {
+        self.merge_worker.submit(MergeJob {
             client,
             timestamp,
             cmap: system.map.clone(),
         })
     }
 
-    /// Block until the background merge worker has drained its queue
+    /// Block until the merge worker has nothing queued or running
     /// (completions may still await collection at the owning client's
-    /// next commit). No-op in synchronous mode.
+    /// next commit).
     pub fn wait_merge_idle(&self) {
-        if let Some(worker) = &self.merge_worker {
-            while !worker.is_idle() {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
+        while !self.merge_worker.is_idle() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
 
-    /// Counters and latency percentiles of the background merge worker
-    /// (`None` in synchronous mode).
+    /// Counters and latency percentiles of the merge worker. Always
+    /// `Some` (the `Option` is part of the API `benchmark/` and
+    /// `tests/determinism.rs` compile against).
     pub fn merge_worker_stats(&self) -> Option<MergeWorkerSnapshot> {
-        self.merge_worker.as_ref().map(|w| w.stats().snapshot())
+        Some(self.merge_worker.stats().snapshot())
     }
 
-    /// Run (or queue) one map-lifecycle maintenance pass at virtual
-    /// frame `now_frame` — pruning and cold-region eviction per
-    /// [`ServerConfig::lifecycle`]. In async-merge mode the pass rides
-    /// the merge worker's queue so it stays off the round critical
-    /// path; otherwise it runs inline under the metrics cut. No-op
-    /// (returns false) when lifecycle is disabled.
+    /// Run one map-lifecycle maintenance pass at virtual frame
+    /// `now_frame` — pruning and cold-region eviction per
+    /// [`ServerConfig::lifecycle`] — wherever the merge worker places
+    /// its work: behind the merges queued on its thread, off the round
+    /// critical path, or here on the caller. Returns false when lifecycle
+    /// is disabled (or the worker's thread is gone) and nothing ran.
     pub fn run_maintenance(&self, now_frame: u64) -> bool {
-        let Some(lc) = &self.lifecycle else {
-            return false;
-        };
-        match &self.merge_worker {
-            Some(worker) => worker.submit_maintenance(now_frame),
-            None => {
-                let _ = self.cut.write(|| lc.tick(now_frame));
-                true
-            }
-        }
+        self.lifecycle.is_some() && self.merge_worker.submit_maintenance(now_frame)
     }
 
     /// Lifecycle totals plus current arena/residency state (`None` when

@@ -42,7 +42,10 @@ pub struct MergeReport {
     pub n_mp_added: usize,
 }
 
-/// Merge `cmap` into `gmap` (Algorithm 2).
+/// Merge `cmap` into `gmap` (Algorithm 2), unconditionally: the
+/// Edge-SLAM-style baseline's merge. (The SLAM-Share server instead
+/// checks [`MergePlan::viable`] between the two halves and retries a
+/// client with no common region later.)
 ///
 /// `db` is the global map's BoW inverted index; it is updated with the
 /// client keyframes at the end. `with_scale` selects Sim(3) alignment
@@ -57,27 +60,21 @@ pub fn map_merge(
     cam: &PinholeCamera,
     with_scale: bool,
 ) -> MergeReport {
-    match try_map_merge(gmap, cmap, db, vocab, cam, with_scale) {
-        Ok(report) => report,
-        Err((cmap, mut report)) => {
-            // Unconditional-merge semantics (the baseline server): absorb
-            // the fragment unaligned.
-            report.n_kf_added = cmap.n_keyframes();
-            report.n_mp_added = cmap.n_mappoints();
-            absorb(gmap, cmap, db);
-            report
-        }
-    }
+    let plan = plan_merge(gmap, &cmap, db, vocab, with_scale);
+    // Unconditional-merge semantics (the baseline server): with no common
+    // region the plan carries no transform and the apply absorbs the
+    // fragment unaligned.
+    apply_merge_plan(gmap, db, cmap, &plan, cam).0
 }
 
 /// A merge decision computed read-only — `DetectCommonRegion` over every
 /// client keyframe plus the RANSAC alignment, i.e. everything in
 /// Algorithm 2 that does *not* mutate the global map.
 ///
-/// The split lets the asynchronous merge worker run this expensive half
+/// The split lets the server's merge worker run this expensive half
 /// against a map *snapshot* while commits keep flowing, then apply the
 /// decision under the write lock only if the map hasn't changed since
-/// (epoch check; see the server's merge worker).
+/// (epoch check; see `slamshare_core::merge_worker`).
 #[derive(Debug, Clone)]
 pub struct MergePlan {
     /// Alignment to apply to the client map, when a common region was
@@ -185,7 +182,7 @@ pub fn plan_merge(
 ///
 /// Returns the report plus every `(client_mp, surviving_global_mp)`
 /// fusion actually applied (planned ones and those found by the
-/// projection weld) — the async merge worker needs these to remap the
+/// projection weld) — the server's merge worker needs these to remap the
 /// client's post-snapshot delta.
 pub fn apply_merge_plan(
     gmap: &mut Map,
@@ -199,8 +196,8 @@ pub fn apply_merge_plan(
 
 /// [`apply_merge_plan`] with a reusable mapping arena: the projection
 /// weld runs on the arena's SoA descriptor strips and the seam bundle
-/// adjustment on its BA buffers, so a long-lived caller (the async merge
-/// worker) fuses and adjusts without per-merge allocation churn.
+/// adjustment on its BA buffers, so a long-lived caller (the merge
+/// worker's thread) fuses and adjusts without per-merge allocation churn.
 pub fn apply_merge_plan_with(
     gmap: &mut Map,
     db: &ShardedKeyframeDatabase,
@@ -266,42 +263,6 @@ pub fn apply_merge_plan_with(
     }
 
     (report, fused)
-}
-
-/// [`map_merge`] that **refuses to absorb** a client map when no common
-/// region with the (non-empty) global map is found, handing the map back
-/// so the caller can retry once coverage grows — the behaviour of
-/// SLAM-Share's continuously-running merge process M ("map merging occurs
-/// asynchronously, whenever a client observes something that matches the
-/// global map", §4.1).
-// A failed merge hands the whole client map back by value on purpose —
-// the caller keeps feeding it frames and retries later.
-#[allow(clippy::result_large_err)]
-pub fn try_map_merge(
-    gmap: &mut Map,
-    cmap: Map,
-    db: &ShardedKeyframeDatabase,
-    vocab: &Vocabulary,
-    cam: &PinholeCamera,
-    with_scale: bool,
-) -> Result<MergeReport, (Map, MergeReport)> {
-    let plan = plan_merge(gmap, &cmap, db, vocab, with_scale);
-    if !plan.viable() {
-        // No common region: hand the map back for a later retry.
-        let report = MergeReport {
-            transform: None,
-            aligned: false,
-            n_kf_checked: plan.n_kf_checked,
-            n_point_pairs: plan.n_point_pairs,
-            n_fused: 0,
-            alignment_rmse: 0.0,
-            ba: None,
-            n_kf_added: cmap.n_keyframes(),
-            n_mp_added: cmap.n_mappoints(),
-        };
-        return Err((cmap, report));
-    }
-    Ok(apply_merge_plan(gmap, db, cmap, &plan, cam).0)
 }
 
 /// Project the global-map points near `anchor` into each client keyframe

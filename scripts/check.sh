@@ -7,10 +7,14 @@
 #   scripts/check.sh <stage>...   run only the named stage(s)
 #
 # Stages (in order): build test bench-norun clippy nopanic fmt benchmark
-#                    load-smoke fed-smoke virtual-gate soak
+#                    load-smoke fed-smoke virtual-gate soak loc
 # Optional stage:    bench-gate   (also appended to the default run when
 #                                  SLAMSHARE_BENCH_GATE=1 — it runs the
 #                                  benchmarks, which takes a while)
+#
+# `loc` only reports (non-test lines per crate and config-field counts vs
+# HEAD~1, via scripts/loc.sh) and never fails; CI's shallow checkout has no
+# HEAD~1, so it is not a CI step.
 #
 # `soak` also runs as its own parallel CI job (it is the longest smoke),
 # so a slow soak never serializes behind the build/test/lint job.
@@ -41,7 +45,7 @@ stage_clippy() {
 }
 
 stage_nopanic() {
-    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor, core ingest/gmap, slam map/merge/recognition) =="
+    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor, core ingest/gmap/merge_worker, slam map/merge/recognition) =="
     # Shared-state paths deny unwrap/expect/panic via in-source
     # #![cfg_attr(not(test), deny(...))] attributes (crate-level in
     # slamshare-net, slamshare-shm, and slamshare-gpu — the executor and
@@ -49,9 +53,10 @@ stage_nopanic() {
     # module-level on
     # slamshare-features::extractor — the one extraction pipeline those
     # submissions run — and on
-    # slamshare-core::{ingest,gmap} and
+    # slamshare-core::{ingest,gmap,merge_worker} and
     # slamshare-slam::{map,merge,recognition} — a panic under a region lock
-    # would poison shared map state for every client). A plain clippy pass
+    # would poison shared map state for every client, and one on the merge
+    # thread silently ends process M). A plain clippy pass
     # compiles those lints as hard errors; CLI -D flags must NOT be used
     # here — they leak into the vendored workspace path deps.
     cargo clippy -q -p slamshare-net -p slamshare-core -p slamshare-shm -p slamshare-slam -p slamshare-gpu -p slamshare-features
@@ -96,6 +101,11 @@ stage_soak() {
     cargo run -q --release -p bench --bin soak_smoke
 }
 
+stage_loc() {
+    echo "== non-test lines per crate and config-field counts vs HEAD~1 (report only) =="
+    scripts/loc.sh HEAD~1 || echo "loc: no HEAD~1 to compare against (shallow checkout?)"
+}
+
 stage_bench_gate() {
     echo "== bench regression gate (p95 vs results/baselines, SLAMSHARE_BENCH_TOL=${SLAMSHARE_BENCH_TOL:-15} %) =="
     scripts/bench_gate.sh
@@ -114,8 +124,9 @@ run_stage() {
         fed-smoke)   stage_fed_smoke ;;
         virtual-gate) stage_virtual_gate ;;
         soak)        stage_soak ;;
+        loc)         stage_loc ;;
         bench-gate)  stage_bench_gate ;;
-        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke virtual-gate soak bench-gate)" >&2
+        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke virtual-gate soak loc bench-gate)" >&2
            exit 2 ;;
     esac
 }
@@ -125,7 +136,7 @@ if [[ $# -gt 0 ]]; then
         run_stage "$stage"
     done
 else
-    for stage in build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke virtual-gate soak; do
+    for stage in build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke virtual-gate soak loc; do
         run_stage "$stage"
     done
     if [[ "${SLAMSHARE_BENCH_GATE:-0}" == 1 ]]; then

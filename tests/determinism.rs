@@ -133,32 +133,34 @@ fn process_one(
         .remove(0)
 }
 
+/// One round of one frame per client at tick `i`; returns the result keys.
+fn run_round(server: &EdgeServer, rig: &mut MultiClientRig, i: usize) -> Vec<String> {
+    let payloads = rig.encode_tick(i);
+    let batch: Vec<ClientFrame> = payloads
+        .iter()
+        .enumerate()
+        .map(|(c, (l, r))| ClientFrame {
+            client: c as u16 + 1,
+            frame_idx: i,
+            timestamp: rig.datasets[c].frame_time(i),
+            left: l,
+            right: Some(r),
+            imu: &[],
+            pose_hint: (c == 0 && i == 0).then(|| rig.datasets[0].gt_pose_cw(0)),
+        })
+        .collect();
+    server
+        .try_process_round(&batch)
+        .unwrap()
+        .iter()
+        .map(result_key)
+        .collect()
+}
+
 fn run_rounds(server: &EdgeServer, rig: &mut MultiClientRig, frames: usize) -> Vec<String> {
-    let mut keys = Vec::new();
-    for i in 0..frames {
-        let payloads = rig.encode_tick(i);
-        let batch: Vec<ClientFrame> = payloads
-            .iter()
-            .enumerate()
-            .map(|(c, (l, r))| ClientFrame {
-                client: c as u16 + 1,
-                frame_idx: i,
-                timestamp: rig.datasets[c].frame_time(i),
-                left: l,
-                right: Some(r),
-                imu: &[],
-                pose_hint: (c == 0 && i == 0).then(|| rig.datasets[0].gt_pose_cw(0)),
-            })
-            .collect();
-        keys.extend(
-            server
-                .try_process_round(&batch)
-                .unwrap()
-                .iter()
-                .map(result_key),
-        );
-    }
-    keys
+    (0..frames)
+        .flat_map(|i| run_round(server, rig, i))
+        .collect()
 }
 
 #[test]
@@ -542,5 +544,89 @@ fn mapping_digest_is_identical_across_shards() {
             d, golden,
             "mapping digest diverged: {shards} shards vs {s0} shards"
         );
+    }
+}
+
+/// `ServerConfig::async_merge` picks the thread a merge job runs on, not
+/// what the job does: the same two hand-driven merges (client 1 into the
+/// empty global map, client 2 welded onto it) must leave the same merge
+/// reports, the same committed results and the same final map whether
+/// each job ran on the submitting caller or on the worker thread. The
+/// test waits for the worker before the next round, so both placements
+/// see the same global map at snapshot time and at collection.
+#[test]
+fn merge_is_the_same_on_either_thread() {
+    const FRAMES: usize = 12;
+    /// `(client, submit after this round)`.
+    const SUBMITS: [(u16, usize); 2] = [(1, 3), (2, 7)];
+    let seed: u64 = std::env::var("SLAMSHARE_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(7);
+
+    let run = |shards: usize, async_merge: bool| {
+        let mut rig = MultiClientRig {
+            datasets: (0..2)
+                .map(|c| {
+                    Dataset::build(
+                        DatasetConfig::new(TracePreset::V202)
+                            .with_frames(FRAMES)
+                            .with_seed(seed.wrapping_mul(2).wrapping_add(c)),
+                    )
+                })
+                .collect(),
+            encoders: (0..2).map(|_| Default::default()).collect(),
+        };
+        let vocab = Arc::new(vocabulary::train_random(42));
+        let mut config = ServerConfig::stereo_default(rig.datasets[0].rig);
+        // Merges are driven by hand, at the same rounds on either thread.
+        config.merge_after_keyframes = usize::MAX;
+        config.async_merge = async_merge;
+        config.map_shards = shards;
+        let mut server = EdgeServer::new(config, vocab);
+        for c in 1..=2 {
+            server.try_register_client(c).unwrap();
+        }
+        let mut keys = Vec::new();
+        for i in 0..FRAMES {
+            keys.extend(run_round(&server, &mut rig, i));
+            for (client, after) in SUBMITS {
+                if after == i {
+                    let t = rig.datasets[client as usize - 1].frame_time(i);
+                    assert!(server.submit_merge(client, t), "client {client} not ready");
+                    server.wait_merge_idle();
+                }
+            }
+        }
+        let merges: Vec<String> = server
+            .merge_log()
+            .iter()
+            .map(|(t, c, m)| {
+                format!(
+                    "t={t:?} client={c} transform={:?} fused={} kf={} mp={}",
+                    m.report.transform, m.report.n_fused, m.report.n_kf_added, m.report.n_mp_added
+                )
+            })
+            .collect();
+        let stats = server.merge_worker_stats().expect("every server has one");
+        assert_eq!((stats.submitted, stats.applied), (2, 2), "{stats:?}");
+        (merges, keys, map_fingerprint(&server.store.snapshot_map()))
+    };
+
+    for shards in [1usize, 16] {
+        let (merges, keys, map) = run(shards, false);
+        assert_eq!(merges.len(), 2, "a hand-driven merge never landed");
+        assert!(
+            merges[1].contains("transform=Some"),
+            "client 2 was not aligned onto client 1 — nothing welded: {merges:?}"
+        );
+        assert!(
+            keys.iter().filter(|k| k.contains("merged=true")).count() > FRAMES - 8,
+            "no post-merge frames to compare"
+        );
+        let (t_merges, t_keys, t_map) = run(shards, true);
+        assert_eq!(merges, t_merges, "merge reports differ, {shards} shards");
+        assert_eq!(keys, t_keys, "committed results differ, {shards} shards");
+        assert!(map == t_map, "final map differs, {shards} shards");
     }
 }
