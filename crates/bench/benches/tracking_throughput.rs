@@ -4,10 +4,9 @@
 //! paper's "one edge server, many users" claim (Figs. 10/13).
 //!
 //! Writes `results/BENCH_tracking.json`: per client count, the measured
-//! per-client FPS, p50/p95 round latency, the measured speedup over
-//! sequential processing on *this* host, and a modeled speedup for a
-//! 4-core server derived from the measured parallel fraction (the
-//! tracking stage parallelizes; commits serialize).
+//! per-client FPS, p50/p95 round latency and the measured speedup over
+//! sequential processing (one round worker for decode and track) on the
+//! `host_cores` it records. Every number is wall-clock.
 
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -32,13 +31,6 @@ struct Row {
     /// Mean round wall time with round_workers = clients vs = 1, on this
     /// host's cores.
     measured_speedup_vs_sequential: f64,
-    /// Share of sequential frame time spent in the parallelizable
-    /// tracking stage (decode + ORB + pose) vs serialized commits.
-    parallel_fraction: f64,
-    /// Round-pipeline speedup this workload would see on a 4-core
-    /// server: tracking fans out over min(clients, 4) workers, commits
-    /// stay serial.
-    modeled_speedup_4_cores: f64,
 }
 
 #[derive(Serialize)]
@@ -81,16 +73,9 @@ impl Workload {
     }
 }
 
-/// Run the whole workload through one server; returns per-round wall ms
-/// and the (track_ms, commit_ms) split summed over all frames.
-fn run_workload(
-    workload: &mut Workload,
-    server: &EdgeServer,
-    frames: usize,
-) -> (Vec<f64>, f64, f64) {
+/// Run the whole workload through one server; returns per-round wall ms.
+fn run_workload(workload: &mut Workload, server: &EdgeServer, frames: usize) -> Vec<f64> {
     let mut round_ms = Vec::with_capacity(frames);
-    let mut track_total = 0.0;
-    let mut commit_total = 0.0;
     for i in 0..frames {
         let payloads: Vec<(Vec<u8>, Vec<u8>)> = workload
             .datasets
@@ -115,16 +100,12 @@ fn run_workload(
             })
             .collect();
         let t0 = Instant::now();
-        let results = server
+        server
             .try_process_round(&batch)
             .expect("one frame per registered client");
         round_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        for r in &results {
-            track_total += r.decode_ms + r.timings.total_ms();
-            commit_total += r.mapping_ms + r.merge.as_ref().map(|m| m.merge_ms).unwrap_or(0.0);
-        }
     }
-    (round_ms, track_total, commit_total)
+    round_ms
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -143,24 +124,18 @@ fn bench(c: &mut Criterion) {
         // Sequential reference: same batch entry point, one worker.
         let mut seq_load = Workload::new(clients, frames);
         let seq_server = seq_load.server(1);
-        let (seq_round_ms, track_total, commit_total) =
-            run_workload(&mut seq_load, &seq_server, frames);
+        let seq_round_ms = run_workload(&mut seq_load, &seq_server, frames);
         let seq_mean = seq_round_ms.iter().sum::<f64>() / seq_round_ms.len() as f64;
 
         // Concurrent pipeline: one worker per client (time-shared when
         // the host has fewer cores — measured numbers stay honest).
         let mut par_load = Workload::new(clients, frames);
         let par_server = par_load.server(clients);
-        let (par_round_ms, _, _) = run_workload(&mut par_load, &par_server, frames);
+        let par_round_ms = run_workload(&mut par_load, &par_server, frames);
         let par_mean = par_round_ms.iter().sum::<f64>() / par_round_ms.len() as f64;
 
         let mut sorted = par_round_ms.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-
-        let parallel_fraction = track_total / (track_total + commit_total);
-        // A round on a 4-core box: tracking fans out, commits serialize.
-        let fan_out = clients.min(4) as f64;
-        let modeled = (track_total + commit_total) / (track_total / fan_out + commit_total);
 
         rows.push(Row {
             clients,
@@ -168,19 +143,14 @@ fn bench(c: &mut Criterion) {
             p50_frame_ms: percentile(&sorted, 0.50),
             p95_frame_ms: percentile(&sorted, 0.95),
             measured_speedup_vs_sequential: seq_mean / par_mean,
-            parallel_fraction,
-            modeled_speedup_4_cores: modeled,
         });
         println!(
             "clients={clients}: {:.1} fps/client, p50 {:.1} ms, p95 {:.1} ms, \
-             measured speedup {:.2}x on {host_cores} core(s), modeled {:.2}x on 4 cores \
-             (parallel fraction {:.2})",
+             measured speedup {:.2}x on {host_cores} core(s)",
             1e3 / par_mean,
             percentile(&sorted, 0.50),
             percentile(&sorted, 0.95),
             seq_mean / par_mean,
-            modeled,
-            parallel_fraction,
         );
     }
 
@@ -204,7 +174,7 @@ fn bench(c: &mut Criterion) {
     let seq = Tracker::new(TrackerConfig::stereo(ds.rig), Arc::new(GpuExecutor::cpu()));
     let par = Tracker::new(
         TrackerConfig::stereo(ds.rig),
-        Arc::new(GpuExecutor::cpu_parallel()),
+        Arc::new(GpuExecutor::cpu_with_workers(host_cores)),
     );
     c.bench_function("tracking/extract_sequential", |b| {
         b.iter(|| seq.extract(&left))

@@ -69,6 +69,13 @@ pub mod metrics;
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 pub mod qos;
+// The server holds every client mutex and every region lock a round takes;
+// a panic there poisons them for every client, so it carries the same
+// no-panic gate as the modules it drives.
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod server;
 pub mod session;
 

@@ -25,9 +25,11 @@
 //! Each client process sits behind its own mutex, so the server itself is
 //! `&self` throughout and frames for *different* clients can be processed
 //! concurrently. [`EdgeServer::try_process_round`] batches one frame per
-//! client and runs decode and tracking on pools of scoped worker threads;
-//! only the short commit stage (keyframe insertion under the write lock,
-//! merge trigger) is serialized. A merged client's track runs in the two
+//! client and runs each client's decode and then its track in one
+//! parallel stage, on the scoped threads of one worker budget
+//! ([`EdgeServer::set_round_workers`]); only the short commit stage
+//! (keyframe insertion under the write lock, merge trigger) is
+//! serialized. A merged client's track runs in the two
 //! halves [`slamshare_slam::tracking`] splits it into: the map-free front
 //! half (both ORB extractions + stereo match, ~90 % of the cost) outside
 //! any map lock, once per frame, and the map-bound back half (search
@@ -337,12 +339,11 @@ pub struct EdgeServer {
     retired: Mutex<RetiredSnapshot>,
     /// `(timestamp, client, outcome)` log of merges.
     merge_log: Mutex<Vec<(f64, u16, MergeOutcome)>>,
-    /// Worker threads used by the round pipeline's tracking stage.
-    /// Results are identical at any value (see module docs).
-    round_workers: usize,
-    /// Worker threads used by the round pipeline's decode stage (decode
-    /// runs *before* and off the tracking critical path).
-    decode_workers: usize,
+    /// The round's one worker budget: a CPU executor whose chunker fans
+    /// the parallel decode-then-track stage out over
+    /// [`EdgeServer::set_round_workers`] scoped threads. Results are
+    /// identical at any count (see module docs).
+    round_exec: GpuExecutor,
     /// The merge process M ([`crate::merge_worker`]); it runs merges and
     /// maintenance ticks where [`ServerConfig::async_merge`] places them.
     merge_worker: MergeWorker,
@@ -352,44 +353,6 @@ pub struct EdgeServer {
     /// merges) and [`EdgeServer::metrics`] readers — see
     /// [`crate::metrics::MetricsCut`].
     cut: Arc<MetricsCut>,
-}
-
-/// Run `f` over `items` on up to `workers` scoped threads, preserving
-/// input order (static chunking, the same shape as
-/// `GpuExecutor::par_map`). Results do not depend on `workers`.
-fn par_map_owned<I: Send, O: Send>(
-    workers: usize,
-    items: Vec<I>,
-    f: impl Fn(I) -> O + Sync,
-) -> Vec<O> {
-    if workers <= 1 || items.len() < 2 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let mut batches: Vec<Vec<I>> = Vec::new();
-    let mut iter = items.into_iter();
-    loop {
-        let batch: Vec<I> = iter.by_ref().take(chunk).collect();
-        if batch.is_empty() {
-            break;
-        }
-        batches.push(batch);
-    }
-    let mut slots: Vec<Option<Vec<O>>> = Vec::new();
-    slots.resize_with(batches.len(), || None);
-    let f = &f;
-    crossbeam::thread::scope(|scope| {
-        for (slot, batch) in slots.iter_mut().zip(batches) {
-            scope.spawn(move |_| {
-                *slot = Some(batch.into_iter().map(f).collect());
-            });
-        }
-    })
-    .expect("round worker panicked");
-    slots
-        .into_iter()
-        .flat_map(|s| s.expect("round worker produced no result"))
-        .collect()
 }
 
 /// Redo the map-bound half of a stale speculative track against the
@@ -423,6 +386,10 @@ impl EdgeServer {
     /// store, bring up the GPU and the merge worker.
     pub fn new(config: ServerConfig, vocab: Arc<Vocabulary>) -> EdgeServer {
         let segment = Arc::new(Segment::new(2 * 1024 * 1024 * 1024));
+        // Creating the one object of a segment allocated just above cannot
+        // fail, and `new` returns `EdgeServer`, not a `Result` (the API
+        // `benchmark/` compiles against).
+        #[allow(clippy::expect_used)]
         let store = ShardedGlobalMap::create(
             segment.clone(),
             GLOBAL_MAP_NAME,
@@ -463,12 +430,11 @@ impl EdgeServer {
             admission,
             retired: Mutex::new(RetiredSnapshot::default()),
             merge_log: Mutex::new(Vec::new()),
-            round_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            decode_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            round_exec: GpuExecutor::cpu_with_workers(
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1),
+            ),
             merge_worker,
             lifecycle,
             cut,
@@ -479,16 +445,19 @@ impl EdgeServer {
         self.clients.len()
     }
 
-    /// Override the round pipeline's worker count (defaults to the host
-    /// parallelism). Results do not depend on this; only wall time does.
+    /// Set the round's one worker budget: the threads its parallel stage
+    /// (decode, then track, per client) fans out over. Defaults to the
+    /// host parallelism; `1` runs the stage on the calling thread.
+    /// Results do not depend on this; only wall time does.
     pub fn set_round_workers(&mut self, n: usize) {
-        self.round_workers = n.max(1);
+        self.round_exec = GpuExecutor::cpu_with_workers(n);
     }
 
-    /// Override the decode stage's worker count. Results do not depend on
-    /// this; only wall time does.
+    /// Alias of [`EdgeServer::set_round_workers`]: decode runs in the same
+    /// stage on the same budget. Pinned by `benchmark/`; delete when that
+    /// package is next opened.
     pub fn set_decode_workers(&mut self, n: usize) {
-        self.decode_workers = n.max(1);
+        self.set_round_workers(n)
     }
 
     /// Aggregate server health: per-client ingest counters, merge worker
@@ -718,20 +687,19 @@ impl EdgeServer {
     /// broken client must not be able to distinguish itself from a slow
     /// one, let alone crash the server.
     ///
-    /// The pipeline has three stages:
+    /// The pipeline has one parallel stage and one serial stage:
     ///
-    /// 1. **Decode** — every frame's video payloads decode on
-    ///    [`EdgeServer::set_decode_workers`] scoped threads, *off the
-    ///    tracking critical path*. A payload that fails to decode drops
-    ///    only its own client into resync (see [`crate::ingest`]); the
-    ///    other frames proceed untouched.
-    /// 2. **Track** — on [`EdgeServer::set_round_workers`] scoped
-    ///    threads. A pre-merge client runs its whole pipeline on its own
-    ///    map. A merged client runs the *front half* (ORB extraction on
-    ///    both eyes, stereo matching) lock-free, then the *back half*
-    ///    (search local points, pose optimisation) reading the global
-    ///    map under its component's concurrent read lock.
-    /// 3. **Commit** — keyframe insertion and merge triggering run
+    /// 1. **Decode, then track** — on [`EdgeServer::set_round_workers`]
+    ///    scoped threads, each taking a static chunk of the frames. Per
+    ///    frame the worker first decodes the client's video payloads; a
+    ///    payload that fails to decode drops only its own client into
+    ///    resync (see [`crate::ingest`]) and never reaches tracking. A
+    ///    pre-merge client then runs its whole pipeline on its own map. A
+    ///    merged client runs the *front half* (ORB extraction on both
+    ///    eyes, stereo matching) lock-free, then the *back half* (search
+    ///    local points, pose optimisation) reading the global map under
+    ///    its component's concurrent read lock.
+    /// 2. **Commit** — keyframe insertion and merge triggering run
     ///    sequentially in input order; if a commit writes the global
     ///    map, the remaining merged clients' speculative tracks are
     ///    stale and their back halves are redone in the commit stage on
@@ -773,29 +741,19 @@ impl EdgeServer {
         frames: &[ClientFrame],
         processes: &[&Mutex<ClientProcess>],
     ) -> Vec<ServerFrameResult> {
-        // Phase 0: decode every client's payloads off the tracking path.
-        let decode_workers = self.decode_workers.min(frames.len()).max(1);
-        let decoded: Vec<DecodeOutcome> = par_map_owned(
-            decode_workers,
-            frames.iter().zip(processes).collect::<Vec<_>>(),
-            |(f, p)| p.lock().ingest.decode(f.left, f.right),
-        );
+        // Parallel stage: each worker takes a static chunk of the round
+        // and, per client, decodes the payloads and tracks the result
+        // speculatively against the round-start map, under one lock of
+        // the client's mutex. Decode is per-client and map-free, so it
+        // needs no ordering against other clients' tracks.
+        let pairs: Vec<_> = frames.iter().zip(processes).collect();
+        let (staged, _) = self.round_exec.par_map(&pairs, 0, |&(f, p)| {
+            let mut process = p.lock();
+            let decoded = process.ingest.decode(f.left, f.right);
+            self.track_stage(&mut process, f, decoded)
+        });
 
-        // Phase 1: lock-free extraction, then speculative parallel
-        // tracking against the round-start map (static chunking, same
-        // shape as GpuExecutor::par_map).
-        let workers = self.round_workers.min(frames.len()).max(1);
-        let staged: Vec<StagedFrame> = par_map_owned(
-            workers,
-            frames
-                .iter()
-                .zip(processes)
-                .zip(decoded)
-                .collect::<Vec<_>>(),
-            |((f, p), d)| self.track_stage(&mut p.lock(), f, d),
-        );
-
-        // Phase 2: serialized commits in input order. Each staged shared
+        // Serial stage: commits in input order. Each staged shared
         // frame carries the epoch its speculative track read under; the
         // commit stage redoes the map-bound half of exactly those whose
         // epoch the map has since moved past (an earlier commit this
@@ -808,8 +766,8 @@ impl EdgeServer {
             .collect()
     }
 
-    /// The parallelizable half of frame processing: extract the decoded
-    /// images' features (no map lock), then track them. Touches only the
+    /// The track half of the parallel stage: extract the decoded images'
+    /// features (no map lock), then track them. Touches only the
     /// client's own state plus, for the map-bound half of a merged
     /// client's track, the global map under a read lock.
     fn track_stage(
@@ -997,27 +955,27 @@ impl EdgeServer {
         staged: StagedFrame,
     ) -> ServerFrameResult {
         let _span = slamshare_obs::span!("round.commit");
-        // A faulted frame never touches the map (no keyframe, no epoch
-        // bump, no merge trigger): the other clients' rounds proceed
-        // bit-identically to a round where this client sent nothing. The
-        // result asks the device for a resync I-frame.
-        if let StagedFrame::Faulted { frame_idx, fault } = staged {
-            return ServerFrameResult {
-                frame_idx,
-                pose: None,
-                tracked: false,
-                merged: matches!(process.phase, Phase::Shared { .. }),
-                n_matches: 0,
-                timings: Default::default(),
-                decode_ms: 0.0,
-                mapping_ms: 0.0,
-                merge: None,
-                resync_requested: true,
-                decode_error: fault,
-                relocalized: false,
-            };
-        }
         let mut result = match staged {
+            // A faulted frame never touches the map (no keyframe, no epoch
+            // bump, no merge trigger): the other clients' rounds proceed
+            // bit-identically to a round where this client sent nothing.
+            // The result asks the device for a resync I-frame.
+            StagedFrame::Faulted { frame_idx, fault } => {
+                return ServerFrameResult {
+                    frame_idx,
+                    pose: None,
+                    tracked: false,
+                    merged: matches!(process.phase, Phase::Shared { .. }),
+                    n_matches: 0,
+                    timings: Default::default(),
+                    decode_ms: 0.0,
+                    mapping_ms: 0.0,
+                    merge: None,
+                    resync_requested: true,
+                    decode_error: fault,
+                    relocalized: false,
+                };
+            }
             StagedFrame::Local(result) => result,
             StagedFrame::Shared {
                 decode_ms,
@@ -1131,7 +1089,6 @@ impl EdgeServer {
                     relocalized,
                 }
             }
-            StagedFrame::Faulted { .. } => unreachable!("handled above"),
         };
 
         // Merge trigger (process M): a ready local map goes to the worker,
@@ -1288,9 +1245,11 @@ impl EdgeServer {
     /// Install an externally-built local map for a not-yet-merged client
     /// (the late-joiner upload of §4.3.1: a device arrives with a map it
     /// built offline and contributes the whole thing at once). A no-op for
-    /// a client that is already merged.
+    /// a client that is already merged or not registered.
     pub fn adopt_local_map(&self, client: u16, map: Map) {
-        let process = self.clients.get(&client).expect("unregistered client");
+        let Some(process) = self.clients.get(&client) else {
+            return;
+        };
         if let Phase::Local(system) = &mut process.lock().phase {
             system.map = map;
         }
@@ -1304,10 +1263,10 @@ impl EdgeServer {
     /// Returns `None` when the global map is non-empty and no common
     /// region was found — the client keeps its local map and process M
     /// retries later, exactly the paper's asynchronous-merge behaviour —
-    /// and when the client is already merged or has a job in flight.
+    /// and when the client is already merged, has a job in flight or is
+    /// not registered.
     pub fn merge_client_now(&self, client: u16, timestamp: f64) -> Option<MergeOutcome> {
-        let process = self.clients.get(&client).expect("unregistered client");
-        let mut process = process.lock();
+        let mut process = self.clients.get(&client)?.lock();
         self.cut.write(|| {
             if let Phase::Local(system) = &process.phase {
                 self.merge_worker.run_now(MergeJob {
@@ -1383,10 +1342,12 @@ impl EdgeServer {
     /// its thread, or merged before this returns, per
     /// [`ServerConfig::async_merge`]; the client's next commit collects
     /// the result. Returns whether a job was accepted — `false` when the
-    /// client is already merged or not yet bootstrapped, or a job for it
-    /// is already in flight.
+    /// client is not registered, already merged or not yet bootstrapped,
+    /// or a job for it is already in flight.
     pub fn submit_merge(&self, client: u16, timestamp: f64) -> bool {
-        let process = self.clients.get(&client).expect("unregistered client");
+        let Some(process) = self.clients.get(&client) else {
+            return false;
+        };
         let process = process.lock();
         let Phase::Local(system) = &process.phase else {
             return false;
@@ -1745,5 +1706,16 @@ mod tests {
         );
         // A rejected batch ran nothing: the valid frame still bootstraps.
         assert!(server.try_process_round(&[f]).is_ok());
+    }
+
+    #[test]
+    fn merge_calls_on_unknown_clients_refuse_without_panicking() {
+        let ds = dataset(TracePreset::V202, 1, 21);
+        let vocab = Arc::new(vocabulary::train_random(42));
+        let server = EdgeServer::new(ServerConfig::stereo_default(ds.rig), vocab);
+        server.adopt_local_map(9, Map::new(ClientId(9)));
+        assert!(server.merge_client_now(9, 0.0).is_none());
+        assert!(!server.submit_merge(9, 0.0));
+        assert!(server.merge_log().is_empty());
     }
 }

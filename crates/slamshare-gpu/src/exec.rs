@@ -1,14 +1,19 @@
 //! The data-parallel kernel executor.
 //!
-//! `par_map` is the single primitive: apply a pure function to every item
-//! of a slice, partitioned across the device's SM pool (scoped crossbeam
-//! threads), preserving item order in the output. On `Device::Cpu` it
-//! degenerates to a sequential loop. The partitioning itself is the
-//! executor's [`BatchRunner`] impl, which the extraction pipeline in
-//! `slamshare-features` drives directly so each worker keeps its own
-//! reusable buffers. [`KernelStats`] reports both the real
-//! wall time and the modeled overheads (launch + copies) so experiment
-//! harnesses can account a discrete accelerator's latency honestly.
+//! `par_map` is the single primitive: apply a function to every item of a
+//! slice, partitioned across the executor's workers (the device's SM
+//! pool clamped to the host, or an explicit count for
+//! [`GpuExecutor::cpu_with_workers`]), preserving item order in the
+//! output; with one worker it is a sequential loop on the caller. The
+//! partitioning itself is the executor's [`BatchRunner`] impl — static
+//! contiguous chunks on scoped crossbeam threads, a worker's panic
+//! re-raised on the caller — and it is the workspace's only scoped-thread
+//! chunker: the extraction pipeline in `slamshare-features` drives it
+//! directly so each worker keeps its own reusable buffers, and the edge
+//! server's round stage runs on a `cpu_with_workers` executor's
+//! `par_map`. [`KernelStats`] reports both the real wall time and the
+//! modeled overheads (launch + copies) so experiment harnesses can
+//! account a discrete accelerator's latency honestly.
 
 use crate::device::{Device, GpuModel};
 use slamshare_features::extractor::BatchRunner;
@@ -97,21 +102,13 @@ impl GpuExecutor {
         GpuExecutor::new(Device::Cpu)
     }
 
-    /// A CPU executor that fans `par_map` across every host core. Unlike
-    /// [`GpuExecutor::cpu`] (the paper's sequential CPU baseline, which
-    /// must stay single-threaded so Fig. 5/Fig. 8 measure unassisted
-    /// tracking), this is the data-parallel CPU path: same work items,
-    /// same order-preserving stitch, so results are bit-identical to the
-    /// sequential executor.
-    pub fn cpu_parallel() -> GpuExecutor {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        GpuExecutor::cpu_with_workers(host)
-    }
-
-    /// CPU executor with an explicit worker count (used by determinism
-    /// tests to compare schedules; `n` is clamped to at least 1).
+    /// A CPU executor that fans `par_map` across `n` workers (clamped to
+    /// at least 1). Unlike [`GpuExecutor::cpu`] (the paper's sequential
+    /// CPU baseline, which must stay single-threaded so Fig. 5/Fig. 8
+    /// measure unassisted tracking), this is the data-parallel CPU path:
+    /// same work items, same order-preserving stitch, so results are
+    /// bit-identical to the sequential executor. The edge server's round
+    /// stage and the determinism tests' schedules run on it.
     pub fn cpu_with_workers(n: usize) -> GpuExecutor {
         let workers = n.max(1);
         GpuExecutor {
@@ -143,7 +140,8 @@ impl GpuExecutor {
         }
     }
 
-    /// Apply `f` to every item, in parallel on a GPU device. Output order
+    /// Apply `f` to every item, in parallel across the workers (on the
+    /// caller with one worker or fewer than two items). Output order
     /// matches input order regardless of scheduling. `transfer_bytes` is
     /// the modeled host↔device traffic for the copy-cost model (pass 0
     /// when the data is already resident).
@@ -158,42 +156,20 @@ impl GpuExecutor {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let mut out = Vec::new();
-        let stats = self.par_map_into(items, transfer_bytes, &mut out, f);
-        (out, stats)
-    }
-
-    /// [`GpuExecutor::par_map`] writing into a caller-owned output buffer.
-    /// On the sequential path (one worker, or fewer than two items) this
-    /// is `clear` + `extend` — zero heap allocations once `out` has grown
-    /// to its high-water capacity, which is what lets the mapping kernels
-    /// run allocation-free in the steady state. The parallel path
-    /// allocates one stitch buffer per worker (per kernel launch, never
-    /// per item).
-    pub fn par_map_into<T, R, F>(
-        &self,
-        items: &[T],
-        transfer_bytes: usize,
-        out: &mut Vec<R>,
-        f: F,
-    ) -> KernelStats
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
         let t0 = Instant::now();
-        out.clear();
-        if self.workers <= 1 || items.len() < 2 {
-            out.extend(items.iter().map(&f));
+        let out = if self.workers <= 1 || items.len() < 2 {
+            items.iter().map(&f).collect()
         } else {
             let mut slots: Vec<Vec<R>> = Vec::new();
             self.for_each_chunk(items, &mut slots, |chunk, slot| {
                 slot.extend(chunk.iter().map(&f));
             });
-            out.extend(slots.into_iter().flatten());
-        }
-        self.kernel_stats(t0.elapsed().as_secs_f64() * 1e3, transfer_bytes)
+            slots.into_iter().flatten().collect()
+        };
+        (
+            out,
+            self.kernel_stats(t0.elapsed().as_secs_f64() * 1e3, transfer_bytes),
+        )
     }
 
     /// What one kernel that ran for `compute_ms` on this executor's
@@ -319,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn cpu_parallel_matches_sequential_bitwise() {
+    fn cpu_with_workers_matches_sequential_bitwise() {
         let items: Vec<u64> = (0..999).collect();
         let f = |x: &u64| x.wrapping_mul(6364136223846793005).rotate_left(17);
         let (seq, _) = GpuExecutor::cpu().par_map(&items, 0, f);
@@ -337,28 +313,10 @@ mod tests {
     }
 
     #[test]
-    fn cpu_parallel_worker_counts() {
-        assert!(GpuExecutor::cpu_parallel().workers() >= 1);
+    fn cpu_worker_counts() {
         assert_eq!(GpuExecutor::cpu_with_workers(0).workers(), 1);
         assert_eq!(GpuExecutor::cpu_with_workers(7).workers(), 7);
         assert_eq!(GpuExecutor::cpu().workers(), 1);
-    }
-
-    #[test]
-    fn par_map_into_reuses_buffer_and_matches_par_map() {
-        let items: Vec<u64> = (0..300).collect();
-        let f = |x: &u64| x * 3 + 1;
-        for exec in [GpuExecutor::cpu(), GpuExecutor::cpu_with_workers(4)] {
-            let (expect, _) = exec.par_map(&items, 0, f);
-            let mut out = Vec::new();
-            exec.par_map_into(&items, 0, &mut out, f);
-            assert_eq!(out, expect);
-            let cap = out.capacity();
-            // Second run over the same-size input must not regrow.
-            exec.par_map_into(&items, 0, &mut out, f);
-            assert_eq!(out, expect);
-            assert_eq!(out.capacity(), cap);
-        }
     }
 
     #[test]

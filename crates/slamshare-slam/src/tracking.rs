@@ -357,25 +357,32 @@ impl Tracker {
     /// stereo match. Reads neither the map nor the motion state, so it
     /// needs no map lock and its result survives any number of re-tracks.
     pub fn extract_frame(&self, left: &GrayImage, right: Option<&GrayImage>) -> FrontEnd {
-        // 1. ORB extraction.
+        // 1. ORB extraction on both eyes. `extract_ms` is the device's
+        // latency (modeled on the simulated GPU) for `StageTimings`; the
+        // obs histogram gets the wall clock, so the `track.*` stages tile
+        // `round.frontend`.
+        let t0 = Instant::now();
         let (mut features, mut extract_ms) = self.extract(left);
-
-        // 2. Stereo matching, on its own clock: `right_ms` is modeled on
-        // the simulated-GPU device, so it must not be subtracted from a
-        // wall interval that spans the right-image extraction.
-        let mut stereo_match_ms = 0.0;
-        if self.config.mode == SensorMode::Stereo {
-            if let Some(right_img) = right {
+        let right_features = match right {
+            Some(right_img) if self.config.mode == SensorMode::Stereo => {
                 let (right_features, right_ms) = self.extract(right_img);
                 extract_ms += right_ms;
-                let t0 = Instant::now();
-                self.stereo_match(&mut features, &right_features);
-                stereo_match_ms = t0.elapsed().as_secs_f64() * 1e3;
+                Some(right_features)
             }
+            _ => None,
+        };
+        let extract_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+        // 2. Stereo matching, on its own clock.
+        let mut stereo_match_ms = 0.0;
+        if let Some(right_features) = &right_features {
+            let t1 = Instant::now();
+            self.stereo_match(&mut features, right_features);
+            stereo_match_ms = t1.elapsed().as_secs_f64() * 1e3;
         }
 
         // Once per frame, however often the back half is redone.
-        slamshare_obs::observe_ms!("track.extract", extract_ms);
+        slamshare_obs::observe_ms!("track.extract", extract_wall_ms);
         slamshare_obs::observe_ms!("track.stereo_match", stereo_match_ms);
         FrontEnd {
             features,
@@ -464,6 +471,7 @@ impl Tracker {
             &features.descriptors,
             TH_LOW,
         );
+        let search_wall_ms = t1.elapsed().as_secs_f64() * 1e3;
         // The kernel on the device's clock + the host-side candidate
         // gathering measured above.
         timings.search_local_ms = stats.modeled_total_ms() + candidate_gather_ms;
@@ -522,9 +530,10 @@ impl Tracker {
                 || self.ref_matches == 0);
 
         // Fold the already-measured stage times into the observability
-        // layer — Fig. 5's per-stage breakdown as live histograms.
+        // layer — Fig. 5's per-stage breakdown as live histograms, all on
+        // the wall clock.
         slamshare_obs::observe_ms!("track.predict", timings.pose_predict_ms);
-        slamshare_obs::observe_ms!("track.search_local_points", timings.search_local_ms);
+        slamshare_obs::observe_ms!("track.search_local_points", search_wall_ms);
         slamshare_obs::observe_ms!("track.optimize", timings.optimize_ms);
         if lost {
             slamshare_obs::counter_inc!("track.lost");

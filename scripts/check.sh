@@ -12,9 +12,9 @@
 #                                  SLAMSHARE_BENCH_GATE=1 — it runs the
 #                                  benchmarks, which takes a while)
 #
-# `loc` only reports (non-test lines per crate and config-field counts vs
-# HEAD~1, via scripts/loc.sh) and never fails; CI's shallow checkout has no
-# HEAD~1, so it is not a CI step.
+# `loc` only reports (non-test lines and panic sites per crate and
+# config-field counts vs HEAD~1, via scripts/loc.sh) and never fails;
+# CI's shallow checkout has no HEAD~1, so it is not a CI step.
 #
 # `soak` also runs as its own parallel CI job (it is the longest smoke),
 # so a slow soak never serializes behind the build/test/lint job.
@@ -45,7 +45,7 @@ stage_clippy() {
 }
 
 stage_nopanic() {
-    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor, core ingest/gmap/merge_worker, slam map/merge/recognition) =="
+    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor, core federation/gmap/ingest/merge_worker/qos/server, slam map/merge/recognition) =="
     # Shared-state paths deny unwrap/expect/panic via in-source
     # #![cfg_attr(not(test), deny(...))] attributes (crate-level in
     # slamshare-net, slamshare-shm, and slamshare-gpu — the executor and
@@ -53,11 +53,11 @@ stage_nopanic() {
     # module-level on
     # slamshare-features::extractor — the one extraction pipeline those
     # submissions run — and on
-    # slamshare-core::{ingest,gmap,merge_worker} and
-    # slamshare-slam::{map,merge,recognition} — a panic under a region lock
-    # would poison shared map state for every client, and one on the merge
-    # thread silently ends process M). A plain clippy pass
-    # compiles those lints as hard errors; CLI -D flags must NOT be used
+    # slamshare-core::{federation,gmap,ingest,merge_worker,qos,server} and
+    # slamshare-slam::{map,merge,recognition} — a panic under a client
+    # mutex or a region lock would poison shared state for every client,
+    # and one on the merge thread silently ends process M). A plain clippy
+    # pass compiles those lints as hard errors; CLI -D flags must NOT be used
     # here — they leak into the vendored workspace path deps.
     cargo clippy -q -p slamshare-net -p slamshare-core -p slamshare-shm -p slamshare-slam -p slamshare-gpu -p slamshare-features
 }
@@ -102,7 +102,7 @@ stage_soak() {
 }
 
 stage_loc() {
-    echo "== non-test lines per crate and config-field counts vs HEAD~1 (report only) =="
+    echo "== non-test lines and panic sites per crate, config-field counts vs HEAD~1 (report only) =="
     scripts/loc.sh HEAD~1 || echo "loc: no HEAD~1 to compare against (shallow checkout?)"
 }
 

@@ -4,6 +4,7 @@
 //! resync + relocalization protocol once honest bytes resume.
 
 use slam_share::core::client::ClientDevice;
+use slam_share::core::ingest::ClientIngestSnapshot;
 use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig, ServerFrameResult};
 use slam_share::net::codec::{payload_is_iframe, VideoEncoder};
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -96,8 +97,26 @@ const GARBAGE: [(&[u8], &[u8]); 5] = [
 /// desynced) and the two that masquerade as intra frames.
 const EXPECTED_DECODE_ERRORS: u64 = 3;
 
+/// Everything the faulty run of [`garbage_client_is_isolated_and_recovers`]
+/// produces that must not depend on scheduling: both clients' result keys
+/// and ingest counters.
+type FaultyRun = (
+    Vec<String>,
+    Vec<String>,
+    ClientIngestSnapshot,
+    ClientIngestSnapshot,
+);
+
 #[test]
 fn garbage_client_is_isolated_and_recovers() {
+    // A decode fault runs in the same parallel stage as the other
+    // client's track, on one worker or on two: the faulty run must not
+    // tell them apart.
+    let [one, two] = [1, 2].map(garbage_run);
+    assert_eq!(one, two, "the faulty run depends on the round worker count");
+}
+
+fn garbage_run(workers: usize) -> FaultyRun {
     let frames = CLEAN + GARBAGE.len() + 3;
 
     // After the recovery round, client 1 legitimately resumes mutating
@@ -111,7 +130,8 @@ fn garbage_client_is_isolated_and_recovers() {
     // Reference run: client 2 alone after the clean prefix — exactly
     // what client 2's world looks like if client 1 contributes nothing.
     let mut rig_a = Rig::new(frames);
-    let server_a = rig_a.server();
+    let mut server_a = rig_a.server();
+    server_a.set_round_workers(workers);
     let mut clean_keys = Vec::new();
     for i in 0..compare_rounds {
         let mut batch = Vec::new();
@@ -127,7 +147,8 @@ fn garbage_client_is_isolated_and_recovers() {
     // Faulty run: same world, but client 1 streams garbage after the
     // clean prefix, then resyncs with a forced I-frame.
     let mut rig_b = Rig::new(frames);
-    let server_b = rig_b.server();
+    let mut server_b = rig_b.server();
+    server_b.set_round_workers(workers);
     let mut faulty_keys = Vec::new();
     let mut client1_results = Vec::new();
     for i in 0..frames {
@@ -195,7 +216,7 @@ fn garbage_client_is_isolated_and_recovers() {
     assert!(c2.frames_decoded > 0);
     assert_eq!(
         c2,
-        slam_share::core::ingest::ClientIngestSnapshot {
+        ClientIngestSnapshot {
             frames_decoded: c2.frames_decoded,
             ..Default::default()
         }
@@ -210,6 +231,7 @@ fn garbage_client_is_isolated_and_recovers() {
             "post-recovery frame lost: {key}"
         );
     }
+    (faulty_keys, client1_results, c1, c2)
 }
 
 #[test]

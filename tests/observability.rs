@@ -17,6 +17,7 @@ use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::vocabulary;
 use slamshare_obs::ObsSnapshot;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,7 +48,6 @@ impl Session {
             server.try_register_client(c as u16 + 1).unwrap();
         }
         server.set_round_workers(workers);
-        server.set_decode_workers(workers);
         Session {
             server,
             datasets,
@@ -55,13 +55,14 @@ impl Session {
         }
     }
 
-    /// Run `frames` rounds; returns total wall time spent inside
-    /// `try_process_round`, ms, and the number of frames served in the
-    /// shared phase (tracked directly against the global map).
-    fn run(&mut self, frames: usize) -> (f64, u64) {
+    /// Run the rounds of frame indices `frames`; returns total wall time
+    /// spent inside `try_process_round`, ms, and the number of frames
+    /// served in the shared phase (tracked directly against the global
+    /// map).
+    fn run(&mut self, frames: Range<usize>) -> (f64, u64) {
         let mut wall_ms = 0.0;
         let mut shared_frames = 0;
-        for i in 0..frames {
+        for i in frames {
             let payloads: Vec<(Vec<u8>, Vec<u8>)> = self
                 .datasets
                 .iter()
@@ -116,7 +117,7 @@ fn multi_client_round_snapshot_covers_every_stage() {
 
     let (_, obs) = with_recording(|| {
         let mut session = Session::new(FRAMES, CLIENTS);
-        session.run(FRAMES);
+        session.run(0..FRAMES);
         let obs = session.server.metrics().obs;
         ((), obs)
     });
@@ -202,7 +203,7 @@ fn serialized_round_stage_spans_account_for_wall_time() {
 
     let (wall_ms, obs) = with_recording(|| {
         let mut session = Session::new(FRAMES, 1);
-        let (wall_ms, _) = session.run(FRAMES);
+        let (wall_ms, _) = session.run(0..FRAMES);
         let obs = session.server.metrics().obs;
         (wall_ms, obs)
     });
@@ -221,7 +222,7 @@ fn stale_tracks_are_redone_without_re_extracting() {
     let ((wall_ms, shared_frames), obs) = with_recording(|| {
         // One worker, so the stage spans must still tile the wall time.
         let mut session = Session::new(FRAMES, 1);
-        let out = session.run(FRAMES);
+        let out = session.run(0..FRAMES);
         (out, session.server.metrics().obs)
     });
 
@@ -270,6 +271,49 @@ fn stale_tracks_are_redone_without_re_extracting() {
     assert_stages_tile(&obs, wall_ms);
 }
 
+/// One level down: on the default (simulated-GPU) server every `track.*`
+/// front-half histogram is wall-clock, so extraction plus stereo matching
+/// account for the front half they make up.
+#[test]
+fn track_stages_tile_the_front_half() {
+    let _gate = OBS_GATE.lock();
+    const WARMUP: usize = 8;
+    const FRAMES: usize = 16;
+
+    let (_, obs) = with_recording(|| {
+        let mut session = Session::new(FRAMES, 1);
+        session.run(0..WARMUP);
+        for c in 1..=CLIENTS as u16 {
+            assert!(session.server.is_merged(c), "client {c} never merged");
+        }
+        // Record shared-phase frames only, so every `track.extract`
+        // sample has its `round.frontend` twin: on a shared host the
+        // per-frame cost drifts too much to compare different frames.
+        slamshare_obs::reset();
+        session.run(WARMUP..FRAMES);
+        ((), session.server.metrics().obs)
+    });
+
+    let p50 = |stage: &str| {
+        obs.hist(stage)
+            .unwrap_or_else(|| panic!("stage {stage} missing from snapshot"))
+            .p50_ms
+    };
+    assert_eq!(
+        obs.hist("track.extract").map(|h| h.count),
+        obs.hist("round.frontend").map(|h| h.count)
+    );
+    let front_half_ms = p50("round.frontend");
+    let parts_ms = p50("track.extract") + p50("track.stereo_match");
+    let ratio = parts_ms / front_half_ms;
+    assert!(
+        (0.9..=1.1).contains(&ratio),
+        "p50 track.extract + track.stereo_match = {parts_ms:.2} ms against a \
+         {front_half_ms:.2} ms round.frontend p50 (ratio {ratio:.2}): a stage \
+         histogram is not on the wall clock"
+    );
+}
+
 /// The load harness drives the real server, so a recorded harness run
 /// shows the round pipeline's own stages: every frame a queue served went
 /// through exactly one track stage and one commit stage.
@@ -304,7 +348,7 @@ fn disabled_recording_leaves_no_trace() {
     assert!(!slamshare_obs::enabled());
 
     let mut session = Session::new(2, 1);
-    session.run(2);
+    session.run(0..2);
     let obs = session.server.metrics().obs;
     assert!(!obs.enabled);
     assert!(obs.spans.is_empty());
