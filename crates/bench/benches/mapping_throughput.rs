@@ -27,7 +27,8 @@ use bench::{bench_effort, results_dir, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use slamshare_core::metrics::MergeWorkerSnapshot;
-use slamshare_core::server::{ClientFrame, EdgeServer, ServerConfig};
+use slamshare_core::qos::QueuedFrame;
+use slamshare_core::server::{EdgeServer, ServerConfig};
 use slamshare_gpu::GpuExecutor;
 use slamshare_net::codec::VideoEncoder;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -178,32 +179,22 @@ fn run_commit_config(
     let mut merge_stalls = Vec::new();
     let mut merges = 0usize;
     for i in 0..frames {
-        let payloads: Vec<(Vec<u8>, Vec<u8>)> = load
-            .datasets
-            .iter()
-            .zip(load.encoders.iter_mut())
-            .map(|(ds, (el, er))| {
-                let (l, r) = ds.render_stereo_frame(i);
-                (el.encode(&l).data.to_vec(), er.encode(&r).data.to_vec())
-            })
-            .collect();
-        let batch: Vec<ClientFrame> = payloads
-            .iter()
-            .enumerate()
-            .map(|(c, (l, r))| ClientFrame {
-                client: c as u16 + 1,
+        let clients = load.datasets.iter().zip(load.encoders.iter_mut());
+        for (c, (ds, (el, er))) in clients.enumerate() {
+            let (l, r) = ds.render_stereo_frame(i);
+            let frame = QueuedFrame {
                 frame_idx: i,
-                timestamp: load.datasets[c].frame_time(i),
-                left: l,
-                right: Some(r),
-                imu: &[],
-                pose_hint: (c == 0 && i == 0).then(|| load.datasets[0].gt_pose_cw(0)),
-            })
-            .collect();
-        for r in server
-            .try_process_round(&batch)
-            .expect("one frame per registered client")
-        {
+                timestamp: ds.frame_time(i),
+                left: el.encode(&l).data.to_vec(),
+                right: Some(er.encode(&r).data.to_vec()),
+                pose_hint: (c == 0 && i == 0).then(|| ds.gt_pose_cw(0)),
+                ..QueuedFrame::default()
+            };
+            server
+                .offer_frame(c as u16 + 1, frame)
+                .expect("registered client");
+        }
+        for (_, r) in server.process_queued_round() {
             // The merge blocks the commit only on the inline path; the
             // worker plans it on its own thread.
             let inline_merge = if async_merge {
@@ -342,32 +333,31 @@ fn run_sharding_config(
     config.merge_after_keyframes = usize::MAX;
     let mut server = EdgeServer::new(config, vocab);
     server.try_register_client(1).expect("fresh server");
-    let process_one = |server: &EdgeServer, i: usize, (l, r): &(Vec<u8>, Vec<u8>)| {
+    let process_one = |server: &EdgeServer, frame: QueuedFrame| {
         server
-            .try_process_round(&[ClientFrame {
-                client: 1,
-                frame_idx: i,
-                timestamp: ds.frame_time(i),
-                left: l,
-                right: Some(r),
-                imu: &[],
-                pose_hint: (i == 0).then(|| ds.gt_pose_cw(0)),
-            }])
+            .offer_frame(1, frame)
             .expect("client 1 is registered");
+        server.process_queued_round();
     };
 
     let mut enc: (VideoEncoder, VideoEncoder) = Default::default();
-    let encoded: Vec<(Vec<u8>, Vec<u8>)> = (0..frames)
+    // Encoded up front, so the timed rounds below time only the server.
+    let encoded: Vec<QueuedFrame> = (0..frames)
         .map(|i| {
             let (l, r) = ds.render_stereo_frame(i);
-            (
-                enc.0.encode(&l).data.to_vec(),
-                enc.1.encode(&r).data.to_vec(),
-            )
+            QueuedFrame {
+                frame_idx: i,
+                timestamp: ds.frame_time(i),
+                left: enc.0.encode(&l).data.to_vec(),
+                right: Some(enc.1.encode(&r).data.to_vec()),
+                pose_hint: (i == 0).then(|| ds.gt_pose_cw(0)),
+                ..QueuedFrame::default()
+            }
         })
         .collect();
-    for (i, payload) in encoded.iter().enumerate().take(MERGE_AT + 1) {
-        process_one(&server, i, payload);
+    let mut encoded = encoded.into_iter();
+    for frame in encoded.by_ref().take(MERGE_AT + 1) {
+        process_one(&server, frame);
     }
     server
         .merge_client_now(1, ds.frame_time(MERGE_AT))
@@ -412,9 +402,9 @@ fn run_sharding_config(
             }
             (durations, locked)
         });
-        for (i, payload) in encoded.iter().enumerate().skip(MERGE_AT + 1) {
+        for frame in encoded {
             let t0 = Instant::now();
-            process_one(server, i, payload);
+            process_one(server, frame);
             commit_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         }
         absorber.join().expect("absorber thread panicked")

@@ -26,7 +26,8 @@
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slamshare_core::server::{ClientFrame, EdgeServer, ServerConfig};
+use slamshare_core::qos::QueuedFrame;
+use slamshare_core::server::{EdgeServer, ServerConfig};
 use slamshare_net::codec::VideoEncoder;
 use slamshare_obs::ObsSnapshot;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -100,32 +101,23 @@ fn run_session(frames: usize, record: bool) -> (Vec<f64>, Option<ObsSnapshot>) {
     }
     let mut round_ms = Vec::with_capacity(frames);
     for i in 0..frames {
-        let payloads: Vec<(Vec<u8>, Vec<u8>)> = load
-            .datasets
-            .iter()
-            .zip(load.encoders.iter_mut())
-            .map(|(ds, (el, er))| {
-                let (l, r) = ds.render_stereo_frame(i);
-                (el.encode(&l).data.to_vec(), er.encode(&r).data.to_vec())
-            })
-            .collect();
-        let batch: Vec<ClientFrame> = payloads
-            .iter()
-            .enumerate()
-            .map(|(c, (l, r))| ClientFrame {
-                client: c as u16 + 1,
+        let clients = load.datasets.iter().zip(load.encoders.iter_mut());
+        for (c, (ds, (el, er))) in clients.enumerate() {
+            let (l, r) = ds.render_stereo_frame(i);
+            let frame = QueuedFrame {
                 frame_idx: i,
-                timestamp: load.datasets[c].frame_time(i),
-                left: l,
-                right: Some(r),
-                imu: &[],
-                pose_hint: (c == 0 && i == 0).then(|| load.datasets[0].gt_pose_cw(0)),
-            })
-            .collect();
+                timestamp: ds.frame_time(i),
+                left: el.encode(&l).data.to_vec(),
+                right: Some(er.encode(&r).data.to_vec()),
+                pose_hint: (c == 0 && i == 0).then(|| ds.gt_pose_cw(0)),
+                ..QueuedFrame::default()
+            };
+            server
+                .offer_frame(c as u16 + 1, frame)
+                .expect("registered client");
+        }
         let t0 = Instant::now();
-        server
-            .try_process_round(&batch)
-            .expect("one frame per registered client");
+        server.process_queued_round();
         round_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     let snapshot = record.then(|| {

@@ -1,5 +1,5 @@
 //! Bench (extension): multi-client tracking throughput through the
-//! concurrent round pipeline (`EdgeServer::try_process_round`) vs the same
+//! concurrent round pipeline (`EdgeServer::process_queued_round`) vs the same
 //! workload processed sequentially — the perf trajectory behind the
 //! paper's "one edge server, many users" claim (Figs. 10/13).
 //!
@@ -11,7 +11,8 @@
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slamshare_core::server::{ClientFrame, EdgeServer, ServerConfig};
+use slamshare_core::qos::QueuedFrame;
+use slamshare_core::server::{EdgeServer, ServerConfig};
 use slamshare_gpu::GpuExecutor;
 use slamshare_net::codec::VideoEncoder;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -77,32 +78,23 @@ impl Workload {
 fn run_workload(workload: &mut Workload, server: &EdgeServer, frames: usize) -> Vec<f64> {
     let mut round_ms = Vec::with_capacity(frames);
     for i in 0..frames {
-        let payloads: Vec<(Vec<u8>, Vec<u8>)> = workload
-            .datasets
-            .iter()
-            .zip(workload.encoders.iter_mut())
-            .map(|(ds, (el, er))| {
-                let (l, r) = ds.render_stereo_frame(i);
-                (el.encode(&l).data.to_vec(), er.encode(&r).data.to_vec())
-            })
-            .collect();
-        let batch: Vec<ClientFrame> = payloads
-            .iter()
-            .enumerate()
-            .map(|(c, (l, r))| ClientFrame {
-                client: c as u16 + 1,
+        let clients = workload.datasets.iter().zip(workload.encoders.iter_mut());
+        for (c, (ds, (el, er))) in clients.enumerate() {
+            let (l, r) = ds.render_stereo_frame(i);
+            let frame = QueuedFrame {
                 frame_idx: i,
-                timestamp: workload.datasets[c].frame_time(i),
-                left: l,
-                right: Some(r),
-                imu: &[],
-                pose_hint: (c == 0 && i == 0).then(|| workload.datasets[0].gt_pose_cw(0)),
-            })
-            .collect();
+                timestamp: ds.frame_time(i),
+                left: el.encode(&l).data.to_vec(),
+                right: Some(er.encode(&r).data.to_vec()),
+                pose_hint: (c == 0 && i == 0).then(|| ds.gt_pose_cw(0)),
+                ..QueuedFrame::default()
+            };
+            server
+                .offer_frame(c as u16 + 1, frame)
+                .expect("registered client");
+        }
         let t0 = Instant::now();
-        server
-            .try_process_round(&batch)
-            .expect("one frame per registered client");
+        server.process_queued_round();
         round_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     round_ms

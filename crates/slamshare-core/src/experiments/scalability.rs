@@ -2,15 +2,16 @@
 //! "we do not expect shared memory to be a bottleneck even with more
 //! (tens) of users" because readers share the lock and only writes
 //! serialize. This experiment measures it on the real server pipeline: N
-//! registered clients feed one frame each per round through
-//! [`EdgeServer::try_process_round`], whose tracking stage runs the clients
-//! on concurrent workers (read locks on the global map) while keyframe
+//! registered clients offer one frame each per round
+//! ([`EdgeServer::offer_frame`]) and [`EdgeServer::process_queued_round`]
+//! runs the clients' tracking on concurrent workers (read locks on the global map) while keyframe
 //! insertions and merges serialize on the write lock. We report the
 //! per-round frame latency and the store's lock-contention statistics as
 //! N grows.
 
 use super::Effort;
-use crate::server::{ClientFrame, EdgeServer, ServerConfig};
+use crate::qos::QueuedFrame;
+use crate::server::{EdgeServer, ServerConfig};
 use serde::Serialize;
 use slamshare_net::codec::VideoEncoder;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -78,37 +79,25 @@ pub fn run(effort: Effort) -> ScalabilityResult {
 
             let mut round_ms = Vec::with_capacity(frames);
             for f in 0..frames {
-                let payloads: Vec<(Vec<u8>, Vec<u8>)> = encoders
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(cid, (el, er))| {
-                        let (left, right) = &rendered[f + cid]; // offset per client
-                        (
-                            el.encode(left).data.to_vec(),
-                            er.encode(right).data.to_vec(),
-                        )
-                    })
-                    .collect();
-                let batch: Vec<ClientFrame> = payloads
-                    .iter()
-                    .enumerate()
-                    .map(|(cid, (l, r))| ClientFrame {
-                        client: cid as u16 + 1,
+                for (cid, (el, er)) in encoders.iter_mut().enumerate() {
+                    let (left, right) = &rendered[f + cid]; // offset per client
+                    let frame = QueuedFrame {
                         frame_idx: f,
                         timestamp: ds.frame_time(f + cid),
-                        left: l,
-                        right: Some(r),
+                        left: el.encode(left).data.to_vec(),
+                        right: Some(er.encode(right).data.to_vec()),
                         // Ground-truth hints anchor every client in the
                         // world frame, keeping the focus on lock traffic
                         // rather than drift.
-                        imu: &[],
                         pose_hint: Some(ds.gt_pose_cw(f + cid)),
-                    })
-                    .collect();
+                        ..QueuedFrame::default()
+                    };
+                    server
+                        .offer_frame(cid as u16 + 1, frame)
+                        .expect("registered client");
+                }
                 let t0 = Instant::now();
-                server
-                    .try_process_round(&batch)
-                    .expect("one frame per registered client");
+                server.process_queued_round();
                 round_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             }
 

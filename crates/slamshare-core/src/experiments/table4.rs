@@ -10,7 +10,8 @@
 
 use super::Effort;
 use crate::baseline::{baseline_exchange_round, BaselineClient, BaselineConfig, BaselineServer};
-use crate::server::{ClientFrame, EdgeServer, ServerConfig};
+use crate::qos::QueuedFrame;
+use crate::server::{EdgeServer, ServerConfig};
 use serde::Serialize;
 use slamshare_net::codec::VideoEncoder;
 use slamshare_net::link::{Channel, LinkConfig};
@@ -152,17 +153,16 @@ pub fn run(effort: Effort) -> Table4Result {
                 let now = SimTime::from_secs(ds.frame_time(i));
                 let sent = schannel.uplink.send(now, el.data.len() + er.data.len());
                 uplink_ms += sent.since(now).as_millis();
-                server
-                    .try_process_round(&[ClientFrame {
-                        client: cid,
-                        frame_idx: i,
-                        timestamp: ds.frame_time(i),
-                        left: &el.data,
-                        right: Some(&er.data),
-                        imu: &[],
-                        pose_hint: (anchor && i == 0).then(|| ds.gt_pose_cw(0)),
-                    }])
-                    .expect("registered client");
+                let frame = QueuedFrame {
+                    frame_idx: i,
+                    timestamp: ds.frame_time(i),
+                    left: el.data.to_vec(),
+                    right: Some(er.data.to_vec()),
+                    pose_hint: (anchor && i == 0).then(|| ds.gt_pose_cw(0)),
+                    ..QueuedFrame::default()
+                };
+                server.offer_frame(cid, frame).expect("registered client");
+                server.process_queued_round();
             }
         }
         let merge_a = server

@@ -157,22 +157,37 @@ impl LinkTier {
 // Config
 // ---------------------------------------------------------------------
 
-/// Everything a load run needs; fully serializable so a bench result can
-/// embed the exact configuration that produced it.
+/// Per-client camera rate, frames per virtual second.
+const FPS: f64 = 10.0;
+/// Per-frame corruption probability for a faulty client.
+const FAULT_RATE: f64 = 0.05;
+/// Synthetic video resolution (small: content only feeds the codec).
+const FRAME_W: usize = 32;
+const FRAME_H: usize = 24;
+/// Encoder I-frame cadence.
+const IFRAME_INTERVAL: usize = 30;
+/// Silence threshold after which the server evicts a client, seconds.
+const CRASH_TIMEOUT_S: f64 = 1.0;
+/// Joins are spread over this initial ramp, seconds.
+const JOIN_RAMP_S: f64 = 1.5;
+/// Retry delay after an at-capacity rejection, seconds.
+const ADMISSION_RETRY_S: f64 = 0.5;
+
+/// What varies between load runs; fully serializable so a bench result
+/// can embed the exact configuration that produced it. Everything no run
+/// varies is a constant of this module, and each client's staged-frame
+/// queue has the server's default capacity
+/// ([`ServerConfig::ingress_queue_cap`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadConfig {
     /// Clients that will *attempt* to join (ids `1..=n_clients`).
     pub n_clients: usize,
     /// Admission bound (`None` = unbounded).
     pub max_clients: Option<usize>,
-    /// Per-client camera rate, frames per virtual second.
-    pub fps: f64,
     /// Virtual session length, seconds.
     pub duration_s: f64,
     /// Master seed; every per-client stream derives from `(seed, id)`.
     pub seed: u64,
-    /// Per-client staged-frame queue bound (`FrameQueue` capacity).
-    pub queue_cap: usize,
     /// Server service lanes (parallel tracking workers).
     pub lanes: usize,
     /// CPU portion of one frame's tracking service, ms.
@@ -185,31 +200,17 @@ pub struct LoadConfig {
     pub churn: bool,
     /// Percent of clients that leave gracefully mid-run.
     pub leave_pct: u64,
-    /// Percent of clients that crash silently mid-run.
+    /// Percent of clients that crash silently mid-run (every other one,
+    /// by draw, rejoins under the same id).
     pub crash_pct: u64,
-    /// Whether crashed clients attempt to rejoin under the same id.
-    pub rejoin_crashed: bool,
     /// Percent of clients that fire a duplicate join while live.
     pub duplicate_join_pct: u64,
     /// Percent of churning clients that also inject garbage bytes.
     pub fault_pct: u64,
-    /// Per-frame corruption probability for a faulty client.
-    pub fault_rate: f64,
     /// Whether uplink Bernoulli loss is applied.
     pub loss: bool,
     /// Round-latency SLO asserted over interactive-class served frames.
     pub slo_p99_ms: f64,
-    /// Synthetic video resolution (small: content only feeds the codec).
-    pub frame_w: usize,
-    pub frame_h: usize,
-    /// Encoder I-frame cadence.
-    pub iframe_interval: usize,
-    /// Silence threshold after which the server evicts a client, seconds.
-    pub crash_timeout_s: f64,
-    /// Joins are spread over this initial ramp, seconds.
-    pub join_ramp_s: f64,
-    /// Retry delay after an at-capacity rejection, seconds.
-    pub admission_retry_s: f64,
     /// Edge servers in the federation. `1` is the classic single-server
     /// harness — every multi-server branch is off and runs are
     /// bit-identical to before the field existed. With `N > 1` the world
@@ -230,10 +231,8 @@ impl LoadConfig {
         LoadConfig {
             n_clients,
             max_clients: None,
-            fps: 10.0,
             duration_s: 6.0,
             seed,
-            queue_cap: 4,
             lanes: 32,
             cpu_service_ms: 0.5,
             gpu_work_ms: 8.0,
@@ -241,18 +240,10 @@ impl LoadConfig {
             churn: true,
             leave_pct: 10,
             crash_pct: 10,
-            rejoin_crashed: true,
             duplicate_join_pct: 5,
             fault_pct: 50,
-            fault_rate: 0.05,
             loss: true,
             slo_p99_ms: 400.0,
-            frame_w: 32,
-            frame_h: 24,
-            iframe_interval: 30,
-            crash_timeout_s: 1.0,
-            join_ramp_s: 1.5,
-            admission_retry_s: 0.5,
             n_servers: 1,
             handoff_pct: 0,
         }
@@ -444,7 +435,7 @@ pub fn client_fate(config: &LoadConfig, id: u16) -> Fate {
     if roll < config.crash_pct {
         Fate::Crasher {
             at: frac(when, 0.35, 0.65),
-            rejoin: config.rejoin_crashed && when.is_multiple_of(2),
+            rejoin: when.is_multiple_of(2),
         }
     } else if roll < config.crash_pct + config.leave_pct {
         Fate::Leaver(frac(when, 0.4, 0.8))
@@ -544,7 +535,7 @@ impl Device {
                 config.duration_s.max(1.0),
                 GazePolicy::AlongVelocity,
             ),
-            encoder: VideoEncoder::new(2, config.iframe_interval),
+            encoder: VideoEncoder::new(2, IFRAME_INTERVAL),
             rng: SplitMix64::new(mix(config.seed, u64::from(id))),
             phase: DevicePhase::Waiting,
             fate,
@@ -556,13 +547,13 @@ impl Device {
             faults: 0,
             rejoined: false,
             home: None,
-            img: GrayImage::new(config.frame_w, config.frame_h),
+            img: GrayImage::new(FRAME_W, FRAME_H),
         }
     }
 
     fn join_time(config: &LoadConfig, id: u16) -> SimTime {
         SimTime::from_secs(
-            config.join_ramp_s * (mix(config.seed, u64::from(id) * 17 + 11) % 1000) as f64 / 1000.0,
+            JOIN_RAMP_S * (mix(config.seed, u64::from(id) * 17 + 11) % 1000) as f64 / 1000.0,
         )
     }
 
@@ -622,7 +613,6 @@ impl FrontEnd {
         let n = config.n_servers.max(1);
         let mut server_config = ServerConfig::stereo_default(StereoRig::euroc_like());
         server_config.max_clients = config.max_clients;
-        server_config.ingress_queue_cap = config.queue_cap;
         let vocab = Arc::new(vocabulary::train_random(config.seed));
         let mut fed = Federation::new(n, server_config, vocab, LinkConfig::ten_gbe());
         for i in 0..n {
@@ -706,8 +696,8 @@ pub fn run(config: &LoadConfig) -> LoadOutcome {
 /// exactly — the lever the churn bit-identity property pulls.
 pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
     let end = SimTime::from_secs(config.duration_s);
-    let frame_dt = SimTime::from_secs(1.0 / config.fps);
-    let crash_timeout = SimTime::from_secs(config.crash_timeout_s);
+    let frame_dt = SimTime::from_secs(1.0 / FPS);
+    let crash_timeout = SimTime::from_secs(CRASH_TIMEOUT_S);
 
     let mut devices: BTreeMap<u16, Device> = ids
         .iter()
@@ -782,7 +772,7 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                             // Crash-rejoin: fresh encoder (the old
                             // reference chain died with the process),
                             // frame numbering continues.
-                            dev.encoder = VideoEncoder::new(2, config.iframe_interval);
+                            dev.encoder = VideoEncoder::new(2, IFRAME_INTERVAL);
                             dev.rejoined = true;
                             rejoins += 1;
                         }
@@ -792,7 +782,7 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                     }
                     Err(RegisterError::AtCapacity { .. }) => {
                         // Typed rejection, not a panic: back off and retry.
-                        let retry = now + SimTime::from_secs(config.admission_retry_s);
+                        let retry = now + SimTime::from_secs(ADMISSION_RETRY_S);
                         if retry < end {
                             q.schedule(retry, Ev::Join(id));
                         }
@@ -885,7 +875,7 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                 // Frame 3 is always corrupted so a faulty client's fault
                 // path is exercised on every seed, not just lucky draws
                 // (even the shortest-lived churner captures that many).
-                if dev.faulty && (fault_roll < config.fault_rate || idx == 3) {
+                if dev.faulty && (fault_roll < FAULT_RATE || idx == 3) {
                     // PR 3 garbage-byte machinery: smash bytes mid-payload
                     // and truncate — the decoder must yield a typed fault.
                     dev.faults += 1;
@@ -1256,7 +1246,7 @@ mod tests {
             cfg.fault_pct = 0;
             cfg.loss = false;
             let end = SimTime::from_secs(cfg.duration_s);
-            let crash_timeout = SimTime::from_secs(cfg.crash_timeout_s);
+            let crash_timeout = SimTime::from_secs(CRASH_TIMEOUT_S);
             let predicted = (1..=cfg.n_clients as u16)
                 .filter(|&id| match client_fate(&cfg, id) {
                     Fate::Crasher { at, rejoin: true } => {

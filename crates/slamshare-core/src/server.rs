@@ -24,12 +24,13 @@
 //!
 //! Each client process sits behind its own mutex, so the server itself is
 //! `&self` throughout and frames for *different* clients can be processed
-//! concurrently. [`EdgeServer::try_process_round`] batches one frame per
-//! client and runs each client's decode and then its track in one
-//! parallel stage, on the scoped threads of one worker budget
+//! concurrently. Frames enter only through each client's bounded staging
+//! queue ([`EdgeServer::offer_frame`]); [`EdgeServer::process_queued_round`]
+//! pops one frame per client and runs each client's decode and then its
+//! track in one parallel stage, on the scoped threads of one worker budget
 //! ([`EdgeServer::set_round_workers`]); only the short commit stage
 //! (keyframe insertion under the write lock, merge trigger) is
-//! serialized. A merged client's track runs in the two
+//! serialized, in client-id order. A merged client's track runs in the two
 //! halves [`slamshare_slam::tracking`] splits it into: the map-free front
 //! half (both ORB extractions + stereo match, ~90 % of the cost) outside
 //! any map lock, once per frame, and the map-bound back half (search
@@ -37,8 +38,8 @@
 //! lock. Tracking is *speculative*: the back half reads the global map as
 //! it stood at round start, and the commit stage transparently redoes it
 //! — on the already-extracted features — if an earlier commit in the same
-//! round wrote the map, which makes a round's results bit-identical to
-//! processing its frames sequentially, at any worker count. Lock order is
+//! round wrote the map, which makes a round of N bit-identical to N rounds
+//! of one in client-id order, at any worker count. Lock order is
 //! always client mutex → store lock, and never two client mutexes at
 //! once.
 //!
@@ -84,7 +85,6 @@ use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu};
 use slamshare_math::{Sim3, SE3};
 use slamshare_net::codec::CodecError;
 use slamshare_shm::Segment;
-use slamshare_sim::imu::ImuSample;
 use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId};
 use slamshare_slam::map::{transform_pose_cw, Map, MapRead};
 use slamshare_slam::mapping::LocalMapper;
@@ -104,9 +104,6 @@ pub const GLOBAL_MAP_NAME: &str = "slam-share/global-map";
 pub struct ServerConfig {
     /// SLAM configuration template applied to each client process.
     pub slam: SlamConfig,
-    /// Use the simulated GPU for tracking kernels (the SLAM-Share path);
-    /// `false` gives the CPU-only ablation.
-    pub use_gpu: bool,
     /// Merge a client's local map into the global map once it holds this
     /// many keyframes.
     pub merge_after_keyframes: usize,
@@ -141,7 +138,6 @@ impl ServerConfig {
     pub fn stereo_default(rig: slamshare_sim::camera::StereoRig) -> ServerConfig {
         ServerConfig {
             slam: SlamConfig::stereo(rig),
-            use_gpu: true,
             merge_after_keyframes: 3,
             async_merge: false,
             map_shards: 8,
@@ -154,7 +150,6 @@ impl ServerConfig {
     pub fn mono_default(rig: slamshare_sim::camera::StereoRig) -> ServerConfig {
         ServerConfig {
             slam: SlamConfig::mono(rig),
-            use_gpu: true,
             merge_after_keyframes: 3,
             async_merge: false,
             map_shards: 8,
@@ -192,24 +187,18 @@ pub struct ServerFrameResult {
     pub relocalized: bool,
 }
 
-/// Typed rejection of a frame ([`EdgeServer::offer_frame`] /
-/// [`EdgeServer::try_process_round`]).
+/// Typed rejection of a frame ([`EdgeServer::offer_frame`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientError {
     /// The frame names a client id that was never registered (or was
     /// deregistered).
     UnknownClient(u16),
-    /// A round carries two frames for the same client.
-    DuplicateInRound(u16),
 }
 
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientError::UnknownClient(id) => write!(f, "unregistered client {id}"),
-            ClientError::DuplicateInRound(id) => {
-                write!(f, "client {id} appears twice in one round")
-            }
         }
     }
 }
@@ -222,22 +211,6 @@ pub struct MergeOutcome {
     pub report: MergeReport,
     /// Snapshot → applied wall time of the merge job, ms, wherever it ran.
     pub merge_ms: f64,
-}
-
-/// One uploaded frame for [`EdgeServer::try_process_round`].
-#[derive(Debug, Clone, Copy)]
-pub struct ClientFrame<'a> {
-    pub client: u16,
-    pub frame_idx: usize,
-    pub timestamp: f64,
-    /// Encoded left video payload.
-    pub left: &'a [u8],
-    /// Encoded right video payload (stereo only).
-    pub right: Option<&'a [u8]>,
-    /// IMU samples since the previous frame.
-    pub imu: &'a [ImuSample],
-    /// Optional bootstrap anchor pose.
-    pub pose_hint: Option<SE3>,
 }
 
 enum Phase {
@@ -535,16 +508,11 @@ impl EdgeServer {
     pub fn try_register_client(&mut self, id: u16) -> Result<(), RegisterError> {
         self.admission.try_admit(id)?;
         let client_id = ClientId(id);
-        let exec = if self.config.use_gpu {
-            self.gpu.register(id as u32)
-        } else {
-            Arc::new(slamshare_gpu::GpuExecutor::cpu())
-        };
         let system = SlamSystem::new(
             client_id,
             self.config.slam.clone(),
             self.vocab.clone(),
-            exec,
+            self.gpu.register(id as u32),
         );
         let ingest = VideoIngest::new();
         let queue = FrameQueue::new(self.config.ingress_queue_cap);
@@ -629,60 +597,12 @@ impl EdgeServer {
             .unwrap_or(0)
     }
 
-    /// Run one round over the staged queues: pop at most one frame per
-    /// client (in client-id order) and process the batch through the
-    /// normal decode → track → commit pipeline. Clients with nothing
-    /// staged simply don't participate. Returns `(client, result)` pairs
-    /// in client-id order.
-    pub fn process_queued_round(&self) -> Vec<(u16, ServerFrameResult)> {
-        let mut clients: Vec<(u16, &Mutex<ClientProcess>)> =
-            self.clients.iter().map(|(&id, p)| (id, p)).collect();
-        clients.sort_unstable_by_key(|&(id, _)| id);
-        let mut popped: Vec<(u16, &Mutex<ClientProcess>, QueuedFrame)> = Vec::new();
-        for (id, process) in clients {
-            let mut locked = process.lock();
-            if let Some(frame) = locked.queue.pop() {
-                // A frame staged after an eviction decodes against a
-                // reference that no longer exists: resync first.
-                if frame.follows_gap {
-                    locked.ingest.note_discontinuity();
-                }
-                popped.push((id, process, frame));
-            }
-        }
-        if popped.is_empty() {
-            return Vec::new();
-        }
-        let frames: Vec<ClientFrame> = popped
-            .iter()
-            .map(|(id, _, q)| ClientFrame {
-                client: *id,
-                frame_idx: q.frame_idx,
-                timestamp: q.timestamp,
-                left: &q.left,
-                right: q.right.as_deref(),
-                imu: &q.imu,
-                pose_hint: q.pose_hint,
-            })
-            .collect();
-        let processes: Vec<&Mutex<ClientProcess>> = popped.iter().map(|&(_, p, _)| p).collect();
-        let results = self.cut.write(|| self.round_locked(&frames, &processes));
-        popped.iter().map(|(id, _, _)| *id).zip(results).collect()
-    }
-
-    /// Whether a client's map has been merged into the global map.
-    pub fn is_merged(&self, id: u16) -> bool {
-        self.clients
-            .get(&id)
-            .map(|c| matches!(c.lock().phase, Phase::Shared { .. }))
-            .unwrap_or(false)
-    }
-
-    /// Process one frame for each of several *distinct* clients; a
-    /// single frame is a round of one. A duplicate or unregistered client
-    /// rejects the whole batch with a typed error before anything runs.
-    /// Malformed video payloads are *not* errors at this level: they come
-    /// back as a normal [`ServerFrameResult`] with
+    /// Run one round over the staged queues — the server's only round
+    /// entry: pop at most one frame per client (in client-id order) and
+    /// process the batch. Clients with nothing staged simply don't
+    /// participate. Returns `(client, result)` pairs in client-id order.
+    /// Malformed video payloads are *not* errors: they come back as a
+    /// normal [`ServerFrameResult`] with
     /// [`ServerFrameResult::decode_error`] set and a resync request — a
     /// broken client must not be able to distinguish itself from a slow
     /// one, let alone crash the server.
@@ -700,69 +620,82 @@ impl EdgeServer {
     ///    local points, pose optimisation) reading the global map under
     ///    its component's concurrent read lock.
     /// 2. **Commit** — keyframe insertion and merge triggering run
-    ///    sequentially in input order; if a commit writes the global
+    ///    sequentially in client-id order; if a commit writes the global
     ///    map, the remaining merged clients' speculative tracks are
     ///    stale and their back halves are redone in the commit stage on
     ///    the features already extracted (milliseconds, not a second
     ///    extraction), so the returned results are exactly what rounds
-    ///    of one in input order would produce (timing fields aside).
-    pub fn try_process_round(
-        &self,
-        frames: &[ClientFrame],
-    ) -> Result<Vec<ServerFrameResult>, ClientError> {
-        {
-            let mut ids: Vec<u16> = frames.iter().map(|f| f.client).collect();
-            ids.sort_unstable();
-            for w in ids.windows(2) {
-                if w[0] == w[1] {
-                    return Err(ClientError::DuplicateInRound(w[0]));
+    ///    of one in client-id order would produce (timing fields aside).
+    pub fn process_queued_round(&self) -> Vec<(u16, ServerFrameResult)> {
+        let mut clients: Vec<(u16, &Mutex<ClientProcess>)> =
+            self.clients.iter().map(|(&id, p)| (id, p)).collect();
+        clients.sort_unstable_by_key(|&(id, _)| id);
+        let mut popped: Vec<(u16, &Mutex<ClientProcess>, QueuedFrame)> = Vec::new();
+        for (id, process) in clients {
+            // A client with nothing staged is skipped on its lock-free
+            // queue counters, so a round never waits on the mutex of a
+            // client it would not serve (e.g. one `merge_client_now` is
+            // welding). Relaxed loads suffice: an offer that happens-before
+            // this round is visible to them, and one racing it was never
+            // ordered into this round anyway.
+            let staged = self.queue_counters.get(&id).map(|c| c.snapshot());
+            if staged.is_some_and(|q| q.offered == q.accounted()) {
+                continue;
+            }
+            let mut locked = process.lock();
+            if let Some(frame) = locked.queue.pop() {
+                // A frame staged after an eviction decodes against a
+                // reference that no longer exists: resync first.
+                if frame.follows_gap {
+                    locked.ingest.note_discontinuity();
                 }
+                popped.push((id, process, frame));
             }
         }
-        let processes = frames
-            .iter()
-            .map(|f| {
-                self.clients
-                    .get(&f.client)
-                    .ok_or(ClientError::UnknownClient(f.client))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
+        if popped.is_empty() {
+            return Vec::new();
+        }
         // Every metric this round writes (ingest counters, region lock
         // stats, merge stats) lands inside one consistent-cut write
         // section, so `metrics()` never reports a torn mid-round total.
-        Ok(self.cut.write(|| self.round_locked(frames, &processes)))
+        let results = self.cut.write(|| self.round_locked(&popped));
+        popped.iter().map(|(id, _, _)| *id).zip(results).collect()
     }
 
-    /// The round pipeline body: `processes[i]` is the client process of
-    /// `frames[i]`, resolved once by the caller (distinct clients).
+    /// Whether a client's map has been merged into the global map.
+    pub fn is_merged(&self, id: u16) -> bool {
+        self.clients
+            .get(&id)
+            .map(|c| matches!(c.lock().phase, Phase::Shared { .. }))
+            .unwrap_or(false)
+    }
+
+    /// The round pipeline body over the popped `(client, process, frame)`
+    /// triples: distinct clients, in client-id order.
     fn round_locked(
         &self,
-        frames: &[ClientFrame],
-        processes: &[&Mutex<ClientProcess>],
+        popped: &[(u16, &Mutex<ClientProcess>, QueuedFrame)],
     ) -> Vec<ServerFrameResult> {
         // Parallel stage: each worker takes a static chunk of the round
         // and, per client, decodes the payloads and tracks the result
         // speculatively against the round-start map, under one lock of
         // the client's mutex. Decode is per-client and map-free, so it
         // needs no ordering against other clients' tracks.
-        let pairs: Vec<_> = frames.iter().zip(processes).collect();
-        let (staged, _) = self.round_exec.par_map(&pairs, 0, |&(f, p)| {
+        let (staged, _) = self.round_exec.par_map(popped, 0, |(client, p, f)| {
             let mut process = p.lock();
-            let decoded = process.ingest.decode(f.left, f.right);
-            self.track_stage(&mut process, f, decoded)
+            let decoded = process.ingest.decode(&f.left, f.right.as_deref());
+            self.track_stage(&mut process, *client, f, decoded)
         });
 
-        // Serial stage: commits in input order. Each staged shared
+        // Serial stage: commits in client-id order. Each staged shared
         // frame carries the epoch its speculative track read under; the
         // commit stage redoes the map-bound half of exactly those whose
         // epoch the map has since moved past (an earlier commit this
         // round, or a background merge).
-        frames
+        popped
             .iter()
-            .zip(processes)
             .zip(staged)
-            .map(|((f, p), st)| self.commit_stage(&mut p.lock(), f.client, f.timestamp, st))
+            .map(|((client, p, f), st)| self.commit_stage(&mut p.lock(), *client, f.timestamp, st))
             .collect()
     }
 
@@ -773,7 +706,8 @@ impl EdgeServer {
     fn track_stage(
         &self,
         process: &mut ClientProcess,
-        frame: &ClientFrame,
+        client: u16,
+        frame: &QueuedFrame,
         decoded: DecodeOutcome,
     ) -> StagedFrame {
         let _span = slamshare_obs::span!("round.track");
@@ -787,7 +721,7 @@ impl EdgeServer {
             DecodeOutcome::Dropped { fault } => {
                 // A faulted/desynced stream is headed for relocalization:
                 // demote it in the GPU scheduler until it recovers.
-                self.note_priority(process, frame.client, true);
+                self.note_priority(process, client, true);
                 return StagedFrame::Faulted {
                     frame_idx: frame.frame_idx,
                     fault,
@@ -797,11 +731,7 @@ impl EdgeServer {
         let counters = process.ingest.counters();
 
         // Refresh the client's GPU slice (GSlice repartitions on churn).
-        let exec = if self.config.use_gpu {
-            self.gpu.executor(frame.client as u32)
-        } else {
-            None
-        };
+        let exec = self.gpu.executor(client as u32);
 
         // Track (and, pre-merge, map locally).
         let (staged, degraded_now) = match &mut process.phase {
@@ -813,7 +743,7 @@ impl EdgeServer {
                     timestamp: frame.timestamp,
                     left: &left_img,
                     right: right_img.as_ref(),
-                    imu: frame.imu,
+                    imu: &frame.imu,
                     pose_hint: frame.pose_hint,
                 });
                 // Tracking is done with the images — hand the buffers back
@@ -921,7 +851,7 @@ impl EdgeServer {
                 (staged, degraded_now)
             }
         };
-        self.note_priority(process, frame.client, degraded_now);
+        self.note_priority(process, client, degraded_now);
         staged
     }
 
@@ -929,7 +859,7 @@ impl EdgeServer {
     /// (the slice table rebalances on a transition, so per-frame calls
     /// would thrash the write lock).
     fn note_priority(&self, process: &mut ClientProcess, client: u16, degraded: bool) {
-        if process.degraded == degraded || !self.config.use_gpu {
+        if process.degraded == degraded {
             return;
         }
         process.degraded = degraded;
@@ -1477,28 +1407,36 @@ mod tests {
         }
     }
 
+    /// A stereo frame of a registered client, ready to offer.
+    fn queued(
+        frame_idx: usize,
+        timestamp: f64,
+        (left, right): (Vec<u8>, Vec<u8>),
+        pose_hint: Option<SE3>,
+    ) -> QueuedFrame {
+        QueuedFrame {
+            frame_idx,
+            timestamp,
+            left,
+            right: Some(right),
+            pose_hint,
+            ..QueuedFrame::default()
+        }
+    }
+
     /// A round of one stereo frame for a registered client.
     fn process_one(
         server: &EdgeServer,
         client: u16,
         frame_idx: usize,
         timestamp: f64,
-        (left, right): &(Vec<u8>, Vec<u8>),
+        payload: (Vec<u8>, Vec<u8>),
         pose_hint: Option<SE3>,
     ) -> ServerFrameResult {
-        let frame = ClientFrame {
-            client,
-            frame_idx,
-            timestamp,
-            left,
-            right: Some(right),
-            imu: &[],
-            pose_hint,
-        };
         server
-            .try_process_round(&[frame])
-            .expect("registered client")
-            .remove(0)
+            .offer_frame(client, queued(frame_idx, timestamp, payload, pose_hint))
+            .expect("registered client");
+        server.process_queued_round().remove(0).1
     }
 
     fn dataset(preset: TracePreset, frames: usize, seed: u64) -> Dataset {
@@ -1524,7 +1462,7 @@ mod tests {
                 1,
                 i,
                 ds.frame_time(i),
-                &sim.encode(&ds, i),
+                sim.encode(&ds, i),
                 (i == 0).then(|| ds.gt_pose_cw(0)),
             );
             if res.merge.is_some() && merged_at.is_none() {
@@ -1570,7 +1508,7 @@ mod tests {
                 1,
                 i,
                 ds_a.frame_time(i),
-                &sim_a.encode(&ds_a, i),
+                sim_a.encode(&ds_a, i),
                 (i == 0).then(|| ds_a.gt_pose_cw(0)),
             );
         }
@@ -1582,7 +1520,7 @@ mod tests {
         let mut post_merge_errs = Vec::new();
         for i in 0..12 {
             let payload = sim_b.encode(&ds_b, i);
-            let res = process_one(&server, 2, i, 1.0 + ds_b.frame_time(i), &payload, None);
+            let res = process_one(&server, 2, i, 1.0 + ds_b.frame_time(i), payload, None);
             if let Some(m) = &res.merge {
                 b_merge = Some(m.clone());
             }
@@ -1642,70 +1580,23 @@ mod tests {
         let mut sim_b = ClientSim::new();
 
         for i in 0..10 {
-            let (la, ra) = sim_a.encode(&ds_a, i);
-            let (lb, rb) = sim_b.encode(&ds_b, i);
             let hint_a = (i == 0).then(|| ds_a.gt_pose_cw(0));
-            let frames = [
-                ClientFrame {
-                    client: 1,
-                    frame_idx: i,
-                    timestamp: ds_a.frame_time(i),
-                    left: &la,
-                    right: Some(&ra),
-                    imu: &[],
-                    pose_hint: hint_a,
-                },
-                ClientFrame {
-                    client: 2,
-                    frame_idx: i,
-                    timestamp: ds_b.frame_time(i),
-                    left: &lb,
-                    right: Some(&rb),
-                    imu: &[],
-                    pose_hint: None,
-                },
-            ];
-            let results = server.try_process_round(&frames).unwrap();
+            let frame_a = queued(i, ds_a.frame_time(i), sim_a.encode(&ds_a, i), hint_a);
+            let frame_b = queued(i, ds_b.frame_time(i), sim_b.encode(&ds_b, i), None);
+            server.offer_frame(1, frame_a).unwrap();
+            server.offer_frame(2, frame_b).unwrap();
+            let results = server.process_queued_round();
             assert_eq!(results.len(), 2);
-            assert_eq!(results[0].frame_idx, i);
+            assert_eq!(results[0].0, 1);
+            assert_eq!(results[0].1.frame_idx, i);
             if i > 0 {
-                assert!(results[0].tracked, "client 1 lost at frame {i}");
+                assert!(results[0].1.tracked, "client 1 lost at frame {i}");
             }
         }
         // Client 1 bootstrapped and merged; its frames land in the map.
         assert!(server.is_merged(1));
         let (kfs, _, _) = server.global_map_stats();
         assert!(kfs >= 3);
-    }
-
-    #[test]
-    fn round_rejects_duplicate_and_unknown_clients() {
-        let ds = dataset(TracePreset::V202, 1, 21);
-        let vocab = Arc::new(vocabulary::train_random(42));
-        let mut server = EdgeServer::new(ServerConfig::stereo_default(ds.rig), vocab);
-        server.try_register_client(1).unwrap();
-        let mut sim = ClientSim::new();
-        let (l, r) = sim.encode(&ds, 0);
-        let f = ClientFrame {
-            client: 1,
-            frame_idx: 0,
-            timestamp: 0.0,
-            left: &l,
-            right: Some(&r),
-            imu: &[],
-            pose_hint: None,
-        };
-        assert_eq!(
-            server.try_process_round(&[f, f]).err(),
-            Some(ClientError::DuplicateInRound(1))
-        );
-        let stranger = ClientFrame { client: 9, ..f };
-        assert_eq!(
-            server.try_process_round(&[f, stranger]).err(),
-            Some(ClientError::UnknownClient(9))
-        );
-        // A rejected batch ran nothing: the valid frame still bootstraps.
-        assert!(server.try_process_round(&[f]).is_ok());
     }
 
     #[test]

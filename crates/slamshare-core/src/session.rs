@@ -7,15 +7,21 @@
 //! link. Produces the timelines behind Figs. 10–13 and Tables 2/4:
 //! per-frame pose records (estimated vs. ground truth), merge events with
 //! latencies, global-map ATE series, and per-client resource accounting.
+//!
+//! The SLAM-Share side is a front end over the server's one way in: each
+//! tick offers every active client's upload ([`EdgeServer::offer_frame`])
+//! and then drains one round ([`EdgeServer::process_queued_round`]).
 
 use crate::baseline::{
     baseline_exchange_round, BaselineClient, BaselineConfig, BaselineRoundLatency, BaselineServer,
 };
-use crate::client::{ClientDevice, Upload};
-use crate::server::{ClientFrame, EdgeServer, ServerConfig};
+use crate::client::ClientDevice;
+use crate::qos::QueuedFrame;
+use crate::server::{EdgeServer, ServerConfig, ServerFrameResult};
 use slamshare_features::bow::Vocabulary;
 use slamshare_math::{Vec3, SE3};
 use slamshare_net::link::{Channel, LinkConfig};
+use slamshare_sim::camera::StereoRig;
 use slamshare_sim::clock::SimTime;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slamshare_slam::eval;
@@ -62,7 +68,6 @@ pub struct SessionConfig {
     pub clients: Vec<ClientSpec>,
     /// Stereo (the default in the paper's merge experiments) or mono.
     pub stereo: bool,
-    pub server_use_gpu: bool,
     pub baseline: BaselineConfig,
     /// Sample the global-map ATE every this many seconds.
     pub map_ate_interval: f64,
@@ -76,7 +81,6 @@ impl SessionConfig {
             fps: 30.0,
             clients,
             stereo: true,
-            server_use_gpu: true,
             baseline: BaselineConfig::default(),
             map_ate_interval: 1.0,
         }
@@ -178,16 +182,14 @@ pub struct Session {
     pub vocab: Arc<Vocabulary>,
 }
 
-/// Client-side output of one tick, staged for the server round and the
-/// post-round bookkeeping.
+/// Client-side output of one tick whose upload was offered to the server,
+/// kept for the post-round bookkeeping.
 struct RoundEntry {
     /// Index into the session's client vector.
     ci: usize,
     frame_idx: usize,
     ds_frame: usize,
-    hint: Option<SE3>,
-    imu: Vec<slamshare_sim::imu::ImuSample>,
-    upload: Upload,
+    encode_ms: f64,
     arrive: SimTime,
     instant_pose: Option<SE3>,
 }
@@ -219,10 +221,14 @@ impl Session {
         }
     }
 
+    /// One active client per distinct spec id: a repeated
+    /// [`ClientSpec::id`] keeps the first spec and drops the rest.
     fn build_clients(&self) -> Vec<ActiveClient> {
+        let mut seen = std::collections::HashSet::new();
         self.config
             .clients
             .iter()
+            .filter(|spec| seen.insert(spec.id))
             .map(|spec| {
                 let dataset = Dataset::build(
                     DatasetConfig::new(spec.preset)
@@ -258,10 +264,10 @@ impl Session {
             .fold(0.0, f64::max)
     }
 
-    fn run_slamshare(&self) -> SessionResult {
-        let rig = slamshare_sim::camera::StereoRig::euroc_like();
-        let rig = self
-            .config
+    /// The first client's camera rig (a EuRoC-like rig for an empty
+    /// session).
+    fn rig(&self) -> StereoRig {
+        self.config
             .clients
             .first()
             .map(|c| {
@@ -272,21 +278,21 @@ impl Session {
                 )
                 .rig
             })
-            .unwrap_or(rig);
-        let mut server_config = if self.config.stereo {
+            .unwrap_or_else(StereoRig::euroc_like)
+    }
+
+    fn run_slamshare(&self) -> SessionResult {
+        let rig = self.rig();
+        let server_config = if self.config.stereo {
             ServerConfig::stereo_default(rig)
         } else {
             ServerConfig::mono_default(rig)
         };
-        server_config.use_gpu = self.config.server_use_gpu;
         let mut server = EdgeServer::new(server_config, self.vocab.clone());
 
+        // A client the server refuses takes no part in the session.
         let mut clients = self.build_clients();
-        for c in &clients {
-            server
-                .try_register_client(c.spec.id)
-                .expect("session client ids are distinct and the server is unbounded");
-        }
+        clients.retain(|c| server.try_register_client(c.spec.id).is_ok());
 
         let mut result = SessionResult {
             frames: Vec::new(),
@@ -308,8 +314,8 @@ impl Session {
             let now = SimTime::from_secs(t_session);
 
             // Client side first: deliver replies, capture, encode,
-            // uplink. The tick's uploads then go to the server as one
-            // batch.
+            // uplink, and offer the upload to the server; the tick's
+            // offers then run as one round.
             let mut round: Vec<RoundEntry> = Vec::new();
             for (ci, c) in clients.iter_mut().enumerate() {
                 if t_session < c.spec.join_time || c.next_frame >= c.spec.frames {
@@ -352,42 +358,40 @@ impl Session {
                 let bytes: usize = upload.messages.iter().map(|m| m.wire_len()).sum();
                 let arrive = c.channel.uplink.send(now, bytes);
 
-                let hint = (c.spec.anchor && frame_idx == 0)
-                    .then(|| c.dataset.gt_pose_cw(c.spec.start_frame));
-                round.push(RoundEntry {
-                    ci,
+                let mut payloads = upload.messages.iter().map(|m| m.payload.to_vec());
+                let frame = QueuedFrame {
                     frame_idx,
-                    ds_frame,
-                    hint,
+                    timestamp: t_session,
+                    left: payloads.next().unwrap_or_default(),
+                    right: payloads.next(),
                     imu,
-                    upload,
-                    arrive,
-                    instant_pose,
-                });
+                    pose_hint: (c.spec.anchor && frame_idx == 0)
+                        .then(|| c.dataset.gt_pose_cw(c.spec.start_frame)),
+                    ..QueuedFrame::default()
+                };
+                if server.offer_frame(c.spec.id, frame).is_ok() {
+                    round.push(RoundEntry {
+                        ci,
+                        frame_idx,
+                        ds_frame,
+                        encode_ms: upload.encode_ms,
+                        arrive,
+                        instant_pose,
+                    });
+                }
             }
 
             // Server: process the tick's frames as one concurrent round
             // (per-client worker processes over the shared global map).
-            let frames: Vec<ClientFrame> = round
-                .iter()
-                .map(|e| ClientFrame {
-                    client: clients[e.ci].spec.id,
-                    frame_idx: e.frame_idx,
-                    timestamp: t_session,
-                    left: &e.upload.messages[0].payload,
-                    right: e.upload.messages.get(1).map(|m| m.payload.as_ref()),
-                    imu: &e.imu,
-                    pose_hint: e.hint,
-                })
-                .collect();
-            let results = server
-                .try_process_round(&frames)
-                .expect("one frame per registered client in a tick");
-            drop(frames);
+            let mut results: HashMap<u16, ServerFrameResult> =
+                server.process_queued_round().into_iter().collect();
 
             // Post-round: downlink replies + timeline records.
-            for (e, res) in round.iter().zip(results) {
+            for e in &round {
                 let c = &mut clients[e.ci];
+                let Some(res) = results.remove(&c.spec.id) else {
+                    continue;
+                };
                 // Stream desync: the server dropped this frame and wants
                 // an I-frame; force the device's next encode intra.
                 if res.resync_requested {
@@ -423,7 +427,7 @@ impl Session {
                     est,
                     server_est: res.pose.map(|p| p.camera_center()),
                     gt: c.dataset.gt_position(e.ds_frame),
-                    latency_ms: e.upload.encode_ms + c.channel.base_rtt().as_millis() + server_ms,
+                    latency_ms: e.encode_ms + c.channel.base_rtt().as_millis() + server_ms,
                 });
             }
 
@@ -480,31 +484,25 @@ impl Session {
     }
 
     fn run_baseline(&self) -> SessionResult {
-        let rig = Dataset::build(
-            DatasetConfig::new(self.config.clients[0].preset)
-                .with_frames(1)
-                .with_seed(self.config.clients[0].seed),
-        )
-        .rig;
+        let rig = self.rig();
         let slam = if self.config.stereo {
             SlamConfig::stereo(rig)
         } else {
             SlamConfig::mono(rig)
         };
         let mut server = BaselineServer::new(self.vocab.clone(), rig.cam, !self.config.stereo);
-        let mut actives = self.build_clients();
-        let mut fat_clients: HashMap<u16, BaselineClient> = actives
-            .iter()
+        // Each fat client sits beside the active client it runs.
+        let mut actives: Vec<(ActiveClient, BaselineClient)> = self
+            .build_clients()
+            .into_iter()
             .map(|c| {
-                (
+                let fat = BaselineClient::new(
                     c.spec.id,
-                    BaselineClient::new(
-                        c.spec.id,
-                        slam.clone(),
-                        self.vocab.clone(),
-                        self.config.baseline.clone(),
-                    ),
-                )
+                    slam.clone(),
+                    self.vocab.clone(),
+                    self.config.baseline.clone(),
+                );
+                (c, fat)
             })
             .collect();
 
@@ -525,7 +523,7 @@ impl Session {
         for tick in 0..total_ticks {
             let t_session = tick as f64 * dt;
             let now = SimTime::from_secs(t_session);
-            for c in actives.iter_mut() {
+            for (c, fat) in actives.iter_mut() {
                 if t_session < c.spec.join_time || c.next_frame >= c.spec.frames {
                     continue;
                 }
@@ -533,7 +531,6 @@ impl Session {
                 c.next_frame += 1;
                 let ds_frame = c.spec.start_frame + frame_idx;
                 let t_local = frame_idx as f64 / self.config.fps;
-                let fat = fat_clients.get_mut(&c.spec.id).unwrap();
 
                 let t_prev = if frame_idx == 0 {
                     0.0
@@ -594,7 +591,7 @@ impl Session {
             if t_session >= next_ate_sample {
                 next_ate_sample += ate_interval;
                 let by_id: HashMap<u16, &ActiveClient> =
-                    actives.iter().map(|c| (c.spec.id, c)).collect();
+                    actives.iter().map(|(c, _)| (c.spec.id, c)).collect();
                 let (est, gt) = map_kf_pairs(&server.map, &by_id, self.config.fps);
                 if let Some(a) = eval::ate(&est, &gt, false, 1e-4) {
                     result.map_ate_series.push((t_session, a.rmse));
@@ -603,15 +600,14 @@ impl Session {
         }
         {
             let by_id: HashMap<u16, &ActiveClient> =
-                actives.iter().map(|c| (c.spec.id, c)).collect();
+                actives.iter().map(|(c, _)| (c.spec.id, c)).collect();
             let (est, gt) = map_kf_pairs(&server.map, &by_id, self.config.fps);
             if let Some(a) = eval::ate(&est, &gt, false, 1e-4) {
                 result.map_ate_series.push((end, a.rmse));
             }
         }
 
-        for c in &actives {
-            let fat = &fat_clients[&c.spec.id];
+        for (c, fat) in &actives {
             result.per_client.insert(
                 c.spec.id,
                 ClientStats {
@@ -712,6 +708,27 @@ mod tests {
             stats.mean_cpu_percent * 40.0
         );
         assert!(stats.uplink_mbps > 0.0);
+    }
+
+    #[test]
+    fn repeated_client_id_keeps_the_first_spec() {
+        let spec = |seed, frames| ClientSpec {
+            id: 1,
+            preset: TracePreset::V202,
+            seed,
+            join_time: 0.0,
+            start_frame: 0,
+            frames,
+            anchor: true,
+        };
+        let vocab = Arc::new(vocabulary::train_random(42));
+        for kind in [SystemKind::SlamShare, SystemKind::Baseline] {
+            let config = SessionConfig::new(kind, vec![spec(61, 4), spec(62, 6)]);
+            let result = Session::new(config, vocab.clone()).run();
+            assert_eq!(result.frames.len(), 4, "{kind:?}");
+            assert!(result.frames.iter().all(|f| f.client == 1));
+            assert_eq!(result.per_client.len(), 1);
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! cargo run --release --example late_joiner
 //! ```
 
-use slamshare_core::server::{ClientFrame, EdgeServer, ServerConfig};
+use slamshare_core::qos::QueuedFrame;
+use slamshare_core::server::{EdgeServer, ServerConfig};
 use slamshare_gpu::GpuExecutor;
 use slamshare_net::codec::VideoEncoder;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -45,17 +46,18 @@ fn main() {
     let (mut el, mut er) = (VideoEncoder::default(), VideoEncoder::default());
     for i in 0..frames {
         let (l, r) = ds_a.render_stereo_frame(i);
+        let frame = QueuedFrame {
+            frame_idx: i,
+            timestamp: ds_a.frame_time(i),
+            left: el.encode(&l).data.to_vec(),
+            right: Some(er.encode(&r).data.to_vec()),
+            pose_hint: (i == 0).then(|| ds_a.gt_pose_cw(0)),
+            ..QueuedFrame::default()
+        };
         server
-            .try_process_round(&[ClientFrame {
-                client: 1,
-                frame_idx: i,
-                timestamp: ds_a.frame_time(i),
-                left: &el.encode(&l).data,
-                right: Some(&er.encode(&r).data),
-                imu: &[],
-                pose_hint: (i == 0).then(|| ds_a.gt_pose_cw(0)),
-            }])
+            .offer_frame(1, frame)
             .expect("client 1 is registered");
+        server.process_queued_round();
     }
     let (kfs, mps, bytes) = server.global_map_stats();
     println!(
@@ -114,19 +116,20 @@ fn main() {
     for i in 0..10 {
         let idx = frames - 10 + i;
         let (l, r) = ds_b.render_stereo_frame(idx);
-        let results = server
-            .try_process_round(&[ClientFrame {
-                client: 2,
-                frame_idx: frames + i,
-                timestamp: ds_b.frame_time(idx) + 10.0,
-                left: &VideoEncoder::default().encode(&l).data,
-                right: Some(&VideoEncoder::default().encode(&r).data),
-                imu: &[],
-                pose_hint: None,
-            }])
+        let frame = QueuedFrame {
+            frame_idx: frames + i,
+            timestamp: ds_b.frame_time(idx) + 10.0,
+            left: VideoEncoder::default().encode(&l).data.to_vec(),
+            right: Some(VideoEncoder::default().encode(&r).data.to_vec()),
+            ..QueuedFrame::default()
+        };
+        server
+            .offer_frame(2, frame)
             .expect("client 2 is registered");
-        if let Some(p) = results[0].pose {
-            errs.push(p.center_distance(&ds_b.gt_pose_cw(idx)));
+        for (_, res) in server.process_queued_round() {
+            if let Some(p) = res.pose {
+                errs.push(p.center_distance(&ds_b.gt_pose_cw(idx)));
+            }
         }
     }
     if !errs.is_empty() {

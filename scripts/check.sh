@@ -12,8 +12,9 @@
 #                                  SLAMSHARE_BENCH_GATE=1 — it runs the
 #                                  benchmarks, which takes a while)
 #
-# `loc` only reports (non-test lines and panic sites per crate and
-# config-field counts vs HEAD~1, via scripts/loc.sh) and never fails;
+# `loc` only reports (non-test lines and panic sites per crate, config-field
+# counts and `EdgeServer`'s `pub fn` count vs HEAD~1, via scripts/loc.sh)
+# and never fails;
 # CI's shallow checkout has no HEAD~1, so it is not a CI step.
 #
 # `soak` also runs as its own parallel CI job (it is the longest smoke),
@@ -45,7 +46,7 @@ stage_clippy() {
 }
 
 stage_nopanic() {
-    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor, core federation/gmap/ingest/merge_worker/qos/server, slam map/merge/recognition) =="
+    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor, core federation/gmap/ingest/merge_worker/qos/server/session, slam map/merge/recognition) =="
     # Shared-state paths deny unwrap/expect/panic via in-source
     # #![cfg_attr(not(test), deny(...))] attributes (crate-level in
     # slamshare-net, slamshare-shm, and slamshare-gpu — the executor and
@@ -53,8 +54,8 @@ stage_nopanic() {
     # module-level on
     # slamshare-features::extractor — the one extraction pipeline those
     # submissions run — and on
-    # slamshare-core::{federation,gmap,ingest,merge_worker,qos,server} and
-    # slamshare-slam::{map,merge,recognition} — a panic under a client
+    # slamshare-core::{federation,gmap,ingest,merge_worker,qos,server,session}
+    # and slamshare-slam::{map,merge,recognition} — a panic under a client
     # mutex or a region lock would poison shared state for every client,
     # and one on the merge thread silently ends process M). A plain clippy
     # pass compiles those lints as hard errors; CLI -D flags must NOT be used

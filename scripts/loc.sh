@@ -6,9 +6,10 @@
 # "Non-test" is the convention CHANGES.md has used since PR 12: the lines
 # of each crates/*/src/**/*.rs file above its first `#[cfg(test)]`.
 # Also prints, per crate, the non-test panic sites (`.unwrap()`,
-# `.expect(`, `panic!(` outside `//` comment lines) and the field counts
-# of the three config structs, so a PR's "options removed vs added" and
-# panic-site lines can be read off instead of counted by hand.
+# `.expect(`, `panic!(` outside `//` comment lines), the field counts of
+# the config structs and the number of `pub fn`s on `EdgeServer`, so a
+# PR's "options removed vs added", panic-site and API-surface lines can be
+# read off instead of counted by hand.
 # Read-only; never fails on a difference.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,6 +34,16 @@ field_count() {
         $0 ~ "^pub struct " s " \\{" { inside = 1; next }
         inside && /^\}/ { inside = 0 }
         inside && /^    pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }'
+}
+
+# stdin: one Rust file; $1: type name; stdout: the `pub fn` count of its
+# inherent `impl` block.
+pub_fn_count() {
+    awk -v s="$1" '
+        $0 ~ "^impl " s " \\{" { inside = 1; next }
+        inside && /^\}/ { inside = 0 }
+        inside && /^    pub fn / { n++ }
         END { print n + 0 }'
 }
 
@@ -76,5 +87,13 @@ while read -r name path; do
 done <<'EOF'
 ServerConfig crates/slamshare-core/src/server.rs
 LoadConfig crates/slamshare-core/src/load.rs
+SessionConfig crates/slamshare-core/src/session.rs
 MappingConfig crates/slamshare-slam/src/mapping.rs
 EOF
+
+echo
+printf '%-22s %10s %10s %8s\n' "api surface" "$BASE" "tree" "delta"
+server=crates/slamshare-core/src/server.rs
+b=$(read_file "$BASE" "$server" 2>/dev/null | pub_fn_count EdgeServer)
+t=$(read_file tree "$server" | pub_fn_count EdgeServer)
+printf '%-22s %10d %10d %+8d\n' "EdgeServer pub fns" "$b" "$t" "$((t - b))"

@@ -4,7 +4,8 @@
 //! concurrent round pipeline reproduces sequential rounds of one exactly,
 //! at any worker count.
 
-use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig, ServerFrameResult};
+use slam_share::core::qos::QueuedFrame;
+use slam_share::core::server::{EdgeServer, ServerConfig, ServerFrameResult};
 use slam_share::gpu::GpuExecutor;
 use slam_share::math::SE3;
 use slam_share::net::codec::VideoEncoder;
@@ -95,66 +96,87 @@ impl MultiClientRig {
         server
     }
 
-    /// Encode frame `i` for every client (codec state advances — call
-    /// once per frame, in order).
-    fn encode_tick(&mut self, i: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    /// Frame `i` of every client, in client order, ready to offer (codec
+    /// state advances — call once per frame, in order).
+    fn encode_tick(&mut self, i: usize) -> Vec<QueuedFrame> {
         self.datasets
             .iter()
             .zip(self.encoders.iter_mut())
-            .map(|(ds, (el, er))| {
+            .enumerate()
+            .map(|(c, (ds, (el, er)))| {
                 let (l, r) = ds.render_stereo_frame(i);
-                (el.encode(&l).data.to_vec(), er.encode(&r).data.to_vec())
+                let hint = (c == 0 && i == 0).then(|| ds.gt_pose_cw(0));
+                let payload = (el.encode(&l).data.to_vec(), er.encode(&r).data.to_vec());
+                stereo_frame(i, ds.frame_time(i), payload, hint)
             })
             .collect()
     }
 }
 
-/// A round of one stereo frame for a registered client.
-fn process_one(
-    server: &EdgeServer,
-    client: u16,
+/// A stereo frame ready to offer.
+fn stereo_frame(
     frame_idx: usize,
     timestamp: f64,
-    (left, right): &(Vec<u8>, Vec<u8>),
+    (left, right): (Vec<u8>, Vec<u8>),
     pose_hint: Option<SE3>,
-) -> ServerFrameResult {
-    let frame = ClientFrame {
-        client,
+) -> QueuedFrame {
+    QueuedFrame {
         frame_idx,
         timestamp,
         left,
         right: Some(right),
-        imu: &[],
         pose_hint,
-    };
+        ..QueuedFrame::default()
+    }
+}
+
+/// A round of one stereo frame for a registered client.
+fn process_one(server: &EdgeServer, client: u16, frame: QueuedFrame) -> ServerFrameResult {
     server
-        .try_process_round(&[frame])
-        .expect("registered client")
-        .remove(0)
+        .offer_frame(client, frame)
+        .expect("registered client");
+    let mut results = server.process_queued_round();
+    assert_eq!(results.len(), 1, "a round of one");
+    results.remove(0).1
+}
+
+/// Offer `(client, frame)` pairs in the order given, then run one round;
+/// returns the results in client-id order.
+fn offer_round(
+    server: &EdgeServer,
+    frames: impl IntoIterator<Item = (u16, QueuedFrame)>,
+) -> Vec<ServerFrameResult> {
+    for (client, frame) in frames {
+        server
+            .offer_frame(client, frame)
+            .expect("registered client");
+    }
+    server
+        .process_queued_round()
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect()
+}
+
+/// Client ids `1..` paired with a tick's frames.
+fn numbered(frames: Vec<QueuedFrame>) -> impl Iterator<Item = (u16, QueuedFrame)> {
+    (1..).zip(frames)
 }
 
 /// One round of one frame per client at tick `i`; returns the result keys.
 fn run_round(server: &EdgeServer, rig: &mut MultiClientRig, i: usize) -> Vec<String> {
-    let payloads = rig.encode_tick(i);
-    let batch: Vec<ClientFrame> = payloads
-        .iter()
-        .enumerate()
-        .map(|(c, (l, r))| ClientFrame {
-            client: c as u16 + 1,
-            frame_idx: i,
-            timestamp: rig.datasets[c].frame_time(i),
-            left: l,
-            right: Some(r),
-            imu: &[],
-            pose_hint: (c == 0 && i == 0).then(|| rig.datasets[0].gt_pose_cw(0)),
-        })
-        .collect();
-    server
-        .try_process_round(&batch)
-        .unwrap()
+    offer_round(server, numbered(rig.encode_tick(i)))
         .iter()
         .map(result_key)
         .collect()
+}
+
+/// Every frame offered was served, and none was shed.
+fn assert_queues_drained(server: &EdgeServer) {
+    for (client, q) in server.metrics().queues {
+        assert_eq!(q.offered, q.served, "client {client}: {q:?}");
+        assert_eq!(q.dropped_overflow, 0, "client {client}: {q:?}");
+    }
 }
 
 fn run_rounds(server: &EdgeServer, rig: &mut MultiClientRig, frames: usize) -> Vec<String> {
@@ -175,19 +197,11 @@ fn round_pipeline_matches_sequential_process_video_exactly() {
     server.set_round_workers(1);
     let mut sequential_keys = Vec::new();
     for i in 0..FRAMES {
-        let payloads = rig.encode_tick(i);
-        for (c, payload) in payloads.iter().enumerate() {
-            let res = process_one(
-                &server,
-                c as u16 + 1,
-                i,
-                rig.datasets[c].frame_time(i),
-                payload,
-                (c == 0 && i == 0).then(|| rig.datasets[0].gt_pose_cw(0)),
-            );
-            sequential_keys.push(result_key(&res));
+        for (client, frame) in numbered(rig.encode_tick(i)) {
+            sequential_keys.push(result_key(&process_one(&server, client, frame)));
         }
     }
+    assert_queues_drained(&server);
     let sequential_stats = server.global_map_stats();
     let sequential_merges: Vec<(f64, u16)> = server
         .merge_log()
@@ -200,23 +214,36 @@ fn round_pipeline_matches_sequential_process_video_exactly() {
     );
 
     // One round of N per tick must reproduce it exactly, whatever the
-    // worker count.
-    for workers in [1usize, 2, 4] {
-        let mut rig = MultiClientRig::new(CLIENTS, FRAMES);
-        let mut server = rig.server();
-        server.set_round_workers(workers);
-        let keys = run_rounds(&server, &mut rig, FRAMES);
-        assert_eq!(
-            sequential_keys, keys,
-            "round pipeline diverged from sequential at {workers} workers"
-        );
-        assert_eq!(sequential_stats, server.global_map_stats());
-        let merges: Vec<(f64, u16)> = server
-            .merge_log()
-            .iter()
-            .map(|(t, c, _)| (*t, *c))
-            .collect();
-        assert_eq!(sequential_merges, merges);
+    // worker count and whatever order the frames were offered in.
+    for descending in [false, true] {
+        for workers in [1usize, 2, 4] {
+            let mut rig = MultiClientRig::new(CLIENTS, FRAMES);
+            let mut server = rig.server();
+            server.set_round_workers(workers);
+            let keys: Vec<String> = (0..FRAMES)
+                .flat_map(|i| {
+                    let mut frames: Vec<_> = numbered(rig.encode_tick(i)).collect();
+                    if descending {
+                        frames.reverse();
+                    }
+                    offer_round(&server, frames)
+                })
+                .map(|r| result_key(&r))
+                .collect();
+            assert_queues_drained(&server);
+            assert_eq!(
+                sequential_keys, keys,
+                "round pipeline diverged from sequential at {workers} workers \
+                 (offered descending: {descending})"
+            );
+            assert_eq!(sequential_stats, server.global_map_stats());
+            let merges: Vec<(f64, u16)> = server
+                .merge_log()
+                .iter()
+                .map(|(t, c, _)| (*t, *c))
+                .collect();
+            assert_eq!(sequential_merges, merges);
+        }
     }
 }
 
@@ -243,27 +270,27 @@ fn tracking_reads_run_concurrently_with_a_merge_write() {
     server.try_register_client(2).unwrap();
 
     let mut enc_a = (VideoEncoder::default(), VideoEncoder::default());
-    let encoded_a: Vec<(Vec<u8>, Vec<u8>)> = (0..FRAMES)
+    let encoded_a: Vec<QueuedFrame> = (0..FRAMES)
         .map(|i| {
             let (l, r) = ds_a.render_stereo_frame(i);
-            (
+            let payload = (
                 enc_a.0.encode(&l).data.to_vec(),
                 enc_a.1.encode(&r).data.to_vec(),
+            );
+            stereo_frame(
+                i,
+                ds_a.frame_time(i),
+                payload,
+                (i == 0).then(|| ds_a.gt_pose_cw(0)),
             )
         })
         .collect();
+    let mut encoded_a = encoded_a.into_iter();
 
     // Client 1 builds a local map, then is merged into the (empty)
     // global map so its remaining frames track under read locks.
-    for (i, payload) in encoded_a.iter().enumerate().take(10) {
-        process_one(
-            &server,
-            1,
-            i,
-            ds_a.frame_time(i),
-            payload,
-            (i == 0).then(|| ds_a.gt_pose_cw(0)),
-        );
+    for frame in encoded_a.by_ref().take(10) {
+        process_one(&server, 1, frame);
     }
     server
         .merge_client_now(1, ds_a.frame_time(9))
@@ -279,13 +306,11 @@ fn tracking_reads_run_concurrently_with_a_merge_write() {
             enc_b.0.encode(&l).data.to_vec(),
             enc_b.1.encode(&r).data.to_vec(),
         );
+        let hint = Some(ds_b.gt_pose_cw(0)).filter(|_| i == 0);
         process_one(
             &server,
             2,
-            i,
-            ds_b.frame_time(i),
-            &payload,
-            Some(ds_b.gt_pose_cw(0)).filter(|_| i == 0),
+            stereo_frame(i, ds_b.frame_time(i), payload, hint),
         );
     }
 
@@ -295,12 +320,7 @@ fn tracking_reads_run_concurrently_with_a_merge_write() {
     let tracked = std::thread::scope(|scope| {
         let reader = scope.spawn(move || {
             encoded_a
-                .iter()
-                .enumerate()
-                .skip(10)
-                .map(|(i, payload)| {
-                    process_one(server, 1, i, ds_a.frame_time(i), payload, None).tracked
-                })
+                .map(|frame| process_one(server, 1, frame).tracked)
                 .collect::<Vec<bool>>()
         });
         let merge = server.merge_client_now(2, ds_b.frame_time(9));
@@ -432,21 +452,7 @@ fn async_merge_lands_mid_round_without_changing_committed_results() {
         server
     };
     let round = |server: &EdgeServer, rig: &mut MultiClientRig, i: usize| {
-        let payloads = rig.encode_tick(i);
-        let batch: Vec<ClientFrame> = payloads
-            .iter()
-            .enumerate()
-            .map(|(c, (l, r))| ClientFrame {
-                client: c as u16 + 1,
-                frame_idx: i,
-                timestamp: rig.datasets[c].frame_time(i),
-                left: l,
-                right: Some(r),
-                imu: &[],
-                pose_hint: (c == 0 && i == 0).then(|| rig.datasets[0].gt_pose_cw(0)),
-            })
-            .collect();
-        server.try_process_round(&batch).unwrap()
+        offer_round(server, numbered(rig.encode_tick(i)))
     };
 
     // Reference: no merge ever happens. Client 1 stays on its private

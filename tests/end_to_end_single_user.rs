@@ -2,7 +2,8 @@
 //! (decode, GPU tracking, mapping, shared-memory map) → pose replies →
 //! client display chain. Crosses every crate in the workspace.
 
-use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig};
+use slam_share::core::qos::QueuedFrame;
+use slam_share::core::server::{EdgeServer, ServerConfig};
 use slam_share::core::ClientDevice;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::{eval, vocabulary};
@@ -35,18 +36,17 @@ fn camera_to_display_pipeline() {
         assert_eq!(upload.messages.len(), 2);
 
         // Server side: decode + track + map (+ merge when ready).
-        let res = server
-            .try_process_round(&[ClientFrame {
-                client: 7,
-                frame_idx: i,
-                timestamp: t,
-                left: &upload.messages[0].payload,
-                right: Some(&upload.messages[1].payload),
-                imu: &imu,
-                pose_hint: (i == 0).then(|| ds.gt_pose_cw(0)),
-            }])
-            .expect("registered client")
-            .remove(0);
+        let frame = QueuedFrame {
+            frame_idx: i,
+            timestamp: t,
+            left: upload.messages[0].payload.to_vec(),
+            right: Some(upload.messages[1].payload.to_vec()),
+            imu,
+            pose_hint: (i == 0).then(|| ds.gt_pose_cw(0)),
+            ..QueuedFrame::default()
+        };
+        server.offer_frame(7, frame).expect("registered client");
+        let (_, res) = server.process_queued_round().remove(0);
         // Pose reply reaches the device one frame later (ideal link).
         if let Some(pose) = res.pose {
             device.on_server_pose(t, i, pose);

@@ -5,7 +5,8 @@
 
 use slam_share::core::client::ClientDevice;
 use slam_share::core::ingest::ClientIngestSnapshot;
-use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig, ServerFrameResult};
+use slam_share::core::qos::QueuedFrame;
+use slam_share::core::server::{EdgeServer, ServerConfig, ServerFrameResult};
 use slam_share::net::codec::{payload_is_iframe, VideoEncoder};
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::vocabulary;
@@ -64,18 +65,27 @@ impl Rig {
         (el.encode(&l).data.to_vec(), er.encode(&r).data.to_vec())
     }
 
-    fn frame<'a>(&self, c: usize, i: usize, l: &'a [u8], r: &'a [u8]) -> ClientFrame<'a> {
-        ClientFrame {
-            client: c as u16 + 1,
+    /// Offer frame `i` of dataset `c` under that client's id.
+    fn offer(&self, server: &EdgeServer, c: usize, i: usize, (l, r): (Vec<u8>, Vec<u8>)) {
+        let frame = QueuedFrame {
             frame_idx: i,
             timestamp: self.datasets[c].frame_time(i),
             left: l,
             right: Some(r),
-            imu: &[],
             pose_hint: (c == 0 && i == 0).then(|| self.datasets[0].gt_pose_cw(0)),
-        }
+            ..QueuedFrame::default()
+        };
+        server.offer_frame(IDS[c], frame).unwrap();
     }
 }
+
+/// The client that streams garbage (dataset 0, anchored at ground truth).
+const FAULTY: u16 = 2;
+/// The client that stays clean (dataset 1).
+const HONEST: u16 = 1;
+/// Client id by dataset index. A round commits in client-id order, so the
+/// honest client commits first in every round.
+const IDS: [u16; 2] = [FAULTY, HONEST];
 
 const CLEAN: usize = 8;
 /// `(left, right)` garbage payloads, chosen so the ingest path sees every
@@ -119,33 +129,34 @@ fn garbage_client_is_isolated_and_recovers() {
 fn garbage_run(workers: usize) -> FaultyRun {
     let frames = CLEAN + GARBAGE.len() + 3;
 
-    // After the recovery round, client 1 legitimately resumes mutating
-    // the shared map, so client 2's results rightly diverge from a
-    // "client 1 silent forever" baseline; the bit-identical window is
-    // everything through the recovery round (client 2 commits first in
-    // every batch, so its recovery-round result predates client 1's
-    // re-entry into the map).
+    // After the recovery round, the faulty client legitimately resumes
+    // mutating the shared map, so the honest client's results rightly
+    // diverge from a "faulty client silent forever" baseline; the
+    // bit-identical window is everything through the recovery round (the
+    // honest client has the lower id and commits first in every round,
+    // so its recovery-round result predates the faulty client's re-entry
+    // into the map).
     let compare_rounds = CLEAN + GARBAGE.len() + 1;
 
-    // Reference run: client 2 alone after the clean prefix — exactly
-    // what client 2's world looks like if client 1 contributes nothing.
+    // Reference run: the honest client alone after the clean prefix —
+    // exactly what its world looks like if the faulty client contributes
+    // nothing.
     let mut rig_a = Rig::new(frames);
     let mut server_a = rig_a.server();
     server_a.set_round_workers(workers);
     let mut clean_keys = Vec::new();
     for i in 0..compare_rounds {
-        let mut batch = Vec::new();
         let c2 = rig_a.encode(1, i);
-        let c1 = (i < CLEAN).then(|| rig_a.encode(0, i));
-        batch.push(rig_a.frame(1, i, &c2.0, &c2.1));
-        if let Some((l, r)) = &c1 {
-            batch.push(rig_a.frame(0, i, l, r));
+        rig_a.offer(&server_a, 1, i, c2);
+        if i < CLEAN {
+            let c1 = rig_a.encode(0, i);
+            rig_a.offer(&server_a, 0, i, c1);
         }
-        clean_keys.push(result_key(&server_a.try_process_round(&batch).unwrap()[0]));
+        clean_keys.push(result_key(&server_a.process_queued_round()[0].1));
     }
 
-    // Faulty run: same world, but client 1 streams garbage after the
-    // clean prefix, then resyncs with a forced I-frame.
+    // Faulty run: same world, but the faulty client streams garbage after
+    // the clean prefix, then resyncs with a forced I-frame.
     let mut rig_b = Rig::new(frames);
     let mut server_b = rig_b.server();
     server_b.set_round_workers(workers);
@@ -167,15 +178,17 @@ fn garbage_run(workers: usize) -> FaultyRun {
         };
         if i == CLEAN {
             assert!(
-                server_b.is_merged(1),
-                "client 1 must be on the shared map before the fault window"
+                server_b.is_merged(FAULTY),
+                "the faulty client must be on the shared map before the fault window"
             );
         }
-        let batch = vec![
-            rig_b.frame(1, i, &c2.0, &c2.1),
-            rig_b.frame(0, i, &c1.0, &c1.1),
-        ];
-        let results = server_b.try_process_round(&batch).unwrap();
+        rig_b.offer(&server_b, 1, i, c2);
+        rig_b.offer(&server_b, 0, i, c1);
+        let results: Vec<ServerFrameResult> = server_b
+            .process_queued_round()
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect();
         faulty_keys.push(result_key(&results[0]));
         client1_results.push(result_key(&results[1]));
 
@@ -196,23 +209,23 @@ fn garbage_run(workers: usize) -> FaultyRun {
     }
 
     // Isolation: through the whole fault window (and the recovery
-    // round), client 2 is bit-identical to the run where client 1
-    // simply went silent.
+    // round), the honest client is bit-identical to the run where the
+    // faulty client simply went silent.
     assert_eq!(
         clean_keys,
         faulty_keys[..compare_rounds],
-        "client 1's garbage perturbed client 2's results"
+        "the faulty client's garbage perturbed the honest client's results"
     );
 
     // Recovery is visible in the metrics.
     let metrics = server_b.metrics();
-    let c1 = metrics.per_client[&1];
+    let c1 = metrics.per_client[&FAULTY];
     assert_eq!(c1.decode_errors, EXPECTED_DECODE_ERRORS);
     assert_eq!(c1.dropped_frames, GARBAGE.len() as u64);
     assert_eq!(c1.resyncs, 1);
     assert_eq!(c1.relocalizations, 1);
-    // Client 2 saw no faults at all: only clean decodes.
-    let c2 = metrics.per_client[&2];
+    // The honest client saw no faults at all: only clean decodes.
+    let c2 = metrics.per_client[&HONEST];
     assert!(c2.frames_decoded > 0);
     assert_eq!(
         c2,
@@ -288,15 +301,15 @@ fn metrics_snapshot_is_a_consistent_cut_under_concurrent_faults() {
             let mut idx = 0usize;
             while !stop.load(Ordering::Relaxed) {
                 for (l, r) in GARBAGE {
-                    let _ = server.try_process_round(&[ClientFrame {
-                        client: 1,
+                    let frame = QueuedFrame {
                         frame_idx: idx,
                         timestamp: idx as f64 / 30.0,
-                        left: l,
-                        right: Some(r),
-                        imu: &[],
-                        pose_hint: None,
-                    }]);
+                        left: l.to_vec(),
+                        right: Some(r.to_vec()),
+                        ..QueuedFrame::default()
+                    };
+                    let _ = server.offer_frame(1, frame);
+                    server.process_queued_round();
                     idx += 1;
                 }
                 std::thread::sleep(std::time::Duration::from_micros(100));

@@ -12,7 +12,8 @@
 //! overlapping region sets.
 
 use slam_share::core::gmap::REGION_CELL_M;
-use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig, ServerFrameResult};
+use slam_share::core::qos::QueuedFrame;
+use slam_share::core::server::{EdgeServer, ServerConfig, ServerFrameResult};
 use slam_share::math::{Vec3, SE3};
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -163,19 +164,16 @@ fn process_one(
     (left, right): &(Vec<u8>, Vec<u8>),
     pose_hint: Option<SE3>,
 ) -> ServerFrameResult {
-    let frame = ClientFrame {
-        client: 1,
+    let frame = QueuedFrame {
         frame_idx,
         timestamp,
-        left,
-        right: Some(right),
-        imu: &[],
+        left: left.clone(),
+        right: Some(right.clone()),
         pose_hint,
+        ..QueuedFrame::default()
     };
-    server
-        .try_process_round(&[frame])
-        .expect("registered client")
-        .remove(0)
+    server.offer_frame(1, frame).expect("registered client");
+    server.process_queued_round().remove(0).1
 }
 
 fn dataset() -> Dataset {

@@ -12,7 +12,8 @@
 
 use parking_lot::Mutex;
 use slam_share::core::load::{self, LoadConfig};
-use slam_share::core::server::{ClientFrame, EdgeServer, ServerConfig};
+use slam_share::core::qos::QueuedFrame;
+use slam_share::core::server::{EdgeServer, ServerConfig};
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::vocabulary;
@@ -56,43 +57,34 @@ impl Session {
     }
 
     /// Run the rounds of frame indices `frames`; returns total wall time
-    /// spent inside `try_process_round`, ms, and the number of frames
+    /// spent inside `process_queued_round`, ms, and the number of frames
     /// served in the shared phase (tracked directly against the global
     /// map).
     fn run(&mut self, frames: Range<usize>) -> (f64, u64) {
         let mut wall_ms = 0.0;
         let mut shared_frames = 0;
         for i in frames {
-            let payloads: Vec<(Vec<u8>, Vec<u8>)> = self
-                .datasets
-                .iter()
-                .zip(self.encoders.iter_mut())
-                .map(|(ds, (el, er))| {
-                    let (l, r) = ds.render_stereo_frame(i);
-                    (el.encode(&l).data.to_vec(), er.encode(&r).data.to_vec())
-                })
-                .collect();
-            let batch: Vec<ClientFrame> = payloads
-                .iter()
-                .enumerate()
-                .map(|(c, (l, r))| ClientFrame {
-                    client: c as u16 + 1,
+            let clients = self.datasets.iter().zip(self.encoders.iter_mut());
+            for (c, (ds, (el, er))) in clients.enumerate() {
+                let (l, r) = ds.render_stereo_frame(i);
+                let frame = QueuedFrame {
                     frame_idx: i,
-                    timestamp: self.datasets[c].frame_time(i),
-                    left: l,
-                    right: Some(r),
-                    imu: &[],
-                    pose_hint: (c == 0 && i == 0).then(|| self.datasets[0].gt_pose_cw(0)),
-                })
-                .collect();
+                    timestamp: ds.frame_time(i),
+                    left: el.encode(&l).data.to_vec(),
+                    right: Some(er.encode(&r).data.to_vec()),
+                    pose_hint: (c == 0 && i == 0).then(|| ds.gt_pose_cw(0)),
+                    ..QueuedFrame::default()
+                };
+                self.server.offer_frame(c as u16 + 1, frame).unwrap();
+            }
             let t0 = Instant::now();
-            let results = self.server.try_process_round(&batch).unwrap();
+            let results = self.server.process_queued_round();
             wall_ms += t0.elapsed().as_secs_f64() * 1e3;
             // The frame that triggers a client's merge still ran in the
             // local phase.
             shared_frames += results
                 .iter()
-                .filter(|r| r.merged && r.merge.is_none())
+                .filter(|(_, r)| r.merged && r.merge.is_none())
                 .count() as u64;
         }
         (wall_ms, shared_frames)
