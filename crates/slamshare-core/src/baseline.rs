@@ -32,13 +32,14 @@ use slamshare_slam::system::{FrameInput, SlamConfig, SlamSystem};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Hold-down time before the upload is sent (Table 4 row 1: 5000 ms).
+const HOLD_DOWN: SimTime = SimTime(5_000_000);
+
 /// Baseline exchange parameters (paper values).
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
     /// Frames between map uploads ("every 150 frames").
     pub upload_every_frames: usize,
-    /// Hold-down time before the upload is sent (Table 4 row 1: 5000 ms).
-    pub hold_down: SimTime,
     /// Keyframes in the returned global-map slice (~6 in the paper).
     pub slice_keyframes: usize,
 }
@@ -47,7 +48,6 @@ impl Default for BaselineConfig {
     fn default() -> Self {
         BaselineConfig {
             upload_every_frames: 150,
-            hold_down: SimTime::from_millis(5000.0),
             slice_keyframes: 6,
         }
     }
@@ -287,10 +287,10 @@ pub fn baseline_exchange_round(
     timestamp: f64,
 ) -> (BaselineRoundLatency, SimTime) {
     let mut lat = BaselineRoundLatency {
-        hold_down_ms: client.config.hold_down.as_millis(),
+        hold_down_ms: HOLD_DOWN.as_millis(),
         ..Default::default()
     };
-    let mut t = now + client.config.hold_down;
+    let mut t = now + HOLD_DOWN;
 
     let (upload, serialize_ms) = client.serialize_map(timestamp);
     lat.serialize_ms = serialize_ms;

@@ -82,11 +82,6 @@ impl OwnershipMap {
         }
     }
 
-    /// An explicit assignment (one entry per region).
-    pub fn with_assignment(owner: Vec<ServerId>) -> OwnershipMap {
-        OwnershipMap { owner }
-    }
-
     pub fn n_regions(&self) -> usize {
         self.owner.len()
     }

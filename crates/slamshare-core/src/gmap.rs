@@ -42,7 +42,8 @@
 //! * Shard locks are acquired in ascending index order (enforced by
 //!   [`ShardedStore`] itself).
 //! * The directory mutex is only ever taken **after** shard locks
-//!   (validation, scatter) or alone (resolve) — never before them.
+//!   (validation, residency check, scatter) or alone (resolve) — never
+//!   before them.
 //! * Unions only happen during scatter, i.e. under the write locks of
 //!   every region involved, and a dirty write bumps every locked
 //!   region's epoch. Hence components grow monotonically and any growth
@@ -62,11 +63,18 @@
 //! directory stub, and the emptied shard's bytes are released back to
 //! the segment arena. Directory entries and unions are never removed by
 //! eviction, so seed resolution is oblivious to residency; the track and
-//! component-write paths call [`ShardedGlobalMap::ensure_resident`] on
-//! their resolved region set before locking, which transparently decodes
-//! stubs back into their shards (reload-on-demand). Eviction is
-//! all-or-nothing per covisibility component, keeping every observation
-//! edge on one side of the residency boundary.
+//! write paths call [`ShardedGlobalMap::ensure_resident`] on their
+//! resolved region set before locking, which transparently decodes stubs
+//! back into their shards (reload-on-demand). An eviction can still land
+//! between that reload and the lock acquisition, so each path checks
+//! again, under its shard locks, that no locked region is evicted; if one
+//! is, it releases the locks and reloads. Eviction and reload both hold a
+//! region's write lock, so the check is exact for as long as the caller
+//! holds its locks, and the closure runs once, on resident content. The
+//! retry ends because every stub in the directory decodes (one this map
+//! encoded, or one [`ShardedGlobalMap::install_evicted`] checked).
+//! Eviction is all-or-nothing per covisibility component, keeping every
+//! observation edge on one side of the residency boundary.
 
 use parking_lot::Mutex;
 use slamshare_math::Vec3;
@@ -160,6 +168,8 @@ pub struct LockSeeds {
 }
 
 impl LockSeeds {
+    /// Every region (a track with no reference keyframe, a merge job's
+    /// pessimistic last attempt).
     pub fn all() -> LockSeeds {
         LockSeeds {
             all: true,
@@ -318,7 +328,8 @@ impl ShardedGlobalMap {
     /// regions when there is no reference keyframe, since reference
     /// selection then scans the whole map). `f` receives a [`MapView`]
     /// over the locked shards plus the staleness stamp — the
-    /// `(region, epoch)` pairs the track read under.
+    /// `(region, epoch)` pairs the track read under. `f` runs exactly
+    /// once, on resident content.
     pub fn with_track_read<R>(
         &self,
         seed: Option<KeyFrameId>,
@@ -331,18 +342,40 @@ impl ShardedGlobalMap {
             },
             None => LockSeeds::all(),
         };
-        let regions = self.resolve(&seeds);
-        // Reload-on-demand: a track whose component includes an evicted
-        // region pulls the content back before taking read locks.
-        self.ensure_resident(&regions);
-        self.store.with_read(&regions, |order, shards| {
-            // Epochs only move under a shard's write lock, so these reads
-            // are stable for as long as the read locks are held.
-            let stamp: Vec<(usize, u64)> =
-                order.iter().map(|&i| (i, self.store.epoch(i))).collect();
-            let view = MapView::new(shards.iter().map(|s| &s.map).collect());
-            f(&view, &stamp)
-        })
+        let mut f = Some(f);
+        loop {
+            let regions = self.resolve(&seeds);
+            // Reload-on-demand: a track whose component includes an
+            // evicted region pulls the content back before taking read
+            // locks, and again if an eviction lands before they are held.
+            self.ensure_resident(&regions);
+            let out = self.store.with_read(&regions, |order, shards| {
+                if self.any_evicted(order) {
+                    return None;
+                }
+                let f = f.take()?;
+                // Epochs only move under a shard's write lock, so these
+                // reads are stable for as long as the read locks are held.
+                let stamp: Vec<(usize, u64)> =
+                    order.iter().map(|&i| (i, self.store.epoch(i))).collect();
+                let view = MapView::new(shards.iter().map(|s| &s.map).collect());
+                Some(f(&view, &stamp))
+            });
+            if let Some(r) = out {
+                return r;
+            }
+        }
+    }
+
+    /// Whether any of `locked` is evicted — the residency check (module
+    /// docs), run with those regions' shard locks held; the directory
+    /// lock comes after them, the allowed order.
+    fn any_evicted(&self, locked: &[usize]) -> bool {
+        let dir = self.dir.lock();
+        !dir.evicted.is_empty()
+            && locked
+                .iter()
+                .any(|&r| dir.evicted.contains_key(&(r as u32)))
     }
 
     /// All-region read access as one stitched [`MapView`] (relocalization,
@@ -663,9 +696,12 @@ impl ShardedGlobalMap {
 
     /// Install a stub for `region` (federation ownership transfer,
     /// destination side). Refuses (returns false) when the region already
-    /// has a stub or resident content — the caller must merge instead.
+    /// has a stub or resident content — the caller must merge instead —
+    /// and when the payload does not decode: every stub in the directory
+    /// must reload, or a track or commit on its region would wait for
+    /// residency forever.
     pub fn install_evicted(&self, region: usize, stub: EvictedRegion) -> bool {
-        if region >= self.store.n_shards() {
+        if region >= self.store.n_shards() || decode_region_snapshot(&stub.payload).is_err() {
             return false;
         }
         let resident = self
@@ -692,11 +728,12 @@ impl ShardedGlobalMap {
     /// and bumps every locked region's epoch. Returns the result plus the
     /// locked region set (the write-lock receipt).
     ///
-    /// The closure runs **at most once**: a validation failure (a
+    /// The closure runs **at most once**, on resident content: a
+    /// validation failure releases the locks and retries. Either a
     /// concurrent write merged one of our components into a region
-    /// outside the locked set) releases the locks and retries with the
-    /// grown component, escalating to all regions after
-    /// [`MAX_COMPONENT_RETRIES`].
+    /// outside the locked set — the retry takes the grown component,
+    /// escalating to all regions after [`MAX_COMPONENT_RETRIES`] — or an
+    /// eviction emptied a locked shard, and the retry reloads it.
     pub fn with_component_write<R>(
         &self,
         seeds: &LockSeeds,
@@ -716,22 +753,22 @@ impl ShardedGlobalMap {
             // (the "reload" arm of reload-or-queue — the write then
             // applies against resident content).
             self.ensure_resident(&regions);
+            let mut grown = false;
             let out =
                 self.store
                     .with_write(&self.segment, &regions, shard_bytes, |order, shards| {
-                        if !full {
-                            // Validate under the directory lock, while holding
-                            // the shard locks: components may have merged
-                            // between resolve and acquisition.
-                            let ok = {
-                                let dir = self.dir.lock();
-                                self.resolve_in(&dir, seeds)
-                                    .iter()
-                                    .all(|r| order.binary_search(r).is_ok())
-                            };
-                            if !ok {
-                                return (None, false);
-                            }
+                        // Validate under the directory lock, while holding
+                        // the shard locks: components may have merged
+                        // between resolve and acquisition.
+                        grown = !full && {
+                            let dir = self.dir.lock();
+                            !self
+                                .resolve_in(&dir, seeds)
+                                .iter()
+                                .all(|r| order.binary_search(r).is_ok())
+                        };
+                        if grown || self.any_evicted(order) {
+                            return (None, false);
                         }
                         let (r, dirty) = self.run_write(order, shards, |m, cw| f(m, cw));
                         (Some(r), dirty)
@@ -739,26 +776,10 @@ impl ShardedGlobalMap {
             if let Some(r) = out {
                 return (r, regions);
             }
-            attempt += 1;
+            if grown {
+                attempt += 1;
+            }
         }
-    }
-
-    /// Write under every region's lock (a merge job's pessimistic last
-    /// attempt). Same gather/scatter protocol.
-    pub fn with_write_all<R>(
-        &self,
-        f: impl FnOnce(&mut Map, &ComponentWrite) -> (R, bool),
-    ) -> (R, Vec<usize>) {
-        let all: Vec<usize> = (0..self.store.n_shards()).collect();
-        // An all-region write means "the whole map": reload anything
-        // evicted first (free when nothing is — one lock, early return).
-        self.ensure_resident(&all);
-        let r = self
-            .store
-            .with_write_all(&self.segment, shard_bytes, |order, shards| {
-                self.run_write(order, shards, f)
-            });
-        (r, all)
     }
 
     /// Gather → run → scatter, with the shard locks already held.
@@ -1136,6 +1157,16 @@ mod tests {
         // Same-shape destination server (the federation precondition: the
         // assigner is a pure function of config, so regions line up).
         let dest = gmap(16);
+        // A stub that cannot reload is refused: a track on its region
+        // would otherwise wait for residency forever.
+        let garbage = EvictedRegion {
+            payload: vec![0xFF; 16],
+            ..stub.clone()
+        };
+        assert!(
+            !dest.install_evicted(locked[0], garbage),
+            "undecodable stub"
+        );
         assert!(dest.install_evicted(locked[0], stub.clone()));
         assert!(!dest.install_evicted(locked[0], stub), "double install");
         assert_eq!(dest.residency(locked[0]), RegionResidency::Evicted);

@@ -4,9 +4,12 @@
 //! A day-long multi-user session grows the global map without bound,
 //! but the shm arena is finite (the paper pre-allocates 2 GB). This
 //! module keeps a long-running session's footprint bounded with three
-//! mechanisms, all off the tracking critical path (the merge worker
-//! calls [`LifecycleManager::tick`] between jobs) and all applied under
-//! only the affected `core::gmap` region locks:
+//! mechanisms, all applied under only the affected `core::gmap` region
+//! locks. It is a library, not a server thread: whoever owns the frame
+//! clock — the [`soak`] harness, the lifecycle bench, a session driver —
+//! builds a [`LifecycleManager`] on a map (an `EdgeServer`'s `store`, or
+//! a bare [`ShardedGlobalMap`]) and calls [`LifecycleManager::tick`] off
+//! the tracking critical path:
 //!
 //! * **Map-point pruning** — low-observation stale points, orphaned
 //!   points, and fused-away tombstones are removed per covisibility
@@ -22,7 +25,8 @@
 //! * **Reload-on-demand** — lives in `core::gmap`: any track,
 //!   relocalization, commit, merge, or federation delta whose resolved
 //!   regions include an [`crate::gmap::EvictedRegion`] stub reloads it
-//!   transparently before taking locks.
+//!   transparently before taking locks, and reloads again if an eviction
+//!   lands before its locks are held.
 //!
 //! The [`soak`] harness at the bottom drives a compressed day-long
 //! virtual-time session (churning clients migrating across work areas,
@@ -70,8 +74,8 @@ impl Default for LifecycleConfig {
 }
 
 impl LifecycleConfig {
-    /// Maintenance fully disabled (the server default: lifecycle is
-    /// opt-in per `ServerConfig`).
+    /// Maintenance fully disabled: a tick only refreshes the activity
+    /// watch.
     pub fn disabled() -> LifecycleConfig {
         LifecycleConfig {
             prune_every_frames: 0,
@@ -142,8 +146,9 @@ struct Watch {
 }
 
 /// The maintenance driver for one [`ShardedGlobalMap`]. Owns no thread:
-/// the merge worker (async servers) or the round loop (sync servers)
-/// calls [`LifecycleManager::tick`] with the current virtual frame.
+/// whoever owns the frame clock calls [`LifecycleManager::tick`] with the
+/// current virtual frame, from any thread — ticks race live tracks,
+/// commits and merges safely.
 pub struct LifecycleManager {
     gmap: Arc<ShardedGlobalMap>,
     cfg: LifecycleConfig,

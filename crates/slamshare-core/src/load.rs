@@ -176,8 +176,7 @@ const ADMISSION_RETRY_S: f64 = 0.5;
 /// What varies between load runs; fully serializable so a bench result
 /// can embed the exact configuration that produced it. Everything no run
 /// varies is a constant of this module, and each client's staged-frame
-/// queue has the server's default capacity
-/// ([`ServerConfig::ingress_queue_cap`]).
+/// queue has the server's capacity ([`crate::qos::INGRESS_QUEUE_CAP`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadConfig {
     /// Clients that will *attempt* to join (ids `1..=n_clients`).

@@ -31,8 +31,7 @@
 //! never block on merge detection; only commits into the merge's own
 //! destination regions wait for the apply section) or right there on the
 //! submitting caller (no thread is spawned; the completion is ready when
-//! `submit` returns, so the delta of step 4 is empty). Lifecycle
-//! maintenance passes take the same placement.
+//! `submit` returns, so the delta of step 4 is empty).
 
 use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use crate::metrics::{MergeWorkerStats, MetricsCut};
@@ -57,15 +56,6 @@ pub struct MergeJob {
     pub client: u16,
     pub timestamp: f64,
     pub cmap: Map,
-}
-
-/// One unit of the worker's work. Lifecycle maintenance rides the same
-/// queue as merges so pruning and eviction run serialized with merge
-/// applies (and, on the thread placement, off the commit critical path).
-enum WorkItem {
-    Merge(MergeJob),
-    /// Run one maintenance pass at this virtual frame.
-    Maintain(u64),
 }
 
 /// What a finished job hands back to the client's commit path.
@@ -109,9 +99,6 @@ pub(crate) struct MergeContext {
     /// The server's metrics consistent-cut gate: a job's stat updates
     /// count as a write section, like any round's.
     pub cut: Arc<MetricsCut>,
-    /// Map maintenance (prune/evict) driver; `None` when the server has
-    /// lifecycle disabled.
-    pub lifecycle: Option<Arc<crate::lifecycle::LifecycleManager>>,
 }
 
 /// What both placements share: the context, the desk and the counters.
@@ -122,31 +109,23 @@ struct Shared {
 }
 
 impl Shared {
-    /// Run one work item to completion on the calling thread.
-    fn run(&self, item: WorkItem, arena: &mut MappingArena) {
-        match item {
-            WorkItem::Merge(job) => {
-                let client = job.client;
-                let completion = self
-                    .ctx
-                    .cut
-                    .write(|| run_job(&self.ctx, &self.stats, arena, job));
-                let mut desk = self.desk.lock();
-                desk.done.insert(client, completion);
-                desk.in_flight.remove(&client);
-            }
-            WorkItem::Maintain(now_frame) => {
-                if let Some(lc) = &self.ctx.lifecycle {
-                    let _ = self.ctx.cut.write(|| lc.tick(now_frame));
-                }
-            }
-        }
+    /// Run one job to completion on the calling thread and leave its
+    /// completion on the desk.
+    fn run(&self, job: MergeJob, arena: &mut MappingArena) {
+        let client = job.client;
+        let completion = self
+            .ctx
+            .cut
+            .write(|| run_job(&self.ctx, &self.stats, arena, job));
+        let mut desk = self.desk.lock();
+        desk.done.insert(client, completion);
+        desk.in_flight.remove(&client);
     }
 }
 
 /// The thread placement: the queue into the merge thread and its handle.
 struct WorkerThread {
-    tx: mpsc::Sender<WorkItem>,
+    tx: mpsc::Sender<MergeJob>,
     handle: std::thread::JoinHandle<()>,
 }
 
@@ -154,8 +133,8 @@ struct WorkerThread {
 /// joins the thread, when there is one.
 pub struct MergeWorker {
     shared: Arc<Shared>,
-    /// `None` on the caller placement: a submitted item runs on the
-    /// thread that submits it.
+    /// `None` on the caller placement: a submitted job runs on the thread
+    /// that submits it.
     thread: Option<WorkerThread>,
 }
 
@@ -175,22 +154,12 @@ impl MergeWorker {
         MergeWorker { shared, thread }
     }
 
-    /// The one place a work item's placement is decided: down the channel
-    /// when `thread` is given, else right here. `false` when the thread is
-    /// gone (it panicked in a job) and nothing ran.
-    fn place(&self, item: WorkItem, thread: Option<&WorkerThread>) -> bool {
-        match thread {
-            Some(t) => t.tx.send(item).is_ok(),
-            None => {
-                // Merges come once per client: the caller placement has no
-                // scratch worth keeping between them.
-                self.shared.run(item, &mut MappingArena::default());
-                true
-            }
-        }
-    }
-
-    fn place_job(&self, job: MergeJob, thread: Option<&WorkerThread>) -> bool {
+    /// Book `job` on the desk unless its client already has one in flight
+    /// or awaiting collection, then run it where `thread` says — the one
+    /// place a job's placement is decided: down the channel when `thread`
+    /// is given, else right here. `false` when the job was a duplicate or
+    /// the thread is gone (it panicked in a job) and nothing ran.
+    fn place(&self, job: MergeJob, thread: Option<&WorkerThread>) -> bool {
         let client = job.client;
         {
             let mut desk = self.shared.desk.lock();
@@ -199,7 +168,15 @@ impl MergeWorker {
             }
             desk.in_flight.insert(client);
         }
-        let placed = self.place(WorkItem::Merge(job), thread);
+        let placed = match thread {
+            Some(t) => t.tx.send(job).is_ok(),
+            None => {
+                // Merges come once per client: the caller placement has no
+                // scratch worth keeping between them.
+                self.shared.run(job, &mut MappingArena::default());
+                true
+            }
+        };
         if placed {
             self.shared.stats.record_submitted();
         } else {
@@ -214,20 +191,13 @@ impl MergeWorker {
     /// whether the job was accepted; on the caller placement its
     /// completion is ready on return.
     pub fn submit(&self, job: MergeJob) -> bool {
-        self.place_job(job, self.thread.as_ref())
+        self.place(job, self.thread.as_ref())
     }
 
     /// [`MergeWorker::submit`], but on the calling thread whatever the
     /// configured placement.
     pub(crate) fn run_now(&self, job: MergeJob) -> bool {
-        self.place_job(job, None)
-    }
-
-    /// One lifecycle maintenance pass at virtual frame `now_frame`, after
-    /// any merges already queued; a no-op when the worker was built
-    /// without a lifecycle manager.
-    pub fn submit_maintenance(&self, now_frame: u64) -> bool {
-        self.place(WorkItem::Maintain(now_frame), self.thread.as_ref())
+        self.place(job, None)
     }
 
     /// Collect a finished merge for `client`, if any.
@@ -249,15 +219,15 @@ impl MergeWorker {
 }
 
 fn spawn_thread(shared: Arc<Shared>) -> Option<WorkerThread> {
-    let (tx, rx) = mpsc::channel::<WorkItem>();
+    let (tx, rx) = mpsc::channel::<MergeJob>();
     let handle = std::thread::Builder::new()
         .name("slam-share-merge".into())
         .spawn(move || {
             // One arena for the thread's lifetime: seam-BA and weld
             // scratch reaches steady state after the first job.
             let mut arena = MappingArena::default();
-            while let Ok(item) = rx.recv() {
-                shared.run(item, &mut arena);
+            while let Ok(job) = rx.recv() {
+                shared.run(job, &mut arena);
             }
         })
         .ok()?;
@@ -394,13 +364,15 @@ fn land(
     // Pessimistic last attempt: plan and apply atomically under every
     // region's write lock. Commits wait this once, but the outcome cannot
     // be lost to a race.
-    let (applied, _) = ctx.store.with_write_all(|gmap, _| {
-        let plan = plan_against(gmap);
-        if !plan.viable() {
-            return (None, false);
-        }
-        (Some(apply(gmap, &plan)), true)
-    });
+    let (applied, _) = ctx
+        .store
+        .with_component_write(&LockSeeds::all(), |gmap, _| {
+            let plan = plan_against(gmap);
+            if !plan.viable() {
+                return (None, false);
+            }
+            (Some(apply(gmap, &plan)), true)
+        });
     if applied.is_some() {
         stats.record_fallback();
     }
@@ -423,7 +395,6 @@ mod tests {
             cam: PinholeCamera::euroc_like(),
             with_scale: false,
             cut: Arc::new(MetricsCut::default()),
-            lifecycle: None,
         }
     }
 
@@ -443,7 +414,7 @@ mod tests {
         let mut worker = MergeWorker::new(context(), false);
         // The thread placement with the far end of the channel closed by
         // hand and a thread that has already returned.
-        let (tx, rx) = mpsc::channel::<WorkItem>();
+        let (tx, rx) = mpsc::channel::<MergeJob>();
         drop(rx);
         let handle = std::thread::spawn(|| ());
         while !handle.is_finished() {
@@ -463,6 +434,5 @@ mod tests {
         let stats = worker.stats().snapshot();
         assert_eq!(stats.worker_lost, 2, "{stats:?}");
         assert_eq!(stats.submitted, 0, "{stats:?}");
-        assert!(!worker.submit_maintenance(0));
     }
 }

@@ -143,10 +143,6 @@ impl Admission {
         was_live
     }
 
-    pub fn is_live(&self, id: u16) -> bool {
-        self.live.contains(&id)
-    }
-
     pub fn live_count(&self) -> usize {
         self.live.len()
     }
@@ -233,6 +229,11 @@ impl QueueSnapshot {
         self.served + self.dropped_overflow + self.purged
     }
 }
+
+/// Capacity of each client's staged-frame queue on an
+/// [`crate::server::EdgeServer`]. Overflow sheds the oldest non-I-frame
+/// first ([`FrameQueue`]).
+pub const INGRESS_QUEUE_CAP: usize = 4;
 
 /// A bounded per-client staging queue with oldest-non-I-frame-first
 /// eviction.

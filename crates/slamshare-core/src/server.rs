@@ -55,6 +55,12 @@
 //! map, runs the unchanged mapping/merge code, and scatters back,
 //! results are bit-identical at any shard count.
 //!
+//! The server runs no map maintenance of its own. Pruning and cold-region
+//! eviction ([`crate::lifecycle`]) belong to whoever owns the frame clock:
+//! they tick a `LifecycleManager` on [`EdgeServer::store`], and every
+//! track, commit and merge here reloads an evicted region it touches
+//! before it runs.
+//!
 //! Staleness is detected through the regions' **epochs**: every actual
 //! map mutation (keyframe insertion, merge apply) bumps the epochs of
 //! the regions it locked, and every speculative track records the
@@ -78,7 +84,9 @@ use crate::metrics::{
     MapShardingSnapshot, MergeWorkerSnapshot, MetricsCut, RegionLockStat, RetiredSnapshot,
     ServerMetrics,
 };
-use crate::qos::{Admission, FrameQueue, QueueCounters, QueuedFrame, RegisterError};
+use crate::qos::{
+    Admission, FrameQueue, QueueCounters, QueuedFrame, RegisterError, INGRESS_QUEUE_CAP,
+};
 use parking_lot::Mutex;
 use slamshare_features::bow::{BowVector, Vocabulary};
 use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu};
@@ -124,14 +132,6 @@ pub struct ServerConfig {
     /// refused with [`RegisterError::AtCapacity`]. `None` (the default)
     /// admits every registration.
     pub max_clients: Option<usize>,
-    /// Capacity of each client's staged-frame queue
-    /// ([`EdgeServer::offer_frame`]); overflow sheds the oldest
-    /// non-I-frame first (see [`crate::qos::FrameQueue`]).
-    pub ingress_queue_cap: usize,
-    /// Map lifecycle maintenance (pruning, cold-region eviction; see
-    /// [`crate::lifecycle`]). `None` — the default — runs no
-    /// maintenance: nothing is ever pruned or evicted from the map.
-    pub lifecycle: Option<crate::lifecycle::LifecycleConfig>,
 }
 
 impl ServerConfig {
@@ -142,20 +142,6 @@ impl ServerConfig {
             async_merge: false,
             map_shards: 8,
             max_clients: None,
-            ingress_queue_cap: 4,
-            lifecycle: None,
-        }
-    }
-
-    pub fn mono_default(rig: slamshare_sim::camera::StereoRig) -> ServerConfig {
-        ServerConfig {
-            slam: SlamConfig::mono(rig),
-            merge_after_keyframes: 3,
-            async_merge: false,
-            map_shards: 8,
-            max_clients: None,
-            ingress_queue_cap: 4,
-            lifecycle: None,
         }
     }
 }
@@ -286,7 +272,8 @@ enum StagedFrame {
 pub struct EdgeServer {
     pub config: ServerConfig,
     pub segment: Arc<Segment>,
-    /// The region-sharded global map (see [`crate::gmap`]).
+    /// The region-sharded global map (see [`crate::gmap`]); map
+    /// maintenance, when anyone runs it, ticks on this store.
     pub store: Arc<ShardedGlobalMap>,
     /// Place-recognition inverted index over the global map's keyframes.
     /// Sharded and internally locked — maintained *outside* the store
@@ -317,11 +304,9 @@ pub struct EdgeServer {
     /// [`EdgeServer::set_round_workers`] scoped threads. Results are
     /// identical at any count (see module docs).
     round_exec: GpuExecutor,
-    /// The merge process M ([`crate::merge_worker`]); it runs merges and
-    /// maintenance ticks where [`ServerConfig::async_merge`] places them.
+    /// The merge process M ([`crate::merge_worker`]); it runs merges where
+    /// [`ServerConfig::async_merge`] places them.
     merge_worker: MergeWorker,
-    /// Map lifecycle maintenance driver ([`ServerConfig::lifecycle`]).
-    lifecycle: Option<Arc<crate::lifecycle::LifecycleManager>>,
     /// Consistent-cut gate between metrics writers (frame processing,
     /// merges) and [`EdgeServer::metrics`] readers — see
     /// [`crate::metrics::MetricsCut`].
@@ -373,10 +358,6 @@ impl EdgeServer {
         let db = Arc::new(ShardedKeyframeDatabase::new());
         let cut = Arc::new(MetricsCut::default());
         let gpu = Arc::new(SharedGpu::new(GpuModel::v100()));
-        let lifecycle = config
-            .lifecycle
-            .clone()
-            .map(|lc| Arc::new(crate::lifecycle::LifecycleManager::new(store.clone(), lc)));
         let merge_worker = MergeWorker::new(
             MergeContext {
                 store: store.clone(),
@@ -385,7 +366,6 @@ impl EdgeServer {
                 cam: config.slam.tracker.rig.cam,
                 with_scale: config.slam.tracker.mode == SensorMode::Mono,
                 cut: cut.clone(),
-                lifecycle: lifecycle.clone(),
             },
             config.async_merge,
         );
@@ -409,7 +389,6 @@ impl EdgeServer {
                     .unwrap_or(1),
             ),
             merge_worker,
-            lifecycle,
             cut,
         }
     }
@@ -515,7 +494,7 @@ impl EdgeServer {
             self.gpu.register(id as u32),
         );
         let ingest = VideoIngest::new();
-        let queue = FrameQueue::new(self.config.ingress_queue_cap);
+        let queue = FrameQueue::new(INGRESS_QUEUE_CAP);
         self.ingest_counters.insert(id, ingest.counters());
         self.queue_counters.insert(id, queue.counters());
         self.clients.insert(
@@ -1306,24 +1285,6 @@ impl EdgeServer {
     /// `tests/determinism.rs` compile against).
     pub fn merge_worker_stats(&self) -> Option<MergeWorkerSnapshot> {
         Some(self.merge_worker.stats().snapshot())
-    }
-
-    /// Run one map-lifecycle maintenance pass at virtual frame
-    /// `now_frame` — pruning and cold-region eviction per
-    /// [`ServerConfig::lifecycle`] — wherever the merge worker places
-    /// its work: behind the merges queued on its thread, off the round
-    /// critical path, or here on the caller. Returns false when lifecycle
-    /// is disabled (or the worker's thread is gone) and nothing ran.
-    pub fn run_maintenance(&self, now_frame: u64) -> bool {
-        self.lifecycle.is_some() && self.merge_worker.submit_maintenance(now_frame)
-    }
-
-    /// Lifecycle totals plus current arena/residency state (`None` when
-    /// [`ServerConfig::lifecycle`] is off). In async mode pending queued
-    /// ticks are not yet reflected — call
-    /// [`EdgeServer::wait_merge_idle`] first for a settled view.
-    pub fn lifecycle_report(&self) -> Option<crate::lifecycle::LifecycleReport> {
-        self.lifecycle.as_ref().map(|lc| lc.report())
     }
 
     /// Keyframe trajectories of *pending* (not-yet-merged) client maps:

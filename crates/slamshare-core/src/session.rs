@@ -59,15 +59,14 @@ pub struct ClientSpec {
     pub anchor: bool,
 }
 
-/// Session configuration.
+/// Session configuration. Every client is a stereo device, as in the
+/// paper's merge experiments.
 #[derive(Clone)]
 pub struct SessionConfig {
     pub kind: SystemKind,
     pub link: LinkConfig,
     pub fps: f64,
     pub clients: Vec<ClientSpec>,
-    /// Stereo (the default in the paper's merge experiments) or mono.
-    pub stereo: bool,
     pub baseline: BaselineConfig,
     /// Sample the global-map ATE every this many seconds.
     pub map_ate_interval: f64,
@@ -80,7 +79,6 @@ impl SessionConfig {
             link: LinkConfig::ten_gbe(),
             fps: 30.0,
             clients,
-            stereo: true,
             baseline: BaselineConfig::default(),
             map_ate_interval: 1.0,
         }
@@ -149,18 +147,6 @@ impl SessionResult {
     pub fn client_ate(&self, client: u16, with_scale: bool) -> Option<eval::AteResult> {
         let (est, gt) = self.client_series(client);
         eval::ate(&est, &gt, with_scale, 1e-4)
-    }
-
-    /// Short-term ATE (5 s window ending at `t_end`) of one client.
-    pub fn client_short_term_ate(
-        &self,
-        client: u16,
-        t_end: f64,
-        with_scale: bool,
-    ) -> Option<eval::AteResult> {
-        let (est, gt) = self.client_series(client);
-        let est: Vec<_> = est.into_iter().filter(|(t, _)| *t <= t_end).collect();
-        eval::short_term_ate(&est, &gt, with_scale, 1e-4, 5.0)
     }
 
     fn client_series(&self, client: u16) -> (TrajectorySeries, TrajectorySeries) {
@@ -282,13 +268,8 @@ impl Session {
     }
 
     fn run_slamshare(&self) -> SessionResult {
-        let rig = self.rig();
-        let server_config = if self.config.stereo {
-            ServerConfig::stereo_default(rig)
-        } else {
-            ServerConfig::mono_default(rig)
-        };
-        let mut server = EdgeServer::new(server_config, self.vocab.clone());
+        let mut server =
+            EdgeServer::new(ServerConfig::stereo_default(self.rig()), self.vocab.clone());
 
         // A client the server refuses takes no part in the session.
         let mut clients = self.build_clients();
@@ -345,14 +326,9 @@ impl Session {
                     (frame_idx - 1) as f64 / self.config.fps
                 };
                 let imu: Vec<_> = c.dataset.imu_between(t_prev, t_local).to_vec();
-                let (left, right) = if self.config.stereo {
-                    let (l, r) = c.dataset.render_stereo_frame(ds_frame);
-                    (l, Some(r))
-                } else {
-                    (c.dataset.render_frame(ds_frame), None)
-                };
+                let (left, right) = c.dataset.render_stereo_frame(ds_frame);
                 let (upload, instant_pose) =
-                    c.device.on_frame(t_session, &left, right.as_ref(), &imu);
+                    c.device.on_frame(t_session, &left, Some(&right), &imu);
 
                 // Uplink.
                 let bytes: usize = upload.messages.iter().map(|m| m.wire_len()).sum();
@@ -485,12 +461,8 @@ impl Session {
 
     fn run_baseline(&self) -> SessionResult {
         let rig = self.rig();
-        let slam = if self.config.stereo {
-            SlamConfig::stereo(rig)
-        } else {
-            SlamConfig::mono(rig)
-        };
-        let mut server = BaselineServer::new(self.vocab.clone(), rig.cam, !self.config.stereo);
+        let slam = SlamConfig::stereo(rig);
+        let mut server = BaselineServer::new(self.vocab.clone(), rig.cam, false);
         // Each fat client sits beside the active client it runs.
         let mut actives: Vec<(ActiveClient, BaselineClient)> = self
             .build_clients()
@@ -538,16 +510,11 @@ impl Session {
                     (frame_idx - 1) as f64 / self.config.fps
                 };
                 let imu: Vec<_> = c.dataset.imu_between(t_prev, t_local).to_vec();
-                let (left, right) = if self.config.stereo {
-                    let (l, r) = c.dataset.render_stereo_frame(ds_frame);
-                    (l, Some(r))
-                } else {
-                    (c.dataset.render_frame(ds_frame), None)
-                };
+                let (left, right) = c.dataset.render_stereo_frame(ds_frame);
                 let hint = (c.spec.anchor && frame_idx == 0)
                     .then(|| c.dataset.gt_pose_cw(c.spec.start_frame));
                 let t0 = std::time::Instant::now();
-                let (pose, due) = fat.on_frame(t_session, &left, right.as_ref(), &imu, hint);
+                let (pose, due) = fat.on_frame(t_session, &left, Some(&right), &imu, hint);
                 let track_ms = t0.elapsed().as_secs_f64() * 1e3;
 
                 if due {

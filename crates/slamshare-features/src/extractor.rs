@@ -27,6 +27,12 @@ use crate::pyramid::ImagePyramid;
 use slamshare_math::Vec2;
 use std::time::Instant;
 
+/// Initial FAST threshold (ORB-SLAM3's `iniThFAST`).
+const FAST_THRESHOLD: u8 = 20;
+/// Fallback threshold for cells where the initial one finds nothing
+/// (ORB-SLAM's `minThFAST`).
+const MIN_THRESHOLD: u8 = 7;
+
 /// Extractor configuration (defaults mirror ORB-SLAM3's settings files).
 #[derive(Debug, Clone)]
 pub struct OrbExtractorConfig {
@@ -36,11 +42,6 @@ pub struct OrbExtractorConfig {
     pub n_levels: usize,
     /// Pyramid scale factor.
     pub scale_factor: f64,
-    /// Initial FAST threshold.
-    pub fast_threshold: u8,
-    /// Fallback threshold for cells where the initial one finds nothing
-    /// (ORB-SLAM's `minThFAST`).
-    pub min_threshold: u8,
     /// Detection cell edge in pixels — the GPU work-item granularity.
     pub cell_size: usize,
 }
@@ -51,8 +52,6 @@ impl Default for OrbExtractorConfig {
             n_features: 1000,
             n_levels: crate::pyramid::DEFAULT_LEVELS,
             scale_factor: crate::pyramid::DEFAULT_SCALE_FACTOR,
-            fast_threshold: 20,
-            min_threshold: 7,
             cell_size: 32,
         }
     }
@@ -233,7 +232,7 @@ impl OrbExtractor {
     /// (overwritten); NMS survivors are *appended* to `out` and
     /// subpixel-refined in place.
     ///
-    /// Detection retries with `min_threshold` when the primary threshold
+    /// Detection retries with `MIN_THRESHOLD` when the primary threshold
     /// yields nothing (low-contrast cells), mirroring ORB-SLAM.
     pub fn detect_cell_into(
         &self,
@@ -250,19 +249,12 @@ impl OrbExtractor {
             img,
             rect0,
             rect1,
-            self.config.fast_threshold,
+            FAST_THRESHOLD,
             task.level as u8,
             cell_raw,
         );
-        if cell_raw.is_empty() && self.config.min_threshold < self.config.fast_threshold {
-            fast::detect_in_rect_into(
-                img,
-                rect0,
-                rect1,
-                self.config.min_threshold,
-                task.level as u8,
-                cell_raw,
-            );
+        if cell_raw.is_empty() {
+            fast::detect_in_rect_into(img, rect0, rect1, MIN_THRESHOLD, task.level as u8, cell_raw);
         }
         let kept_start = out.len();
         fast::non_max_suppress_into(cell_raw, 3.0, out);

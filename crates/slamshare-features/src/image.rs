@@ -183,11 +183,6 @@ impl GrayImage {
         self.data.iter().map(|&v| v as f64).sum::<f64>() / self.data.len() as f64
     }
 
-    /// Number of bytes of raw pixel data.
-    pub fn byte_len(&self) -> usize {
-        self.data.len()
-    }
-
     /// True if the pixel is at least `margin` pixels away from every border.
     #[inline]
     pub fn in_interior(&self, x: usize, y: usize, margin: usize) -> bool {

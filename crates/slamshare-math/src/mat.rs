@@ -34,12 +34,6 @@ impl Mat3 {
         }
     }
 
-    pub fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Mat3 {
-        Mat3 {
-            m: [[c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z]],
-        }
-    }
-
     pub fn row(&self, i: usize) -> Vec3 {
         Vec3::from_array(self.m[i])
     }

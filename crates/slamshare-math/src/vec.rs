@@ -120,11 +120,6 @@ impl Vec3 {
     }
 
     #[inline]
-    pub fn splat(v: f64) -> Self {
-        Vec3::new(v, v, v)
-    }
-
-    #[inline]
     pub fn dot(self, o: Vec3) -> f64 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
@@ -163,12 +158,6 @@ impl Vec3 {
         } else {
             Some(self / n)
         }
-    }
-
-    /// Component-wise multiplication.
-    #[inline]
-    pub fn hadamard(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x * o.x, self.y * o.y, self.z * o.z)
     }
 
     /// Linear interpolation `self + t * (o - self)`.

@@ -15,9 +15,6 @@
 //!
 //! * [`arena`] — a bump allocator over a fixed-capacity buffer with
 //!   occupancy accounting (the 2 GB segment);
-//! * [`slab`] — typed slot storage with stable handles + free list (the
-//!   "special allocators" for map entities; handles play the role of the
-//!   paper's carefully-updated pointers);
 //! * [`shared_mutex`] — a read-concurrent / write-serialized lock with
 //!   contention statistics (the named sharable mutex);
 //! * [`segment`] — a named registry processes attach to;
@@ -44,10 +41,8 @@ pub mod arena;
 pub mod segment;
 pub mod sharded;
 pub mod shared_mutex;
-pub mod slab;
 
 pub use arena::Arena;
 pub use segment::{Segment, SegmentError};
 pub use sharded::ShardedStore;
 pub use shared_mutex::{LockStats, SharedMutex};
-pub use slab::{Slab, SlotHandle};

@@ -113,11 +113,6 @@ impl Segment {
         Ok(arc)
     }
 
-    /// Remove a named object (it stays alive for holders of its `Arc`).
-    pub fn destroy(&self, name: &str) -> bool {
-        self.objects.write().remove(name).is_some()
-    }
-
     pub fn object_count(&self) -> usize {
         self.objects.read().len()
     }

@@ -1,74 +1,10 @@
-//! Property-based tests for the shared-memory primitives: the slab must
-//! behave exactly like a reference map under arbitrary operation
-//! sequences, and the arena must never double-allocate.
+//! Property-based tests for the shared-memory primitives: the arena must
+//! never double-allocate.
 
 use proptest::prelude::*;
-use slamshare_shm::{Arena, Slab};
-use std::collections::HashMap;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(u32),
-    Remove(usize),
-    Get(usize),
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            any::<u32>().prop_map(Op::Insert),
-            (0usize..64).prop_map(Op::Remove),
-            (0usize..64).prop_map(Op::Get),
-        ],
-        0..200,
-    )
-}
+use slamshare_shm::Arena;
 
 proptest! {
-    /// Slab vs. reference model: handles stay valid exactly until removed,
-    /// stale handles never resolve.
-    #[test]
-    fn slab_matches_reference_model(ops in arb_ops()) {
-        let mut slab = Slab::new();
-        let mut live: Vec<(slamshare_shm::SlotHandle, u32)> = Vec::new();
-        let mut dead: Vec<slamshare_shm::SlotHandle> = Vec::new();
-        let mut model: HashMap<slamshare_shm::SlotHandle, u32> = HashMap::new();
-
-        for op in ops {
-            match op {
-                Op::Insert(v) => {
-                    let h = slab.insert(v);
-                    prop_assert!(!model.contains_key(&h), "handle reuse without generation bump");
-                    live.push((h, v));
-                    model.insert(h, v);
-                }
-                Op::Remove(i) => {
-                    if live.is_empty() { continue; }
-                    let (h, v) = live.remove(i % live.len());
-                    prop_assert_eq!(slab.remove(h), Some(v));
-                    model.remove(&h);
-                    dead.push(h);
-                }
-                Op::Get(i) => {
-                    if !live.is_empty() {
-                        let (h, v) = live[i % live.len()];
-                        prop_assert_eq!(slab.get(h), Some(&v));
-                    }
-                    if !dead.is_empty() {
-                        let h = dead[i % dead.len()];
-                        prop_assert_eq!(slab.get(h), None);
-                    }
-                }
-            }
-            prop_assert_eq!(slab.len(), model.len());
-        }
-        // Final sweep: everything the model holds is reachable.
-        for (h, v) in &model {
-            prop_assert_eq!(slab.get(*h), Some(v));
-        }
-        prop_assert_eq!(slab.iter().count(), model.len());
-    }
-
     /// Arena allocations are disjoint, aligned, and capacity-bounded.
     #[test]
     fn arena_allocations_disjoint(sizes in proptest::collection::vec(1usize..512, 1..64)) {

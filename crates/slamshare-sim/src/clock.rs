@@ -148,11 +148,6 @@ impl<E> EventQueue<E> {
         Some((t, e))
     }
 
-    /// Peek at the next event time without advancing.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

@@ -61,11 +61,6 @@ impl TracePreset {
             TracePreset::RgbdOffice => 30.0,
         }
     }
-
-    /// Is this a vehicle (street) trace?
-    pub fn is_vehicular(self) -> bool {
-        matches!(self, TracePreset::Kitti00 | TracePreset::Kitti05)
-    }
 }
 
 /// Dataset construction parameters.
@@ -82,8 +77,6 @@ pub struct DatasetConfig {
     /// world generation (so clients can co-localize) but use it for sensor
     /// noise.
     pub seed: u64,
-    /// Landmark surface density multiplier (1.0 = preset default).
-    pub density_scale: f64,
 }
 
 impl DatasetConfig {
@@ -95,7 +88,6 @@ impl DatasetConfig {
             imu_rate: 200.0,
             imu_noise: ImuNoise::default(),
             seed: 0,
-            density_scale: 1.0,
         }
     }
 
@@ -108,11 +100,6 @@ impl DatasetConfig {
 
     pub fn with_seed(mut self, seed: u64) -> DatasetConfig {
         self.seed = seed;
-        self
-    }
-
-    pub fn with_density_scale(mut self, s: f64) -> DatasetConfig {
-        self.density_scale = s;
         self
     }
 }
@@ -179,14 +166,8 @@ impl Dataset {
             TracePreset::MH04 => {
                 // Large hall: big wall patches (viewed from 3–6 m) and an
                 // outward gaze so scene depth stays stereo-usable.
-                let world = World::room_sized(
-                    24.0,
-                    18.0,
-                    10.0,
-                    0.9 * config.density_scale,
-                    MACHINE_HALL_SEED,
-                    (0.18, 0.40),
-                );
+                let world =
+                    World::room_sized(24.0, 18.0, 10.0, 0.9, MACHINE_HALL_SEED, (0.18, 0.40));
                 // Counter-clockwise loop around the hall at varying height.
                 let traj = Trajectory::new(
                     vec![
@@ -204,14 +185,8 @@ impl Dataset {
                 (world, traj, StereoRig::euroc_like())
             }
             TracePreset::MH05 => {
-                let world = World::room_sized(
-                    24.0,
-                    18.0,
-                    10.0,
-                    0.9 * config.density_scale,
-                    MACHINE_HALL_SEED,
-                    (0.18, 0.40),
-                );
+                let world =
+                    World::room_sized(24.0, 18.0, 10.0, 0.9, MACHINE_HALL_SEED, (0.18, 0.40));
                 // Different loop through the same hall, overlapping MH04's
                 // coverage (figure-eight-ish).
                 let traj = Trajectory::new(
@@ -230,7 +205,7 @@ impl Dataset {
                 (world, traj, StereoRig::euroc_like())
             }
             TracePreset::V202 => {
-                let world = World::room(10.0, 10.0, 5.0, 2.0 * config.density_scale, VICON_SEED);
+                let world = World::room(10.0, 10.0, 5.0, 2.0, VICON_SEED);
                 let traj = Trajectory::new(
                     vec![
                         Vec3::new(-3.0, -3.0, 1.0),
@@ -255,14 +230,7 @@ impl Dataset {
                     Vec3::new(-60.0, -80.0, 0.0),
                     Vec3::new(0.0, -80.0, 0.0),
                 ];
-                let world = World::street_sized(
-                    &route,
-                    9.0,
-                    7.0,
-                    0.18 * config.density_scale,
-                    KITTI_SEED,
-                    (0.3, 0.7),
-                );
+                let world = World::street_sized(&route, 9.0, 7.0, 0.18, KITTI_SEED, (0.3, 0.7));
                 let elevated: Vec<Vec3> = route
                     .iter()
                     .map(|p| *p + Vec3::new(0.0, 0.0, 1.65))
@@ -283,7 +251,7 @@ impl Dataset {
                     &route,
                     9.0,
                     7.0,
-                    0.18 * config.density_scale,
+                    0.18,
                     KITTI_SEED.wrapping_add(5),
                     (0.3, 0.7),
                 );
@@ -300,7 +268,7 @@ impl Dataset {
                 } else {
                     OFFICE_SEED + 1
                 };
-                let world = World::room(8.0, 6.0, 3.0, 3.0 * config.density_scale, seed);
+                let world = World::room(8.0, 6.0, 3.0, 3.0, seed);
                 let traj = Trajectory::new(
                     vec![
                         Vec3::new(-2.0, -1.5, 1.4),

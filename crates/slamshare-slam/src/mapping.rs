@@ -16,13 +16,16 @@ use slamshare_features::matching::{match_by_projection, ProjectionQuery, TH_LOW}
 use slamshare_gpu::GpuExecutor;
 use slamshare_sim::camera::StereoRig;
 
+/// Minimum parallax (radians) to accept a mono triangulation.
+const MIN_PARALLAX_RAD: f64 = 0.005;
+/// Maximum reprojection error (pixels) for a new point.
+const MAX_REPROJ_PX: f64 = 3.0;
+/// Frame-index age beyond which a single-observation point is culled.
+const POINT_CULL_AGE_FRAMES: u64 = 60;
+
 /// Mapping tuning parameters.
 #[derive(Debug, Clone)]
 pub struct MappingConfig {
-    /// Minimum parallax (radians) to accept a mono triangulation.
-    pub min_parallax: f64,
-    /// Maximum reprojection error (pixels) for a new point.
-    pub max_reproj_px: f64,
     /// Local-BA window size (keyframes).
     pub ba_window: usize,
     /// Run local BA every N keyframe insertions (1 = every time).
@@ -35,21 +38,16 @@ pub struct MappingConfig {
     pub kf_cull_every: usize,
     /// Run uncorroborated-point culling every N insertions (0 = never).
     pub point_cull_every: usize,
-    /// Frame-index age beyond which a single-observation point is culled.
-    pub point_cull_age_frames: u64,
 }
 
 impl Default for MappingConfig {
     fn default() -> Self {
         MappingConfig {
-            min_parallax: 0.005,
-            max_reproj_px: 3.0,
             ba_window: 6,
             ba_every: 2,
             ba_sweeps: 2,
             kf_cull_every: 0,
             point_cull_every: 0,
-            point_cull_age_frames: 60,
         }
     }
 }
@@ -153,8 +151,7 @@ impl LocalMapper {
             && self.inserted.is_multiple_of(self.config.point_cull_every)
         {
             let now_frame = map.frame_clock;
-            report.n_points_culled =
-                self.cull_points(map, now_frame, self.config.point_cull_age_frames);
+            report.n_points_culled = self.cull_points(map, now_frame, POINT_CULL_AGE_FRAMES);
         }
         if self.config.kf_cull_every > 0 && self.inserted.is_multiple_of(self.config.kf_cull_every)
         {
@@ -247,9 +244,7 @@ impl LocalMapper {
                 ) else {
                     continue;
                 };
-                if triangulate::parallax_angle(&kf.pose_cw, &other.pose_cw, p)
-                    < self.config.min_parallax
-                {
+                if triangulate::parallax_angle(&kf.pose_cw, &other.pose_cw, p) < MIN_PARALLAX_RAD {
                     continue;
                 }
                 // Reprojection gate in both views.
@@ -262,7 +257,7 @@ impl LocalMapper {
                     self.rig
                         .cam
                         .project(pose.transform(p))
-                        .map(|proj| proj.dist(*px) < self.config.max_reproj_px)
+                        .map(|proj| proj.dist(*px) < MAX_REPROJ_PX)
                         .unwrap_or(false)
                 });
                 if !ok {

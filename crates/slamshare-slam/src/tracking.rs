@@ -41,19 +41,20 @@ pub enum SensorMode {
     Stereo,
 }
 
+/// Projection-search window radius at octave 0, pixels.
+const SEARCH_RADIUS_PX: f64 = 14.0;
+/// Below this many pose-optimization inliers the frame counts as lost.
+const MIN_MATCHES: usize = 15;
+/// Request a keyframe when tracked points fall under this fraction of the
+/// reference keyframe's count.
+const KF_MATCH_RATIO: f64 = 0.6;
+
 /// Tracker tuning parameters.
 #[derive(Debug, Clone)]
 pub struct TrackerConfig {
     pub mode: SensorMode,
     pub rig: StereoRig,
     pub extractor: OrbExtractorConfig,
-    /// Projection-search window radius at octave 0, pixels.
-    pub search_radius: f64,
-    /// Below this many pose-optimization inliers the frame counts as lost.
-    pub min_matches: usize,
-    /// Request a keyframe when tracked points fall under this fraction of
-    /// the reference keyframe's count.
-    pub kf_match_ratio: f64,
     /// Never insert keyframes closer than this many frames apart.
     pub kf_min_interval: usize,
     /// Always insert a keyframe after this many frames.
@@ -66,9 +67,6 @@ impl TrackerConfig {
             mode: SensorMode::Mono,
             rig,
             extractor: OrbExtractorConfig::default(),
-            search_radius: 14.0,
-            min_matches: 15,
-            kf_match_ratio: 0.6,
             kf_min_interval: 3,
             kf_max_interval: 20,
         }
@@ -452,13 +450,13 @@ impl Tracker {
                 continue;
             };
             let q = predicted.transform(mp.position);
-            let Some(px) = cam.project_in_image(q, -self.config.search_radius) else {
+            let Some(px) = cam.project_in_image(q, -SEARCH_RADIUS_PX) else {
                 continue;
             };
             queries.push(ProjectionQuery {
                 descriptor: mp.descriptor,
                 predicted: Vec2::new(px.x, px.y),
-                radius: self.config.search_radius,
+                radius: SEARCH_RADIUS_PX,
             });
             query_points.push(mp_id);
         }
@@ -496,7 +494,7 @@ impl Tracker {
             obs_kp.push(m.train);
             matched[m.train] = Some(mp_id);
         }
-        let (pose, n_tracked, lost) = if obs.len() >= self.config.min_matches {
+        let (pose, n_tracked, lost) = if obs.len() >= MIN_MATCHES {
             let (optimized, n_inliers) = optimize_pose(cam, predicted, &obs, 10);
             // Clear outlier associations.
             for (o, &kp) in obs.iter().zip(&obs_kp) {
@@ -504,7 +502,7 @@ impl Tracker {
                     matched[kp] = None;
                 }
             }
-            let lost = n_inliers < self.config.min_matches;
+            let lost = n_inliers < MIN_MATCHES;
             (if lost { predicted } else { optimized }, n_inliers, lost)
         } else {
             (predicted, obs.len(), true)
@@ -526,7 +524,7 @@ impl Tracker {
             && self.frames_since_kf >= self.config.kf_min_interval
             && (self.frames_since_kf >= self.config.kf_max_interval
                 || (self.ref_matches > 0
-                    && (n_tracked as f64) < self.config.kf_match_ratio * self.ref_matches as f64)
+                    && (n_tracked as f64) < KF_MATCH_RATIO * self.ref_matches as f64)
                 || self.ref_matches == 0);
 
         // Fold the already-measured stage times into the observability

@@ -88,7 +88,11 @@ done <<'EOF'
 ServerConfig crates/slamshare-core/src/server.rs
 LoadConfig crates/slamshare-core/src/load.rs
 SessionConfig crates/slamshare-core/src/session.rs
+BaselineConfig crates/slamshare-core/src/baseline.rs
 MappingConfig crates/slamshare-slam/src/mapping.rs
+TrackerConfig crates/slamshare-slam/src/tracking.rs
+OrbExtractorConfig crates/slamshare-features/src/extractor.rs
+DatasetConfig crates/slamshare-sim/src/dataset.rs
 EOF
 
 echo

@@ -9,10 +9,15 @@
 //!   never-evict control run, while peaking strictly lower in the arena;
 //! * **delta-to-evicted race** — a federation delta targeting an evicted
 //!   region transparently reloads it before applying (the "reload" arm
-//!   of reload-or-queue), at the public `EdgeServer` surface;
+//!   of reload-or-queue), at the public `EdgeServer` surface, with the
+//!   test ticking a `LifecycleManager` on the server's store as the owner
+//!   of the frame clock;
 //! * **evict-during-handoff race** — maintenance ticks racing live
 //!   writes (evict firing between a region going cold and the next
 //!   delta landing in it) never lose content and never deadlock;
+//! * **residency under eviction** — an eviction landing between a track
+//!   read's or component write's reload and its shard locks sends the
+//!   call back to reload; it never runs on the emptied shard;
 //! * **ownership transfer** — an evicted region's compact stub moves to
 //!   a new owner byte-for-byte; the destination reloads it on first
 //!   touch, and a second transfer of the same region is refused.
@@ -32,7 +37,9 @@ use slam_share::sim::SimTime;
 use slam_share::slam::ids::{ClientId, IdAllocator, KeyFrameId};
 use slam_share::slam::map::{KeyFrame, Map, MapPoint, MapRead};
 use slam_share::slam::vocabulary;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn seed() -> u64 {
     std::env::var("SLAMSHARE_TEST_SEED")
@@ -341,22 +348,31 @@ fn make_fragment(client: u16, x: f64, n_kf: usize) -> Map {
     m
 }
 
-fn lifecycle_server_config(evict_after: u64) -> ServerConfig {
+fn lifecycle_server_config() -> ServerConfig {
     let mut cfg = ServerConfig::stereo_default(StereoRig::euroc_like());
     cfg.map_shards = 16;
-    cfg.lifecycle = Some(LifecycleConfig {
-        prune_every_frames: 0, // pruning off: fragment points are synthetic
-        prune_min_obs: 0,
-        prune_min_age_frames: 0,
-        evict_after_frames: evict_after,
-    });
     cfg
+}
+
+/// Maintenance on a server's map, driven by the test as the owner of the
+/// frame clock.
+fn eviction_manager(store: &Arc<ShardedGlobalMap>, evict_after: u64) -> LifecycleManager {
+    LifecycleManager::new(
+        store.clone(),
+        LifecycleConfig {
+            prune_every_frames: 0, // pruning off: fragment points are synthetic
+            prune_min_obs: 0,
+            prune_min_age_frames: 0,
+            evict_after_frames: evict_after,
+        },
+    )
 }
 
 #[test]
 fn delta_to_evicted_region_reloads_on_demand() {
     let vocab = Arc::new(vocabulary::train_random(42));
-    let server = slam_share::core::server::EdgeServer::new(lifecycle_server_config(10), vocab);
+    let server = slam_share::core::server::EdgeServer::new(lifecycle_server_config(), vocab);
+    let lc = eviction_manager(&server.store, 10);
     let x = 300.0 + (seed() % 8) as f64 * 40.0;
     server.absorb_external_fragment(make_fragment(1, x, 3));
     let (kfs0, mps0, _) = server.global_map_stats();
@@ -364,9 +380,9 @@ fn delta_to_evicted_region_reloads_on_demand() {
 
     // Tick once to record activity, then far enough ahead that the
     // fragment's component is cold and gets evicted.
-    assert!(server.run_maintenance(0));
-    assert!(server.run_maintenance(50));
-    let report = server.lifecycle_report().expect("lifecycle on");
+    lc.tick(0);
+    lc.tick(50);
+    let report = lc.report();
     assert!(report.evicted_regions > 0, "fragment never went cold");
     assert!(report.evicted_now > 0);
     assert!(report.released_bytes > 0);
@@ -377,7 +393,7 @@ fn delta_to_evicted_region_reloads_on_demand() {
     // afterwards both fragments are resident and nothing is evicted in
     // that component.
     server.absorb_external_fragment(make_fragment(2, x, 2));
-    let report = server.lifecycle_report().expect("lifecycle on");
+    let report = lc.report();
     assert!(report.reloads > 0, "delta did not force a reload");
     let (kfs1, mps1, _) = server.global_map_stats();
     assert_eq!((kfs1, mps1), (5, 8), "content lost across evict/reload");
@@ -386,7 +402,8 @@ fn delta_to_evicted_region_reloads_on_demand() {
 #[test]
 fn maintenance_races_with_live_deltas() {
     let vocab = Arc::new(vocabulary::train_random(42));
-    let server = slam_share::core::server::EdgeServer::new(lifecycle_server_config(1), vocab);
+    let server = slam_share::core::server::EdgeServer::new(lifecycle_server_config(), vocab);
+    let lc = eviction_manager(&server.store, 1);
     let base = 600.0 + (seed() % 8) as f64 * 40.0;
     const ROUNDS: usize = 60;
 
@@ -396,7 +413,7 @@ fn maintenance_races_with_live_deltas() {
     // just-evicted regions. Any lost page release, double free, or
     // stub/directory inconsistency deadlocks or loses content here.
     std::thread::scope(|s| {
-        let srv = &server;
+        let (srv, lc) = (&server, &lc);
         s.spawn(move || {
             for i in 0..ROUNDS {
                 // Unique client per fragment: ids never collide, so the
@@ -410,17 +427,17 @@ fn maintenance_races_with_live_deltas() {
         });
         s.spawn(move || {
             for f in 0..ROUNDS as u64 {
-                srv.run_maintenance(f);
+                lc.tick(f);
             }
         });
     });
     // Post-race: force eviction of everything, then reload everything.
-    server.run_maintenance(10_000);
-    server.run_maintenance(10_001);
-    let report = server.lifecycle_report().expect("lifecycle on");
+    lc.tick(10_000);
+    lc.tick(10_001);
+    let report = lc.report();
     assert!(report.evicted_regions > 0, "race never evicted");
     server.store.ensure_all_resident();
-    let report = server.lifecycle_report().expect("lifecycle on");
+    let report = lc.report();
     assert!(report.reloads > 0);
     assert_eq!(report.evicted_now, 0);
     let (kfs, mps, _) = server.global_map_stats();
@@ -433,13 +450,14 @@ fn maintenance_races_with_live_deltas() {
 #[test]
 fn evicted_region_transfers_ownership_and_reloads_at_destination() {
     let vocab = Arc::new(vocabulary::train_random(42));
-    let mut fed = Federation::new(2, lifecycle_server_config(10), vocab, LinkConfig::ten_gbe());
+    let mut fed = Federation::new(2, lifecycle_server_config(), vocab, LinkConfig::ten_gbe());
+    let lc = eviction_manager(&fed.server(0).expect("server 0").store, 10);
     let x = 900.0 + (seed() % 8) as f64 * 40.0;
     fed.server(0)
         .expect("server 0")
         .absorb_external_fragment(make_fragment(1, x, 3));
-    fed.server(0).expect("server 0").run_maintenance(0);
-    fed.server(0).expect("server 0").run_maintenance(50);
+    lc.tick(0);
+    lc.tick(50);
     let evicted = fed.server(0).expect("server 0").store.evicted_regions();
     assert!(!evicted.is_empty(), "fragment never evicted on server 0");
     let region = evicted[0];
@@ -469,4 +487,71 @@ fn evicted_region_transfers_ownership_and_reloads_at_destination() {
     assert!(dest.store.evicted_regions().is_empty());
     let (kfs, mps, _) = dest.global_map_stats();
     assert_eq!((kfs, mps), (4, 8), "transferred content lost");
+}
+
+// ---------------------------------------------------------------------
+// Residency: reads and writes never run on an evicted shard
+// ---------------------------------------------------------------------
+
+/// One thread evicts a keyframe's component in a tight loop while another
+/// reads and writes through that keyframe for about a second. An eviction
+/// that lands between a call's reload and its shard locks must send the
+/// call back to reload instead of letting it run on the emptied shard:
+/// every track read sees the keyframe and every component write gathers
+/// it.
+#[test]
+fn track_reads_and_writes_never_run_on_an_evicted_shard() {
+    let segment = Arc::new(Segment::new(1 << 24));
+    let gmap = ShardedGlobalMap::create(segment, "lifecycle/race", 16, 10.0).expect("create gmap");
+    let mut alloc = IdAllocator::new(ClientId(1));
+    let kf = insert_step(&gmap, &mut alloc, (seed() % 8) as f64 * 40.0, 0, 0, 0);
+    let region = gmap.with_track_read(Some(kf), |_, stamp| stamp[0].0);
+    let seeds = LockSeeds {
+        kfs: vec![kf],
+        ..LockSeeds::default()
+    };
+
+    let stop = AtomicBool::new(false);
+    let (evictions, (reads, read_misses, writes, write_misses)) = std::thread::scope(|s| {
+        let evictor = s.spawn(|| {
+            let mut evictions = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                if !gmap.evict_component(region, 0).regions.is_empty() {
+                    evictions += 1;
+                }
+            }
+            evictions
+        });
+        let (mut reads, mut read_misses, mut writes, mut write_misses) = (0u64, 0u64, 0u64, 0u64);
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_secs(1) {
+            reads += 1;
+            if !gmap.with_track_read(Some(kf), |v, _| v.keyframe(kf).is_some()) {
+                read_misses += 1;
+            }
+            writes += 1;
+            let (held, _) =
+                gmap.with_component_write(&seeds, |m, _| (m.keyframes.contains_key(&kf), false));
+            if !held {
+                write_misses += 1;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        let evictions = evictor.join().expect("evictor");
+        (evictions, (reads, read_misses, writes, write_misses))
+    });
+    assert!(
+        evictions > 0 && gmap.reload_count() > 0,
+        "the race never ran: {evictions} evictions, {} reloads",
+        gmap.reload_count()
+    );
+    assert_eq!(
+        (read_misses, write_misses),
+        (0, 0),
+        "{read_misses} of {reads} track reads and {write_misses} of {writes} component \
+         writes ran on an evicted shard ({evictions} evictions)"
+    );
+    gmap.ensure_all_resident();
+    let (kfs, mps, _) = gmap.stats();
+    assert_eq!((kfs, mps), (1, 2), "content lost across the race");
 }

@@ -15,7 +15,7 @@
 //! must hold for every seed.
 
 use slam_share::core::load::{self, LoadConfig};
-use slam_share::core::qos::{QueuedFrame, RegisterError};
+use slam_share::core::qos::{QueuedFrame, RegisterError, INGRESS_QUEUE_CAP};
 use slam_share::core::server::{EdgeServer, ServerConfig};
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -235,15 +235,13 @@ fn ingress_queue_sheds_oldest_non_iframe_with_exact_accounting() {
             .with_seed(seed()),
     );
     let vocab = Arc::new(vocabulary::train_random(42));
-    let mut config = ServerConfig::stereo_default(ds.rig);
-    config.ingress_queue_cap = 2;
-    let mut server = EdgeServer::new(config, vocab);
+    let mut server = EdgeServer::new(ServerConfig::stereo_default(ds.rig), vocab);
     server.try_register_client(1).unwrap();
 
     // A real encoded stream: frame 0 is an I-frame, the rest P-frames.
     let mut enc_l = VideoEncoder::new(2, 30);
     let mut enc_r = VideoEncoder::new(2, 30);
-    let frames: Vec<QueuedFrame> = (0..5)
+    let frames: Vec<QueuedFrame> = (0..7)
         .map(|i| {
             let (l, r) = ds.render_stereo_frame(i);
             QueuedFrame {
@@ -262,15 +260,17 @@ fn ingress_queue_sheds_oldest_non_iframe_with_exact_accounting() {
             evicted.push(victim.frame_idx);
         }
     }
-    // Cap 2, offered 5 ⇒ exactly 3 evictions, and the I-frame (idx 0,
-    // the resync anchor) is never the victim while a P-frame is staged.
-    assert_eq!(server.staged_depth(1), 2);
+    // Cap INGRESS_QUEUE_CAP = 4, offered 7 ⇒ exactly 3 evictions, and the
+    // I-frame (idx 0, the resync anchor) is never the victim while a
+    // P-frame is staged.
+    assert_eq!(INGRESS_QUEUE_CAP, 4);
+    assert_eq!(server.staged_depth(1), 4);
     assert_eq!(evicted, vec![1, 2, 3], "policy must shed oldest P-frames");
 
     let m = server.metrics();
     assert_eq!(m.total_queue_drops(), 3);
     let q = &m.queues[&1];
-    assert_eq!(q.offered, 5);
+    assert_eq!(q.offered, 7);
     assert_eq!(
         q.offered,
         q.served + q.dropped_overflow + q.purged + server.staged_depth(1) as u64
@@ -283,10 +283,10 @@ fn ingress_queue_sheds_oldest_non_iframe_with_exact_accounting() {
     assert_eq!(round.len(), 1);
     assert_eq!(round[0].0, 1);
     assert_eq!(round[0].1.frame_idx, 0);
-    assert_eq!(server.staged_depth(1), 1);
+    assert_eq!(server.staged_depth(1), 3);
     let round2 = server.process_queued_round();
     assert_eq!(round2[0].1.frame_idx, 4);
-    assert_eq!(server.staged_depth(1), 0);
+    assert_eq!(server.staged_depth(1), 2);
     // Frame 4 followed the gap: it must not have been decoded against
     // frame 0 as a stale reference — the stream resyncs (frame dropped,
     // I-frame requested) rather than silently corrupting imagery.
