@@ -1,29 +1,49 @@
 //! Bench (extension): per-frame micro-latencies of the zero-copy batched
-//! tracking path — warm ORB extraction (frame arena + SoA describe),
+//! tracking path — warm ORB extraction (frame arena + SoA describe) and
+//! its four sub-stages, the server's stereo front half on two lanes,
 //! batched stereo matching (row-bucket CSR + strip Hamming kernel), and
 //! the fused orient+describe kernel against its separate scalar pair.
 //!
 //! Writes `results/BENCH_frame.json` with p50/p95 per stage; the p95s are
 //! gated against `results/baselines/` by `scripts/bench_gate.sh`, so a
 //! regression that slows any individual stage fails CI even when the
-//! end-to-end round still squeaks under its own gate.
+//! end-to-end round still squeaks under its own gate. All times are wall
+//! clock on the recording host (`host_cores`).
 
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slamshare_features::extractor::{ExtractedFeatures, OrbExtractor};
+use slamshare_features::extractor::{ExtractedFeatures, ExtractionTimings, OrbExtractor};
 use slamshare_features::matching::{self, StereoScratch};
 use slamshare_features::orb;
+use slamshare_gpu::GpuExecutor;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
+use slamshare_slam::tracking::{Tracker, TrackerConfig};
+use std::sync::Arc;
 use std::time::Instant;
 
 #[derive(Serialize)]
 struct BenchFrame {
     reps: usize,
+    host_cores: usize,
     keypoints_per_frame: usize,
-    /// Warm full-frame extraction (pyramid + FAST + distribute + describe).
+    /// Warm full-frame extraction (pyramid + FAST + distribute + describe),
+    /// one image, one thread.
     extract_p50_ms: f64,
     extract_p95_ms: f64,
+    /// The same extractions split by `ExtractionTimings` stage.
+    pyramid_p50_ms: f64,
+    pyramid_p95_ms: f64,
+    detect_p50_ms: f64,
+    detect_p95_ms: f64,
+    distribute_p50_ms: f64,
+    distribute_p95_ms: f64,
+    describe_p50_ms: f64,
+    describe_p95_ms: f64,
+    /// `Tracker::extract_frame` on a stereo pair with a 2-lane executor:
+    /// both eyes, side by side, plus the stereo match.
+    stereo_frame_p50_ms: f64,
+    stereo_frame_p95_ms: f64,
     /// Batched stereo matching of one extracted stereo pair.
     stereo_match_p50_ms: f64,
     stereo_match_p95_ms: f64,
@@ -80,8 +100,27 @@ fn bench(c: &mut Criterion) {
         &mut stereo_scratch,
     );
 
+    let mut stages: Vec<ExtractionTimings> = Vec::with_capacity(reps);
     let extract_ms = time_reps(reps, || {
-        extractor.extract_into(&left, &mut feats_l);
+        stages.push(extractor.extract_into(&left, &mut feats_l));
+    });
+    let stage_ms = |stage: fn(&ExtractionTimings) -> f64| {
+        let mut ms: Vec<f64> = stages.iter().map(stage).collect();
+        ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        (percentile(&ms, 0.50), percentile(&ms, 0.95))
+    };
+    let pyramid = stage_ms(|t| t.pyramid_ms);
+    let detect = stage_ms(|t| t.detect_ms);
+    let distribute = stage_ms(|t| t.distribute_ms);
+    let describe = stage_ms(|t| t.describe_ms);
+
+    let tracker = Tracker::new(
+        TrackerConfig::stereo(ds.rig),
+        Arc::new(GpuExecutor::cpu_with_workers(2)),
+    );
+    tracker.extract_frame(&left, Some(&right));
+    let stereo_frame_ms = time_reps(reps, || {
+        std::hint::black_box(tracker.extract_frame(&left, Some(&right)));
     });
     // Re-extract once so the stereo inputs are pristine.
     extractor.extract_into(&left, &mut feats_l);
@@ -119,9 +158,20 @@ fn bench(c: &mut Criterion) {
 
     let out = BenchFrame {
         reps,
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         keypoints_per_frame: feats_l.keypoints.len(),
         extract_p50_ms: percentile(&extract_ms, 0.50),
         extract_p95_ms: percentile(&extract_ms, 0.95),
+        pyramid_p50_ms: pyramid.0,
+        pyramid_p95_ms: pyramid.1,
+        detect_p50_ms: detect.0,
+        detect_p95_ms: detect.1,
+        distribute_p50_ms: distribute.0,
+        distribute_p95_ms: distribute.1,
+        describe_p50_ms: describe.0,
+        describe_p95_ms: describe.1,
+        stereo_frame_p50_ms: percentile(&stereo_frame_ms, 0.50),
+        stereo_frame_p95_ms: percentile(&stereo_frame_ms, 0.95),
         stereo_match_p50_ms: percentile(&stereo_ms, 0.50),
         stereo_match_p95_ms: percentile(&stereo_ms, 0.95),
         fused_describe_p50_ms: percentile(&fused_ms, 0.50),
@@ -129,9 +179,18 @@ fn bench(c: &mut Criterion) {
         scalar_describe_p50_ms: percentile(&scalar_ms, 0.50),
     };
     println!(
-        "extract p50 {:.2} ms, stereo p50 {:.3} ms, fused describe p50 {:.3} ms \
-         (scalar pair {:.3} ms) over {} keypoints",
+        "extract p50 {:.2} ms (pyramid {:.2}, detect {:.2}, distribute {:.2}, describe {:.2}), \
+         stereo frame on 2 lanes p50 {:.2} ms",
         out.extract_p50_ms,
+        out.pyramid_p50_ms,
+        out.detect_p50_ms,
+        out.distribute_p50_ms,
+        out.describe_p50_ms,
+        out.stereo_frame_p50_ms,
+    );
+    println!(
+        "stereo p50 {:.3} ms, fused describe p50 {:.3} ms \
+         (scalar pair {:.3} ms) over {} keypoints",
         out.stereo_match_p50_ms,
         out.fused_describe_p50_ms,
         out.scalar_describe_p50_ms,

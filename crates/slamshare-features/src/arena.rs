@@ -3,15 +3,16 @@
 //! Video streams keep a fixed resolution, so every buffer the
 //! decode → pyramid → FAST → distribute → describe path needs reaches its
 //! high-water capacity after the first frame. [`FrameArena`] owns all of
-//! them — pyramid level images, cell task lists, per-lane detection and
-//! description buffers, per-level bins, quadtree scratch — so the
-//! steady-state track path performs zero heap allocations per frame at
-//! one worker (enforced by the allocation-regression test in
-//! `tests/alloc_regression.rs`) and one stitch per lane otherwise.
+//! them — pyramid level images and column table, cell task lists,
+//! per-lane detection and description buffers, per-level bins, quadtree
+//! scratch — so the steady-state track path performs zero heap
+//! allocations per frame at one worker (enforced by the
+//! allocation-regression test in `tests/alloc_regression.rs`) and one
+//! stitch per lane otherwise.
 //!
 //! Lifecycle per frame:
 //! 1. `pyramid` is rebuilt in place ([`ImagePyramid::rebuild`] reuses the
-//!    level pixel buffers);
+//!    level pixel buffers and its resampling column table);
 //! 2. `tasks` is refilled with the frame's detection cells;
 //! 3. the runner hands each lane a contiguous run of cells; a lane detects
 //!    into its `cell_raw` and appends NMS survivors to its `detected`;

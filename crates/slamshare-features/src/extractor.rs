@@ -13,8 +13,15 @@
 //! the two batches of pure, independent work items (cells, survivors) are
 //! spread over lanes. [`Sequential`] is a plain loop (zero steady-state
 //! allocations); `slamshare-gpu`'s executor fans contiguous chunks across
-//! its simulated SMs and stitches them back in item order, so every
-//! runner yields the same bits.
+//! its simulated SMs, the first on the calling thread, and stitches them
+//! back in item order, so every runner yields the same bits. The pyramid
+//! is resampled through a per-level column table held in the arena
+//! ([`crate::image::GrayImage::resize_into`]).
+//!
+//! One extractor serves one image stream at a time: its arena sits behind
+//! a mutex, so a stereo tracker gives the right eye an extractor of its
+//! own and extracts the two eyes side by side, each on a share of the
+//! client's lanes.
 
 use crate::arena::FrameArena;
 use crate::descriptor::Descriptor;
@@ -155,7 +162,7 @@ pub struct OrbExtractor {
     /// Per-frame buffer arena, behind a mutex so
     /// [`OrbExtractor::extract`] stays `&self` (the tracker calls it
     /// through shared references). Uncontended in practice: one extractor
-    /// per client.
+    /// per eye of each client.
     arena: parking_lot::Mutex<FrameArena>,
 }
 

@@ -6,6 +6,28 @@
 
 use serde::{Deserialize, Serialize};
 
+/// One output column's horizontal half of a bilinear resample: the two
+/// source columns it blends and their weights, tabulated once per
+/// [`GrayImage::resize_into`] instead of once per pixel.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ColumnTap {
+    x0: usize,
+    x1: usize,
+    fx: f64,
+    /// `1 - fx`.
+    gx: f64,
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8` for `0 <= v < 2^32` without the
+/// rounding call (a libm call on baseline x86-64). With `t = trunc(v)`,
+/// `v - t` is exact (Sterbenz for `v >= 1`, `v - 0` below), so comparing
+/// it with 0.5 rounds half away from zero exactly as `f64::round` does.
+#[inline]
+pub(crate) fn round_to_u8(v: f64) -> u8 {
+    let t = v as u32;
+    (t + u32::from(v - t as f64 >= 0.5)).min(255) as u8
+}
+
 /// A row-major 8-bit grayscale image.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GrayImage {
@@ -101,14 +123,21 @@ impl GrayImage {
             height: 0,
             data: Vec::new(),
         };
-        self.resize_into(new_width, new_height, &mut out);
+        self.resize_into(new_width, new_height, &mut Vec::new(), &mut out);
         out
     }
 
     /// [`GrayImage::resize`] writing into an existing image, reusing its
-    /// pixel buffer (the per-frame pyramid rebuild's allocation-free
-    /// path). Same sampling math, bit-identical output.
-    pub fn resize_into(&self, new_width: usize, new_height: usize, out: &mut GrayImage) {
+    /// pixel buffer and the column table `columns` (overwritten) — the
+    /// per-frame pyramid rebuild's allocation-free path. Same sampling
+    /// math, bit-identical output.
+    pub fn resize_into(
+        &self,
+        new_width: usize,
+        new_height: usize,
+        columns: &mut Vec<ColumnTap>,
+        out: &mut GrayImage,
+    ) {
         assert!(new_width > 0 && new_height > 0);
         let sx = self.width as f64 / new_width as f64;
         let sy = self.height as f64 / new_height as f64;
@@ -116,35 +145,43 @@ impl GrayImage {
         out.height = new_height;
         out.data.clear();
         out.data.reserve(new_width * new_height);
-        // Row-hoisted bilinear: the y-dependent half of sample_bilinear is
-        // computed once per output row and the two source rows borrowed as
-        // slices, leaving a tight autovectorizable inner loop. Every f64
-        // operation matches sample_bilinear's exactly, so the pixels are
-        // bit-identical to the naive per-pixel path.
+        // Separable bilinear: the x-dependent half of sample_bilinear is
+        // tabulated once per output column, the y-dependent half once per
+        // output row, and the two source rows borrowed as slices, leaving
+        // four loads and the blend per pixel. Every f64 operation matches
+        // sample_bilinear's exactly (`1 - f` is the same value however
+        // often it is computed), so the pixels are bit-identical to the
+        // naive per-pixel path.
         let xmax = (self.width - 1) as f64;
+        columns.clear();
+        columns.extend((0..new_width).map(|x| {
+            let src_x = ((x as f64 + 0.5) * sx - 0.5).clamp(0.0, xmax);
+            let x0 = src_x.floor() as usize;
+            let fx = src_x - x0 as f64;
+            ColumnTap {
+                x0,
+                x1: (x0 + 1).min(self.width - 1),
+                fx,
+                gx: 1.0 - fx,
+            }
+        }));
         let ymax = (self.height - 1) as f64;
         for y in 0..new_height {
             let src_y = ((y as f64 + 0.5) * sy - 0.5).clamp(0.0, ymax);
             let y0 = src_y.floor() as usize;
             let y1 = (y0 + 1).min(self.height - 1);
             let fy = src_y - y0 as f64;
+            let gy = 1.0 - fy;
             let row0 = &self.data[y0 * self.width..y0 * self.width + self.width];
             let row1 = &self.data[y1 * self.width..y1 * self.width + self.width];
-            for x in 0..new_width {
-                let src_x = ((x as f64 + 0.5) * sx - 0.5).clamp(0.0, xmax);
-                let x0 = src_x.floor() as usize;
-                let x1 = (x0 + 1).min(self.width - 1);
-                let fx = src_x - x0 as f64;
-                let p00 = row0[x0] as f64;
-                let p10 = row0[x1] as f64;
-                let p01 = row1[x0] as f64;
-                let p11 = row1[x1] as f64;
-                let v = p00 * (1.0 - fx) * (1.0 - fy)
-                    + p10 * fx * (1.0 - fy)
-                    + p01 * (1.0 - fx) * fy
-                    + p11 * fx * fy;
-                out.data.push(v.round().clamp(0.0, 255.0) as u8);
-            }
+            out.data.extend(columns.iter().map(|c| {
+                let p00 = row0[c.x0] as f64;
+                let p10 = row0[c.x1] as f64;
+                let p01 = row1[c.x0] as f64;
+                let p11 = row1[c.x1] as f64;
+                let v = p00 * c.gx * gy + p10 * c.fx * gy + p01 * c.gx * fy + p11 * c.fx * fy;
+                round_to_u8(v)
+            }));
         }
     }
 
@@ -245,6 +282,30 @@ mod tests {
                     assert_eq!(got.get(x, y), want, "pixel ({x},{y}) of {nw}x{nh}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn exact_rounding_matches_f64_round() {
+        let check = |v: f64| {
+            assert_eq!(
+                round_to_u8(v),
+                v.round().clamp(0.0, 255.0) as u8,
+                "v = {v:e} ({:#x})",
+                v.to_bits()
+            );
+        };
+        // ±64 ulps around every tie the pyramid can produce, and the tie
+        // itself. For positive f64s the bit pattern steps one ulp.
+        for k in 0..=255u32 {
+            let tie = (k as f64 + 0.5).to_bits();
+            for bits in tie - 64..=tie + 64 {
+                check(f64::from_bits(bits));
+            }
+        }
+        // A dense grid over the whole range.
+        for i in 0..256u32 << 16 {
+            check(i as f64 / 65536.0);
         }
     }
 

@@ -5,7 +5,7 @@
 //! pyramid stores each downscaled level plus the cumulative scale factors
 //! needed to map detections back to level-0 coordinates.
 
-use crate::image::GrayImage;
+use crate::image::{ColumnTap, GrayImage};
 
 /// Default number of pyramid levels (ORB-SLAM3's `nLevels`).
 pub const DEFAULT_LEVELS: usize = 8;
@@ -21,6 +21,9 @@ pub struct ImagePyramid {
     /// (so `scale[0] == 1.0`, `scale[1] == 1.2`, ...).
     pub scales: Vec<f64>,
     pub scale_factor: f64,
+    /// Column table of the level being resampled, reused level to level
+    /// and frame to frame (see [`GrayImage::resize_into`]).
+    columns: Vec<ColumnTap>,
 }
 
 /// A pyramid with no levels — scratch state for [`ImagePyramid::rebuild`].
@@ -30,6 +33,7 @@ impl Default for ImagePyramid {
             levels: Vec::new(),
             scales: Vec::new(),
             scale_factor: DEFAULT_SCALE_FACTOR,
+            columns: Vec::new(),
         }
     }
 }
@@ -79,7 +83,7 @@ impl ImagePyramid {
             // real pyramids cascade) rather than from the base every time.
             level_buf(&mut self.levels, used);
             let (prev, rest) = self.levels.split_at_mut(used);
-            prev[used - 1].resize_into(w, h, &mut rest[0]);
+            prev[used - 1].resize_into(w, h, &mut self.columns, &mut rest[0]);
             self.scales.push(s);
             used += 1;
         }

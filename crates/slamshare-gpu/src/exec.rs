@@ -6,17 +6,21 @@
 //! [`GpuExecutor::cpu_with_workers`]), preserving item order in the
 //! output; with one worker it is a sequential loop on the caller. The
 //! partitioning itself is the executor's [`BatchRunner`] impl — static
-//! contiguous chunks on scoped crossbeam threads, a worker's panic
-//! re-raised on the caller — and it is the workspace's only scoped-thread
-//! chunker: the extraction pipeline in `slamshare-features` drives it
-//! directly so each worker keeps its own reusable buffers, and the edge
-//! server's round stage runs on a `cpu_with_workers` executor's
-//! `par_map`. [`KernelStats`] reports both the real wall time and the
-//! modeled overheads (launch + copies) so experiment harnesses can
-//! account a discrete accelerator's latency honestly.
+//! contiguous chunks, the first run on the submitting thread and the rest
+//! on scoped crossbeam threads, a worker's panic re-raised on the caller —
+//! and it is the workspace's only scoped-thread chunker: the extraction
+//! pipeline in `slamshare-features` drives it directly so each worker
+//! keeps its own reusable buffers, the tracker extracts a stereo pair's
+//! two eyes as a two-item `par_map` whose items each run on a
+//! [`GpuExecutor::narrowed`] share of the lanes, and the edge server's
+//! round stage runs on a `cpu_with_workers` executor's `par_map`.
+//! [`KernelStats`] reports both the real wall time and the modeled
+//! overheads (launch + copies) so experiment harnesses can account a
+//! discrete accelerator's latency honestly.
 
 use crate::device::{Device, GpuModel};
 use slamshare_features::extractor::BatchRunner;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Statistics from one kernel execution.
@@ -69,9 +73,18 @@ impl KernelStats {
 }
 
 /// A kernel executor bound to a device.
+///
+/// What a kernel costs is charged from the executor it ran on: the
+/// measured compute times `workers / model_sms`, i.e. the core-milliseconds
+/// the lanes actually spent, spread over the modeled SMs. A
+/// [`GpuExecutor::narrowed`] executor keeps the device and `model_sms` of
+/// the one it came from, so work split across narrowed shares — the two
+/// eyes of a stereo frame — is charged the same core-milliseconds over the
+/// same slice as if it had run on all the lanes.
 #[derive(Debug, Clone)]
 pub struct GpuExecutor {
-    pub device: Device,
+    /// Shared so a [`GpuExecutor::narrowed`] copy costs no allocation.
+    pub device: Arc<Device>,
     /// Effective worker count (SMs clamped to host parallelism).
     workers: usize,
     /// The modeled SM count (unclamped) for latency scaling.
@@ -92,7 +105,7 @@ impl GpuExecutor {
             Device::Gpu(m) => m.sm_count.max(1),
         };
         GpuExecutor {
-            device,
+            device: Arc::new(device),
             workers,
             model_sms,
         }
@@ -112,7 +125,7 @@ impl GpuExecutor {
     pub fn cpu_with_workers(n: usize) -> GpuExecutor {
         let workers = n.max(1);
         GpuExecutor {
-            device: Device::Cpu,
+            device: Arc::new(Device::Cpu),
             workers,
             model_sms: workers,
         }
@@ -126,6 +139,17 @@ impl GpuExecutor {
         self.workers
     }
 
+    /// This executor with `workers` lanes (at least 1) and the same device
+    /// and modeled SM count: a share of the lanes for one of several
+    /// batches run side by side, charged as described on [`GpuExecutor`].
+    pub fn narrowed(&self, workers: usize) -> GpuExecutor {
+        GpuExecutor {
+            device: self.device.clone(),
+            workers: workers.max(1),
+            model_sms: self.model_sms,
+        }
+    }
+
     /// The modeled SM count behind this executor (unclamped by host
     /// parallelism) — what a slice of the shared GPU is worth on the
     /// modeled device, even when the host can't physically express it.
@@ -134,7 +158,7 @@ impl GpuExecutor {
     }
 
     fn model(&self) -> Option<&GpuModel> {
-        match &self.device {
+        match &*self.device {
             Device::Cpu => None,
             Device::Gpu(m) => Some(m),
         }
@@ -191,9 +215,10 @@ impl GpuExecutor {
 }
 
 /// The executor as the extraction pipeline's runner: contiguous chunks,
-/// one per worker, on scoped threads. FAST cells and projection queries
-/// have fairly even cost, so static partitioning is adequate and
-/// deterministic.
+/// one per worker, the first on the submitting thread and the others on
+/// scoped threads (so a batch of `n` chunks costs `n - 1` spawns, and a
+/// one-chunk batch none). FAST cells and projection queries have fairly
+/// even cost, so static partitioning is adequate and deterministic.
 impl BatchRunner for GpuExecutor {
     fn for_each_chunk<T, S, F>(&self, items: &[T], lanes: &mut Vec<S>, f: F)
     where
@@ -208,14 +233,20 @@ impl BatchRunner for GpuExecutor {
             return f(items, lane);
         }
         let f = &f;
+        let mut chunks = items.chunks(chunk).zip(lanes.iter_mut());
+        let first = chunks.next();
         let scope_result = crossbeam::thread::scope(|scope| {
-            for (items, lane) in items.chunks(chunk).zip(lanes.iter_mut()) {
+            for (items, lane) in chunks {
                 scope.spawn(move |_| f(items, lane));
+            }
+            if let Some((items, lane)) = first {
+                f(items, lane);
             }
         });
         if let Err(payload) = scope_result {
-            // A worker panicked: re-raise the original panic on the
-            // submitting thread rather than swallowing it.
+            // A worker (or the submitting thread's own chunk) panicked:
+            // re-raise the panic on the submitting thread rather than
+            // swallowing it.
             std::panic::resume_unwind(payload);
         }
     }
@@ -317,6 +348,34 @@ mod tests {
         assert_eq!(GpuExecutor::cpu_with_workers(0).workers(), 1);
         assert_eq!(GpuExecutor::cpu_with_workers(7).workers(), 7);
         assert_eq!(GpuExecutor::cpu().workers(), 1);
+    }
+
+    #[test]
+    fn first_chunk_runs_on_the_submitting_thread() {
+        let items: Vec<u32> = (0..12).collect();
+        let exec = GpuExecutor::cpu_with_workers(3);
+        let mut lanes: Vec<Option<std::thread::ThreadId>> = Vec::new();
+        exec.for_each_chunk(&items, &mut lanes, |_, lane| {
+            *lane = Some(std::thread::current().id());
+        });
+        let caller = std::thread::current().id();
+        assert_eq!(lanes.len(), 3);
+        assert_eq!(lanes[0], Some(caller));
+        assert!(lanes[1..].iter().all(|t| t.is_some() && *t != Some(caller)));
+    }
+
+    #[test]
+    fn narrowed_shares_the_device_and_the_slice() {
+        let gpu = GpuExecutor::v100();
+        let half = gpu.narrowed(gpu.workers() / 2);
+        assert_eq!(half.workers(), (gpu.workers() / 2).max(1));
+        assert_eq!(half.model_sms(), gpu.model_sms());
+        assert!(Arc::ptr_eq(&half.device, &gpu.device));
+        // Core-milliseconds spent on the narrowed lanes, over the slice.
+        let stats = half.kernel_stats(10.0, 0);
+        let expected = 10.0 * half.workers() as f64 / gpu.model_sms() as f64;
+        assert!((stats.modeled_compute_ms - expected).abs() < 1e-12);
+        assert_eq!(GpuExecutor::cpu_with_workers(3).narrowed(0).workers(), 1);
     }
 
     #[test]

@@ -143,8 +143,13 @@ pub struct FrameObservation {
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
     pub features: ExtractedFeatures,
-    /// Both eyes' extraction, on the configured device's clock (see
-    /// [`Tracker::extract`]).
+    /// Both eyes' extraction on the client's device, summed (see
+    /// [`Tracker::extract`]). Each eye is charged on the executor it ran
+    /// on: when the eyes run side by side on narrowed halves of the
+    /// client's lanes, an eye's measured compute is scaled by the lanes it
+    /// used over the slice's modeled SMs, so the sum still charges the
+    /// core-milliseconds spent over the slice, not the overlapped wall
+    /// time.
     pub extract_ms: f64,
     /// Wall time of the stereo match alone (0 in mono).
     pub stereo_match_ms: f64,
@@ -233,6 +238,10 @@ pub struct MotionState {
 pub struct Tracker {
     pub config: TrackerConfig,
     pub extractor: OrbExtractor,
+    /// The right eye's extractor: its own arena, so the two eyes of a
+    /// stereo pair can be extracted at once. Cold until the first stereo
+    /// frame.
+    right_extractor: OrbExtractor,
     /// Kernel executor; `GpuExecutor::cpu()` gives the sequential paper
     /// baseline, `GpuExecutor::v100()` the accelerated path.
     pub exec: Arc<GpuExecutor>,
@@ -254,9 +263,11 @@ pub struct Tracker {
 impl Tracker {
     pub fn new(config: TrackerConfig, exec: Arc<GpuExecutor>) -> Tracker {
         let extractor = OrbExtractor::new(config.extractor.clone());
+        let right_extractor = extractor.clone();
         Tracker {
             config,
             extractor,
+            right_extractor,
             exec,
             last_pose: None,
             velocity: SE3::IDENTITY,
@@ -332,6 +343,43 @@ impl Tracker {
         (f, stats.modeled_total_ms())
     }
 
+    /// Both eyes of a stereo pair, and their summed latency on the device
+    /// (as [`Tracker::extract`] reports it). With two or more lanes the
+    /// eyes are the two items of one `par_map` on the client's executor,
+    /// each extracted in its own arena on a [`GpuExecutor::narrowed`] half
+    /// of the lanes — on a 2-lane slice the left eye runs on the caller
+    /// and the right on one spawned thread, neither opening a scope of its
+    /// own. With one lane they run in sequence on the caller. The features
+    /// are the same bits either way.
+    fn extract_stereo(
+        &self,
+        left: &GrayImage,
+        right: &GrayImage,
+    ) -> (ExtractedFeatures, ExtractedFeatures, f64) {
+        let half = self.exec.narrowed(self.exec.workers() / 2);
+        let eyes = [(&self.extractor, left), (&self.right_extractor, right)];
+        let extract = |&(extractor, image): &(&OrbExtractor, &GrayImage)| {
+            kernels::gpu_extract(&half, extractor, image)
+        };
+        let [(left_features, left_stats), (right_features, right_stats)] =
+            if self.exec.workers() < 2 {
+                // No `par_map`: its result vector would be this path's only
+                // allocation beyond the features.
+                eyes.each_ref().map(extract)
+            } else {
+                self.exec
+                    .par_map(&eyes, 0, extract)
+                    .0
+                    .try_into()
+                    .unwrap_or_else(|_| unreachable!("par_map returns one result per item"))
+            };
+        (
+            left_features,
+            right_features,
+            left_stats.modeled_total_ms() + right_stats.modeled_total_ms(),
+        )
+    }
+
     /// Stereo-match left features against right-image features, filling
     /// `right_x`/`depth` on the left keypoints. Returns the match count.
     ///
@@ -360,15 +408,17 @@ impl Tracker {
         // obs histogram gets the wall clock, so the `track.*` stages tile
         // `round.frontend`.
         let t0 = Instant::now();
-        let (mut features, mut extract_ms) = self.extract(left);
-        let right_features = match right {
-            Some(right_img) if self.config.mode == SensorMode::Stereo => {
-                let (right_features, right_ms) = self.extract(right_img);
-                extract_ms += right_ms;
-                Some(right_features)
-            }
-            _ => None,
-        };
+        let (mut features, right_features, extract_ms) =
+            match right.filter(|_| self.config.mode == SensorMode::Stereo) {
+                Some(right) => {
+                    let (left, right, ms) = self.extract_stereo(left, right);
+                    (left, Some(right), ms)
+                }
+                None => {
+                    let (left, ms) = self.extract(left);
+                    (left, None, ms)
+                }
+            };
         let extract_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // 2. Stereo matching, on its own clock.

@@ -10,8 +10,9 @@
 //! three weeks later.
 //!
 //! A second measured phase holds the server's route to the same pipeline
-//! (`Tracker::extract_frame` on a GPU-device executor) to the returned
-//! features' own buffers.
+//! (`Tracker::extract_frame` on a one-SM GPU-device executor) to the
+//! returned features' own buffers, and a third holds the two-lane route,
+//! where the eyes run side by side, to those plus one spawn per frame.
 //!
 //! One `#[test]` only: the counter is process-global, so a second
 //! concurrently-running test would attribute its allocations to ours.
@@ -170,5 +171,31 @@ fn steady_state_frame_path_allocates_nothing() {
         delta <= PER_FRAME_BUDGET * MEASURED as u64,
         "GPU-device front half performed {delta} heap allocations over {MEASURED} frames \
          (budget {PER_FRAME_BUDGET} per frame)"
+    );
+
+    // ---- Phase 3: the same front half on two lanes ----
+    // The eyes run side by side, one lane each and no scope inside either:
+    // on top of phase 2's four buffers, one spawned thread and the
+    // `par_map` stitch of the two results — 12 allocations, 14 under the
+    // test harness's output capture, which every spawned thread inherits.
+    // Opening a scope per batch per eye (four per frame) costs 52.
+    const TWO_LANE_BUDGET: u64 = 14;
+    let tracker = Tracker::new(
+        TrackerConfig::stereo(ds.rig),
+        std::sync::Arc::new(GpuExecutor::cpu_with_workers(2)),
+    );
+    for _ in 0..WARM {
+        tracker.extract_frame(&left_src, Some(&right_src));
+    }
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED {
+        let front_end = tracker.extract_frame(&left_src, Some(&right_src));
+        assert!(front_end.features.keypoints.iter().any(|k| k.has_stereo()));
+    }
+    let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    assert!(
+        delta <= TWO_LANE_BUDGET * MEASURED as u64,
+        "two-lane front half performed {delta} heap allocations over {MEASURED} frames \
+         (budget {TWO_LANE_BUDGET} per frame)"
     );
 }

@@ -291,6 +291,8 @@ fn extraction_deterministic_across_worker_counts() {
         ("workers=1", GpuExecutor::cpu_with_workers(1)),
         ("workers=2", GpuExecutor::cpu_with_workers(2)),
         ("workers=4", GpuExecutor::cpu_with_workers(4)),
+        // An odd lane count: one lane per eye, the third unused.
+        ("workers=3", GpuExecutor::cpu_with_workers(3)),
         ("v100", GpuExecutor::v100()),
         (
             "jetson",
@@ -309,6 +311,20 @@ fn extraction_deterministic_across_worker_counts() {
             assert_eq!(got.keypoints, want.keypoints, "{name}");
             assert_eq!(got.descriptors, want.descriptors, "{name}");
         }
+    }
+    // A mono tracker extracts the left eye alone on all its lanes and
+    // ignores a right image it is handed.
+    let mono = Tracker::new(
+        TrackerConfig::mono(ds.rig),
+        Arc::new(GpuExecutor::cpu_with_workers(2)),
+    );
+    for i in 0..2 {
+        let (left, right) = ds.render_stereo_frame(i);
+        let (want, _) = reference.extract(&left);
+        let got = mono.extract_frame(&left, Some(&right)).features;
+        assert!(!got.keypoints.iter().any(|k| k.has_stereo()));
+        assert_eq!(got.keypoints, want.keypoints, "mono");
+        assert_eq!(got.descriptors, want.descriptors, "mono");
     }
 }
 
