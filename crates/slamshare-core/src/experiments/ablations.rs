@@ -13,7 +13,8 @@
 
 use super::Effort;
 use serde::Serialize;
-use slamshare_gpu::{kernels, GpuExecutor, GpuModel, SharedGpu};
+use slamshare_gpu::model::charge;
+use slamshare_gpu::{kernels, GpuModel, SharedGpu};
 use slamshare_math::Vec3;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slamshare_slam::imu::ClientMotionModel;
@@ -172,10 +173,11 @@ pub fn run_gpu_sharing(effort: Effort) -> GpuSharingResult {
             }
             let exec = gpu.executor(0).unwrap();
             let (_, stats) = kernels::gpu_extract(&exec, &extractor, &frame);
+            let sms = gpu.slice_sms()[&0];
             GpuSharingRow {
                 clients,
-                sms_per_client: gpu.allocation()[&0],
-                modeled_extract_ms: stats.modeled_total_ms(),
+                sms_per_client: sms,
+                modeled_extract_ms: charge(gpu.model(), sms, &stats),
             }
         })
         .collect();
@@ -201,10 +203,6 @@ impl GpuSharingResult {
         )
     }
 }
-
-/// Dummy import keeper (the executor type appears in signatures above).
-#[allow(dead_code)]
-fn _keep(_: GpuExecutor) {}
 
 #[cfg(test)]
 mod tests {
@@ -247,6 +245,7 @@ mod tests {
     fn slices_shrink_and_latency_grows() {
         let r = run_gpu_sharing(Effort::Smoke);
         assert!(r.rows.len() >= 2);
+        assert_eq!(r.rows[0].sms_per_client, GpuModel::v100().sm_count);
         assert!(r.rows[0].sms_per_client >= r.rows[1].sms_per_client);
         assert!(
             r.rows[1].modeled_extract_ms >= r.rows[0].modeled_extract_ms * 0.8,

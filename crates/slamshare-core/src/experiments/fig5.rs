@@ -7,7 +7,8 @@
 
 use super::Effort;
 use serde::Serialize;
-use slamshare_gpu::GpuExecutor;
+use slamshare_gpu::model::charge;
+use slamshare_gpu::{GpuExecutor, GpuModel};
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slamshare_slam::ids::ClientId;
 use slamshare_slam::system::{FrameInput, SlamConfig, SlamSystem};
@@ -33,14 +34,15 @@ pub struct Fig5Result {
     pub rows: Vec<Fig5Row>,
 }
 
-/// Average the tracker's stage timings over a dataset run.
-/// Exposed for reuse by [`super::fig8`] (same measurement, different
-/// device).
+/// Average the tracker's stage timings over a dataset run: on the
+/// sequential CPU executor at wall time (`gpu: None`), or on an executor
+/// for the modeled `gpu` with both kernel stages charged on all its SMs.
+/// Exposed for reuse by [`super::fig8`] (same measurement, other device).
 pub fn measure_tracking(
     preset: TracePreset,
     stereo: bool,
     frames: usize,
-    exec: Arc<GpuExecutor>,
+    gpu: Option<&GpuModel>,
 ) -> Fig5Row {
     let ds = Dataset::build(DatasetConfig::new(preset).with_frames(frames).with_seed(3));
     let vocab = Arc::new(vocabulary::train_random(42));
@@ -49,7 +51,8 @@ pub fn measure_tracking(
     } else {
         SlamConfig::mono(ds.rig)
     };
-    let mut sys = SlamSystem::new(ClientId(1), config, vocab, exec);
+    let exec = gpu.map_or_else(GpuExecutor::cpu, GpuExecutor::for_model);
+    let mut sys = SlamSystem::new(ClientId(1), config, vocab, Arc::new(exec));
 
     let mut sum = StageTimings::default();
     let mut timed = 0usize;
@@ -75,6 +78,9 @@ pub fn measure_tracking(
             sum.accumulate(&step.timings);
             timed += 1;
         }
+    }
+    if let Some(model) = gpu {
+        sum = sum.with_kernels_costed(|stats| charge(model, model.sm_count, stats));
     }
     let n = timed.max(1) as f64;
     Fig5Row {
@@ -105,9 +111,7 @@ pub fn run(effort: Effort) -> Fig5Result {
     };
     let rows = configs
         .into_iter()
-        .map(|(preset, stereo)| {
-            measure_tracking(preset, stereo, frames, Arc::new(GpuExecutor::cpu()))
-        })
+        .map(|(preset, stereo)| measure_tracking(preset, stereo, frames, None))
         .collect();
     Fig5Result { rows }
 }

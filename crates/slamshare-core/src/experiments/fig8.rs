@@ -9,9 +9,8 @@
 use super::fig5::{measure_tracking, Fig5Row};
 use super::Effort;
 use serde::Serialize;
-use slamshare_gpu::GpuExecutor;
+use slamshare_gpu::GpuModel;
 use slamshare_sim::dataset::TracePreset;
-use std::sync::Arc;
 
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig8Row {
@@ -40,8 +39,8 @@ pub fn run(effort: Effort) -> Fig8Result {
     let rows = configs
         .into_iter()
         .map(|(preset, stereo)| {
-            let cpu = measure_tracking(preset, stereo, frames, Arc::new(GpuExecutor::cpu()));
-            let gpu = measure_tracking(preset, stereo, frames, Arc::new(GpuExecutor::v100()));
+            let cpu = measure_tracking(preset, stereo, frames, None);
+            let gpu = measure_tracking(preset, stereo, frames, Some(&GpuModel::v100()));
             Fig8Row {
                 total_reduction_percent: (1.0 - gpu.total_ms / cpu.total_ms.max(1e-9)) * 100.0,
                 extract_reduction_percent: (1.0

@@ -660,7 +660,7 @@ impl EdgeServer {
         // speculatively against the round-start map, under one lock of
         // the client's mutex. Decode is per-client and map-free, so it
         // needs no ordering against other clients' tracks.
-        let (staged, _) = self.round_exec.par_map(popped, 0, |(client, p, f)| {
+        let staged = self.round_exec.par_map(popped, |(client, p, f)| {
             let mut process = p.lock();
             let decoded = process.ingest.decode(&f.left, f.right.as_deref());
             self.track_stage(&mut process, *client, f, decoded)

@@ -19,6 +19,7 @@ use crate::client::ClientDevice;
 use crate::qos::QueuedFrame;
 use crate::server::{EdgeServer, ServerConfig, ServerFrameResult};
 use slamshare_features::bow::Vocabulary;
+use slamshare_gpu::model::charge;
 use slamshare_math::{Vec3, SE3};
 use slamshare_net::link::{Channel, LinkConfig};
 use slamshare_sim::camera::StereoRig;
@@ -358,7 +359,10 @@ impl Session {
             }
 
             // Server: process the tick's frames as one concurrent round
-            // (per-client worker processes over the shared global map).
+            // (per-client worker processes over the shared global map),
+            // each client's kernels on the slice it holds as the round
+            // starts.
+            let slices = server.gpu.slice_sms();
             let mut results: HashMap<u16, ServerFrameResult> =
                 server.process_queued_round().into_iter().collect();
 
@@ -373,7 +377,14 @@ impl Session {
                 if res.resync_requested {
                     c.device.request_iframe();
                 }
-                let server_ms = res.decode_ms + res.timings.total_ms() + res.mapping_ms;
+                // The reply delay on the modeled GPU: wall time, except
+                // each kernel is charged on the client's slice.
+                let sms = slices.get(&u32::from(c.spec.id)).copied().unwrap_or(1);
+                let tracking_ms = res
+                    .timings
+                    .with_kernels_costed(|stats| charge(server.gpu.model(), sms, stats))
+                    .total_ms();
+                let server_ms = res.decode_ms + tracking_ms + res.mapping_ms;
                 if let Some(m) = &res.merge {
                     result.merges.push(MergeEvent {
                         t: t_session,

@@ -10,9 +10,10 @@
 //!    "parallelizing the loop iterations" exactly as the paper describes
 //!    its local-tracking CUDA kernel.
 //!
-//! The executor varies only how the work items are spread over workers
-//! and what the device model charges for them, so accuracy is unaffected
-//! by the device choice (asserted by tests) — only latency changes.
+//! The executor varies only how the work items are spread over lanes, so
+//! accuracy is unaffected by its width (asserted by tests). Each kernel
+//! returns the [`KernelStats`] of what it ran; what that costs on a
+//! modeled device is [`crate::model::charge`]'s to say.
 
 use crate::exec::{GpuExecutor, KernelStats};
 use slamshare_features::extractor::{ExtractedFeatures, OrbExtractor};
@@ -22,7 +23,7 @@ use slamshare_math::Vec2;
 use std::time::Instant;
 
 /// ORB extraction on `exec`. Returns the same features as
-/// `OrbExtractor::extract` plus what the whole call cost on the device.
+/// `OrbExtractor::extract` plus what the whole call ran.
 pub fn gpu_extract(
     exec: &GpuExecutor,
     extractor: &OrbExtractor,
@@ -30,15 +31,19 @@ pub fn gpu_extract(
 ) -> (ExtractedFeatures, KernelStats) {
     let mut features = ExtractedFeatures::default();
     let t = extractor.extract_on(exec, image, &mut features);
-
-    // Kernel 1: FAST over cells; the pyramid is copied host→device once.
-    // Kernel 2: describe the survivors.
-    let mut stats = exec.kernel_stats(t.detect_ms, t.pyramid_pixels);
-    stats.accumulate(exec.kernel_stats(t.describe_ms, t.survivors * 64));
-    // Pyramid construction (memory-bound, as in the paper's pipeline where
-    // the frame is decoded on CPU first), level binning and quadtree
-    // distribution (sequential, small) stay on the host.
-    stats.accumulate(KernelStats::host(t.pyramid_ms + t.distribute_ms));
+    let kernel_ms = t.detect_ms + t.describe_ms;
+    // Kernel 1: FAST over cells; the pyramid is handed across once.
+    // Kernel 2: describe the survivors. Pyramid construction
+    // (memory-bound, as in the paper's pipeline where the frame is
+    // decoded on CPU first), level binning and quadtree distribution
+    // (sequential, small) stay on the host.
+    let stats = KernelStats {
+        host_ms: t.pyramid_ms + t.distribute_ms,
+        kernel_ms,
+        lane_ms: kernel_ms * exec.workers() as f64,
+        launches: 2,
+        bytes: t.pyramid_pixels + t.survivors * 64,
+    };
     (features, stats)
 }
 
@@ -52,13 +57,20 @@ pub fn gpu_search_local_points(
     descriptors: &[Descriptor],
     max_distance: u32,
 ) -> (Vec<FeatureMatch>, KernelStats) {
-    let transfer = std::mem::size_of_val(queries) + std::mem::size_of_val(descriptors);
-    let (hits, mut stats) = exec.par_map(queries, transfer, |q| {
+    let t0 = Instant::now();
+    let hits = exec.par_map(queries, |q| {
         matching::best_in_window(q, positions, descriptors, max_distance)
     });
-    let t0 = Instant::now();
+    let t1 = Instant::now();
     let matches = matching::resolve_conflicts(hits);
-    stats.accumulate(KernelStats::host(t0.elapsed().as_secs_f64() * 1e3));
+    let kernel_ms = (t1 - t0).as_secs_f64() * 1e3;
+    let stats = KernelStats {
+        host_ms: t1.elapsed().as_secs_f64() * 1e3,
+        kernel_ms,
+        lane_ms: kernel_ms * exec.workers() as f64,
+        launches: 1,
+        bytes: std::mem::size_of_val(queries) + std::mem::size_of_val(descriptors),
+    };
     (matches, stats)
 }
 
@@ -149,7 +161,7 @@ mod tests {
                 let t0 = Instant::now();
                 let (_, stats) = gpu_extract(&exec, &ex, &img);
                 let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                (wall_ms - stats.total_ms(), wall_ms)
+                (wall_ms - stats.wall_ms(), wall_ms)
             })
             .fold((f64::INFINITY, 0.0), |a, b| if b.0 < a.0 { b } else { a });
         assert!(
@@ -159,12 +171,14 @@ mod tests {
     }
 
     #[test]
-    fn extraction_stats_nonzero_on_gpu() {
+    fn extraction_stats_record_both_kernels() {
         let img = textured(256, 192);
         let ex = OrbExtractor::with_defaults();
-        let (_, stats) = gpu_extract(&GpuExecutor::v100(), &ex, &img);
-        assert!(stats.launch_ms > 0.0);
-        assert!(stats.copy_ms > 0.0);
-        assert!(stats.compute_ms > 0.0);
+        let exec = GpuExecutor::v100();
+        let (_, stats) = gpu_extract(&exec, &ex, &img);
+        assert_eq!(stats.launches, 2);
+        assert!(stats.bytes >= 256 * 192);
+        assert!(stats.kernel_ms > 0.0);
+        assert_eq!(stats.lane_ms, stats.kernel_ms * exec.workers() as f64);
     }
 }

@@ -12,8 +12,8 @@
 //! deregistering clients re-balances slices. Concurrent submission from
 //! multiple threads is safe — slices execute independently.
 
-use crate::device::GpuModel;
 use crate::exec::GpuExecutor;
+use crate::model::GpuModel;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -69,6 +69,12 @@ impl SharedGpu {
             model,
             slices: RwLock::new(BTreeMap::new()),
         }
+    }
+
+    /// The modeled device the slices are cut from: what a caller charges
+    /// a client's kernel stats on, with that client's [`SharedGpu::slice_sms`].
+    pub fn model(&self) -> &GpuModel {
+        &self.model
     }
 
     /// Number of registered clients.
@@ -179,9 +185,10 @@ impl SharedGpu {
     }
 
     fn sliced_executor(&self, sms: usize) -> GpuExecutor {
-        let mut sliced = self.model.clone();
-        sliced.sm_count = sms;
-        GpuExecutor::new(crate::device::Device::Gpu(sliced))
+        GpuExecutor::for_model(&GpuModel {
+            sm_count: sms,
+            ..self.model.clone()
+        })
     }
 
     /// Bring every entry to the current layout, recreating only the
@@ -246,7 +253,8 @@ mod tests {
             .map(|n| n.get())
             .unwrap_or(1);
         assert_eq!(ex.workers(), GpuModel::v100().sm_count.min(host));
-        assert_eq!(ex.model_sms(), GpuModel::v100().sm_count);
+        assert_eq!(gpu.slice_sms()[&1], GpuModel::v100().sm_count);
+        assert_eq!(gpu.model(), &GpuModel::v100());
     }
 
     #[test]
@@ -296,15 +304,19 @@ mod tests {
     fn register_allocates_correct_slice_once() {
         // The regression this guards: register used to insert a throwaway
         // `GpuExecutor::cpu()` placeholder before rebalance replaced it.
-        // Now the returned executor must carry the correct device slice
-        // directly, and be the same executor the table holds.
+        // Now the returned executor must carry the correct slice directly,
+        // and be the same executor the table holds.
+        let host = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let sm = GpuModel::v100().sm_count;
         let gpu = SharedGpu::new(GpuModel::v100());
         let ex1 = gpu.register(1);
-        assert!(ex1.device.is_gpu());
-        assert_eq!(ex1.model_sms(), GpuModel::v100().sm_count);
+        assert_eq!(gpu.slice_sms()[&1], sm);
+        assert_eq!(ex1.workers(), sm.min(host));
         let ex2 = gpu.register(2);
-        assert!(ex2.device.is_gpu());
-        assert_eq!(ex2.model_sms(), GpuModel::v100().sm_count / 2);
+        assert_eq!(gpu.slice_sms()[&2], sm / 2);
+        assert_eq!(ex2.workers(), (sm / 2).min(host));
         assert!(Arc::ptr_eq(&gpu.executor(2).unwrap(), &ex2));
     }
 
@@ -425,11 +437,11 @@ mod tests {
         let items2 = items.clone();
         let h1 = std::thread::spawn(move || {
             let ex = g1.executor(1).unwrap();
-            ex.par_map(&items, 0, |x| x + 1).0
+            ex.par_map(&items, |x| x + 1)
         });
         let h2 = std::thread::spawn(move || {
             let ex = g2.executor(2).unwrap();
-            ex.par_map(&items2, 0, |x| x * 2).0
+            ex.par_map(&items2, |x| x * 2)
         });
         let r1 = h1.join().unwrap();
         let r2 = h2.join().unwrap();

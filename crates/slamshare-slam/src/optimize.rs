@@ -380,16 +380,14 @@ pub fn local_bundle_adjust_with(
     // Hold the oldest in-window keyframe fixed (plus all out-of-window
     // observers, implicitly, since we never touch their poses).
     // `total_cmp` rather than `partial_cmp().unwrap()`: a NaN timestamp
-    // must not panic the commit stage (it sorts last instead).
+    // must not panic the commit stage (it sorts last instead). A
+    // covisible id can name a keyframe the map no longer holds (a point
+    // may keep an observation of it), so it is looked up, not indexed.
     let fixed_kf = kf_ids
         .iter()
-        .copied()
-        .min_by(|a, b| {
-            let ta = map.keyframes[a].timestamp;
-            let tb = map.keyframes[b].timestamp;
-            ta.total_cmp(&tb)
-        })
-        .unwrap_or(center);
+        .filter_map(|id| map.keyframes.get(id).map(|kf| (*id, kf.timestamp)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map_or(center, |(id, _)| id);
 
     // Collect the point set: sort + dedup on the reused buffer yields the
     // same ascending unique ids the old per-call `BTreeSet` produced.
@@ -537,6 +535,51 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn local_ba_tolerates_an_observation_of_a_missing_keyframe() {
+        // `Map::add_observation` records an observation even of a keyframe
+        // the map does not hold; local BA then finds that keyframe
+        // covisible with the center and must not index it.
+        use crate::ids::ClientId;
+        use crate::map::{KeyFrame, Map};
+        use slamshare_features::{Descriptor, KeyPoint};
+        let cam = PinholeCamera::euroc_like();
+        let points = scatter(&mut StdRng::seed_from_u64(5), 8);
+        let keypoints: Vec<KeyPoint> = points
+            .iter()
+            .filter_map(|&p| cam.project(p))
+            .map(|px| KeyPoint::new(px, 0, 1.0))
+            .collect();
+        let n = keypoints.len();
+        let mut map = Map::new(ClientId(1));
+        let center = map.alloc.next_keyframe();
+        map.insert_keyframe(KeyFrame {
+            id: center,
+            pose_cw: SE3::IDENTITY,
+            timestamp: 0.0,
+            descriptors: vec![Descriptor::ZERO; n],
+            keypoints,
+            matched_points: vec![None; n],
+            bow: Default::default(),
+        });
+        let missing = map.alloc.next_keyframe();
+        for (i, &p) in points.iter().take(n).enumerate() {
+            let mp = map.create_mappoint(p, Descriptor::ZERO, center, i);
+            map.add_observation(mp, missing, i);
+        }
+        assert_eq!(map.covisible_keyframes(center, 1), vec![(missing, n)]);
+        let stats = local_bundle_adjust_with(
+            &mut map,
+            &cam,
+            center,
+            5,
+            2,
+            &GpuExecutor::cpu(),
+            &mut BaScratch::default(),
+        );
+        assert_eq!(stats.n_keyframes, 2);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::optimize::{optimize_pose, PoseObservation};
 use slamshare_features::extractor::{ExtractedFeatures, OrbExtractor, OrbExtractorConfig};
 use slamshare_features::matching::{self, ProjectionQuery, TH_LOW};
 use slamshare_features::{Descriptor, GrayImage, KeyPoint};
-use slamshare_gpu::{kernels, GpuExecutor};
+use slamshare_gpu::{kernels, GpuExecutor, KernelStats};
 use slamshare_math::{Vec2, SE3};
 use slamshare_sim::camera::StereoRig;
 use std::sync::Arc;
@@ -81,7 +81,9 @@ impl TrackerConfig {
 }
 
 /// Wall-clock stage timings for one tracked frame, milliseconds — the
-/// rows of the paper's Fig. 5 / Fig. 8 breakdown.
+/// rows of the paper's Fig. 5 / Fig. 8 breakdown — plus what the two
+/// kernel stages ran, for callers that cost them on a modeled device
+/// ([`StageTimings::with_kernels_costed`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     pub orb_extract_ms: f64,
@@ -89,6 +91,10 @@ pub struct StageTimings {
     pub pose_predict_ms: f64,
     pub search_local_ms: f64,
     pub optimize_ms: f64,
+    /// Both eyes' extraction kernels.
+    pub extract: KernelStats,
+    /// The search-local-points kernel and its host-side conflict pass.
+    pub search: KernelStats,
 }
 
 impl StageTimings {
@@ -106,15 +112,19 @@ impl StageTimings {
         self.pose_predict_ms += o.pose_predict_ms;
         self.search_local_ms += o.search_local_ms;
         self.optimize_ms += o.optimize_ms;
+        self.extract.accumulate(o.extract);
+        self.search.accumulate(o.search);
     }
 
-    pub fn scaled(&self, f: f64) -> StageTimings {
+    /// These timings with each kernel's wall share replaced by
+    /// `cost(stats)`: the extraction stage, which is its kernels, whole;
+    /// of the search stage, the kernel call but not the candidate
+    /// gathering before it. The other stages keep their wall time.
+    pub fn with_kernels_costed(&self, cost: impl Fn(&KernelStats) -> f64) -> StageTimings {
         StageTimings {
-            orb_extract_ms: self.orb_extract_ms * f,
-            orb_match_ms: self.orb_match_ms * f,
-            pose_predict_ms: self.pose_predict_ms * f,
-            search_local_ms: self.search_local_ms * f,
-            optimize_ms: self.optimize_ms * f,
+            orb_extract_ms: cost(&self.extract),
+            search_local_ms: self.search_local_ms - self.search.wall_ms() + cost(&self.search),
+            ..*self
         }
     }
 }
@@ -143,14 +153,13 @@ pub struct FrameObservation {
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
     pub features: ExtractedFeatures,
-    /// Both eyes' extraction on the client's device, summed (see
-    /// [`Tracker::extract`]). Each eye is charged on the executor it ran
-    /// on: when the eyes run side by side on narrowed halves of the
-    /// client's lanes, an eye's measured compute is scaled by the lanes it
-    /// used over the slice's modeled SMs, so the sum still charges the
-    /// core-milliseconds spent over the slice, not the overlapped wall
-    /// time.
+    /// Wall time of both eyes' extraction.
     pub extract_ms: f64,
+    /// What both eyes' extraction kernels ran, accumulated: side by side
+    /// on narrowed halves of the lanes, each eye records the lanes it
+    /// used, so the sum holds the lane-milliseconds spent, not the
+    /// overlapped wall time.
+    pub extract: KernelStats,
     /// Wall time of the stereo match alone (0 in mono).
     pub stereo_match_ms: f64,
 }
@@ -161,6 +170,7 @@ impl FrontEnd {
         StageTimings {
             orb_extract_ms: self.extract_ms,
             orb_match_ms: self.stereo_match_ms,
+            extract: self.extract,
             ..Default::default()
         }
     }
@@ -330,54 +340,41 @@ impl Tracker {
         self.ref_matches = n_matched;
     }
 
-    /// Extract features, running on the configured device. Exposed so the
-    /// bootstrap path can reuse it.
-    ///
-    /// The returned latency is what the stage costs *on the configured
-    /// device*: the simulated device's modeled latency (launch + copies +
-    /// SM-scaled compute, host-side stages at wall time) on a GPU device,
-    /// so experiments report V100-like numbers even on small hosts; on a
-    /// CPU device that is the real wall time.
-    pub fn extract(&self, image: &GrayImage) -> (ExtractedFeatures, f64) {
-        let (f, stats) = kernels::gpu_extract(&self.exec, &self.extractor, image);
-        (f, stats.modeled_total_ms())
+    /// Extract features on the tracker's executor, with what the kernels
+    /// ran. Exposed so the bootstrap path can reuse it.
+    pub fn extract(&self, image: &GrayImage) -> (ExtractedFeatures, KernelStats) {
+        kernels::gpu_extract(&self.exec, &self.extractor, image)
     }
 
-    /// Both eyes of a stereo pair, and their summed latency on the device
-    /// (as [`Tracker::extract`] reports it). With two or more lanes the
-    /// eyes are the two items of one `par_map` on the client's executor,
-    /// each extracted in its own arena on a [`GpuExecutor::narrowed`] half
-    /// of the lanes — on a 2-lane slice the left eye runs on the caller
-    /// and the right on one spawned thread, neither opening a scope of its
-    /// own. With one lane they run in sequence on the caller. The features
-    /// are the same bits either way.
+    /// Both eyes of a stereo pair, and their kernel stats accumulated.
+    /// With two or more lanes the eyes are the two items of one `par_map`
+    /// on the client's executor, each extracted in its own arena on a
+    /// [`GpuExecutor::narrowed`] half of the lanes — on a 2-lane slice the
+    /// left eye runs on the caller and the right on one spawned thread,
+    /// neither opening a scope of its own. With one lane they run in
+    /// sequence on the caller. The features are the same bits either way.
     fn extract_stereo(
         &self,
         left: &GrayImage,
         right: &GrayImage,
-    ) -> (ExtractedFeatures, ExtractedFeatures, f64) {
+    ) -> (ExtractedFeatures, ExtractedFeatures, KernelStats) {
         let half = self.exec.narrowed(self.exec.workers() / 2);
         let eyes = [(&self.extractor, left), (&self.right_extractor, right)];
         let extract = |&(extractor, image): &(&OrbExtractor, &GrayImage)| {
             kernels::gpu_extract(&half, extractor, image)
         };
-        let [(left_features, left_stats), (right_features, right_stats)] =
-            if self.exec.workers() < 2 {
-                // No `par_map`: its result vector would be this path's only
-                // allocation beyond the features.
-                eyes.each_ref().map(extract)
-            } else {
-                self.exec
-                    .par_map(&eyes, 0, extract)
-                    .0
-                    .try_into()
-                    .unwrap_or_else(|_| unreachable!("par_map returns one result per item"))
-            };
-        (
-            left_features,
-            right_features,
-            left_stats.modeled_total_ms() + right_stats.modeled_total_ms(),
-        )
+        let [(left_features, mut stats), (right_features, right)] = if self.exec.workers() < 2 {
+            // No `par_map`: its result vector would be this path's only
+            // allocation beyond the features.
+            eyes.each_ref().map(extract)
+        } else {
+            self.exec
+                .par_map(&eyes, extract)
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("par_map returns one result per item"))
+        };
+        stats.accumulate(right);
+        (left_features, right_features, stats)
     }
 
     /// Stereo-match left features against right-image features, filling
@@ -403,23 +400,20 @@ impl Tracker {
     /// stereo match. Reads neither the map nor the motion state, so it
     /// needs no map lock and its result survives any number of re-tracks.
     pub fn extract_frame(&self, left: &GrayImage, right: Option<&GrayImage>) -> FrontEnd {
-        // 1. ORB extraction on both eyes. `extract_ms` is the device's
-        // latency (modeled on the simulated GPU) for `StageTimings`; the
-        // obs histogram gets the wall clock, so the `track.*` stages tile
-        // `round.frontend`.
+        // 1. ORB extraction on both eyes.
         let t0 = Instant::now();
-        let (mut features, right_features, extract_ms) =
+        let (mut features, right_features, extract) =
             match right.filter(|_| self.config.mode == SensorMode::Stereo) {
                 Some(right) => {
-                    let (left, right, ms) = self.extract_stereo(left, right);
-                    (left, Some(right), ms)
+                    let (left, right, stats) = self.extract_stereo(left, right);
+                    (left, Some(right), stats)
                 }
                 None => {
-                    let (left, ms) = self.extract(left);
-                    (left, None, ms)
+                    let (left, stats) = self.extract(left);
+                    (left, None, stats)
                 }
             };
-        let extract_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let extract_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // 2. Stereo matching, on its own clock.
         let mut stereo_match_ms = 0.0;
@@ -430,11 +424,12 @@ impl Tracker {
         }
 
         // Once per frame, however often the back half is redone.
-        slamshare_obs::observe_ms!("track.extract", extract_wall_ms);
+        slamshare_obs::observe_ms!("track.extract", extract_ms);
         slamshare_obs::observe_ms!("track.stereo_match", stereo_match_ms);
         FrontEnd {
             features,
             extract_ms,
+            extract,
             stereo_match_ms,
         }
     }
@@ -511,18 +506,15 @@ impl Tracker {
             query_points.push(mp_id);
         }
         let positions: Vec<Vec2> = features.keypoints.iter().map(|k| k.pt).collect();
-        let candidate_gather_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let (matches, stats) = kernels::gpu_search_local_points(
+        let (matches, search) = kernels::gpu_search_local_points(
             &self.exec,
             &queries,
             &positions,
             &features.descriptors,
             TH_LOW,
         );
-        let search_wall_ms = t1.elapsed().as_secs_f64() * 1e3;
-        // The kernel on the device's clock + the host-side candidate
-        // gathering measured above.
-        timings.search_local_ms = stats.modeled_total_ms() + candidate_gather_ms;
+        timings.search_local_ms = t1.elapsed().as_secs_f64() * 1e3;
+        timings.search = search;
 
         // 5. Pose optimization.
         let t2 = Instant::now();
@@ -581,7 +573,7 @@ impl Tracker {
         // layer — Fig. 5's per-stage breakdown as live histograms, all on
         // the wall clock.
         slamshare_obs::observe_ms!("track.predict", timings.pose_predict_ms);
-        slamshare_obs::observe_ms!("track.search_local_points", search_wall_ms);
+        slamshare_obs::observe_ms!("track.search_local_points", timings.search_local_ms);
         slamshare_obs::observe_ms!("track.optimize", timings.optimize_ms);
         if lost {
             slamshare_obs::counter_inc!("track.lost");
@@ -882,9 +874,9 @@ mod tests {
 
     #[test]
     fn gpu_stereo_match_timing_is_wall_time_of_the_match_alone() {
-        // On the simulated-GPU device `extract` returns modeled latency;
-        // `orb_match_ms` must still be the wall time of the stereo match,
-        // not "real right-image extraction the model didn't charge".
+        // On a simulated-GPU executor `orb_match_ms` must be the wall
+        // time of the stereo match alone, not right-image extraction
+        // booked under the wrong stage.
         let (map, ds, cpu_tracker) = seeded_map_and_dataset();
         let mut tracker = Tracker::new(cpu_tracker.config.clone(), Arc::new(GpuExecutor::v100()));
         tracker.reset_motion(ds.gt_pose_cw(0));

@@ -6,8 +6,8 @@
 #   scripts/check.sh              run every stage in order
 #   scripts/check.sh <stage>...   run only the named stage(s)
 #
-# Stages (in order): build test bench-norun clippy nopanic fmt benchmark
-#                    load-smoke fed-smoke virtual-gate soak loc
+# Stages (in order): build test bench-norun clippy nopanic cost-model fmt
+#                    benchmark load-smoke fed-smoke virtual-gate soak loc
 # Optional stage:    bench-gate   (also appended to the default run when
 #                                  SLAMSHARE_BENCH_GATE=1 — it runs the
 #                                  benchmarks, which takes a while)
@@ -61,6 +61,18 @@ stage_nopanic() {
     # pass compiles those lints as hard errors; CLI -D flags must NOT be used
     # here — they leak into the vendored workspace path deps.
     cargo clippy -q -p slamshare-net -p slamshare-core -p slamshare-shm -p slamshare-slam -p slamshare-gpu -p slamshare-features
+}
+
+stage_cost_model() {
+    echo "== cost model stays out of the server (slamshare-slam, core server.rs) =="
+    # Modeled GPU time is made in one place, slamshare_gpu::model::charge,
+    # and only by callers that report it (experiments, the session driver).
+    # The tracker and the server handle wall time and kernel stats only.
+    if grep -rnE 'modeled_|model::charge|launch_ms' \
+        crates/slamshare-slam/src crates/slamshare-core/src/server.rs; then
+        echo "cost-model: the lines above bring modeled time into the server" >&2
+        return 1
+    fi
 }
 
 stage_fmt() {
@@ -119,6 +131,7 @@ run_stage() {
         bench-norun) stage_bench_norun ;;
         clippy)      stage_clippy ;;
         nopanic)     stage_nopanic ;;
+        cost-model)  stage_cost_model ;;
         fmt)         stage_fmt ;;
         benchmark)   stage_benchmark ;;
         load-smoke)  stage_load_smoke ;;
@@ -127,7 +140,7 @@ run_stage() {
         soak)        stage_soak ;;
         loc)         stage_loc ;;
         bench-gate)  stage_bench_gate ;;
-        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke virtual-gate soak loc bench-gate)" >&2
+        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic cost-model fmt benchmark load-smoke fed-smoke virtual-gate soak loc bench-gate)" >&2
            exit 2 ;;
     esac
 }
@@ -137,7 +150,7 @@ if [[ $# -gt 0 ]]; then
         run_stage "$stage"
     done
 else
-    for stage in build test bench-norun clippy nopanic fmt benchmark load-smoke fed-smoke virtual-gate soak loc; do
+    for stage in build test bench-norun clippy nopanic cost-model fmt benchmark load-smoke fed-smoke virtual-gate soak loc; do
         run_stage "$stage"
     done
     if [[ "${SLAMSHARE_BENCH_GATE:-0}" == 1 ]]; then

@@ -9,7 +9,9 @@
 # `.expect(`, `panic!(` outside `//` comment lines), the field counts of
 # the config structs and the number of `pub fn`s on `EdgeServer`, so a
 # PR's "options removed vs added", panic-site and API-surface lines can be
-# read off instead of counted by hand.
+# read off instead of counted by hand. Last, the count of `charge(` call
+# sites of the GPU cost model (non-test lines, every crate), which should
+# stay small: modeled time is made only where it is reported.
 # Read-only; never fails on a difference.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -101,3 +103,15 @@ server=crates/slamshare-core/src/server.rs
 b=$(read_file "$BASE" "$server" 2>/dev/null | pub_fn_count EdgeServer)
 t=$(read_file tree "$server" | pub_fn_count EdgeServer)
 printf '%-22s %10d %10d %+8d\n' "EdgeServer pub fns" "$b" "$t" "$((t - b))"
+
+# stdin: one Rust file; stdout: its non-test calls of the GPU cost model's
+# free function `charge(` — not methods such as `cpu.charge(`, not the
+# definition, not `//` comment lines.
+charge_sites() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { done = 1 }
+         !done && !/^[[:space:]]*\/\// && !/fn charge\(/ { n += gsub(/(^|[^._a-zA-Z0-9])charge\(/, "&") }
+         END { print n + 0 }'
+}
+
+echo
+crate_table "model::charge( sites" charge_sites

@@ -147,7 +147,7 @@ fn steady_state_frame_path_allocates_nothing() {
     // `Tracker::extract_frame` runs the same arena-backed pipeline through
     // the executor, so at one worker the only allocations left are the
     // returned features' own buffers: keypoints + descriptors, two eyes.
-    use slam_share::gpu::{Device, GpuExecutor, GpuModel};
+    use slam_share::gpu::{GpuExecutor, GpuModel};
     use slam_share::slam::tracking::{Tracker, TrackerConfig};
     const PER_FRAME_BUDGET: u64 = 4;
     let one_sm = GpuModel {
@@ -156,7 +156,7 @@ fn steady_state_frame_path_allocates_nothing() {
     };
     let tracker = Tracker::new(
         TrackerConfig::stereo(ds.rig),
-        std::sync::Arc::new(GpuExecutor::new(Device::Gpu(one_sm))),
+        std::sync::Arc::new(GpuExecutor::for_model(&one_sm)),
     );
     for _ in 0..WARM {
         tracker.extract_frame(&left_src, Some(&right_src));

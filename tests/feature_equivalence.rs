@@ -10,7 +10,7 @@ use slam_share::features::descriptor::DescriptorBlock;
 use slam_share::features::matching::{self, MatchScratch, StereoScratch, TH_HIGH};
 use slam_share::features::orb;
 use slam_share::features::{Descriptor, GrayImage, KeyPoint};
-use slam_share::gpu::{Device, GpuExecutor, GpuModel};
+use slam_share::gpu::{GpuExecutor, GpuModel};
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::tracking::{Tracker, TrackerConfig};
 use slamshare_math::Vec2;
@@ -294,10 +294,7 @@ fn extraction_deterministic_across_worker_counts() {
         // An odd lane count: one lane per eye, the third unused.
         ("workers=3", GpuExecutor::cpu_with_workers(3)),
         ("v100", GpuExecutor::v100()),
-        (
-            "jetson",
-            GpuExecutor::new(Device::Gpu(GpuModel::jetson_like())),
-        ),
+        ("jetson", GpuExecutor::for_model(&GpuModel::jetson_like())),
     ];
     for (name, exec) in executors {
         let tracker = Tracker::new(TrackerConfig::stereo(ds.rig), Arc::new(exec));
