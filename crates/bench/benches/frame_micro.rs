@@ -1,6 +1,8 @@
 //! Bench (extension): per-frame micro-latencies of the zero-copy batched
 //! tracking path — warm ORB extraction (frame arena + SoA describe) and
-//! its four sub-stages, the server's stereo front half on two lanes,
+//! its four sub-stages, FAST + NMS per pyramid level (cells, corners
+//! before and after NMS, detect time), the server's stereo front half on
+//! two lanes,
 //! batched stereo matching (row-bucket CSR + strip Hamming kernel), and
 //! the fused orient+describe kernel against its separate scalar pair.
 //!
@@ -13,9 +15,11 @@
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slamshare_features::extractor::{ExtractedFeatures, ExtractionTimings, OrbExtractor};
+use slamshare_features::arena::CellScratch;
+use slamshare_features::extractor::{CellTask, ExtractedFeatures, ExtractionTimings, OrbExtractor};
 use slamshare_features::matching::{self, StereoScratch};
 use slamshare_features::orb;
+use slamshare_features::ImagePyramid;
 use slamshare_gpu::GpuExecutor;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slamshare_slam::tracking::{Tracker, TrackerConfig};
@@ -40,6 +44,8 @@ struct BenchFrame {
     distribute_p95_ms: f64,
     describe_p50_ms: f64,
     describe_p95_ms: f64,
+    /// The detect stage per pyramid level, on one lane.
+    levels: Vec<LevelDetect>,
     /// `Tracker::extract_frame` on a stereo pair with a 2-lane executor:
     /// both eyes, side by side, plus the stereo match.
     stereo_frame_p50_ms: f64,
@@ -53,6 +59,19 @@ struct BenchFrame {
     /// Same keypoints through the separate scalar orientation+describe
     /// pair — the fused kernel's speedup denominator.
     scalar_describe_p50_ms: f64,
+}
+
+/// FAST + NMS over every cell of one pyramid level, through
+/// `OrbExtractor::detect_cell_into`.
+#[derive(Serialize)]
+struct LevelDetect {
+    level: usize,
+    cells: usize,
+    /// Corners before NMS (after the low-threshold retry where it ran).
+    raw_corners: usize,
+    /// Corners NMS kept: what the level hands to distribution.
+    survivors: usize,
+    detect_p50_ms: f64,
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -114,6 +133,42 @@ fn bench(c: &mut Criterion) {
     let distribute = stage_ms(|t| t.distribute_ms);
     let describe = stage_ms(|t| t.describe_ms);
 
+    let pyr = ImagePyramid::build(
+        &left,
+        extractor.config.n_levels,
+        extractor.config.scale_factor,
+    );
+    let mut tasks = Vec::new();
+    extractor.cells_into(&pyr, &mut tasks);
+    let mut scratch = CellScratch::default();
+    let mut kept = Vec::new();
+    let levels: Vec<LevelDetect> = (0..pyr.num_levels())
+        .map(|level| {
+            let cells: Vec<CellTask> = tasks.iter().filter(|t| t.level == level).copied().collect();
+            // Returns the level's raw corner count; survivors land in `kept`.
+            let mut detect = || {
+                kept.clear();
+                let mut raw_corners = 0;
+                for &task in &cells {
+                    extractor.detect_cell_into(&pyr, task, &mut scratch, &mut kept);
+                    raw_corners += scratch.raw.len();
+                }
+                raw_corners
+            };
+            let raw_corners = detect();
+            let ms = time_reps(reps, || {
+                detect();
+            });
+            LevelDetect {
+                level,
+                cells: cells.len(),
+                raw_corners,
+                survivors: kept.len(),
+                detect_p50_ms: percentile(&ms, 0.50),
+            }
+        })
+        .collect();
+
     let tracker = Tracker::new(
         TrackerConfig::stereo(ds.rig),
         Arc::new(GpuExecutor::cpu_with_workers(2)),
@@ -170,6 +225,7 @@ fn bench(c: &mut Criterion) {
         distribute_p95_ms: distribute.1,
         describe_p50_ms: describe.0,
         describe_p95_ms: describe.1,
+        levels,
         stereo_frame_p50_ms: percentile(&stereo_frame_ms, 0.50),
         stereo_frame_p95_ms: percentile(&stereo_frame_ms, 0.95),
         stereo_match_p50_ms: percentile(&stereo_ms, 0.50),
@@ -196,6 +252,12 @@ fn bench(c: &mut Criterion) {
         out.scalar_describe_p50_ms,
         out.keypoints_per_frame,
     );
+    for l in &out.levels {
+        println!(
+            "level {}: {} cells, {} raw corners -> {} after NMS, detect p50 {:.3} ms",
+            l.level, l.cells, l.raw_corners, l.survivors, l.detect_p50_ms,
+        );
+    }
     save_json("BENCH_frame", &out);
 
     c.bench_function("frame/extract_warm", |b| {

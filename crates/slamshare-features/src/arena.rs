@@ -15,7 +15,9 @@
 //!    level pixel buffers and its resampling column table);
 //! 2. `tasks` is refilled with the frame's detection cells;
 //! 3. the runner hands each lane a contiguous run of cells; a lane detects
-//!    into its `cell_raw` and appends NMS survivors to its `detected`;
+//!    each cell into its `cell.raw`, suppresses non-maxima through its
+//!    `cell.grid` (cell-local scores, zero between cells) and appends the
+//!    survivors to its `detected`;
 //! 4. lanes are stitched, in order, into the per-level bins in `raw`;
 //! 5. `distribute` retains each level's budget into `survivors`;
 //! 6. the runner hands each lane a contiguous run of survivors to describe
@@ -29,12 +31,24 @@ use crate::extractor::{CellTask, ExtractedFeatures};
 use crate::keypoint::KeyPoint;
 use crate::pyramid::ImagePyramid;
 
+/// Scratch for detecting one cell
+/// ([`crate::extractor::OrbExtractor::detect_cell_into`]), reused cell to
+/// cell.
+#[derive(Debug, Default)]
+pub struct CellScratch {
+    /// Pre-NMS corners of the last cell detected, in raster order.
+    pub raw: Vec<KeyPoint>,
+    /// Cell-local score grid of [`crate::fast::non_max_suppress_grid_into`],
+    /// all zero between cells.
+    pub(crate) grid: Vec<u16>,
+}
+
 /// One runner lane's buffers: whatever processes a contiguous chunk of a
 /// batch writes here, so lanes never share mutable state.
 #[derive(Debug, Default)]
 pub(crate) struct Lane {
-    /// Pre-NMS detections of the cell currently being processed.
-    pub(crate) cell_raw: Vec<KeyPoint>,
+    /// Detection scratch of the cell currently being processed.
+    pub(crate) cell: CellScratch,
     /// NMS survivors of this lane's cells (level-local coordinates).
     pub(crate) detected: Vec<KeyPoint>,
     /// Finished features of this lane's survivors.

@@ -6,9 +6,9 @@
 //! "performing identical computation as in the original CPU version"
 //! (§4.2.1). Here that identity holds by construction:
 //! [`OrbExtractor::extract_on`] is the only orchestration — pyramid rebuilt
-//! in the [`FrameArena`], [`OrbExtractor::cells_into`], FAST per cell
-//! ([`OrbExtractor::detect_cell_into`]), level binning + quadtree
-//! distribution, orientation + BRIEF per survivor
+//! in the [`FrameArena`], [`OrbExtractor::cells_into`], FAST and
+//! score-grid NMS per cell ([`OrbExtractor::detect_cell_into`]), level
+//! binning + quadtree distribution, orientation + BRIEF per survivor
 //! ([`OrbExtractor::describe_keypoint`]) — and the runner decides only how
 //! the two batches of pure, independent work items (cells, survivors) are
 //! spread over lanes. [`Sequential`] is a plain loop (zero steady-state
@@ -23,7 +23,7 @@
 //! own and extracts the two eyes side by side, each on a share of the
 //! client's lanes.
 
-use crate::arena::FrameArena;
+use crate::arena::{CellScratch, FrameArena};
 use crate::descriptor::Descriptor;
 use crate::distribute::distribute_quadtree_into;
 use crate::fast;
@@ -235,9 +235,9 @@ impl OrbExtractor {
     }
 
     /// Run FAST in one cell. Pure: identical output regardless of execution
-    /// order, so every runner agrees bit-for-bit. `cell_raw` is scratch
-    /// (overwritten); NMS survivors are *appended* to `out` and
-    /// subpixel-refined in place.
+    /// order, so every runner agrees bit-for-bit. `scratch` is overwritten
+    /// (its `raw` holds the cell's pre-NMS corners afterwards); NMS
+    /// survivors are *appended* to `out` and subpixel-refined in place.
     ///
     /// Detection retries with `MIN_THRESHOLD` when the primary threshold
     /// yields nothing (low-contrast cells), mirroring ORB-SLAM.
@@ -245,26 +245,20 @@ impl OrbExtractor {
         &self,
         pyramid: &ImagePyramid,
         task: CellTask,
-        cell_raw: &mut Vec<KeyPoint>,
+        scratch: &mut CellScratch,
         out: &mut Vec<KeyPoint>,
     ) {
         let img = &pyramid.levels[task.level];
         let rect0 = (task.x0, task.y0);
         let rect1 = (task.x1, task.y1);
-        cell_raw.clear();
-        fast::detect_in_rect_into(
-            img,
-            rect0,
-            rect1,
-            FAST_THRESHOLD,
-            task.level as u8,
-            cell_raw,
-        );
-        if cell_raw.is_empty() {
-            fast::detect_in_rect_into(img, rect0, rect1, MIN_THRESHOLD, task.level as u8, cell_raw);
+        let CellScratch { raw, grid } = scratch;
+        raw.clear();
+        fast::detect_in_rect_into(img, rect0, rect1, FAST_THRESHOLD, task.level as u8, raw);
+        if raw.is_empty() {
+            fast::detect_in_rect_into(img, rect0, rect1, MIN_THRESHOLD, task.level as u8, raw);
         }
         let kept_start = out.len();
-        fast::non_max_suppress_into(cell_raw, 3.0, out);
+        fast::non_max_suppress_grid_into(raw, rect0, rect1, grid, out);
         for kp in &mut out[kept_start..] {
             fast::refine_subpixel(img, kp);
         }
@@ -343,7 +337,7 @@ impl OrbExtractor {
         runner.for_each_chunk(tasks, lanes, |cells, lane| {
             lane.detected.clear();
             for &task in cells {
-                self.detect_cell_into(pyramid, task, &mut lane.cell_raw, &mut lane.detected);
+                self.detect_cell_into(pyramid, task, &mut lane.cell, &mut lane.detected);
             }
         });
         timings.detect_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -510,14 +504,14 @@ mod tests {
 
         let mut tasks = Vec::new();
         ex.cells_into(&pyr, &mut tasks);
-        let mut cell_raw = Vec::new();
+        let mut scratch = CellScratch::default();
         let mut raw_fwd: Vec<Vec<KeyPoint>> = vec![Vec::new(); pyr.num_levels()];
         for t in &tasks {
-            ex.detect_cell_into(&pyr, *t, &mut cell_raw, &mut raw_fwd[t.level]);
+            ex.detect_cell_into(&pyr, *t, &mut scratch, &mut raw_fwd[t.level]);
         }
         let mut raw_rev: Vec<Vec<KeyPoint>> = vec![Vec::new(); pyr.num_levels()];
         for t in tasks.iter().rev() {
-            ex.detect_cell_into(&pyr, *t, &mut cell_raw, &mut raw_rev[t.level]);
+            ex.detect_cell_into(&pyr, *t, &mut scratch, &mut raw_rev[t.level]);
         }
         // Same multiset per level (order differs).
         for (f, r) in raw_fwd.iter().zip(&raw_rev) {

@@ -7,7 +7,8 @@
 //!
 //! The paper's key GPU kernel parallelizes exactly this test over image
 //! cells ("the parallelization of FAST corner detection with the GPU",
-//! §4.2.1); [`detect_in_rect`] is the pure per-cell work item that
+//! §4.2.1); [`detect_in_rect_into`] followed by
+//! [`non_max_suppress_grid_into`] is the pure per-cell work item that
 //! `slamshare-gpu` schedules.
 
 use crate::image::GrayImage;
@@ -44,68 +45,6 @@ pub const ARC_LEN: usize = 9;
 /// Border margin inside which the circle fits entirely.
 pub const BORDER: usize = 3;
 
-/// Classify one pixel. Returns the corner *score* (see [`corner_score`]) if
-/// the segment test passes, `None` otherwise.
-#[inline]
-pub fn is_corner(img: &GrayImage, x: usize, y: usize, threshold: u8) -> Option<f64> {
-    if !img.in_interior(x, y, BORDER) {
-        return None;
-    }
-    let p = img.get(x, y) as i16;
-    let t = threshold as i16;
-    let hi = p + t;
-    let lo = p - t;
-
-    // High-speed pretest on the 4 compass points: a contiguous arc of 9
-    // always covers at least 2 of the 4 points spaced 4 apart, so fewer
-    // than 2 consistent compass pixels rules the corner out.
-    let compass = [CIRCLE[0], CIRCLE[4], CIRCLE[8], CIRCLE[12]];
-    let mut brighter = 0;
-    let mut darker = 0;
-    for &(dx, dy) in &compass {
-        let v = img.get((x as isize + dx) as usize, (y as isize + dy) as usize) as i16;
-        if v > hi {
-            brighter += 1;
-        } else if v < lo {
-            darker += 1;
-        }
-    }
-    if brighter < 2 && darker < 2 {
-        return None;
-    }
-
-    // Full segment test: walk the doubled circle looking for a contiguous
-    // run of ARC_LEN brighter (or darker) pixels.
-    let mut vals = [0i16; 16];
-    for (i, &(dx, dy)) in CIRCLE.iter().enumerate() {
-        vals[i] = img.get((x as isize + dx) as usize, (y as isize + dy) as usize) as i16;
-    }
-    let mut run_bright = 0usize;
-    let mut run_dark = 0usize;
-    let mut found = false;
-    for i in 0..(16 + ARC_LEN) {
-        let v = vals[i % 16];
-        if v > hi {
-            run_bright += 1;
-            run_dark = 0;
-        } else if v < lo {
-            run_dark += 1;
-            run_bright = 0;
-        } else {
-            run_bright = 0;
-            run_dark = 0;
-        }
-        if run_bright >= ARC_LEN || run_dark >= ARC_LEN {
-            found = true;
-            break;
-        }
-    }
-    if !found {
-        return None;
-    }
-    Some(corner_score(&vals, p))
-}
-
 /// Corner response: the sum of absolute differences between the center and
 /// the circle pixels that exceed the threshold — the same score OpenCV's
 /// FAST uses for non-maximum suppression ranking.
@@ -140,8 +79,8 @@ fn has_arc(mask: u16) -> bool {
 /// as slices once per scanline (no per-pixel bounds arithmetic), the
 /// compass pretest is branch-free, and the segment test runs on
 /// bright/dark bitmasks via [`has_arc`] instead of walking the doubled
-/// circle. Detections and scores are bit-identical to [`is_corner`],
-/// which is kept as the scalar reference.
+/// circle. Detections and scores are bit-identical to the per-pixel
+/// ring walk kept as the test oracle `is_corner`.
 pub fn detect_in_rect_into(
     img: &GrayImage,
     (x0, y0): (usize, usize),
@@ -214,19 +153,6 @@ pub fn detect_in_rect_into(
     }
 }
 
-/// [`detect_in_rect_into`] collecting into a fresh vec.
-pub fn detect_in_rect(
-    img: &GrayImage,
-    (x0, y0): (usize, usize),
-    (x1, y1): (usize, usize),
-    threshold: u8,
-    octave: u8,
-) -> Vec<KeyPoint> {
-    let mut out = Vec::new();
-    detect_in_rect_into(img, (x0, y0), (x1, y1), threshold, octave, &mut out);
-    out
-}
-
 /// The corner score at an arbitrary pixel (no segment test): SAD between
 /// the center and its circle. Used by subpixel refinement, which needs
 /// scores at the neighbours of a detected corner whether or not they pass
@@ -270,35 +196,204 @@ pub fn refine_subpixel(img: &GrayImage, kp: &mut KeyPoint) {
     kp.pt = Vec2::new(x as f64 + peak(lx, c, rx), y as f64 + peak(uy, c, dy));
 }
 
-/// 3×3 non-maximum suppression over a set of detected corners from the same
-/// image, appending survivors to `out`: a corner survives only if no
-/// strictly-stronger corner lies within a Chebyshev distance of `radius`
-/// pixels.
-pub fn non_max_suppress_into(corners: &[KeyPoint], radius: f64, out: &mut Vec<KeyPoint>) {
-    'outer: for (i, a) in corners.iter().enumerate() {
-        for (j, b) in corners.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let close = (a.pt.x - b.pt.x).abs() <= radius && (a.pt.y - b.pt.y).abs() <= radius;
-            if close && (b.response > a.response || (b.response == a.response && j < i)) {
-                continue 'outer;
-            }
-        }
-        out.push(*a);
-    }
-}
+/// Chebyshev radius of the non-maximum suppression window (7×7).
+const NMS_RADIUS: usize = 3;
 
-/// [`non_max_suppress_into`] collecting into a fresh vec.
-pub fn non_max_suppress(corners: &[KeyPoint], radius: f64) -> Vec<KeyPoint> {
-    let mut keep = Vec::new();
-    non_max_suppress_into(corners, radius, &mut keep);
-    keep
+/// Largest FAST score: the SAD of the 16 ring pixels against the centre.
+const MAX_SCORE: f64 = (16 * 255) as f64;
+
+/// Non-maximum suppression of one cell's corners over a score grid,
+/// appending survivors to `out`. `corners` are what
+/// [`detect_in_rect_into`] emitted for the rect `[x0, x1) × [y0, y1)`:
+/// integer positions in raster order with integer scores in
+/// `1..=16·255`. A corner survives unless a neighbour within Chebyshev
+/// distance 3 scores strictly higher, or equally and earlier in raster
+/// order.
+///
+/// Each corner writes its score at its position in the cell-local `grid`
+/// (the rect plus a 3-px apron, so windows never wrap), then reads its
+/// 7×7 window: O(n) where comparing every pair was O(n²). The output is
+/// exactly the pairwise rule's, whose tie-break prefers the earlier corner
+/// of the list, because the list is in raster order and no two corners
+/// share a position. A score of 0 marks an empty pixel (a FAST corner
+/// scores at least 9·8). `grid` is scratch that is all zero between
+/// calls: it grows to the largest cell seen, and only the entries written
+/// are reset.
+pub fn non_max_suppress_grid_into(
+    corners: &[KeyPoint],
+    (x0, y0): (usize, usize),
+    (x1, y1): (usize, usize),
+    grid: &mut Vec<u16>,
+    out: &mut Vec<KeyPoint>,
+) {
+    if corners.is_empty() {
+        return;
+    }
+    let r = NMS_RADIUS;
+    let gw = x1 - x0 + 2 * r;
+    let cells = gw * (y1 - y0 + 2 * r);
+    if grid.len() < cells {
+        grid.resize(cells, 0);
+    }
+    let at = |kp: &KeyPoint| {
+        debug_assert!((x0 as f64..x1 as f64).contains(&kp.pt.x));
+        debug_assert!((y0 as f64..y1 as f64).contains(&kp.pt.y));
+        (kp.pt.y as usize - y0 + r) * gw + (kp.pt.x as usize - x0 + r)
+    };
+    for kp in corners {
+        debug_assert!(kp.response >= 1.0 && kp.response <= MAX_SCORE);
+        debug_assert_eq!(kp.response.fract(), 0.0);
+        grid[at(kp)] = kp.response as u16;
+    }
+    for kp in corners {
+        let c = at(kp);
+        let score = grid[c];
+        let row = |centre: usize| &grid[centre - r..=centre + r];
+        // The rows above and the left half of its own row come earlier in
+        // raster order, so an equal score there suppresses it as well.
+        let suppressed = (1..=r).any(|d| row(c - d * gw).iter().any(|&g| g >= score))
+            || grid[c - r..c].iter().any(|&g| g >= score)
+            || grid[c + 1..=c + r].iter().any(|&g| g > score)
+            || (1..=r).any(|d| row(c + d * gw).iter().any(|&g| g > score));
+        if !suppressed {
+            out.push(*kp);
+        }
+    }
+    for kp in corners {
+        grid[at(kp)] = 0;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Oracle for the segment test: classify one pixel by walking the
+    /// doubled circle. Returns the corner score if the test passes.
+    fn is_corner(img: &GrayImage, x: usize, y: usize, threshold: u8) -> Option<f64> {
+        if !img.in_interior(x, y, BORDER) {
+            return None;
+        }
+        let p = img.get(x, y) as i16;
+        let t = threshold as i16;
+        let hi = p + t;
+        let lo = p - t;
+
+        // High-speed pretest on the 4 compass points: a contiguous arc of 9
+        // always covers at least 2 of the 4 points spaced 4 apart, so fewer
+        // than 2 consistent compass pixels rules the corner out.
+        let compass = [CIRCLE[0], CIRCLE[4], CIRCLE[8], CIRCLE[12]];
+        let mut brighter = 0;
+        let mut darker = 0;
+        for &(dx, dy) in &compass {
+            let v = img.get((x as isize + dx) as usize, (y as isize + dy) as usize) as i16;
+            if v > hi {
+                brighter += 1;
+            } else if v < lo {
+                darker += 1;
+            }
+        }
+        if brighter < 2 && darker < 2 {
+            return None;
+        }
+
+        // Full segment test: walk the doubled circle looking for a contiguous
+        // run of ARC_LEN brighter (or darker) pixels.
+        let mut vals = [0i16; 16];
+        for (i, &(dx, dy)) in CIRCLE.iter().enumerate() {
+            vals[i] = img.get((x as isize + dx) as usize, (y as isize + dy) as usize) as i16;
+        }
+        let mut run_bright = 0usize;
+        let mut run_dark = 0usize;
+        let mut found = false;
+        for i in 0..(16 + ARC_LEN) {
+            let v = vals[i % 16];
+            if v > hi {
+                run_bright += 1;
+                run_dark = 0;
+            } else if v < lo {
+                run_dark += 1;
+                run_bright = 0;
+            } else {
+                run_bright = 0;
+                run_dark = 0;
+            }
+            if run_bright >= ARC_LEN || run_dark >= ARC_LEN {
+                found = true;
+                break;
+            }
+        }
+        if !found {
+            return None;
+        }
+        Some(corner_score(&vals, p))
+    }
+
+    /// [`detect_in_rect_into`] collecting into a fresh vec.
+    fn detect_in_rect(
+        img: &GrayImage,
+        (x0, y0): (usize, usize),
+        (x1, y1): (usize, usize),
+        threshold: u8,
+        octave: u8,
+    ) -> Vec<KeyPoint> {
+        let mut out = Vec::new();
+        detect_in_rect_into(img, (x0, y0), (x1, y1), threshold, octave, &mut out);
+        out
+    }
+
+    /// Oracle for [`non_max_suppress_grid_into`]: every pair of corners
+    /// compared, O(n²). A corner survives unless a strictly stronger corner,
+    /// or an equal one earlier in `corners`, lies within a Chebyshev distance
+    /// of `radius` pixels.
+    fn non_max_suppress_into(corners: &[KeyPoint], radius: f64, out: &mut Vec<KeyPoint>) {
+        'outer: for (i, a) in corners.iter().enumerate() {
+            for (j, b) in corners.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                let close = (a.pt.x - b.pt.x).abs() <= radius && (a.pt.y - b.pt.y).abs() <= radius;
+                if close && (b.response > a.response || (b.response == a.response && j < i)) {
+                    continue 'outer;
+                }
+            }
+            out.push(*a);
+        }
+    }
+
+    /// [`non_max_suppress_into`] collecting into a fresh vec.
+    fn non_max_suppress(corners: &[KeyPoint], radius: f64) -> Vec<KeyPoint> {
+        let mut keep = Vec::new();
+        non_max_suppress_into(corners, radius, &mut keep);
+        keep
+    }
+
+    /// Hashed per-pixel noise: dense FAST corners with uneven scores.
+    fn noise_image(width: usize, height: usize) -> GrayImage {
+        GrayImage::from_fn(width, height, |x, y| {
+            let mut h = (x as u64).wrapping_mul(0x9E3779B97F4A7C15)
+                ^ (y as u64).wrapping_mul(0xBF58476D1CE4E5B9);
+            h ^= h >> 31;
+            h = h.wrapping_mul(0x94D049BB133111EB);
+            (h >> 32) as u8
+        })
+    }
+
+    /// The grid NMS of one rect's corners, checked against the pairwise
+    /// oracle; `grid` must come back all zero.
+    fn grid_matches_pairwise(
+        corners: &[KeyPoint],
+        rect0: (usize, usize),
+        rect1: (usize, usize),
+        grid: &mut Vec<u16>,
+    ) -> Result<(), TestCaseError> {
+        let mut got = Vec::new();
+        non_max_suppress_grid_into(corners, rect0, rect1, grid, &mut got);
+        prop_assert_eq!(got, non_max_suppress(corners, NMS_RADIUS as f64));
+        prop_assert!(grid.iter().all(|&g| g == 0), "grid not reset");
+        Ok(())
+    }
 
     /// A bright square on a dark background: its corners are FAST corners.
     fn square_image() -> GrayImage {
@@ -341,8 +436,9 @@ mod tests {
 
     #[test]
     fn straight_edge_is_not_a_corner() {
-        // A vertical step edge: 8 circle pixels brighter, 8 darker — no
-        // 12-contiguous arc, so FAST-12 must reject every pixel.
+        // A vertical step edge: only the circle pixels across the edge
+        // differ from the centre, at most 7 of the 16 — no 9-contiguous
+        // arc, so FAST-9/16 rejects every pixel.
         let img = GrayImage::from_fn(40, 40, |x, _| if x < 20 { 30 } else { 220 });
         let kps = detect_in_rect(&img, (0, 0), (40, 40), 40, 0);
         assert!(kps.is_empty(), "edge misdetected as corner: {kps:?}");
@@ -375,13 +471,7 @@ mod tests {
         // Pseudo-random textured image: the mask-based detect_in_rect_into
         // must agree with per-pixel is_corner at every pixel, detection
         // and score alike.
-        let img = GrayImage::from_fn(60, 47, |x, y| {
-            let mut h = (x as u64).wrapping_mul(0x9E3779B97F4A7C15)
-                ^ (y as u64).wrapping_mul(0xBF58476D1CE4E5B9);
-            h ^= h >> 31;
-            h = h.wrapping_mul(0x94D049BB133111EB);
-            (h >> 32) as u8
-        });
+        let img = noise_image(60, 47);
         for threshold in [5u8, 20, 60] {
             let got = detect_in_rect(&img, (0, 0), (img.width, img.height), threshold, 2);
             let mut want = Vec::new();
@@ -434,6 +524,7 @@ mod tests {
         assert_eq!(kept.len(), 2);
         assert!(kept.iter().any(|k| k.response == 9.0));
         assert!(kept.iter().any(|k| k.response == 2.0));
+        grid_matches_pairwise(&kps, (3, 3), (37, 37), &mut Vec::new()).unwrap();
     }
 
     #[test]
@@ -443,5 +534,102 @@ mod tests {
         let kept = non_max_suppress(&kps, 2.0);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].pt.x, 0.0);
+        // The grid agrees, also when the equal rival is on a later row but
+        // further left.
+        let later_row = [mk(3.0, 5.0), KeyPoint::new(Vec2::new(0.0, 3.0), 0, 5.0)];
+        assert_eq!(non_max_suppress(&later_row, 3.0), [later_row[0]]);
+        let mut grid = Vec::new();
+        for corners in [&kps[..], &later_row[..]] {
+            grid_matches_pairwise(corners, (0, 0), (8, 4), &mut grid).unwrap();
+        }
+    }
+
+    #[test]
+    fn grid_nms_empty_and_single_corner_cells() {
+        let mut grid = Vec::new();
+        grid_matches_pairwise(&[], (0, 0), (32, 32), &mut grid).unwrap();
+        grid_matches_pairwise(&[], (3, 3), (3, 3), &mut grid).unwrap();
+        for (x, y) in [
+            (3.0, 3.0),
+            (34.0, 3.0),
+            (3.0, 34.0),
+            (34.0, 34.0),
+            (17.0, 20.0),
+        ] {
+            let one = [KeyPoint::new(Vec2::new(x, y), 0, 4080.0)];
+            grid_matches_pairwise(&one, (3, 3), (35, 35), &mut grid).unwrap();
+        }
+    }
+
+    #[test]
+    fn grid_nms_matches_pairwise_on_detected_cells() {
+        // Every 32-px cell of a noise image (edge cells narrower, border
+        // cells clipped by BORDER) at thresholds dense and sparse, through
+        // one grid reused across cells of different sizes.
+        let img = noise_image(100, 77);
+        let mut grid = Vec::new();
+        let mut raw = Vec::new();
+        for threshold in [5u8, 20, 60] {
+            for y0 in (0..img.height).step_by(32) {
+                for x0 in (0..img.width).step_by(32) {
+                    let rect1 = ((x0 + 32).min(img.width), (y0 + 32).min(img.height));
+                    raw.clear();
+                    detect_in_rect_into(&img, (x0, y0), rect1, threshold, 0, &mut raw);
+                    grid_matches_pairwise(&raw, (x0, y0), rect1, &mut grid).unwrap();
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Grid vs pairwise NMS on random cells of random images, with
+        /// scores drawn from a tiny alphabet so ties are everywhere, and
+        /// corners forced onto the clipped rect's first and last rows and
+        /// columns.
+        #[test]
+        fn grid_nms_matches_pairwise_nms(
+            size in (1usize..110, 1usize..110),
+            cell in (0usize..4, 0usize..4),
+            spots in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0usize..8), 0..90),
+            edges in proptest::collection::vec((0usize..4, 0.0f64..1.0, 0usize..8), 0..8),
+        ) {
+            let (width, height) = size;
+            let cs = 32;
+            let x0 = cs * (cell.0 % width.div_ceil(cs));
+            let y0 = cs * (cell.1 % height.div_ceil(cs));
+            let (x1, y1) = ((x0 + cs).min(width), (y0 + cs).min(height));
+            // The rect detect_in_rect_into scans: the cell clipped by BORDER.
+            let cx0 = x0.max(BORDER);
+            let cy0 = y0.max(BORDER);
+            let cx1 = x1.min(width.saturating_sub(BORDER));
+            let cy1 = y1.min(height.saturating_sub(BORDER));
+            let mut grid = Vec::new();
+            if cx1 <= cx0 || cy1 <= cy0 {
+                return grid_matches_pairwise(&[], (x0, y0), (x1, y1), &mut grid);
+            }
+            let scores = [1.0, 1.0, 2.0, 2.0, 3.0, 72.0, 4079.0, 4080.0];
+            let pick = |lo: usize, hi: usize, f: f64| lo + ((hi - lo) as f64 * f) as usize;
+            let mut at = std::collections::BTreeMap::new();
+            for &(fx, fy, s) in &spots {
+                at.insert((pick(cy0, cy1, fy), pick(cx0, cx1, fx)), scores[s]);
+            }
+            for &(side, f, s) in &edges {
+                let pos = match side {
+                    0 => (cy0, pick(cx0, cx1, f)),
+                    1 => (cy1 - 1, pick(cx0, cx1, f)),
+                    2 => (pick(cy0, cy1, f), cx0),
+                    _ => (pick(cy0, cy1, f), cx1 - 1),
+                };
+                at.insert(pos, scores[s]);
+            }
+            // BTreeMap order on (y, x) is raster order, as detection emits.
+            let corners: Vec<KeyPoint> = at
+                .into_iter()
+                .map(|((y, x), s)| KeyPoint::new(Vec2::new(x as f64, y as f64), 0, s))
+                .collect();
+            grid_matches_pairwise(&corners, (x0, y0), (x1, y1), &mut grid)?;
+            // Reused warm: same answer, still reset.
+            grid_matches_pairwise(&corners, (x0, y0), (x1, y1), &mut grid)?;
+        }
     }
 }

@@ -99,8 +99,10 @@ impl GrayImage {
     pub fn sample_bilinear(&self, x: f64, y: f64) -> f64 {
         let x = x.clamp(0.0, (self.width - 1) as f64);
         let y = y.clamp(0.0, (self.height - 1) as f64);
-        let x0 = x.floor() as usize;
-        let y0 = y.floor() as usize;
+        // Clamped to >= 0, so truncation is the floor (without the libm
+        // call `f64::floor` is on baseline x86-64).
+        let x0 = x as usize;
+        let y0 = y as usize;
         let x1 = (x0 + 1).min(self.width - 1);
         let y1 = (y0 + 1).min(self.height - 1);
         let fx = x - x0 as f64;

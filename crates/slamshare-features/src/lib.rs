@@ -24,20 +24,38 @@ pub mod arena;
 pub mod bow;
 pub mod descriptor;
 pub mod distribute;
-// The extraction pipeline runs under every client's tracking submission
-// on the edge server's round workers. Lints are compiled into the module
-// (not passed via CLI -D, which would leak into the vendored workspace
-// path deps) — `cargo clippy -p slamshare-features` enforces them.
+// The extraction pipeline and the kernels it runs (FAST, orientation +
+// BRIEF, image sampling, the pyramid) run under every client's tracking
+// submission on the edge server's round workers. Lints are compiled into
+// each module (not passed via CLI -D, which would leak into the vendored
+// workspace path deps) — `cargo clippy -p slamshare-features` enforces
+// them.
 #[cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 pub mod extractor;
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod fast;
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod image;
 pub mod keypoint;
 pub mod matching;
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod orb;
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod pyramid;
 
 pub use arena::FrameArena;

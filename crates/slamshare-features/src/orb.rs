@@ -109,20 +109,66 @@ pub const FUSED_BORDER: usize = 22;
 /// `[⌊x⌋ − 20, ⌊x⌋ + 21] × [⌊y⌋ − 20, ⌊y⌋ + 21]`.
 const FUSED_PATCH: usize = 42;
 
+/// Half-widths of the orientation disc: row `dy` of the patch covers
+/// `dx ∈ [−UMAX[|dy|], UMAX[|dy|]]`, exactly the pixels with
+/// `dx² + dy² ≤ r²` (15, 14, 14, 14, 14, 14, 13, 13, 12, 12, 11, 10, 9,
+/// 7, 5, 0 for r = 15).
+const UMAX: [isize; PATCH_RADIUS as usize + 1] = {
+    let r = PATCH_RADIUS;
+    let mut umax = [0; PATCH_RADIUS as usize + 1];
+    let mut dy = 0;
+    while dy <= r {
+        let mut dx = r;
+        while dx * dx + dy * dy > r * r {
+            dx -= 1;
+        }
+        umax[dy as usize] = dx;
+        dy += 1;
+    }
+    umax
+};
+
+/// Intensity-centroid moments `(m10, m01)` of the disc centred at
+/// `(cx, cy)` of a row-major patch `stride` pixels wide, in integers:
+/// `m10 = Σ dx·v` and `m01 = Σ dy·(row sum)` over [`UMAX`]'s rows.
+fn disc_moments(patch: &[u8], stride: usize, cx: usize, cy: usize) -> (i64, i64) {
+    let mut m10 = 0i64;
+    let mut m01 = 0i64;
+    for dy in -PATCH_RADIUS..=PATCH_RADIUS {
+        let u = UMAX[dy.unsigned_abs()];
+        let start = (cy as isize + dy) as usize * stride + cx - u as usize;
+        let row = &patch[start..=start + 2 * u as usize];
+        let mut row_sum = 0i64;
+        for (dx, &v) in (-u..=u).zip(row) {
+            m10 += dx as i64 * i64::from(v);
+            row_sum += i64::from(v);
+        }
+        m01 += dy as i64 * row_sum;
+    }
+    (m10, m01)
+}
+
 /// Fused orientation + description: one gather of the keypoint's patch
 /// into a stack buffer feeds both the intensity-centroid moments and the
 /// rotated-BRIEF sampling, instead of two separate passes of clamped
 /// image loads. This is the per-keypoint work item the GPU executor
 /// schedules in `gpu_extract`'s describe kernel.
 ///
-/// Bit-identity: inside [`FUSED_BORDER`] every `get_clamped` /
-/// `sample_bilinear` clamp in the scalar pair is a no-op, the moment
-/// loop visits the same pixels in the same order with the same f64
-/// arithmetic, and the bilinear weights are computed from image-space
-/// coordinates with the exact expressions of
-/// [`GrayImage::sample_bilinear`] — only the pixel *loads* are
-/// redirected into the patch. Keypoints in the border band (possible:
-/// `DESC_BORDER` is 17) fall back to the scalar pair.
+/// Bit-identity with the scalar pair: inside [`FUSED_BORDER`] every
+/// `get_clamped` / `sample_bilinear` clamp in it is a no-op, and
+/// - the moments are summed in integers (`disc_moments`). The f64 loop
+///   of [`intensity_centroid_angle`] is exact too — every product and
+///   partial sum is an integer far below 2⁵³ — and never yields −0, so
+///   both hand `atan2` the same two values;
+/// - the 512 rotated sample points use `describe`'s expressions. Each is
+///   then moved into the patch by subtracting its integer corner, which
+///   is exact, and as the result is non-negative, truncation is its floor
+///   and the fractional part equals the one
+///   [`GrayImage::sample_bilinear`] computes in image space. The 4-tap
+///   blend is the same expression in the same order.
+///
+/// Keypoints in the border band (possible: `DESC_BORDER` is 17) fall back
+/// to the scalar pair.
 pub fn orient_and_describe(img: &GrayImage, x: f64, y: f64) -> (f64, Descriptor) {
     let xi = x as usize;
     let yi = y as usize;
@@ -139,53 +185,50 @@ pub fn orient_and_describe(img: &GrayImage, x: f64, y: f64) -> (f64, Descriptor)
         prow.copy_from_slice(&img.data[src..src + FUSED_PATCH]);
     }
 
-    // Intensity-centroid moments, same visit order and arithmetic as
-    // intensity_centroid_angle.
-    let pcx = (x.round() as usize - bx) as isize;
-    let pcy = (y.round() as usize - by) as isize;
-    let r = PATCH_RADIUS;
-    let mut m01 = 0.0f64;
-    let mut m10 = 0.0f64;
-    for dy in -r..=r {
-        let row = ((pcy + dy) as usize) * FUSED_PATCH;
-        for dx in -r..=r {
-            if dx * dx + dy * dy > r * r {
-                continue;
-            }
-            let v = patch[row + (pcx + dx) as usize] as f64;
-            m10 += dx as f64 * v;
-            m01 += dy as f64 * v;
-        }
-    }
-    let angle = m01.atan2(m10);
+    let (m10, m01) = disc_moments(
+        &patch,
+        FUSED_PATCH,
+        x.round() as usize - bx,
+        y.round() as usize - by,
+    );
+    let angle = (m01 as f64).atan2(m10 as f64);
 
-    // Rotated BRIEF over the same patch. Coordinates stay in image space
-    // so floor/fractional parts are bit-identical to sample_bilinear.
-    let sample = |sx: f64, sy: f64| -> f64 {
-        let x0 = sx.floor() as usize;
-        let y0 = sy.floor() as usize;
-        let fx = sx - x0 as f64;
-        let fy = sy - y0 as f64;
-        let row0 = (y0 - by) * FUSED_PATCH + (x0 - bx);
+    // Rotated BRIEF in three passes: steer every sample point, sample each
+    // in patch-local coordinates, then compare the pairs.
+    let pattern = BriefPattern::standard();
+    let (s, c) = angle.sin_cos();
+    let mut sx = [0.0f64; 2 * DESC_BITS];
+    let mut sy = [0.0f64; 2 * DESC_BITS];
+    for (i, &((ax, ay), (pbx, pby))) in pattern.pairs.iter().enumerate() {
+        sx[2 * i] = x + (c * ax - s * ay);
+        sy[2 * i] = y + (s * ax + c * ay);
+        sx[2 * i + 1] = x + (c * pbx - s * pby);
+        sy[2 * i + 1] = y + (s * pbx + c * pby);
+    }
+    let (bxf, byf) = (bx as f64, by as f64);
+    let mut vals = [0.0f64; 2 * DESC_BITS];
+    for ((v, &px), &py) in vals.iter_mut().zip(&sx).zip(&sy) {
+        let lx = px - bxf;
+        let ly = py - byf;
+        debug_assert!(lx >= 0.0 && ly >= 0.0);
+        let x0 = lx as i32;
+        let y0 = ly as i32;
+        let fx = lx - f64::from(x0);
+        let fy = ly - f64::from(y0);
+        let row0 = y0 as usize * FUSED_PATCH + x0 as usize;
         let row1 = row0 + FUSED_PATCH;
         let p00 = patch[row0] as f64;
         let p10 = patch[row0 + 1] as f64;
         let p01 = patch[row1] as f64;
         let p11 = patch[row1 + 1] as f64;
-        p00 * (1.0 - fx) * (1.0 - fy)
+        *v = p00 * (1.0 - fx) * (1.0 - fy)
             + p10 * fx * (1.0 - fy)
             + p01 * (1.0 - fx) * fy
-            + p11 * fx * fy
-    };
-    let pattern = BriefPattern::standard();
-    let (s, c) = angle.sin_cos();
+            + p11 * fx * fy;
+    }
     let mut d = Descriptor::ZERO;
-    for (i, &((ax, ay), (pbx, pby))) in pattern.pairs.iter().enumerate() {
-        let (rax, ray) = (c * ax - s * ay, s * ax + c * ay);
-        let (rbx, rby) = (c * pbx - s * pby, s * pbx + c * pby);
-        let va = sample(x + rax, y + ray);
-        let vb = sample(x + rbx, y + rby);
-        if va < vb {
+    for (i, pair) in vals.chunks_exact(2).enumerate() {
+        if pair[0] < pair[1] {
             d.set_bit(i);
         }
     }
@@ -238,6 +281,65 @@ mod tests {
             let (angle, desc) = orient_and_describe(&img, x, y);
             assert_eq!(angle.to_bits(), want_angle.to_bits(), "angle at ({x},{y})");
             assert_eq!(desc, want_desc, "descriptor at ({x},{y})");
+        }
+    }
+
+    #[test]
+    fn umax_spans_exactly_the_disc() {
+        let r = PATCH_RADIUS;
+        for dy in -r..=r {
+            for dx in -r..=r {
+                let inside = dx.abs() <= UMAX[dy.unsigned_abs()];
+                assert_eq!(inside, dx * dx + dy * dy <= r * r, "({dx}, {dy})");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_moments_equal_the_f64_loop() {
+        // Random patches (uniform noise, and noise biased to one corner so
+        // the moments are large), at every centre where the disc fits.
+        let mut rng = StdRng::seed_from_u64(0x5eed_0003);
+        for trial in 0..200 {
+            let patch: Vec<u8> = (0..FUSED_PATCH * FUSED_PATCH)
+                .map(|i| {
+                    let v = rng.gen_range(0..256u32) as u8;
+                    let (px, py) = (i % FUSED_PATCH, i / FUSED_PATCH);
+                    if trial % 2 == 1 && px + py < FUSED_PATCH {
+                        255
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let cx = rng.gen_range(15..FUSED_PATCH - 15);
+            let cy = rng.gen_range(15..FUSED_PATCH - 15);
+            let (m10, m01) = disc_moments(&patch, FUSED_PATCH, cx, cy);
+            // The f64 loop of intensity_centroid_angle over the same patch.
+            let r = PATCH_RADIUS;
+            let (mut f10, mut f01) = (0.0f64, 0.0f64);
+            for dy in -r..=r {
+                for dx in -r..=r {
+                    if dx * dx + dy * dy > r * r {
+                        continue;
+                    }
+                    let idx =
+                        (cy as isize + dy) as usize * FUSED_PATCH + (cx as isize + dx) as usize;
+                    let v = patch[idx] as f64;
+                    f10 += dx as f64 * v;
+                    f01 += dy as f64 * v;
+                }
+            }
+            assert_eq!((m10 as f64).to_bits(), f10.to_bits(), "m10, trial {trial}");
+            assert_eq!((m01 as f64).to_bits(), f01.to_bits(), "m01, trial {trial}");
+            let img = GrayImage {
+                width: FUSED_PATCH,
+                height: FUSED_PATCH,
+                data: patch,
+            };
+            let want = intensity_centroid_angle(&img, cx as f64, cy as f64);
+            let got = (m01 as f64).atan2(m10 as f64);
+            assert_eq!(got.to_bits(), want.to_bits(), "angle, trial {trial}");
         }
     }
 

@@ -46,14 +46,15 @@ stage_clippy() {
 }
 
 stage_nopanic() {
-    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor, core federation/gmap/ingest/merge_worker/qos/server/session, slam map/merge/recognition) =="
+    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor/fast/orb/image/pyramid, core federation/gmap/ingest/merge_worker/qos/server/session, slam map/merge/recognition) =="
     # Shared-state paths deny unwrap/expect/panic via in-source
     # #![cfg_attr(not(test), deny(...))] attributes (crate-level in
     # slamshare-net, slamshare-shm, and slamshare-gpu — the executor and
     # slice scheduler sit under every client's tracking submissions;
     # module-level on
-    # slamshare-features::extractor — the one extraction pipeline those
-    # submissions run — and on
+    # slamshare-features::{extractor,fast,orb,image,pyramid} — the one
+    # extraction pipeline those submissions run and the kernels it calls —
+    # and on
     # slamshare-core::{federation,gmap,ingest,merge_worker,qos,server,session}
     # and slamshare-slam::{map,merge,recognition} — a panic under a client
     # mutex or a region lock would poison shared state for every client,

@@ -273,6 +273,51 @@ fn fused_orient_describe_matches_scalar_pair() {
         assert_eq!(got_angle.to_bits(), angle.to_bits(), "at ({x}, {y})");
         assert_eq!(got, want, "at ({x}, {y})");
     }
+
+    // Hashed noise, whose local structure is not linear like the ramp's,
+    // at random positions, and on a grid of integer and half-pixel
+    // positions on both sides of FUSED_BORDER, where the kernel switches
+    // between its in-patch path and the scalar fallback.
+    let salt = seed();
+    let noise = GrayImage::from_fn(160, 120, |x, y| {
+        let mut h = (x as u64).wrapping_mul(0x9E3779B97F4A7C15)
+            ^ (y as u64).wrapping_mul(0xBF58476D1CE4E5B9)
+            ^ salt;
+        h ^= h >> 31;
+        h = h.wrapping_mul(0x94D049BB133111EB);
+        (h >> 24) as u8
+    });
+    let b = orb::FUSED_BORDER as f64;
+    // The in-patch path runs for floor(x) in [b, width - b - 1].
+    let edges = |len: f64| {
+        let hi = len - b;
+        [
+            17.0,
+            b - 0.5,
+            b - 1e-9,
+            b,
+            b + 0.5,
+            len / 2.0,
+            len / 2.0 + 0.5,
+            hi - 1.0,
+            hi - 0.5,
+            hi - 1e-9,
+            hi,
+            hi + 0.5,
+            len - 18.0,
+        ]
+    };
+    let grid = edges(160.0)
+        .into_iter()
+        .flat_map(|x| edges(120.0).into_iter().map(move |y| (x, y)));
+    let random = (0..400).map(|_| (rng.gen_range(17.0..143.0), rng.gen_range(17.0..103.0)));
+    for (x, y) in grid.chain(random) {
+        let angle = orb::intensity_centroid_angle(&noise, x, y);
+        let want = orb::describe(&noise, x, y, angle);
+        let (got_angle, got) = orb::orient_and_describe(&noise, x, y);
+        assert_eq!(got_angle.to_bits(), angle.to_bits(), "noise at ({x}, {y})");
+        assert_eq!(got, want, "noise at ({x}, {y})");
+    }
 }
 
 /// Full-frame extraction and stereo matching stay bit-identical at 1, 2
