@@ -3,8 +3,9 @@
 //! its four sub-stages, FAST + NMS per pyramid level (cells, corners
 //! before and after NMS, detect time), the server's stereo front half on
 //! two lanes,
-//! batched stereo matching (row-bucket CSR + strip Hamming kernel), and
-//! the fused orient+describe kernel against its separate scalar pair.
+//! batched stereo matching (row-bucket CSR + strip Hamming kernel), the
+//! fused orient+describe kernel against its separate scalar pair, and
+//! *search local points* through the keypoint grid against the full scan.
 //!
 //! Writes `results/BENCH_frame.json` with p50/p95 per stage; the p95s are
 //! gated against `results/baselines/` by `scripts/bench_gate.sh`, so a
@@ -17,10 +18,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use slamshare_features::arena::CellScratch;
 use slamshare_features::extractor::{CellTask, ExtractedFeatures, ExtractionTimings, OrbExtractor};
-use slamshare_features::matching::{self, StereoScratch};
+use slamshare_features::matching::{self, KeypointGrid, ProjectionQuery, StereoScratch, TH_LOW};
 use slamshare_features::orb;
 use slamshare_features::ImagePyramid;
-use slamshare_gpu::GpuExecutor;
+use slamshare_gpu::{kernels, GpuExecutor};
+use slamshare_math::Vec2;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slamshare_slam::tracking::{Tracker, TrackerConfig};
 use std::sync::Arc;
@@ -59,6 +61,17 @@ struct BenchFrame {
     /// Same keypoints through the separate scalar orientation+describe
     /// pair — the fused kernel's speedup denominator.
     scalar_describe_p50_ms: f64,
+    /// Projection queries in the window-search rows: the ~3 000 a `solo`
+    /// frame makes, each a keypoint's own descriptor at a jittered
+    /// position.
+    window_queries: usize,
+    /// *Search local points* over the frame's left keypoints on one lane:
+    /// grid rebuild plus `gpu_search_local_points_in`.
+    window_search_p50_ms: f64,
+    window_search_p95_ms: f64,
+    /// The same queries through the full-scan reference
+    /// `match_by_projection` — the grid's speedup denominator.
+    window_scan_p50_ms: f64,
 }
 
 /// FAST + NMS over every cell of one pyramid level, through
@@ -73,6 +86,10 @@ struct LevelDetect {
     survivors: usize,
     detect_p50_ms: f64,
 }
+
+/// Projection queries per window-search rep: what the `solo` yardstick's
+/// local map projects into a frame.
+const WINDOW_QUERIES: usize = 3000;
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
@@ -211,6 +228,48 @@ fn bench(c: &mut Criterion) {
         }
     });
 
+    // Window search: seeded queries from the frame's own descriptors,
+    // jittered by up to ±10 px, at the tracker's 14-px radius.
+    let mut state = 0x5eed_0024u64;
+    let mut next_unit = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let queries: Vec<ProjectionQuery> = (0..WINDOW_QUERIES)
+        .map(|_| {
+            let k = (next_unit() * feats_l.keypoints.len() as f64) as usize;
+            let jitter = Vec2::new(next_unit() * 20.0 - 10.0, next_unit() * 20.0 - 10.0);
+            ProjectionQuery {
+                descriptor: feats_l.descriptors[k],
+                predicted: feats_l.keypoints[k].pt + jitter,
+                radius: 14.0,
+            }
+        })
+        .collect();
+    let kp_positions: Vec<Vec2> = feats_l.keypoints.iter().map(|k| k.pt).collect();
+    let one_lane = GpuExecutor::cpu();
+    let mut grid = KeypointGrid::default();
+    let window_search_ms = time_reps(reps, || {
+        grid.rebuild(kp_positions.iter().copied());
+        std::hint::black_box(kernels::gpu_search_local_points_in(
+            &one_lane,
+            &queries,
+            &grid,
+            &feats_l.descriptors,
+            TH_LOW,
+        ));
+    });
+    let window_scan_ms = time_reps(reps, || {
+        std::hint::black_box(matching::match_by_projection(
+            &queries,
+            &kp_positions,
+            &feats_l.descriptors,
+            TH_LOW,
+        ));
+    });
+
     let out = BenchFrame {
         reps,
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -233,6 +292,10 @@ fn bench(c: &mut Criterion) {
         fused_describe_p50_ms: percentile(&fused_ms, 0.50),
         fused_describe_p95_ms: percentile(&fused_ms, 0.95),
         scalar_describe_p50_ms: percentile(&scalar_ms, 0.50),
+        window_queries: queries.len(),
+        window_search_p50_ms: percentile(&window_search_ms, 0.50),
+        window_search_p95_ms: percentile(&window_search_ms, 0.95),
+        window_scan_p50_ms: percentile(&window_scan_ms, 0.50),
     };
     println!(
         "extract p50 {:.2} ms (pyramid {:.2}, detect {:.2}, distribute {:.2}, describe {:.2}), \
@@ -251,6 +314,10 @@ fn bench(c: &mut Criterion) {
         out.fused_describe_p50_ms,
         out.scalar_describe_p50_ms,
         out.keypoints_per_frame,
+    );
+    println!(
+        "window search p50 {:.3} ms (full scan {:.3} ms) for {} queries",
+        out.window_search_p50_ms, out.window_scan_p50_ms, out.window_queries,
     );
     for l in &out.levels {
         println!(

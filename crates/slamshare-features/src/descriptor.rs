@@ -28,9 +28,10 @@ impl Descriptor {
     /// for both the pairwise popcount loops and the SoA block kernels.
     #[inline]
     pub fn words(&self) -> [u64; DESC_WORDS] {
+        let (chunks, _) = self.0.as_chunks::<8>();
         let mut w = [0u64; DESC_WORDS];
-        for (i, word) in w.iter_mut().enumerate() {
-            *word = u64::from_le_bytes(self.0[i * 8..(i + 1) * 8].try_into().unwrap());
+        for (word, &chunk) in w.iter_mut().zip(chunks) {
+            *word = u64::from_le_bytes(chunk);
         }
         w
     }
@@ -51,13 +52,8 @@ impl Descriptor {
     pub fn distance(&self, other: &Descriptor) -> u32 {
         // Compare 8 bytes at a time via u64 popcount — this is the inner
         // loop of both brute-force matching and BoW quantization.
-        let mut d = 0u32;
-        for i in 0..(DESC_BYTES / 8) {
-            let a = u64::from_le_bytes(self.0[i * 8..(i + 1) * 8].try_into().unwrap());
-            let b = u64::from_le_bytes(other.0[i * 8..(i + 1) * 8].try_into().unwrap());
-            d += (a ^ b).count_ones();
-        }
-        d
+        let (a, b) = (self.words(), other.words());
+        a.iter().zip(&b).map(|(x, y)| (x ^ y).count_ones()).sum()
     }
 
     /// Hamming distance with an early exit: returns the exact distance if
@@ -70,10 +66,8 @@ impl Descriptor {
     #[inline]
     pub fn distance_bounded(&self, other: &Descriptor, bound: u32) -> u32 {
         let mut d = 0u32;
-        for i in 0..(DESC_BYTES / 8) {
-            let a = u64::from_le_bytes(self.0[i * 8..(i + 1) * 8].try_into().unwrap());
-            let b = u64::from_le_bytes(other.0[i * 8..(i + 1) * 8].try_into().unwrap());
-            d += (a ^ b).count_ones();
+        for (x, y) in self.words().iter().zip(&other.words()) {
+            d += (x ^ y).count_ones();
             if d >= bound {
                 return d;
             }

@@ -22,14 +22,19 @@
 
 pub mod arena;
 pub mod bow;
+// The extraction pipeline and the kernels it runs (FAST, orientation +
+// BRIEF, image sampling, the pyramid), and the Hamming and window-search
+// kernels tracking runs on its output (descriptor, matching), run under
+// every client's tracking submission on the edge server's round workers.
+// Lints are compiled into each module (not passed via CLI -D, which would
+// leak into the vendored workspace path deps) — `cargo clippy -p
+// slamshare-features` enforces them.
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod descriptor;
 pub mod distribute;
-// The extraction pipeline and the kernels it runs (FAST, orientation +
-// BRIEF, image sampling, the pyramid) run under every client's tracking
-// submission on the edge server's round workers. Lints are compiled into
-// each module (not passed via CLI -D, which would leak into the vendored
-// workspace path deps) — `cargo clippy -p slamshare-features` enforces
-// them.
 #[cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
@@ -46,6 +51,10 @@ pub mod fast;
 )]
 pub mod image;
 pub mod keypoint;
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod matching;
 #[cfg_attr(
     not(test),

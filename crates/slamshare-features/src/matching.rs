@@ -4,12 +4,19 @@
 //!
 //! * [`match_brute_force`] — full cross-matching with Lowe's ratio test,
 //!   used for map initialization and place-recognition verification;
-//! * [`match_by_projection`] — windowed search around predicted pixel
-//!   positions, the *search local points* step that the paper identifies as
-//!   ~30 % of tracking latency and accelerates on the GPU. The per-query
-//!   work item [`best_in_window`] is pure, so `slamshare-gpu` can fan it
-//!   out across work items exactly like the paper's local-tracking CUDA
-//!   kernel.
+//! * windowed search around predicted pixel positions — the *search local
+//!   points* step that the paper identifies as ~30 % of tracking latency
+//!   and accelerates on the GPU. A [`KeypointGrid`] buckets the frame's
+//!   keypoints into [`GRID_CELL_PX`] cells once per frame, and the
+//!   per-query work item [`KeypointGrid::best_in_window`] reads only the
+//!   cells its window overlaps, as ORB-SLAM3's `GetFeaturesInArea` does.
+//!   The work item is pure, so `slamshare-gpu` can fan it out across work
+//!   items exactly like the paper's local-tracking CUDA kernel;
+//!   [`resolve_conflicts`] then keeps one query per frame feature.
+//!
+//! The full scans [`best_in_window`] and [`match_by_projection`] are the
+//! references the grid search is tested against: it returns the same
+//! matches, bit for bit.
 
 use crate::descriptor::{Descriptor, DescriptorBlock, STRIP};
 use crate::keypoint::KeyPoint;
@@ -119,10 +126,173 @@ pub struct ProjectionQuery {
     pub radius: f64,
 }
 
-/// Search one query against candidate features — the pure work item of the
-/// *search local points* kernel. `positions` and `descriptors` are parallel
-/// arrays of the frame's features. Returns `(train_index, distance)` of the
-/// best acceptable match.
+/// Side of one [`KeypointGrid`] cell, pixels: about the tracker's 14-px
+/// search radius, so a window overlaps two or three cells a side.
+pub const GRID_CELL_PX: f64 = 16.0;
+/// Cap on cells per grid axis. Positions past it share the last cell,
+/// which keeps the search exact (see [`KeypointGrid`]) and bounds the
+/// grid's size for any input.
+const GRID_MAX_CELLS: usize = 1024;
+/// How far past `radius` a window reaches. The window test is rounded
+/// (`norm_sq() > r²` on rounded differences), so a point the test accepts
+/// can sit a few ulps outside `radius`; one pixel covers that for every
+/// coordinate below 2⁵⁰ px.
+const WINDOW_SLACK_PX: f64 = 1.0;
+
+/// The cell of coordinate `v` on an axis starting at `origin` with `n ≥ 1`
+/// cells. Monotone in `v`; the value is clamped to `[0, n − 1]` before it
+/// is truncated, so truncation is its floor and no libm call is made.
+#[inline]
+fn grid_cell(v: f64, origin: f64, n: usize) -> usize {
+    ((v - origin) * (1.0 / GRID_CELL_PX))
+        .max(0.0)
+        .min((n - 1) as f64) as usize
+}
+
+/// A frame's keypoint positions bucketed into a CSR grid of
+/// [`GRID_CELL_PX`] cells, so a window search reads only the cells its
+/// window overlaps — ORB-SLAM3's `Frame::GetFeaturesInArea`.
+///
+/// [`KeypointGrid::best_in_window`] returns exactly what the full scan
+/// [`best_in_window`] returns for finite positions and query centres:
+/// - the cell map is monotone, so every point inside
+///   `[p − r − slack, p + r + slack]²` lies in a visited cell, and every
+///   point the scan's rounded window test accepts lies inside that square;
+/// - each visited point goes through the scan's own test,
+///   `(pos − predicted).norm_sq() > r²`;
+/// - the result is the lexicographic minimum of `(distance, index)`,
+///   which is what the scan's ascending strict-`<` sweep keeps.
+#[derive(Debug, Clone, Default)]
+pub struct KeypointGrid {
+    origin: Vec2,
+    cols: usize,
+    rows: usize,
+    /// CSR offsets, `cols · rows + 1` of them: row-major cell `c` holds
+    /// entries `start[c]..start[c + 1]`.
+    start: Vec<u32>,
+    /// Per entry, the keypoint index (ascending within a cell) and its
+    /// position, so a cell row is one contiguous run.
+    index: Vec<u32>,
+    pos: Vec<Vec2>,
+    /// Build scratch: each keypoint's position and cell, by index.
+    points: Vec<Vec2>,
+    cell_of: Vec<u32>,
+}
+
+impl KeypointGrid {
+    /// A grid over `positions`.
+    pub fn new(positions: impl IntoIterator<Item = Vec2>) -> KeypointGrid {
+        let mut grid = KeypointGrid::default();
+        grid.rebuild(positions);
+        grid
+    }
+
+    /// Re-bucket the grid over `positions` (keypoint `i` is the `i`-th),
+    /// reusing every buffer. The grid spans the positions' bounding box.
+    pub fn rebuild(&mut self, positions: impl IntoIterator<Item = Vec2>) {
+        self.points.clear();
+        self.points.extend(positions);
+        let points = &self.points;
+        debug_assert!(points.iter().all(|p| p.x.is_finite() && p.y.is_finite()));
+        let mut lo = Vec2::new(f64::INFINITY, f64::INFINITY);
+        let mut hi = -lo;
+        for p in points {
+            lo = Vec2::new(lo.x.min(p.x), lo.y.min(p.y));
+            hi = Vec2::new(hi.x.max(p.x), hi.y.max(p.y));
+        }
+        let cells =
+            |span: f64| ((span * (1.0 / GRID_CELL_PX)) as usize).min(GRID_MAX_CELLS - 1) + 1;
+        (self.origin, self.cols, self.rows) = if points.is_empty() {
+            (Vec2::ZERO, 0, 0)
+        } else {
+            (lo, cells(hi.x - lo.x), cells(hi.y - lo.y))
+        };
+        let (origin, cols, rows) = (self.origin, self.cols, self.rows);
+
+        self.cell_of.clear();
+        self.cell_of.extend(points.iter().map(|p| {
+            (grid_cell(p.y, origin.y, rows) * cols + grid_cell(p.x, origin.x, cols)) as u32
+        }));
+        self.start.clear();
+        self.start.resize(cols * rows + 1, 0);
+        for &c in &self.cell_of {
+            self.start[c as usize + 1] += 1;
+        }
+        for c in 1..self.start.len() {
+            self.start[c] += self.start[c - 1];
+        }
+        // Scatter in index order, advancing each cell's offset as its
+        // entries land, then shift the offsets back by one cell.
+        self.index.clear();
+        self.index.resize(points.len(), 0);
+        self.pos.clear();
+        self.pos.resize(points.len(), Vec2::ZERO);
+        for (i, (&c, &p)) in self.cell_of.iter().zip(points).enumerate() {
+            let slot = &mut self.start[c as usize];
+            self.index[*slot as usize] = i as u32;
+            self.pos[*slot as usize] = p;
+            *slot += 1;
+        }
+        self.start.copy_within(..cols * rows, 1);
+        if let Some(first) = self.start.first_mut() {
+            *first = 0;
+        }
+    }
+
+    /// [`best_in_window`] over the grid's keypoints, reading only the
+    /// cells the query's window overlaps. `descriptors[i]` is keypoint
+    /// `i`'s descriptor. The query centre must be finite, as
+    /// `project_in_image` guarantees, and the radius a number.
+    pub fn best_in_window(
+        &self,
+        query: &ProjectionQuery,
+        descriptors: &[Descriptor],
+        max_distance: u32,
+    ) -> Option<(usize, u32)> {
+        let p = query.predicted;
+        debug_assert!(p.x.is_finite() && p.y.is_finite() && !query.radius.is_nan());
+        if self.index.is_empty() {
+            return None;
+        }
+        let r2 = query.radius * query.radius;
+        let reach = query.radius.abs() + WINDOW_SLACK_PX;
+        let (o, cols, rows) = (self.origin, self.cols, self.rows);
+        let (cx0, cx1) = (
+            grid_cell(p.x - reach, o.x, cols),
+            grid_cell(p.x + reach, o.x, cols),
+        );
+        let (cy0, cy1) = (
+            grid_cell(p.y - reach, o.y, rows),
+            grid_cell(p.y + reach, o.y, rows),
+        );
+        let mut best = u32::MAX;
+        let mut best_i = u32::MAX;
+        for cy in cy0..=cy1 {
+            let row = cy * cols;
+            let run = self.start[row + cx0] as usize..self.start[row + cx1 + 1] as usize;
+            for (&pos, &i) in self.pos[run.clone()].iter().zip(&self.index[run]) {
+                if (pos - p).norm_sq() > r2 {
+                    continue;
+                }
+                let Some(d) = descriptors.get(i as usize) else {
+                    continue;
+                };
+                let dist = query.descriptor.distance(d);
+                if dist < best || (dist == best && i < best_i) {
+                    best = dist;
+                    best_i = i;
+                }
+            }
+        }
+        (best_i != u32::MAX && best <= max_distance).then_some((best_i as usize, best))
+    }
+}
+
+/// The reference for [`KeypointGrid::best_in_window`]: search one query
+/// against every feature of the frame. `positions` and `descriptors` are
+/// parallel arrays of the frame's features. Returns `(train_index,
+/// distance)` of the best acceptable match. Kept public as the oracle the
+/// grid and the executor's search kernel are tested against.
 pub fn best_in_window(
     query: &ProjectionQuery,
     positions: &[Vec2],
@@ -150,39 +320,43 @@ pub fn best_in_window(
     }
 }
 
-/// Turn per-query hits (`hits[qi]` = [`best_in_window`] of query `qi`)
+/// Turn per-query hits (`hits[qi]` = the best window match of query `qi`)
 /// into matches: where two queries hit the same frame feature the smaller
 /// distance wins (the earlier query on a tie); output is in query order.
 pub fn resolve_conflicts(
     hits: impl IntoIterator<Item = Option<(usize, u32)>>,
 ) -> Vec<FeatureMatch> {
-    let mut per_train: std::collections::HashMap<usize, FeatureMatch> =
-        std::collections::HashMap::new();
+    // Train indices are dense keypoint indices: a table indexed by them,
+    // filled in query order, keeps the first strictly-smaller hit.
+    let mut per_train: Vec<Option<FeatureMatch>> = Vec::new();
     for (query, hit) in hits.into_iter().enumerate() {
-        if let Some((train, distance)) = hit {
-            let m = FeatureMatch {
-                query,
-                train,
-                distance,
-            };
-            per_train
-                .entry(train)
-                .and_modify(|cur| {
-                    if distance < cur.distance {
-                        *cur = m;
-                    }
+        let Some((train, distance)) = hit else {
+            continue;
+        };
+        if train >= per_train.len() {
+            per_train.resize(train + 1, None);
+        }
+        match &mut per_train[train] {
+            Some(cur) if distance >= cur.distance => {}
+            slot => {
+                *slot = Some(FeatureMatch {
+                    query,
+                    train,
+                    distance,
                 })
-                .or_insert(m);
+            }
         }
     }
-    let mut out: Vec<FeatureMatch> = per_train.into_values().collect();
-    out.sort_by_key(|m| m.query);
+    let mut out: Vec<FeatureMatch> = per_train.into_iter().flatten().collect();
+    // Each query survives at most once, so keys are unique.
+    out.sort_unstable_by_key(|m| m.query);
     out
 }
 
-/// Run all projection queries in a plain loop (mapping's fusion search,
-/// and the reference the fanned-out *search local points* is tested
-/// against), resolving conflicts with [`resolve_conflicts`].
+/// The reference for the grid-indexed search: every projection query
+/// through the full scan [`best_in_window`], conflicts resolved with
+/// [`resolve_conflicts`]. The executor's search kernel is tested against
+/// it.
 pub fn match_by_projection(
     queries: &[ProjectionQuery],
     positions: &[Vec2],
@@ -335,6 +509,8 @@ pub fn stereo_match_rectified(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn desc_with_bits(bits: &[usize]) -> Descriptor {
         let mut d = Descriptor::ZERO;
@@ -659,5 +835,161 @@ mod tests {
             radius: 10.0,
         };
         assert!(best_in_window(&q, &[], &[], TH_LOW).is_none());
+        let mut grid = KeypointGrid::new(std::iter::empty());
+        assert!(grid.best_in_window(&q, &[], u32::MAX).is_none());
+        // Emptied after holding points.
+        grid.rebuild([Vec2::ZERO]);
+        assert_eq!(
+            grid.best_in_window(&q, &[Descriptor::ZERO], TH_LOW),
+            Some((0, 0))
+        );
+        grid.rebuild(std::iter::empty());
+        assert!(grid
+            .best_in_window(&q, &[Descriptor::ZERO], u32::MAX)
+            .is_none());
+    }
+
+    #[test]
+    fn conflict_tie_goes_to_the_earlier_query() {
+        // Queries 1 and 3 hit keypoint 5 at the same distance; query 0
+        // hits it farther away. Query 1 wins, and the other keypoint's
+        // match keeps its place in query order.
+        let hits = [Some((5, 9)), Some((5, 4)), Some((2, 7)), Some((5, 4)), None];
+        assert_eq!(
+            resolve_conflicts(hits),
+            vec![
+                FeatureMatch {
+                    query: 1,
+                    train: 5,
+                    distance: 4
+                },
+                FeatureMatch {
+                    query: 2,
+                    train: 2,
+                    distance: 7
+                },
+            ]
+        );
+        // Through the window search: two identical queries on one point.
+        let d = desc_with_bits(&[4, 9]);
+        let q = ProjectionQuery {
+            descriptor: d,
+            predicted: Vec2::new(3.0, 3.0),
+            radius: 10.0,
+        };
+        let ms = match_by_projection(&[q, q], &[Vec2::ZERO], &[d], TH_LOW);
+        assert_eq!(ms.len(), 1);
+        assert_eq!(ms[0].query, 0);
+    }
+
+    #[test]
+    fn capped_grid_stays_exact() {
+        // A bounding box far wider than GRID_MAX_CELLS cells: positions
+        // past the cap share the last cell, and the search still equals
+        // the scan.
+        let positions: Vec<Vec2> = [0.0, 10.0, 20_000.0, 20_010.0, 1e6, 1e6 + 5.0]
+            .iter()
+            .map(|&x| Vec2::new(x, x / 2.0))
+            .collect();
+        let descriptors: Vec<Descriptor> = (0..positions.len())
+            .map(|i| desc_with_bits(&[i % 3]))
+            .collect();
+        let grid = KeypointGrid::new(positions.iter().copied());
+        for (i, &p) in positions.iter().enumerate() {
+            for radius in [3.0, 14.0, 40.0] {
+                let q = ProjectionQuery {
+                    descriptor: descriptors[i],
+                    predicted: p + Vec2::new(2.0, -1.0),
+                    radius,
+                };
+                assert_eq!(
+                    grid.best_in_window(&q, &descriptors, TH_LOW),
+                    best_in_window(&q, &positions, &descriptors, TH_LOW),
+                    "point {i}, radius {radius}"
+                );
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Grid vs full scan on random frames: every query's hit and the
+        /// resolved matches are identical. Keypoints and query centres
+        /// span `[−14, W + 14)` (what `project_in_image` admits, windows
+        /// hanging off every side), some snapped onto cell edges; some
+        /// queries sit at exactly `r` from a keypoint; descriptors come
+        /// from a 12-entry alphabet, so equal distances in different
+        /// cells exercise the index tie-break; radii run from under a
+        /// pixel to several cells; frames may be empty.
+        #[test]
+        fn grid_search_matches_scan(
+            size in (1usize..640, 1usize..480),
+            spots in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0usize..4, 0usize..12), 0..150),
+            probes in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0usize..6, 0usize..12, 0usize..6), 0..80),
+            max_pick in 0usize..3,
+        ) {
+            let (w, h) = (size.0 as f64, size.1 as f64);
+            let span = |f: f64, len: f64| -14.0 + f * (len + 28.0);
+            let mut positions: Vec<Vec2> = spots
+                .iter()
+                .map(|&(fx, fy, _, _)| Vec2::new(span(fx, w), span(fy, h)))
+                .collect();
+            // Snap a quarter of the points onto cell edges of the grid
+            // that will be built (its origin is the bounding-box corner).
+            let lo = positions.iter().fold(Vec2::new(f64::INFINITY, f64::INFINITY), |a, p| {
+                Vec2::new(a.x.min(p.x), a.y.min(p.y))
+            });
+            let snap = |v: f64, o: f64| o + ((v - o) / GRID_CELL_PX).round() * GRID_CELL_PX;
+            for (p, &(_, _, mode, _)) in positions.iter_mut().zip(&spots) {
+                if mode == 0 {
+                    *p = Vec2::new(snap(p.x, lo.x), snap(p.y, lo.y));
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(spots.len() as u64 * 31 + size.0 as u64);
+            let alphabet: Vec<Descriptor> = (0..12)
+                .map(|_| {
+                    let mut d = Descriptor::ZERO;
+                    for b in 0..256 {
+                        if rng.gen_bool(0.1) {
+                            d.set_bit(b);
+                        }
+                    }
+                    d
+                })
+                .collect();
+            let descriptors: Vec<Descriptor> =
+                spots.iter().map(|&(_, _, _, k)| alphabet[k]).collect();
+            let radii = [14.0, 15.0, 5.0, 40.0, 0.5, 100.0];
+            let queries: Vec<ProjectionQuery> = probes
+                .iter()
+                .map(|&(fx, fy, mode, k, ri)| {
+                    let r = radii[ri];
+                    let at = |f: f64| positions[(f * positions.len() as f64) as usize % positions.len().max(1)];
+                    let predicted = match mode {
+                        _ if positions.is_empty() => Vec2::new(span(fx, w), span(fy, h)),
+                        1 => at(fx) + Vec2::new(r, 0.0),
+                        2 => at(fx) - Vec2::new(0.0, r),
+                        3 => at(fx) + Vec2::new(0.6 * r, 0.8 * r),
+                        4 => Vec2::new(snap(span(fx, w), lo.x), snap(span(fy, h), lo.y)),
+                        5 => Vec2::new(if fx < 0.5 { -14.0 } else { w + 14.0 - 1e-9 }, span(fy, h)),
+                        _ => Vec2::new(span(fx, w), span(fy, h)),
+                    };
+                    ProjectionQuery { descriptor: alphabet[k], predicted, radius: r }
+                })
+                .collect();
+            let max_distance = [TH_LOW, TH_HIGH, u32::MAX][max_pick];
+            let grid = KeypointGrid::new(positions.iter().copied());
+            for q in &queries {
+                prop_assert_eq!(
+                    grid.best_in_window(q, &descriptors, max_distance),
+                    best_in_window(q, &positions, &descriptors, max_distance)
+                );
+            }
+            prop_assert_eq!(
+                resolve_conflicts(queries.iter().map(|q| grid.best_in_window(q, &descriptors, max_distance))),
+                match_by_projection(&queries, &positions, &descriptors, max_distance)
+            );
+        }
     }
 }

@@ -130,20 +130,22 @@ const UMAX: [isize; PATCH_RADIUS as usize + 1] = {
 
 /// Intensity-centroid moments `(m10, m01)` of the disc centred at
 /// `(cx, cy)` of a row-major patch `stride` pixels wide, in integers:
-/// `m10 = Σ dx·v` and `m01 = Σ dy·(row sum)` over [`UMAX`]'s rows.
-fn disc_moments(patch: &[u8], stride: usize, cx: usize, cy: usize) -> (i64, i64) {
-    let mut m10 = 0i64;
-    let mut m01 = 0i64;
+/// `m10 = Σ dx·v` and `m01 = Σ dy·(row sum)` over [`UMAX`]'s rows. Each
+/// is at most 255 · Σ|d| = 255 · 4 528 over the 709-pixel disc, far inside
+/// `i32`.
+fn disc_moments(patch: &[u8], stride: usize, cx: usize, cy: usize) -> (i32, i32) {
+    let mut m10 = 0i32;
+    let mut m01 = 0i32;
     for dy in -PATCH_RADIUS..=PATCH_RADIUS {
         let u = UMAX[dy.unsigned_abs()];
         let start = (cy as isize + dy) as usize * stride + cx - u as usize;
         let row = &patch[start..=start + 2 * u as usize];
-        let mut row_sum = 0i64;
+        let mut row_sum = 0i32;
         for (dx, &v) in (-u..=u).zip(row) {
-            m10 += dx as i64 * i64::from(v);
-            row_sum += i64::from(v);
+            m10 += dx as i32 * i32::from(v);
+            row_sum += i32::from(v);
         }
-        m01 += dy as i64 * row_sum;
+        m01 += dy as i32 * row_sum;
     }
     (m10, m01)
 }
@@ -191,7 +193,7 @@ pub fn orient_and_describe(img: &GrayImage, x: f64, y: f64) -> (f64, Descriptor)
         x.round() as usize - bx,
         y.round() as usize - by,
     );
-    let angle = (m01 as f64).atan2(m10 as f64);
+    let angle = f64::from(m01).atan2(f64::from(m10));
 
     // Rotated BRIEF in three passes: steer every sample point, sample each
     // in patch-local coordinates, then compare the pairs.
@@ -226,10 +228,12 @@ pub fn orient_and_describe(img: &GrayImage, x: f64, y: f64) -> (f64, Descriptor)
             + p01 * (1.0 - fx) * fy
             + p11 * fx * fy;
     }
+    // Pack the comparisons without a branch: half of them go each way, so
+    // a branch per bit would mispredict about every other one.
     let mut d = Descriptor::ZERO;
-    for (i, pair) in vals.chunks_exact(2).enumerate() {
-        if pair[0] < pair[1] {
-            d.set_bit(i);
+    for (byte, pairs) in d.0.iter_mut().zip(vals.chunks_exact(16)) {
+        for (j, pair) in pairs.chunks_exact(2).enumerate() {
+            *byte |= u8::from(pair[0] < pair[1]) << j;
         }
     }
     (angle, d)
@@ -330,15 +334,23 @@ mod tests {
                     f01 += dy as f64 * v;
                 }
             }
-            assert_eq!((m10 as f64).to_bits(), f10.to_bits(), "m10, trial {trial}");
-            assert_eq!((m01 as f64).to_bits(), f01.to_bits(), "m01, trial {trial}");
+            assert_eq!(
+                f64::from(m10).to_bits(),
+                f10.to_bits(),
+                "m10, trial {trial}"
+            );
+            assert_eq!(
+                f64::from(m01).to_bits(),
+                f01.to_bits(),
+                "m01, trial {trial}"
+            );
             let img = GrayImage {
                 width: FUSED_PATCH,
                 height: FUSED_PATCH,
                 data: patch,
             };
             let want = intensity_centroid_angle(&img, cx as f64, cy as f64);
-            let got = (m01 as f64).atan2(m10 as f64);
+            let got = f64::from(m01).atan2(f64::from(m10));
             assert_eq!(got.to_bits(), want.to_bits(), "angle, trial {trial}");
         }
     }

@@ -5,10 +5,11 @@
 //!    cells are fanned out across SMs, then orientation+BRIEF description
 //!    is fanned out per keypoint. Matches §4.2.1's "parallelization of
 //!    FAST corner detection" plus descriptor computation.
-//! 2. **Search local points** (`gpu_search_local_points`): each projected
-//!    map point's windowed descriptor search runs as one work item,
-//!    "parallelizing the loop iterations" exactly as the paper describes
-//!    its local-tracking CUDA kernel.
+//! 2. **Search local points** (`gpu_search_local_points_in`): each
+//!    projected map point's windowed descriptor search, over the frame's
+//!    keypoint grid, runs as one work item, "parallelizing the loop
+//!    iterations" exactly as the paper describes its local-tracking CUDA
+//!    kernel.
 //!
 //! The executor varies only how the work items are spread over lanes, so
 //! accuracy is unaffected by its width (asserted by tests). Each kernel
@@ -17,7 +18,7 @@
 
 use crate::exec::{GpuExecutor, KernelStats};
 use slamshare_features::extractor::{ExtractedFeatures, OrbExtractor};
-use slamshare_features::matching::{self, FeatureMatch, ProjectionQuery};
+use slamshare_features::matching::{self, FeatureMatch, KeypointGrid, ProjectionQuery};
 use slamshare_features::{Descriptor, GrayImage};
 use slamshare_math::Vec2;
 use std::time::Instant;
@@ -48,18 +49,19 @@ pub fn gpu_extract(
 }
 
 /// *Search local points* on `exec`: run every projection query as a work
-/// item, then resolve train-side conflicts on the host (keep the smaller
-/// distance) — the same matches as the sequential `match_by_projection`.
-pub fn gpu_search_local_points(
+/// item against the frame's keypoint grid, then resolve train-side
+/// conflicts on the host (keep the smaller distance) — the same matches
+/// as the full-scan reference `match_by_projection`.
+pub fn gpu_search_local_points_in(
     exec: &GpuExecutor,
     queries: &[ProjectionQuery],
-    positions: &[Vec2],
+    grid: &KeypointGrid,
     descriptors: &[Descriptor],
     max_distance: u32,
 ) -> (Vec<FeatureMatch>, KernelStats) {
     let t0 = Instant::now();
     let hits = exec.par_map(queries, |q| {
-        matching::best_in_window(q, positions, descriptors, max_distance)
+        grid.best_in_window(q, descriptors, max_distance)
     });
     let t1 = Instant::now();
     let matches = matching::resolve_conflicts(hits);
@@ -72,6 +74,18 @@ pub fn gpu_search_local_points(
         bytes: std::mem::size_of_val(queries) + std::mem::size_of_val(descriptors),
     };
     (matches, stats)
+}
+
+/// [`gpu_search_local_points_in`] on a one-shot grid over `positions`.
+pub fn gpu_search_local_points(
+    exec: &GpuExecutor,
+    queries: &[ProjectionQuery],
+    positions: &[Vec2],
+    descriptors: &[Descriptor],
+    max_distance: u32,
+) -> (Vec<FeatureMatch>, KernelStats) {
+    let grid = KeypointGrid::new(positions.iter().copied());
+    gpu_search_local_points_in(exec, queries, &grid, descriptors, max_distance)
 }
 
 #[cfg(test)]

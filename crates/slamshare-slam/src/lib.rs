@@ -26,9 +26,10 @@
 pub mod eval;
 pub mod ids;
 pub mod imu;
-// The map/merge/recognition modules hold the shared global-map state and
-// the code that runs against it under region locks on the edge server; a
-// panic there poisons a shard for every client. Lints are compiled into
+// The map/merge/recognition/tracking modules hold the shared global-map
+// state and the code that runs against it under region locks on the edge
+// server (tracking's back half reads the map in every round); a panic
+// there poisons a shard for every client. Lints are compiled into
 // the modules (not passed via CLI -D, which would leak into the vendored
 // workspace path deps) — `cargo clippy -p slamshare-slam` enforces them.
 #[cfg_attr(
@@ -49,6 +50,10 @@ pub mod optimize;
 )]
 pub mod recognition;
 pub mod system;
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub mod tracking;
 pub mod triangulate;
 pub mod vocabulary;

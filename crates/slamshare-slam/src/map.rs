@@ -355,15 +355,17 @@ pub trait MapRead {
                 .into_iter()
                 .map(|(k, _)| k),
         );
-        let mut seen = std::collections::BTreeSet::new();
+        // Collect, sort, dedup: the ascending id set a `BTreeSet` would
+        // give, without a tree node per point.
+        let mut points: Vec<MapPointId> = Vec::new();
         for k in kfs {
             if let Some(kf) = self.keyframe(k) {
-                for mp in kf.matched_points.iter().flatten() {
-                    seen.insert(*mp);
-                }
+                points.extend(kf.matched_points.iter().flatten());
             }
         }
-        seen.into_iter().collect()
+        points.sort_unstable();
+        points.dedup();
+        points
     }
 }
 

@@ -12,7 +12,7 @@ use crate::optimize::{local_bundle_adjust_with, BaScratch, BaStats};
 use crate::tracking::{FrameObservation, SensorMode};
 use crate::triangulate;
 use slamshare_features::bow::Vocabulary;
-use slamshare_features::matching::{match_by_projection, ProjectionQuery, TH_LOW};
+use slamshare_features::matching::{resolve_conflicts, KeypointGrid, ProjectionQuery, TH_LOW};
 use slamshare_gpu::GpuExecutor;
 use slamshare_sim::camera::StereoRig;
 
@@ -226,9 +226,13 @@ impl LocalMapper {
                     radius: 90.0,
                 })
                 .collect();
-            let pos_b: Vec<_> = free_b.iter().map(|&i| other.keypoints[i].pt).collect();
+            let grid = KeypointGrid::new(free_b.iter().map(|&i| other.keypoints[i].pt));
             let desc_b: Vec<_> = free_b.iter().map(|&i| other.descriptors[i]).collect();
-            let matches = match_by_projection(&queries, &pos_b, &desc_b, TH_LOW);
+            let matches = resolve_conflicts(
+                queries
+                    .iter()
+                    .map(|q| grid.best_in_window(q, &desc_b, TH_LOW)),
+            );
 
             let mut idx_pairs = Vec::new();
             let mut points = Vec::new();

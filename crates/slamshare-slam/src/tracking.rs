@@ -29,7 +29,7 @@ use slamshare_features::extractor::{ExtractedFeatures, OrbExtractor, OrbExtracto
 use slamshare_features::matching::{self, ProjectionQuery, TH_LOW};
 use slamshare_features::{Descriptor, GrayImage, KeyPoint};
 use slamshare_gpu::{kernels, GpuExecutor, KernelStats};
-use slamshare_math::{Vec2, SE3};
+use slamshare_math::{Vec2, Vec3, SE3};
 use slamshare_sim::camera::StereoRig;
 use std::sync::Arc;
 use std::time::Instant;
@@ -268,6 +268,9 @@ pub struct Tracker {
     /// Reusable buffers for the batched stereo matcher (row buckets, SoA
     /// descriptor block) — zero allocations per frame once warm.
     stereo_scratch: parking_lot::Mutex<matching::StereoScratch>,
+    /// The current frame's keypoint grid for *search local points*,
+    /// rebuilt in place by every [`Tracker::track_extracted`].
+    search_grid: matching::KeypointGrid,
 }
 
 impl Tracker {
@@ -285,6 +288,7 @@ impl Tracker {
             ref_matches: 0,
             consecutive_lost: 0,
             stereo_scratch: parking_lot::Mutex::new(matching::StereoScratch::default()),
+            search_grid: matching::KeypointGrid::default(),
         }
     }
 
@@ -488,8 +492,10 @@ impl Tracker {
             Some(r) => map.local_map_points(r, 5),
             None => Vec::new(),
         };
-        let mut queries: Vec<ProjectionQuery> = Vec::new();
-        let mut query_points: Vec<MapPointId> = Vec::new();
+        // One lookup per point: the query, and next to it what the
+        // observations below need of the point.
+        let mut queries: Vec<ProjectionQuery> = Vec::with_capacity(local_points.len());
+        let mut query_points: Vec<(MapPointId, Vec3)> = Vec::with_capacity(local_points.len());
         for mp_id in local_points {
             let Some(mp) = map.mappoint(mp_id) else {
                 continue;
@@ -503,13 +509,14 @@ impl Tracker {
                 predicted: Vec2::new(px.x, px.y),
                 radius: SEARCH_RADIUS_PX,
             });
-            query_points.push(mp_id);
+            query_points.push((mp_id, mp.position));
         }
-        let positions: Vec<Vec2> = features.keypoints.iter().map(|k| k.pt).collect();
-        let (matches, search) = kernels::gpu_search_local_points(
+        self.search_grid
+            .rebuild(features.keypoints.iter().map(|k| k.pt));
+        let (matches, search) = kernels::gpu_search_local_points_in(
             &self.exec,
             &queries,
-            &positions,
+            &self.search_grid,
             &features.descriptors,
             TH_LOW,
         );
@@ -522,14 +529,10 @@ impl Tracker {
         let mut obs = Vec::with_capacity(matches.len());
         let mut obs_kp: Vec<usize> = Vec::with_capacity(matches.len());
         for m in &matches {
-            let mp_id = query_points[m.query];
-            // Ids in query_points came from successful lookups above.
-            let Some(mp) = map.mappoint(mp_id) else {
-                continue;
-            };
+            let (mp_id, point) = query_points[m.query];
             let kp = &features.keypoints[m.train];
             obs.push(PoseObservation {
-                point: mp.position,
+                point,
                 pixel: kp.pt,
                 sigma: 1.2f64.powi(kp.octave as i32),
             });

@@ -46,7 +46,7 @@ stage_clippy() {
 }
 
 stage_nopanic() {
-    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features extractor/fast/orb/image/pyramid, core federation/gmap/ingest/merge_worker/qos/server/session, slam map/merge/recognition) =="
+    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features descriptor/extractor/fast/image/matching/orb/pyramid, core federation/gmap/ingest/merge_worker/qos/server/session, slam map/merge/recognition/tracking) =="
     # Shared-state paths deny unwrap/expect/panic via in-source
     # #![cfg_attr(not(test), deny(...))] attributes (crate-level in
     # slamshare-net, slamshare-shm, and slamshare-gpu — the executor and
@@ -54,9 +54,10 @@ stage_nopanic() {
     # module-level on
     # slamshare-features::{extractor,fast,orb,image,pyramid} — the one
     # extraction pipeline those submissions run and the kernels it calls —
-    # and on
+    # and slamshare-features::{descriptor,matching} — the Hamming and
+    # window-search kernels tracking runs on its output — and on
     # slamshare-core::{federation,gmap,ingest,merge_worker,qos,server,session}
-    # and slamshare-slam::{map,merge,recognition} — a panic under a client
+    # and slamshare-slam::{map,merge,recognition,tracking} — a panic under a client
     # mutex or a region lock would poison shared state for every client,
     # and one on the merge thread silently ends process M). A plain clippy
     # pass compiles those lints as hard errors; CLI -D flags must NOT be used

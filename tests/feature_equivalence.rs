@@ -481,3 +481,70 @@ fn batched_kf_culling_matches_scalar_snapshot_rule() {
         "property never saw both verdicts — inputs too uniform to mean anything"
     );
 }
+
+/// *Search local points* through the keypoint grid, on a real extracted
+/// frame, returns the full scan's answer for every query: the per-query
+/// hit and the resolved matches, sequentially and fanned out on the
+/// executor. Queries reuse the frame's own descriptors (so windows hold
+/// exact and near matches, and ties) at jittered positions over the range
+/// `project_in_image` admits, at the tracker's radius and wider.
+#[test]
+fn window_search_grid_matches_scan() {
+    use slam_share::features::matching::{KeypointGrid, ProjectionQuery, TH_LOW};
+    use slam_share::gpu::kernels;
+
+    let ds = Dataset::build(
+        DatasetConfig::new(TracePreset::MH04)
+            .with_frames(1)
+            .with_seed(seed().wrapping_add(5)),
+    );
+    let (left, _) = ds.render_stereo_frame(0);
+    let tracker = Tracker::new(TrackerConfig::mono(ds.rig), Arc::new(GpuExecutor::cpu()));
+    let features = tracker.extract_frame(&left, None).features;
+    let n = features.keypoints.len();
+    assert!(n > 100, "{n} keypoints");
+    let positions: Vec<Vec2> = features.keypoints.iter().map(|k| k.pt).collect();
+    let (w, h) = (left.width as f64, left.height as f64);
+
+    let mut rng = StdRng::seed_from_u64(seed().wrapping_add(6));
+    let queries: Vec<ProjectionQuery> = (0..3000)
+        .map(|i| {
+            let k = rng.gen_range(0..n);
+            let jitter = Vec2::new(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0));
+            let predicted = if i % 10 == 0 {
+                Vec2::new(
+                    rng.gen_range(-14.0..w + 14.0),
+                    rng.gen_range(-14.0..h + 14.0),
+                )
+            } else {
+                positions[k] + jitter
+            };
+            ProjectionQuery {
+                descriptor: features.descriptors[k],
+                predicted,
+                radius: if i % 7 == 0 { 40.0 } else { 14.0 },
+            }
+        })
+        .collect();
+
+    let grid = KeypointGrid::new(positions.iter().copied());
+    let mut hits = 0;
+    for q in &queries {
+        let want = matching::best_in_window(q, &positions, &features.descriptors, TH_LOW);
+        assert_eq!(grid.best_in_window(q, &features.descriptors, TH_LOW), want);
+        hits += usize::from(want.is_some());
+    }
+    assert!(hits > queries.len() / 2, "{hits} hits");
+
+    let want = matching::match_by_projection(&queries, &positions, &features.descriptors, TH_LOW);
+    for exec in [GpuExecutor::cpu(), GpuExecutor::cpu_with_workers(2)] {
+        let (got, _) = kernels::gpu_search_local_points_in(
+            &exec,
+            &queries,
+            &grid,
+            &features.descriptors,
+            TH_LOW,
+        );
+        assert_eq!(got, want);
+    }
+}
