@@ -1,8 +1,8 @@
 //! Bench (extension): per-frame micro-latencies of the zero-copy batched
 //! tracking path — warm ORB extraction (frame arena + SoA describe) and
-//! its four sub-stages, FAST + NMS per pyramid level (cells, corners
-//! before and after NMS, detect time), the server's stereo front half on
-//! two lanes,
+//! its four sub-stages, FAST alone over the frame's cells, FAST + NMS per
+//! pyramid level (cells, retried cells, corners before and after NMS,
+//! detect time), the server's stereo front half on two lanes,
 //! batched stereo matching (row-bucket CSR + strip Hamming kernel), the
 //! fused orient+describe kernel against its separate scalar pair, and
 //! *search local points* through the keypoint grid against the full scan.
@@ -46,6 +46,11 @@ struct BenchFrame {
     distribute_p95_ms: f64,
     describe_p50_ms: f64,
     describe_p95_ms: f64,
+    /// FAST alone over every cell of the frame on one lane, with the
+    /// low-threshold retry but without NMS or refinement: the key that
+    /// catches a codegen regression in the block segment test.
+    fast_p50_ms: f64,
+    fast_p95_ms: f64,
     /// The detect stage per pyramid level, on one lane.
     levels: Vec<LevelDetect>,
     /// `Tracker::extract_frame` on a stereo pair with a 2-lane executor:
@@ -80,6 +85,9 @@ struct BenchFrame {
 struct LevelDetect {
     level: usize,
     cells: usize,
+    /// Cells whose primary threshold found nothing and that re-detected at
+    /// the low one.
+    retry_cells: usize,
     /// Corners before NMS (after the low-threshold retry where it ran).
     raw_corners: usize,
     /// Corners NMS kept: what the level hands to distribution.
@@ -157,6 +165,15 @@ fn bench(c: &mut Criterion) {
     );
     let mut tasks = Vec::new();
     extractor.cells_into(&pyr, &mut tasks);
+    let mut raw = Vec::new();
+    let mut fast_frame = || {
+        for &task in &tasks {
+            extractor.fast_cell_into(&pyr, task, &mut raw);
+            std::hint::black_box(&raw);
+        }
+    };
+    fast_frame();
+    let fast_ms = time_reps(reps, fast_frame);
     let mut scratch = CellScratch::default();
     let mut kept = Vec::new();
     let levels: Vec<LevelDetect> = (0..pyr.num_levels())
@@ -176,9 +193,14 @@ fn bench(c: &mut Criterion) {
             let ms = time_reps(reps, || {
                 detect();
             });
+            let retry_cells = cells
+                .iter()
+                .filter(|&&task| extractor.fast_cell_into(&pyr, task, &mut scratch.raw))
+                .count();
             LevelDetect {
                 level,
                 cells: cells.len(),
+                retry_cells,
                 raw_corners,
                 survivors: kept.len(),
                 detect_p50_ms: percentile(&ms, 0.50),
@@ -284,6 +306,8 @@ fn bench(c: &mut Criterion) {
         distribute_p95_ms: distribute.1,
         describe_p50_ms: describe.0,
         describe_p95_ms: describe.1,
+        fast_p50_ms: percentile(&fast_ms, 0.50),
+        fast_p95_ms: percentile(&fast_ms, 0.95),
         levels,
         stereo_frame_p50_ms: percentile(&stereo_frame_ms, 0.50),
         stereo_frame_p95_ms: percentile(&stereo_frame_ms, 0.95),
@@ -308,6 +332,10 @@ fn bench(c: &mut Criterion) {
         out.stereo_frame_p50_ms,
     );
     println!(
+        "FAST alone over the frame's cells p50 {:.2} ms",
+        out.fast_p50_ms
+    );
+    println!(
         "stereo p50 {:.3} ms, fused describe p50 {:.3} ms \
          (scalar pair {:.3} ms) over {} keypoints",
         out.stereo_match_p50_ms,
@@ -321,8 +349,8 @@ fn bench(c: &mut Criterion) {
     );
     for l in &out.levels {
         println!(
-            "level {}: {} cells, {} raw corners -> {} after NMS, detect p50 {:.3} ms",
-            l.level, l.cells, l.raw_corners, l.survivors, l.detect_p50_ms,
+            "level {}: {} cells ({} retried), {} raw corners -> {} after NMS, detect p50 {:.3} ms",
+            l.level, l.cells, l.retry_cells, l.raw_corners, l.survivors, l.detect_p50_ms,
         );
     }
     save_json("BENCH_frame", &out);

@@ -8,123 +8,6 @@
 
 use crate::keypoint::KeyPoint;
 
-/// Retain at most `target` keypoints, spatially distributed via recursive
-/// quadtree subdivision over the bounding box `[0, width) × [0, height)`.
-///
-/// Invariants:
-/// * output length ≤ `target`;
-/// * every returned keypoint is from the input;
-/// * within each final cell, the strongest-response corner is kept.
-pub fn distribute_quadtree(
-    keypoints: &[KeyPoint],
-    width: usize,
-    height: usize,
-    target: usize,
-) -> Vec<KeyPoint> {
-    if keypoints.len() <= target || target == 0 {
-        return keypoints.to_vec();
-    }
-
-    struct Node {
-        x0: f64,
-        y0: f64,
-        x1: f64,
-        y1: f64,
-        kps: Vec<KeyPoint>,
-        /// Cleared when a split fails to separate the keypoints
-        /// (coincident points) — such a node must not be re-selected or
-        /// the loop never progresses.
-        splittable: bool,
-    }
-
-    impl Node {
-        fn split(self) -> Vec<Node> {
-            let mx = (self.x0 + self.x1) / 2.0;
-            let my = (self.y0 + self.y1) / 2.0;
-            let n_before = self.kps.len();
-            let mk = |x0: f64, y0: f64, x1: f64, y1: f64| Node {
-                x0,
-                y0,
-                x1,
-                y1,
-                kps: Vec::new(),
-                splittable: true,
-            };
-            let mut quads = [
-                mk(self.x0, self.y0, mx, my),
-                mk(mx, self.y0, self.x1, my),
-                mk(self.x0, my, mx, self.y1),
-                mk(mx, my, self.x1, self.y1),
-            ];
-            for kp in self.kps {
-                let right = kp.pt.x >= mx;
-                let down = kp.pt.y >= my;
-                let idx = (down as usize) * 2 + right as usize;
-                quads[idx].kps.push(kp);
-            }
-            let mut out: Vec<Node> = quads.into_iter().filter(|q| !q.kps.is_empty()).collect();
-            if out.len() == 1 && out[0].kps.len() == n_before {
-                // Degenerate: all keypoints share a quadrant corner —
-                // further splitting can never separate them.
-                out[0].splittable = false;
-            }
-            out
-        }
-    }
-
-    let mut nodes = vec![Node {
-        x0: 0.0,
-        y0: 0.0,
-        x1: width as f64,
-        y1: height as f64,
-        kps: keypoints.to_vec(),
-        splittable: true,
-    }];
-
-    // Split until we have enough cells (or no cell can split further).
-    loop {
-        if nodes.len() >= target {
-            break;
-        }
-        // Split the node with the most keypoints first so density is
-        // equalized fastest.
-        let Some(best) = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.kps.len() > 1 && n.splittable)
-            .max_by_key(|(_, n)| n.kps.len())
-            .map(|(i, _)| i)
-        else {
-            break; // every cell holds a single (or inseparable) cluster
-        };
-        let node = nodes.swap_remove(best);
-        nodes.extend(node.split());
-    }
-
-    let mut out: Vec<KeyPoint> = nodes
-        .into_iter()
-        .filter_map(|n| {
-            // total_cmp: a NaN response must never panic extraction. The
-            // index tie-break keeps the winner deterministic (last of
-            // equals, matching max_by's historical behaviour).
-            n.kps
-                .into_iter()
-                .enumerate()
-                .max_by(|(i, a), (j, b)| a.response.total_cmp(&b.response).then(i.cmp(j)))
-                .map(|(_, kp)| kp)
-        })
-        .collect();
-
-    // We may slightly overshoot (quadtree splits by 4); trim by response.
-    // Stable sort on a NaN-safe key: equal responses keep their (already
-    // deterministic) cell order.
-    if out.len() > target {
-        out.sort_by(|a, b| b.response.total_cmp(&a.response));
-        out.truncate(target);
-    }
-    out
-}
-
 /// Reusable buffers for [`distribute_quadtree_into`]: the keypoint pool,
 /// its partition auxiliary, the node list and the index buffers for the
 /// overshoot trim's stable merge sort. Warm buffers make distribution
@@ -153,10 +36,12 @@ struct NodeRange {
     splittable: bool,
 }
 
-/// [`distribute_quadtree`] writing into `out` with reusable scratch.
-/// Node-splitting order, cell-winner tie-breaks and the overshoot trim's
-/// stable ordering all replicate the reference exactly, so the output is
-/// bit-identical (the property test below compares them element-wise).
+/// Retain at most `target` keypoints, spatially distributed via recursive
+/// quadtree subdivision over `[0, width) × [0, height)`, writing into `out`
+/// with reusable scratch. Node-splitting order, cell-winner tie-breaks and
+/// the overshoot trim's stable ordering all replicate the test-only
+/// reference `distribute_quadtree` exactly, so the output is bit-identical
+/// (the property test below compares them element-wise).
 pub fn distribute_quadtree_into(
     keypoints: &[KeyPoint],
     width: usize,
@@ -324,6 +209,125 @@ fn stable_sort_desc_by_response(kps: &[KeyPoint], idx: &mut Vec<u32>, tmp: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Retain at most `target` keypoints, spatially distributed via recursive
+    /// quadtree subdivision over the bounding box `[0, width) × [0, height)`.
+    ///
+    /// Invariants:
+    /// * output length ≤ `target`;
+    /// * every returned keypoint is from the input;
+    /// * within each final cell, the strongest-response corner is kept.
+    ///
+    /// The reference [`distribute_quadtree_into`] is tested against.
+    fn distribute_quadtree(
+        keypoints: &[KeyPoint],
+        width: usize,
+        height: usize,
+        target: usize,
+    ) -> Vec<KeyPoint> {
+        if keypoints.len() <= target || target == 0 {
+            return keypoints.to_vec();
+        }
+
+        struct Node {
+            x0: f64,
+            y0: f64,
+            x1: f64,
+            y1: f64,
+            kps: Vec<KeyPoint>,
+            /// Cleared when a split fails to separate the keypoints
+            /// (coincident points) — such a node must not be re-selected or
+            /// the loop never progresses.
+            splittable: bool,
+        }
+
+        impl Node {
+            fn split(self) -> Vec<Node> {
+                let mx = (self.x0 + self.x1) / 2.0;
+                let my = (self.y0 + self.y1) / 2.0;
+                let n_before = self.kps.len();
+                let mk = |x0: f64, y0: f64, x1: f64, y1: f64| Node {
+                    x0,
+                    y0,
+                    x1,
+                    y1,
+                    kps: Vec::new(),
+                    splittable: true,
+                };
+                let mut quads = [
+                    mk(self.x0, self.y0, mx, my),
+                    mk(mx, self.y0, self.x1, my),
+                    mk(self.x0, my, mx, self.y1),
+                    mk(mx, my, self.x1, self.y1),
+                ];
+                for kp in self.kps {
+                    let right = kp.pt.x >= mx;
+                    let down = kp.pt.y >= my;
+                    let idx = (down as usize) * 2 + right as usize;
+                    quads[idx].kps.push(kp);
+                }
+                let mut out: Vec<Node> = quads.into_iter().filter(|q| !q.kps.is_empty()).collect();
+                if out.len() == 1 && out[0].kps.len() == n_before {
+                    // Degenerate: all keypoints share a quadrant corner —
+                    // further splitting can never separate them.
+                    out[0].splittable = false;
+                }
+                out
+            }
+        }
+
+        let mut nodes = vec![Node {
+            x0: 0.0,
+            y0: 0.0,
+            x1: width as f64,
+            y1: height as f64,
+            kps: keypoints.to_vec(),
+            splittable: true,
+        }];
+
+        // Split until we have enough cells (or no cell can split further).
+        loop {
+            if nodes.len() >= target {
+                break;
+            }
+            // Split the node with the most keypoints first so density is
+            // equalized fastest.
+            let Some(best) = nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| n.kps.len() > 1 && n.splittable)
+                .max_by_key(|(_, n)| n.kps.len())
+                .map(|(i, _)| i)
+            else {
+                break; // every cell holds a single (or inseparable) cluster
+            };
+            let node = nodes.swap_remove(best);
+            nodes.extend(node.split());
+        }
+
+        let mut out: Vec<KeyPoint> = nodes
+            .into_iter()
+            .filter_map(|n| {
+                // total_cmp: a NaN response must never panic extraction. The
+                // index tie-break keeps the winner deterministic (last of
+                // equals, matching max_by's historical behaviour).
+                n.kps
+                    .into_iter()
+                    .enumerate()
+                    .max_by(|(i, a), (j, b)| a.response.total_cmp(&b.response).then(i.cmp(j)))
+                    .map(|(_, kp)| kp)
+            })
+            .collect();
+
+        // We may slightly overshoot (quadtree splits by 4); trim by response.
+        // Stable sort on a NaN-safe key: equal responses keep their (already
+        // deterministic) cell order.
+        if out.len() > target {
+            out.sort_by(|a, b| b.response.total_cmp(&a.response));
+            out.truncate(target);
+        }
+        out
+    }
     use slamshare_math::Vec2;
 
     fn kp(x: f64, y: f64, r: f64) -> KeyPoint {

@@ -234,13 +234,33 @@ impl OrbExtractor {
         }
     }
 
-    /// Run FAST in one cell. Pure: identical output regardless of execution
+    /// FAST alone in one cell, into `raw` (overwritten): the corners at the
+    /// primary threshold, or at `MIN_THRESHOLD` when that yields nothing
+    /// (low-contrast cells), mirroring ORB-SLAM. Returns whether the cell
+    /// retried.
+    pub fn fast_cell_into(
+        &self,
+        pyramid: &ImagePyramid,
+        task: CellTask,
+        raw: &mut Vec<KeyPoint>,
+    ) -> bool {
+        let img = &pyramid.levels[task.level];
+        let rect0 = (task.x0, task.y0);
+        let rect1 = (task.x1, task.y1);
+        raw.clear();
+        fast::detect_in_rect_into(img, rect0, rect1, FAST_THRESHOLD, task.level as u8, raw);
+        let retry = raw.is_empty();
+        if retry {
+            fast::detect_in_rect_into(img, rect0, rect1, MIN_THRESHOLD, task.level as u8, raw);
+        }
+        retry
+    }
+
+    /// Run FAST in one cell ([`OrbExtractor::fast_cell_into`]), then the
+    /// score-grid NMS. Pure: identical output regardless of execution
     /// order, so every runner agrees bit-for-bit. `scratch` is overwritten
     /// (its `raw` holds the cell's pre-NMS corners afterwards); NMS
     /// survivors are *appended* to `out` and subpixel-refined in place.
-    ///
-    /// Detection retries with `MIN_THRESHOLD` when the primary threshold
-    /// yields nothing (low-contrast cells), mirroring ORB-SLAM.
     pub fn detect_cell_into(
         &self,
         pyramid: &ImagePyramid,
@@ -252,11 +272,7 @@ impl OrbExtractor {
         let rect0 = (task.x0, task.y0);
         let rect1 = (task.x1, task.y1);
         let CellScratch { raw, grid } = scratch;
-        raw.clear();
-        fast::detect_in_rect_into(img, rect0, rect1, FAST_THRESHOLD, task.level as u8, raw);
-        if raw.is_empty() {
-            fast::detect_in_rect_into(img, rect0, rect1, MIN_THRESHOLD, task.level as u8, raw);
-        }
+        self.fast_cell_into(pyramid, task, raw);
         let kept_start = out.len();
         fast::non_max_suppress_grid_into(raw, rect0, rect1, grid, out);
         for kp in &mut out[kept_start..] {

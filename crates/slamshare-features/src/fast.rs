@@ -10,6 +10,15 @@
 //! §4.2.1); [`detect_in_rect_into`] followed by
 //! [`non_max_suppress_grid_into`] is the pure per-cell work item that
 //! `slamshare-gpu` schedules.
+//!
+//! On the CPU the test runs at SIMD width: [`detect_in_rect_into`] takes
+//! each row in blocks of 16 pixels held as byte lanes, written as
+//! `[i8; 16]` arrays with lane-by-lane loops that LLVM lowers to SSE2 on
+//! baseline x86-64 — portable, safe Rust, with no intrinsics and no build
+//! flag. Its output is bit-identical to the per-pixel ring walk kept as
+//! the test oracle `is_corner`. The lowering is sensitive to how the lane
+//! loops are written, so `BENCH_frame`'s gated `fast_p95_ms` times the
+//! kernel alone.
 
 use crate::image::GrayImage;
 use crate::keypoint::KeyPoint;
@@ -45,26 +54,119 @@ pub const ARC_LEN: usize = 9;
 /// Border margin inside which the circle fits entirely.
 pub const BORDER: usize = 3;
 
-/// Corner response: the sum of absolute differences between the center and
-/// the circle pixels that exceed the threshold — the same score OpenCV's
-/// FAST uses for non-maximum suppression ranking.
+/// Corner response: the sum of absolute differences between the centre
+/// and all 16 circle pixels (not only those past the threshold), summed in
+/// integers. At most 16·255, so it fits a `u16`.
 #[inline]
-fn corner_score(vals: &[i16; 16], p: i16) -> f64 {
-    vals.iter().map(|&v| (v - p).abs() as f64).sum::<f64>()
+fn corner_score(vals: &[u8; 16], p: u8) -> u16 {
+    vals.iter().map(|&v| u16::from(v.abs_diff(p))).sum()
 }
 
-/// True iff the 16-bit ring mask contains a *circular* run of
-/// [`ARC_LEN`] consecutive set bits. Doubling the mask into a u32 turns
-/// the circular run into a linear one, and ANDing 8 shifted copies
-/// leaves a set bit exactly where a run of 9 starts — no data-dependent
-/// branches.
-#[inline]
-fn has_arc(mask: u16) -> bool {
-    let m = (mask as u32) | ((mask as u32) << 16);
-    let m2 = m & (m << 1); // runs of >= 2
-    let m4 = m2 & (m2 << 2); // runs of >= 4
-    let m8 = m4 & (m4 << 4); // runs of >= 8
-    (m8 & (m << 8)) != 0 // runs of >= ARC_LEN (9)
+/// Pixels per block: one 128-bit register of byte lanes, which is SSE2 on
+/// baseline x86-64.
+const LANES: usize = 16;
+
+/// Rows of the window a block reads: the ring spans `y − 3 ..= y + 3`.
+const WINDOW_ROWS: usize = 2 * BORDER + 1;
+
+/// The narrowest row one block reads in place: 16 lanes plus the ring's
+/// reach on either side. Narrower images are copied into a padded window
+/// on the stack.
+const MIN_ROW: usize = LANES + 2 * BORDER;
+
+/// One block of 16 consecutive pixels of a row, one per byte lane, with
+/// each pixel's sign bit flipped: `p ^ 0x80` read as an `i8`. That maps
+/// `0..=255` onto `−128..=127` in order, so an unsigned `>` on pixels is a
+/// signed `>` on lanes, which SSE2 does in one `pcmpgtb`. Differences are
+/// unchanged.
+type Lanes = [i8; LANES];
+
+/// A pixel as a lane value.
+#[inline(always)]
+fn flip(p: u8) -> i8 {
+    (p ^ 0x80) as i8
+}
+
+/// `f` applied lane by lane.
+#[inline(always)]
+fn lanewise(a: &Lanes, b: &Lanes, f: impl Fn(i8, i8) -> i8) -> Lanes {
+    let mut r = [0; LANES];
+    for ((r, &a), &b) in r.iter_mut().zip(a).zip(b) {
+        *r = f(a, b);
+    }
+    r
+}
+
+/// Per-lane `a > b`, as a lane mask (`−1` / `0`).
+#[inline(always)]
+fn gt(a: &Lanes, b: &Lanes) -> Lanes {
+    lanewise(a, b, |a, b| -i8::from(a > b))
+}
+
+/// Per-lane bitwise or.
+#[inline(always)]
+fn or(a: &Lanes, b: &Lanes) -> Lanes {
+    lanewise(a, b, |a, b| a | b)
+}
+
+/// The lanes where two of the compass masks `[a, b, c, d]` (ring pixels
+/// 0/4/8/12) that are neighbours around the ring are both set. Each pair
+/// is tested by summing its masks (`−1` each): as `i1` logic, LLVM moves
+/// the masks out to scalar registers.
+#[inline(always)]
+fn adjacent_pair(a: &Lanes, b: &Lanes, c: &Lanes, d: &Lanes) -> Lanes {
+    let mut r = [0; LANES];
+    for (i, r) in r.iter_mut().enumerate() {
+        *r = -i8::from(
+            (a[i] + b[i] < -1) | (b[i] + c[i] < -1) | (c[i] + d[i] < -1) | (d[i] + a[i] < -1),
+        );
+    }
+    r
+}
+
+/// True iff any lane is non-zero: an or-reduction, which on a lane mask
+/// is `pmovmskb` and a test.
+#[inline(always)]
+fn any_set(v: &Lanes) -> bool {
+    v.iter().fold(0, |acc, &x| acc | x) != 0
+}
+
+/// The 16 pixels of `win` from `at`.
+#[inline(always)]
+fn pixels(win: &[u8], at: usize) -> &[u8] {
+    &win[at..at + LANES]
+}
+
+/// The 16 pixels of `win` from `at`, as lanes.
+#[inline(always)]
+fn load(win: &[u8], at: usize) -> Lanes {
+    let mut v = [0; LANES];
+    for (v, &p) in v.iter_mut().zip(pixels(win, at)) {
+        *v = flip(p);
+    }
+    v
+}
+
+/// The lanes whose ring holds a circular run of at least [`ARC_LEN`]
+/// pixels all brighter than `hi` or all darker than `lo`, as a lane mask:
+/// per lane, a bright and a dark run counter go around the ring and over
+/// its first `ARC_LEN` entries again, resetting where their test fails,
+/// and keep their maxima — the circular runs the per-pixel walk finds.
+#[inline(always)]
+fn arc_lanes(ring: &[Lanes; 16], hi: &Lanes, lo: &Lanes) -> Lanes {
+    let (mut bright, mut dark) = ([0; LANES], [0; LANES]);
+    let (mut best_bright, mut best_dark) = ([0; LANES], [0; LANES]);
+    // Counters stay within 0..=25, so the unsigned max (SSE2's `pmaxub`;
+    // the signed one is SSE4.1) gives the same value.
+    for i in 0..16 + ARC_LEN {
+        let v = &ring[i % 16];
+        bright = lanewise(&bright, &gt(v, hi), |r, m| (r + 1) & m);
+        dark = lanewise(&dark, &gt(lo, v), |r, m| (r + 1) & m);
+        best_bright = lanewise(&best_bright, &bright, |b, r| (b as u8).max(r as u8) as i8);
+        best_dark = lanewise(&best_dark, &dark, |b, r| (b as u8).max(r as u8) as i8);
+    }
+    let arc = [ARC_LEN as i8 - 1; LANES];
+    or(&gt(&best_bright, &arc), &gt(&best_dark, &arc))
 }
 
 /// Detect corners inside the half-open pixel rectangle
@@ -75,12 +177,19 @@ fn has_arc(mask: u16) -> bool {
 /// `octave` is recorded on the keypoints; coordinates are in the *given
 /// image's* pixel space (the extractor rescales to level 0 afterwards).
 ///
-/// SIMD-shaped inner loop: the seven rows the ring touches are borrowed
-/// as slices once per scanline (no per-pixel bounds arithmetic), the
-/// compass pretest is branch-free, and the segment test runs on
-/// bright/dark bitmasks via [`has_arc`] instead of walking the doubled
-/// circle. Detections and scores are bit-identical to the per-pixel
-/// ring walk kept as the test oracle `is_corner`.
+/// Each row is tested in blocks of 16 consecutive pixels held as byte
+/// lanes. The thresholds are per-lane saturating `u8` sums, every compare
+/// is a signed byte compare on sign-flipped lanes, and the compass
+/// pretest (two neighbouring ones of ring pixels 0/4/8/12 both brighter
+/// or both darker) skips a block none of whose lanes passes it. A
+/// surviving block loads the whole ring and counts runs lane by lane
+/// (`arc_lanes`); corner lanes are scored
+/// as a `u16` sum and emitted lowest lane first, so the output is in
+/// raster order. A row's last block is shifted left to end at
+/// `width − 3` with its leading lanes masked off; an image too narrow for
+/// one block is padded on the stack. Detections and scores are
+/// bit-identical to the per-pixel ring walk kept as the test oracle
+/// `is_corner`.
 pub fn detect_in_rect_into(
     img: &GrayImage,
     (x0, y0): (usize, usize),
@@ -97,58 +206,71 @@ pub fn detect_in_rect_into(
         return;
     }
     let w = img.width;
-    let t = threshold as i16;
+    let stride = w.max(MIN_ROW);
+    // Each ring pixel's offset from the top-left of a block's window
+    // (block start − 3, row y − 3), in CIRCLE order; then the centre's.
+    let ring_at = CIRCLE.map(|(dx, dy)| (dy + 3) as usize * stride + (dx + 3) as usize);
+    let centre_at = BORDER * stride + BORDER;
+    // The rightmost block start: the block then ends at `stride − 3`.
+    let last = stride - BORDER - LANES;
+    let mut pad = [0u8; WINDOW_ROWS * MIN_ROW];
     for y in y0..y1 {
-        let row = |dy: usize| &img.data[(y + dy - 3) * w..(y + dy - 3) * w + w];
-        let (rm3, rm2, rm1, rc, rp1, rp2, rp3) =
-            (row(0), row(1), row(2), row(3), row(4), row(5), row(6));
-        for x in x0..x1 {
-            let p = rc[x] as i16;
-            let hi = p + t;
-            let lo = p - t;
-            // Compass pretest (CIRCLE[0/4/8/12]), branch-free: a
-            // contiguous arc of 9 covers >= 2 of the 4 points spaced 4
-            // apart, so fewer than 2 consistent pixels rules it out.
-            let c0 = rm3[x] as i16;
-            let c4 = rc[x + 3] as i16;
-            let c8 = rp3[x] as i16;
-            let c12 = rc[x - 3] as i16;
-            let brighter = (c0 > hi) as u8 + (c4 > hi) as u8 + (c8 > hi) as u8 + (c12 > hi) as u8;
-            let darker = (c0 < lo) as u8 + (c4 < lo) as u8 + (c8 < lo) as u8 + (c12 < lo) as u8;
-            if brighter < 2 && darker < 2 {
+        let win: &[u8] = if w >= MIN_ROW {
+            &img.data[(y - BORDER) * w..(y + BORDER + 1) * w]
+        } else {
+            for (r, dst) in pad.chunks_exact_mut(MIN_ROW).enumerate() {
+                let src = (y - BORDER + r) * w;
+                dst[..w].copy_from_slice(&img.data[src..src + w]);
+            }
+            &pad
+        };
+        let mut start = x0;
+        while start < x1 {
+            let bx = start.min(last);
+            // Lanes `first..end` of the block are this pass's pixels: the
+            // ones before were tested by the previous block, and those at
+            // or past `x1` belong to the next cell.
+            let (first, end) = (start - bx, (x1 - bx).min(LANES));
+            start += LANES;
+            let at = bx - BORDER;
+            let centre = pixels(win, at + centre_at);
+            let mut hi = [0; LANES];
+            let mut lo = [0; LANES];
+            for ((hi, lo), &c) in hi.iter_mut().zip(&mut lo).zip(centre) {
+                *hi = flip(c.saturating_add(threshold));
+                *lo = flip(c.saturating_sub(threshold));
+            }
+            // Compass pretest: 9 contiguous ring pixels include two
+            // neighbouring compass pixels (0/4, 4/8, 8/12 or 12/0). The
+            // oracle's looser "any 2 of the 4" is necessary too, so both
+            // leave the same corners to the segment test.
+            let [n, e, s, west] = [0, 4, 8, 12].map(|i| load(win, at + ring_at[i]));
+            let candidate = or(
+                &adjacent_pair(&gt(&n, &hi), &gt(&e, &hi), &gt(&s, &hi), &gt(&west, &hi)),
+                &adjacent_pair(&gt(&lo, &n), &gt(&lo, &e), &gt(&lo, &s), &gt(&lo, &west)),
+            );
+            if !any_set(&candidate) {
                 continue;
             }
-            // Full ring gather in CIRCLE order (clockwise from 12
-            // o'clock), then the segment test as two 16-bit masks.
-            let vals: [i16; 16] = [
-                rm3[x] as i16,
-                rm3[x + 1] as i16,
-                rm2[x + 2] as i16,
-                rm1[x + 3] as i16,
-                rc[x + 3] as i16,
-                rp1[x + 3] as i16,
-                rp2[x + 2] as i16,
-                rp3[x + 1] as i16,
-                rp3[x] as i16,
-                rp3[x - 1] as i16,
-                rp2[x - 2] as i16,
-                rp1[x - 3] as i16,
-                rc[x - 3] as i16,
-                rm1[x - 3] as i16,
-                rm2[x - 2] as i16,
-                rm3[x - 1] as i16,
-            ];
-            let mut bright = 0u16;
-            let mut dark = 0u16;
-            for (i, &v) in vals.iter().enumerate() {
-                bright |= ((v > hi) as u16) << i;
-                dark |= ((v < lo) as u16) << i;
-            }
-            if !has_arc(bright) && !has_arc(dark) {
+            let ring = ring_at.map(|o| load(win, at + o));
+            let corner = arc_lanes(&ring, &hi, &lo);
+            if !any_set(&corner) {
                 continue;
             }
-            let score = corner_score(&vals, p);
-            out.push(KeyPoint::new(Vec2::new(x as f64, y as f64), octave, score));
+            // The score re-reads the ring: with `ring` kept alive for it,
+            // LLVM lowers the run counter to scalar code.
+            let mut score = [0u16; LANES];
+            for &o in &ring_at {
+                for ((s, &v), &c) in score.iter_mut().zip(pixels(win, at + o)).zip(centre) {
+                    *s += u16::from(v.abs_diff(c));
+                }
+            }
+            for lane in first..end {
+                if corner[lane] != 0 {
+                    let pt = Vec2::new((bx + lane) as f64, y as f64);
+                    out.push(KeyPoint::new(pt, octave, f64::from(score[lane])));
+                }
+            }
         }
     }
 }
@@ -161,12 +283,9 @@ pub fn score_at(img: &GrayImage, x: usize, y: usize) -> f64 {
     if !img.in_interior(x, y, BORDER) {
         return 0.0;
     }
-    let p = img.get(x, y) as i16;
-    let mut vals = [0i16; 16];
-    for (i, &(dx, dy)) in CIRCLE.iter().enumerate() {
-        vals[i] = img.get((x as isize + dx) as usize, (y as isize + dy) as usize) as i16;
-    }
-    corner_score(&vals, p)
+    let vals =
+        CIRCLE.map(|(dx, dy)| img.get((x as isize + dx) as usize, (y as isize + dy) as usize));
+    f64::from(corner_score(&vals, img.get(x, y)))
 }
 
 /// Refine a corner to subpixel precision by fitting a 1D parabola to the
@@ -327,7 +446,7 @@ mod tests {
         if !found {
             return None;
         }
-        Some(corner_score(&vals, p))
+        Some(vals.iter().map(|&v| (v - p).abs() as f64).sum())
     }
 
     /// [`detect_in_rect_into`] collecting into a fresh vec.
@@ -466,49 +585,78 @@ mod tests {
         assert!(kps.iter().all(|kp| kp.pt.x < 20.0));
     }
 
-    #[test]
-    fn masked_detector_matches_scalar_reference() {
-        // Pseudo-random textured image: the mask-based detect_in_rect_into
-        // must agree with per-pixel is_corner at every pixel, detection
-        // and score alike.
-        let img = noise_image(60, 47);
-        for threshold in [5u8, 20, 60] {
-            let got = detect_in_rect(&img, (0, 0), (img.width, img.height), threshold, 2);
-            let mut want = Vec::new();
-            for y in 0..img.height {
-                for x in 0..img.width {
-                    if let Some(score) = is_corner(&img, x, y, threshold) {
-                        want.push(KeyPoint::new(Vec2::new(x as f64, y as f64), 2, score));
-                    }
+    /// The oracle over a rect: every pixel of `[x0, x1) × [y0, y1)` through
+    /// [`is_corner`], in raster order.
+    fn oracle_detect(
+        img: &GrayImage,
+        (x0, y0): (usize, usize),
+        (x1, y1): (usize, usize),
+        threshold: u8,
+        octave: u8,
+    ) -> Vec<KeyPoint> {
+        let mut want = Vec::new();
+        for y in y0..y1.min(img.height) {
+            for x in x0..x1.min(img.width) {
+                if let Some(score) = is_corner(img, x, y, threshold) {
+                    want.push(KeyPoint::new(Vec2::new(x as f64, y as f64), octave, score));
                 }
             }
-            assert_eq!(got.len(), want.len(), "threshold {threshold}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!((g.pt.x, g.pt.y, g.octave), (w.pt.x, w.pt.y, w.octave));
-                assert_eq!(g.response.to_bits(), w.response.to_bits());
+        }
+        want
+    }
+
+    /// [`detect_in_rect_into`] against [`oracle_detect`]: the same corners
+    /// in the same order, with the same octave and score bits.
+    fn blocks_match_oracle(
+        img: &GrayImage,
+        rect0: (usize, usize),
+        rect1: (usize, usize),
+        threshold: u8,
+    ) -> Result<(), TestCaseError> {
+        let got = detect_in_rect(img, rect0, rect1, threshold, 5);
+        let want = oracle_detect(img, rect0, rect1, threshold, 5);
+        let key = |kps: &[KeyPoint]| -> Vec<_> {
+            kps.iter()
+                .map(|k| (k.pt.x, k.pt.y, k.octave, k.response.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(
+            key(&got),
+            key(&want),
+            "{}x{} image, rect {:?}..{:?}, threshold {}",
+            img.width,
+            img.height,
+            rect0,
+            rect1,
+            threshold
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn masked_detector_matches_scalar_reference() {
+        // Pseudo-random textured image, whole and in 32-px cells.
+        let img = noise_image(60, 47);
+        for threshold in [5u8, 20, 60] {
+            blocks_match_oracle(&img, (0, 0), (img.width, img.height), threshold).unwrap();
+            for y0 in (0..img.height).step_by(32) {
+                for x0 in (0..img.width).step_by(32) {
+                    blocks_match_oracle(&img, (x0, y0), (x0 + 32, y0 + 32), threshold).unwrap();
+                }
             }
         }
     }
 
     #[test]
-    fn arc_mask_matches_run_walk() {
-        // has_arc vs the doubled-circle run walk, over every 16-bit mask.
-        for mask in 0u32..=u16::MAX as u32 {
-            let mask = mask as u16;
-            let mut run = 0usize;
-            let mut found = false;
-            for i in 0..(16 + ARC_LEN) {
-                if (mask >> (i % 16)) & 1 == 1 {
-                    run += 1;
-                    if run >= ARC_LEN {
-                        found = true;
-                        break;
-                    }
-                } else {
-                    run = 0;
+    fn narrow_images_are_exact() {
+        // Narrower than one block plus the ring, down to no interior at all.
+        for width in 1..=23 {
+            for height in [1, 6, 7, 9] {
+                let img = noise_image(width, height);
+                for threshold in [0u8, 5, 20] {
+                    blocks_match_oracle(&img, (0, 0), (width, height), threshold).unwrap();
                 }
             }
-            assert_eq!(has_arc(mask), found, "mask {mask:#06x}");
         }
     }
 
@@ -582,6 +730,46 @@ mod tests {
     }
 
     proptest! {
+        /// The block kernel against the per-pixel oracle on random images
+        /// 7..=80 px wide (below, at and above one block plus the ring) and
+        /// 7..=40 tall, over random rects (empty, clipped by `BORDER`,
+        /// partial cells, so row spans end at every lane offset), at the
+        /// thresholds {0, 1, 7, 20, 254, 255} and a random one. Pixels
+        /// are drawn near 0 and 255 and exactly `t` or `t ± 1` from a base
+        /// level, which probes the saturating thresholds and the strict `>`.
+        #[test]
+        fn block_detector_matches_oracle_on_random_images(
+            size in (7usize..81, 7usize..41),
+            base in any::<u8>(),
+            design in 0usize..7,
+            extra in any::<u8>(),
+            draws in proptest::collection::vec((0u8..7, any::<u8>()), 80 * 40),
+            rects in proptest::collection::vec(
+                (0usize..84, 0usize..44, 0usize..40, 0usize..24),
+                1..6,
+            ),
+        ) {
+            let (width, height) = size;
+            let thresholds = [0u8, 1, 7, 20, 254, 255, extra];
+            let t = thresholds[design];
+            let img = GrayImage::from_fn(width, height, |x, y| {
+                let (kind, v) = draws[y * width + x];
+                match kind {
+                    0 => v % 4,
+                    1 => 255 - v % 4,
+                    2 => base.saturating_add(t).saturating_add(v % 2),
+                    3 => base.saturating_sub(t).saturating_sub(v % 2),
+                    4 => base,
+                    _ => v,
+                }
+            });
+            for &(x0, y0, dx, dy) in &rects {
+                for threshold in thresholds {
+                    blocks_match_oracle(&img, (x0, y0), (x0 + dx, y0 + dy), threshold)?;
+                }
+            }
+        }
+
         /// Grid vs pairwise NMS on random cells of random images, with
         /// scores drawn from a tiny alphabet so ties are everywhere, and
         /// corners forced onto the clipped rect's first and last rows and

@@ -20,51 +20,28 @@
 //! Everything is deterministic given the seed constants, so experiments are
 //! reproducible run to run.
 
+// The whole crate runs under every client's tracking submission on the edge
+// server's round workers, so outside tests it may not unwrap, expect or
+// panic. The lints are compiled in (not passed via CLI -D, which would leak
+// into the vendored workspace path deps): `cargo clippy -p
+// slamshare-features` enforces them. The SIMD-shaped kernels stay portable
+// and safe: no `unsafe` anywhere in the crate.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod bow;
-// The extraction pipeline and the kernels it runs (FAST, orientation +
-// BRIEF, image sampling, the pyramid), and the Hamming and window-search
-// kernels tracking runs on its output (descriptor, matching), run under
-// every client's tracking submission on the edge server's round workers.
-// Lints are compiled into each module (not passed via CLI -D, which would
-// leak into the vendored workspace path deps) — `cargo clippy -p
-// slamshare-features` enforces them.
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod descriptor;
 pub mod distribute;
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod extractor;
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod fast;
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod image;
 pub mod keypoint;
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod matching;
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod orb;
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod pyramid;
 
 pub use arena::FrameArena;

@@ -2,8 +2,8 @@
 //!
 //! Two matchers mirror the two matching contexts in ORB-SLAM3:
 //!
-//! * [`match_brute_force`] — full cross-matching with Lowe's ratio test,
-//!   used for map initialization and place-recognition verification;
+//! * [`match_brute_force_into`] — full cross-matching with Lowe's ratio
+//!   test, used for map initialization and place-recognition verification;
 //! * windowed search around predicted pixel positions — the *search local
 //!   points* step that the paper identifies as ~30 % of tracking latency
 //!   and accelerates on the GPU. A [`KeypointGrid`] buckets the frame's
@@ -102,19 +102,6 @@ pub fn match_brute_force_into(
     // Each query survives at most once, so keys are unique and the
     // unstable (allocation-free) sort is order-identical to a stable one.
     out.sort_unstable_by_key(|m| m.query);
-}
-
-/// [`match_brute_force_into`] with one-shot buffers.
-pub fn match_brute_force(
-    query: &[Descriptor],
-    train: &[Descriptor],
-    max_distance: u32,
-    ratio: f64,
-) -> Vec<FeatureMatch> {
-    let mut scratch = MatchScratch::default();
-    let mut out = Vec::new();
-    match_brute_force_into(query, train, max_distance, ratio, &mut scratch, &mut out);
-    out
 }
 
 /// One projection-search query: a descriptor we expect to find near
@@ -509,6 +496,19 @@ pub fn stereo_match_rectified(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`match_brute_force_into`] with one-shot buffers.
+    fn match_brute_force(
+        query: &[Descriptor],
+        train: &[Descriptor],
+        max_distance: u32,
+        ratio: f64,
+    ) -> Vec<FeatureMatch> {
+        let mut scratch = MatchScratch::default();
+        let mut out = Vec::new();
+        match_brute_force_into(query, train, max_distance, ratio, &mut scratch, &mut out);
+        out
+    }
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use slamshare_features::descriptor::{Descriptor, DESC_BITS};
-use slamshare_features::distribute::distribute_quadtree;
+use slamshare_features::distribute::{distribute_quadtree_into, DistributeScratch};
 use slamshare_features::image::GrayImage;
 use slamshare_features::keypoint::KeyPoint;
 use slamshare_math::Vec2;
@@ -48,7 +48,8 @@ proptest! {
     /// global maximum response.
     #[test]
     fn quadtree_invariants(kps in arb_keypoints(300), target in 1usize..120) {
-        let out = distribute_quadtree(&kps, 100, 100, target);
+        let mut out = Vec::new();
+        distribute_quadtree_into(&kps, 100, 100, target, &mut DistributeScratch::default(), &mut out);
         prop_assert!(out.len() <= kps.len());
         if kps.len() > target {
             prop_assert!(out.len() <= target.max(4) + 4);

@@ -46,16 +46,15 @@ stage_clippy() {
 }
 
 stage_nopanic() {
-    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, features descriptor/extractor/fast/image/matching/orb/pyramid, core federation/gmap/ingest/merge_worker/qos/server/session, slam map/merge/recognition/tracking) =="
+    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, slamshare-features, core federation/gmap/ingest/merge_worker/qos/server/session, slam map/merge/recognition/tracking) =="
     # Shared-state paths deny unwrap/expect/panic via in-source
     # #![cfg_attr(not(test), deny(...))] attributes (crate-level in
     # slamshare-net, slamshare-shm, and slamshare-gpu — the executor and
-    # slice scheduler sit under every client's tracking submissions;
+    # slice scheduler sit under every client's tracking submissions — and
+    # in slamshare-features — the one extraction pipeline those submissions
+    # run, its kernels, and the Hamming and window-search kernels tracking
+    # runs on its output; slamshare-features also forbids unsafe code;
     # module-level on
-    # slamshare-features::{extractor,fast,orb,image,pyramid} — the one
-    # extraction pipeline those submissions run and the kernels it calls —
-    # and slamshare-features::{descriptor,matching} — the Hamming and
-    # window-search kernels tracking runs on its output — and on
     # slamshare-core::{federation,gmap,ingest,merge_worker,qos,server,session}
     # and slamshare-slam::{map,merge,recognition,tracking} — a panic under a client
     # mutex or a region lock would poison shared state for every client,

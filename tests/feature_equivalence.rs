@@ -548,3 +548,76 @@ fn window_search_grid_matches_scan() {
         assert_eq!(got, want);
     }
 }
+
+/// The block FAST kernel finds exactly the corners a per-pixel segment
+/// test finds, in the same raster order with the same score bits, on every
+/// detection cell of a real MH04 pyramid at both thresholds the extractor
+/// uses (20, and 7 for the retry).
+#[test]
+fn fast_blocks_match_per_pixel_test() {
+    use slam_share::features::extractor::OrbExtractor;
+    use slam_share::features::fast::{self, ARC_LEN, BORDER, CIRCLE};
+    use slam_share::features::ImagePyramid;
+
+    /// FAST-9/16 at one pixel: a circular run of `ARC_LEN` ring pixels all
+    /// brighter than `p + t` or all darker than `p − t`, scored by the SAD
+    /// of the whole ring.
+    fn per_pixel(img: &GrayImage, x: usize, y: usize, t: u8) -> Option<f64> {
+        if !img.in_interior(x, y, BORDER) {
+            return None;
+        }
+        let p = i32::from(img.get(x, y));
+        let ring =
+            CIRCLE.map(|(dx, dy)| i32::from(img.get_clamped(x as isize + dx, y as isize + dy)));
+        let t = i32::from(t);
+        let arc = |hit: &dyn Fn(i32) -> bool| {
+            let mut run = 0;
+            (0..16 + ARC_LEN).any(|i| {
+                run = if hit(ring[i % 16]) { run + 1 } else { 0 };
+                run >= ARC_LEN
+            })
+        };
+        (arc(&|v| v > p + t) || arc(&|v| v < p - t))
+            .then(|| ring.iter().map(|&v| f64::from((v - p).abs())).sum())
+    }
+
+    let ds = Dataset::build(
+        DatasetConfig::new(TracePreset::MH04)
+            .with_frames(1)
+            .with_seed(seed().wrapping_add(7)),
+    );
+    let (left, _) = ds.render_stereo_frame(0);
+    let extractor = OrbExtractor::with_defaults();
+    let pyramid = ImagePyramid::build(
+        &left,
+        extractor.config.n_levels,
+        extractor.config.scale_factor,
+    );
+    let mut tasks = Vec::new();
+    extractor.cells_into(&pyramid, &mut tasks);
+    let mut got = Vec::new();
+    let mut corners = 0;
+    for task in &tasks {
+        let img = &pyramid.levels[task.level];
+        for threshold in [20u8, 7] {
+            got.clear();
+            let (rect0, rect1) = ((task.x0, task.y0), (task.x1, task.y1));
+            fast::detect_in_rect_into(img, rect0, rect1, threshold, task.level as u8, &mut got);
+            let mut want = Vec::new();
+            for y in task.y0..task.y1 {
+                for x in task.x0..task.x1 {
+                    if let Some(score) = per_pixel(img, x, y, threshold) {
+                        want.push((x as f64, y as f64, task.level as u8, score.to_bits()));
+                    }
+                }
+            }
+            let got: Vec<_> = got
+                .iter()
+                .map(|k| (k.pt.x, k.pt.y, k.octave, k.response.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{task:?} threshold {threshold}");
+            corners += want.len();
+        }
+    }
+    assert!(corners > 10_000, "{corners} corners");
+}
