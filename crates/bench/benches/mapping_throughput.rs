@@ -3,10 +3,14 @@
 //! latency (the serialized half of the round pipeline measured by
 //! `tracking_throughput`).
 //!
-//! Writes `results/BENCH_mapping.json` with three sections:
+//! Writes `results/BENCH_mapping.json` with four sections:
 //!
 //! * `ba` — local-BA wall time and its pose/point pass split on one
 //!   real map;
+//! * `keyframe_write` — one stereo keyframe component write (BA off)
+//!   into components of ~5 k, ~15 k and ~30 k map points spanning two
+//!   regions: what a keyframe insertion costs as the map grows. Only the
+//!   largest row's 95th percentile (`largest_p95_ms`) is gated;
 //! * `commit` — commit-stage p50/p95/max per frame with the merge inline
 //!   and on the async merge worker. With the worker on, the merge
 //!   contributes nothing to the commit block by construction;
@@ -26,16 +30,19 @@
 use bench::{bench_effort, results_dir, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slamshare_core::gmap::{LockSeeds, ShardedGlobalMap, REGION_CELL_M};
 use slamshare_core::metrics::MergeWorkerSnapshot;
 use slamshare_core::qos::QueuedFrame;
 use slamshare_core::server::{EdgeServer, ServerConfig};
 use slamshare_gpu::GpuExecutor;
 use slamshare_net::codec::VideoEncoder;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
-use slamshare_slam::ids::ClientId;
-use slamshare_slam::map::Map;
+use slamshare_slam::ids::{ClientId, IdAllocator};
+use slamshare_slam::map::{KeyFrame, Map, MapPoint, MapWrite};
+use slamshare_slam::mapping::{LocalMapper, MappingConfig};
 use slamshare_slam::optimize::{local_bundle_adjust_with, BaScratch};
 use slamshare_slam::system::{FrameInput, SlamConfig, SlamSystem};
+use slamshare_slam::tracking::{FrameObservation, SensorMode, Tracker, TrackerConfig};
 use slamshare_slam::vocabulary;
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,10 +84,34 @@ struct MergeSection {
 }
 
 #[derive(Serialize)]
+struct KeyframeWriteRow {
+    /// Map points in the component the keyframe is written into.
+    points: usize,
+    keyframes: usize,
+    /// Regions the write locked.
+    regions_locked: usize,
+    /// Stereo points the keyframe creates.
+    new_points: usize,
+    p50_ms: f64,
+    /// 95th percentile, ungated (`largest_p95_ms` gates the largest row).
+    tail_ms: f64,
+}
+
+#[derive(Serialize)]
+struct KeyframeWriteSection {
+    /// Write calls timed per row.
+    writes: usize,
+    rows: Vec<KeyframeWriteRow>,
+    /// The largest component's 95th percentile — the gated key.
+    largest_p95_ms: f64,
+}
+
+#[derive(Serialize)]
 struct BenchMapping {
     host_cores: usize,
     frames_per_client: usize,
     ba: BaSection,
+    keyframe_write: KeyframeWriteSection,
     commit: Vec<CommitRow>,
     merge: MergeSection,
 }
@@ -131,6 +162,125 @@ fn ba_once(ds: &Dataset, base: &Map) -> BaSection {
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         pose_pass_ms: stats.pose_ms,
         point_pass_ms: stats.point_ms,
+    }
+}
+
+/// Keypoint slots per synthetic component keyframe: the first
+/// `OWN_POINTS` hold the keyframe's own points, the rest observe points of
+/// the previous keyframe (in the other region), which joins the two
+/// regions into one component.
+const SLOTS: usize = 250;
+const OWN_POINTS: usize = 240;
+
+/// Time `writes` stereo keyframe component writes (BA off) into a
+/// synthetic component of about `target_points` map points whose
+/// keyframes alternate between the cell under `obs`'s camera and another
+/// cell hashing to a different region. Each timed write is undone by an
+/// untimed one, so every write sees the same component.
+fn keyframe_write_row(
+    ds: &Dataset,
+    vocab: &slamshare_features::bow::Vocabulary,
+    obs: &FrameObservation,
+    target_points: usize,
+    writes: usize,
+) -> KeyframeWriteRow {
+    use slamshare_features::{Descriptor, KeyPoint};
+    use slamshare_math::{Vec2, Vec3, SE3};
+    let gmap = ShardedGlobalMap::create(
+        Arc::new(slamshare_shm::Segment::new(1 << 30)),
+        "bench/keyframe_write",
+        ServerConfig::stereo_default(ds.rig).map_shards,
+        REGION_CELL_M,
+    )
+    .expect("fresh segment");
+    let c0 = obs.pose_cw.camera_center();
+    let r0 = gmap.region_of(c0);
+    let c1 = (1..)
+        .map(|k| c0 + Vec3::new(k as f64 * REGION_CELL_M, 0.0, 0.0))
+        .find(|&c| gmap.region_of(c) != r0)
+        .expect("a second region");
+    let n_kf = (target_points / OWN_POINTS).max(2);
+    let mut alloc = IdAllocator::new(ClientId(2));
+    let ids: Vec<_> = (0..n_kf).map(|_| alloc.next_keyframe()).collect();
+    let own: Vec<Vec<_>> = (0..n_kf)
+        .map(|_| (0..OWN_POINTS).map(|_| alloc.next_mappoint()).collect())
+        .collect();
+    let shared = SLOTS - OWN_POINTS;
+    gmap.with_component_write(&LockSeeds::all(), |m, _| {
+        for (k, (&id, points)) in ids.iter().zip(&own).enumerate() {
+            let c = if k % 2 == 0 { c0 } else { c1 };
+            let mut matched_points: Vec<_> = points.iter().copied().map(Some).collect();
+            matched_points.extend((0..shared).map(|j| k.checked_sub(1).map(|p| own[p][j])));
+            m.put_keyframe(KeyFrame {
+                id,
+                pose_cw: SE3::from_translation(-c),
+                timestamp: -1.0 - k as f64,
+                keypoints: vec![KeyPoint::new(Vec2::ZERO, 0, 1.0); SLOTS],
+                descriptors: vec![Descriptor::ZERO; SLOTS],
+                matched_points,
+                bow: Default::default(),
+            });
+            for (j, &mp) in points.iter().enumerate() {
+                let mut observations = vec![(id, j)];
+                if let Some(&next) = ids.get(k + 1).filter(|_| j < shared) {
+                    observations.push((next, OWN_POINTS + j));
+                }
+                m.put_mappoint(MapPoint {
+                    id: mp,
+                    position: c + Vec3::new(j as f64 * 0.01, 0.0, 5.0),
+                    descriptor: Descriptor::ZERO,
+                    normal: Vec3::Z,
+                    observations,
+                    replaced_by: None,
+                    created_frame: 0,
+                });
+            }
+        }
+        ((), true)
+    });
+    let (keyframes, points, _) = gmap.stats();
+
+    let mut mapper = LocalMapper::new(
+        SensorMode::Stereo,
+        ds.rig,
+        MappingConfig {
+            ba_every: 0,
+            ..MappingConfig::default()
+        },
+    );
+    let seeds = LockSeeds {
+        kfs: ids.last().copied().into_iter().collect(),
+        positions: vec![c0],
+        all: false,
+    };
+    let mut times = Vec::with_capacity(writes);
+    let (mut regions_locked, mut new_points) = (0, 0);
+    for _ in 0..writes {
+        let t0 = Instant::now();
+        let (report, locked) = gmap.with_component_write(&seeds, |m, _| {
+            *m.alloc_mut() = alloc.clone();
+            let report = mapper.insert_keyframe(m, vocab, obs);
+            alloc = m.alloc_mut().clone();
+            (report, true)
+        });
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+        regions_locked = locked.len();
+        new_points = report.n_new_points;
+        gmap.with_component_write(&seeds, |m, _| {
+            if let Some(kf) = report.kf_id {
+                m.remove_keyframe(kf);
+            }
+            ((), true)
+        });
+    }
+    let pct = slamshare_math::stats::percentile;
+    KeyframeWriteRow {
+        points,
+        keyframes,
+        regions_locked,
+        new_points,
+        p50_ms: pct(&times, 50.0),
+        tail_ms: pct(&times, 95.0),
     }
 }
 
@@ -455,6 +605,34 @@ fn bench(c: &mut Criterion) {
         ba.wall_ms, ba.pose_pass_ms, ba.point_pass_ms
     );
 
+    let vocab = vocabulary::train_random(42);
+    let obs = {
+        let tracker = Tracker::new(TrackerConfig::stereo(ds.rig), Arc::new(GpuExecutor::cpu()));
+        let (l, r) = ds.render_stereo_frame(0);
+        tracker.extract_frame(&l, Some(&r)).into_seed_observation(
+            0,
+            ds.frame_time(0),
+            ds.gt_pose_cw(0),
+        )
+    };
+    let writes = 30;
+    let rows: Vec<KeyframeWriteRow> = [5_000, 15_000, 30_000]
+        .into_iter()
+        .map(|target| {
+            let row = keyframe_write_row(&ds, &vocab, &obs, target, writes);
+            println!(
+                "keyframe write into {} points ({} regions): p50 {:.2} ms, p95 {:.2} ms",
+                row.points, row.regions_locked, row.p50_ms, row.tail_ms
+            );
+            row
+        })
+        .collect();
+    let keyframe_write = KeyframeWriteSection {
+        writes,
+        largest_p95_ms: rows.last().map_or(0.0, |r| r.tail_ms),
+        rows,
+    };
+
     let mut commit = Vec::new();
     let mut inline_stalls = Vec::new();
     let mut worker_snapshot = None;
@@ -492,6 +670,7 @@ fn bench(c: &mut Criterion) {
             host_cores,
             frames_per_client: frames,
             ba,
+            keyframe_write,
             commit,
             merge,
         },

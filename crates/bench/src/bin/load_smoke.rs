@@ -28,8 +28,17 @@ fn main() {
 
     // run() itself asserts frame conservation (delivered == offered ==
     // served + dropped + purged + residual) and the duplicate-join
-    // no-leak property.
-    let r = load::run(&cfg).report;
+    // no-leak property. The map's invariants are checked after every
+    // round.
+    let mut rounds = 0u64;
+    let r = load::run_observed(&cfg, |fed| {
+        rounds += 1;
+        for server in (0..fed.n_servers()).filter_map(|i| fed.server(i)) {
+            let checked = server.store.check_invariants();
+            assert!(checked.is_ok(), "after round {rounds}: {checked:?}");
+        }
+    })
+    .report;
 
     assert!(r.peak_live <= bound, "admission bound violated");
     assert!(r.rejected_capacity > 0, "capacity path never exercised");
@@ -50,7 +59,7 @@ fn main() {
     println!(
         "load-smoke ok: {n} clients (bound {bound}, peak {}), seed {seed} | \
          admitted {} rejected {}+{} | tracked {} shed {} | \
-         interactive p99 {:.1} ms (SLO {:.0} ms)",
+         interactive p99 {:.1} ms (SLO {:.0} ms) | map invariants held over {rounds} rounds",
         r.peak_live,
         r.admitted,
         r.rejected_capacity,

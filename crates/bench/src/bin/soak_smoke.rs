@@ -14,6 +14,7 @@
 //!
 //! Usage: `soak_smoke [day|smoke]`; honors `SLAMSHARE_TEST_SEED`.
 
+use slamshare_core::gmap::ShardedGlobalMap;
 use slamshare_core::lifecycle::soak::{self, SoakConfig};
 
 /// Arena budget for the day preset. The evicting day peaks ~2.3 MiB;
@@ -33,7 +34,14 @@ fn main() {
         _ => SoakConfig::day(seed),
     };
 
-    let evicting = soak::run(&cfg);
+    // Both arms check the map's invariants after every step of the day.
+    let mut steps = 0u64;
+    let mut check = |gmap: &ShardedGlobalMap| {
+        steps += 1;
+        let checked = gmap.check_invariants();
+        assert!(checked.is_ok(), "after step {steps}: {checked:?}");
+    };
+    let evicting = soak::run_observed(&cfg, &mut check);
     let lc = &evicting.lifecycle;
     assert!(lc.ticks > 0, "maintenance never ticked");
     assert!(lc.pruned_points > 0, "prune never fired: {lc:?}");
@@ -56,7 +64,7 @@ fn main() {
     // Never-evict control arm: same day, maintenance without eviction.
     let mut control = cfg.clone();
     control.lifecycle = cfg.lifecycle.without_eviction();
-    let never = soak::run(&control);
+    let never = soak::run_observed(&control, &mut check);
     assert_eq!(never.lifecycle.evicted_regions, 0);
     assert_eq!(
         evicting.trajectories, never.trajectories,
@@ -76,7 +84,7 @@ fn main() {
     println!(
         "soak ok ({preset}, seed {seed}): high-water {:.1} MiB vs {:.1} MiB never-evict | \
          pruned {} evicted {} regions/{} comps reloads {} | relocs {} ({} after reload) | \
-         digest {:#018x} bit-identical",
+         digest {:#018x} bit-identical | map invariants held over {steps} steps",
         lc.arena_high_water as f64 / (1 << 20) as f64,
         never.lifecycle.arena_high_water as f64 / (1 << 20) as f64,
         lc.pruned_points,

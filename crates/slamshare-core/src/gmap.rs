@@ -15,40 +15,54 @@
 //!
 //! A keyframe's **region** is a deterministic hash of the ~10 m spatial
 //! grid cell containing its camera center ([`RegionAssigner`]); a map
-//! point lives with its first observer. Regions that share a
-//! covisibility edge (a point observed from keyframes in both) are
-//! **unioned** in a monotone union-find ([`RegionGraph`]): the lock unit
-//! is the connected *component*, never a single region, which keeps
-//! every covisibility-reachable entity inside the locked set.
+//! point lives with its first observer. Both are decided once, when the
+//! entity is created (below). Regions that share a covisibility edge (a
+//! point observed from keyframes in both) are **unioned** in a monotone
+//! union-find ([`RegionGraph`]): the lock unit is the connected
+//! *component*, never a single region, which keeps every
+//! covisibility-reachable entity inside the locked set.
 //!
 //! Closure invariant: *every observation edge implies its two regions
-//! are already unioned.* Writes maintain it at scatter time (below), and
-//! it is what makes component locking exact — a keyframe's covisible
-//! neighbourhood, its local map points, the BA window around it and the
-//! weld candidates around a merge anchor are all covisibility-reachable,
-//! hence inside the component.
+//! are already unioned.* Every write maintains it for the edges it adds
+//! (below), and it is what makes component locking exact — a keyframe's
+//! covisible neighbourhood, its local map points, the BA window around it
+//! and the weld candidates around a merge anchor are all
+//! covisibility-reachable, hence inside the component.
+//! [`ShardedGlobalMap::check_invariants`] checks it, along with one shard
+//! per entity, directory entries naming their shard, and the arena
+//! accounting.
 //!
-//! # Gather / scatter
+//! # Writes in place
 //!
-//! A component write gathers the locked shards' content into one scratch
-//! [`Map`] (`BTreeMap` moves — no copies), runs the unchanged
-//! mapping/merge/BA code against it, and scatters the content back by
-//! region. Placement is invisible to results (every read stitches the
-//! locked shards back together), so **results are bit-identical at any
-//! shard count by construction**.
+//! A component write hands its closure a [`ComponentMapMut`]: the locked
+//! shards stitched into one mutable view implementing [`MapWrite`], so the
+//! mapping/merge/BA code that runs on a client's [`Map`] runs on the
+//! shards unchanged. Lookups probe the shards, iteration merges them in id
+//! order, and an entity that exists stays in the shard that holds it. The
+//! view records what the write creates and the map points it lends out
+//! mutably; when the closure returns, each new entity is placed once — a
+//! keyframe in the region under its camera center, a point with its first
+//! observer, each in the first locked region when that region is not
+//! locked — and each recorded point's region is unioned with its
+//! observers' regions. The work is proportional to what the write
+//! touched, not to the component. Placement is invisible to results
+//! (every read stitches the locked shards back together), so **results
+//! are bit-identical at any shard count by construction**.
 //!
 //! # Locking discipline
 //!
 //! * Shard locks are acquired in ascending index order (enforced by
 //!   [`ShardedStore`] itself).
 //! * The directory mutex is only ever taken **after** shard locks
-//!   (validation, residency check, scatter) or alone (resolve) — never
-//!   before them.
-//! * Unions only happen during scatter, i.e. under the write locks of
-//!   every region involved, and a dirty write bumps every locked
-//!   region's epoch. Hence components grow monotonically and any growth
-//!   visible to a reader bumps an epoch the reader stamped — the
-//!   commit-side staleness check subsumes read-side revalidation.
+//!   (validation, residency check, the end of a write) or alone
+//!   (resolve) — never before them, and never across a write closure.
+//! * Unions only happen at the end of a write, for the edges that write
+//!   added, under the write locks of every region involved (reloads
+//!   re-link theirs under the reloaded region's lock); and a dirty write
+//!   bumps every locked region's epoch. Hence components grow
+//!   monotonically and any growth visible to a reader bumps an epoch the
+//!   reader stamped — the commit-side staleness check subsumes read-side
+//!   revalidation.
 //! * A component write validates, under the directory lock *while
 //!   holding its shard locks*, that the seeds still resolve inside the
 //!   locked set; if a concurrent write merged components first, it
@@ -80,9 +94,12 @@ use parking_lot::Mutex;
 use slamshare_math::Vec3;
 use slamshare_net::fed::{decode_region_snapshot, encode_region_snapshot, RegionSnapshot};
 use slamshare_shm::{LockStats, Segment, ShardedStore};
-use slamshare_slam::ids::{KeyFrameId, MapPointId};
-use slamshare_slam::map::{Map, MapView, RegionAssigner, RegionGraph};
-use std::collections::{BTreeSet, HashMap};
+use slamshare_slam::ids::{IdAllocator, KeyFrameId, MapPointId};
+use slamshare_slam::map::{
+    KeyFrame, Map, MapPoint, MapRead, MapView, MapWrite, RegionAssigner, RegionGraph,
+};
+use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap};
+use std::iter::Peekable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -722,11 +739,13 @@ impl ShardedGlobalMap {
     }
 
     /// Write to the components covering `seeds`. The closure receives the
-    /// gathered scratch [`Map`] (the locked components' whole content)
-    /// and the lock context, and returns `(result, dirty)`; a dirty write
-    /// re-scatters the content by region, records covisibility unions,
-    /// and bumps every locked region's epoch. Returns the result plus the
-    /// locked region set (the write-lock receipt).
+    /// locked shards as one [`ComponentMapMut`], written in place, and the
+    /// lock context, and returns `(result, dirty)`; a dirty write bumps
+    /// every locked region's epoch. When the closure returns, the write
+    /// places the entities it inserted and records the covisibility
+    /// unions of the points it inserted or lent out mutably (module docs,
+    /// "Writes in place"). Returns the result plus the locked region set
+    /// (the write-lock receipt).
     ///
     /// The closure runs **at most once**, on resident content: a
     /// validation failure releases the locks and retries. Either a
@@ -737,7 +756,7 @@ impl ShardedGlobalMap {
     pub fn with_component_write<R>(
         &self,
         seeds: &LockSeeds,
-        mut f: impl FnMut(&mut Map, &ComponentWrite) -> (R, bool),
+        mut f: impl FnMut(&mut ComponentMapMut<'_>, &ComponentWrite) -> (R, bool),
     ) -> (R, Vec<usize>) {
         let n = self.store.n_shards();
         let mut attempt = 0;
@@ -782,119 +801,410 @@ impl ShardedGlobalMap {
         }
     }
 
-    /// Gather → run → scatter, with the shard locks already held.
+    /// Run `f` on the locked shards in place, then settle what it
+    /// inserted and lent out. The shard locks are already held; the
+    /// directory lock is not held while `f` runs.
     fn run_write<R>(
         &self,
         order: &[usize],
         shards: &mut [&mut RegionShard],
-        f: impl FnOnce(&mut Map, &ComponentWrite) -> (R, bool),
+        f: impl FnOnce(&mut ComponentMapMut<'_>, &ComponentWrite) -> (R, bool),
     ) -> (R, bool) {
         let epochs: Vec<u64> = order.iter().map(|&i| self.store.epoch(i)).collect();
-
-        // Gather: move the locked shards' content into one scratch map,
-        // remembering each entity's previous region.
-        let mut scratch = Map::default();
-        let mut prev_kf: HashMap<KeyFrameId, usize> = HashMap::new();
-        let mut prev_mp: HashMap<MapPointId, usize> = HashMap::new();
-        for (k, shard) in shards.iter_mut().enumerate() {
-            let region = match order.get(k) {
-                Some(&r) => r,
-                None => continue,
-            };
-            for id in shard.map.keyframes.keys() {
-                prev_kf.insert(*id, region);
-            }
-            for id in shard.map.mappoints.keys() {
-                prev_mp.insert(*id, region);
-            }
-            scratch.keyframes.append(&mut shard.map.keyframes);
-            scratch.mappoints.append(&mut shard.map.mappoints);
-        }
-
+        let (kf_parts, mp_parts) = shards
+            .iter_mut()
+            .map(|s| (&mut s.map.keyframes, &mut s.map.mappoints))
+            .unzip();
+        // Starts as an empty `Map` would: frame clock 0 and a default
+        // allocator (the closures install their own).
+        let mut view = ComponentMapMut {
+            keyframes: Stitched::new(kf_parts, false),
+            mappoints: Stitched::new(mp_parts, true),
+            alloc: IdAllocator::default(),
+            frame_clock: 0,
+        };
         let cw = ComponentWrite {
             regions: order,
             epochs: &epochs,
         };
-        let (result, dirty) = f(&mut scratch, &cw);
+        let out = f(&mut view, &cw);
+        self.settle(order, view);
+        out
+    }
 
-        // Scatter the content back. A clean write restores the exact
-        // previous placement (shard content must not change without an
-        // epoch bump); a dirty write re-places by region and records the
-        // new covisibility unions in the directory.
-        let slot: HashMap<usize, usize> = order.iter().enumerate().map(|(k, &r)| (r, k)).collect();
-        let fallback = order.first().copied().unwrap_or(0);
-        let Map {
-            keyframes,
-            mappoints,
+    /// The end of a component write. Each entity the write inserted is
+    /// placed once: a keyframe in the region under its camera center, a
+    /// point with its first observer, each in the first locked region
+    /// when that region is not locked. Each inserted or lent-out point's
+    /// region is then unioned with its observers' regions (among the
+    /// locked ones), which keeps the closure invariant. Entities the
+    /// write did not touch are not visited, and nothing that existed
+    /// moves: placement is invisible to every read, which stitches the
+    /// shards back together. The directory lock is taken here, after the
+    /// shard locks.
+    fn settle(&self, order: &[usize], view: ComponentMapMut<'_>) {
+        let Stitched {
+            parts: mut kf_parts,
+            fresh: new_kfs,
             ..
-        } = scratch;
-        if dirty {
-            let mut dir = self.dir.lock();
-            for (id, kf) in keyframes {
-                let want = dir.assigner.region_of(kf.pose_cw.camera_center()) as usize;
-                let dest = if slot.contains_key(&want) {
-                    want
-                } else {
-                    prev_kf
-                        .get(&id)
-                        .copied()
-                        .filter(|r| slot.contains_key(r))
-                        .unwrap_or(fallback)
-                };
-                dir.kf_region.insert(id, dest as u32);
-                if let Some(&k) = slot.get(&dest) {
-                    if let Some(shard) = shards.get_mut(k) {
-                        shard.map.keyframes.insert(id, kf);
+        } = view.keyframes;
+        let Stitched {
+            parts: mut mp_parts,
+            fresh: new_mps,
+            lent,
+        } = view.mappoints;
+        let mut lent = lent.unwrap_or_default();
+        if new_kfs.is_empty() && new_mps.is_empty() && lent.is_empty() {
+            return;
+        }
+        let slot_of = |region: usize| order.binary_search(&region).unwrap_or(0);
+        let mut dir = self.dir.lock();
+        for (id, kf) in new_kfs {
+            let slot = slot_of(dir.assigner.region_of(kf.pose_cw.camera_center()) as usize);
+            if let (Some(&region), Some(part)) = (order.get(slot), kf_parts.get_mut(slot)) {
+                dir.kf_region.insert(id, region as u32);
+                part.insert(id, kf);
+            }
+        }
+        for (id, mp) in new_mps {
+            let slot = mp
+                .observations
+                .first()
+                .and_then(|(kf, _)| dir.kf_region.get(kf))
+                .map_or(0, |&r| slot_of(r as usize));
+            let (Some(&home), Some(part)) = (order.get(slot), mp_parts.get_mut(slot)) else {
+                continue;
+            };
+            dir.union_observers(order, home, &mp);
+            part.insert(id, mp);
+        }
+        lent.sort_unstable();
+        lent.dedup();
+        for id in lent {
+            let found = mp_parts
+                .iter()
+                .zip(order)
+                .find_map(|(part, &region)| part.get(&id).map(|mp| (region, mp)));
+            if let Some((home, mp)) = found {
+                dir.union_observers(order, home, mp);
+            }
+        }
+    }
+
+    /// Check the sharded map's structural invariants under read locks on
+    /// every shard (then the directory lock):
+    ///
+    /// * every resident keyframe and map point lives in exactly one shard;
+    /// * every resident keyframe's directory entry names its shard;
+    /// * closure: every resident observer of a resident point is in a
+    ///   region unioned with the point's region;
+    /// * each shard's reported arena bytes equal its content's size.
+    ///
+    /// Returns the first violation found.
+    pub fn check_invariants(&self) -> Result<(), MapInvariantError> {
+        self.store.with_read_all(|order, shards| {
+            let dir = self.dir.lock();
+            let mut kf_home: HashMap<KeyFrameId, usize> = HashMap::new();
+            let mut mp_home: HashMap<MapPointId, usize> = HashMap::new();
+            for (&region, shard) in order.iter().zip(shards) {
+                let (reported, actual) = (
+                    self.store.shard_reported_bytes(region),
+                    shard.map.approx_bytes(),
+                );
+                if reported != actual {
+                    return Err(MapInvariantError::Accounting {
+                        region,
+                        reported,
+                        actual,
+                    });
+                }
+                for &id in shard.map.keyframes.keys() {
+                    if let Some(first) = kf_home.insert(id, region) {
+                        return Err(MapInvariantError::DuplicateKeyframe {
+                            id,
+                            regions: [first, region],
+                        });
+                    }
+                }
+                for &id in shard.map.mappoints.keys() {
+                    if let Some(first) = mp_home.insert(id, region) {
+                        return Err(MapInvariantError::DuplicatePoint {
+                            id,
+                            regions: [first, region],
+                        });
                     }
                 }
             }
-            for (id, mp) in mappoints {
-                // A point lives with its first observer; its home region
-                // is unioned with every observer's region, maintaining
-                // the closure invariant. Unions stay inside the locked
-                // set: every observer is covisibility-reachable from the
-                // locked components (see module docs), and the defensive
-                // filter below never unions an unlocked region.
-                let dest = mp
-                    .observations
-                    .first()
-                    .and_then(|(kf, _)| dir.kf_region.get(kf).copied())
-                    .map(|r| r as usize)
-                    .filter(|r| slot.contains_key(r))
-                    .or_else(|| prev_mp.get(&id).copied().filter(|r| slot.contains_key(r)))
-                    .unwrap_or(fallback);
-                for (kf, _) in &mp.observations {
-                    if let Some(&r) = dir.kf_region.get(kf) {
-                        if slot.contains_key(&(r as usize)) {
-                            dir.graph.union(dest as u32, r);
+            for (&region, shard) in order.iter().zip(shards) {
+                for &id in shard.map.keyframes.keys() {
+                    let directory = dir.kf_region.get(&id).map(|&r| r as usize);
+                    if directory != Some(region) {
+                        return Err(MapInvariantError::MisfiledKeyframe {
+                            id,
+                            shard: region,
+                            directory,
+                        });
+                    }
+                }
+                for mp in shard.map.mappoints.values() {
+                    for (kf, _) in &mp.observations {
+                        let Some(&observer_region) = kf_home.get(kf) else {
+                            continue;
+                        };
+                        if dir.graph.find(observer_region as u32) != dir.graph.find(region as u32) {
+                            return Err(MapInvariantError::OpenEdge {
+                                point: mp.id,
+                                point_region: region,
+                                observer: *kf,
+                                observer_region,
+                            });
                         }
                     }
                 }
-                if let Some(&k) = slot.get(&dest) {
-                    if let Some(shard) = shards.get_mut(k) {
-                        shard.map.mappoints.insert(id, mp);
-                    }
-                }
             }
-        } else {
-            for (id, kf) in keyframes {
-                let dest = prev_kf.get(&id).copied().unwrap_or(fallback);
-                if let Some(&k) = slot.get(&dest) {
-                    if let Some(shard) = shards.get_mut(k) {
-                        shard.map.keyframes.insert(id, kf);
-                    }
-                }
-            }
-            for (id, mp) in mappoints {
-                let dest = prev_mp.get(&id).copied().unwrap_or(fallback);
-                if let Some(&k) = slot.get(&dest) {
-                    if let Some(shard) = shards.get_mut(k) {
-                        shard.map.mappoints.insert(id, mp);
-                    }
+            Ok(())
+        })
+    }
+}
+
+impl Directory {
+    /// Union `home` with the region of every observer of `mp` that lies
+    /// in the locked set `locked` (ascending).
+    fn union_observers(&mut self, locked: &[usize], home: usize, mp: &MapPoint) {
+        for (kf, _) in &mp.observations {
+            if let Some(&r) = self.kf_region.get(kf) {
+                if locked.binary_search(&(r as usize)).is_ok() {
+                    self.graph.union(home as u32, r);
                 }
             }
         }
-        (result, dirty)
+    }
+}
+
+/// A violated invariant of the sharded map
+/// ([`ShardedGlobalMap::check_invariants`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MapInvariantError {
+    /// A keyframe is resident in two shards.
+    DuplicateKeyframe { id: KeyFrameId, regions: [usize; 2] },
+    /// A map point is resident in two shards.
+    DuplicatePoint { id: MapPointId, regions: [usize; 2] },
+    /// A resident keyframe's directory entry names another region, or none.
+    MisfiledKeyframe {
+        id: KeyFrameId,
+        shard: usize,
+        directory: Option<usize>,
+    },
+    /// An observation edge joins two regions that are not unioned.
+    OpenEdge {
+        point: MapPointId,
+        point_region: usize,
+        observer: KeyFrameId,
+        observer_region: usize,
+    },
+    /// A shard's reported arena bytes differ from its content's size.
+    Accounting {
+        region: usize,
+        reported: usize,
+        actual: usize,
+    },
+}
+
+impl std::fmt::Display for MapInvariantError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "sharded map invariant violated: {self:?}")
+    }
+}
+
+impl std::error::Error for MapInvariantError {}
+
+/// One entity kind of a component write — keyframes or map points —
+/// stitched over the locked shards' maps. Lookups try the write's own new
+/// entities first, then the shards; an entity that exists stays in the
+/// shard that holds it. Entities the write inserts wait in `fresh` until
+/// the write ends, when they are placed once (module docs, "Writes in
+/// place"). Iteration merges the parts in ascending id order, as one map
+/// would iterate.
+pub struct Stitched<'a, K, V> {
+    parts: Vec<&'a mut BTreeMap<K, V>>,
+    fresh: BTreeMap<K, V>,
+    /// Ids of existing entities handed out mutably, with repeats; `None`
+    /// when the write's unions do not need them (keyframes).
+    lent: Option<Vec<K>>,
+}
+
+impl<'a, K: Ord + Copy, V> Stitched<'a, K, V> {
+    fn new(parts: Vec<&'a mut BTreeMap<K, V>>, track_lent: bool) -> Self {
+        Stitched {
+            parts,
+            fresh: BTreeMap::new(),
+            lent: track_lent.then(Vec::new),
+        }
+    }
+
+    fn get(&self, k: &K) -> Option<&V> {
+        self.fresh
+            .get(k)
+            .or_else(|| self.parts.iter().find_map(|p| p.get(k)))
+    }
+
+    /// Whether the component holds an entity with id `k`.
+    pub fn contains_key(&self, k: &K) -> bool {
+        self.get(k).is_some()
+    }
+
+    fn get_mut(&mut self, k: &K) -> Option<&mut V> {
+        if let Some(v) = self.fresh.get_mut(k) {
+            return Some(v);
+        }
+        let v = self.parts.iter_mut().find_map(|p| p.get_mut(k))?;
+        if let Some(lent) = &mut self.lent {
+            lent.push(*k);
+        }
+        Some(v)
+    }
+
+    /// Insert `v` under `k`, returning the entity it replaced. An existing
+    /// entity is replaced where it is; a new one waits to be placed when
+    /// the write ends.
+    pub fn insert(&mut self, k: K, v: V) -> Option<V> {
+        match self.get_mut(&k) {
+            Some(slot) => Some(std::mem::replace(slot, v)),
+            None => self.fresh.insert(k, v),
+        }
+    }
+
+    fn remove(&mut self, k: &K) -> Option<V> {
+        self.fresh
+            .remove(k)
+            .or_else(|| self.parts.iter_mut().find_map(|p| p.remove(k)))
+    }
+
+    fn len(&self) -> usize {
+        self.parts.iter().map(|p| p.len()).sum::<usize>() + self.fresh.len()
+    }
+
+    /// Entities in ascending id order.
+    fn values(&self) -> StitchedValues<'_, K, V> {
+        StitchedValues {
+            heads: self
+                .parts
+                .iter()
+                .map(|p| p.iter().peekable())
+                .chain(std::iter::once(self.fresh.iter().peekable()))
+                .collect(),
+        }
+    }
+}
+
+/// Ascending-id merge over a [`Stitched`]'s parts.
+struct StitchedValues<'s, K, V> {
+    heads: Vec<Peekable<btree_map::Iter<'s, K, V>>>,
+}
+
+impl<'s, K: Ord, V> Iterator for StitchedValues<'s, K, V> {
+    type Item = &'s V;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut best: Option<(usize, &'s K)> = None;
+        for (i, head) in self.heads.iter_mut().enumerate() {
+            if let Some(&(k, _)) = head.peek() {
+                if best.is_none_or(|(_, b)| k < b) {
+                    best = Some((i, k));
+                }
+            }
+        }
+        self.heads.get_mut(best?.0)?.next().map(|(_, v)| v)
+    }
+}
+
+/// The closure argument of [`ShardedGlobalMap::with_component_write`]:
+/// the locked component, written in place. It implements [`MapWrite`], so
+/// the mapping, merge and BA code that runs on a client's [`Map`] runs on
+/// it unchanged. It starts with frame clock 0 and a default allocator, as
+/// an empty [`Map`] does; write closures install the client's allocator
+/// themselves.
+///
+/// The fields keep [`Map`]'s names so that closures written against a
+/// `Map` (`map.mappoints.insert(..)`, `map.frame_clock = ..`,
+/// `map.alloc`) still compile; the write path itself goes through
+/// [`MapWrite`].
+pub struct ComponentMapMut<'a> {
+    pub keyframes: Stitched<'a, KeyFrameId, KeyFrame>,
+    pub mappoints: Stitched<'a, MapPointId, MapPoint>,
+    pub alloc: IdAllocator,
+    pub frame_clock: u64,
+}
+
+impl ComponentMapMut<'_> {
+    /// [`MapWrite::insert_keyframe`], callable without the trait in scope
+    /// (as on [`Map`]).
+    pub fn insert_keyframe(&mut self, kf: KeyFrame) {
+        MapWrite::insert_keyframe(self, kf)
+    }
+}
+
+impl MapRead for ComponentMapMut<'_> {
+    fn keyframe(&self, id: KeyFrameId) -> Option<&KeyFrame> {
+        self.keyframes.get(&id)
+    }
+
+    fn mappoint(&self, id: MapPointId) -> Option<&MapPoint> {
+        self.mappoints.get(&id)
+    }
+
+    fn keyframes_iter(&self) -> Box<dyn Iterator<Item = &KeyFrame> + '_> {
+        Box::new(self.keyframes.values())
+    }
+
+    fn n_keyframes(&self) -> usize {
+        self.keyframes.len()
+    }
+
+    fn n_mappoints(&self) -> usize {
+        self.mappoints.len()
+    }
+}
+
+impl MapWrite for ComponentMapMut<'_> {
+    fn keyframe_mut(&mut self, id: KeyFrameId) -> Option<&mut KeyFrame> {
+        self.keyframes.get_mut(&id)
+    }
+
+    fn mappoint_mut(&mut self, id: MapPointId) -> Option<&mut MapPoint> {
+        self.mappoints.get_mut(&id)
+    }
+
+    fn put_keyframe(&mut self, kf: KeyFrame) {
+        self.keyframes.insert(kf.id, kf);
+    }
+
+    fn put_mappoint(&mut self, mp: MapPoint) {
+        self.mappoints.insert(mp.id, mp);
+    }
+
+    fn take_keyframe(&mut self, id: KeyFrameId) -> Option<KeyFrame> {
+        self.keyframes.remove(&id)
+    }
+
+    fn take_mappoint(&mut self, id: MapPointId) -> Option<MapPoint> {
+        self.mappoints.remove(&id)
+    }
+
+    fn mappoints_iter(&self) -> Box<dyn Iterator<Item = &MapPoint> + '_> {
+        Box::new(self.mappoints.values())
+    }
+
+    fn alloc_mut(&mut self) -> &mut IdAllocator {
+        &mut self.alloc
+    }
+
+    fn frame_clock(&self) -> u64 {
+        self.frame_clock
+    }
+
+    fn advance_frame_clock(&mut self, frame: u64) {
+        self.frame_clock = self.frame_clock.max(frame);
     }
 }
 
@@ -903,15 +1213,15 @@ mod tests {
     use super::*;
     use slamshare_math::SE3;
     use slamshare_slam::ids::ClientId;
-    use slamshare_slam::map::{KeyFrame, MapRead};
+    use slamshare_slam::map::MapRead;
 
     fn gmap(n: usize) -> Arc<ShardedGlobalMap> {
         let segment = Arc::new(Segment::new(1 << 24));
         ShardedGlobalMap::create(segment, "test/gmap", n, 10.0).unwrap()
     }
 
-    fn kf_at(map: &mut Map, x: f64, t: f64) -> KeyFrameId {
-        let id = map.alloc.next_keyframe();
+    fn kf_at(map: &mut impl MapWrite, x: f64, t: f64) -> KeyFrameId {
+        let id = map.alloc_mut().next_keyframe();
         map.insert_keyframe(KeyFrame {
             id,
             pose_cw: SE3::from_translation(slamshare_math::Vec3::new(-x, 0.0, 0.0)),
@@ -1203,5 +1513,397 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(g.with_view(|v| v.n_keyframes()), 80);
+    }
+
+    /// Two x-offsets whose keyframes land in different regions of `g`.
+    fn distinct_offsets(g: &ShardedGlobalMap) -> (f64, f64) {
+        let a = 0.0;
+        let ra = g.region_of(slamshare_math::Vec3::new(a, 0.0, 0.0));
+        let b = (1..)
+            .map(|k| k as f64 * 100.0)
+            .find(|&b| g.region_of(slamshare_math::Vec3::new(b, 0.0, 0.0)) != ra)
+            .unwrap();
+        (a, b)
+    }
+
+    /// A keyframe at world x-offset `x` with `n_kp` free keypoint slots.
+    fn blank_kf(id: KeyFrameId, x: f64, n_kp: usize) -> KeyFrame {
+        KeyFrame {
+            id,
+            pose_cw: SE3::from_translation(slamshare_math::Vec3::new(-x, 0.0, 0.0)),
+            timestamp: x,
+            keypoints: vec![
+                slamshare_features::KeyPoint::new(slamshare_math::Vec2::ZERO, 0, 1.0);
+                n_kp
+            ],
+            descriptors: vec![slamshare_features::Descriptor::ZERO; n_kp],
+            matched_points: vec![None; n_kp],
+            bow: Default::default(),
+        }
+    }
+
+    /// `(id, region)` of every resident entity, ascending by id.
+    type Placement<Id> = Vec<(Id, usize)>;
+
+    /// Which region's shard holds each keyframe and map point.
+    fn placement(g: &ShardedGlobalMap) -> (Placement<KeyFrameId>, Placement<MapPointId>) {
+        g.store.with_read_all(|order, shards| {
+            let mut kfs = Vec::new();
+            let mut mps = Vec::new();
+            for (&r, s) in order.iter().zip(shards) {
+                kfs.extend(s.map.keyframes.keys().map(|&id| (id, r)));
+                mps.extend(s.map.mappoints.keys().map(|&id| (id, r)));
+            }
+            kfs.sort_unstable();
+            mps.sort_unstable();
+            (kfs, mps)
+        })
+    }
+
+    fn at(x: f64) -> LockSeeds {
+        LockSeeds {
+            positions: vec![slamshare_math::Vec3::new(x, 0.0, 0.0)],
+            ..LockSeeds::default()
+        }
+    }
+
+    #[test]
+    fn lent_point_gaining_a_remote_observer_unions_its_region() {
+        let g = gmap(16);
+        let (xa, xb) = distinct_offsets(&g);
+        let mut alloc = Map::new(ClientId(1));
+        let (a, p) = g
+            .with_component_write(&at(xa), |m, _| {
+                let a = alloc.alloc.next_keyframe();
+                m.insert_keyframe(blank_kf(a, xa, 2));
+                m.alloc = alloc.alloc.clone();
+                let p = m.create_mappoint(
+                    slamshare_math::Vec3::new(xa, 0.0, 5.0),
+                    Default::default(),
+                    a,
+                    0,
+                );
+                alloc.alloc = m.alloc.clone();
+                ((a, p), true)
+            })
+            .0;
+        let b = alloc.alloc.next_keyframe();
+        g.with_component_write(&at(xb), |m, _| {
+            m.insert_keyframe(blank_kf(b, xb, 2));
+            ((), true)
+        });
+        let (ra, rb) = (
+            g.region_of(slamshare_math::Vec3::new(xa, 0.0, 0.0)),
+            g.region_of(slamshare_math::Vec3::new(xb, 0.0, 0.0)),
+        );
+        assert!(!g.component_of(ra).contains(&rb), "regions joined early");
+        g.check_invariants().unwrap();
+
+        // One write locking both components: the existing point `p`,
+        // lent out by `add_observation`, gains an observer in the other
+        // locked region.
+        let (_, locked) = g.with_component_write(
+            &LockSeeds {
+                kfs: vec![a, b],
+                ..LockSeeds::default()
+            },
+            |m, _| {
+                m.add_observation(p, b, 1);
+                ((), true)
+            },
+        );
+        assert!(locked.contains(&ra) && locked.contains(&rb));
+        assert!(
+            g.component_of(ra).contains(&rb),
+            "lent point's edge not unioned"
+        );
+        g.check_invariants().unwrap();
+        // Nothing moved: `p` still lives with its first observer.
+        let (kfs, mps) = placement(&g);
+        assert_eq!(kfs, vec![(a, ra), (b, rb)]);
+        assert_eq!(mps, vec![(p, ra)]);
+    }
+
+    #[test]
+    fn dirty_write_leaves_untouched_entities_in_their_shard() {
+        let g = gmap(16);
+        let (xa, xb) = distinct_offsets(&g);
+        let mut alloc = Map::new(ClientId(1));
+        // One component over two regions: a point observed from both.
+        let (a, b) = g
+            .with_component_write(&LockSeeds::all(), |m, _| {
+                std::mem::swap(&mut m.alloc, &mut alloc.alloc);
+                let a = kf_at(m, xa, 0.0);
+                let b = kf_at(m, xb, 1.0);
+                for k in [a, b] {
+                    if let Some(kf) = m.keyframe_mut(k) {
+                        kf.keypoints = vec![
+                            slamshare_features::KeyPoint::new(
+                                slamshare_math::Vec2::ZERO,
+                                0,
+                                1.0
+                            );
+                            4
+                        ];
+                        kf.descriptors = vec![slamshare_features::Descriptor::ZERO; 4];
+                        kf.matched_points = vec![None; 4];
+                    }
+                }
+                for i in 0..3 {
+                    let p = m.create_mappoint(
+                        slamshare_math::Vec3::new(xa, i as f64, 5.0),
+                        Default::default(),
+                        a,
+                        i,
+                    );
+                    m.add_observation(p, b, i);
+                }
+                std::mem::swap(&mut m.alloc, &mut alloc.alloc);
+                ((a, b), true)
+            })
+            .0;
+        let before = placement(&g);
+        g.check_invariants().unwrap();
+
+        // A dirty write that moves `a`'s camera into `b`'s cell and edits
+        // one point: re-placing by the current pose would move both; in
+        // place, every existing entity keeps its shard.
+        let seeds = LockSeeds {
+            kfs: vec![a],
+            ..LockSeeds::default()
+        };
+        let c = alloc.alloc.next_keyframe();
+        g.with_component_write(&seeds, |m, _| {
+            if let Some(kf) = m.keyframe_mut(a) {
+                kf.pose_cw = SE3::from_translation(slamshare_math::Vec3::new(-xb, 0.0, 0.0));
+            }
+            let first = m.mappoints_iter().next().map(|p| p.id);
+            if let Some(p) = first.and_then(|p| m.mappoint_mut(p)) {
+                p.position.z = 6.0;
+            }
+            m.insert_keyframe(blank_kf(c, xb, 1));
+            ((), true)
+        });
+        let (kfs, mps) = placement(&g);
+        let rb = g.region_of(slamshare_math::Vec3::new(xb, 0.0, 0.0));
+        let mut want_kfs = before.0.clone();
+        want_kfs.push((c, rb));
+        want_kfs.sort_unstable();
+        assert_eq!(kfs, want_kfs);
+        assert_eq!(mps, before.1);
+        assert!(kfs.contains(&(b, rb)));
+        g.check_invariants().unwrap();
+    }
+
+    /// A random sequence of edits, each one component write seeded by the
+    /// keyframes it touches, applied through the view at several shard
+    /// counts and to a plain `Map`: the content is identical after every
+    /// step and the sharded map's invariants hold.
+    #[test]
+    fn random_writes_through_the_view_match_a_plain_map() {
+        use rand::{Rng, SeedableRng};
+        const N_KP: usize = 6;
+        fn fingerprint(m: &Map) -> String {
+            format!("{:?}\n{:?}", m.keyframes, m.mappoints)
+        }
+        fn observer(m: &Map, p: MapPointId) -> Vec<KeyFrameId> {
+            m.mappoints
+                .get(&p)
+                .and_then(|mp| mp.observations.first())
+                .map(|&(k, _)| k)
+                .into_iter()
+                .collect()
+        }
+        enum Op {
+            InsertKf(f64, Vec<(usize, MapPointId)>),
+            Create(KeyFrameId, usize, f64),
+            Observe(MapPointId, KeyFrameId, usize),
+            RemovePoint(MapPointId),
+            RemoveKf(KeyFrameId),
+            Fuse(MapPointId, MapPointId),
+        }
+        fn run(m: &mut impl MapWrite, op: &Op, step: u64) {
+            m.advance_frame_clock(step);
+            match op {
+                Op::InsertKf(x, matched) => {
+                    let id = m.alloc_mut().next_keyframe();
+                    let mut kf = blank_kf(id, *x, N_KP);
+                    for &(i, p) in matched {
+                        kf.matched_points[i] = Some(p);
+                    }
+                    m.insert_keyframe(kf);
+                }
+                Op::Create(k, i, y) => {
+                    m.create_mappoint(
+                        slamshare_math::Vec3::new(0.0, *y, 4.0),
+                        Default::default(),
+                        *k,
+                        *i,
+                    );
+                }
+                Op::Observe(p, k, i) => m.add_observation(*p, *k, *i),
+                Op::RemovePoint(p) => m.remove_mappoint(*p),
+                Op::RemoveKf(k) => m.remove_keyframe(*k),
+                Op::Fuse(d, s) => m.fuse_mappoints(*d, *s),
+            }
+        }
+        for shards in [1usize, 4, 16] {
+            let g = gmap(shards);
+            let mut plain = Map::new(ClientId(1));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+            for step in 0..240u64 {
+                let kfs: Vec<KeyFrameId> = plain.keyframes.keys().copied().collect();
+                let mps: Vec<MapPointId> = plain.mappoints.keys().copied().collect();
+                let pick_kf = |rng: &mut rand::rngs::StdRng| kfs[rng.gen_range(0..kfs.len())];
+                let pick_mp = |rng: &mut rand::rngs::StdRng| mps[rng.gen_range(0..mps.len())];
+                let free_slot = |k: KeyFrameId| {
+                    plain.keyframes[&k]
+                        .matched_points
+                        .iter()
+                        .position(Option::is_none)
+                };
+                let roll = if kfs.len() < 3 {
+                    0
+                } else {
+                    rng.gen_range(0..10)
+                };
+                let op = match roll {
+                    0 | 1 => {
+                        let x = rng.gen_range(0.0..60.0);
+                        let matched = if mps.is_empty() || rng.gen_bool(0.5) {
+                            Vec::new()
+                        } else {
+                            vec![(rng.gen_range(0..N_KP), pick_mp(&mut rng))]
+                        };
+                        Op::InsertKf(x, matched)
+                    }
+                    2..=4 => {
+                        let k = pick_kf(&mut rng);
+                        match free_slot(k) {
+                            Some(i) => Op::Create(k, i, rng.gen_range(0.0..60.0)),
+                            None => Op::RemoveKf(k),
+                        }
+                    }
+                    5 | 6 if !mps.is_empty() => {
+                        let (p, k) = (pick_mp(&mut rng), pick_kf(&mut rng));
+                        match free_slot(k) {
+                            Some(i) => Op::Observe(p, k, i),
+                            None => Op::RemovePoint(p),
+                        }
+                    }
+                    7 if !mps.is_empty() => Op::RemovePoint(pick_mp(&mut rng)),
+                    8 if mps.len() >= 2 => Op::Fuse(pick_mp(&mut rng), pick_mp(&mut rng)),
+                    _ => Op::RemoveKf(pick_kf(&mut rng)),
+                };
+                let mut seeds = LockSeeds::default();
+                match &op {
+                    Op::InsertKf(x, matched) => {
+                        seeds
+                            .positions
+                            .push(slamshare_math::Vec3::new(*x, 0.0, 0.0));
+                        for (_, p) in matched {
+                            seeds.kfs.extend(observer(&plain, *p));
+                        }
+                    }
+                    Op::Create(k, _, _) | Op::RemoveKf(k) => seeds.kfs.push(*k),
+                    Op::Observe(p, k, _) => {
+                        seeds.kfs.push(*k);
+                        seeds.kfs.extend(observer(&plain, *p));
+                    }
+                    Op::RemovePoint(p) => seeds.kfs.extend(observer(&plain, *p)),
+                    Op::Fuse(d, s) => {
+                        seeds.kfs.extend(observer(&plain, *d));
+                        seeds.kfs.extend(observer(&plain, *s));
+                    }
+                }
+                g.with_component_write(&seeds, |m, _| {
+                    m.alloc = plain.alloc.clone();
+                    run(m, &op, step);
+                    ((), true)
+                });
+                run(&mut plain, &op, step);
+                assert_eq!(
+                    fingerprint(&g.snapshot_map()),
+                    fingerprint(&plain),
+                    "content diverged at step {step} with {shards} shards"
+                );
+                if let Err(e) = g.check_invariants() {
+                    panic!("step {step} with {shards} shards: {e}");
+                }
+            }
+            assert!(plain.n_keyframes() > 3 && plain.n_mappoints() > 3);
+        }
+    }
+
+    #[test]
+    fn check_invariants_reports_each_violation() {
+        let g = gmap(16);
+        let (xa, xb) = distinct_offsets(&g);
+        let mut alloc = Map::new(ClientId(1));
+        let (a, _) = insert_at(&g, &mut alloc, xa, 0.0);
+        let (b, _) = insert_at(&g, &mut alloc, xb, 1.0);
+        g.check_invariants().unwrap();
+        let ra = g.region_of(slamshare_math::Vec3::new(xa, 0.0, 0.0));
+        let rb = g.region_of(slamshare_math::Vec3::new(xb, 0.0, 0.0));
+
+        // A point in `a`'s shard observed by `b`, planted behind the
+        // write path's back: an edge between regions never unioned.
+        let mp = alloc.alloc.next_mappoint();
+        g.store
+            .with_write(&g.segment, &[ra], shard_bytes, |_, shards| {
+                shards[0].map.mappoints.insert(
+                    mp,
+                    slamshare_slam::map::MapPoint {
+                        id: mp,
+                        position: slamshare_math::Vec3::ZERO,
+                        descriptor: Default::default(),
+                        normal: slamshare_math::Vec3::Z,
+                        observations: vec![(a, 0), (b, 0)],
+                        replaced_by: None,
+                        created_frame: 0,
+                    },
+                );
+                ((), true)
+            });
+        assert!(matches!(
+            g.check_invariants(),
+            Err(MapInvariantError::OpenEdge { point, .. }) if point == mp
+        ));
+        g.dir.lock().graph.union(ra as u32, rb as u32);
+        g.check_invariants().unwrap();
+
+        // A directory entry that names another region.
+        g.dir.lock().kf_region.insert(b, ra as u32);
+        assert!(matches!(
+            g.check_invariants(),
+            Err(MapInvariantError::MisfiledKeyframe { id, .. }) if id == b
+        ));
+        g.dir.lock().kf_region.insert(b, rb as u32);
+
+        // The same keyframe resident twice; content changed without a
+        // size report.
+        let copy = g.snapshot_map().keyframes[&a].clone();
+        g.store
+            .with_write(&g.segment, &[rb], shard_bytes, |_, shards| {
+                shards[0].map.keyframes.insert(a, copy);
+                ((), true)
+            });
+        assert!(matches!(
+            g.check_invariants(),
+            Err(MapInvariantError::DuplicateKeyframe { id, .. }) if id == a
+        ));
+        g.store.with_write(
+            &g.segment,
+            &[rb],
+            |_| 0,
+            |_, shards| {
+                shards[0].map.keyframes.remove(&a);
+                ((), true)
+            },
+        );
+        assert!(matches!(
+            g.check_invariants(),
+            Err(MapInvariantError::Accounting { region, .. }) if region == rb
+        ));
     }
 }

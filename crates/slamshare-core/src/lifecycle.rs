@@ -38,6 +38,7 @@
 
 use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use serde::Serialize;
+use slamshare_slam::map::MapWrite;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -277,8 +278,7 @@ impl LifecycleManager {
             };
             let (n, _) = self.gmap.with_component_write(&seeds, |map, _| {
                 let doomed: Vec<_> = map
-                    .mappoints
-                    .values()
+                    .mappoints_iter()
                     .filter(|mp| {
                         mp.replaced_by.is_some()
                             || mp.observations.is_empty()
@@ -567,6 +567,16 @@ pub mod soak {
     /// Run the scenario. Single-threaded and fully deterministic: the
     /// only inputs are `cfg` (including its seed).
     pub fn run(cfg: &SoakConfig) -> SoakOutcome {
+        run_observed(cfg, |_| {})
+    }
+
+    /// [`run`], handing the map to `after_step` after every step of the
+    /// day: every active client's write, then the maintenance tick (the
+    /// smoke gate checks the map's invariants there).
+    pub fn run_observed(
+        cfg: &SoakConfig,
+        mut after_step: impl FnMut(&ShardedGlobalMap),
+    ) -> SoakOutcome {
         let segment = Arc::new(Segment::new(cfg.segment_bytes));
         let gmap =
             match ShardedGlobalMap::create(segment.clone(), "soak/gmap", cfg.shards, cfg.cell_m) {
@@ -669,7 +679,7 @@ pub mod soak {
                 let timestamp = step as f64 * 60.0 + client as f64;
                 let n_pts = cfg.points_per_kf;
                 let (readback, _) = gmap.with_component_write(&seeds, |map, _| {
-                    map.frame_clock = map.frame_clock.max(step as u64);
+                    map.advance_frame_clock(step as u64);
                     let mut keypoints = Vec::with_capacity(n_pts);
                     let mut descriptors = Vec::with_capacity(n_pts);
                     let mut matched = Vec::with_capacity(n_pts);
@@ -696,7 +706,7 @@ pub mod soak {
                     });
                     // Point ages stamp the deterministic frame clock; a
                     // fraction are singles the prune pass later removes.
-                    let stamp = map.frame_clock;
+                    let stamp = map.frame_clock();
                     for i in 0..n_pts {
                         let mp_id = alloc.next_mappoint();
                         let pt_pos = if i + 1 == n_pts {
@@ -706,25 +716,22 @@ pub mod soak {
                             // in the keyframe's own region.
                             pos + Vec3::new(0.0, 0.01 * (1.0 + i as f64), 0.0)
                         };
-                        map.mappoints.insert(
-                            mp_id,
-                            MapPoint {
-                                id: mp_id,
-                                position: pt_pos,
-                                descriptor: Descriptor::ZERO,
-                                normal: Vec3::Z,
-                                observations: vec![(kf_id, i)],
-                                replaced_by: None,
-                                created_frame: stamp,
-                            },
-                        );
-                        if let Some(kf) = map.keyframes.get_mut(&kf_id) {
+                        map.put_mappoint(MapPoint {
+                            id: mp_id,
+                            position: pt_pos,
+                            descriptor: Descriptor::ZERO,
+                            normal: Vec3::Z,
+                            observations: vec![(kf_id, i)],
+                            replaced_by: None,
+                            created_frame: stamp,
+                        });
+                        if let Some(kf) = map.keyframe_mut(kf_id) {
                             kf.matched_points[i] = Some(mp_id);
                         }
                     }
                     // Read the insertion back out of the map — the value
                     // the bit-identity comparison pins.
-                    let rb = map.keyframes.get(&kf_id).map(|kf| {
+                    let rb = map.keyframe(kf_id).map(|kf| {
                         let c = kf.pose_cw.camera_center();
                         (
                             kf.timestamp.to_bits(),
@@ -747,6 +754,7 @@ pub mod soak {
             if cfg.tick_every_steps > 0 && step % cfg.tick_every_steps == 0 {
                 manager.tick(step as u64);
             }
+            after_step(&gmap);
         }
 
         // Terminal comparison pass. The report comes first so it keeps

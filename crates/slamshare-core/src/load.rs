@@ -686,14 +686,28 @@ enum Ev {
 
 /// Run the full configured population (`ids 1..=n_clients`).
 pub fn run(config: &LoadConfig) -> LoadOutcome {
+    run_observed(config, |_| {})
+}
+
+/// [`run`], handing the federation to `after_round` after every round its
+/// servers process (the smoke gate checks the maps' invariants there).
+pub fn run_observed(config: &LoadConfig, mut after_round: impl FnMut(&Federation)) -> LoadOutcome {
     let ids: Vec<u16> = (1..=config.n_clients as u16).collect();
-    run_subset(config, &ids)
+    drive(config, &ids, &mut after_round)
 }
 
 /// Run only `ids`. Per-client behavior is a pure function of
 /// `(config.seed, id)`, so a subset run reproduces each member's stream
 /// exactly — the lever the churn bit-identity property pulls.
 pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
+    drive(config, ids, &mut |_| {})
+}
+
+fn drive(
+    config: &LoadConfig,
+    ids: &[u16],
+    after_round: &mut dyn FnMut(&Federation),
+) -> LoadOutcome {
     let end = SimTime::from_secs(config.duration_s);
     let frame_dt = SimTime::from_secs(1.0 / FPS);
     let crash_timeout = SimTime::from_secs(CRASH_TIMEOUT_S);
@@ -1059,6 +1073,7 @@ pub fn run_subset(config: &LoadConfig, ids: &[u16]) -> LoadOutcome {
                         }
                     }
                 }
+                after_round(&fe.fed);
                 // Next round: camera cadence, or as soon as a lane frees
                 // under saturation — no server can round faster than it
                 // can serve.

@@ -33,13 +33,13 @@
 //! submitting caller (no thread is spawned; the completion is ready when
 //! `submit` returns, so the delta of step 4 is empty).
 
-use crate::gmap::{LockSeeds, ShardedGlobalMap};
+use crate::gmap::{ComponentMapMut, LockSeeds, ShardedGlobalMap};
 use crate::metrics::{MergeWorkerStats, MetricsCut};
 use parking_lot::Mutex;
 use slamshare_features::bow::Vocabulary;
 use slamshare_sim::camera::PinholeCamera;
 use slamshare_slam::ids::{KeyFrameId, MapPointId};
-use slamshare_slam::map::{transform_pose_cw, Map};
+use slamshare_slam::map::{transform_pose_cw, Map, MapRead};
 use slamshare_slam::merge::{apply_merge_plan_with, plan_merge, MergePlan, MergeReport};
 use slamshare_slam::optimize::MappingArena;
 use slamshare_slam::recognition::ShardedKeyframeDatabase;
@@ -319,11 +319,11 @@ fn land(
     arena: &mut MappingArena,
     cmap: &Map,
 ) -> Option<(MergeReport, Vec<(MapPointId, MapPointId)>)> {
-    let plan_against = |gmap: &Map| {
+    fn plan_against(ctx: &MergeContext, gmap: &impl MapRead, cmap: &Map) -> MergePlan {
         let _span = slamshare_obs::span!("merge.plan");
         plan_merge(gmap, cmap, &ctx.db, &ctx.vocab, ctx.with_scale)
-    };
-    let mut apply = |gmap: &mut Map, plan: &MergePlan| {
+    }
+    let mut apply = |gmap: &mut ComponentMapMut<'_>, plan: &MergePlan| {
         let _span = slamshare_obs::span!("merge.apply");
         apply_merge_plan_with(gmap, &ctx.db, cmap.clone(), plan, &ctx.cam, arena)
     };
@@ -334,7 +334,7 @@ fn land(
         // the snapshot — plan_merge skips candidates the snapshot doesn't
         // hold yet.
         let (gsnap, stamp) = ctx.store.snapshot_with_stamp();
-        let plan = plan_against(&gsnap);
+        let plan = plan_against(ctx, &gsnap, cmap);
         if !plan.viable() {
             return None;
         }
@@ -367,7 +367,7 @@ fn land(
     let (applied, _) = ctx
         .store
         .with_component_write(&LockSeeds::all(), |gmap, _| {
-            let plan = plan_against(gmap);
+            let plan = plan_against(ctx, &*gmap, cmap);
             if !plan.viable() {
                 return (None, false);
             }

@@ -51,9 +51,9 @@
 //! write-locks only the component its keyframe lands in; the merge
 //! worker applies under only the destination regions' locks. Clients
 //! mapping disjoint areas therefore stop contending entirely — and
-//! because every write gathers its locked components into one scratch
-//! map, runs the unchanged mapping/merge code, and scatters back,
-//! results are bit-identical at any shard count.
+//! because every write runs the same mapping/merge code on the locked
+//! shards in place, through one stitched view, and no reader can see
+//! which shard holds what, results are bit-identical at any shard count.
 //!
 //! The server runs no map maintenance of its own. Pruning and cold-region
 //! eviction ([`crate::lifecycle`]) belong to whoever owns the frame clock:
@@ -94,7 +94,7 @@ use slamshare_math::{Sim3, SE3};
 use slamshare_net::codec::CodecError;
 use slamshare_shm::Segment;
 use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId};
-use slamshare_slam::map::{transform_pose_cw, Map, MapRead};
+use slamshare_slam::map::{transform_pose_cw, Map, MapRead, MapWrite};
 use slamshare_slam::mapping::LocalMapper;
 use slamshare_slam::merge::MergeReport;
 use slamshare_slam::recognition::{self, ShardedKeyframeDatabase};
@@ -933,7 +933,7 @@ impl EdgeServer {
                     // The write closure runs at most once; the slot lets
                     // it take the features by value.
                     let mut front_end = Some(front_end);
-                    let (inserted, _) = self.store.with_component_write(&seeds, |scratch, cw| {
+                    let (inserted, _) = self.store.with_component_write(&seeds, |map, cw| {
                         let Some(front_end) = front_end.take() else {
                             return (None, false);
                         };
@@ -947,7 +947,7 @@ impl EdgeServer {
                             .any(|&(region, epoch)| cw.epoch_of(region) != Some(epoch));
                         if stale {
                             tracked = retrack(
-                                tracker, pre_track, &front_end, &tracked, &*scratch, *last_kf,
+                                tracker, pre_track, &front_end, &tracked, &*map, *last_kf,
                                 pose_hint,
                             );
                             if tracked.lost || !tracked.keyframe_requested {
@@ -959,15 +959,14 @@ impl EdgeServer {
                         // `matched`; the frame's result reads the rest).
                         let obs = front_end.into_observation(tracked.clone());
                         // New entities draw ids from the client's own
-                        // allocator, not the scratch map's, so ids are
+                        // allocator, not the view's, so ids are
                         // independent of commit interleaving.
-                        scratch.alloc = alloc.clone();
-                        let report = mapper.insert_keyframe(scratch, &self.vocab, &obs);
-                        *alloc = scratch.alloc.clone();
+                        *map.alloc_mut() = alloc.clone();
+                        let report = mapper.insert_keyframe(map, &self.vocab, &obs);
+                        *alloc = map.alloc_mut().clone();
                         let out = report.kf_id.map(|kf_id| {
-                            let bow = scratch
-                                .keyframes
-                                .get(&kf_id)
+                            let bow = map
+                                .keyframe(kf_id)
                                 .map(|kf| kf.bow.clone())
                                 .unwrap_or_default();
                             (kf_id, report.n_new_points, bow)
@@ -1097,7 +1096,7 @@ impl EdgeServer {
                 all: false,
             };
             let mut delta_slot = Some(delta);
-            self.store.with_component_write(&seeds, |scratch, _| {
+            self.store.with_component_write(&seeds, |map, _| {
                 let Some(mut delta) = delta_slot.take() else {
                     return ((), false);
                 };
@@ -1112,7 +1111,7 @@ impl EdgeServer {
                         // triangulation against an older keyframe):
                         // reconcile the global copy's back-reference,
                         // which predates this point.
-                        match scratch.keyframes.get_mut(&kf_id) {
+                        match map.keyframe_mut(kf_id) {
                             Some(kf) => match kf.matched_points[idx] {
                                 None => {
                                     kf.matched_points[idx] = Some(id);
@@ -1123,10 +1122,10 @@ impl EdgeServer {
                             None => false,
                         }
                     });
-                    scratch.mappoints.insert(id, mp);
+                    map.put_mappoint(mp);
                 }
                 for (_, kf) in std::mem::take(&mut delta.keyframes) {
-                    scratch.insert_keyframe(kf);
+                    map.insert_keyframe(kf);
                 }
                 ((), true)
             });
@@ -1328,9 +1327,9 @@ impl EdgeServer {
         let mut slot = Some(fragment);
         let (_, locked) = self
             .store
-            .with_component_write(&seeds, |scratch, _| match slot.take() {
+            .with_component_write(&seeds, |map, _| match slot.take() {
                 Some(frag) => {
-                    slamshare_slam::merge::absorb(scratch, frag, &self.db);
+                    slamshare_slam::merge::absorb(map, frag, &self.db);
                     ((), true)
                 }
                 None => ((), false),

@@ -168,15 +168,13 @@ impl<T: Send + Sync + 'static> ShardedStore<T> {
         result
     }
 
-    /// Write access to every shard.
-    pub fn with_write_all<R>(
-        &self,
-        segment: &Segment,
-        size_of: impl Fn(&T) -> usize,
-        f: impl FnOnce(&[usize], &mut [&mut T]) -> (R, bool),
-    ) -> R {
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        self.with_write(segment, &all, size_of, f)
+    /// Last reported size of shard `i` (0 for an index out of range).
+    /// Only written under the shard's write lock, so it is stable while
+    /// the caller holds the shard's read lock.
+    pub fn shard_reported_bytes(&self, i: usize) -> usize {
+        self.shards
+            .get(i)
+            .map_or(0, |s| s.reported_bytes.load(Ordering::Relaxed))
     }
 
     /// Total reported size across shards.

@@ -101,26 +101,12 @@ impl Map {
         self.keyframes.is_empty()
     }
 
-    /// Insert a keyframe built by the tracker. Registers its map-point
-    /// observations on the points.
+    /// Insert a keyframe built by the tracker ([`MapWrite::insert_keyframe`]).
     pub fn insert_keyframe(&mut self, kf: KeyFrame) {
-        for (kp_idx, mp_id) in kf.matched_points.iter().enumerate() {
-            if let Some(mp_id) = mp_id {
-                if let Some(mp) = self.mappoints.get_mut(mp_id) {
-                    if !mp
-                        .observations
-                        .iter()
-                        .any(|(k, i)| *k == kf.id && *i == kp_idx)
-                    {
-                        mp.observations.push((kf.id, kp_idx));
-                    }
-                }
-            }
-        }
-        self.keyframes.insert(kf.id, kf);
+        MapWrite::insert_keyframe(self, kf)
     }
 
-    /// Create a new map point observed by `kf_id` at keypoint `kp_idx`.
+    /// Create a new map point ([`MapWrite::create_mappoint`]).
     pub fn create_mappoint(
         &mut self,
         position: Vec3,
@@ -128,103 +114,27 @@ impl Map {
         kf_id: KeyFrameId,
         kp_idx: usize,
     ) -> MapPointId {
-        let id = self.alloc.next_mappoint();
-        let normal = self
-            .keyframes
-            .get(&kf_id)
-            .and_then(|kf| (position - kf.pose_cw.camera_center()).normalized())
-            .unwrap_or(Vec3::Z);
-        self.mappoints.insert(
-            id,
-            MapPoint {
-                id,
-                position,
-                descriptor,
-                normal,
-                observations: vec![(kf_id, kp_idx)],
-                replaced_by: None,
-                created_frame: self.frame_clock,
-            },
-        );
-        if let Some(kf) = self.keyframes.get_mut(&kf_id) {
-            kf.matched_points[kp_idx] = Some(id);
-        }
-        id
+        MapWrite::create_mappoint(self, position, descriptor, kf_id, kp_idx)
     }
 
-    /// Add an observation of an existing point from a keyframe.
+    /// Add an observation of an existing point ([`MapWrite::add_observation`]).
     pub fn add_observation(&mut self, mp_id: MapPointId, kf_id: KeyFrameId, kp_idx: usize) {
-        if let Some(mp) = self.mappoints.get_mut(&mp_id) {
-            if !mp
-                .observations
-                .iter()
-                .any(|(k, i)| *k == kf_id && *i == kp_idx)
-            {
-                mp.observations.push((kf_id, kp_idx));
-            }
-        }
-        if let Some(kf) = self.keyframes.get_mut(&kf_id) {
-            kf.matched_points[kp_idx] = Some(mp_id);
-        }
+        MapWrite::add_observation(self, mp_id, kf_id, kp_idx)
     }
 
-    /// Remove a map point entirely (culling), clearing keyframe back-refs.
+    /// Remove a map point ([`MapWrite::remove_mappoint`]).
     pub fn remove_mappoint(&mut self, mp_id: MapPointId) {
-        if let Some(mp) = self.mappoints.remove(&mp_id) {
-            for (kf_id, kp_idx) in mp.observations {
-                if let Some(kf) = self.keyframes.get_mut(&kf_id) {
-                    if kf.matched_points[kp_idx] == Some(mp_id) {
-                        kf.matched_points[kp_idx] = None;
-                    }
-                }
-            }
-        }
+        MapWrite::remove_mappoint(self, mp_id)
     }
 
-    /// Remove a keyframe entirely (culling): delete it, drop its
-    /// observations from every point it matched, and delete any point
-    /// that loses its last observation in the process.
+    /// Remove a keyframe ([`MapWrite::remove_keyframe`]).
     pub fn remove_keyframe(&mut self, kf_id: KeyFrameId) {
-        let Some(kf) = self.keyframes.remove(&kf_id) else {
-            return;
-        };
-        for mp_id in kf.matched_points.into_iter().flatten() {
-            let Some(mp) = self.mappoints.get_mut(&mp_id) else {
-                continue;
-            };
-            mp.observations.retain(|(k, _)| *k != kf_id);
-            if mp.observations.is_empty() {
-                self.mappoints.remove(&mp_id);
-            }
-        }
+        MapWrite::remove_keyframe(self, kf_id)
     }
 
-    /// Fuse `src` into `dst`: move observations, delete `src`. Used by
-    /// merging when two clients observed the same physical point.
+    /// Fuse `src` into `dst` ([`MapWrite::fuse_mappoints`]).
     pub fn fuse_mappoints(&mut self, dst: MapPointId, src: MapPointId) {
-        if dst == src {
-            return;
-        }
-        let Some(srcp) = self.mappoints.remove(&src) else {
-            return;
-        };
-        let obs = srcp.observations;
-        for (kf_id, kp_idx) in obs {
-            if let Some(kf) = self.keyframes.get_mut(&kf_id) {
-                if kf.matched_points[kp_idx] == Some(src) {
-                    kf.matched_points[kp_idx] = Some(dst);
-                }
-            }
-            if let Some(d) = self.mappoints.get_mut(&dst) {
-                if !d
-                    .observations
-                    .iter()
-                    .any(|(k, i)| *k == kf_id && *i == kp_idx)
-                {
-                    d.observations.push((kf_id, kp_idx));
-                }
-            }
-        }
+        MapWrite::fuse_mappoints(self, dst, src)
     }
 
     /// Keyframes covisible with `kf_id` (sharing ≥ `min_shared` map
@@ -388,6 +298,198 @@ impl MapRead for Map {
 
     fn n_mappoints(&self) -> usize {
         self.mappoints.len()
+    }
+}
+
+/// Write access to map content, implemented by [`Map`] and by the global
+/// map's component view (the locked region shards, written in place).
+/// The write path — local mapping, local BA, merging — runs against
+/// `impl MapWrite`, so one body serves a client-local map and a set of
+/// region shards.
+///
+/// Implementors supply the primitives; the edge methods keep point
+/// observations and keyframe back-references consistent on top of them.
+pub trait MapWrite: MapRead {
+    fn keyframe_mut(&mut self, id: KeyFrameId) -> Option<&mut KeyFrame>;
+    fn mappoint_mut(&mut self, id: MapPointId) -> Option<&mut MapPoint>;
+    /// Insert `kf` under its id, replacing any keyframe with that id. No
+    /// observation bookkeeping (see [`MapWrite::insert_keyframe`]).
+    fn put_keyframe(&mut self, kf: KeyFrame);
+    /// Insert `mp` under its id, replacing any point with that id.
+    fn put_mappoint(&mut self, mp: MapPoint);
+    fn take_keyframe(&mut self, id: KeyFrameId) -> Option<KeyFrame>;
+    fn take_mappoint(&mut self, id: MapPointId) -> Option<MapPoint>;
+    /// Iterate map points in ascending-id order.
+    fn mappoints_iter(&self) -> Box<dyn Iterator<Item = &MapPoint> + '_>;
+    /// The allocator new entities draw their ids from.
+    fn alloc_mut(&mut self) -> &mut IdAllocator;
+    /// The deterministic frame clock (see [`Map::frame_clock`]).
+    fn frame_clock(&self) -> u64;
+    /// Advance the frame clock to `frame` if it is behind.
+    fn advance_frame_clock(&mut self, frame: u64);
+
+    /// Insert a keyframe built by the tracker. Registers its map-point
+    /// observations on the points.
+    fn insert_keyframe(&mut self, kf: KeyFrame) {
+        for (kp_idx, mp_id) in kf.matched_points.iter().enumerate() {
+            if let Some(mp_id) = mp_id {
+                if let Some(mp) = self.mappoint_mut(*mp_id) {
+                    if !mp
+                        .observations
+                        .iter()
+                        .any(|(k, i)| *k == kf.id && *i == kp_idx)
+                    {
+                        mp.observations.push((kf.id, kp_idx));
+                    }
+                }
+            }
+        }
+        self.put_keyframe(kf);
+    }
+
+    /// Create a new map point observed by `kf_id` at keypoint `kp_idx`.
+    fn create_mappoint(
+        &mut self,
+        position: Vec3,
+        descriptor: Descriptor,
+        kf_id: KeyFrameId,
+        kp_idx: usize,
+    ) -> MapPointId {
+        let id = self.alloc_mut().next_mappoint();
+        let normal = self
+            .keyframe(kf_id)
+            .and_then(|kf| (position - kf.pose_cw.camera_center()).normalized())
+            .unwrap_or(Vec3::Z);
+        let created_frame = self.frame_clock();
+        self.put_mappoint(MapPoint {
+            id,
+            position,
+            descriptor,
+            normal,
+            observations: vec![(kf_id, kp_idx)],
+            replaced_by: None,
+            created_frame,
+        });
+        if let Some(kf) = self.keyframe_mut(kf_id) {
+            kf.matched_points[kp_idx] = Some(id);
+        }
+        id
+    }
+
+    /// Add an observation of an existing point from a keyframe.
+    fn add_observation(&mut self, mp_id: MapPointId, kf_id: KeyFrameId, kp_idx: usize) {
+        if let Some(mp) = self.mappoint_mut(mp_id) {
+            if !mp
+                .observations
+                .iter()
+                .any(|(k, i)| *k == kf_id && *i == kp_idx)
+            {
+                mp.observations.push((kf_id, kp_idx));
+            }
+        }
+        if let Some(kf) = self.keyframe_mut(kf_id) {
+            kf.matched_points[kp_idx] = Some(mp_id);
+        }
+    }
+
+    /// Remove a map point entirely (culling), clearing keyframe back-refs.
+    fn remove_mappoint(&mut self, mp_id: MapPointId) {
+        if let Some(mp) = self.take_mappoint(mp_id) {
+            for (kf_id, kp_idx) in mp.observations {
+                if let Some(kf) = self.keyframe_mut(kf_id) {
+                    if kf.matched_points[kp_idx] == Some(mp_id) {
+                        kf.matched_points[kp_idx] = None;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Remove a keyframe entirely (culling): delete it, drop its
+    /// observations from every point it matched, and delete any point
+    /// that loses its last observation in the process.
+    fn remove_keyframe(&mut self, kf_id: KeyFrameId) {
+        let Some(kf) = self.take_keyframe(kf_id) else {
+            return;
+        };
+        for mp_id in kf.matched_points.into_iter().flatten() {
+            let Some(mp) = self.mappoint_mut(mp_id) else {
+                continue;
+            };
+            mp.observations.retain(|(k, _)| *k != kf_id);
+            if mp.observations.is_empty() {
+                self.take_mappoint(mp_id);
+            }
+        }
+    }
+
+    /// Fuse `src` into `dst`: move observations, delete `src`. Used by
+    /// merging when two clients observed the same physical point.
+    fn fuse_mappoints(&mut self, dst: MapPointId, src: MapPointId) {
+        if dst == src {
+            return;
+        }
+        let Some(srcp) = self.take_mappoint(src) else {
+            return;
+        };
+        for (kf_id, kp_idx) in srcp.observations {
+            if let Some(kf) = self.keyframe_mut(kf_id) {
+                if kf.matched_points[kp_idx] == Some(src) {
+                    kf.matched_points[kp_idx] = Some(dst);
+                }
+            }
+            if let Some(d) = self.mappoint_mut(dst) {
+                if !d
+                    .observations
+                    .iter()
+                    .any(|(k, i)| *k == kf_id && *i == kp_idx)
+                {
+                    d.observations.push((kf_id, kp_idx));
+                }
+            }
+        }
+    }
+}
+
+impl MapWrite for Map {
+    fn keyframe_mut(&mut self, id: KeyFrameId) -> Option<&mut KeyFrame> {
+        self.keyframes.get_mut(&id)
+    }
+
+    fn mappoint_mut(&mut self, id: MapPointId) -> Option<&mut MapPoint> {
+        self.mappoints.get_mut(&id)
+    }
+
+    fn put_keyframe(&mut self, kf: KeyFrame) {
+        self.keyframes.insert(kf.id, kf);
+    }
+
+    fn put_mappoint(&mut self, mp: MapPoint) {
+        self.mappoints.insert(mp.id, mp);
+    }
+
+    fn take_keyframe(&mut self, id: KeyFrameId) -> Option<KeyFrame> {
+        self.keyframes.remove(&id)
+    }
+
+    fn take_mappoint(&mut self, id: MapPointId) -> Option<MapPoint> {
+        self.mappoints.remove(&id)
+    }
+
+    fn mappoints_iter(&self) -> Box<dyn Iterator<Item = &MapPoint> + '_> {
+        Box::new(self.mappoints.values())
+    }
+
+    fn alloc_mut(&mut self) -> &mut IdAllocator {
+        &mut self.alloc
+    }
+
+    fn frame_clock(&self) -> u64 {
+        self.frame_clock
+    }
+
+    fn advance_frame_clock(&mut self, frame: u64) {
+        self.frame_clock = self.frame_clock.max(frame);
     }
 }
 

@@ -7,7 +7,7 @@
 //! baseline.
 
 use crate::ids::KeyFrameId;
-use crate::map::{KeyFrame, Map};
+use crate::map::{KeyFrame, MapWrite};
 use crate::optimize::{local_bundle_adjust_with, BaScratch, BaStats};
 use crate::tracking::{FrameObservation, SensorMode};
 use crate::triangulate;
@@ -98,7 +98,7 @@ impl LocalMapper {
     /// covisible keyframe), and periodically run local BA.
     pub fn insert_keyframe(
         &mut self,
-        map: &mut Map,
+        map: &mut impl MapWrite,
         vocab: &Vocabulary,
         obs: &FrameObservation,
     ) -> InsertionReport {
@@ -107,8 +107,8 @@ impl LocalMapper {
         // they stamp the insertion frame as their age reference. `max`
         // rather than assignment: interleaved multi-client commits may
         // present frame indices out of order.
-        map.frame_clock = map.frame_clock.max(obs.frame_idx as u64);
-        let kf_id = map.alloc.next_keyframe();
+        map.advance_frame_clock(obs.frame_idx as u64);
+        let kf_id = map.alloc_mut().next_keyframe();
         let bow = vocab.transform(&obs.descriptors);
         let kf = KeyFrame {
             id: kf_id,
@@ -150,7 +150,7 @@ impl LocalMapper {
         if self.config.point_cull_every > 0
             && self.inserted.is_multiple_of(self.config.point_cull_every)
         {
-            let now_frame = map.frame_clock;
+            let now_frame = map.frame_clock();
             report.n_points_culled = self.cull_points(map, now_frame, POINT_CULL_AGE_FRAMES);
         }
         if self.config.kf_cull_every > 0 && self.inserted.is_multiple_of(self.config.kf_cull_every)
@@ -162,8 +162,10 @@ impl LocalMapper {
 
     /// Create points from the keyframe's stereo depths for keypoints not
     /// yet associated to the map.
-    fn create_stereo_points(&self, map: &mut Map, kf_id: KeyFrameId) -> usize {
-        let kf = &map.keyframes[&kf_id];
+    fn create_stereo_points(&self, map: &mut impl MapWrite, kf_id: KeyFrameId) -> usize {
+        let Some(kf) = map.keyframe(kf_id) else {
+            return 0;
+        };
         let pose = kf.pose_cw;
         let mut todo = Vec::new();
         for (i, kp) in kf.keypoints.iter().enumerate() {
@@ -183,7 +185,7 @@ impl LocalMapper {
 
     /// Mono: match this keyframe's unassociated keypoints against the best
     /// covisible keyframe's unassociated keypoints and triangulate.
-    fn create_mono_points(&self, map: &mut Map, kf_id: KeyFrameId) -> usize {
+    fn create_mono_points(&self, map: &mut impl MapWrite, kf_id: KeyFrameId) -> usize {
         let Some((other_id, _)) = map
             .covisible_keyframes(kf_id, 5)
             .into_iter()
@@ -191,9 +193,8 @@ impl LocalMapper {
             .or_else(|| {
                 // A fresh map may have no covisibility yet: fall back to
                 // the previous keyframe by timestamp.
-                let this_t = map.keyframes[&kf_id].timestamp;
-                map.keyframes
-                    .values()
+                let this_t = map.keyframe(kf_id)?.timestamp;
+                map.keyframes_iter()
                     .filter(|k| k.id != kf_id && k.timestamp < this_t)
                     .max_by(|a, b| a.timestamp.total_cmp(&b.timestamp).then(a.id.cmp(&b.id)))
                     .map(|k| (k.id, 0))
@@ -203,8 +204,9 @@ impl LocalMapper {
         };
 
         let (idx_pairs, points) = {
-            let kf = &map.keyframes[&kf_id];
-            let other = &map.keyframes[&other_id];
+            let (Some(kf), Some(other)) = (map.keyframe(kf_id), map.keyframe(other_id)) else {
+                return 0;
+            };
 
             let free_a: Vec<usize> = (0..kf.keypoints.len())
                 .filter(|&i| kf.matched_points[i].is_none())
@@ -287,12 +289,16 @@ impl LocalMapper {
     /// makes the decision reproducible under a seeded replay; points
     /// whose creation the clock never saw (`created_frame` 0 on a
     /// well-advanced map) age out like any other.
-    pub fn cull_points(&mut self, map: &mut Map, now_frame: u64, max_age_frames: u64) -> usize {
+    pub fn cull_points(
+        &mut self,
+        map: &mut impl MapWrite,
+        now_frame: u64,
+        max_age_frames: u64,
+    ) -> usize {
         let stale = &mut self.ba_scratch.cull_stale_points;
         stale.clear();
         stale.extend(
-            map.mappoints
-                .values()
+            map.mappoints_iter()
                 .filter(|mp| {
                     mp.observations.len() < 2
                         && now_frame.saturating_sub(mp.created_frame) > max_age_frames
@@ -311,17 +317,17 @@ impl LocalMapper {
     /// pre-cull snapshot (no removal happens until every candidate has
     /// been judged), so the batch is order-independent. `protect` (the
     /// just-inserted keyframe) is never culled.
-    pub fn cull_keyframes(&mut self, map: &mut Map, protect: KeyFrameId) -> usize {
+    pub fn cull_keyframes(&mut self, map: &mut impl MapWrite, protect: KeyFrameId) -> usize {
         let t0 = std::time::Instant::now();
         let victims = &mut self.ba_scratch.cull_victims;
         victims.clear();
-        for (kf_id, kf) in map.keyframes.iter() {
-            if *kf_id == protect {
+        for kf in map.keyframes_iter() {
+            if kf.id == protect {
                 continue;
             }
             let (mut matched, mut well_observed) = (0usize, 0usize);
             for mp_id in kf.matched_points.iter().flatten() {
-                if let Some(mp) = map.mappoints.get(mp_id) {
+                if let Some(mp) = map.mappoint(*mp_id) {
                     matched += 1;
                     if mp.observations.len() as u32 >= KF_CULL_MIN_OBS {
                         well_observed += 1;
@@ -329,7 +335,7 @@ impl LocalMapper {
                 }
             }
             if matched >= KF_CULL_MIN_MATCHED && well_observed * 10 >= matched * 9 {
-                victims.push(*kf_id);
+                victims.push(kf.id);
             }
         }
         for kf_id in victims.iter() {
@@ -345,6 +351,7 @@ impl LocalMapper {
 mod tests {
     use super::*;
     use crate::ids::ClientId;
+    use crate::map::Map;
     use crate::tracking::{Tracker, TrackerConfig};
     use crate::vocabulary;
     use slamshare_gpu::GpuExecutor;

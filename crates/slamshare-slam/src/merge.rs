@@ -9,7 +9,7 @@
 //! and bundle-adjust the weld region.
 
 use crate::ids::{KeyFrameId, MapPointId};
-use crate::map::Map;
+use crate::map::{Map, MapRead, MapWrite};
 use crate::optimize::{local_bundle_adjust_with, BaStats, MappingArena};
 use crate::recognition::{detect_common_region, CommonRegion, ShardedKeyframeDatabase};
 use slamshare_features::bow::Vocabulary;
@@ -104,7 +104,7 @@ impl MergePlan {
 /// be the live sharded index (a candidate indexed after the snapshot was
 /// taken simply isn't found in `gmap` and is skipped).
 pub fn plan_merge(
-    gmap: &Map,
+    gmap: &impl MapRead,
     cmap: &Map,
     db: &ShardedKeyframeDatabase,
     vocab: &Vocabulary,
@@ -112,7 +112,7 @@ pub fn plan_merge(
 ) -> MergePlan {
     let mut plan = MergePlan {
         transform: None,
-        become_global: gmap.is_empty(),
+        become_global: gmap.n_keyframes() == 0,
         fuse_pairs: Vec::new(),
         ba_anchor: None,
         alignment_rmse: 0.0,
@@ -139,7 +139,7 @@ pub fn plan_merge(
     let mut fuse_pairs: Vec<(MapPointId, MapPointId)> = Vec::new();
     for det in &detections {
         for (c_mp, g_mp) in &det.point_pairs {
-            if let (Some(c), Some(g)) = (cmap.mappoints.get(c_mp), gmap.mappoints.get(g_mp)) {
+            if let (Some(c), Some(g)) = (cmap.mappoints.get(c_mp), gmap.mappoint(*g_mp)) {
                 src_pts.push(c.position);
                 dst_pts.push(g.position);
                 fuse_pairs.push((*c_mp, *g_mp));
@@ -199,7 +199,7 @@ pub fn apply_merge_plan(
 /// adjustment on its BA buffers, so a long-lived caller (the merge
 /// worker's thread) fuses and adjusts without per-merge allocation churn.
 pub fn apply_merge_plan_with(
-    gmap: &mut Map,
+    gmap: &mut impl MapWrite,
     db: &ShardedKeyframeDatabase,
     mut cmap: Map,
     plan: &MergePlan,
@@ -271,7 +271,7 @@ pub fn apply_merge_plan_with(
 /// associations; every fusion it applies is appended to `fused` as
 /// `(dropped_client_mp, surviving_global_mp)`.
 fn weld_by_projection(
-    gmap: &mut Map,
+    gmap: &mut impl MapWrite,
     client_kfs: &[KeyFrameId],
     anchor: KeyFrameId,
     cam: &PinholeCamera,
@@ -315,7 +315,7 @@ fn weld_by_projection(
     for kf_id in client_kfs {
         ops.clear();
         {
-            let Some(kf) = gmap.keyframes.get(kf_id) else {
+            let Some(kf) = gmap.keyframe(*kf_id) else {
                 continue;
             };
             // SoA Hamming strips over this keyframe's descriptors: one
@@ -323,7 +323,7 @@ fn weld_by_projection(
             // transposed lanes instead of paying a per-pair distance.
             arena.fuse_block.rebuild(&kf.descriptors);
             for mp_id in &candidates {
-                let Some(mp) = gmap.mappoints.get(mp_id) else {
+                let Some(mp) = gmap.mappoint(*mp_id) else {
                     continue;
                 };
                 let q = kf.pose_cw.transform(mp.position);
@@ -390,13 +390,13 @@ fn weld_by_projection(
 /// BoW database. Ids are globally unique so this is pure insertion — the
 /// shared-memory version of this operation is pointer-only, which is what
 /// Table 4 measures.
-pub fn absorb(gmap: &mut Map, cmap: Map, db: &ShardedKeyframeDatabase) {
+pub fn absorb(gmap: &mut impl MapWrite, cmap: Map, db: &ShardedKeyframeDatabase) {
     for (id, kf) in cmap.keyframes {
         db.add(id.0, kf.bow.clone());
-        gmap.keyframes.insert(id, kf);
+        gmap.put_keyframe(kf);
     }
-    for (id, mp) in cmap.mappoints {
-        gmap.mappoints.insert(id, mp);
+    for mp in cmap.mappoints.into_values() {
+        gmap.put_mappoint(mp);
     }
 }
 

@@ -13,7 +13,7 @@
 //! adjusts (≤ ~10 keyframes) this converges in a few sweeps and avoids the
 //! machinery of a sparse Schur solver while optimizing the same objective.
 
-use crate::map::Map;
+use crate::map::MapWrite;
 use slamshare_features::DescriptorBlock;
 use slamshare_gpu::GpuExecutor;
 use slamshare_math::robust::{huber_weight, CHI2_2DOF_95};
@@ -352,8 +352,8 @@ pub type BaScratch = MappingArena;
 /// `scratch` carries the reusable buffers.
 ///
 /// `_exec` is unused — both passes run inline on the calling thread.
-pub fn local_bundle_adjust_with(
-    map: &mut Map,
+pub fn local_bundle_adjust_with<M: MapWrite>(
+    map: &mut M,
     cam: &PinholeCamera,
     center: KeyFrameId,
     window: usize,
@@ -385,7 +385,7 @@ pub fn local_bundle_adjust_with(
     // may keep an observation of it), so it is looked up, not indexed.
     let fixed_kf = kf_ids
         .iter()
-        .filter_map(|id| map.keyframes.get(id).map(|kf| (*id, kf.timestamp)))
+        .filter_map(|id| map.keyframe(*id).map(|kf| (*id, kf.timestamp)))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map_or(center, |(id, _)| id);
 
@@ -393,7 +393,7 @@ pub fn local_bundle_adjust_with(
     // same ascending unique ids the old per-call `BTreeSet` produced.
     point_ids.clear();
     for kf_id in kf_ids.iter() {
-        if let Some(kf) = map.keyframes.get(kf_id) {
+        if let Some(kf) = map.keyframe(*kf_id) {
             point_ids.extend(kf.matched_points.iter().flatten().copied());
         }
     }
@@ -403,15 +403,15 @@ pub fn local_bundle_adjust_with(
     let point_ids: &[MapPointId] = point_ids;
 
     let sigma_for = |octave: u8| 1.2f64.powi(octave as i32);
-    let cost_snapshot = |map: &Map| -> (f64, usize) {
+    let cost_snapshot = |map: &M| -> (f64, usize) {
         let mut cost = 0.0;
         let mut n_obs = 0;
         for mp_id in point_ids {
-            let Some(mp) = map.mappoints.get(mp_id) else {
+            let Some(mp) = map.mappoint(*mp_id) else {
                 continue;
             };
             for (kf_id, kp_idx) in &mp.observations {
-                let Some(kf) = map.keyframes.get(kf_id) else {
+                let Some(kf) = map.keyframe(*kf_id) else {
                     continue;
                 };
                 let q = kf.pose_cw.transform(mp.position);
@@ -441,13 +441,13 @@ pub fn local_bundle_adjust_with(
             if *kf_id == fixed_kf {
                 continue;
             }
-            let Some(kf) = map.keyframes.get(kf_id) else {
+            let Some(kf) = map.keyframe(*kf_id) else {
                 continue;
             };
             obs.clear();
             for (kp_idx, mp_id) in kf.matched_points.iter().enumerate() {
                 let Some(mp_id) = mp_id else { continue };
-                let Some(mp) = map.mappoints.get(mp_id) else {
+                let Some(mp) = map.mappoint(*mp_id) else {
                     continue;
                 };
                 let kp = &kf.keypoints[kp_idx];
@@ -462,7 +462,7 @@ pub fn local_bundle_adjust_with(
             }
             let (pose, n_inliers) = optimize_pose(cam, kf.pose_cw, obs, 5);
             if n_inliers >= 10 {
-                if let Some(kf) = map.keyframes.get_mut(kf_id) {
+                if let Some(kf) = map.keyframe_mut(*kf_id) {
                     kf.pose_cw = pose;
                 }
             }
@@ -473,7 +473,7 @@ pub fn local_bundle_adjust_with(
         // each against its views in `mp.observations` order.
         let t_point = Instant::now();
         for mp_id in point_ids.iter() {
-            let Some(mp) = map.mappoints.get(mp_id) else {
+            let Some(mp) = map.mappoint(*mp_id) else {
                 continue;
             };
             if mp.observations.len() < 2 {
@@ -481,7 +481,7 @@ pub fn local_bundle_adjust_with(
             }
             views.clear();
             for (kf_id, kp_idx) in &mp.observations {
-                if let Some(kf) = map.keyframes.get(kf_id) {
+                if let Some(kf) = map.keyframe(*kf_id) {
                     let kp = &kf.keypoints[*kp_idx];
                     views.push(PointView {
                         pose_cw: kf.pose_cw,
@@ -492,7 +492,7 @@ pub fn local_bundle_adjust_with(
             }
             let refined = refine_position(cam, mp.position, views, 3);
             if !refined.is_degenerate() {
-                if let Some(mp) = map.mappoints.get_mut(mp_id) {
+                if let Some(mp) = map.mappoint_mut(*mp_id) {
                     mp.position = refined;
                 }
             }

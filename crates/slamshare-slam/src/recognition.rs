@@ -164,7 +164,7 @@ pub const MIN_POINT_PAIRS: usize = 12;
 pub fn detect_common_region(
     kf: &KeyFrame,
     source_map: &Map,
-    target_map: &Map,
+    target_map: &impl MapRead,
     db: &ShardedKeyframeDatabase,
     vocab: &Vocabulary,
     max_candidates: usize,
@@ -178,7 +178,7 @@ pub fn detect_common_region(
     let mut best: Option<CommonRegion> = None;
     for (cand_id, score) in candidates.into_iter().take(max_candidates) {
         let cand_kf_id = KeyFrameId(cand_id);
-        let Some(cand_kf) = target_map.keyframes.get(&cand_kf_id) else {
+        let Some(cand_kf) = target_map.keyframe(cand_kf_id) else {
             continue;
         };
         let pairs = match_point_pairs(kf, source_map, cand_kf, target_map, vocab);
@@ -188,14 +188,20 @@ pub fn detect_common_region(
         // Geometric verification, as ORB-SLAM's Sim3-RANSAC inside
         // DetectCommonRegion: the descriptor pairs must be explainable by
         // one rigid/similarity transform. Keep only consensus inliers.
-        let src: Vec<_> = pairs
+        // Every pair names a point of each map (match_point_pairs only
+        // pairs points the maps hold).
+        let (src, dst): (Vec<_>, Vec<_>) = pairs
             .iter()
-            .map(|(a, _)| source_map.mappoints[a].position)
-            .collect();
-        let dst: Vec<_> = pairs
-            .iter()
-            .map(|(_, b)| target_map.mappoints[b].position)
-            .collect();
+            .filter_map(|(a, b)| {
+                Some((
+                    source_map.mappoints.get(a)?.position,
+                    target_map.mappoint(*b)?.position,
+                ))
+            })
+            .unzip();
+        if src.len() != pairs.len() {
+            continue;
+        }
         let tol = ransac_tolerance(&dst);
         let Some((_, mask)) =
             slamshare_math::align::umeyama_ransac(&src, &dst, false, tol, 150, cand_id | 1)
@@ -284,17 +290,19 @@ pub fn ransac_tolerance(points: &[slamshare_math::Vec3]) -> f64 {
 /// output pairs are 3D↔3D correspondences `(a-point, b-point)`.
 pub fn match_point_pairs(
     kf_a: &KeyFrame,
-    map_a: &Map,
+    map_a: &impl MapRead,
     kf_b: &KeyFrame,
-    map_b: &Map,
+    map_b: &impl MapRead,
     vocab: &Vocabulary,
 ) -> Vec<(MapPointId, MapPointId)> {
     // word → [(descriptor, map point)] for both keyframes.
-    let index = |kf: &KeyFrame, map: &Map| -> HashMap<u32, Vec<(Descriptor, MapPointId)>> {
+    let index = |kf: &KeyFrame,
+                 holds: &dyn Fn(MapPointId) -> bool|
+     -> HashMap<u32, Vec<(Descriptor, MapPointId)>> {
         let mut by_word: HashMap<u32, Vec<(Descriptor, MapPointId)>> = HashMap::new();
         for (i, mp) in kf.matched_points.iter().enumerate() {
             if let Some(mp_id) = mp {
-                if map.mappoints.contains_key(mp_id) {
+                if holds(*mp_id) {
                     let word = vocab.quantize(&kf.descriptors[i]);
                     by_word
                         .entry(word)
@@ -305,8 +313,8 @@ pub fn match_point_pairs(
         }
         by_word
     };
-    let words_a = index(kf_a, map_a);
-    let words_b = index(kf_b, map_b);
+    let words_a = index(kf_a, &|id| map_a.mappoint(id).is_some());
+    let words_b = index(kf_b, &|id| map_b.mappoint(id).is_some());
 
     // Best match per a-descriptor within its word; dedup per b-point.
     let mut best_for_b: HashMap<MapPointId, (MapPointId, u32)> = HashMap::new();

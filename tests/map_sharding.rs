@@ -221,6 +221,9 @@ fn run_workload(
         for frag in absorb_after(i) {
             receipts.push(server.absorb_external_fragment(frag));
         }
+        if let Err(e) = server.store.check_invariants() {
+            panic!("map invariant broken after round {i} at {shards} shards: {e}");
+        }
     }
     assert!(
         keys.iter()
