@@ -34,7 +34,7 @@ use slamshare_net::fed::{FedMessage, MapDelta};
 use slamshare_net::link::LinkConfig;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slamshare_slam::ids::ClientId;
-use slamshare_slam::map::Map;
+use slamshare_slam::map::{Map, MapWrite};
 use slamshare_slam::vocabulary;
 use std::sync::Arc;
 

@@ -24,7 +24,7 @@ use slamshare_features::{Descriptor, KeyPoint};
 use slamshare_math::{Vec2, Vec3, SE3};
 use slamshare_shm::Segment;
 use slamshare_slam::ids::{ClientId, IdAllocator};
-use slamshare_slam::map::{KeyFrame, MapPoint};
+use slamshare_slam::map::{KeyFrame, MapPoint, MapWrite};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,7 +66,7 @@ fn fill_cell(
         let mp_a = alloc.next_mappoint();
         let mp_b = alloc.next_mappoint();
         gmap.with_component_write(&seeds, |map, _| {
-            map.frame_clock = map.frame_clock.max(frame);
+            map.advance_frame_clock(frame);
             map.insert_keyframe(KeyFrame {
                 id: kf_id,
                 pose_cw: SE3::from_translation(Vec3::new(-pos.x, -pos.y, -pos.z)),
@@ -85,20 +85,17 @@ fn fill_cell(
                 matched_points: vec![Some(mp_a), Some(mp_b)],
                 bow: Default::default(),
             });
-            let stamp = map.frame_clock;
+            let stamp = map.frame_clock();
             for (i, (mp, n_obs)) in [(mp_a, 1usize), (mp_b, 2usize)].iter().enumerate() {
-                map.mappoints.insert(
-                    *mp,
-                    MapPoint {
-                        id: *mp,
-                        position: pos + Vec3::new(0.0, 0.01 * (1.0 + i as f64), 0.0),
-                        descriptor: Descriptor::ZERO,
-                        normal: Vec3::Z,
-                        observations: (0..*n_obs).map(|slot| (kf_id, slot)).collect(),
-                        replaced_by: None,
-                        created_frame: stamp,
-                    },
-                );
+                map.put_mappoint(MapPoint {
+                    id: *mp,
+                    position: pos + Vec3::new(0.0, 0.01 * (1.0 + i as f64), 0.0),
+                    descriptor: Descriptor::ZERO,
+                    normal: Vec3::Z,
+                    observations: (0..*n_obs).map(|slot| (kf_id, slot)).collect(),
+                    replaced_by: None,
+                    created_frame: stamp,
+                });
             }
             ((), true)
         });

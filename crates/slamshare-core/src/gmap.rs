@@ -6,10 +6,10 @@
 //! top-level **directory** mapping keyframes to regions and tracking
 //! which regions are connected by covisibility. Speculative tracks read
 //! only the regions their local-map window can touch; commits write-lock
-//! only the regions their component covers; the merge worker applies a
-//! plan under only the destination regions' write locks. Clients working
-//! in disjoint areas of the map therefore stop contending on one
-//! map-wide lock.
+//! only the regions their component covers. Clients working in disjoint
+//! areas of the map therefore stop contending on one map-wide lock; a
+//! merge, which must search the whole map for a common region, plans and
+//! applies under every region's write lock.
 //!
 //! # Regions and components
 //!
@@ -103,8 +103,9 @@ use std::iter::Peekable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Component-write attempts before escalating to an all-region write
-/// (mirrors the merge worker's optimistic-retry budget).
+/// Component-write attempts before escalating to an all-region write:
+/// a write whose components keep growing under it (a concurrent write
+/// merged them) stops chasing them and locks everything.
 pub const MAX_COMPONENT_RETRIES: usize = 3;
 
 /// One region shard's occupant inside the shared-memory store.
@@ -185,8 +186,9 @@ pub struct LockSeeds {
 }
 
 impl LockSeeds {
-    /// Every region (a track with no reference keyframe, a merge job's
-    /// pessimistic last attempt).
+    /// Every region (a track with no reference keyframe, a merge job).
+    /// A write over them first reloads every evicted region, so a merge
+    /// plans against the whole map, as relocalization does.
     pub fn all() -> LockSeeds {
         LockSeeds {
             all: true,
@@ -402,10 +404,9 @@ impl ShardedGlobalMap {
             .with_read_all(|_, shards| f(&MapView::new(shards.iter().map(|s| &s.map).collect())))
     }
 
-    /// Clone the whole map out under read locks (merge-worker snapshot),
-    /// with the epoch stamp it was taken at.
-    pub fn snapshot_with_stamp(&self) -> (Map, Vec<(usize, u64)>) {
-        self.store.with_read_all(|order, shards| {
+    /// Clone the whole map out under read locks.
+    pub fn snapshot_map(&self) -> Map {
+        self.store.with_read_all(|_, shards| {
             let mut m = Map::default();
             for s in shards {
                 for (id, kf) in &s.map.keyframes {
@@ -415,14 +416,8 @@ impl ShardedGlobalMap {
                     m.mappoints.insert(*id, mp.clone());
                 }
             }
-            let stamp = order.iter().map(|&i| (i, self.store.epoch(i))).collect();
-            (m, stamp)
+            m
         })
-    }
-
-    /// Clone the whole map out under read locks.
-    pub fn snapshot_map(&self) -> Map {
-        self.snapshot_with_stamp().0
     }
 
     /// `(n_keyframes, n_mappoints, approx_bytes)` of the whole map.
@@ -1025,7 +1020,7 @@ impl std::error::Error for MapInvariantError {}
 /// the write ends, when they are placed once (module docs, "Writes in
 /// place"). Iteration merges the parts in ascending id order, as one map
 /// would iterate.
-pub struct Stitched<'a, K, V> {
+struct Stitched<'a, K, V> {
     parts: Vec<&'a mut BTreeMap<K, V>>,
     fresh: BTreeMap<K, V>,
     /// Ids of existing entities handed out mutably, with repeats; `None`
@@ -1048,11 +1043,6 @@ impl<'a, K: Ord + Copy, V> Stitched<'a, K, V> {
             .or_else(|| self.parts.iter().find_map(|p| p.get(k)))
     }
 
-    /// Whether the component holds an entity with id `k`.
-    pub fn contains_key(&self, k: &K) -> bool {
-        self.get(k).is_some()
-    }
-
     fn get_mut(&mut self, k: &K) -> Option<&mut V> {
         if let Some(v) = self.fresh.get_mut(k) {
             return Some(v);
@@ -1067,7 +1057,7 @@ impl<'a, K: Ord + Copy, V> Stitched<'a, K, V> {
     /// Insert `v` under `k`, returning the entity it replaced. An existing
     /// entity is replaced where it is; a new one waits to be placed when
     /// the write ends.
-    pub fn insert(&mut self, k: K, v: V) -> Option<V> {
+    fn insert(&mut self, k: K, v: V) -> Option<V> {
         match self.get_mut(&k) {
             Some(slot) => Some(std::mem::replace(slot, v)),
             None => self.fresh.insert(k, v),
@@ -1123,25 +1113,12 @@ impl<'s, K: Ord, V> Iterator for StitchedValues<'s, K, V> {
 /// the mapping, merge and BA code that runs on a client's [`Map`] runs on
 /// it unchanged. It starts with frame clock 0 and a default allocator, as
 /// an empty [`Map`] does; write closures install the client's allocator
-/// themselves.
-///
-/// The fields keep [`Map`]'s names so that closures written against a
-/// `Map` (`map.mappoints.insert(..)`, `map.frame_clock = ..`,
-/// `map.alloc`) still compile; the write path itself goes through
-/// [`MapWrite`].
+/// themselves ([`MapWrite::alloc_mut`]).
 pub struct ComponentMapMut<'a> {
-    pub keyframes: Stitched<'a, KeyFrameId, KeyFrame>,
-    pub mappoints: Stitched<'a, MapPointId, MapPoint>,
-    pub alloc: IdAllocator,
-    pub frame_clock: u64,
-}
-
-impl ComponentMapMut<'_> {
-    /// [`MapWrite::insert_keyframe`], callable without the trait in scope
-    /// (as on [`Map`]).
-    pub fn insert_keyframe(&mut self, kf: KeyFrame) {
-        MapWrite::insert_keyframe(self, kf)
-    }
+    keyframes: Stitched<'a, KeyFrameId, KeyFrame>,
+    mappoints: Stitched<'a, MapPointId, MapPoint>,
+    alloc: IdAllocator,
+    frame_clock: u64,
 }
 
 impl MapRead for ComponentMapMut<'_> {
@@ -1248,9 +1225,9 @@ mod tests {
         };
         let mut planted = None;
         let (_, locked) = g.with_component_write(&seeds, |scratch, _| {
-            std::mem::swap(&mut scratch.alloc, &mut alloc_map.alloc);
+            std::mem::swap(scratch.alloc_mut(), &mut alloc_map.alloc);
             let id = kf_at(scratch, x, t);
-            std::mem::swap(&mut scratch.alloc, &mut alloc_map.alloc);
+            std::mem::swap(scratch.alloc_mut(), &mut alloc_map.alloc);
             planted = Some(id);
             ((), true)
         });
@@ -1308,23 +1285,20 @@ mod tests {
         // regions must end up in one component.
         let seeds = LockSeeds::all();
         let (_, _) = g.with_component_write(&seeds, |scratch, _| {
-            std::mem::swap(&mut scratch.alloc, &mut helper.alloc);
+            std::mem::swap(scratch.alloc_mut(), &mut helper.alloc);
             let a = kf_at(scratch, 0.0, 0.0);
             let b = kf_at(scratch, 500.0, 1.0);
-            let mp = scratch.alloc.next_mappoint();
-            scratch.mappoints.insert(
-                mp,
-                slamshare_slam::map::MapPoint {
-                    id: mp,
-                    position: slamshare_math::Vec3::new(250.0, 0.0, 0.0),
-                    descriptor: Default::default(),
-                    normal: slamshare_math::Vec3::new(0.0, 0.0, 1.0),
-                    observations: vec![(a, 0), (b, 0)],
-                    replaced_by: None,
-                    created_frame: 0,
-                },
-            );
-            std::mem::swap(&mut scratch.alloc, &mut helper.alloc);
+            let mp = scratch.alloc_mut().next_mappoint();
+            scratch.put_mappoint(slamshare_slam::map::MapPoint {
+                id: mp,
+                position: slamshare_math::Vec3::new(250.0, 0.0, 0.0),
+                descriptor: Default::default(),
+                normal: slamshare_math::Vec3::new(0.0, 0.0, 1.0),
+                observations: vec![(a, 0), (b, 0)],
+                replaced_by: None,
+                created_frame: 0,
+            });
+            std::mem::swap(scratch.alloc_mut(), &mut helper.alloc);
             ((), true)
         });
         assert!(g.n_components() < n0, "no union recorded");
@@ -1576,14 +1550,14 @@ mod tests {
             .with_component_write(&at(xa), |m, _| {
                 let a = alloc.alloc.next_keyframe();
                 m.insert_keyframe(blank_kf(a, xa, 2));
-                m.alloc = alloc.alloc.clone();
+                *m.alloc_mut() = alloc.alloc.clone();
                 let p = m.create_mappoint(
                     slamshare_math::Vec3::new(xa, 0.0, 5.0),
                     Default::default(),
                     a,
                     0,
                 );
-                alloc.alloc = m.alloc.clone();
+                alloc.alloc = m.alloc_mut().clone();
                 ((a, p), true)
             })
             .0;
@@ -1632,7 +1606,7 @@ mod tests {
         // One component over two regions: a point observed from both.
         let (a, b) = g
             .with_component_write(&LockSeeds::all(), |m, _| {
-                std::mem::swap(&mut m.alloc, &mut alloc.alloc);
+                std::mem::swap(m.alloc_mut(), &mut alloc.alloc);
                 let a = kf_at(m, xa, 0.0);
                 let b = kf_at(m, xb, 1.0);
                 for k in [a, b] {
@@ -1658,7 +1632,7 @@ mod tests {
                     );
                     m.add_observation(p, b, i);
                 }
-                std::mem::swap(&mut m.alloc, &mut alloc.alloc);
+                std::mem::swap(m.alloc_mut(), &mut alloc.alloc);
                 ((a, b), true)
             })
             .0;
@@ -1817,7 +1791,7 @@ mod tests {
                     }
                 }
                 g.with_component_write(&seeds, |m, _| {
-                    m.alloc = plain.alloc.clone();
+                    *m.alloc_mut() = plain.alloc.clone();
                     run(m, &op, step);
                     ((), true)
                 });

@@ -22,11 +22,12 @@
 //!   not moved for `evict_after_frames` of virtual time is serialized to
 //!   the compact `slamshare-net` region-snapshot form and its shm bytes
 //!   released ([`crate::gmap::ShardedGlobalMap::evict_component`]).
-//! * **Reload-on-demand** — lives in `core::gmap`: any track,
-//!   relocalization, commit, merge, or federation delta whose resolved
-//!   regions include an [`crate::gmap::EvictedRegion`] stub reloads it
-//!   transparently before taking locks, and reloads again if an eviction
-//!   lands before its locks are held.
+//! * **Reload-on-demand** — lives in `core::gmap`: any track, commit or
+//!   federation delta whose resolved regions include an
+//!   [`crate::gmap::EvictedRegion`] stub reloads it transparently before
+//!   taking locks, and reloads again if an eviction lands before its
+//!   locks are held. Relocalization and merges resolve to every region,
+//!   so a merge reloads every evicted region before it plans.
 //!
 //! The [`soak`] harness at the bottom drives a compressed day-long
 //! virtual-time session (churning clients migrating across work areas,

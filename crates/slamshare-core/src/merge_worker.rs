@@ -5,51 +5,39 @@
 //! performs is one [`MergeJob`] run by the same body:
 //!
 //! 1. the commit stage **submits** a clone of the client's local map;
-//! 2. the job snapshots the global map (with its per-region epoch stamp)
-//!    under read locks and runs [`plan_merge`] — the read-only
-//!    detect/align half — entirely off-lock, querying the *live* sharded
-//!    BoW index;
-//! 3. it applies the plan under **only the destination regions' write
-//!    locks** — the components where the transformed client content
-//!    lands, plus the weld anchor's and the fusion targets'. The apply is
-//!    valid only if none of the *locked* regions' epochs moved since the
-//!    snapshot; a region outside the locked set cannot affect the apply
-//!    (the absorb, fuse, weld and seam BA all stay inside the locked
-//!    components), so commits into unrelated regions neither block the
-//!    apply nor invalidate it. A conflicting commit bumps a destination
-//!    epoch and the job re-plans against a fresh snapshot (optimistic
-//!    concurrency). After [`MAX_OPTIMISTIC_ATTEMPTS`] losses it degrades
-//!    to one pessimistic plan+apply under every region's write lock,
-//!    which cannot lose;
-//! 4. the client's commit **collects** the completion: keyframes and
-//!    points it created after the snapshot (the delta) are transformed,
+//! 2. the job lands it in **one locked pass**: a single
+//!    [`ShardedGlobalMap::with_component_write`] over every region
+//!    ([`LockSeeds::all`], which first reloads any evicted region) runs
+//!    [`plan_merge`] — the read-only detect/align half, querying the live
+//!    sharded BoW index — on the locked view and, when the plan is
+//!    viable, [`apply_merge_plan_with`] — absorb, fuse, weld and seam BA —
+//!    on the same view, in place. Nothing can move between the plan and
+//!    the apply, so a job never re-plans; commits wait for the pass while
+//!    it holds the locks, which the keypoint-grid weld keeps short;
+//! 3. the client's commit **collects** the completion: keyframes and
+//!    points it created after submitting (the delta) are transformed,
 //!    remapped across the job's point fusions and absorbed, and the
 //!    process switches to shared-map tracking.
 //!
 //! [`ServerConfig::async_merge`](crate::server::ServerConfig::async_merge)
-//! picks only *where* a submitted job runs: on the worker thread (commits
-//! never block on merge detection; only commits into the merge's own
-//! destination regions wait for the apply section) or right there on the
+//! picks only *where* a submitted job runs: on the worker thread (the
+//! submitting commit does not wait for it) or right there on the
 //! submitting caller (no thread is spawned; the completion is ready when
-//! `submit` returns, so the delta of step 4 is empty).
+//! `submit` returns, so the delta of step 3 is empty).
 
-use crate::gmap::{ComponentMapMut, LockSeeds, ShardedGlobalMap};
+use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use crate::metrics::{MergeWorkerStats, MetricsCut};
 use parking_lot::Mutex;
 use slamshare_features::bow::Vocabulary;
 use slamshare_sim::camera::PinholeCamera;
 use slamshare_slam::ids::{KeyFrameId, MapPointId};
-use slamshare_slam::map::{transform_pose_cw, Map, MapRead};
-use slamshare_slam::merge::{apply_merge_plan_with, plan_merge, MergePlan, MergeReport};
+use slamshare_slam::map::Map;
+use slamshare_slam::merge::{apply_merge_plan_with, plan_merge, MergeReport};
 use slamshare_slam::optimize::MappingArena;
 use slamshare_slam::recognition::ShardedKeyframeDatabase;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
-
-/// Optimistic apply attempts before degrading to a pessimistic merge
-/// under every region's write lock.
-pub const MAX_OPTIMISTIC_ATTEMPTS: usize = 3;
 
 /// A merge request: the client's local map as of submission time.
 pub struct MergeJob {
@@ -69,12 +57,12 @@ pub struct MergeCompletion {
 /// A merge landed in the global map.
 pub struct AppliedMerge {
     pub report: MergeReport,
-    /// Snapshot → applied wall time, ms.
+    /// Job start → applied wall time, ms.
     pub merge_ms: f64,
-    /// Keyframe ids of the submitted snapshot (now in the global map).
-    /// The client's live map minus these is the post-snapshot delta.
+    /// Keyframe ids of the submitted map (now in the global map). The
+    /// client's live map minus these is the post-submission delta.
     pub absorbed_kfs: BTreeSet<KeyFrameId>,
-    /// Map-point ids of the submitted snapshot.
+    /// Map-point ids of the submitted map.
     pub absorbed_mps: BTreeSet<MapPointId>,
     /// Client points fused away during the weld → the surviving global
     /// point, for remapping delta observations.
@@ -245,43 +233,7 @@ impl Drop for MergeWorker {
     }
 }
 
-/// Regions a plan's apply will write to: the components where the
-/// transformed client keyframes land, the weld anchor's, and each planned
-/// fusion target's. Everything `apply_merge_plan` touches is
-/// covisibility-reachable from these (the weld candidates come from the
-/// anchor's local-map neighbourhood; the seam BA window from the client
-/// keyframes'), so locking their components suffices.
-fn dest_seeds(gsnap: &Map, cmap: &Map, plan: &MergePlan) -> LockSeeds {
-    let mut seeds = LockSeeds::default();
-    match &plan.transform {
-        Some(t) => {
-            for kf in cmap.keyframes.values() {
-                seeds
-                    .positions
-                    .push(transform_pose_cw(&kf.pose_cw, t).camera_center());
-            }
-            if let Some(anchor) = plan.ba_anchor {
-                seeds.kfs.push(anchor);
-            }
-            for (_, g_mp) in &plan.fuse_pairs {
-                if let Some(mp) = gsnap.mappoints.get(g_mp) {
-                    if let Some(&(kf, _)) = mp.observations.first() {
-                        seeds.kfs.push(kf);
-                    }
-                }
-            }
-        }
-        None => {
-            // become_global: plain absorb at the client's own coordinates.
-            for kf in cmap.keyframes.values() {
-                seeds.positions.push(kf.pose_cw.camera_center());
-            }
-        }
-    }
-    seeds
-}
-
-/// One merge job, timed snapshot → applied.
+/// One merge job, timed from its start to the applied merge.
 fn run_job(
     ctx: &MergeContext,
     stats: &MergeWorkerStats,
@@ -289,19 +241,13 @@ fn run_job(
     job: MergeJob,
 ) -> MergeCompletion {
     let t0 = Instant::now();
-    let applied = land(ctx, stats, arena, &job.cmap).map(|(report, fused)| {
-        let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
-        stats.record_applied(merge_ms);
-        AppliedMerge {
-            report,
-            merge_ms,
-            absorbed_kfs: job.cmap.keyframes.keys().copied().collect(),
-            absorbed_mps: job.cmap.mappoints.keys().copied().collect(),
-            fused: fused.into_iter().collect(),
+    let mut applied = land(ctx, arena, job.cmap);
+    match &mut applied {
+        Some(a) => {
+            a.merge_ms = t0.elapsed().as_secs_f64() * 1e3;
+            stats.record_applied(a.merge_ms);
         }
-    });
-    if applied.is_none() {
-        stats.record_no_region();
+        None => stats.record_no_region(),
     }
     MergeCompletion {
         timestamp: job.timestamp,
@@ -309,73 +255,39 @@ fn run_job(
     }
 }
 
-/// Weld `cmap` into the global map: optimistic snapshot/plan/apply with
-/// per-region stamp retries, then one pessimistic all-region in-lock
-/// attempt. Returns the report and the `(client_mp, surviving_global_mp)`
-/// fusions applied; `None` when there is no common region yet.
-fn land(
-    ctx: &MergeContext,
-    stats: &MergeWorkerStats,
-    arena: &mut MappingArena,
-    cmap: &Map,
-) -> Option<(MergeReport, Vec<(MapPointId, MapPointId)>)> {
-    fn plan_against(ctx: &MergeContext, gmap: &impl MapRead, cmap: &Map) -> MergePlan {
-        let _span = slamshare_obs::span!("merge.plan");
-        plan_merge(gmap, cmap, &ctx.db, &ctx.vocab, ctx.with_scale)
-    }
-    let mut apply = |gmap: &mut ComponentMapMut<'_>, plan: &MergePlan| {
-        let _span = slamshare_obs::span!("merge.apply");
-        apply_merge_plan_with(gmap, &ctx.db, cmap.clone(), plan, &ctx.cam, arena)
-    };
-
-    for _ in 0..MAX_OPTIMISTIC_ATTEMPTS {
-        // Snapshot the global map with its per-region epoch stamp; plan
-        // entirely off-lock. The live sharded BoW index may run ahead of
-        // the snapshot — plan_merge skips candidates the snapshot doesn't
-        // hold yet.
-        let (gsnap, stamp) = ctx.store.snapshot_with_stamp();
-        let plan = plan_against(ctx, &gsnap, cmap);
-        if !plan.viable() {
-            return None;
-        }
-        let seeds = dest_seeds(&gsnap, cmap, &plan);
-        drop(gsnap);
-
-        // Optimistic apply under only the destination components' write
-        // locks: valid iff none of the *locked* regions moved since the
-        // snapshot. Commits into regions outside the locked set neither
-        // block this nor invalidate it.
-        let (applied, _) = ctx.store.with_component_write(&seeds, |gmap, cw| {
-            let stale = cw.regions.iter().any(|&r| {
-                let snap_epoch = stamp.iter().find(|&&(i, _)| i == r).map(|&(_, e)| e);
-                cw.epoch_of(r) != snap_epoch
-            });
-            if stale {
-                return (None, false);
-            }
-            (Some(apply(gmap, &plan)), true)
-        });
-        if applied.is_some() {
-            return applied;
-        }
-        stats.record_conflict();
-    }
-
-    // Pessimistic last attempt: plan and apply atomically under every
-    // region's write lock. Commits wait this once, but the outcome cannot
-    // be lost to a race.
+/// Weld `cmap` into the global map in one write over every region: plan
+/// on the locked view, then apply the plan to that same view when it is
+/// viable. `None` when there is no common region yet.
+fn land(ctx: &MergeContext, arena: &mut MappingArena, cmap: Map) -> Option<AppliedMerge> {
+    // The closure runs once; the map moves into the apply.
+    let mut cmap = Some(cmap);
     let (applied, _) = ctx
         .store
         .with_component_write(&LockSeeds::all(), |gmap, _| {
-            let plan = plan_against(ctx, &*gmap, cmap);
+            let Some(cmap) = cmap.take() else {
+                return (None, false);
+            };
+            let plan = {
+                let _span = slamshare_obs::span!("merge.plan");
+                plan_merge(&*gmap, &cmap, &ctx.db, &ctx.vocab, ctx.with_scale)
+            };
             if !plan.viable() {
                 return (None, false);
             }
-            (Some(apply(gmap, &plan)), true)
+            let absorbed_kfs = cmap.keyframes.keys().copied().collect();
+            let absorbed_mps = cmap.mappoints.keys().copied().collect();
+            let _span = slamshare_obs::span!("merge.apply");
+            let (report, fused) =
+                apply_merge_plan_with(gmap, &ctx.db, cmap, &plan, &ctx.cam, arena);
+            let applied = AppliedMerge {
+                report,
+                merge_ms: 0.0,
+                absorbed_kfs,
+                absorbed_mps,
+                fused: fused.into_iter().collect(),
+            };
+            (Some(applied), true)
         });
-    if applied.is_some() {
-        stats.record_fallback();
-    }
     applied
 }
 

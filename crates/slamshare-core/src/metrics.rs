@@ -124,12 +124,10 @@ impl RetiredSnapshot {
 pub struct MergeWorkerStats {
     submitted: Counter,
     applied: Counter,
-    conflicts: Counter,
-    fallback_applies: Counter,
     no_region: Counter,
     worker_lost: Counter,
     stale_completions: Counter,
-    /// Wall time of each applied merge (snapshot → applied), ms.
+    /// Wall time of each applied merge (job start → applied), ms.
     latency: Histogram,
 }
 
@@ -139,13 +137,13 @@ pub struct MergeWorkerStats {
 pub struct MergeWorkerSnapshot {
     /// Merge jobs accepted by the worker.
     pub submitted: u64,
-    /// Merges applied to the global map (optimistic + fallback).
+    /// Merges applied to the global map.
     pub applied: u64,
-    /// Optimistic applies aborted because the map's epoch moved between
-    /// the snapshot and the write lock.
+    /// Always 0: a merge plans and applies under one write, so it never
+    /// loses a race and re-plans. Kept because `benchmark/` reports it.
     pub conflicts: u64,
-    /// Merges that exhausted optimistic retries and ran plan+apply
-    /// atomically under the write lock.
+    /// Always 0: there is no fallback path. Kept because `benchmark/`
+    /// reports it.
     pub fallback_applies: u64,
     /// Jobs that found no common region (the client retries later).
     pub no_region: u64,
@@ -173,16 +171,6 @@ impl MergeWorkerStats {
         slamshare_obs::observe_ms!("merge.latency", latency_ms);
     }
 
-    pub fn record_conflict(&self) {
-        self.conflicts.inc();
-        slamshare_obs::counter_inc!("merge.conflicts");
-    }
-
-    pub fn record_fallback(&self) {
-        self.fallback_applies.inc();
-        slamshare_obs::counter_inc!("merge.fallback_applies");
-    }
-
     pub fn record_no_region(&self) {
         self.no_region.inc();
         slamshare_obs::counter_inc!("merge.no_region");
@@ -203,8 +191,8 @@ impl MergeWorkerStats {
         MergeWorkerSnapshot {
             submitted: self.submitted.get(),
             applied: self.applied.get(),
-            conflicts: self.conflicts.get(),
-            fallback_applies: self.fallback_applies.get(),
+            conflicts: 0,
+            fallback_applies: 0,
             no_region: self.no_region.get(),
             worker_lost: self.worker_lost.get(),
             stale_completions: self.stale_completions.get(),
@@ -465,15 +453,16 @@ mod tests {
             stats.record_applied(ms);
         }
         stats.record_submitted();
-        stats.record_conflict();
-        stats.record_fallback();
         stats.record_no_region();
+        stats.record_worker_lost();
+        stats.record_stale_completion();
         let snap = stats.snapshot();
         assert_eq!(snap.applied, 4);
         assert_eq!(snap.submitted, 1);
-        assert_eq!(snap.conflicts, 1);
-        assert_eq!(snap.fallback_applies, 1);
         assert_eq!(snap.no_region, 1);
+        assert_eq!(snap.worker_lost, 1);
+        assert_eq!(snap.stale_completions, 1);
+        assert_eq!((snap.conflicts, snap.fallback_applies), (0, 0));
         // Bucketed percentiles: within one geometric bucket (~19 %) of
         // the exact values, and max is exact.
         assert!(snap.p50_latency_ms >= 10.0 && snap.p50_latency_ms <= 40.0);

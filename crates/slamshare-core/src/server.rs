@@ -48,9 +48,9 @@
 //! spatial/covisibility regions, each behind its own lock and epoch
 //! counter in the shm store. A speculative track read-locks only the
 //! regions its reference keyframe's component covers; a commit
-//! write-locks only the component its keyframe lands in; the merge
-//! worker applies under only the destination regions' locks. Clients
-//! mapping disjoint areas therefore stop contending entirely — and
+//! write-locks only the component its keyframe lands in; a merge, which
+//! searches the whole map, locks every region. Clients mapping disjoint
+//! areas therefore stop contending outside merges — and
 //! because every write runs the same mapping/merge code on the locked
 //! shards in place, through one stitched view, and no reader can see
 //! which shard holds what, results are bit-identical at any shard count.
@@ -66,11 +66,12 @@
 //! the regions it locked, and every speculative track records the
 //! `(region, epoch)` stamp it read under. A commit redoes the back half
 //! only when a region it actually read has moved — a cheap lock-free
-//! comparison instead of a conservative per-round dirty flag. The same protocol
-//! lets the **merge worker** ([`crate::merge_worker`]) plan every merge
-//! against a snapshot and apply it only when the destination regions
-//! haven't moved; with [`ServerConfig::async_merge`] it does so on its own
-//! thread, so commits never block on merge detection.
+//! comparison instead of a conservative per-round dirty flag. A merge
+//! needs no such check: the **merge worker** ([`crate::merge_worker`])
+//! plans and applies it in one write over every region, so nothing can
+//! move between plan and apply. With [`ServerConfig::async_merge`] that
+//! write runs on the worker's own thread: the submitting commit does not
+//! wait for it, and other writes wait only while it holds the locks.
 //!
 //! The place-recognition inverted index ([`EdgeServer::db`]) lives
 //! *outside* the store: it is sharded with per-shard locks
@@ -117,8 +118,10 @@ pub struct ServerConfig {
     pub merge_after_keyframes: usize,
     /// Where a merge job runs — the job itself is the same either way
     /// (see [`crate::merge_worker`]). `true`: on the merge worker's own
-    /// thread, so commits never block on `DetectCommonRegion`/RANSAC and
-    /// the client collects the result at a later commit. `false` (the
+    /// thread, so the submitting commit does not wait for
+    /// `DetectCommonRegion`/RANSAC (other writes wait while the merge
+    /// holds the region locks) and the client collects the result at a
+    /// later commit. `false` (the
     /// default): on the committing thread, no thread spawned, collected
     /// in the same commit — the placement the round pipeline's
     /// bit-exactness guarantee is stated against.
@@ -195,7 +198,7 @@ impl std::error::Error for ClientError {}
 #[derive(Debug, Clone)]
 pub struct MergeOutcome {
     pub report: MergeReport,
-    /// Snapshot → applied wall time of the merge job, ms, wherever it ran.
+    /// Job start → applied wall time of the merge job, ms, wherever it ran.
     pub merge_ms: f64,
 }
 

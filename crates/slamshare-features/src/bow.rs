@@ -1,16 +1,17 @@
-//! Binary bag-of-words vocabulary and inverted-index keyframe database.
+//! Binary bag-of-words vocabulary.
 //!
 //! ORB-SLAM3's place recognition (`DetectCommonRegion` in the paper's
 //! Alg. 2) quantizes each keyframe's descriptors against a pre-trained
 //! hierarchical vocabulary (DBoW2) and looks up candidate keyframes through
-//! an inverted index. This module is a from-scratch equivalent: a
-//! hierarchical k-medians tree in Hamming space, tf-normalized BoW vectors
-//! with L1 similarity scoring, and the inverted index used to retrieve
-//! merge/loop candidates.
+//! an inverted index. This module is a from-scratch equivalent of the
+//! vocabulary: a hierarchical k-medians tree in Hamming space and
+//! tf-normalized BoW vectors with L1 similarity scoring. The inverted
+//! index that retrieves merge/loop candidates is
+//! `slamshare_slam::recognition::ShardedKeyframeDatabase`.
 
 use crate::descriptor::{Descriptor, DescriptorBlock};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// A vocabulary word (leaf id).
@@ -55,11 +56,6 @@ impl BowVector {
             }
         }
         (1.0 - 0.5 * l1).max(0.0)
-    }
-
-    /// Number of words shared with another vector.
-    pub fn shared_words(&self, other: &BowVector) -> usize {
-        self.0.keys().filter(|w| other.0.contains_key(w)).count()
     }
 }
 
@@ -306,79 +302,6 @@ fn kmedians(
     clusters
 }
 
-/// Inverted-index database over keyframe BoW vectors — the retrieval
-/// structure behind `DetectCommonRegion`.
-#[derive(Debug, Clone, Default)]
-pub struct KeyframeDatabase {
-    inverted: HashMap<WordId, Vec<u64>>,
-    bows: HashMap<u64, BowVector>,
-}
-
-impl KeyframeDatabase {
-    pub fn new() -> KeyframeDatabase {
-        KeyframeDatabase::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.bows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bows.is_empty()
-    }
-
-    /// Index a keyframe. Re-adding an id replaces its previous entry.
-    pub fn add(&mut self, kf_id: u64, bow: BowVector) {
-        self.remove(kf_id);
-        for &w in bow.0.keys() {
-            self.inverted.entry(w).or_default().push(kf_id);
-        }
-        self.bows.insert(kf_id, bow);
-    }
-
-    pub fn remove(&mut self, kf_id: u64) {
-        if let Some(old) = self.bows.remove(&kf_id) {
-            for w in old.0.keys() {
-                if let Some(list) = self.inverted.get_mut(w) {
-                    list.retain(|&id| id != kf_id);
-                }
-            }
-        }
-    }
-
-    /// Retrieve keyframes sharing words with `query`, scored by BoW
-    /// similarity, best first. `exclude` filters out ids (e.g. the querying
-    /// keyframe's own covisible neighbours).
-    pub fn query(
-        &self,
-        query: &BowVector,
-        min_score: f64,
-        exclude: &dyn Fn(u64) -> bool,
-    ) -> Vec<(u64, f64)> {
-        let mut share_count: HashMap<u64, usize> = HashMap::new();
-        for w in query.0.keys() {
-            if let Some(list) = self.inverted.get(w) {
-                for &id in list {
-                    if !exclude(id) {
-                        *share_count.entry(id).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        let mut results: Vec<(u64, f64)> = share_count
-            .into_keys()
-            .filter_map(|id| {
-                let score = query.similarity(&self.bows[&id]);
-                (score >= min_score).then_some((id, score))
-            })
-            .collect();
-        // total_cmp (NaN-safe) with the id tie-break: a NaN similarity
-        // must never panic a query, and equal scores stay deterministic.
-        results.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        results
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,28 +339,6 @@ mod tests {
             }
         }
         all
-    }
-
-    #[test]
-    fn nan_bow_weights_never_panic_query() {
-        // Regression: query() sorted scores with partial_cmp().unwrap();
-        // a NaN weight (e.g. from a degenerate tf-idf normalisation)
-        // produced a NaN similarity and panicked the retrieval path.
-        let mut db = KeyframeDatabase::new();
-        let mut finite = BowVector::default();
-        finite.0.insert(1, 0.5);
-        finite.0.insert(2, 0.5);
-        let mut poisoned = BowVector::default();
-        poisoned.0.insert(1, f64::NAN);
-        poisoned.0.insert(3, 0.5);
-        db.add(10, finite.clone());
-        db.add(11, poisoned.clone());
-        // Finite query against a NaN entry: must not panic; the NaN score
-        // fails min_score and drops out.
-        let hits = db.query(&finite, 0.0, &|_| false);
-        assert!(hits.iter().all(|(_, s)| s.is_finite()));
-        // NaN query vector: every score is NaN — no panic, no results.
-        let _ = db.query(&poisoned, 0.01, &|_| false);
     }
 
     #[test]
@@ -510,7 +411,6 @@ mod tests {
         let mut b = BowVector::default();
         b.0.insert(3, 1.0);
         assert!(a.similarity(&b).abs() < 1e-12);
-        assert_eq!(a.shared_words(&b), 0);
     }
 
     #[test]
@@ -534,51 +434,5 @@ mod tests {
             b1.similarity(&b2),
             b1.similarity(&bb)
         );
-    }
-
-    #[test]
-    fn database_retrieves_best_match_first() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let descs = training_set(&mut rng, 20, 20);
-        let v = Vocabulary::train(&descs, 5, 3, 13);
-
-        let scene: Vec<Descriptor> = (0..60).map(|_| random_descriptor(&mut rng)).collect();
-        let same: Vec<Descriptor> = scene.iter().map(|d| perturb(d, 4, &mut rng)).collect();
-        let other: Vec<Descriptor> = (0..60).map(|_| random_descriptor(&mut rng)).collect();
-
-        let mut db = KeyframeDatabase::new();
-        db.add(10, v.transform(&same));
-        db.add(20, v.transform(&other));
-
-        let q = v.transform(&scene);
-        let hits = db.query(&q, 0.0, &|_| false);
-        assert!(!hits.is_empty());
-        assert_eq!(
-            hits[0].0, 10,
-            "expected same-scene keyframe first: {hits:?}"
-        );
-    }
-
-    #[test]
-    fn database_remove_and_exclude() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let descs = training_set(&mut rng, 10, 20);
-        let v = Vocabulary::train(&descs, 4, 2, 17);
-        let scene: Vec<Descriptor> = (0..40).map(|_| random_descriptor(&mut rng)).collect();
-        let bow = v.transform(&scene);
-
-        let mut db = KeyframeDatabase::new();
-        db.add(1, bow.clone());
-        db.add(2, bow.clone());
-        assert_eq!(db.len(), 2);
-
-        let hits = db.query(&bow, 0.0, &|id| id == 1);
-        assert!(hits.iter().all(|(id, _)| *id != 1));
-
-        db.remove(2);
-        assert_eq!(db.len(), 1);
-        let hits = db.query(&bow, 0.0, &|_| false);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, 1);
     }
 }

@@ -195,25 +195,6 @@ impl GrayImage {
         self.data.extend_from_slice(&src.data);
     }
 
-    /// 3×3 box blur — a cheap stand-in for the Gaussian smoothing ORB applies
-    /// before computing BRIEF comparisons (reduces sensitivity to pixel
-    /// noise).
-    pub fn box_blur3(&self) -> GrayImage {
-        let mut out = GrayImage::new(self.width, self.height);
-        for y in 0..self.height {
-            for x in 0..self.width {
-                let mut sum = 0u32;
-                for dy in -1..=1isize {
-                    for dx in -1..=1isize {
-                        sum += self.get_clamped(x as isize + dx, y as isize + dy) as u32;
-                    }
-                }
-                out.set(x, y, (sum / 9) as u8);
-            }
-        }
-        out
-    }
-
     /// Mean intensity, used by tests and by the video codec's rate model.
     pub fn mean(&self) -> f64 {
         if self.data.is_empty() {
@@ -309,16 +290,6 @@ mod tests {
         for i in 0..256u32 << 16 {
             check(i as f64 / 65536.0);
         }
-    }
-
-    #[test]
-    fn box_blur_smooths_impulse() {
-        let mut img = GrayImage::new(5, 5);
-        img.set(2, 2, 255);
-        let b = img.box_blur3();
-        assert_eq!(b.get(2, 2), 255 / 9);
-        assert_eq!(b.get(0, 0), 0);
-        assert_eq!(b.get(1, 1), 255 / 9);
     }
 
     #[test]

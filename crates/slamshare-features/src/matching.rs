@@ -236,12 +236,25 @@ impl KeypointGrid {
         descriptors: &[Descriptor],
         max_distance: u32,
     ) -> Option<(usize, u32)> {
+        let r2 = query.radius * query.radius;
+        self.best_in_window_by(query, descriptors, max_distance, |d| d.norm_sq() <= r2)
+    }
+
+    /// [`KeypointGrid::best_in_window`] with the window test `inside(pos −
+    /// predicted)` for `norm_sq ≤ radius²`. `inside` must accept nothing
+    /// more than a few ulps past `radius`: the cells reach one pixel past.
+    pub fn best_in_window_by(
+        &self,
+        query: &ProjectionQuery,
+        descriptors: &[Descriptor],
+        max_distance: u32,
+        inside: impl Fn(Vec2) -> bool,
+    ) -> Option<(usize, u32)> {
         let p = query.predicted;
         debug_assert!(p.x.is_finite() && p.y.is_finite() && !query.radius.is_nan());
         if self.index.is_empty() {
             return None;
         }
-        let r2 = query.radius * query.radius;
         let reach = query.radius.abs() + WINDOW_SLACK_PX;
         let (o, cols, rows) = (self.origin, self.cols, self.rows);
         let (cx0, cx1) = (
@@ -258,7 +271,7 @@ impl KeypointGrid {
             let row = cy * cols;
             let run = self.start[row + cx0] as usize..self.start[row + cx1 + 1] as usize;
             for (&pos, &i) in self.pos[run.clone()].iter().zip(&self.index[run]) {
-                if (pos - p).norm_sq() > r2 {
+                if !inside(pos - p) {
                     continue;
                 }
                 let Some(d) = descriptors.get(i as usize) else {

@@ -292,6 +292,7 @@ mod tests {
     use super::*;
     use slamshare_math::{Quat, Vec3};
     use slamshare_slam::ids::ClientId;
+    use slamshare_slam::map::MapWrite;
 
     fn sample_fragment() -> Map {
         let mut map = Map::new(ClientId(9));

@@ -404,6 +404,7 @@ mod tests {
     use super::*;
     use slamshare_features::bow::BowVector;
     use slamshare_math::Quat;
+    use slamshare_slam::map::MapWrite;
 
     fn sample_map() -> Map {
         let mut map = Map::new(ClientId(3));

@@ -101,64 +101,6 @@ impl Map {
         self.keyframes.is_empty()
     }
 
-    /// Insert a keyframe built by the tracker ([`MapWrite::insert_keyframe`]).
-    pub fn insert_keyframe(&mut self, kf: KeyFrame) {
-        MapWrite::insert_keyframe(self, kf)
-    }
-
-    /// Create a new map point ([`MapWrite::create_mappoint`]).
-    pub fn create_mappoint(
-        &mut self,
-        position: Vec3,
-        descriptor: Descriptor,
-        kf_id: KeyFrameId,
-        kp_idx: usize,
-    ) -> MapPointId {
-        MapWrite::create_mappoint(self, position, descriptor, kf_id, kp_idx)
-    }
-
-    /// Add an observation of an existing point ([`MapWrite::add_observation`]).
-    pub fn add_observation(&mut self, mp_id: MapPointId, kf_id: KeyFrameId, kp_idx: usize) {
-        MapWrite::add_observation(self, mp_id, kf_id, kp_idx)
-    }
-
-    /// Remove a map point ([`MapWrite::remove_mappoint`]).
-    pub fn remove_mappoint(&mut self, mp_id: MapPointId) {
-        MapWrite::remove_mappoint(self, mp_id)
-    }
-
-    /// Remove a keyframe ([`MapWrite::remove_keyframe`]).
-    pub fn remove_keyframe(&mut self, kf_id: KeyFrameId) {
-        MapWrite::remove_keyframe(self, kf_id)
-    }
-
-    /// Fuse `src` into `dst` ([`MapWrite::fuse_mappoints`]).
-    pub fn fuse_mappoints(&mut self, dst: MapPointId, src: MapPointId) {
-        MapWrite::fuse_mappoints(self, dst, src)
-    }
-
-    /// Keyframes covisible with `kf_id` (sharing ≥ `min_shared` map
-    /// points), sorted by shared count descending.
-    pub fn covisible_keyframes(
-        &self,
-        kf_id: KeyFrameId,
-        min_shared: usize,
-    ) -> Vec<(KeyFrameId, usize)> {
-        MapRead::covisible_keyframes(self, kf_id, min_shared)
-    }
-
-    /// The local map around a keyframe: ids of points observed by it and by
-    /// its covisible keyframes. This is the candidate set *search local
-    /// points* scans.
-    pub fn local_map_points(&self, kf_id: KeyFrameId, min_shared: usize) -> Vec<MapPointId> {
-        MapRead::local_map_points(self, kf_id, min_shared)
-    }
-
-    /// The most recent keyframe (by timestamp; id breaks exact ties).
-    pub fn latest_keyframe(&self) -> Option<&KeyFrame> {
-        MapRead::latest_keyframe(self)
-    }
-
     /// Apply a similarity transform to every pose and point (used when a
     /// client map is snapped onto the global map; Alg. 2 lines 9–12).
     ///

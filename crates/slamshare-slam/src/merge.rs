@@ -13,9 +13,11 @@ use crate::map::{Map, MapRead, MapWrite};
 use crate::optimize::{local_bundle_adjust_with, BaStats, MappingArena};
 use crate::recognition::{detect_common_region, CommonRegion, ShardedKeyframeDatabase};
 use slamshare_features::bow::Vocabulary;
+use slamshare_features::matching::{KeypointGrid, ProjectionQuery, TH_LOW};
+use slamshare_features::Descriptor;
 use slamshare_gpu::GpuExecutor;
 use slamshare_math::align::umeyama_ransac;
-use slamshare_math::{Sim3, Vec3};
+use slamshare_math::{Sim3, Vec2, Vec3};
 use slamshare_sim::camera::PinholeCamera;
 
 /// Outcome of a merge attempt.
@@ -71,10 +73,10 @@ pub fn map_merge(
 /// client keyframe plus the RANSAC alignment, i.e. everything in
 /// Algorithm 2 that does *not* mutate the global map.
 ///
-/// The split lets the server's merge worker run this expensive half
-/// against a map *snapshot* while commits keep flowing, then apply the
-/// decision under the write lock only if the map hasn't changed since
-/// (epoch check; see `slamshare_core::merge_worker`).
+/// The split lets a caller decide between the two halves whether to
+/// merge at all: the server's merge worker plans and applies under one
+/// write of the global map, and applies only a [`MergePlan::viable`]
+/// plan (see `slamshare_core::merge_worker`).
 #[derive(Debug, Clone)]
 pub struct MergePlan {
     /// Alignment to apply to the client map, when a common region was
@@ -100,9 +102,9 @@ impl MergePlan {
 }
 
 /// Compute a [`MergePlan`] for welding `cmap` into `gmap` — the read-only
-/// detect/align half of Algorithm 2. `gmap` may be a snapshot; `db` may
-/// be the live sharded index (a candidate indexed after the snapshot was
-/// taken simply isn't found in `gmap` and is skipped).
+/// detect/align half of Algorithm 2. `db` may index keyframes `gmap` does
+/// not hold (the live index runs ahead of a locked view); such a
+/// candidate isn't found in `gmap` and is skipped.
 pub fn plan_merge(
     gmap: &impl MapRead,
     cmap: &Map,
@@ -176,14 +178,14 @@ pub fn plan_merge(
 
 /// Apply a viable [`MergePlan`]: transform the client map, absorb it,
 /// fuse the planned duplicates, weld by projection and bundle-adjust the
-/// seam — the write half of Algorithm 2. Must run under the global-map
-/// write lock, against a map whose state matches the one the plan was
-/// computed from (or the caller accepts the plan being slightly stale).
+/// seam — the write half of Algorithm 2. Run it on the map the plan was
+/// computed from, unchanged since: the server's merge worker plans and
+/// applies under one write of the global map.
 ///
 /// Returns the report plus every `(client_mp, surviving_global_mp)`
 /// fusion actually applied (planned ones and those found by the
 /// projection weld) — the server's merge worker needs these to remap the
-/// client's post-snapshot delta.
+/// observations the client made after submitting its map.
 pub fn apply_merge_plan(
     gmap: &mut Map,
     db: &ShardedKeyframeDatabase,
@@ -194,10 +196,11 @@ pub fn apply_merge_plan(
     apply_merge_plan_with(gmap, db, cmap, plan, cam, &mut MappingArena::default())
 }
 
-/// [`apply_merge_plan`] with a reusable mapping arena: the projection
-/// weld runs on the arena's SoA descriptor strips and the seam bundle
-/// adjustment on its BA buffers, so a long-lived caller (the merge
-/// worker's thread) fuses and adjusts without per-merge allocation churn.
+/// [`apply_merge_plan`] on any [`MapWrite`] with a reusable mapping
+/// arena: the projection weld searches the arena's keypoint grid and the
+/// seam bundle adjustment runs on its BA buffers, so a long-lived caller
+/// (the merge worker's thread) welds and adjusts without per-merge
+/// allocation churn.
 pub fn apply_merge_plan_with(
     gmap: &mut impl MapWrite,
     db: &ShardedKeyframeDatabase,
@@ -278,8 +281,6 @@ fn weld_by_projection(
     arena: &mut MappingArena,
     fused: &mut Vec<(MapPointId, MapPointId)>,
 ) -> usize {
-    use slamshare_features::matching::TH_LOW;
-
     // Candidate points: the anchor's local map, restricted to points not
     // owned by the merging client.
     let client = match client_kfs.first() {
@@ -295,19 +296,13 @@ fn weld_by_projection(
         return 0;
     }
 
-    // Collected per keyframe, applied after its scan (no aliasing with
+    // Collected per keyframe, applied after its search (no aliasing with
     // the map borrow). The keyframe loop itself stays sequential: a fuse
     // in one keyframe can retarget `matched_points` entries a later
-    // keyframe's scan must see.
+    // keyframe's search must see.
     enum Op {
-        Fuse {
-            keep: crate::ids::MapPointId,
-            drop: crate::ids::MapPointId,
-        },
-        Observe {
-            mp: crate::ids::MapPointId,
-            kp: usize,
-        },
+        Fuse { keep: MapPointId, drop: MapPointId },
+        Observe { mp: MapPointId, kp: usize },
     }
     let mut ops: Vec<Op> = Vec::new();
 
@@ -318,10 +313,10 @@ fn weld_by_projection(
             let Some(kf) = gmap.keyframe(*kf_id) else {
                 continue;
             };
-            // SoA Hamming strips over this keyframe's descriptors: one
-            // rebuild per keyframe, then every candidate scans the
-            // transposed lanes instead of paying a per-pair distance.
-            arena.fuse_block.rebuild(&kf.descriptors);
+            // One grid per keyframe; each candidate then reads only the
+            // cells its window overlaps.
+            let grid = &mut arena.weld_grid;
+            grid.rebuild(kf.keypoints.iter().map(|kp| kp.pt));
             for mp_id in &candidates {
                 let Some(mp) = gmap.mappoint(*mp_id) else {
                     continue;
@@ -330,27 +325,10 @@ fn weld_by_projection(
                 let Some(px) = cam.project_in_image(q, 0.0) else {
                     continue;
                 };
-                // Windowed descriptor search over the keyframe's
-                // keypoints: the in-window index list is gathered in
-                // ascending order, so the strip kernel's strict-<
-                // first-wins scan picks the same keypoint the scalar
-                // ascending loop did.
-                arena.fuse_idx.clear();
-                for (i, kp) in kf.keypoints.iter().enumerate() {
-                    if kp.pt.dist(px) <= 18.0 {
-                        arena.fuse_idx.push(i);
-                    }
-                }
-                let (best, best_pos) = arena.fuse_block.scan_best_indexed(
-                    &mp.descriptor.words(),
-                    &arena.fuse_idx,
-                    u32::MAX,
-                );
-                if best_pos == usize::MAX || best > TH_LOW {
+                let Some(best_i) = weld_target(grid, &kf.descriptors, mp.descriptor, px) else {
                     continue;
-                }
-                let best_i = arena.fuse_idx[best_pos];
-                match kf.matched_points[best_i] {
+                };
+                match kf.matched_points.get(best_i).copied().flatten() {
                     Some(existing) if existing != *mp_id => {
                         // The keyframe already tracks its own copy of this
                         // physical point: fuse (global copy wins).
@@ -384,6 +362,25 @@ fn weld_by_projection(
         }
     }
     n_assoc
+}
+
+/// The keypoint a point projecting to `px` with `descriptor` welds to:
+/// among the keypoints `grid` holds within 18 px of `px` (`dist ≤ 18`,
+/// the reference scan's test), the one of smallest descriptor distance,
+/// the lowest index on a tie, if that distance is at most `TH_LOW`.
+fn weld_target(
+    grid: &KeypointGrid,
+    descriptors: &[Descriptor],
+    descriptor: Descriptor,
+    px: Vec2,
+) -> Option<usize> {
+    let query = ProjectionQuery {
+        descriptor,
+        predicted: px,
+        radius: 18.0,
+    };
+    grid.best_in_window_by(&query, descriptors, TH_LOW, |d| d.norm() <= 18.0)
+        .map(|(i, _)| i)
 }
 
 /// Move every entity of `cmap` into `gmap` and index the keyframes in the
@@ -421,6 +418,151 @@ mod tests {
     use slamshare_math::SE3;
     use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
     use std::sync::Arc;
+
+    /// The weld's reference search: every keypoint in ascending index
+    /// order, window test `dist ≤ 18`, the first of the smallest descriptor
+    /// distances, accepted at `TH_LOW`.
+    fn weld_target_scan(
+        keypoints: &[Vec2],
+        descriptors: &[Descriptor],
+        descriptor: Descriptor,
+        px: Vec2,
+    ) -> Option<usize> {
+        let mut best = (u32::MAX, usize::MAX);
+        for (i, (pt, d)) in keypoints.iter().zip(descriptors).enumerate() {
+            if pt.dist(px) <= 18.0 {
+                let dist = descriptor.distance(d);
+                if dist < best.0 {
+                    best = (dist, i);
+                }
+            }
+        }
+        (best.1 != usize::MAX && best.0 <= TH_LOW).then_some(best.1)
+    }
+
+    /// A keypoint position `kp` with `(kp − px).norm_sq() > 18²` yet
+    /// `(kp − px).norm() ≤ 18`: where the scan's window test and a
+    /// squared-radius test disagree.
+    fn just_past_the_square(px: Vec2) -> Option<Vec2> {
+        (1..36).find_map(|k| {
+            let dy = 0.5 * k as f64;
+            let mut x = px.x + (324.0 - dy * dy).sqrt();
+            for _ in 0..64 {
+                let d = Vec2::new(x, px.y + dy) - px;
+                if d.norm_sq() > 324.0 {
+                    return (d.norm() <= 18.0).then_some(px + d);
+                }
+                x = x.next_up();
+            }
+            None
+        })
+    }
+
+    /// The descriptor with bits `0..n` set: at distance `n` from zero.
+    fn bits(n: usize) -> Descriptor {
+        let mut d = Descriptor::ZERO;
+        for b in 0..n {
+            d.set_bit(b);
+        }
+        d
+    }
+
+    /// The window edge: a keypoint exactly 18 px away is in, one f64 step
+    /// beyond it is out, and one whose squared offset rounds above 18²
+    /// while its distance rounds to 18 is in, as the scan has it.
+    #[test]
+    fn weld_window_edge_is_the_scans() {
+        let px = Vec2::new(0.5, 0.25);
+        let past_square = just_past_the_square(px).expect("no such offset near px");
+        let keypoints = [
+            px + Vec2::new(18.0, 0.0),
+            Vec2::new((px.x + 18.0).next_up(), px.y),
+            past_square,
+        ];
+        assert_eq!((keypoints[0] - px).norm(), 18.0);
+        assert!((keypoints[1] - px).norm() > 18.0);
+        assert!((keypoints[2] - px).norm_sq() > 324.0);
+        let descriptors = [bits(5), bits(0), bits(1)];
+        let grid = KeypointGrid::new(keypoints.iter().copied());
+        let query = Descriptor::ZERO;
+        assert_eq!(
+            weld_target_scan(&keypoints, &descriptors, query, px),
+            Some(2)
+        );
+        assert_eq!(weld_target(&grid, &descriptors, query, px), Some(2));
+        // A squared-radius window would drop keypoint 2 and pick 0.
+        let squared = ProjectionQuery {
+            descriptor: query,
+            predicted: px,
+            radius: 18.0,
+        };
+        assert_eq!(
+            grid.best_in_window(&squared, &descriptors, TH_LOW),
+            Some((0, 5))
+        );
+    }
+
+    /// The grid weld picks the keypoint the scan picks for every point,
+    /// on seeded random keyframes: keypoints over a 752×480 image and past
+    /// its edges, descriptors from a small alphabet (ties across cells
+    /// exercise the index tie-break, and distances straddle `TH_LOW`),
+    /// points projected anywhere and onto the window's edge.
+    #[test]
+    fn grid_weld_matches_the_scan() {
+        use rand::{Rng, SeedableRng};
+        let mut edge_picks = 0;
+        for seed in 0..40u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let alphabet: Vec<Descriptor> = (0..8)
+                .map(|_| {
+                    let mut d = Descriptor::ZERO;
+                    for b in 0..256 {
+                        if rng.gen_bool(0.1) {
+                            d.set_bit(b);
+                        }
+                    }
+                    d
+                })
+                .collect();
+            let n = rng.gen_range(0..300);
+            let mut keypoints: Vec<Vec2> = (0..n)
+                .map(|_| Vec2::new(rng.gen_range(-14.0..766.0), rng.gen_range(-14.0..494.0)))
+                .collect();
+            let mut points: Vec<(Descriptor, Vec2)> = (0..200)
+                .map(|_| {
+                    let px = Vec2::new(rng.gen_range(-14.0..766.0), rng.gen_range(-14.0..494.0));
+                    (alphabet[rng.gen_range(0..alphabet.len())], px)
+                })
+                .collect();
+            // Points whose window edge lands on a keypoint: exactly 18 px,
+            // one step beyond, and past the square.
+            for &kp in keypoints.iter().take(30) {
+                let d = alphabet[rng.gen_range(0..alphabet.len())];
+                points.push((d, kp - Vec2::new(18.0, 0.0)));
+                points.push((d, Vec2::new(kp.x, (kp.y + 18.0).next_up())));
+            }
+            let px = Vec2::new(rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0));
+            if let Some(kp) = just_past_the_square(px) {
+                keypoints.push(kp);
+                points.push((alphabet[0], px));
+            }
+            let descriptors: Vec<Descriptor> = (0..keypoints.len())
+                .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                .collect();
+            let grid = KeypointGrid::new(keypoints.iter().copied());
+            for (i, &(d, px)) in points.iter().enumerate() {
+                let want = weld_target_scan(&keypoints, &descriptors, d, px);
+                assert_eq!(
+                    weld_target(&grid, &descriptors, d, px),
+                    want,
+                    "seed {seed}, point {i}"
+                );
+                edge_picks +=
+                    usize::from(want.is_some_and(|k| (keypoints[k] - px).norm_sq() >= 324.0));
+            }
+        }
+        assert!(edge_picks > 0, "no pick on the window's edge");
+    }
 
     /// Build a small client map from dataset frames at ground-truth poses.
     fn client_map(client: u16, frames: &[usize], seed: u64) -> (Map, Dataset) {

@@ -14,7 +14,7 @@
 //! machinery of a sparse Schur solver while optimizing the same objective.
 
 use crate::map::MapWrite;
-use slamshare_features::DescriptorBlock;
+use slamshare_features::matching::KeypointGrid;
 use slamshare_gpu::GpuExecutor;
 use slamshare_math::robust::{huber_weight, CHI2_2DOF_95};
 use slamshare_math::{Mat3, Quat, Vec2, Vec3, SE3};
@@ -310,7 +310,7 @@ pub struct BaStats {
 /// Reusable scratch for the mapping passes, modeled on
 /// `features::arena::FrameArena` and held by the caller (the
 /// `LocalMapper` / merge worker) across invocations: every buffer local
-/// BA, descriptor fusion, and culling need lives here and is `clear()`ed
+/// BA, the merge weld, and culling need lives here and is `clear()`ed
 /// (never shrunk) per use, so a warmed mapper runs the commit-side
 /// mapping path without touching the allocator.
 #[derive(Debug, Clone, Default)]
@@ -323,12 +323,9 @@ pub struct MappingArena {
     obs: Vec<PoseObservation>,
     /// Views of the point the point pass is solving.
     views: Vec<PointView>,
-    /// SoA descriptor strips of the fusion target keyframe (merge
-    /// welding).
-    pub(crate) fuse_block: DescriptorBlock,
-    /// Candidate keypoint indices inside the current fusion search
-    /// window.
-    pub(crate) fuse_idx: Vec<usize>,
+    /// The merge weld's keypoint grid over the client keyframe it is
+    /// searching, rebuilt per keyframe.
+    pub(crate) weld_grid: KeypointGrid,
     /// Keyframes the culling pass decided to remove.
     pub(crate) cull_victims: Vec<KeyFrameId>,
     /// Map points the point-culling pass decided to remove.
@@ -521,6 +518,7 @@ pub fn local_bundle_adjust_with<M: MapWrite>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map::MapRead;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use slamshare_math::{DMat, DVec, Quat};

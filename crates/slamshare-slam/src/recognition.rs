@@ -381,6 +381,97 @@ mod tests {
         (map, ds)
     }
 
+    /// `n` random descriptors, and each again with `flips` bits flipped.
+    fn scene(rng: &mut rand::rngs::StdRng, n: usize, flips: usize) -> [Vec<Descriptor>; 2] {
+        use rand::Rng;
+        let base: Vec<Descriptor> = (0..n)
+            .map(|_| {
+                let mut d = Descriptor::ZERO;
+                for bit in 0..256 {
+                    if rng.gen_bool(0.5) {
+                        d.set_bit(bit);
+                    }
+                }
+                d
+            })
+            .collect();
+        let noisy = base
+            .iter()
+            .map(|d| {
+                let mut d = *d;
+                for _ in 0..flips {
+                    let bit = rng.gen_range(0..256);
+                    d.0[bit / 8] ^= 1 << (bit % 8);
+                }
+                d
+            })
+            .collect();
+        [base, noisy]
+    }
+
+    #[test]
+    fn database_retrieves_best_match_first() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let vocab = vocabulary::train_random(42);
+        let [view, same] = scene(&mut rng, 60, 4);
+        let [other, _] = scene(&mut rng, 60, 0);
+
+        let db = ShardedKeyframeDatabase::new();
+        db.add(10, vocab.transform(&same));
+        db.add(20, vocab.transform(&other));
+
+        let hits = db.query(&vocab.transform(&view), 0.0, &|_| false);
+        assert!(!hits.is_empty());
+        assert_eq!(
+            hits[0].0, 10,
+            "expected same-scene keyframe first: {hits:?}"
+        );
+    }
+
+    #[test]
+    fn database_remove_and_exclude() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let [view, _] = scene(&mut rng, 40, 0);
+        let bow = vocabulary::train_random(42).transform(&view);
+
+        let db = ShardedKeyframeDatabase::new();
+        db.add(1, bow.clone());
+        db.add(2, bow.clone());
+        assert_eq!(db.len(), 2);
+
+        let hits = db.query(&bow, 0.0, &|id| id == 1);
+        assert!(hits.iter().all(|(id, _)| *id != 1));
+
+        db.remove(2);
+        assert_eq!(db.len(), 1);
+        let hits = db.query(&bow, 0.0, &|_| false);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].0, 1);
+    }
+
+    #[test]
+    fn nan_bow_weights_never_panic_query() {
+        // A NaN weight (e.g. from a degenerate tf-idf normalisation)
+        // gives a NaN similarity, which must not panic the sort.
+        let db = ShardedKeyframeDatabase::new();
+        let mut finite = BowVector::default();
+        finite.0.insert(1, 0.5);
+        finite.0.insert(2, 0.5);
+        let mut poisoned = BowVector::default();
+        poisoned.0.insert(1, f64::NAN);
+        poisoned.0.insert(3, 0.5);
+        db.add(10, finite.clone());
+        db.add(11, poisoned.clone());
+        // Finite query against a NaN entry: the NaN score fails
+        // min_score and drops out.
+        let hits = db.query(&finite, 0.0, &|_| false);
+        assert!(hits.iter().all(|(_, s)| s.is_finite()));
+        // NaN query vector: every score is NaN — no panic, no results.
+        assert!(db.query(&poisoned, 0.01, &|_| false).is_empty());
+    }
+
     #[test]
     fn same_view_from_two_clients_detected() {
         // Clients 1 and 2 both observe frame 0 of the same world (different

@@ -599,7 +599,7 @@ impl Tracker {
 mod tests {
     use super::*;
     use crate::ids::ClientId;
-    use crate::map::{KeyFrame, Map};
+    use crate::map::{KeyFrame, Map, MapWrite};
     use slamshare_features::bow::BowVector;
     use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
     use slamshare_sim::imu::ImuNoise;

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use slamshare_math::{Quat, Vec3, SE3};
 use slamshare_slam::eval;
 use slamshare_slam::ids::ClientId;
-use slamshare_slam::map::Map;
+use slamshare_slam::map::{Map, MapWrite};
 
 fn arb_se3() -> impl Strategy<Value = SE3> {
     (

@@ -11,7 +11,7 @@ use slam_share::math::SE3;
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::ids::ClientId;
-use slam_share::slam::map::Map;
+use slam_share::slam::map::{Map, MapRead};
 use slam_share::slam::optimize::{local_bundle_adjust_with, BaScratch};
 use slam_share::slam::system::{FrameInput, SlamConfig, SlamSystem};
 use slam_share::slam::tracking::{Tracker, TrackerConfig};

@@ -375,7 +375,7 @@ fn extraction_deterministic_across_worker_counts() {
 #[test]
 fn batched_kf_culling_matches_scalar_snapshot_rule() {
     use slam_share::slam::ids::{ClientId, KeyFrameId};
-    use slam_share::slam::map::{KeyFrame, Map};
+    use slam_share::slam::map::{KeyFrame, Map, MapWrite};
     use slam_share::slam::mapping::{
         LocalMapper, MappingConfig, KF_CULL_MIN_MATCHED, KF_CULL_MIN_OBS,
     };

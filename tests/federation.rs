@@ -25,7 +25,7 @@ use slam_share::net::link::LinkConfig;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::sim::SimTime;
 use slam_share::slam::ids::ClientId;
-use slam_share::slam::map::Map;
+use slam_share::slam::map::{Map, MapWrite};
 use slam_share::slam::vocabulary;
 use std::sync::Arc;
 

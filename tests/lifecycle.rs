@@ -35,7 +35,7 @@ use slam_share::shm::Segment;
 use slam_share::sim::camera::StereoRig;
 use slam_share::sim::SimTime;
 use slam_share::slam::ids::{ClientId, IdAllocator, KeyFrameId};
-use slam_share::slam::map::{KeyFrame, Map, MapPoint, MapRead};
+use slam_share::slam::map::{KeyFrame, Map, MapPoint, MapRead, MapWrite};
 use slam_share::slam::vocabulary;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -114,7 +114,7 @@ fn insert_step(
     let mp_kept = alloc.next_mappoint();
     let timestamp = step as f64 * 60.0 + client as f64;
     gmap.with_component_write(&seeds, |map, _| {
-        map.frame_clock = map.frame_clock.max(frame);
+        map.advance_frame_clock(frame);
         map.insert_keyframe(KeyFrame {
             id: kf_id,
             pose_cw: SE3::from_translation(Vec3::new(-pos.x, -pos.y, -pos.z)),
@@ -133,20 +133,17 @@ fn insert_step(
             matched_points: vec![Some(mp_single), Some(mp_kept)],
             bow: Default::default(),
         });
-        let stamp = map.frame_clock;
+        let stamp = map.frame_clock();
         for (i, (mp_id, n_obs)) in [(mp_single, 1usize), (mp_kept, 2usize)].iter().enumerate() {
-            map.mappoints.insert(
-                *mp_id,
-                MapPoint {
-                    id: *mp_id,
-                    position: pos + Vec3::new(0.0, 0.01 * (1.0 + i as f64), 0.0),
-                    descriptor: Descriptor::ZERO,
-                    normal: Vec3::Z,
-                    observations: (0..*n_obs).map(|slot| (kf_id, slot)).collect(),
-                    replaced_by: None,
-                    created_frame: stamp,
-                },
-            );
+            map.put_mappoint(MapPoint {
+                id: *mp_id,
+                position: pos + Vec3::new(0.0, 0.01 * (1.0 + i as f64), 0.0),
+                descriptor: Descriptor::ZERO,
+                normal: Vec3::Z,
+                observations: (0..*n_obs).map(|slot| (kf_id, slot)).collect(),
+                replaced_by: None,
+                created_frame: stamp,
+            });
         }
         ((), true)
     });
@@ -531,7 +528,7 @@ fn track_reads_and_writes_never_run_on_an_evicted_shard() {
             }
             writes += 1;
             let (held, _) =
-                gmap.with_component_write(&seeds, |m, _| (m.keyframes.contains_key(&kf), false));
+                gmap.with_component_write(&seeds, |m, _| (m.keyframe(kf).is_some(), false));
             if !held {
                 write_misses += 1;
             }

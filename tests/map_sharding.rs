@@ -2,9 +2,9 @@
 //! determinism.
 //!
 //! The sharded map's contract (crates/slamshare-core/src/gmap.rs) is that
-//! shard placement is invisible to results — every write gathers its
-//! locked component into one scratch map and runs the unchanged
-//! mapping/merge code — so a client's committed results are bit-identical
+//! shard placement is invisible to results — every write runs the
+//! unchanged mapping/merge code on its locked shards, stitched into one
+//! view — so a client's committed results are bit-identical
 //! at any shard count, while writers in disjoint regions hold disjoint
 //! write locks. These tests drive the real server (video decode →
 //! speculative track → commit) against 1-, 4- and 16-shard stores, with
@@ -18,7 +18,7 @@ use slam_share::math::{Vec3, SE3};
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::ids::ClientId;
-use slam_share::slam::map::{KeyFrame, Map, MapPoint, RegionAssigner};
+use slam_share::slam::map::{KeyFrame, Map, MapPoint, MapWrite, RegionAssigner};
 use slam_share::slam::vocabulary;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -438,4 +438,163 @@ fn concurrent_overlapping_absorbs_serialize_without_losing_content() {
             100 + c
         );
     }
+}
+
+/// Merges on the merge thread race a writer in the component they weld
+/// into. Client 1's map becomes the global map; clients 2 and 3 then
+/// submit merges that land on the thread while a background thread keeps
+/// absorbing fragments at client 1's camera center. At 1, 4 and 16
+/// shards every merge job is applied, the map's invariants hold after
+/// every round, and every frame a client commits after its merge tracks.
+#[test]
+fn thread_merges_race_an_absorber_in_their_component() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const CLIENTS: u16 = 3;
+    const BECOME_GLOBAL_AT: usize = 5;
+    let datasets: Vec<Dataset> = (0..CLIENTS)
+        .map(|c| {
+            Dataset::build(
+                DatasetConfig::new(TracePreset::V202)
+                    .with_frames(FRAMES)
+                    .with_seed(51 + u64::from(c)),
+            )
+        })
+        .collect();
+    let mut encoders: Vec<(VideoEncoder, VideoEncoder)> =
+        (0..CLIENTS).map(|_| Default::default()).collect();
+    let encoded: Vec<Vec<(Vec<u8>, Vec<u8>)>> = datasets
+        .iter()
+        .zip(&mut encoders)
+        .map(|(ds, enc)| {
+            (0..FRAMES)
+                .map(|i| {
+                    let (l, r) = ds.render_stereo_frame(i);
+                    (
+                        enc.0.encode(&l).data.to_vec(),
+                        enc.1.encode(&r).data.to_vec(),
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    let destination = datasets[0]
+        .gt_pose_cw(BECOME_GLOBAL_AT)
+        .inverse()
+        .transform(Vec3::new(0.0, 0.0, 0.0))
+        .x;
+
+    // Absorbs that started while a merge job was queued or running.
+    let raced = AtomicUsize::new(0);
+    for shards in [1usize, 4, N_SHARDS_MAX] {
+        let mut config = ServerConfig::stereo_default(datasets[0].rig);
+        config.map_shards = shards;
+        config.async_merge = true;
+        // Merges are driven by hand.
+        config.merge_after_keyframes = usize::MAX;
+        let mut server = EdgeServer::new(config, Arc::new(vocabulary::train_random(42)));
+        for c in 1..=CLIENTS {
+            server.try_register_client(c).unwrap();
+        }
+        server.set_round_workers(2);
+        let server = &server;
+        let round = |i: usize| {
+            for (c, frames) in (1..=CLIENTS).zip(&encoded) {
+                let (left, right) = &frames[i];
+                let frame = QueuedFrame {
+                    frame_idx: i,
+                    timestamp: datasets[0].frame_time(i),
+                    left: left.clone(),
+                    right: Some(right.clone()),
+                    pose_hint: (i == 0).then(|| datasets[usize::from(c) - 1].gt_pose_cw(0)),
+                    ..QueuedFrame::default()
+                };
+                server.offer_frame(c, frame).expect("registered client");
+            }
+            let results = server.process_queued_round();
+            if let Err(e) = server.store.check_invariants() {
+                panic!("map invariant broken after round {i} at {shards} shards: {e}");
+            }
+            for (c, r) in results {
+                assert!(
+                    !r.merged || r.tracked,
+                    "client {c} lost tracking after its merge (frame {i}, {shards} shards)"
+                );
+            }
+        };
+
+        for i in 0..=BECOME_GLOBAL_AT {
+            round(i);
+        }
+        server
+            .merge_client_now(1, datasets[0].frame_time(BECOME_GLOBAL_AT))
+            .expect("merge into empty global map");
+
+        let stop = AtomicBool::new(false);
+        let absorbed = AtomicUsize::new(0);
+        let (go, started) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let (stop, absorbed, raced) = (&stop, &absorbed, &raced);
+            // Released by the first job the merge thread accepts, so the
+            // absorber's writes meet that job's all-region write.
+            scope.spawn(move || {
+                if started.recv().is_err() {
+                    return;
+                }
+                for c in 100..400u16 {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let in_flight = server
+                        .merge_worker_stats()
+                        .is_some_and(|s| s.submitted > s.applied + s.no_region);
+                    server.absorb_external_fragment(make_fragment(c, destination, 2));
+                    absorbed.fetch_add(1, Ordering::Relaxed);
+                    raced.fetch_add(usize::from(in_flight), Ordering::Relaxed);
+                    std::thread::yield_now();
+                }
+            });
+            let mut submitted = [false; CLIENTS as usize];
+            submitted[0] = true;
+            for i in BECOME_GLOBAL_AT + 1..FRAMES {
+                if i == FRAMES - 1 {
+                    // Let every job land so the last round collects it.
+                    server.wait_merge_idle();
+                }
+                round(i);
+                for (c, done) in (1..=CLIENTS).zip(&mut submitted) {
+                    if !*done {
+                        *done = server.submit_merge(c, datasets[0].frame_time(i));
+                        if *done {
+                            let _ = go.send(());
+                        }
+                    }
+                }
+            }
+            drop(go);
+            stop.store(true, Ordering::Relaxed);
+            assert!(
+                submitted.iter().all(|&s| s),
+                "a client never became ready to merge at {shards} shards"
+            );
+        });
+
+        assert!(
+            absorbed.load(Ordering::Relaxed) > 0,
+            "the absorber never wrote"
+        );
+        let stats = server.merge_worker_stats().expect("merge worker stats");
+        assert_eq!(stats.submitted, u64::from(CLIENTS), "{stats:?}");
+        assert_eq!(stats.applied, stats.submitted, "{stats:?}");
+        assert_eq!(stats.no_region, 0, "{stats:?}");
+        for c in 1..=CLIENTS {
+            assert!(
+                server.is_merged(c),
+                "client {c} never merged at {shards} shards"
+            );
+        }
+    }
+    assert!(
+        raced.load(Ordering::Relaxed) > 0,
+        "no absorb met a merge job in flight"
+    );
 }
