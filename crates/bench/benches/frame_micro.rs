@@ -20,7 +20,7 @@ use slamshare_features::arena::CellScratch;
 use slamshare_features::extractor::{CellTask, ExtractedFeatures, ExtractionTimings, OrbExtractor};
 use slamshare_features::matching::{self, KeypointGrid, ProjectionQuery, StereoScratch, TH_LOW};
 use slamshare_features::orb;
-use slamshare_features::ImagePyramid;
+use slamshare_features::pyramid::{ImagePyramid, DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR};
 use slamshare_gpu::{kernels, GpuExecutor};
 use slamshare_math::Vec2;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
@@ -158,11 +158,7 @@ fn bench(c: &mut Criterion) {
     let distribute = stage_ms(|t| t.distribute_ms);
     let describe = stage_ms(|t| t.describe_ms);
 
-    let pyr = ImagePyramid::build(
-        &left,
-        extractor.config.n_levels,
-        extractor.config.scale_factor,
-    );
+    let pyr = ImagePyramid::build(&left, DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR);
     let mut tasks = Vec::new();
     extractor.cells_into(&pyr, &mut tasks);
     let mut raw = Vec::new();

@@ -22,10 +22,8 @@ use slamshare_core::gmap::{LockSeeds, ShardedGlobalMap};
 use slamshare_core::lifecycle::{soak, LifecycleConfig, LifecycleManager};
 use slamshare_features::{Descriptor, KeyPoint};
 use slamshare_math::{Vec2, Vec3, SE3};
-use slamshare_shm::Segment;
 use slamshare_slam::ids::{ClientId, IdAllocator};
 use slamshare_slam::map::{KeyFrame, MapPoint, MapWrite};
-use std::sync::Arc;
 use std::time::Instant;
 
 const SEED: u64 = 9;
@@ -132,8 +130,7 @@ fn bench(c: &mut Criterion) {
     let n = cycles();
     const KF_PER_CYCLE: usize = 24;
 
-    let segment = Arc::new(Segment::new(1 << 26));
-    let gmap = ShardedGlobalMap::create(segment, "bench/lifecycle", 16, 10.0).expect("create gmap");
+    let gmap = ShardedGlobalMap::new(16, 10.0);
     let manager = LifecycleManager::new(
         gmap.clone(),
         LifecycleConfig {

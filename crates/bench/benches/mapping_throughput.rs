@@ -190,13 +190,10 @@ fn keyframe_write_row(
 ) -> KeyframeWriteRow {
     use slamshare_features::{Descriptor, KeyPoint};
     use slamshare_math::{Vec2, Vec3, SE3};
-    let gmap = ShardedGlobalMap::create(
-        Arc::new(slamshare_shm::Segment::new(1 << 30)),
-        "bench/keyframe_write",
+    let gmap = ShardedGlobalMap::new(
         ServerConfig::stereo_default(ds.rig).map_shards,
         REGION_CELL_M,
-    )
-    .expect("fresh segment");
+    );
     let c0 = obs.pose_cw.camera_center();
     let r0 = gmap.region_of(c0);
     let c1 = (1..)

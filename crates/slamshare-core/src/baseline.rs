@@ -34,21 +34,20 @@ use std::time::Instant;
 
 /// Hold-down time before the upload is sent (Table 4 row 1: 5000 ms).
 const HOLD_DOWN: SimTime = SimTime(5_000_000);
+/// Keyframes in the returned global-map slice (~6 in the paper).
+const SLICE_KEYFRAMES: usize = 6;
 
 /// Baseline exchange parameters (paper values).
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
     /// Frames between map uploads ("every 150 frames").
     pub upload_every_frames: usize,
-    /// Keyframes in the returned global-map slice (~6 in the paper).
-    pub slice_keyframes: usize,
 }
 
 impl Default for BaselineConfig {
     fn default() -> Self {
         BaselineConfig {
             upload_every_frames: 150,
-            slice_keyframes: 6,
         }
     }
 }
@@ -114,7 +113,6 @@ impl BaselineServer {
     pub fn handle_upload(
         &mut self,
         payload: &[u8],
-        slice_keyframes: usize,
     ) -> (Vec<u8>, f64, f64, f64, Option<MergeReport>) {
         let t0 = Instant::now();
         let cmap = wire::decode_map(payload).expect("baseline upload corrupt");
@@ -134,7 +132,7 @@ impl BaselineServer {
         // "Data processing": cut the ~6-keyframe slice around the newest
         // content and serialize it.
         let t2 = Instant::now();
-        let slice = self.cut_slice(slice_keyframes);
+        let slice = self.cut_slice(SLICE_KEYFRAMES);
         let slice_bytes = wire::encode_map(&slice).to_vec();
         let data_processing_ms = t2.elapsed().as_secs_f64() * 1e3;
 
@@ -302,7 +300,7 @@ pub fn baseline_exchange_round(
     t = arrive;
 
     let (slice, deserialize_ms, merge_ms, data_processing_ms, report) =
-        server.handle_upload(&upload, client.config.slice_keyframes);
+        server.handle_upload(&upload);
     lat.deserialize_ms = deserialize_ms;
     lat.merge_ms = merge_ms;
     lat.data_processing_ms = data_processing_ms;
@@ -379,7 +377,6 @@ mod tests {
         let vocab = Arc::new(vocabulary::train_random(42));
         let config = BaselineConfig {
             upload_every_frames: 3,
-            ..Default::default()
         };
         let mut client = BaselineClient::new(1, SlamConfig::stereo(ds.rig), vocab, config);
         let mut due_at = None;

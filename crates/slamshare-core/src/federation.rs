@@ -218,7 +218,7 @@ pub struct Federation {
 
 impl Federation {
     /// Bring up `n_servers` identically-configured edge servers (each
-    /// with its own segment, store, GPU and merge worker) connected by a
+    /// with its own store, GPU and merge worker) connected by a
     /// full mesh of `link` channels, with regions partitioned
     /// round-robin — or all owned by server 0 when `n_servers == 1`.
     pub fn new(
@@ -401,8 +401,7 @@ impl Federation {
                 None => return 0,
             };
             let _span = slamshare_obs::span!("fed.delta_encode");
-            let snapshot = server.store.snapshot_map();
-            let fragment = extract_client_fragment(&snapshot, client);
+            let fragment = server.store.client_fragment(ClientId(client));
             if fragment.keyframes.is_empty() && fragment.mappoints.is_empty() {
                 return 0;
             }
@@ -624,23 +623,6 @@ impl Federation {
         slamshare_obs::counter_inc!("fed.evicted_transfers");
         true
     }
-}
-
-/// Carve `client`'s contribution out of a global-map snapshot (ids are
-/// client-namespaced, so membership is a bit test on the id).
-fn extract_client_fragment(snapshot: &Map, client: u16) -> Map {
-    let mut frag = Map::new(ClientId(client));
-    for (id, kf) in &snapshot.keyframes {
-        if id.client().0 == client {
-            frag.keyframes.insert(*id, kf.clone());
-        }
-    }
-    for (id, mp) in &snapshot.mappoints {
-        if id.client().0 == client {
-            frag.mappoints.insert(*id, mp.clone());
-        }
-    }
-    frag
 }
 
 /// Split a fragment by owning server (keyframes by camera-center region,

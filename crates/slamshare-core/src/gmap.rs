@@ -75,7 +75,7 @@
 //! component out: each region's content becomes a compact
 //! `slamshare-net` region snapshot held in a typed [`EvictedRegion`]
 //! directory stub, and the emptied shard's bytes are released back to
-//! the segment arena. Directory entries and unions are never removed by
+//! the arena. Directory entries and unions are never removed by
 //! eviction, so seed resolution is oblivious to residency; the track and
 //! write paths call [`ShardedGlobalMap::ensure_resident`] on their
 //! resolved region set before locking, which transparently decodes stubs
@@ -93,8 +93,8 @@
 use parking_lot::Mutex;
 use slamshare_math::Vec3;
 use slamshare_net::fed::{decode_region_snapshot, encode_region_snapshot, RegionSnapshot};
-use slamshare_shm::{LockStats, Segment, ShardedStore};
-use slamshare_slam::ids::{IdAllocator, KeyFrameId, MapPointId};
+use slamshare_shm::{LockStats, ShardedStore};
+use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId, MapPointId};
 use slamshare_slam::map::{
     KeyFrame, Map, MapPoint, MapRead, MapView, MapWrite, RegionAssigner, RegionGraph,
 };
@@ -107,12 +107,6 @@ use std::sync::Arc;
 /// a write whose components keep growing under it (a concurrent write
 /// merged them) stops chasing them and locks everything.
 pub const MAX_COMPONENT_RETRIES: usize = 3;
-
-/// One region shard's occupant inside the shared-memory store.
-#[derive(Default)]
-pub struct RegionShard {
-    pub map: Map,
-}
 
 /// Residency of a region's content: resident in its shm shard, or
 /// serialized out to a compact [`EvictedRegion`] stub.
@@ -215,18 +209,17 @@ impl ComponentWrite<'_> {
     }
 }
 
-/// The region-sharded global map: the shm store of region shards, the
-/// segment backing it, and the directory.
+/// The region-sharded global map: the shm store of region shards (with
+/// the arena their sizes are charged against) and the directory.
 pub struct ShardedGlobalMap {
-    store: Arc<ShardedStore<RegionShard>>,
-    segment: Arc<Segment>,
+    store: ShardedStore<Map>,
     dir: Mutex<Directory>,
     /// Successful on-demand reloads (lifecycle telemetry).
     reloads: AtomicU64,
 }
 
-fn shard_bytes(s: &RegionShard) -> usize {
-    s.map.approx_bytes()
+fn shard_bytes(s: &Map) -> usize {
+    s.approx_bytes()
 }
 
 /// Edge length, meters, of the spatial grid cells every
@@ -234,24 +227,12 @@ fn shard_bytes(s: &RegionShard) -> usize {
 pub const REGION_CELL_M: f64 = 10.0;
 
 impl ShardedGlobalMap {
-    /// Create the sharded map inside `segment` under `name` with
-    /// `n_shards` regions of ~`cell_m`-meter grid cells.
-    pub fn create(
-        segment: Arc<Segment>,
-        name: &str,
-        n_shards: usize,
-        cell_m: f64,
-    ) -> Option<Arc<ShardedGlobalMap>> {
+    /// The sharded map with `n_shards` regions of ~`cell_m`-meter grid
+    /// cells.
+    pub fn new(n_shards: usize, cell_m: f64) -> Arc<ShardedGlobalMap> {
         let n = n_shards.max(1);
-        let store = ShardedStore::create_in(
-            &segment,
-            name,
-            (0..n).map(|_| RegionShard::default()).collect(),
-        )
-        .ok()?;
-        Some(Arc::new(ShardedGlobalMap {
-            store,
-            segment,
+        Arc::new(ShardedGlobalMap {
+            store: ShardedStore::new((0..n).map(|_| Map::default()).collect()),
             dir: Mutex::new(Directory {
                 kf_region: HashMap::new(),
                 graph: RegionGraph::new(n),
@@ -259,7 +240,7 @@ impl ShardedGlobalMap {
                 evicted: HashMap::new(),
             }),
             reloads: AtomicU64::new(0),
-        }))
+        })
     }
 
     /// Successful on-demand region reloads so far.
@@ -377,7 +358,7 @@ impl ShardedGlobalMap {
                 // reads are stable for as long as the read locks are held.
                 let stamp: Vec<(usize, u64)> =
                     order.iter().map(|&i| (i, self.store.epoch(i))).collect();
-                let view = MapView::new(shards.iter().map(|s| &s.map).collect());
+                let view = MapView::new(shards.to_vec());
                 Some(f(&view, &stamp))
             });
             if let Some(r) = out {
@@ -401,7 +382,25 @@ impl ShardedGlobalMap {
     /// map statistics, phase transitions).
     pub fn with_view<R>(&self, f: impl FnOnce(&MapView) -> R) -> R {
         self.store
-            .with_read_all(|_, shards| f(&MapView::new(shards.iter().map(|s| &s.map).collect())))
+            .with_read_all(|_, shards| f(&MapView::new(shards.to_vec())))
+    }
+
+    /// Clone `client`'s keyframes and map points out under read locks.
+    /// Ids are client-namespaced, so they are one id range of each
+    /// region; nothing else is copied.
+    pub fn client_fragment(&self, client: ClientId) -> Map {
+        self.store.with_read_all(|_, shards| {
+            let mut frag = Map::new(client);
+            for s in shards {
+                for (id, kf) in s.keyframes.range(client.keyframe_ids()) {
+                    frag.keyframes.insert(*id, kf.clone());
+                }
+                for (id, mp) in s.mappoints.range(client.mappoint_ids()) {
+                    frag.mappoints.insert(*id, mp.clone());
+                }
+            }
+            frag
+        })
     }
 
     /// Clone the whole map out under read locks.
@@ -409,10 +408,10 @@ impl ShardedGlobalMap {
         self.store.with_read_all(|_, shards| {
             let mut m = Map::default();
             for s in shards {
-                for (id, kf) in &s.map.keyframes {
+                for (id, kf) in &s.keyframes {
                     m.keyframes.insert(*id, kf.clone());
                 }
-                for (id, mp) in &s.map.mappoints {
+                for (id, mp) in &s.mappoints {
                     m.mappoints.insert(*id, mp.clone());
                 }
             }
@@ -427,19 +426,19 @@ impl ShardedGlobalMap {
             let mut mps = 0;
             let mut bytes = 0;
             for s in shards {
-                kfs += s.map.n_keyframes();
-                mps += s.map.n_mappoints();
-                bytes += s.map.approx_bytes();
+                kfs += s.n_keyframes();
+                mps += s.n_mappoints();
+                bytes += s.approx_bytes();
             }
             (kfs, mps, bytes)
         })
     }
 
-    /// `(arena_used, arena_high_water, arena_capacity)` of the backing
-    /// segment — the occupancy the soak stage budgets against.
-    pub fn arena_stats(&self) -> (usize, usize, usize) {
-        let a = &self.segment.arena;
-        (a.used(), a.high_water(), a.capacity())
+    /// `(arena_used, arena_high_water)` — the occupancy the soak stage
+    /// budgets against.
+    pub fn arena_stats(&self) -> (usize, usize) {
+        let a = self.store.arena();
+        (a.used(), a.high_water())
     }
 
     /// Sorted regions of the covisibility component containing `region`.
@@ -522,7 +521,7 @@ impl ShardedGlobalMap {
         self.store.with_read(&[region], |_, shards| {
             shards
                 .first()
-                .and_then(|s| s.map.keyframes.keys().next().copied())
+                .and_then(|s| s.keyframes.keys().next().copied())
         })
     }
 
@@ -542,7 +541,7 @@ impl ShardedGlobalMap {
             return EvictReceipt::default();
         }
         self.store
-            .with_write(&self.segment, &regions, shard_bytes, |order, shards| {
+            .with_write(&regions, shard_bytes, |order, shards| {
                 let mut dir = self.dir.lock();
                 // Validate under the directory lock while holding the
                 // shard locks, exactly like a component write: if the
@@ -563,11 +562,11 @@ impl ShardedGlobalMap {
                     let Some(&region) = order.get(k) else {
                         continue;
                     };
-                    if shard.map.is_empty() && shard.map.n_mappoints() == 0 {
+                    if shard.is_empty() && shard.n_mappoints() == 0 {
                         continue; // nothing resident (maybe already a stub)
                     }
-                    let resident_bytes = shard.map.approx_bytes();
-                    let fragment = std::mem::take(&mut shard.map);
+                    let resident_bytes = shard.approx_bytes();
+                    let fragment = std::mem::take(&mut **shard);
                     let snap = RegionSnapshot {
                         region: region as u32,
                         evicted_at_frame: now_frame,
@@ -643,7 +642,7 @@ impl ShardedGlobalMap {
         let _span = slamshare_obs::span!("lifecycle.reload");
         let ok = self
             .store
-            .with_write(&self.segment, &[region], shard_bytes, |order, shards| {
+            .with_write(&[region], shard_bytes, |order, shards| {
                 let (Some(&r), Some(shard)) = (order.first(), shards.first_mut()) else {
                     return (false, false);
                 };
@@ -685,9 +684,9 @@ impl ShardedGlobalMap {
                         }
                     }
                 }
-                shard.map.keyframes.append(&mut fragment.keyframes);
-                shard.map.mappoints.append(&mut fragment.mappoints);
-                shard.map.frame_clock = shard.map.frame_clock.max(fragment.frame_clock);
+                shard.keyframes.append(&mut fragment.keyframes);
+                shard.mappoints.append(&mut fragment.mappoints);
+                shard.frame_clock = shard.frame_clock.max(fragment.frame_clock);
                 (true, true)
             });
         if ok {
@@ -719,7 +718,7 @@ impl ShardedGlobalMap {
         let resident = self
             .store
             .with_read(&[region], |_, shards| match shards.first() {
-                Some(s) => !s.map.is_empty() || s.map.n_mappoints() > 0,
+                Some(s) => !s.is_empty() || s.n_mappoints() > 0,
                 None => true,
             });
         if resident {
@@ -751,9 +750,10 @@ impl ShardedGlobalMap {
     pub fn with_component_write<R>(
         &self,
         seeds: &LockSeeds,
-        mut f: impl FnMut(&mut ComponentMapMut<'_>, &ComponentWrite) -> (R, bool),
+        f: impl FnOnce(&mut ComponentMapMut<'_>, &ComponentWrite) -> (R, bool),
     ) -> (R, Vec<usize>) {
         let n = self.store.n_shards();
+        let mut f = Some(f);
         let mut attempt = 0;
         loop {
             let regions: Vec<usize> = if attempt >= MAX_COMPONENT_RETRIES {
@@ -768,25 +768,28 @@ impl ShardedGlobalMap {
             // applies against resident content).
             self.ensure_resident(&regions);
             let mut grown = false;
-            let out =
-                self.store
-                    .with_write(&self.segment, &regions, shard_bytes, |order, shards| {
-                        // Validate under the directory lock, while holding
-                        // the shard locks: components may have merged
-                        // between resolve and acquisition.
-                        grown = !full && {
-                            let dir = self.dir.lock();
-                            !self
-                                .resolve_in(&dir, seeds)
-                                .iter()
-                                .all(|r| order.binary_search(r).is_ok())
-                        };
-                        if grown || self.any_evicted(order) {
-                            return (None, false);
-                        }
-                        let (r, dirty) = self.run_write(order, shards, |m, cw| f(m, cw));
-                        (Some(r), dirty)
-                    });
+            let out = self
+                .store
+                .with_write(&regions, shard_bytes, |order, shards| {
+                    // Validate under the directory lock, while holding
+                    // the shard locks: components may have merged
+                    // between resolve and acquisition.
+                    grown = !full && {
+                        let dir = self.dir.lock();
+                        !self
+                            .resolve_in(&dir, seeds)
+                            .iter()
+                            .all(|r| order.binary_search(r).is_ok())
+                    };
+                    if grown || self.any_evicted(order) {
+                        return (None, false);
+                    }
+                    let Some(f) = f.take() else {
+                        return (None, false);
+                    };
+                    let (r, dirty) = self.run_write(order, shards, f);
+                    (Some(r), dirty)
+                });
             if let Some(r) = out {
                 return (r, regions);
             }
@@ -802,13 +805,13 @@ impl ShardedGlobalMap {
     fn run_write<R>(
         &self,
         order: &[usize],
-        shards: &mut [&mut RegionShard],
+        shards: &mut [&mut Map],
         f: impl FnOnce(&mut ComponentMapMut<'_>, &ComponentWrite) -> (R, bool),
     ) -> (R, bool) {
         let epochs: Vec<u64> = order.iter().map(|&i| self.store.epoch(i)).collect();
         let (kf_parts, mp_parts) = shards
             .iter_mut()
-            .map(|s| (&mut s.map.keyframes, &mut s.map.mappoints))
+            .map(|s| (&mut s.keyframes, &mut s.mappoints))
             .unzip();
         // Starts as an empty `Map` would: frame clock 0 and a default
         // allocator (the closures install their own).
@@ -904,7 +907,7 @@ impl ShardedGlobalMap {
             for (&region, shard) in order.iter().zip(shards) {
                 let (reported, actual) = (
                     self.store.shard_reported_bytes(region),
-                    shard.map.approx_bytes(),
+                    shard.approx_bytes(),
                 );
                 if reported != actual {
                     return Err(MapInvariantError::Accounting {
@@ -913,7 +916,7 @@ impl ShardedGlobalMap {
                         actual,
                     });
                 }
-                for &id in shard.map.keyframes.keys() {
+                for &id in shard.keyframes.keys() {
                     if let Some(first) = kf_home.insert(id, region) {
                         return Err(MapInvariantError::DuplicateKeyframe {
                             id,
@@ -921,7 +924,7 @@ impl ShardedGlobalMap {
                         });
                     }
                 }
-                for &id in shard.map.mappoints.keys() {
+                for &id in shard.mappoints.keys() {
                     if let Some(first) = mp_home.insert(id, region) {
                         return Err(MapInvariantError::DuplicatePoint {
                             id,
@@ -931,7 +934,7 @@ impl ShardedGlobalMap {
                 }
             }
             for (&region, shard) in order.iter().zip(shards) {
-                for &id in shard.map.keyframes.keys() {
+                for &id in shard.keyframes.keys() {
                     let directory = dir.kf_region.get(&id).map(|&r| r as usize);
                     if directory != Some(region) {
                         return Err(MapInvariantError::MisfiledKeyframe {
@@ -941,7 +944,7 @@ impl ShardedGlobalMap {
                         });
                     }
                 }
-                for mp in shard.map.mappoints.values() {
+                for mp in shard.mappoints.values() {
                     for (kf, _) in &mp.observations {
                         let Some(&observer_region) = kf_home.get(kf) else {
                             continue;
@@ -1193,8 +1196,7 @@ mod tests {
     use slamshare_slam::map::MapRead;
 
     fn gmap(n: usize) -> Arc<ShardedGlobalMap> {
-        let segment = Arc::new(Segment::new(1 << 24));
-        ShardedGlobalMap::create(segment, "test/gmap", n, 10.0).unwrap()
+        ShardedGlobalMap::new(n, 10.0)
     }
 
     fn kf_at(map: &mut impl MapWrite, x: f64, t: f64) -> KeyFrameId {
@@ -1360,13 +1362,12 @@ mod tests {
 
     #[test]
     fn evict_reload_roundtrip_preserves_content_and_frees_arena() {
-        let segment = Arc::new(Segment::new(1 << 24));
-        let g = ShardedGlobalMap::create(segment.clone(), "test/gmap", 16, 10.0).unwrap();
+        let g = ShardedGlobalMap::new(16, 10.0);
         let mut alloc = Map::new(ClientId(1));
         let (kf, locked) = insert_at(&g, &mut alloc, 0.0, 0.0);
         insert_at(&g, &mut alloc, 1000.0, 1.0);
         let before = g.snapshot_map();
-        let used_before = segment.arena.used();
+        let used_before = g.arena_stats().0;
 
         let receipt = g.evict_component(locked[0], 500);
         assert_eq!(receipt.regions, locked);
@@ -1376,7 +1377,7 @@ mod tests {
         assert_eq!(g.evicted_regions(), locked);
         assert!(g.has_evicted());
         // Shm accounting shrank; the far keyframe is untouched.
-        assert!(segment.arena.used() < used_before);
+        assert!(g.arena_stats().0 < used_before);
         assert_eq!(g.with_view(|v| v.n_keyframes()), 1);
 
         // A track seeded by the evicted keyframe transparently reloads.
@@ -1525,8 +1526,8 @@ mod tests {
             let mut kfs = Vec::new();
             let mut mps = Vec::new();
             for (&r, s) in order.iter().zip(shards) {
-                kfs.extend(s.map.keyframes.keys().map(|&id| (id, r)));
-                mps.extend(s.map.mappoints.keys().map(|&id| (id, r)));
+                kfs.extend(s.keyframes.keys().map(|&id| (id, r)));
+                mps.extend(s.mappoints.keys().map(|&id| (id, r)));
             }
             kfs.sort_unstable();
             mps.sort_unstable();
@@ -1823,22 +1824,21 @@ mod tests {
         // A point in `a`'s shard observed by `b`, planted behind the
         // write path's back: an edge between regions never unioned.
         let mp = alloc.alloc.next_mappoint();
-        g.store
-            .with_write(&g.segment, &[ra], shard_bytes, |_, shards| {
-                shards[0].map.mappoints.insert(
-                    mp,
-                    slamshare_slam::map::MapPoint {
-                        id: mp,
-                        position: slamshare_math::Vec3::ZERO,
-                        descriptor: Default::default(),
-                        normal: slamshare_math::Vec3::Z,
-                        observations: vec![(a, 0), (b, 0)],
-                        replaced_by: None,
-                        created_frame: 0,
-                    },
-                );
-                ((), true)
-            });
+        g.store.with_write(&[ra], shard_bytes, |_, shards| {
+            shards[0].mappoints.insert(
+                mp,
+                slamshare_slam::map::MapPoint {
+                    id: mp,
+                    position: slamshare_math::Vec3::ZERO,
+                    descriptor: Default::default(),
+                    normal: slamshare_math::Vec3::Z,
+                    observations: vec![(a, 0), (b, 0)],
+                    replaced_by: None,
+                    created_frame: 0,
+                },
+            );
+            ((), true)
+        });
         assert!(matches!(
             g.check_invariants(),
             Err(MapInvariantError::OpenEdge { point, .. }) if point == mp
@@ -1857,21 +1857,19 @@ mod tests {
         // The same keyframe resident twice; content changed without a
         // size report.
         let copy = g.snapshot_map().keyframes[&a].clone();
-        g.store
-            .with_write(&g.segment, &[rb], shard_bytes, |_, shards| {
-                shards[0].map.keyframes.insert(a, copy);
-                ((), true)
-            });
+        g.store.with_write(&[rb], shard_bytes, |_, shards| {
+            shards[0].keyframes.insert(a, copy);
+            ((), true)
+        });
         assert!(matches!(
             g.check_invariants(),
             Err(MapInvariantError::DuplicateKeyframe { id, .. }) if id == a
         ));
         g.store.with_write(
-            &g.segment,
             &[rb],
             |_| 0,
             |_, shards| {
-                shards[0].map.keyframes.remove(&a);
+                shards[0].keyframes.remove(&a);
                 ((), true)
             },
         );

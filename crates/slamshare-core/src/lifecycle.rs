@@ -2,7 +2,7 @@
 //! reload-on-demand.
 //!
 //! A day-long multi-user session grows the global map without bound,
-//! but the shm arena is finite (the paper pre-allocates 2 GB). This
+//! but server memory is finite (the paper pre-allocates 2 GB). This
 //! module keeps a long-running session's footprint bounded with three
 //! mechanisms, all applied under only the affected `core::gmap` region
 //! locks. It is a library, not a server thread: whoever owns the frame
@@ -45,8 +45,7 @@ use std::sync::Arc;
 
 /// Lifecycle policy. All times are in *virtual frames* (the same
 /// deterministic clock `Map::frame_clock` advances); `0` disables the
-/// corresponding mechanism, mirroring the `kf_cull_every = 0`
-/// convention in `MappingConfig`.
+/// corresponding mechanism.
 #[derive(Debug, Clone)]
 pub struct LifecycleConfig {
     /// Run the prune pass when at least this many frames passed since
@@ -124,7 +123,6 @@ pub struct LifecycleReport {
     pub reloads: u64,
     pub arena_used: u64,
     pub arena_high_water: u64,
-    pub arena_capacity: u64,
     /// Regions currently evicted.
     pub evicted_now: u64,
 }
@@ -237,7 +235,7 @@ impl LifecycleManager {
             }
         }
 
-        let (used, _, _) = self.gmap.arena_stats();
+        let (used, _) = self.gmap.arena_stats();
         slamshare_obs::gauge_set!("lifecycle.arena_used_bytes", used as u64);
         report
     }
@@ -344,7 +342,7 @@ impl LifecycleManager {
 
     /// Current totals plus live arena/residency state.
     pub fn report(&self) -> LifecycleReport {
-        let (used, high, cap) = self.gmap.arena_stats();
+        let (used, high) = self.gmap.arena_stats();
         let (evicted_now, _) = self.gmap.evicted_stats();
         LifecycleReport {
             ticks: self.totals.ticks.load(Ordering::Relaxed),
@@ -356,7 +354,6 @@ impl LifecycleManager {
             reloads: self.gmap.reload_count(),
             arena_used: used as u64,
             arena_high_water: high as u64,
-            arena_capacity: cap as u64,
             evicted_now: evicted_now as u64,
         }
     }
@@ -381,7 +378,6 @@ pub mod soak {
     use crate::load::mix;
     use slamshare_features::{Descriptor, KeyPoint};
     use slamshare_math::{Vec2, Vec3, SE3};
-    use slamshare_shm::Segment;
     use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId};
     use slamshare_slam::map::{KeyFrame, MapPoint, MapRead};
     use std::collections::BTreeMap;
@@ -400,7 +396,6 @@ pub mod soak {
         pub points_per_kf: usize,
         pub shards: usize,
         pub cell_m: f64,
-        pub segment_bytes: usize,
         /// Maintenance cadence in steps.
         pub tick_every_steps: usize,
         /// Final steps spent back in area 0 (the re-entry phase).
@@ -419,7 +414,6 @@ pub mod soak {
                 points_per_kf: 6,
                 shards: 16,
                 cell_m: 10.0,
-                segment_bytes: 1 << 26,
                 tick_every_steps: 10,
                 revisit_tail_steps: 120,
                 lifecycle: LifecycleConfig {
@@ -578,34 +572,7 @@ pub mod soak {
         cfg: &SoakConfig,
         mut after_step: impl FnMut(&ShardedGlobalMap),
     ) -> SoakOutcome {
-        let segment = Arc::new(Segment::new(cfg.segment_bytes));
-        let gmap =
-            match ShardedGlobalMap::create(segment.clone(), "soak/gmap", cfg.shards, cfg.cell_m) {
-                Some(g) => g,
-                None => {
-                    // Segment creation cannot fail at these sizes; return an
-                    // empty outcome rather than panic (no-panic discipline).
-                    return SoakOutcome {
-                        trajectories: BTreeMap::new(),
-                        map_digest: 0,
-                        relocs: 0,
-                        relocs_after_reload: 0,
-                        lifecycle: LifecycleReport {
-                            ticks: 0,
-                            pruned_points: 0,
-                            evicted_regions: 0,
-                            evicted_components: 0,
-                            serialized_bytes: 0,
-                            released_bytes: 0,
-                            reloads: 0,
-                            arena_used: 0,
-                            arena_high_water: 0,
-                            arena_capacity: 0,
-                            evicted_now: 0,
-                        },
-                    };
-                }
-            };
+        let gmap = ShardedGlobalMap::new(cfg.shards, cfg.cell_m);
         let manager = LifecycleManager::new(gmap.clone(), cfg.lifecycle.clone());
         let area_cells = probe_area_cells(cfg, &gmap);
 
@@ -787,12 +754,10 @@ pub mod soak {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slamshare_shm::Segment;
 
     #[test]
     fn disabled_config_never_acts() {
-        let segment = Arc::new(Segment::new(1 << 22));
-        let g = ShardedGlobalMap::create(segment, "t/lc", 8, 10.0).unwrap();
+        let g = ShardedGlobalMap::new(8, 10.0);
         let m = LifecycleManager::new(g, LifecycleConfig::disabled());
         let r = m.tick(10_000);
         assert_eq!(r.pruned_points, 0);

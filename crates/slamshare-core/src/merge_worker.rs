@@ -259,14 +259,9 @@ fn run_job(
 /// on the locked view, then apply the plan to that same view when it is
 /// viable. `None` when there is no common region yet.
 fn land(ctx: &MergeContext, arena: &mut MappingArena, cmap: Map) -> Option<AppliedMerge> {
-    // The closure runs once; the map moves into the apply.
-    let mut cmap = Some(cmap);
     let (applied, _) = ctx
         .store
         .with_component_write(&LockSeeds::all(), |gmap, _| {
-            let Some(cmap) = cmap.take() else {
-                return (None, false);
-            };
             let plan = {
                 let _span = slamshare_obs::span!("merge.plan");
                 plan_merge(&*gmap, &cmap, &ctx.db, &ctx.vocab, ctx.with_scale)
@@ -294,14 +289,11 @@ fn land(ctx: &MergeContext, arena: &mut MappingArena, cmap: Map) -> Option<Appli
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slamshare_shm::Segment;
     use slamshare_slam::ids::ClientId;
 
     fn context() -> MergeContext {
-        let segment = Arc::new(Segment::new(64 * 1024 * 1024));
         MergeContext {
-            store: ShardedGlobalMap::create(segment, "test/global-map", 4, 10.0)
-                .expect("fresh segment"),
+            store: ShardedGlobalMap::new(4, 10.0),
             db: Arc::new(ShardedKeyframeDatabase::new()),
             vocab: Arc::new(slamshare_slam::vocabulary::train_random(42)),
             cam: PinholeCamera::euroc_like(),

@@ -109,10 +109,10 @@ impl RetiredSnapshot {
 }
 
 /// Counters and latency samples for the merge worker (process M): how
-/// many jobs were submitted, how many merges landed, how often the
-/// optimistic epoch check lost a race and the job retried or fell back to
-/// a pessimistic in-lock merge. All methods take `&self`; the worker
-/// thread and the server share one instance.
+/// many jobs were submitted, how many merges landed, how many found no
+/// common region yet, and how many jobs or completions were lost or
+/// dropped. All methods take `&self`; the worker thread and the server
+/// share one instance.
 ///
 /// Built on `slamshare-obs` primitives: counts are [`Counter`]s and the
 /// applied-merge latency is a fixed-bucket [`Histogram`] (so the

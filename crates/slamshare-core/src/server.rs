@@ -2,12 +2,13 @@
 //!
 //! Architecture per Fig. 3:
 //!
-//! * an **orchestrator** allocates the shared-memory segment and creates
-//!   the global-map store in it;
-//! * one **client process** per AR device (threads here) attaches the
-//!   store, decodes that device's video, runs GPU-accelerated tracking
-//!   against the global map (concurrent read locks) and inserts keyframes
-//!   into it (serialized write locks);
+//! * an **orchestrator** creates the global-map store (in the paper, a
+//!   2 GB shared-memory segment every client process attaches by name;
+//!   here [`EdgeServer::new`] builds it);
+//! * one **client process** per AR device (a thread here, sharing the
+//!   store through its `Arc`) decodes that device's video, runs
+//!   GPU-accelerated tracking against the global map (concurrent read
+//!   locks) and inserts keyframes into it (serialized write locks);
 //! * the **merge process M** welds a client's initial local map into the
 //!   global map (Algorithm 2) — pointer-only thanks to the shared store,
 //!   which is Table 4's "SLAM-Share: 190 ms merge, no
@@ -93,7 +94,6 @@ use slamshare_features::bow::{BowVector, Vocabulary};
 use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu};
 use slamshare_math::{Sim3, SE3};
 use slamshare_net::codec::CodecError;
-use slamshare_shm::Segment;
 use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId};
 use slamshare_slam::map::{transform_pose_cw, Map, MapRead, MapWrite};
 use slamshare_slam::mapping::LocalMapper;
@@ -104,9 +104,6 @@ use slamshare_slam::tracking::{FrontEnd, MotionState, SensorMode, StageTimings, 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Name of the global map object inside the segment.
-pub const GLOBAL_MAP_NAME: &str = "slam-share/global-map";
 
 /// Server configuration.
 #[derive(Clone)]
@@ -274,7 +271,6 @@ enum StagedFrame {
 /// The edge server.
 pub struct EdgeServer {
     pub config: ServerConfig,
-    pub segment: Arc<Segment>,
     /// The region-sharded global map (see [`crate::gmap`]); map
     /// maintenance, when anyone runs it, ticks on this store.
     pub store: Arc<ShardedGlobalMap>,
@@ -343,21 +339,10 @@ fn retrack(
 }
 
 impl EdgeServer {
-    /// Orchestrator startup: allocate the segment, create the global map
-    /// store, bring up the GPU and the merge worker.
+    /// Orchestrator startup: create the global map store, bring up the
+    /// GPU and the merge worker.
     pub fn new(config: ServerConfig, vocab: Arc<Vocabulary>) -> EdgeServer {
-        let segment = Arc::new(Segment::new(2 * 1024 * 1024 * 1024));
-        // Creating the one object of a segment allocated just above cannot
-        // fail, and `new` returns `EdgeServer`, not a `Result` (the API
-        // `benchmark/` compiles against).
-        #[allow(clippy::expect_used)]
-        let store = ShardedGlobalMap::create(
-            segment.clone(),
-            GLOBAL_MAP_NAME,
-            config.map_shards,
-            crate::gmap::REGION_CELL_M,
-        )
-        .expect("fresh segment");
+        let store = ShardedGlobalMap::new(config.map_shards, crate::gmap::REGION_CELL_M);
         let db = Arc::new(ShardedKeyframeDatabase::new());
         let cut = Arc::new(MetricsCut::default());
         let gpu = Arc::new(SharedGpu::new(GpuModel::v100()));
@@ -375,7 +360,6 @@ impl EdgeServer {
         let admission = Admission::new(config.max_clients);
         EdgeServer {
             config,
-            segment,
             store,
             db,
             gpu,
@@ -933,13 +917,7 @@ impl EdgeServer {
                         positions: vec![tracked.pose_cw.camera_center()],
                         all: self.config.slam.tracker.mode == SensorMode::Mono || last_kf.is_none(),
                     };
-                    // The write closure runs at most once; the slot lets
-                    // it take the features by value.
-                    let mut front_end = Some(front_end);
                     let (inserted, _) = self.store.with_component_write(&seeds, |map, cw| {
-                        let Some(front_end) = front_end.take() else {
-                            return (None, false);
-                        };
                         // Authoritative staleness check under the write
                         // locks: any region of the track's stamp that
                         // moved — or left the locked set entirely —
@@ -1098,14 +1076,10 @@ impl EdgeServer {
                     .collect(),
                 all: false,
             };
-            let mut delta_slot = Some(delta);
             self.store.with_component_write(&seeds, |map, _| {
-                let Some(mut delta) = delta_slot.take() else {
-                    return ((), false);
-                };
                 // Points first: keyframe insertion below registers
                 // observations on them.
-                for (id, mut mp) in std::mem::take(&mut delta.mappoints) {
+                for (id, mut mp) in delta.mappoints {
                     mp.observations.retain(|&(kf_id, idx)| {
                         if delta_kf_ids.contains(&kf_id) {
                             return true;
@@ -1127,7 +1101,7 @@ impl EdgeServer {
                     });
                     map.put_mappoint(mp);
                 }
-                for (_, kf) in std::mem::take(&mut delta.keyframes) {
+                for (_, kf) in delta.keyframes {
                     map.insert_keyframe(kf);
                 }
                 ((), true)
@@ -1210,19 +1184,10 @@ impl EdgeServer {
         if let Some(p) = last_pose {
             tracker.reset_motion(p);
         }
-        // Keyframe/point culling are local-map operations, so the
-        // shared-phase mapper never culls regardless of configuration.
-        // Removal from the *global* map is the lifecycle manager's job
-        // ([`crate::lifecycle`]): its prune/evict passes run through the
-        // validated component-write paths, which the per-frame mapper
-        // cannot do cheaply.
-        let mut mapping_cfg = self.config.slam.mapping.clone();
-        mapping_cfg.kf_cull_every = 0;
-        mapping_cfg.point_cull_every = 0;
         let mapper = Box::new(LocalMapper::new(
             self.config.slam.tracker.mode,
             self.config.slam.tracker.rig,
-            mapping_cfg,
+            self.config.slam.mapping.clone(),
         ));
         // The client's own most recent keyframe anchors its local map
         // neighbourhood in the global map.
@@ -1327,16 +1292,10 @@ impl EdgeServer {
                 .collect(),
             ..LockSeeds::default()
         };
-        let mut slot = Some(fragment);
-        let (_, locked) = self
-            .store
-            .with_component_write(&seeds, |map, _| match slot.take() {
-                Some(frag) => {
-                    slamshare_slam::merge::absorb(map, frag, &self.db);
-                    ((), true)
-                }
-                None => ((), false),
-            });
+        let (_, locked) = self.store.with_component_write(&seeds, |map, _| {
+            slamshare_slam::merge::absorb(map, fragment, &self.db);
+            ((), true)
+        });
         locked
     }
 }

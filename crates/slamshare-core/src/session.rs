@@ -26,7 +26,7 @@ use slamshare_sim::camera::StereoRig;
 use slamshare_sim::clock::SimTime;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slamshare_slam::eval;
-use slamshare_slam::ids::KeyFrameId;
+use slamshare_slam::map::MapRead;
 use slamshare_slam::system::SlamConfig;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -450,8 +450,9 @@ impl Session {
         clients: &[ActiveClient],
     ) -> Option<f64> {
         let by_id: HashMap<u16, &ActiveClient> = clients.iter().map(|c| (c.spec.id, c)).collect();
-        let snap = server.store.snapshot_map();
-        let (mut est, mut gt) = map_kf_pairs(&snap, &by_id, self.config.fps);
+        let (mut est, mut gt) = server
+            .store
+            .with_view(|view| map_kf_pairs(view, &by_id, self.config.fps));
         // Include not-yet-merged client fragments: before a merge they sit
         // in their private frames, which is exactly the inconsistency the
         // paper's "Before Merge" ATE spike visualizes.
@@ -603,14 +604,14 @@ impl Session {
 /// encode the owning client; keyframe timestamps are session times, which
 /// map back to that client's dataset time through its join offset.
 fn map_kf_pairs(
-    map: &slamshare_slam::map::Map,
+    map: &impl MapRead,
     clients: &HashMap<u16, &ActiveClient>,
     fps: f64,
 ) -> (TrajectorySeries, TrajectorySeries) {
     let mut est = Vec::new();
     let mut gt = Vec::new();
-    for (id, kf) in &map.keyframes {
-        let owner = KeyFrameId(id.0).client().0;
+    for kf in map.keyframes_iter() {
+        let owner = kf.id.client().0;
         let Some(c) = clients.get(&owner) else {
             continue;
         };

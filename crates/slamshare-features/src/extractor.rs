@@ -30,7 +30,7 @@ use crate::fast;
 use crate::image::GrayImage;
 use crate::keypoint::KeyPoint;
 use crate::orb;
-use crate::pyramid::ImagePyramid;
+use crate::pyramid::{ImagePyramid, DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR};
 use slamshare_math::Vec2;
 use std::time::Instant;
 
@@ -40,29 +40,12 @@ const FAST_THRESHOLD: u8 = 20;
 /// (ORB-SLAM's `minThFAST`).
 const MIN_THRESHOLD: u8 = 7;
 
-/// Extractor configuration (defaults mirror ORB-SLAM3's settings files).
-#[derive(Debug, Clone)]
-pub struct OrbExtractorConfig {
-    /// Total number of features to retain per image (~1000 in the paper).
-    pub n_features: usize,
-    /// Pyramid levels.
-    pub n_levels: usize,
-    /// Pyramid scale factor.
-    pub scale_factor: f64,
-    /// Detection cell edge in pixels — the GPU work-item granularity.
-    pub cell_size: usize,
-}
-
-impl Default for OrbExtractorConfig {
-    fn default() -> Self {
-        OrbExtractorConfig {
-            n_features: 1000,
-            n_levels: crate::pyramid::DEFAULT_LEVELS,
-            scale_factor: crate::pyramid::DEFAULT_SCALE_FACTOR,
-            cell_size: 32,
-        }
-    }
-}
+/// Features retained per image (~1000 in the paper, as in ORB-SLAM3's
+/// settings files). The pyramid is [`crate::pyramid::DEFAULT_LEVELS`]
+/// levels at [`crate::pyramid::DEFAULT_SCALE_FACTOR`].
+const N_FEATURES: usize = 1000;
+/// Detection cell edge in pixels — the GPU work-item granularity.
+const CELL_SIZE: usize = 32;
 
 /// One FAST detection work item: a cell of one pyramid level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,7 +141,6 @@ impl ExtractedFeatures {
 
 /// The ORB feature extractor.
 pub struct OrbExtractor {
-    pub config: OrbExtractorConfig,
     /// Per-frame buffer arena, behind a mutex so
     /// [`OrbExtractor::extract`] stays `&self` (the tracker calls it
     /// through shared references). Uncontended in practice: one extractor
@@ -169,28 +151,21 @@ pub struct OrbExtractor {
 impl Clone for OrbExtractor {
     fn clone(&self) -> OrbExtractor {
         // The arena is a per-instance cache; clones start cold.
-        OrbExtractor::new(self.config.clone())
+        OrbExtractor::with_defaults()
     }
 }
 
 impl std::fmt::Debug for OrbExtractor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OrbExtractor")
-            .field("config", &self.config)
-            .finish()
+        f.debug_struct("OrbExtractor").finish_non_exhaustive()
     }
 }
 
 impl OrbExtractor {
-    pub fn new(config: OrbExtractorConfig) -> OrbExtractor {
+    pub fn with_defaults() -> OrbExtractor {
         OrbExtractor {
-            config,
             arena: parking_lot::Mutex::default(),
         }
-    }
-
-    pub fn with_defaults() -> OrbExtractor {
-        OrbExtractor::new(OrbExtractorConfig::default())
     }
 
     /// Per-level feature budget, proportional to level area as in ORB-SLAM
@@ -202,11 +177,7 @@ impl OrbExtractor {
         let total: f64 = pyramid.scales.iter().map(|s| 1.0 / (s * s)).sum();
         for s in &pyramid.scales {
             let w = 1.0 / (s * s);
-            out.push(
-                ((w / total) * self.config.n_features as f64)
-                    .round()
-                    .max(1.0) as usize,
-            );
+            out.push(((w / total) * N_FEATURES as f64).round().max(1.0) as usize);
         }
     }
 
@@ -214,7 +185,7 @@ impl OrbExtractor {
     /// (overwritten), level by level.
     pub fn cells_into(&self, pyramid: &ImagePyramid, tasks: &mut Vec<CellTask>) {
         tasks.clear();
-        let cs = self.config.cell_size.max(8);
+        let cs = CELL_SIZE;
         for (level, img) in pyramid.levels.iter().enumerate() {
             let mut y = 0;
             while y < img.height {
@@ -343,7 +314,7 @@ impl OrbExtractor {
         let mut timings = ExtractionTimings::default();
 
         let t0 = Instant::now();
-        pyramid.rebuild(image, self.config.n_levels, self.config.scale_factor);
+        pyramid.rebuild(image, DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR);
         let pyramid = &*pyramid;
         timings.pyramid_pixels = pyramid.total_pixels();
         timings.pyramid_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -429,7 +400,7 @@ mod tests {
         let ex = OrbExtractor::with_defaults();
         let (features, timings) = ex.extract(&img);
         assert!(features.len() > 100, "only {} features", features.len());
-        assert!(features.len() <= ex.config.n_features + 64);
+        assert!(features.len() <= N_FEATURES + 64);
         assert_eq!(features.keypoints.len(), features.descriptors.len());
         assert!(timings.total_ms() > 0.0);
     }
@@ -480,7 +451,7 @@ mod tests {
     fn cell_tasks_tile_every_level() {
         let img = GrayImage::new(320, 240);
         let ex = OrbExtractor::with_defaults();
-        let pyr = ImagePyramid::build(&img, ex.config.n_levels, ex.config.scale_factor);
+        let pyr = ImagePyramid::build(&img, DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR);
         let mut tasks = Vec::new();
         ex.cells_into(&pyr, &mut tasks);
         // Each level's cells must cover its full area exactly once.
@@ -502,7 +473,7 @@ mod tests {
         let mut targets = Vec::new();
         ex.per_level_targets_into(&pyr, &mut targets);
         let sum: usize = targets.iter().sum();
-        let n = ex.config.n_features;
+        let n = N_FEATURES;
         assert!(sum >= n * 95 / 100 && sum <= n * 105 / 100, "sum = {sum}");
         // Budgets decrease with level (coarser levels get fewer).
         for w in targets.windows(2) {
@@ -516,7 +487,7 @@ mod tests {
         // set — the property that makes GPU scheduling legal.
         let img = checkered(256, 192, 9);
         let ex = OrbExtractor::with_defaults();
-        let pyr = ImagePyramid::build(&img, ex.config.n_levels, ex.config.scale_factor);
+        let pyr = ImagePyramid::build(&img, DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR);
 
         let mut tasks = Vec::new();
         ex.cells_into(&pyr, &mut tasks);

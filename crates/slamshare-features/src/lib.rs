@@ -46,7 +46,7 @@ pub mod pyramid;
 
 pub use arena::FrameArena;
 pub use descriptor::{Descriptor, DescriptorBlock};
-pub use extractor::{ExtractionTimings, OrbExtractor, OrbExtractorConfig};
+pub use extractor::{ExtractionTimings, OrbExtractor};
 pub use image::GrayImage;
 pub use keypoint::KeyPoint;
 pub use pyramid::ImagePyramid;

@@ -14,11 +14,9 @@
 //! site costs one relaxed atomic load — no clock read, no allocation,
 //! no lock. Enabled spans read the monotonic clock twice and do a
 //! handful of relaxed atomic adds plus one uncontended per-thread lock;
-//! there is no `std::time` anywhere a disabled hot path can reach. The
-//! `compile-off` cargo feature additionally makes [`enabled`] a `const
-//! false`, compiling every site down to nothing for deployments that
-//! must prove zero overhead. `crates/bench/benches/obs_overhead.rs`
-//! asserts the disabled-path claim against the real round pipeline.
+//! there is no `std::time` anywhere a disabled hot path can reach.
+//! `crates/bench/benches/obs_overhead.rs` asserts the disabled-path claim
+//! against the real round pipeline.
 //!
 //! # Naming
 //!
@@ -41,30 +39,18 @@ pub use hist::{bucket_edges_ns, bucket_index, HistSnapshot, Histogram, N_BUCKETS
 pub use snapshot::{prom_counter_key, prom_gauge_key, prom_hist_key, ObsSnapshot, SpanEvent};
 pub use span::{now_ns, SpanGuard, SpanRecord, ThreadRing, RING_CAPACITY};
 
-#[cfg(not(feature = "compile-off"))]
 static ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Is recording on? This is the one branch every instrumentation site
 /// pays when observability is off.
-#[cfg(not(feature = "compile-off"))]
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// With the `compile-off` feature every site is statically dead code.
-#[cfg(feature = "compile-off")]
-#[inline(always)]
-pub const fn enabled() -> bool {
-    false
-}
-
-/// Turn recording on or off at runtime (a no-op under `compile-off`).
+/// Turn recording on or off at runtime.
 pub fn set_enabled(on: bool) {
-    #[cfg(not(feature = "compile-off"))]
     ENABLED.store(on, std::sync::atomic::Ordering::Relaxed);
-    #[cfg(feature = "compile-off")]
-    let _ = on;
 }
 
 /// Snapshot the global registry: every histogram, counter, and span

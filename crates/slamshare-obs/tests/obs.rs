@@ -11,7 +11,6 @@ static GATE: Mutex<()> = Mutex::new(());
 
 /// Run `f` with recording enabled on a clean registry, restoring the
 /// disabled default afterwards.
-#[cfg(not(feature = "compile-off"))]
 fn with_obs_on(f: impl FnOnce()) {
     let _g = GATE.lock();
     slamshare_obs::reset();
@@ -44,7 +43,6 @@ fn disabled_sites_record_nothing() {
 }
 
 #[test]
-#[cfg(not(feature = "compile-off"))]
 fn span_macro_records_histogram_and_ring() {
     with_obs_on(|| {
         for _ in 0..8 {
@@ -69,7 +67,6 @@ fn span_macro_records_histogram_and_ring() {
 }
 
 #[test]
-#[cfg(not(feature = "compile-off"))]
 fn nested_spans_track_depth_under_concurrency() {
     with_obs_on(|| {
         let barrier = Arc::new(std::sync::Barrier::new(4));
@@ -126,7 +123,6 @@ fn nested_spans_track_depth_under_concurrency() {
 }
 
 #[test]
-#[cfg(not(feature = "compile-off"))]
 fn observe_and_counter_macros_roundtrip() {
     with_obs_on(|| {
         for ms in [1.0, 2.0, 3.0, 4.0] {
@@ -148,7 +144,6 @@ fn observe_and_counter_macros_roundtrip() {
 }
 
 #[test]
-#[cfg(not(feature = "compile-off"))]
 fn reset_clears_data_but_keeps_registration() {
     with_obs_on(|| {
         {
@@ -177,7 +172,6 @@ fn reset_clears_data_but_keeps_registration() {
 }
 
 #[test]
-#[cfg(not(feature = "compile-off"))]
 fn snapshot_serializes_to_json() {
     with_obs_on(|| {
         {

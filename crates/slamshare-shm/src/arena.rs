@@ -1,110 +1,72 @@
-//! A bump allocator over a fixed-capacity buffer.
+//! Occupancy accounting for the global map's memory.
 //!
-//! Models the paper's pre-allocated 2 GB shared-memory segment: allocation
-//! is a pointer bump, freeing happens wholesale (`reset`), and occupancy is
-//! observable so the system can report how much of the segment its maps
-//! consume (the paper sized 2 GB against ~40 MB/full-trajectory maps).
+//! Stands in for the paper's pre-allocated 2 GB shared-memory segment
+//! (sized against ~40 MB full-trajectory maps) as a counter: writers
+//! charge the bytes their content grows by and free the bytes it shrinks
+//! by, and occupancy is observable so the system can report how much its
+//! maps consume. There is no budget to refuse a charge against.
+//!
+//! Each size change is rounded up to 16 bytes on its own, so occupancy is
+//! a sum of rounded deltas, not of rounded sizes: a shard that grows
+//! 0 → 8 → 16 bytes is charged 32 and, shrunk back to 0, freed 16, while
+//! one that grows 0 → 16 and shrinks to 1 is freed all 16. So
+//! [`Arena::used`] drifts from the summed content size, in either
+//! direction, by up to 15 bytes per size change.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Allocation failure: the segment is out of space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutOfMemory {
-    pub requested: usize,
-    pub available: usize,
-}
-
-/// A fixed-capacity bump arena.
+/// An occupancy counter, in size changes rounded up to 16 bytes.
 ///
-/// Thread-safe: concurrent allocations bump an atomic cursor, matching the
-/// multi-writer reality of per-client processes allocating map entities in
-/// one segment.
-#[derive(Debug)]
+/// Thread-safe: concurrent charges and frees move one atomic counter.
+#[derive(Debug, Default)]
 pub struct Arena {
-    capacity: usize,
-    cursor: AtomicUsize,
+    used: AtomicUsize,
     high_water: AtomicUsize,
 }
 
+/// `bytes` rounded up to the 16-byte allocation granule.
+fn aligned(bytes: usize) -> usize {
+    bytes.div_ceil(16) * 16
+}
+
 impl Arena {
-    /// An arena with `capacity` bytes. (The paper's default: 2 GB; tests
-    /// use small ones.)
-    pub fn new(capacity: usize) -> Arena {
-        Arena {
-            capacity,
-            cursor: AtomicUsize::new(0),
-            high_water: AtomicUsize::new(0),
-        }
-    }
-
-    /// The paper's segment size.
-    pub fn paper_default() -> Arena {
-        Arena::new(2 * 1024 * 1024 * 1024)
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
+    /// Bytes currently charged (see the module doc for how the rounding
+    /// makes this differ from the content size).
     pub fn used(&self) -> usize {
-        self.cursor.load(Ordering::Relaxed).min(self.capacity)
+        self.used.load(Ordering::Relaxed)
     }
 
-    pub fn available(&self) -> usize {
-        self.capacity - self.used()
-    }
-
-    /// Peak occupancy since construction/reset.
+    /// Peak occupancy since construction.
     pub fn high_water(&self) -> usize {
-        self.high_water.load(Ordering::Relaxed).min(self.capacity)
+        self.high_water.load(Ordering::Relaxed)
     }
 
-    /// Reserve `bytes` (aligned to 16) from the segment. Returns the
-    /// offset of the reservation.
-    pub fn alloc(&self, bytes: usize) -> Result<usize, OutOfMemory> {
-        let aligned = bytes.div_ceil(16) * 16;
-        let offset = self.cursor.fetch_add(aligned, Ordering::Relaxed);
-        if offset + aligned > self.capacity {
-            // Roll back so later smaller allocations can still succeed.
-            self.cursor.fetch_sub(aligned, Ordering::Relaxed);
-            return Err(OutOfMemory {
-                requested: aligned,
-                available: self.capacity - offset.min(self.capacity),
-            });
-        }
-        self.high_water
-            .fetch_max(offset + aligned, Ordering::Relaxed);
-        Ok(offset)
+    /// Charge `bytes` (aligned to 16).
+    pub fn alloc(&self, bytes: usize) {
+        let a = aligned(bytes);
+        let used = self.used.fetch_add(a, Ordering::Relaxed) + a;
+        self.high_water.fetch_max(used, Ordering::Relaxed);
     }
 
-    /// Release `bytes` (aligned to 16, mirroring [`Arena::alloc`]) back to
-    /// the segment, clamped to what is currently in use. Returns the number
-    /// of bytes actually released.
+    /// Release `bytes` (aligned to 16, mirroring [`Arena::alloc`]),
+    /// clamped to what is currently charged. Returns the number of bytes
+    /// actually released.
     ///
-    /// The arena is a bump allocator, so this does not return a *specific*
-    /// reservation — it models wholesale page release when a map region is
-    /// evicted from the segment: occupancy accounting shrinks so the pages
-    /// can be reused by later allocations. Callers are expected to free
-    /// exactly what they previously charged (the sharded store pairs every
-    /// free with a matching size shrink under the same shard lock), which
-    /// keeps the accounting exact; the clamp only guards against a buggy
-    /// over-free driving the cursor below zero.
+    /// The sharded store pairs every free with a size shrink under the
+    /// same shard lock, so no shrink is freed twice; the per-delta
+    /// rounding still lets a free take rounding bytes another charge
+    /// added (module doc), and the clamp keeps that from driving the
+    /// counter below zero.
     pub fn free(&self, bytes: usize) -> usize {
-        let aligned = bytes.div_ceil(16) * 16;
+        let a = aligned(bytes);
         let mut released = 0;
         let _ = self
-            .cursor
+            .used
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                released = aligned.min(cur);
+                released = a.min(cur);
                 Some(cur - released)
             });
         released
-    }
-
-    /// Free everything (the segment outlives individual maps; individual
-    /// frees are not supported, as with a bump allocator).
-    pub fn reset(&self) {
-        self.cursor.store(0, Ordering::Relaxed);
     }
 }
 
@@ -113,48 +75,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bump_and_account() {
-        let a = Arena::new(1024);
-        let o1 = a.alloc(10).unwrap();
-        let o2 = a.alloc(10).unwrap();
-        assert_eq!(o1, 0);
-        assert_eq!(o2, 16); // aligned
+    fn charges_are_aligned() {
+        let a = Arena::default();
+        a.alloc(10);
+        a.alloc(10);
         assert_eq!(a.used(), 32);
-        assert_eq!(a.available(), 1024 - 32);
-    }
-
-    #[test]
-    fn exhaustion_errors_and_rolls_back() {
-        let a = Arena::new(64);
-        a.alloc(48).unwrap();
-        let err = a.alloc(32).unwrap_err();
-        assert_eq!(err.requested, 32);
-        // Smaller allocation still fits.
-        assert!(a.alloc(16).is_ok());
-        assert_eq!(a.used(), 64);
-    }
-
-    #[test]
-    fn reset_reclaims() {
-        let a = Arena::new(128);
-        a.alloc(100).unwrap();
-        a.reset();
-        assert_eq!(a.used(), 0);
-        assert!(a.alloc(100).is_ok());
-        // High-water mark survives reset (observability).
-        assert!(a.high_water() >= 112);
     }
 
     #[test]
     fn free_releases_and_clamps() {
-        let a = Arena::new(256);
-        a.alloc(64).unwrap();
-        a.alloc(32).unwrap();
+        let a = Arena::default();
+        a.alloc(64);
+        a.alloc(32);
         assert_eq!(a.used(), 96);
         assert_eq!(a.free(32), 32);
         assert_eq!(a.used(), 64);
-        // Released space is reusable.
-        assert!(a.alloc(192).is_ok());
+        a.alloc(192);
         assert_eq!(a.used(), 256);
         // Over-free clamps to what is in use instead of underflowing.
         assert_eq!(a.free(10_000), 256);
@@ -166,12 +102,12 @@ mod tests {
 
     #[test]
     fn two_thread_alloc_free_accounting_exact() {
-        // The first free path in the system: one thread allocates, one
-        // frees matching sizes. Balanced traffic must telescope to an
-        // exact final occupancy with no lost or double-counted bytes.
+        // One thread charges, one frees matching sizes. Balanced traffic
+        // must telescope to an exact final occupancy with no lost or
+        // double-counted bytes.
         use std::sync::mpsc;
         use std::sync::Arc;
-        let a = Arc::new(Arena::new(1 << 22));
+        let a = Arc::new(Arena::default());
         let (tx, rx) = mpsc::channel::<usize>();
         let freer = {
             let a = a.clone();
@@ -186,10 +122,10 @@ mod tests {
         let mut allocated = 0usize;
         for i in 0..4_000usize {
             let bytes = 16 * (1 + i % 7);
-            a.alloc(bytes).unwrap();
+            a.alloc(bytes);
             allocated += bytes;
-            // Hand every other allocation to the freer thread while we
-            // keep allocating — alloc and free race on the cursor.
+            // Hand every other charge to the freer thread while we keep
+            // charging — alloc and free race on the counter.
             if i % 2 == 0 {
                 tx.send(bytes).unwrap();
                 allocated -= bytes;
@@ -200,29 +136,5 @@ mod tests {
         assert_eq!(a.used(), allocated, "alloc/free accounting drifted");
         assert!(released > 0);
         assert!(a.high_water() >= a.used());
-    }
-
-    #[test]
-    fn concurrent_allocations_disjoint() {
-        use std::sync::Arc;
-        let a = Arc::new(Arena::new(1 << 20));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let a = a.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut offsets = Vec::new();
-                for _ in 0..100 {
-                    offsets.push(a.alloc(32).unwrap());
-                }
-                offsets
-            }));
-        }
-        let mut all: Vec<usize> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 800, "overlapping allocations detected");
     }
 }

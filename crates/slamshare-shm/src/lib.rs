@@ -4,25 +4,24 @@
 //! (§4.3.2).
 //!
 //! In the paper, an orchestrator allocates a 2 GB Boost.Interprocess
-//! segment; each per-client server process *attaches* it into its own
-//! address space, custom allocators place keyframes/map points directly in
-//! the buffer, and Boost named sharable mutexes serialize writers while
-//! admitting concurrent readers. Merging then "only adds pointers to the
-//! global map database, without any data copying".
+//! segment; each per-client server process *attaches* it by name into its
+//! own address space, custom allocators place keyframes/map points
+//! directly in the buffer, and Boost named sharable mutexes serialize
+//! writers while admitting concurrent readers. Merging then "only adds
+//! pointers to the global map database, without any data copying".
 //!
-//! Here clients are threads of one process, so the substrate models the
-//! same contract:
+//! Here clients are threads of one process that share the store through
+//! an `Arc`, so there is nothing to find by name; the substrate models the
+//! rest of the contract:
 //!
-//! * [`arena`] — a bump allocator over a fixed-capacity buffer with
-//!   occupancy accounting (the 2 GB segment);
+//! * [`arena`] — occupancy accounting (what the 2 GB segment's
+//!   allocator would report as used);
 //! * [`shared_mutex`] — a read-concurrent / write-serialized lock with
 //!   contention statistics (the named sharable mutex);
-//! * [`segment`] — a named registry processes attach to;
-//! * [`sharded`] — [`ShardedStore`], tying it together for a named shared
-//!   object: attach by name, concurrent zero-copy reads, serialized
-//!   writes, capacity accounting against the segment — over N occupants
-//!   behind N locks with per-shard epoch counters, so a write to one
-//!   region never blocks readers of another.
+//! * [`sharded`] — [`ShardedStore`], tying it together: concurrent
+//!   zero-copy reads, serialized writes, size accounting against its
+//!   arena — over N occupants behind N locks with per-shard epoch
+//!   counters, so a write to one region never blocks readers of another.
 //!
 //! The crate is deliberately independent of the SLAM types (generic over
 //! `T`) so it is testable in isolation; `slamshare-core` instantiates it
@@ -38,11 +37,9 @@
 )]
 
 pub mod arena;
-pub mod segment;
 pub mod sharded;
 pub mod shared_mutex;
 
 pub use arena::Arena;
-pub use segment::{Segment, SegmentError};
 pub use sharded::ShardedStore;
 pub use shared_mutex::{LockStats, SharedMutex};

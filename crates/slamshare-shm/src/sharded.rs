@@ -1,12 +1,12 @@
-//! The region-sharded store: N lock-protected shards behind one name.
+//! The region-sharded store: N lock-protected shards and their arena.
 //!
 //! [`ShardedStore<T>`] is the shape `slamshare-core` gives the global
-//! map: it lives in a [`Segment`], every client process attaches it by
-//! name, reads are concurrent and zero-copy (a closure over `&T`), writes
-//! are serialized, and the occupants' sizes are charged against the
-//! segment's arena so the system can report segment occupancy as the map
-//! grows. It holds N occupants (region shards of the global map) each
-//! behind its own [`SharedMutex`], plus a per-shard **epoch counter**: a
+//! map: every client thread holds it through the map's `Arc`, reads are
+//! concurrent and zero-copy (a closure over `&T`), writes are serialized,
+//! and the occupants' sizes are charged against the store's [`Arena`] so
+//! the system can report occupancy as the map grows. It holds N occupants
+//! (region shards of the global map) each behind its own [`SharedMutex`],
+//! plus a per-shard **epoch counter**: a
 //! writer that dirties a set of shards bumps exactly those shards'
 //! epochs, so a reader's staleness stamp only trips when a region it
 //! actually read has changed.
@@ -22,10 +22,9 @@
 //! shard's write lock is held, so a reader holding that shard's read lock
 //! observes a stable value — that is the authoritative check.
 
-use crate::segment::{Segment, SegmentError};
+use crate::arena::Arena;
 use crate::shared_mutex::{LockStats, SharedMutex};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 struct Shard<T> {
     mutex: SharedMutex<T>,
@@ -37,19 +36,15 @@ struct Shard<T> {
 }
 
 /// N shared occupants of type `T`, each behind its own lock, with
-/// per-shard epochs and size accounting.
+/// per-shard epochs and size accounting against one arena.
 pub struct ShardedStore<T> {
     shards: Box<[Shard<T>]>,
+    arena: Arena,
 }
 
-impl<T: Send + Sync + 'static> ShardedStore<T> {
-    /// Create the store inside `segment` under `name` (orchestrator),
-    /// one shard per element of `values`.
-    pub fn create_in(
-        segment: &Segment,
-        name: &str,
-        values: Vec<T>,
-    ) -> Result<Arc<ShardedStore<T>>, SegmentError> {
+impl<T> ShardedStore<T> {
+    /// One shard per element of `values`, charged against a fresh arena.
+    pub fn new(values: Vec<T>) -> ShardedStore<T> {
         let shards: Box<[Shard<T>]> = values
             .into_iter()
             .map(|v| Shard {
@@ -58,12 +53,15 @@ impl<T: Send + Sync + 'static> ShardedStore<T> {
                 reported_bytes: AtomicUsize::new(0),
             })
             .collect();
-        segment.create(name, ShardedStore { shards })
+        ShardedStore {
+            shards,
+            arena: Arena::default(),
+        }
     }
 
-    /// Attach to an existing store (client process).
-    pub fn attach_in(segment: &Segment, name: &str) -> Result<Arc<ShardedStore<T>>, SegmentError> {
-        segment.attach(name)
+    /// The arena the shards' sizes are charged against.
+    pub fn arena(&self) -> &Arena {
+        &self.arena
     }
 
     pub fn n_shards(&self) -> usize {
@@ -119,15 +117,14 @@ impl<T: Send + Sync + 'static> ShardedStore<T> {
     /// content may have been redistributed between the locked shards, so
     /// all of them count as potentially modified. Sizes are re-reported per
     /// shard *while the write guards are still held* — growth is charged
-    /// against the segment (exhaustion saturates rather than panics,
-    /// mirroring the paper's fixed 2 GB budget: occupancy reporting shows
-    /// ≥ 100 %) and shrinkage (eviction, pruning) is released back to it.
+    /// to the arena (never refused) and shrinkage (eviction, pruning) is
+    /// released back to it, each delta rounded up to 16 bytes, so the
+    /// arena's occupancy is a sum of rounded deltas (see [`Arena`]).
     /// A report after the drop could interleave with another writer's:
     /// writer A publishes a stale smaller size over writer B's larger one,
     /// and the next grower is charged for the difference a second time.
     pub fn with_write<R>(
         &self,
-        segment: &Segment,
         indices: &[usize],
         size_of: impl Fn(&T) -> usize,
         f: impl FnOnce(&[usize], &mut [&mut T]) -> (R, bool),
@@ -154,14 +151,14 @@ impl<T: Send + Sync + 'static> ShardedStore<T> {
             let new_size = size_of(&guards[k]);
             let old = shard.reported_bytes.swap(new_size, Ordering::Relaxed);
             if new_size > old {
-                let _ = segment.arena.alloc(new_size - old);
+                self.arena.alloc(new_size - old);
             } else if old > new_size {
                 // The free side of the accounting: eviction/pruning shrank
                 // the occupant, so release the delta while the shard lock
                 // still serializes us against other reporters. Exactly-once
                 // release holds for the same reason exactly-once charge
                 // does — `reported_bytes` only moves under this guard.
-                let _ = segment.arena.free(old - new_size);
+                self.arena.free(old - new_size);
             }
         }
         drop(guards);
@@ -207,18 +204,16 @@ impl<T: Send + Sync + 'static> ShardedStore<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    fn store(seg: &Segment, n: usize) -> Arc<ShardedStore<Vec<u8>>> {
-        ShardedStore::create_in(seg, "sharded", (0..n).map(|_| Vec::new()).collect()).unwrap()
+    fn store(n: usize) -> Arc<ShardedStore<Vec<u8>>> {
+        Arc::new(ShardedStore::new((0..n).map(|_| Vec::new()).collect()))
     }
 
     #[test]
-    fn create_attach_subset_readwrite() {
-        let seg = Segment::new(1 << 20);
-        let s = store(&seg, 4);
-        let other: Arc<ShardedStore<Vec<u8>>> = ShardedStore::attach_in(&seg, "sharded").unwrap();
+    fn subset_readwrite() {
+        let s = store(4);
         s.with_write(
-            &seg,
             &[1, 3],
             |v| v.len(),
             |order, shards| {
@@ -228,7 +223,7 @@ mod tests {
                 ((), true)
             },
         );
-        other.with_read(&[3, 1], |order, shards| {
+        s.with_read(&[3, 1], |order, shards| {
             // Sanitized to ascending order regardless of input order.
             assert_eq!(order, &[1, 3]);
             assert_eq!(shards[0], &vec![7]);
@@ -238,15 +233,14 @@ mod tests {
 
     #[test]
     fn dirty_write_bumps_only_locked_epochs() {
-        let seg = Segment::new(1 << 20);
-        let s = store(&seg, 4);
-        s.with_write(&seg, &[0, 2], |v| v.len(), |_, _| ((), true));
+        let s = store(4);
+        s.with_write(&[0, 2], |v| v.len(), |_, _| ((), true));
         assert_eq!(
             (0..4).map(|i| s.epoch(i)).collect::<Vec<_>>(),
             vec![1, 0, 1, 0]
         );
         // A clean write bumps nothing.
-        s.with_write(&seg, &[0, 1, 2, 3], |v| v.len(), |_, _| ((), false));
+        s.with_write(&[0, 1, 2, 3], |v| v.len(), |_, _| ((), false));
         assert_eq!(
             (0..4).map(|i| s.epoch(i)).collect::<Vec<_>>(),
             vec![1, 0, 1, 0]
@@ -255,11 +249,9 @@ mod tests {
 
     #[test]
     fn indices_are_sanitized() {
-        let seg = Segment::new(1 << 20);
-        let s = store(&seg, 2);
+        let s = store(2);
         // Duplicates and out-of-range indices must not deadlock or panic.
         s.with_write(
-            &seg,
             &[1, 1, 0, 99],
             |v| v.len(),
             |order, shards| {
@@ -272,49 +264,42 @@ mod tests {
 
     #[test]
     fn per_shard_accounting_telescopes() {
-        let seg = Segment::new(1 << 20);
-        let s = store(&seg, 2);
-        s.with_write(
-            &seg,
-            &[0],
-            |v| v.len(),
-            |_, sh| (sh[0].resize(160, 0), true),
-        );
-        s.with_write(
-            &seg,
-            &[1],
-            |v| v.len(),
-            |_, sh| (sh[0].resize(320, 0), true),
-        );
+        let s = store(2);
+        s.with_write(&[0], |v| v.len(), |_, sh| (sh[0].resize(160, 0), true));
+        s.with_write(&[1], |v| v.len(), |_, sh| (sh[0].resize(320, 0), true));
         assert_eq!(s.reported_bytes(), 480);
-        assert!(seg.arena.used() >= 480);
+        assert!(s.arena().used() >= 480);
     }
 
     #[test]
     fn shrink_releases_arena_bytes_under_guard() {
-        let seg = Segment::new(1 << 20);
-        let s = store(&seg, 2);
-        s.with_write(
-            &seg,
-            &[0],
-            |v| v.len(),
-            |_, sh| (sh[0].resize(4096, 0), true),
-        );
-        s.with_write(
-            &seg,
-            &[1],
-            |v| v.len(),
-            |_, sh| (sh[0].resize(1024, 0), true),
-        );
-        let peak = seg.arena.used();
+        let s = store(2);
+        s.with_write(&[0], |v| v.len(), |_, sh| (sh[0].resize(4096, 0), true));
+        s.with_write(&[1], |v| v.len(), |_, sh| (sh[0].resize(1024, 0), true));
+        let peak = s.arena().used();
         assert!(peak >= 5120);
         // Evict shard 0's content: reported size drops to zero and the
         // delta is released back to the arena exactly once.
-        s.with_write(&seg, &[0], |v| v.len(), |_, sh| (sh[0].clear(), true));
+        s.with_write(&[0], |v| v.len(), |_, sh| (sh[0].clear(), true));
         assert_eq!(s.reported_bytes(), 1024);
-        assert_eq!(seg.arena.used(), peak - 4096);
+        assert_eq!(s.arena().used(), peak - 4096);
         // High water still remembers the pre-eviction peak.
-        assert!(seg.arena.high_water() >= peak);
+        assert!(s.arena().high_water() >= peak);
+    }
+
+    #[test]
+    fn a_shrink_frees_only_its_own_charge() {
+        // Growth is charged in full, however large (the arena has no
+        // budget to refuse it against), so a later shrink frees only the
+        // shard's own bytes, not another shard's.
+        let s = store(2);
+        s.with_write(&[0], |v| v.len(), |_, sh| (sh[0].resize(2048, 0), true));
+        assert_eq!(s.arena().used(), 2048);
+        s.with_write(&[1], |v| v.len(), |_, sh| (sh[0].resize(512, 0), true));
+        s.with_write(&[0], |v| v.len(), |_, sh| (sh[0].clear(), true));
+        assert_eq!(s.reported_bytes(), 512);
+        assert_eq!(s.arena().used(), 512);
+        assert_eq!(s.arena().high_water(), 2560);
     }
 
     #[test]
@@ -322,17 +307,14 @@ mod tests {
         // Two writers ping one shard each between a large and a small
         // size; interleaved charge/release must telescope exactly because
         // both happen under the shard guard.
-        let seg = Arc::new(Segment::new(1 << 22));
-        let s = store(&seg, 2);
+        let s = store(2);
         let mut handles = Vec::new();
         for w in 0..2usize {
             let s = s.clone();
-            let seg = seg.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..200usize {
                     let size = if i % 2 == 0 { 2048 } else { 256 };
                     s.with_write(
-                        &seg,
                         &[w],
                         |v| v.len(),
                         |_, sh| {
@@ -348,7 +330,7 @@ mod tests {
         }
         // Both shards ended on the small size (199 is odd).
         assert_eq!(s.reported_bytes(), 512);
-        assert_eq!(seg.arena.used(), 512);
+        assert_eq!(s.arena().used(), 512);
     }
 
     #[test]
@@ -359,17 +341,15 @@ mod tests {
         // delta. With monotone growth and in-lock reporting, the charges
         // telescope: total arena usage equals the final size exactly.
         for round in 0..20 {
-            let seg = Arc::new(Segment::new(1 << 22));
-            let s = store(&seg, 1);
+            let s = store(1);
             let mut handles = Vec::new();
             for w in 0..2 {
-                let (s, seg) = (s.clone(), seg.clone());
+                let s = s.clone();
                 handles.push(std::thread::spawn(move || {
                     for i in 0..200 {
                         // Growth steps are multiples of the arena's
                         // 16-byte alignment so each charge is exact.
                         s.with_write(
-                            &seg,
                             &[0],
                             |v| v.len(),
                             |_, sh| {
@@ -386,7 +366,7 @@ mod tests {
             let final_size = s.with_read(&[0], |_, sh| sh[0].len());
             assert_eq!(s.reported_bytes(), final_size);
             assert_eq!(
-                seg.arena.used(),
+                s.arena().used(),
                 final_size,
                 "growth charges did not telescope to the final size"
             );
@@ -395,19 +375,16 @@ mod tests {
 
     #[test]
     fn overlapping_concurrent_writes_do_not_deadlock() {
-        let seg = Arc::new(Segment::new(1 << 22));
-        let s = store(&seg, 8);
+        let s = store(8);
         let mut handles = Vec::new();
         for w in 0..4usize {
             let s = s.clone();
-            let seg = seg.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100usize {
                     // Overlapping subsets in varying (pre-sanitize) orders.
                     let a = (w + i) % 8;
                     let b = (w * 3 + i * 5) % 8;
                     s.with_write(
-                        &seg,
                         &[b, a],
                         |v| v.len(),
                         |_, shards| {

@@ -1,33 +1,29 @@
-//! Property-based tests for the shared-memory primitives: the arena must
-//! never double-allocate.
+//! Property-based tests for the shared-memory primitives: the arena's
+//! occupancy is exactly what was charged and not yet freed.
 
 use proptest::prelude::*;
 use slamshare_shm::Arena;
 
 proptest! {
-    /// Arena allocations are disjoint, aligned, and capacity-bounded.
+    /// Occupancy is the running sum of aligned charges minus releases,
+    /// and the high-water mark is its maximum.
     #[test]
-    fn arena_allocations_disjoint(sizes in proptest::collection::vec(1usize..512, 1..64)) {
-        let capacity = 1 << 16;
-        let arena = Arena::new(capacity);
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for s in sizes {
-            match arena.alloc(s) {
-                Ok(off) => {
-                    prop_assert_eq!(off % 16, 0, "unaligned offset");
-                    let aligned = s.div_ceil(16) * 16;
-                    prop_assert!(off + aligned <= capacity);
-                    for &(o, l) in &spans {
-                        prop_assert!(off + aligned <= o || o + l <= off, "overlap");
-                    }
-                    spans.push((off, aligned));
-                }
-                Err(e) => {
-                    prop_assert!(e.requested > arena.available());
-                }
+    fn arena_occupancy_telescopes(ops in proptest::collection::vec((any::<bool>(), 1usize..512), 1..64)) {
+        let arena = Arena::default();
+        let (mut used, mut peak) = (0usize, 0usize);
+        for (charge, bytes) in ops {
+            let aligned = bytes.div_ceil(16) * 16;
+            if charge {
+                arena.alloc(bytes);
+                used += aligned;
+            } else {
+                let released = arena.free(bytes);
+                prop_assert_eq!(released, aligned.min(used));
+                used -= released;
             }
+            peak = peak.max(used);
+            prop_assert_eq!(arena.used(), used);
         }
-        prop_assert!(arena.used() <= capacity);
-        prop_assert!(arena.high_water() >= arena.used());
+        prop_assert_eq!(arena.high_water(), peak);
     }
 }

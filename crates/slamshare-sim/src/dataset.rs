@@ -67,12 +67,8 @@ impl TracePreset {
 #[derive(Debug, Clone)]
 pub struct DatasetConfig {
     pub preset: TracePreset,
-    /// Number of frames to expose; `None` uses `duration × fps`.
+    /// Number of frames to expose; `None` uses `duration × FPS`.
     pub frames: Option<usize>,
-    pub fps: f64,
-    /// IMU sampling rate, Hz.
-    pub imu_rate: f64,
-    pub imu_noise: ImuNoise,
     /// World/noise seed. Presets sharing an environment ignore this for
     /// world generation (so clients can co-localize) but use it for sensor
     /// noise.
@@ -84,9 +80,6 @@ impl DatasetConfig {
         DatasetConfig {
             preset,
             frames: None,
-            fps: 30.0,
-            imu_rate: 200.0,
-            imu_noise: ImuNoise::default(),
             seed: 0,
         }
     }
@@ -117,6 +110,11 @@ pub struct Dataset {
     pub imu: Vec<ImuSample>,
     seed: u64,
 }
+
+/// Camera frame rate of every preset, Hz.
+const FPS: f64 = 30.0;
+/// IMU sampling rate of every preset, Hz.
+const IMU_RATE: f64 = 200.0;
 
 /// World seed shared by every machine-hall trace.
 const MACHINE_HALL_SEED: u64 = 0xEu64 * 0x1000 + 1;
@@ -284,16 +282,14 @@ impl Dataset {
             }
         };
 
-        let n_frames = config
-            .frames
-            .unwrap_or((duration * config.fps).round() as usize);
-        let imu_t1 = (n_frames as f64 / config.fps).min(duration) + 0.1;
+        let n_frames = config.frames.unwrap_or((duration * FPS).round() as usize);
+        let imu_t1 = (n_frames as f64 / FPS).min(duration) + 0.1;
         let imu = imu::synthesize(
             &trajectory,
             0.0,
             imu_t1,
-            config.imu_rate,
-            &config.imu_noise,
+            IMU_RATE,
+            &ImuNoise::default(),
             config.seed ^ 0xAB,
         );
         let renderer = Renderer::new(rig.cam);
@@ -305,7 +301,7 @@ impl Dataset {
             trajectory,
             rig,
             renderer,
-            fps: config.fps,
+            fps: FPS,
             n_frames,
             imu,
             seed: config.seed,

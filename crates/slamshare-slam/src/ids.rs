@@ -8,6 +8,7 @@
 //! merged global map needs no pointer rewriting at all.
 
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 
 /// A client (user/device) identifier.
 #[derive(
@@ -53,6 +54,19 @@ impl MapPointId {
 
     pub fn local(self) -> u64 {
         self.0 & LOCAL_MASK
+    }
+}
+
+impl ClientId {
+    /// Every keyframe id in this client's space: a range scan of an
+    /// id-ordered map reads only this client's keyframes.
+    pub fn keyframe_ids(self) -> RangeInclusive<KeyFrameId> {
+        KeyFrameId::new(self, 0)..=KeyFrameId::new(self, LOCAL_MASK)
+    }
+
+    /// Every map-point id in this client's space.
+    pub fn mappoint_ids(self) -> RangeInclusive<MapPointId> {
+        MapPointId::new(self, 0)..=MapPointId::new(self, LOCAL_MASK)
     }
 }
 

@@ -1,5 +1,5 @@
-//! Local mapping: keyframe insertion, map-point creation, culling and
-//! local bundle adjustment.
+//! Local mapping: keyframe insertion, map-point creation and local bundle
+//! adjustment.
 //!
 //! In the paper this runs in the per-client server process ("Local
 //! Mapping" in Fig. 3, Process A) and continuously feeds the shared global
@@ -20,8 +20,6 @@ use slamshare_sim::camera::StereoRig;
 const MIN_PARALLAX_RAD: f64 = 0.005;
 /// Maximum reprojection error (pixels) for a new point.
 const MAX_REPROJ_PX: f64 = 3.0;
-/// Frame-index age beyond which a single-observation point is culled.
-const POINT_CULL_AGE_FRAMES: u64 = 60;
 
 /// Mapping tuning parameters.
 #[derive(Debug, Clone)]
@@ -32,12 +30,6 @@ pub struct MappingConfig {
     pub ba_every: usize,
     /// Coordinate-descent sweeps per BA invocation.
     pub ba_sweeps: usize,
-    /// Run batched keyframe culling every N insertions (0 = never).
-    /// Leave 0 for shared-phase component maps: keyframe removal is a
-    /// local-map operation.
-    pub kf_cull_every: usize,
-    /// Run uncorroborated-point culling every N insertions (0 = never).
-    pub point_cull_every: usize,
 }
 
 impl Default for MappingConfig {
@@ -46,18 +38,9 @@ impl Default for MappingConfig {
             ba_window: 6,
             ba_every: 2,
             ba_sweeps: 2,
-            kf_cull_every: 0,
-            point_cull_every: 0,
         }
     }
 }
-
-/// Keyframe redundancy rule (ORB-SLAM's local-mapping cull, batched): a
-/// candidate with at least [`KF_CULL_MIN_MATCHED`] matched points is
-/// redundant when ≥ 90 % of them are observed by at least
-/// [`KF_CULL_MIN_OBS`] keyframes in total.
-pub const KF_CULL_MIN_MATCHED: usize = 20;
-pub const KF_CULL_MIN_OBS: u32 = 4;
 
 /// Report from one keyframe insertion.
 #[derive(Debug, Clone, Default)]
@@ -66,8 +49,6 @@ pub struct InsertionReport {
     pub n_new_points: usize,
     pub n_observations_added: usize,
     pub ba: Option<BaStats>,
-    pub n_points_culled: usize,
-    pub n_keyframes_culled: usize,
 }
 
 /// The local-mapping back end for one map.
@@ -146,16 +127,6 @@ impl LocalMapper {
                 &GpuExecutor::cpu(),
                 &mut self.ba_scratch,
             ));
-        }
-        if self.config.point_cull_every > 0
-            && self.inserted.is_multiple_of(self.config.point_cull_every)
-        {
-            let now_frame = map.frame_clock();
-            report.n_points_culled = self.cull_points(map, now_frame, POINT_CULL_AGE_FRAMES);
-        }
-        if self.config.kf_cull_every > 0 && self.inserted.is_multiple_of(self.config.kf_cull_every)
-        {
-            report.n_keyframes_culled = self.cull_keyframes(map, kf_id);
         }
         report
     }
@@ -282,69 +253,6 @@ impl LocalMapper {
         }
         n
     }
-
-    /// Cull map points with a single observation that were created more
-    /// than `max_age_frames` frame indices before `now_frame` — they
-    /// never got corroborated. The frame-index clock (not wall time)
-    /// makes the decision reproducible under a seeded replay; points
-    /// whose creation the clock never saw (`created_frame` 0 on a
-    /// well-advanced map) age out like any other.
-    pub fn cull_points(
-        &mut self,
-        map: &mut impl MapWrite,
-        now_frame: u64,
-        max_age_frames: u64,
-    ) -> usize {
-        let stale = &mut self.ba_scratch.cull_stale_points;
-        stale.clear();
-        stale.extend(
-            map.mappoints_iter()
-                .filter(|mp| {
-                    mp.observations.len() < 2
-                        && now_frame.saturating_sub(mp.created_frame) > max_age_frames
-                })
-                .map(|mp| mp.id),
-        );
-        let n = stale.len();
-        for id in stale.iter() {
-            map.remove_mappoint(*id);
-        }
-        n
-    }
-
-    /// Batched keyframe culling: flag every redundant keyframe, then
-    /// remove the flagged set. All verdicts are computed against the
-    /// pre-cull snapshot (no removal happens until every candidate has
-    /// been judged), so the batch is order-independent. `protect` (the
-    /// just-inserted keyframe) is never culled.
-    pub fn cull_keyframes(&mut self, map: &mut impl MapWrite, protect: KeyFrameId) -> usize {
-        let t0 = std::time::Instant::now();
-        let victims = &mut self.ba_scratch.cull_victims;
-        victims.clear();
-        for kf in map.keyframes_iter() {
-            if kf.id == protect {
-                continue;
-            }
-            let (mut matched, mut well_observed) = (0usize, 0usize);
-            for mp_id in kf.matched_points.iter().flatten() {
-                if let Some(mp) = map.mappoint(*mp_id) {
-                    matched += 1;
-                    if mp.observations.len() as u32 >= KF_CULL_MIN_OBS {
-                        well_observed += 1;
-                    }
-                }
-            }
-            if matched >= KF_CULL_MIN_MATCHED && well_observed * 10 >= matched * 9 {
-                victims.push(kf.id);
-            }
-        }
-        for kf_id in victims.iter() {
-            map.remove_keyframe(*kf_id);
-        }
-        slamshare_obs::observe_ms!("mapping.kf_cull", t0.elapsed().as_secs_f64() * 1e3);
-        slamshare_obs::counter_add!("mapping.keyframes_culled", victims.len() as u64);
-        victims.len()
-    }
 }
 
 #[cfg(test)]
@@ -453,133 +361,5 @@ mod tests {
         // BA must not blow up the map: final cost bounded by initial
         // (gt-posed keyframes start essentially optimal).
         assert!(ba.final_cost <= ba.initial_cost * 1.5 + 1.0);
-    }
-
-    #[test]
-    fn culling_removes_uncorroborated_points() {
-        let ds = dataset();
-        let mut tracker = Tracker::new(TrackerConfig::stereo(ds.rig), Arc::new(GpuExecutor::cpu()));
-        let vocab = vocabulary::train_random(4);
-        let mut mapper = LocalMapper::new(SensorMode::Stereo, ds.rig, MappingConfig::default());
-        let mut map = Map::new(ClientId(1));
-        mapper.insert_keyframe(&mut map, &vocab, &observation_at(&ds, &mut tracker, 0));
-        let before = map.n_mappoints();
-        assert!(before > 0);
-        // All points have 1 observation created at frame 0; at a much
-        // later frame index, everything ages out.
-        let culled = mapper.cull_points(&mut map, 100, 1);
-        assert_eq!(culled, before);
-        assert_eq!(map.n_mappoints(), 0);
-    }
-
-    #[test]
-    fn point_culling_spares_young_and_corroborated_points() {
-        let ds = dataset();
-        let mut tracker = Tracker::new(TrackerConfig::stereo(ds.rig), Arc::new(GpuExecutor::cpu()));
-        let vocab = vocabulary::train_random(4);
-        let mut mapper = LocalMapper::new(SensorMode::Stereo, ds.rig, MappingConfig::default());
-        let mut map = Map::new(ClientId(1));
-        mapper.insert_keyframe(&mut map, &vocab, &observation_at(&ds, &mut tracker, 0));
-        let before = map.n_mappoints();
-        // Within the age tolerance nothing goes...
-        assert_eq!(mapper.cull_points(&mut map, 3, 5), 0);
-        // ...and a corroborated point survives any age.
-        let (&some_mp, _) = map.mappoints.iter().next().unwrap();
-        let second_kf = {
-            let id = map.alloc.next_keyframe();
-            let kf = KeyFrame {
-                id,
-                pose_cw: ds.gt_pose_cw(1),
-                timestamp: ds.frame_time(1),
-                keypoints: vec![slamshare_features::KeyPoint::new(
-                    slamshare_math::Vec2::ZERO,
-                    0,
-                    1.0,
-                )],
-                descriptors: vec![slamshare_features::Descriptor::ZERO],
-                matched_points: vec![None],
-                bow: Default::default(),
-            };
-            map.insert_keyframe(kf);
-            id
-        };
-        map.add_observation(some_mp, second_kf, 0);
-        let culled = mapper.cull_points(&mut map, 100, 1);
-        assert_eq!(culled, before - 1);
-        assert!(map.mappoints.contains_key(&some_mp));
-    }
-
-    fn blank_kf(map: &mut Map, t: f64, n_kp: usize) -> KeyFrameId {
-        let id = map.alloc.next_keyframe();
-        let kf = KeyFrame {
-            id,
-            pose_cw: slamshare_math::SE3::IDENTITY,
-            timestamp: t,
-            keypoints: vec![
-                slamshare_features::KeyPoint::new(slamshare_math::Vec2::ZERO, 0, 1.0);
-                n_kp
-            ],
-            descriptors: vec![slamshare_features::Descriptor::ZERO; n_kp],
-            matched_points: vec![None; n_kp],
-            bow: Default::default(),
-        };
-        map.insert_keyframe(kf);
-        id
-    }
-
-    #[test]
-    fn kf_culling_removes_redundant_keyframes_from_snapshot() {
-        let ds = dataset();
-        let mut mapper = LocalMapper::new(SensorMode::Stereo, ds.rig, MappingConfig::default());
-        let mut map = Map::new(ClientId(1));
-        // Five keyframes all observing the same 30 points: every point
-        // has 5 ≥ KF_CULL_MIN_OBS observations, so every unprotected
-        // keyframe is redundant — and because verdicts come from the
-        // pre-cull snapshot, all four go in one batch even though the
-        // counts drop as removals apply.
-        let kfs: Vec<_> = (0..5).map(|i| blank_kf(&mut map, i as f64, 30)).collect();
-        for j in 0..30 {
-            let mp = map.create_mappoint(
-                slamshare_math::Vec3::new(j as f64 * 0.1, 0.0, 5.0),
-                slamshare_features::Descriptor::ZERO,
-                kfs[0],
-                j,
-            );
-            for &kf in &kfs[1..] {
-                map.add_observation(mp, kf, j);
-            }
-        }
-        let culled = mapper.cull_keyframes(&mut map, kfs[4]);
-        assert_eq!(culled, 4);
-        assert_eq!(map.n_keyframes(), 1);
-        assert!(map.keyframes.contains_key(&kfs[4]));
-        // The points survive on the protected keyframe's observations.
-        assert_eq!(map.n_mappoints(), 30);
-    }
-
-    #[test]
-    fn kf_culling_spares_unique_views_and_thin_keyframes() {
-        let ds = dataset();
-        let mut mapper = LocalMapper::new(SensorMode::Stereo, ds.rig, MappingConfig::default());
-        let mut map = Map::new(ClientId(1));
-        // kf0 sees 30 points only it and kf1 observe (2 < 4 obs each):
-        // not redundant. kf2 matches too few points to qualify at all.
-        let kf0 = blank_kf(&mut map, 0.0, 30);
-        let kf1 = blank_kf(&mut map, 1.0, 30);
-        let kf2 = blank_kf(&mut map, 2.0, 30);
-        for j in 0..30 {
-            let mp = map.create_mappoint(
-                slamshare_math::Vec3::new(j as f64 * 0.1, 0.0, 5.0),
-                slamshare_features::Descriptor::ZERO,
-                kf0,
-                j,
-            );
-            map.add_observation(mp, kf1, j);
-            if j < KF_CULL_MIN_MATCHED - 1 {
-                map.add_observation(mp, kf2, j);
-            }
-        }
-        assert_eq!(mapper.cull_keyframes(&mut map, kf1), 0);
-        assert_eq!(map.n_keyframes(), 3);
     }
 }

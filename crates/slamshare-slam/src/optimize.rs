@@ -310,8 +310,8 @@ pub struct BaStats {
 /// Reusable scratch for the mapping passes, modeled on
 /// `features::arena::FrameArena` and held by the caller (the
 /// `LocalMapper` / merge worker) across invocations: every buffer local
-/// BA, the merge weld, and culling need lives here and is `clear()`ed
-/// (never shrunk) per use, so a warmed mapper runs the commit-side
+/// BA and the merge weld need lives here and is `clear()`ed (never
+/// shrunk) per use, so a warmed mapper runs the commit-side
 /// mapping path without touching the allocator.
 #[derive(Debug, Clone, Default)]
 pub struct MappingArena {
@@ -326,10 +326,6 @@ pub struct MappingArena {
     /// The merge weld's keypoint grid over the client keyframe it is
     /// searching, rebuilt per keyframe.
     pub(crate) weld_grid: KeypointGrid,
-    /// Keyframes the culling pass decided to remove.
-    pub(crate) cull_victims: Vec<KeyFrameId>,
-    /// Map points the point-culling pass decided to remove.
-    pub(crate) cull_stale_points: Vec<MapPointId>,
 }
 
 /// The scratch's original name, kept for existing callers now that the

@@ -25,7 +25,7 @@
 use crate::ids::{KeyFrameId, MapPointId};
 use crate::map::MapRead;
 use crate::optimize::{optimize_pose, PoseObservation};
-use slamshare_features::extractor::{ExtractedFeatures, OrbExtractor, OrbExtractorConfig};
+use slamshare_features::extractor::{ExtractedFeatures, OrbExtractor};
 use slamshare_features::matching::{self, ProjectionQuery, TH_LOW};
 use slamshare_features::{Descriptor, GrayImage, KeyPoint};
 use slamshare_gpu::{kernels, GpuExecutor, KernelStats};
@@ -48,17 +48,16 @@ const MIN_MATCHES: usize = 15;
 /// Request a keyframe when tracked points fall under this fraction of the
 /// reference keyframe's count.
 const KF_MATCH_RATIO: f64 = 0.6;
+/// Never insert keyframes closer than this many frames apart.
+const KF_MIN_INTERVAL: usize = 3;
+/// Always insert a keyframe after this many frames.
+const KF_MAX_INTERVAL: usize = 20;
 
 /// Tracker tuning parameters.
 #[derive(Debug, Clone)]
 pub struct TrackerConfig {
     pub mode: SensorMode,
     pub rig: StereoRig,
-    pub extractor: OrbExtractorConfig,
-    /// Never insert keyframes closer than this many frames apart.
-    pub kf_min_interval: usize,
-    /// Always insert a keyframe after this many frames.
-    pub kf_max_interval: usize,
 }
 
 impl TrackerConfig {
@@ -66,9 +65,6 @@ impl TrackerConfig {
         TrackerConfig {
             mode: SensorMode::Mono,
             rig,
-            extractor: OrbExtractorConfig::default(),
-            kf_min_interval: 3,
-            kf_max_interval: 20,
         }
     }
 
@@ -275,7 +271,7 @@ pub struct Tracker {
 
 impl Tracker {
     pub fn new(config: TrackerConfig, exec: Arc<GpuExecutor>) -> Tracker {
-        let extractor = OrbExtractor::new(config.extractor.clone());
+        let extractor = OrbExtractor::with_defaults();
         let right_extractor = extractor.clone();
         Tracker {
             config,
@@ -566,8 +562,8 @@ impl Tracker {
 
         // Keyframe decision.
         let keyframe_requested = !lost
-            && self.frames_since_kf >= self.config.kf_min_interval
-            && (self.frames_since_kf >= self.config.kf_max_interval
+            && self.frames_since_kf >= KF_MIN_INTERVAL
+            && (self.frames_since_kf >= KF_MAX_INTERVAL
                 || (self.ref_matches > 0
                     && (n_tracked as f64) < KF_MATCH_RATIO * self.ref_matches as f64)
                 || self.ref_matches == 0);
@@ -617,9 +613,7 @@ mod tests {
                 .with_frames(4)
                 .with_seed(seed),
         );
-        let mut config = TrackerConfig::stereo(ds.rig);
-        config.extractor.n_features = 600;
-        let mut tracker = Tracker::new(config, Arc::new(GpuExecutor::cpu()));
+        let mut tracker = Tracker::new(TrackerConfig::stereo(ds.rig), Arc::new(GpuExecutor::cpu()));
 
         // Frame 0 at ground truth, map points from stereo depth.
         let (left, right) = ds.render_stereo_frame(0);
@@ -844,16 +838,23 @@ mod tests {
     #[test]
     fn keyframe_requested_after_max_interval() {
         let (map, ds, mut tracker) = seeded_map_and_dataset();
-        tracker.config.kf_max_interval = 2;
-        tracker.config.kf_min_interval = 1;
-        tracker.note_keyframe(10_000); // huge reference so ratio never fires
-        let mut requested = false;
-        for i in 1..4 {
-            let (left, right) = ds.render_stereo_frame(i);
-            let obs = tracker.track(i, ds.frame_time(i), &left, Some(&right), &map, None, None);
-            requested |= obs.keyframe_requested;
+        // A one-point reference: the match-ratio trigger never fires, so
+        // only the interval can request a keyframe.
+        tracker.note_keyframe(1);
+        let (left, right) = ds.render_stereo_frame(1);
+        let front_end = tracker.extract_frame(&left, Some(&right));
+        for n in 1..=KF_MAX_INTERVAL {
+            let t = tracker.track_extracted(
+                &front_end,
+                n,
+                ds.frame_time(1),
+                &map,
+                None,
+                Some(ds.gt_pose_cw(1)),
+            );
+            assert!(!t.lost, "frame {n} lost");
+            assert_eq!(t.keyframe_requested, n == KF_MAX_INTERVAL, "frame {n}");
         }
-        assert!(requested);
     }
 
     #[test]

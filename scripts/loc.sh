@@ -7,9 +7,11 @@
 # of each crates/*/src/**/*.rs file above its first `#[cfg(test)]`.
 # Also prints, per crate, the non-test panic sites (`.unwrap()`,
 # `.expect(`, `panic!(` outside `//` comment lines), the field counts of
-# the config structs and the number of `pub fn`s on `EdgeServer`, so a
-# PR's "options removed vs added", panic-site and API-surface lines can be
-# read off instead of counted by hand. Last, the count of `charge(` call
+# the config structs, each crate's Cargo `[features]` (other than
+# `default`), the options removed and added over both, and the number of
+# `pub fn`s on `EdgeServer`, so a PR's "options removed vs added",
+# panic-site and API-surface lines can be read off instead of counted by
+# hand. Last, the count of `charge(` call
 # sites of the GPU cost model (non-test lines, every crate), which should
 # stay small: modeled time is made only where it is reported.
 # Read-only; never fails on a difference.
@@ -30,12 +32,15 @@ panic_sites() {
          END { print n + 0 }'
 }
 
-# stdin: one Rust file; $1: struct name; stdout: its `pub` field count.
+# stdin: one Rust file; $1: struct name; stdout: its `pub` field count
+# (the struct may sit in an inline module, at any indent).
 field_count() {
     awk -v s="$1" '
-        $0 ~ "^pub struct " s " \\{" { inside = 1; next }
-        inside && /^\}/ { inside = 0 }
-        inside && /^    pub [a-z_0-9]+:/ { n++ }
+        !inside && $0 ~ "^ *pub struct " s " \\{" {
+            match($0, /^ */); pad = substr($0, 1, RLENGTH); inside = 1; next
+        }
+        inside && $0 == pad "}" { inside = 0 }
+        inside && index($0, pad "    pub ") == 1 && substr($0, length(pad) + 9) ~ /^[a-z_0-9]+:/ { n++ }
         END { print n + 0 }'
 }
 
@@ -47,6 +52,14 @@ pub_fn_count() {
         inside && /^\}/ { inside = 0 }
         inside && /^    pub fn / { n++ }
         END { print n + 0 }'
+}
+
+# stdin: one Cargo.toml; stdout: its `[features]` entries other than
+# `default`.
+feature_count() {
+    awk '/^\[/ { inside = ($0 == "[features]"); next }
+         inside && /^[A-Za-z0-9_-]+[[:space:]]*=/ && $1 != "default" { n++ }
+         END { print n + 0 }'
 }
 
 # $1: "tree" or a git ref; $2: path.
@@ -80,22 +93,45 @@ crate_table "crate (non-test lines)" non_test_lines
 echo
 crate_table "panic sites (non-test)" panic_sites
 
+# Options removed and added, summed over the two tables below.
+removed=0
+added=0
+# $1: row name; $2: base count; $3: tree count. Prints the row and
+# tallies the delta.
+option_row() {
+    printf '%-22s %10d %10d %+8d\n' "$1" "$2" "$3" "$(($3 - $2))"
+    if (($3 < $2)); then removed=$((removed + $2 - $3)); else added=$((added + $3 - $2)); fi
+}
+
 echo
 printf '%-22s %10s %10s %8s\n' "config fields" "$BASE" "tree" "delta"
 while read -r name path; do
     b=$(read_file "$BASE" "$path" 2>/dev/null | field_count "$name")
-    t=$(read_file tree "$path" | field_count "$name")
-    printf '%-22s %10d %10d %+8d\n' "$name" "$b" "$t" "$((t - b))"
+    t=$(read_file tree "$path" 2>/dev/null | field_count "$name")
+    option_row "$name" "$b" "$t"
 done <<'EOF'
 ServerConfig crates/slamshare-core/src/server.rs
 LoadConfig crates/slamshare-core/src/load.rs
 SessionConfig crates/slamshare-core/src/session.rs
 BaselineConfig crates/slamshare-core/src/baseline.rs
+LifecycleConfig crates/slamshare-core/src/lifecycle.rs
+SoakConfig crates/slamshare-core/src/lifecycle.rs
 MappingConfig crates/slamshare-slam/src/mapping.rs
 TrackerConfig crates/slamshare-slam/src/tracking.rs
 OrbExtractorConfig crates/slamshare-features/src/extractor.rs
 DatasetConfig crates/slamshare-sim/src/dataset.rs
 EOF
+
+echo
+printf '%-22s %10s %10s %8s\n' "cargo features" "$BASE" "tree" "delta"
+for manifest in $( (git ls-tree -r --name-only "$BASE" -- crates; find crates -name Cargo.toml) |
+    grep -E '^crates/[^/]+/Cargo\.toml$' | sort -u); do
+    b=$(read_file "$BASE" "$manifest" 2>/dev/null | feature_count)
+    t=$(read_file tree "$manifest" 2>/dev/null | feature_count)
+    option_row "$(cut -d/ -f2 <<<"$manifest")" "$b" "$t"
+done
+printf '%-22s %10s %10s\n' "options" "removed" "added"
+printf '%-22s %10d %10d\n' "" "$removed" "$added"
 
 echo
 printf '%-22s %10s %10s %8s\n' "api surface" "$BASE" "tree" "delta"

@@ -511,7 +511,7 @@ fn fnv1a64(s: &str) -> u64 {
     h
 }
 
-/// The mapping path (local BA, batched culling) must leave every
+/// The mapping path (local BA) must leave every
 /// committed result and the final global map bit-identical however the
 /// global map is sharded. Same style as the extraction determinism
 /// test: the whole multi-client run is folded into one digest per

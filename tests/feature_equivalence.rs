@@ -370,118 +370,6 @@ fn extraction_deterministic_across_worker_counts() {
     }
 }
 
-/// Batched keyframe culling picks exactly the victim set a scalar
-/// re-implementation of the snapshot rule picks.
-#[test]
-fn batched_kf_culling_matches_scalar_snapshot_rule() {
-    use slam_share::slam::ids::{ClientId, KeyFrameId};
-    use slam_share::slam::map::{KeyFrame, Map, MapWrite};
-    use slam_share::slam::mapping::{
-        LocalMapper, MappingConfig, KF_CULL_MIN_MATCHED, KF_CULL_MIN_OBS,
-    };
-    use slam_share::slam::tracking::SensorMode;
-
-    let rig = Dataset::build(
-        DatasetConfig::new(TracePreset::V202)
-            .with_frames(1)
-            .with_seed(5),
-    )
-    .rig;
-    let mut rng = StdRng::seed_from_u64(seed() ^ 0x6b66);
-    let mut ever_culled = false;
-    let mut ever_spared = false;
-    for _round in 0..3 {
-        const N_KP: usize = 64;
-        let n_kf = rng.gen_range(70..100);
-        let n_pts = rng.gen_range(30..N_KP);
-        let mut map = Map::new(ClientId(1));
-        let kf_ids: Vec<KeyFrameId> = (0..n_kf)
-            .map(|i| {
-                let id = map.alloc.next_keyframe();
-                map.insert_keyframe(KeyFrame {
-                    id,
-                    pose_cw: slamshare_math::SE3::IDENTITY,
-                    timestamp: i as f64,
-                    keypoints: vec![KeyPoint::new(Vec2::ZERO, 0, 1.0); N_KP],
-                    descriptors: vec![Descriptor::ZERO; N_KP],
-                    matched_points: vec![None; N_KP],
-                    bow: Default::default(),
-                });
-                id
-            })
-            .collect();
-        let protect = kf_ids[0];
-        // Every point is anchored on the protected keyframe; the others
-        // observe a random subset, with per-keyframe match density low
-        // enough that thin keyframes (< KF_CULL_MIN_MATCHED matches) and
-        // rarely-seen points (< KF_CULL_MIN_OBS observations) both occur.
-        let mps: Vec<_> = (0..n_pts)
-            .map(|j| {
-                map.create_mappoint(
-                    slamshare_math::Vec3::new(j as f64, 0.0, 5.0),
-                    Descriptor::ZERO,
-                    protect,
-                    j,
-                )
-            })
-            .collect();
-        for &kf in &kf_ids[1..] {
-            let density = rng.gen_range(0.1..0.9);
-            for (j, &mp) in mps.iter().enumerate() {
-                if rng.gen_bool(density) {
-                    map.add_observation(mp, kf, j);
-                }
-            }
-        }
-
-        // Scalar reference: the snapshot rule applied directly.
-        let reference: Vec<KeyFrameId> = map
-            .keyframes
-            .iter()
-            .filter(|(id, _)| **id != protect)
-            .filter_map(|(id, kf)| {
-                let counts: Vec<u32> = kf
-                    .matched_points
-                    .iter()
-                    .flatten()
-                    .filter_map(|mp| map.mappoints.get(mp))
-                    .map(|mp| mp.observations.len() as u32)
-                    .collect();
-                if counts.len() < KF_CULL_MIN_MATCHED {
-                    return None;
-                }
-                let well = counts.iter().filter(|&&c| c >= KF_CULL_MIN_OBS).count();
-                (well * 10 >= counts.len() * 9).then_some(*id)
-            })
-            .collect();
-        ever_culled |= !reference.is_empty();
-        ever_spared |= reference.len() < n_kf - 1;
-
-        let mut m = map.clone();
-        let mut mapper = LocalMapper::new(SensorMode::Stereo, rig, MappingConfig::default());
-        let culled = mapper.cull_keyframes(&mut m, protect);
-        assert_eq!(
-            culled,
-            reference.len(),
-            "cull count diverged from the scalar rule"
-        );
-        let survivors: Vec<KeyFrameId> = m.keyframes.keys().copied().collect();
-        let expected: Vec<KeyFrameId> = kf_ids
-            .iter()
-            .copied()
-            .filter(|id| !reference.contains(id))
-            .collect();
-        assert_eq!(
-            survivors, expected,
-            "victim set diverged from the scalar rule"
-        );
-    }
-    assert!(
-        ever_culled && ever_spared,
-        "property never saw both verdicts — inputs too uniform to mean anything"
-    );
-}
-
 /// *Search local points* through the keypoint grid, on a real extracted
 /// frame, returns the full scan's answer for every query: the per-query
 /// hit and the resolved matches, sequentially and fanned out on the
@@ -557,7 +445,7 @@ fn window_search_grid_matches_scan() {
 fn fast_blocks_match_per_pixel_test() {
     use slam_share::features::extractor::OrbExtractor;
     use slam_share::features::fast::{self, ARC_LEN, BORDER, CIRCLE};
-    use slam_share::features::ImagePyramid;
+    use slam_share::features::pyramid::{ImagePyramid, DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR};
 
     /// FAST-9/16 at one pixel: a circular run of `ARC_LEN` ring pixels all
     /// brighter than `p + t` or all darker than `p − t`, scored by the SAD
@@ -588,11 +476,7 @@ fn fast_blocks_match_per_pixel_test() {
     );
     let (left, _) = ds.render_stereo_frame(0);
     let extractor = OrbExtractor::with_defaults();
-    let pyramid = ImagePyramid::build(
-        &left,
-        extractor.config.n_levels,
-        extractor.config.scale_factor,
-    );
+    let pyramid = ImagePyramid::build(&left, DEFAULT_LEVELS, DEFAULT_SCALE_FACTOR);
     let mut tasks = Vec::new();
     extractor.cells_into(&pyramid, &mut tasks);
     let mut got = Vec::new();

@@ -31,7 +31,6 @@ use slam_share::core::server::ServerConfig;
 use slam_share::features::{Descriptor, KeyPoint};
 use slam_share::math::{Vec2, Vec3, SE3};
 use slam_share::net::link::LinkConfig;
-use slam_share::shm::Segment;
 use slam_share::sim::camera::StereoRig;
 use slam_share::sim::SimTime;
 use slam_share::slam::ids::{ClientId, IdAllocator, KeyFrameId};
@@ -154,9 +153,7 @@ fn insert_step(
 /// deterministic sync points between them, force reloads by reading the
 /// first phase back, and digest the fully-resident final content.
 fn run_maintained(workers: usize, shards: usize) -> (u64, u64, u64, u64) {
-    let segment = Arc::new(Segment::new(1 << 24));
-    let gmap =
-        ShardedGlobalMap::create(segment, "lifecycle/gmap", shards, 10.0).expect("create gmap");
+    let gmap = ShardedGlobalMap::new(shards, 10.0);
     let manager = LifecycleManager::new(
         gmap.clone(),
         LifecycleConfig {
@@ -440,7 +437,7 @@ fn maintenance_races_with_live_deltas() {
     let (kfs, mps, _) = server.global_map_stats();
     assert_eq!(kfs, ROUNDS, "keyframes lost in the evict/write race");
     assert_eq!(mps, ROUNDS * 4, "map points lost in the evict/write race");
-    let (used, _, _) = server.store.arena_stats();
+    let (used, _) = server.store.arena_stats();
     assert!(used > 0);
 }
 
@@ -498,8 +495,7 @@ fn evicted_region_transfers_ownership_and_reloads_at_destination() {
 /// it.
 #[test]
 fn track_reads_and_writes_never_run_on_an_evicted_shard() {
-    let segment = Arc::new(Segment::new(1 << 24));
-    let gmap = ShardedGlobalMap::create(segment, "lifecycle/race", 16, 10.0).expect("create gmap");
+    let gmap = ShardedGlobalMap::new(16, 10.0);
     let mut alloc = IdAllocator::new(ClientId(1));
     let kf = insert_step(&gmap, &mut alloc, (seed() % 8) as f64 * 40.0, 0, 0, 0);
     let region = gmap.with_track_read(Some(kf), |_, stamp| stamp[0].0);
