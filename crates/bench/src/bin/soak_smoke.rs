@@ -5,9 +5,9 @@
 //! evicted hours (of virtual time) earlier. Asserts the two soak
 //! contracts from DESIGN.md §11:
 //!
-//! 1. **bounded footprint** — the arena high-water mark with eviction on
-//!    stays under a fixed budget *and* strictly below the never-evict
-//!    control run's peak;
+//! 1. **bounded footprint** — the map's measured peak size with eviction
+//!    on (`map_bytes_high_water`) stays under a fixed budget *and*
+//!    strictly below the never-evict control run's peak;
 //! 2. **content transparency** — every trajectory read back from the map
 //!    and the final map digest are bit-identical to the never-evict run
 //!    (reload-on-demand is invisible to clients).
@@ -17,11 +17,11 @@
 use slamshare_core::gmap::ShardedGlobalMap;
 use slamshare_core::lifecycle::soak::{self, SoakConfig};
 
-/// Arena budget for the day preset. The evicting day peaks ~2.3 MiB;
-/// the never-evict control ~5.7 MiB — so the bound trips if eviction
-/// ever stops keeping the working set bounded, with ~1.7 MiB of slack
+/// Map-size budget for the day preset. The evicting day peaks ~2.2 MiB;
+/// the never-evict control ~5.6 MiB — so the bound trips if eviction
+/// ever stops keeping the working set bounded, with ~1.8 MiB of slack
 /// for content growth.
-const DAY_ARENA_BUDGET_BYTES: u64 = 4 << 20;
+const DAY_MAP_BUDGET_BYTES: u64 = 4 << 20;
 
 fn main() {
     let preset = std::env::args().nth(1).unwrap_or_else(|| "day".into());
@@ -54,10 +54,10 @@ fn main() {
     );
     if preset != "smoke" {
         assert!(
-            lc.arena_high_water < DAY_ARENA_BUDGET_BYTES,
-            "arena high-water {} exceeds the day-session budget {}",
-            lc.arena_high_water,
-            DAY_ARENA_BUDGET_BYTES
+            lc.map_bytes_high_water < DAY_MAP_BUDGET_BYTES,
+            "map-bytes high-water {} exceeds the day-session budget {}",
+            lc.map_bytes_high_water,
+            DAY_MAP_BUDGET_BYTES
         );
     }
 
@@ -75,18 +75,18 @@ fn main() {
         "evict/reload changed final map content"
     );
     assert!(
-        lc.arena_high_water < never.lifecycle.arena_high_water,
-        "eviction did not lower the arena peak: {} vs {}",
-        lc.arena_high_water,
-        never.lifecycle.arena_high_water
+        lc.map_bytes_high_water < never.lifecycle.map_bytes_high_water,
+        "eviction did not lower the map-bytes peak: {} vs {}",
+        lc.map_bytes_high_water,
+        never.lifecycle.map_bytes_high_water
     );
 
     println!(
         "soak ok ({preset}, seed {seed}): high-water {:.1} MiB vs {:.1} MiB never-evict | \
          pruned {} evicted {} regions/{} comps reloads {} | relocs {} ({} after reload) | \
          digest {:#018x} bit-identical | map invariants held over {steps} steps",
-        lc.arena_high_water as f64 / (1 << 20) as f64,
-        never.lifecycle.arena_high_water as f64 / (1 << 20) as f64,
+        lc.map_bytes_high_water as f64 / (1 << 20) as f64,
+        never.lifecycle.map_bytes_high_water as f64 / (1 << 20) as f64,
         lc.pruned_points,
         lc.evicted_regions,
         lc.evicted_components,

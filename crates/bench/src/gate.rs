@@ -20,9 +20,9 @@
 //! trip the relative check on scheduler jitter alone.
 //!
 //! Keys containing `max_bytes` are **absolute ceilings**, not latencies:
-//! they are deterministic byte counts (e.g. the soak's steady-state
-//! arena occupancy), so no jitter tolerance applies — any increase over
-//! the committed baseline is a regression.
+//! they are deterministic byte counts (e.g. the soak's peak measured
+//! map size), so no jitter tolerance applies — any increase over the
+//! committed baseline is a regression.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -611,7 +611,7 @@ impl Federation {
         if let Some(link) = self.links.get_mut(&(from, to)) {
             let _ = link.send(now, bytes);
         }
-        if !self.servers[to].store.install_evicted(region, stub.clone()) {
+        if let Err(stub) = self.servers[to].store.install_evicted(region, stub) {
             // Destination refused (resident content or an existing
             // stub): restore the origin stub so nothing is lost.
             let _ = self.servers[from].store.install_evicted(region, stub);

@@ -29,8 +29,13 @@
 //! and the weld candidates around a merge anchor are all
 //! covisibility-reachable, hence inside the component.
 //! [`ShardedGlobalMap::check_invariants`] checks it, along with one shard
-//! per entity, directory entries naming their shard, and the arena
-//! accounting.
+//! per entity and directory entries naming their shard.
+//!
+//! # Size
+//!
+//! The map is measured, not charged: its size is the sum of each shard's
+//! [`Map::approx_bytes`], read by [`ShardedGlobalMap::stats`] under read
+//! locks. Nothing keeps a second count on the write path.
 //!
 //! # Writes in place
 //!
@@ -74,8 +79,8 @@
 //! lifecycle subsystem (`crate::lifecycle`) may serialize a cold
 //! component out: each region's content becomes a compact
 //! `slamshare-net` region snapshot held in a typed [`EvictedRegion`]
-//! directory stub, and the emptied shard's bytes are released back to
-//! the arena. Directory entries and unions are never removed by
+//! directory stub, and the emptied shard no longer counts towards the
+//! map's size. Directory entries and unions are never removed by
 //! eviction, so seed resolution is oblivious to residency; the track and
 //! write paths call [`ShardedGlobalMap::ensure_resident`] on their
 //! resolved region set before locking, which transparently decodes stubs
@@ -108,14 +113,6 @@ use std::sync::Arc;
 /// merged them) stops chasing them and locks everything.
 pub const MAX_COMPONENT_RETRIES: usize = 3;
 
-/// Residency of a region's content: resident in its shm shard, or
-/// serialized out to a compact [`EvictedRegion`] stub.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionResidency {
-    Resident,
-    Evicted,
-}
-
 /// The typed directory stub left behind when a cold region's content is
 /// serialized out of shared memory. The directory keeps its keyframe →
 /// region entries and recorded covisibility unions (both monotone), so
@@ -125,17 +122,10 @@ pub enum RegionResidency {
 #[derive(Debug, Clone)]
 pub struct EvictedRegion {
     /// `slamshare-net::fed` region-snapshot wire bytes (the compact form;
-    /// also what federation ships on an ownership transfer).
+    /// also what federation ships on an ownership transfer). The
+    /// snapshot carries the region, its content and the frame it was
+    /// evicted at.
     pub payload: Vec<u8>,
-    /// Keyframes serialized into the payload.
-    pub n_keyframes: usize,
-    /// Map points serialized into the payload.
-    pub n_mappoints: usize,
-    /// Approximate shm bytes the content occupied before eviction (what a
-    /// reload will re-charge against the arena).
-    pub resident_bytes: usize,
-    /// Maintenance frame clock at eviction time.
-    pub evicted_at_frame: u64,
 }
 
 /// What one [`ShardedGlobalMap::evict_component`] call did.
@@ -209,17 +199,13 @@ impl ComponentWrite<'_> {
     }
 }
 
-/// The region-sharded global map: the shm store of region shards (with
-/// the arena their sizes are charged against) and the directory.
+/// The region-sharded global map: the shm store of region shards and the
+/// directory.
 pub struct ShardedGlobalMap {
     store: ShardedStore<Map>,
     dir: Mutex<Directory>,
     /// Successful on-demand reloads (lifecycle telemetry).
     reloads: AtomicU64,
-}
-
-fn shard_bytes(s: &Map) -> usize {
-    s.approx_bytes()
 }
 
 /// Edge length, meters, of the spatial grid cells every
@@ -419,7 +405,8 @@ impl ShardedGlobalMap {
         })
     }
 
-    /// `(n_keyframes, n_mappoints, approx_bytes)` of the whole map.
+    /// `(n_keyframes, n_mappoints, approx_bytes)` of the whole map — the
+    /// one measure of its size (module docs, "Size").
     pub fn stats(&self) -> (usize, usize, usize) {
         self.store.with_read_all(|_, shards| {
             let mut kfs = 0;
@@ -434,15 +421,8 @@ impl ShardedGlobalMap {
         })
     }
 
-    /// `(arena_used, arena_high_water)` — the occupancy the soak stage
-    /// budgets against.
-    pub fn arena_stats(&self) -> (usize, usize) {
-        let a = self.store.arena();
-        (a.used(), a.high_water())
-    }
-
     /// Sorted regions of the covisibility component containing `region`.
-    pub fn component_of(&self, region: usize) -> Vec<usize> {
+    fn component_of(&self, region: usize) -> Vec<usize> {
         let dir = self.dir.lock();
         let mut v: Vec<usize> = dir
             .graph
@@ -482,15 +462,6 @@ impl ShardedGlobalMap {
         out
     }
 
-    /// Residency of `region`'s content.
-    pub fn residency(&self, region: usize) -> RegionResidency {
-        if self.dir.lock().evicted.contains_key(&(region as u32)) {
-            RegionResidency::Evicted
-        } else {
-            RegionResidency::Resident
-        }
-    }
-
     /// Sorted indices of currently evicted regions.
     pub fn evicted_regions(&self) -> Vec<usize> {
         let dir = self.dir.lock();
@@ -528,9 +499,8 @@ impl ShardedGlobalMap {
     /// Serialize the covisibility component containing `seed_region` out
     /// of shared memory: each resident region's content becomes a compact
     /// `slamshare-net` region snapshot held in a typed [`EvictedRegion`]
-    /// directory stub, the shards are emptied (the store releases the
-    /// shrink back to the arena under the same guards), and every locked
-    /// region's epoch is bumped so stale stamps trip. Eviction is
+    /// directory stub, the shards are emptied, and every locked region's
+    /// epoch is bumped so stale stamps trip. Eviction is
     /// all-or-nothing per component — cross-region observation edges stay
     /// inside one payload set — and aborts (empty receipt) if a concurrent
     /// write grew the component between resolve and lock acquisition; the
@@ -540,58 +510,47 @@ impl ShardedGlobalMap {
         if regions.is_empty() {
             return EvictReceipt::default();
         }
-        self.store
-            .with_write(&regions, shard_bytes, |order, shards| {
-                let mut dir = self.dir.lock();
-                // Validate under the directory lock while holding the
-                // shard locks, exactly like a component write: if the
-                // component grew, evicting only part of it would strand
-                // cross-region observation edges across the residency
-                // boundary.
-                let current: Vec<usize> = dir
-                    .graph
-                    .component(seed_region as u32)
-                    .into_iter()
-                    .map(|r| r as usize)
-                    .collect();
-                if !current.iter().all(|r| order.binary_search(r).is_ok()) {
-                    return (EvictReceipt::default(), false);
+        self.store.with_write(&regions, |order, shards| {
+            let mut dir = self.dir.lock();
+            // Validate under the directory lock while holding the
+            // shard locks, exactly like a component write: if the
+            // component grew, evicting only part of it would strand
+            // cross-region observation edges across the residency
+            // boundary.
+            let current: Vec<usize> = dir
+                .graph
+                .component(seed_region as u32)
+                .into_iter()
+                .map(|r| r as usize)
+                .collect();
+            if !current.iter().all(|r| order.binary_search(r).is_ok()) {
+                return (EvictReceipt::default(), false);
+            }
+            let mut receipt = EvictReceipt::default();
+            for (k, shard) in shards.iter_mut().enumerate() {
+                let Some(&region) = order.get(k) else {
+                    continue;
+                };
+                if shard.is_empty() && shard.n_mappoints() == 0 {
+                    continue; // nothing resident (maybe already a stub)
                 }
-                let mut receipt = EvictReceipt::default();
-                for (k, shard) in shards.iter_mut().enumerate() {
-                    let Some(&region) = order.get(k) else {
-                        continue;
-                    };
-                    if shard.is_empty() && shard.n_mappoints() == 0 {
-                        continue; // nothing resident (maybe already a stub)
-                    }
-                    let resident_bytes = shard.approx_bytes();
-                    let fragment = std::mem::take(&mut **shard);
-                    let snap = RegionSnapshot {
-                        region: region as u32,
-                        evicted_at_frame: now_frame,
-                        fragment,
-                    };
-                    let payload = encode_region_snapshot(&snap).to_vec();
-                    receipt.serialized_bytes += payload.len();
-                    receipt.released_bytes += resident_bytes;
-                    receipt.keyframes += snap.fragment.n_keyframes();
-                    receipt.mappoints += snap.fragment.n_mappoints();
-                    receipt.regions.push(region);
-                    dir.evicted.insert(
-                        region as u32,
-                        EvictedRegion {
-                            payload,
-                            n_keyframes: snap.fragment.n_keyframes(),
-                            n_mappoints: snap.fragment.n_mappoints(),
-                            resident_bytes,
-                            evicted_at_frame: now_frame,
-                        },
-                    );
-                }
-                let dirty = !receipt.regions.is_empty();
-                (receipt, dirty)
-            })
+                receipt.released_bytes += shard.approx_bytes();
+                let fragment = std::mem::take(&mut **shard);
+                let snap = RegionSnapshot {
+                    region: region as u32,
+                    evicted_at_frame: now_frame,
+                    fragment,
+                };
+                let payload = encode_region_snapshot(&snap).to_vec();
+                receipt.serialized_bytes += payload.len();
+                receipt.keyframes += snap.fragment.n_keyframes();
+                receipt.mappoints += snap.fragment.n_mappoints();
+                receipt.regions.push(region);
+                dir.evicted.insert(region as u32, EvictedRegion { payload });
+            }
+            let dirty = !receipt.regions.is_empty();
+            (receipt, dirty)
+        })
     }
 
     /// Make every region in `regions` resident again, decoding and
@@ -640,55 +599,53 @@ impl ShardedGlobalMap {
     /// reloaded.
     fn reload_region(&self, region: usize) -> bool {
         let _span = slamshare_obs::span!("lifecycle.reload");
-        let ok = self
-            .store
-            .with_write(&[region], shard_bytes, |order, shards| {
-                let (Some(&r), Some(shard)) = (order.first(), shards.first_mut()) else {
+        let ok = self.store.with_write(&[region], |order, shards| {
+            let (Some(&r), Some(shard)) = (order.first(), shards.first_mut()) else {
+                return (false, false);
+            };
+            let stub = {
+                let mut dir = self.dir.lock();
+                dir.evicted.remove(&(r as u32))
+            };
+            let Some(stub) = stub else {
+                return (false, false);
+            };
+            let snap = match decode_region_snapshot(&stub.payload) {
+                Ok(s) => s,
+                Err(_) => {
+                    // Our own encoder produced these bytes, so this is
+                    // unreachable in practice — but a corrupt payload
+                    // must not lose the stub or panic the server.
+                    self.dir.lock().evicted.insert(r as u32, stub);
+                    slamshare_obs::counter_inc!("lifecycle.reload_decode_errors");
                     return (false, false);
-                };
-                let stub = {
-                    let mut dir = self.dir.lock();
-                    dir.evicted.remove(&(r as u32))
-                };
-                let Some(stub) = stub else {
-                    return (false, false);
-                };
-                let snap = match decode_region_snapshot(&stub.payload) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        // Our own encoder produced these bytes, so this is
-                        // unreachable in practice — but a corrupt payload
-                        // must not lose the stub or panic the server.
-                        self.dir.lock().evicted.insert(r as u32, stub);
-                        slamshare_obs::counter_inc!("lifecycle.reload_decode_errors");
-                        return (false, false);
-                    }
-                };
-                let mut fragment = snap.fragment;
-                // Re-link: at the origin server these directory writes are
-                // no-ops (entries and unions are monotone and were never
-                // removed). After a federation ownership transfer they
-                // seed the destination's directory; a racing component
-                // write re-validates under the directory lock, so unions
-                // appearing here are caught by its retry path.
-                {
-                    let mut dir = self.dir.lock();
-                    for id in fragment.keyframes.keys() {
-                        dir.kf_region.insert(*id, r as u32);
-                    }
-                    for mp in fragment.mappoints.values() {
-                        for (kf, _) in &mp.observations {
-                            if let Some(&other) = dir.kf_region.get(kf) {
-                                dir.graph.union(r as u32, other);
-                            }
+                }
+            };
+            let mut fragment = snap.fragment;
+            // Re-link: at the origin server these directory writes are
+            // no-ops (entries and unions are monotone and were never
+            // removed). After a federation ownership transfer they
+            // seed the destination's directory; a racing component
+            // write re-validates under the directory lock, so unions
+            // appearing here are caught by its retry path.
+            {
+                let mut dir = self.dir.lock();
+                for id in fragment.keyframes.keys() {
+                    dir.kf_region.insert(*id, r as u32);
+                }
+                for mp in fragment.mappoints.values() {
+                    for (kf, _) in &mp.observations {
+                        if let Some(&other) = dir.kf_region.get(kf) {
+                            dir.graph.union(r as u32, other);
                         }
                     }
                 }
-                shard.keyframes.append(&mut fragment.keyframes);
-                shard.mappoints.append(&mut fragment.mappoints);
-                shard.frame_clock = shard.frame_clock.max(fragment.frame_clock);
-                (true, true)
-            });
+            }
+            shard.keyframes.append(&mut fragment.keyframes);
+            shard.mappoints.append(&mut fragment.mappoints);
+            shard.frame_clock = shard.frame_clock.max(fragment.frame_clock);
+            (true, true)
+        });
         if ok {
             self.reloads.fetch_add(1, Ordering::Relaxed);
         }
@@ -706,14 +663,14 @@ impl ShardedGlobalMap {
     }
 
     /// Install a stub for `region` (federation ownership transfer,
-    /// destination side). Refuses (returns false) when the region already
-    /// has a stub or resident content — the caller must merge instead —
-    /// and when the payload does not decode: every stub in the directory
-    /// must reload, or a track or commit on its region would wait for
-    /// residency forever.
-    pub fn install_evicted(&self, region: usize, stub: EvictedRegion) -> bool {
+    /// destination side). Refuses, handing the stub back, when the region
+    /// already has a stub or resident content — the caller must merge
+    /// instead — and when the payload does not decode: every stub in the
+    /// directory must reload, or a track or commit on its region would
+    /// wait for residency forever.
+    pub fn install_evicted(&self, region: usize, stub: EvictedRegion) -> Result<(), EvictedRegion> {
         if region >= self.store.n_shards() || decode_region_snapshot(&stub.payload).is_err() {
-            return false;
+            return Err(stub);
         }
         let resident = self
             .store
@@ -722,14 +679,14 @@ impl ShardedGlobalMap {
                 None => true,
             });
         if resident {
-            return false;
+            return Err(stub);
         }
         let mut dir = self.dir.lock();
         if dir.evicted.contains_key(&(region as u32)) {
-            return false;
+            return Err(stub);
         }
         dir.evicted.insert(region as u32, stub);
-        true
+        Ok(())
     }
 
     /// Write to the components covering `seeds`. The closure receives the
@@ -768,28 +725,26 @@ impl ShardedGlobalMap {
             // applies against resident content).
             self.ensure_resident(&regions);
             let mut grown = false;
-            let out = self
-                .store
-                .with_write(&regions, shard_bytes, |order, shards| {
-                    // Validate under the directory lock, while holding
-                    // the shard locks: components may have merged
-                    // between resolve and acquisition.
-                    grown = !full && {
-                        let dir = self.dir.lock();
-                        !self
-                            .resolve_in(&dir, seeds)
-                            .iter()
-                            .all(|r| order.binary_search(r).is_ok())
-                    };
-                    if grown || self.any_evicted(order) {
-                        return (None, false);
-                    }
-                    let Some(f) = f.take() else {
-                        return (None, false);
-                    };
-                    let (r, dirty) = self.run_write(order, shards, f);
-                    (Some(r), dirty)
-                });
+            let out = self.store.with_write(&regions, |order, shards| {
+                // Validate under the directory lock, while holding
+                // the shard locks: components may have merged
+                // between resolve and acquisition.
+                grown = !full && {
+                    let dir = self.dir.lock();
+                    !self
+                        .resolve_in(&dir, seeds)
+                        .iter()
+                        .all(|r| order.binary_search(r).is_ok())
+                };
+                if grown || self.any_evicted(order) {
+                    return (None, false);
+                }
+                let Some(f) = f.take() else {
+                    return (None, false);
+                };
+                let (r, dirty) = self.run_write(order, shards, f);
+                (Some(r), dirty)
+            });
             if let Some(r) = out {
                 return (r, regions);
             }
@@ -895,8 +850,7 @@ impl ShardedGlobalMap {
     /// * every resident keyframe and map point lives in exactly one shard;
     /// * every resident keyframe's directory entry names its shard;
     /// * closure: every resident observer of a resident point is in a
-    ///   region unioned with the point's region;
-    /// * each shard's reported arena bytes equal its content's size.
+    ///   region unioned with the point's region.
     ///
     /// Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), MapInvariantError> {
@@ -905,17 +859,6 @@ impl ShardedGlobalMap {
             let mut kf_home: HashMap<KeyFrameId, usize> = HashMap::new();
             let mut mp_home: HashMap<MapPointId, usize> = HashMap::new();
             for (&region, shard) in order.iter().zip(shards) {
-                let (reported, actual) = (
-                    self.store.shard_reported_bytes(region),
-                    shard.approx_bytes(),
-                );
-                if reported != actual {
-                    return Err(MapInvariantError::Accounting {
-                        region,
-                        reported,
-                        actual,
-                    });
-                }
                 for &id in shard.keyframes.keys() {
                     if let Some(first) = kf_home.insert(id, region) {
                         return Err(MapInvariantError::DuplicateKeyframe {
@@ -999,12 +942,6 @@ pub enum MapInvariantError {
         point_region: usize,
         observer: KeyFrameId,
         observer_region: usize,
-    },
-    /// A shard's reported arena bytes differ from its content's size.
-    Accounting {
-        region: usize,
-        reported: usize,
-        actual: usize,
     },
 }
 
@@ -1361,30 +1298,31 @@ mod tests {
     }
 
     #[test]
-    fn evict_reload_roundtrip_preserves_content_and_frees_arena() {
+    fn evict_reload_roundtrip_preserves_content_and_shrinks_the_map() {
         let g = ShardedGlobalMap::new(16, 10.0);
         let mut alloc = Map::new(ClientId(1));
         let (kf, locked) = insert_at(&g, &mut alloc, 0.0, 0.0);
         insert_at(&g, &mut alloc, 1000.0, 1.0);
         let before = g.snapshot_map();
-        let used_before = g.arena_stats().0;
+        let bytes_before = g.stats().2;
 
         let receipt = g.evict_component(locked[0], 500);
         assert_eq!(receipt.regions, locked);
         assert_eq!(receipt.keyframes, 1);
         assert!(receipt.serialized_bytes > 0);
-        assert_eq!(g.residency(locked[0]), RegionResidency::Evicted);
         assert_eq!(g.evicted_regions(), locked);
         assert!(g.has_evicted());
-        // Shm accounting shrank; the far keyframe is untouched.
-        assert!(g.arena_stats().0 < used_before);
+        // The measured size shrank by what the receipt released; the far
+        // keyframe is untouched.
+        assert_eq!(g.stats().2, bytes_before - receipt.released_bytes);
         assert_eq!(g.with_view(|v| v.n_keyframes()), 1);
 
         // A track seeded by the evicted keyframe transparently reloads.
         let n = g.with_track_read(Some(kf), |v, _| v.n_keyframes());
         assert_eq!(n, 1);
         assert!(!g.has_evicted());
-        assert_eq!(g.residency(locked[0]), RegionResidency::Resident);
+        assert!(!g.evicted_regions().contains(&locked[0]));
+        assert_eq!(g.stats().2, bytes_before);
         // Full content identical to the pre-eviction snapshot.
         let after = g.snapshot_map();
         assert_eq!(before.n_keyframes(), after.n_keyframes());
@@ -1446,15 +1384,20 @@ mod tests {
         // would otherwise wait for residency forever.
         let garbage = EvictedRegion {
             payload: vec![0xFF; 16],
-            ..stub.clone()
         };
         assert!(
-            !dest.install_evicted(locked[0], garbage),
+            dest.install_evicted(locked[0], garbage).is_err(),
             "undecodable stub"
         );
-        assert!(dest.install_evicted(locked[0], stub.clone()));
-        assert!(!dest.install_evicted(locked[0], stub), "double install");
-        assert_eq!(dest.residency(locked[0]), RegionResidency::Evicted);
+        assert!(dest.install_evicted(locked[0], stub.clone()).is_ok());
+        // A refused stub comes back whole.
+        let refused = dest.install_evicted(locked[0], stub.clone());
+        assert_eq!(
+            refused.map_err(|s| s.payload),
+            Err(stub.payload),
+            "double install"
+        );
+        assert!(dest.evicted_regions().contains(&locked[0]));
         // A query on the destination reloads and re-links the directory.
         assert_eq!(dest.ensure_all_resident(), 1);
         assert!(dest.with_view(|v| v.keyframe(kf).is_some()));
@@ -1824,7 +1767,7 @@ mod tests {
         // A point in `a`'s shard observed by `b`, planted behind the
         // write path's back: an edge between regions never unioned.
         let mp = alloc.alloc.next_mappoint();
-        g.store.with_write(&[ra], shard_bytes, |_, shards| {
+        g.store.with_write(&[ra], |_, shards| {
             shards[0].mappoints.insert(
                 mp,
                 slamshare_slam::map::MapPoint {
@@ -1854,28 +1797,15 @@ mod tests {
         ));
         g.dir.lock().kf_region.insert(b, rb as u32);
 
-        // The same keyframe resident twice; content changed without a
-        // size report.
+        // The same keyframe resident twice.
         let copy = g.snapshot_map().keyframes[&a].clone();
-        g.store.with_write(&[rb], shard_bytes, |_, shards| {
+        g.store.with_write(&[rb], |_, shards| {
             shards[0].keyframes.insert(a, copy);
             ((), true)
         });
         assert!(matches!(
             g.check_invariants(),
             Err(MapInvariantError::DuplicateKeyframe { id, .. }) if id == a
-        ));
-        g.store.with_write(
-            &[rb],
-            |_| 0,
-            |_, shards| {
-                shards[0].keyframes.remove(&a);
-                ((), true)
-            },
-        );
-        assert!(matches!(
-            g.check_invariants(),
-            Err(MapInvariantError::Accounting { region, .. }) if region == rb
         ));
     }
 }

@@ -20,8 +20,8 @@
 //!   or shard count.
 //! * **Cold-region eviction** — a component whose regions' epochs have
 //!   not moved for `evict_after_frames` of virtual time is serialized to
-//!   the compact `slamshare-net` region-snapshot form and its shm bytes
-//!   released ([`crate::gmap::ShardedGlobalMap::evict_component`]).
+//!   the compact `slamshare-net` region-snapshot form and its shard
+//!   emptied ([`crate::gmap::ShardedGlobalMap::evict_component`]).
 //! * **Reload-on-demand** — lives in `core::gmap`: any track, commit or
 //!   federation delta whose resolved regions include an
 //!   [`crate::gmap::EvictedRegion`] stub reloads it transparently before
@@ -32,10 +32,14 @@
 //! The [`soak`] harness at the bottom drives a compressed day-long
 //! virtual-time session (churning clients migrating across work areas,
 //! then revisiting the first one) against a real sharded map + manager,
-//! and is what the CI `soak` stage runs: arena high water must stay
+//! and is what the CI `soak` stage runs: the map's peak size must stay
 //! under budget and the read-back trajectories must be bit-identical to
 //! a never-evict run. See DESIGN.md §11 for the state machine and
 //! invariants.
+//!
+//! The manager measures the map rather than charging it: each tick and
+//! each report samples [`ShardedGlobalMap::stats`]' byte count and keeps
+//! the largest sample. No map write pays for that.
 
 use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use serde::Serialize;
@@ -108,8 +112,8 @@ struct LifecycleTotals {
     released_bytes: AtomicU64,
 }
 
-/// Serializable snapshot of lifecycle activity plus current arena
-/// occupancy — the soak stage's evidence.
+/// Serializable snapshot of lifecycle activity plus the map's measured
+/// size — the soak stage's evidence.
 #[derive(Debug, Clone, Serialize, PartialEq, Eq)]
 pub struct LifecycleReport {
     pub ticks: u64,
@@ -121,8 +125,15 @@ pub struct LifecycleReport {
     /// Reloads the map performed on demand (tracks/commits hitting
     /// evicted regions).
     pub reloads: u64,
-    pub arena_used: u64,
-    pub arena_high_water: u64,
+    /// The map's size when the report was taken
+    /// ([`ShardedGlobalMap::stats`]' `approx_bytes`).
+    pub map_bytes: u64,
+    /// The largest `map_bytes` sampled so far, by a tick (before it
+    /// prunes or evicts) or a report. Between ticks the map only grows
+    /// (writes, reloads) and it shrinks only inside a tick (prune,
+    /// evict), after that tick's sample, so the sampled peak is the
+    /// real peak as of the last sample.
+    pub map_bytes_high_water: u64,
     /// Regions currently evicted.
     pub evicted_now: u64,
 }
@@ -154,6 +165,8 @@ pub struct LifecycleManager {
     cfg: LifecycleConfig,
     watch: parking_lot::Mutex<Watch>,
     totals: LifecycleTotals,
+    /// Largest map size sampled ([`LifecycleReport::map_bytes_high_water`]).
+    high_water: AtomicU64,
 }
 
 impl LifecycleManager {
@@ -168,6 +181,7 @@ impl LifecycleManager {
                 last_prune_frame: 0,
             }),
             totals: LifecycleTotals::default(),
+            high_water: AtomicU64::new(0),
         }
     }
 
@@ -175,16 +189,21 @@ impl LifecycleManager {
         &self.cfg
     }
 
-    /// One maintenance pass at virtual frame `now_frame`: refresh the
-    /// activity watch, prune if the cadence is due, evict components
-    /// that went cold. Runs off the critical path; every map access goes
-    /// through the validated locking paths of `core::gmap`.
+    /// One maintenance pass at virtual frame `now_frame`: sample the
+    /// map's size, refresh the activity watch, prune if the cadence is
+    /// due, evict components that went cold. Runs off the critical path;
+    /// every map access goes through the validated locking paths of
+    /// `core::gmap`.
     pub fn tick(&self, now_frame: u64) -> TickReport {
         let mut report = TickReport {
             now_frame,
             ..TickReport::default()
         };
         self.totals.ticks.fetch_add(1, Ordering::Relaxed);
+        // Before pruning and evicting: those are the only shrinks, so
+        // this sample sees the peak the map reached since the last tick.
+        let bytes = self.sample_map_bytes();
+        slamshare_obs::gauge_set!("lifecycle.map_bytes", bytes);
 
         // 1. Activity scan: an epoch that moved since the last tick means
         // a writer touched the region.
@@ -235,9 +254,14 @@ impl LifecycleManager {
             }
         }
 
-        let (used, _) = self.gmap.arena_stats();
-        slamshare_obs::gauge_set!("lifecycle.arena_used_bytes", used as u64);
         report
+    }
+
+    /// The map's size now, folded into the high-water mark.
+    fn sample_map_bytes(&self) -> u64 {
+        let bytes = self.gmap.stats().2 as u64;
+        self.high_water.fetch_max(bytes, Ordering::Relaxed);
+        bytes
     }
 
     /// Re-read epochs into the watch without refreshing activity stamps
@@ -340,9 +364,9 @@ impl LifecycleManager {
         (regions, components, released, serialized)
     }
 
-    /// Current totals plus live arena/residency state.
+    /// Current totals plus the map's live size and residency state.
     pub fn report(&self) -> LifecycleReport {
-        let (used, high) = self.gmap.arena_stats();
+        let map_bytes = self.sample_map_bytes();
         let (evicted_now, _) = self.gmap.evicted_stats();
         LifecycleReport {
             ticks: self.totals.ticks.load(Ordering::Relaxed),
@@ -352,8 +376,8 @@ impl LifecycleManager {
             serialized_bytes: self.totals.serialized_bytes.load(Ordering::Relaxed),
             released_bytes: self.totals.released_bytes.load(Ordering::Relaxed),
             reloads: self.gmap.reload_count(),
-            arena_used: used as u64,
-            arena_high_water: high as u64,
+            map_bytes,
+            map_bytes_high_water: self.high_water.load(Ordering::Relaxed),
             evicted_now: evicted_now as u64,
         }
     }
@@ -455,7 +479,7 @@ pub mod soak {
         pub trajectories: BTreeMap<u16, Vec<(u64, u64, [u64; 3])>>,
         /// FNV-1a digest of the final map content (keyframes, points,
         /// observations, ages), with still-evicted payloads decoded
-        /// out-of-arena and folded in.
+        /// outside the map and folded in.
         pub map_digest: u64,
         /// Relocalizations performed in the revisit tail.
         pub relocs: u64,
@@ -727,9 +751,9 @@ pub mod soak {
 
         // Terminal comparison pass. The report comes first so it keeps
         // the end-of-day residency state; the digest then folds in the
-        // still-evicted payloads by decoding them *outside* the arena —
-        // reloading them back in would drag the high-water mark up to
-        // the never-evict peak and erase the very bound the soak proves.
+        // still-evicted payloads by decoding them *outside* the map —
+        // reloading them back in would grow the map to the never-evict
+        // size and erase the very bound the soak proves.
         let lifecycle = manager.report();
         let mut final_map = gmap.snapshot_map();
         for region in gmap.evicted_regions() {
@@ -766,7 +790,7 @@ mod tests {
     }
 
     #[test]
-    fn smoke_soak_bounds_arena_and_matches_never_evict() {
+    fn smoke_soak_bounds_map_bytes_and_matches_never_evict() {
         let cfg = soak::SoakConfig::smoke(7);
         let evict = soak::run(&cfg);
         assert!(evict.lifecycle.evicted_regions > 0, "nothing ever evicted");
@@ -793,11 +817,29 @@ mod tests {
         // Eviction keeps the working set strictly below the never-evict
         // peak.
         assert!(
-            evict.lifecycle.arena_high_water < never.lifecycle.arena_high_water,
-            "eviction did not reduce peak occupancy: {} vs {}",
-            evict.lifecycle.arena_high_water,
-            never.lifecycle.arena_high_water
+            evict.lifecycle.map_bytes_high_water < never.lifecycle.map_bytes_high_water,
+            "eviction did not reduce the peak map size: {} vs {}",
+            evict.lifecycle.map_bytes_high_water,
+            never.lifecycle.map_bytes_high_water
         );
+    }
+
+    #[test]
+    fn high_water_covers_every_step_of_the_soak() {
+        // Sampling only at ticks and reports still sees the peak: the
+        // map shrinks only inside a tick, after that tick's sample.
+        let cfg = soak::SoakConfig::smoke(7);
+        let mut seen = Vec::new();
+        let out = soak::run_observed(&cfg, |g| seen.push(g.stats().2 as u64));
+        assert_eq!(seen.len(), cfg.n_steps);
+        let peak = seen.iter().copied().max().unwrap_or(0);
+        assert!(peak > 0);
+        assert!(
+            out.lifecycle.map_bytes_high_water >= peak,
+            "sampled high water {} below a step's size {peak}",
+            out.lifecycle.map_bytes_high_water
+        );
+        assert_eq!(out.lifecycle.map_bytes, *seen.last().unwrap_or(&0));
     }
 
     #[test]

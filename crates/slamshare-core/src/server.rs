@@ -1255,12 +1255,14 @@ impl EdgeServer {
     }
 
     /// Keyframe trajectories of *pending* (not-yet-merged) client maps:
-    /// `(client, [(timestamp, camera center)])`. The paper's Fig. 10
+    /// `(client, [(timestamp, camera center)])`, in client-id order (so
+    /// an error summed over them is the same on every run). The paper's Fig. 10
     /// measures the global map's ATE *including* these fragments — that
     /// is what makes the pre-merge ATE spike (different origins) and the
     /// post-merge collapse visible.
     pub fn pending_local_trajectories(&self) -> Vec<(u16, Vec<(f64, slamshare_math::Vec3)>)> {
-        self.clients
+        let mut out: Vec<_> = self
+            .clients
             .iter()
             .filter_map(|(&id, p)| match &p.lock().phase {
                 Phase::Local(system) if !system.map.is_empty() => {
@@ -1268,7 +1270,9 @@ impl EdgeServer {
                 }
                 _ => None,
             })
-            .collect()
+            .collect();
+        out.sort_unstable_by_key(|(id, _)| *id);
+        out
     }
 
     /// Snapshot of the global map's size (keyframes, map points, bytes).

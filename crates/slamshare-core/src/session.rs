@@ -450,7 +450,7 @@ impl Session {
         clients: &[ActiveClient],
     ) -> Option<f64> {
         let by_id: HashMap<u16, &ActiveClient> = clients.iter().map(|c| (c.spec.id, c)).collect();
-        let (mut est, mut gt) = server
+        let mut pairs = server
             .store
             .with_view(|view| map_kf_pairs(view, &by_id, self.config.fps));
         // Include not-yet-merged client fragments: before a merge they sit
@@ -459,16 +459,12 @@ impl Session {
         for (id, traj) in server.pending_local_trajectories() {
             let Some(c) = by_id.get(&id) else { continue };
             for (ts, center) in traj {
-                let t_local = ts - c.spec.join_time;
-                if t_local < -1e-9 {
-                    continue;
+                if let Some(gt) = client_gt(c, ts, self.config.fps) {
+                    pairs.push((center, gt));
                 }
-                let ds_time = c.spec.start_frame as f64 / self.config.fps + t_local;
-                est.push((ts, center));
-                gt.push((ts, c.dataset.trajectory.position(ds_time)));
             }
         }
-        eval::ate(&est, &gt, false, 1e-4).map(|a| a.rmse)
+        paired_ate(&pairs)
     }
 
     fn run_baseline(&self) -> SessionResult {
@@ -571,18 +567,18 @@ impl Session {
                 next_ate_sample += ate_interval;
                 let by_id: HashMap<u16, &ActiveClient> =
                     actives.iter().map(|(c, _)| (c.spec.id, c)).collect();
-                let (est, gt) = map_kf_pairs(&server.map, &by_id, self.config.fps);
-                if let Some(a) = eval::ate(&est, &gt, false, 1e-4) {
-                    result.map_ate_series.push((t_session, a.rmse));
+                let pairs = map_kf_pairs(&server.map, &by_id, self.config.fps);
+                if let Some(rmse) = paired_ate(&pairs) {
+                    result.map_ate_series.push((t_session, rmse));
                 }
             }
         }
         {
             let by_id: HashMap<u16, &ActiveClient> =
                 actives.iter().map(|(c, _)| (c.spec.id, c)).collect();
-            let (est, gt) = map_kf_pairs(&server.map, &by_id, self.config.fps);
-            if let Some(a) = eval::ate(&est, &gt, false, 1e-4) {
-                result.map_ate_series.push((end, a.rmse));
+            let pairs = map_kf_pairs(&server.map, &by_id, self.config.fps);
+            if let Some(rmse) = paired_ate(&pairs) {
+                result.map_ate_series.push((end, rmse));
             }
         }
 
@@ -600,32 +596,43 @@ impl Session {
     }
 }
 
-/// Pair global-map keyframe centers with their ground truth. Keyframe ids
-/// encode the owning client; keyframe timestamps are session times, which
-/// map back to that client's dataset time through its join offset.
+/// Pair global-map keyframe centers with their ground truth, in keyframe
+/// id order. Keyframe ids encode the owning client, so each keyframe is
+/// paired with its own client's ground truth.
 fn map_kf_pairs(
     map: &impl MapRead,
     clients: &HashMap<u16, &ActiveClient>,
     fps: f64,
-) -> (TrajectorySeries, TrajectorySeries) {
-    let mut est = Vec::new();
-    let mut gt = Vec::new();
-    for kf in map.keyframes_iter() {
-        let owner = kf.id.client().0;
-        let Some(c) = clients.get(&owner) else {
-            continue;
-        };
-        // Session time → this client's dataset frame.
-        let t_local = kf.timestamp - c.spec.join_time;
-        if t_local < -1e-9 {
-            continue;
-        }
-        let ds_frame_time = (c.spec.start_frame as f64 / fps) + t_local;
-        let gt_pos = c.dataset.trajectory.position(ds_frame_time);
-        est.push((kf.timestamp, kf.pose_cw.camera_center()));
-        gt.push((kf.timestamp, gt_pos));
+) -> Vec<(Vec3, Vec3)> {
+    map.keyframes_iter()
+        .filter_map(|kf| {
+            let c = clients.get(&kf.id.client().0)?;
+            let gt = client_gt(c, kf.timestamp, fps)?;
+            Some((kf.pose_cw.camera_center(), gt))
+        })
+        .collect()
+}
+
+/// Client `c`'s ground-truth position at session time `t`: session time
+/// maps back to the client's dataset time through its join offset.
+/// `None` before the client joined.
+fn client_gt(c: &ActiveClient, t: f64, fps: f64) -> Option<Vec3> {
+    let t_local = t - c.spec.join_time;
+    if t_local < -1e-9 {
+        return None;
     }
-    (est, gt)
+    let ds_time = c.spec.start_frame as f64 / fps + t_local;
+    Some(c.dataset.trajectory.position(ds_time))
+}
+
+/// Global-map ATE of `(estimate, ground truth)` pairs taken as built: the
+/// RMSE after one rigid alignment. The pairs are never re-associated by
+/// timestamp — every client's keyframes carry the same session times, so
+/// a timestamp search would pair a keyframe with another client's ground
+/// truth.
+fn paired_ate(pairs: &[(Vec3, Vec3)]) -> Option<f64> {
+    let (est, gt): (Vec<Vec3>, Vec<Vec3>) = pairs.iter().copied().unzip();
+    slamshare_math::umeyama(&est, &gt, false).map(|a| a.rmse)
 }
 
 #[cfg(test)]
@@ -732,5 +739,41 @@ mod tests {
             fat_cpu > 3.0 * thin_cpu,
             "baseline client CPU {fat_cpu}% not ≫ SLAM-Share {thin_cpu}%"
         );
+    }
+
+    #[test]
+    fn map_ate_pairs_each_keyframe_with_its_own_clients_truth() {
+        // Two clients on different paths sample the same session times.
+        // Each estimate is its ground truth moved by one rigid offset, so
+        // the paired error is zero whatever order the clients come in.
+        let offset = SE3::new(
+            slamshare_math::Quat::from_axis_angle(Vec3::Z, 0.3),
+            Vec3::new(4.0, -2.0, 1.0),
+        );
+        let truth = |client: u16, i: usize| {
+            let t = i as f64 * 0.1;
+            match client {
+                1 => Vec3::new(t, 0.5 * t * t, 0.0),
+                _ => Vec3::new(20.0, -3.0 * t, 1.0 + t),
+            }
+        };
+        let mut rows = Vec::new();
+        for i in 0..12 {
+            // Shuffled client order: 2 before 1 on odd samples.
+            let order: [u16; 2] = if i % 2 == 1 { [2, 1] } else { [1, 2] };
+            for client in order {
+                let gt = truth(client, i);
+                rows.push((i as f64 * 0.1, offset.transform(gt), gt));
+            }
+        }
+        let pairs: Vec<(Vec3, Vec3)> = rows.iter().map(|&(_, e, g)| (e, g)).collect();
+        let rmse = paired_ate(&pairs).expect("enough pairs");
+        assert!(rmse < 1e-9, "paired ATE {rmse}");
+        // Re-associating the same pairs by timestamp matches keyframes to
+        // the other client's truth.
+        let est: TrajectorySeries = rows.iter().map(|&(t, e, _)| (t, e)).collect();
+        let gt: TrajectorySeries = rows.iter().map(|&(t, _, g)| (t, g)).collect();
+        let by_time = eval::ate(&est, &gt, false, 1e-4).expect("associates");
+        assert!(by_time.rmse > 1.0, "timestamp ATE {}", by_time.rmse);
     }
 }

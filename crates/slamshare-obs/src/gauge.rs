@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A last-value-wins gauge (wait-free, relaxed atomics) for levels that
-/// go up *and* down — arena occupancy, queue depth, resident regions.
+/// go up *and* down — map size, queue depth, resident regions.
 /// Unlike [`crate::Counter`] there is no accumulation: `set` overwrites.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);

@@ -148,7 +148,7 @@ macro_rules! counter_inc {
 }
 
 /// Set the named gauge to `$v` (last value wins — for levels that go up
-/// and down, like arena occupancy). `$v` is only evaluated when
+/// and down, like the map's size). `$v` is only evaluated when
 /// recording is enabled.
 #[macro_export]
 macro_rules! gauge_set {

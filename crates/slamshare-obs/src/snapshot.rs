@@ -39,8 +39,8 @@ pub fn prom_counter_key(name: &str) -> String {
     format!("slamshare_{}_total", sanitize(name))
 }
 
-/// Prometheus-style key for a gauge (`lifecycle.arena_used_bytes` →
-/// `slamshare_lifecycle_arena_used_bytes`). Gauges carry their unit in
+/// Prometheus-style key for a gauge (`lifecycle.map_bytes` →
+/// `slamshare_lifecycle_map_bytes`). Gauges carry their unit in
 /// the site name, so only the namespace prefix is added.
 pub fn prom_gauge_key(name: &str) -> String {
     format!("slamshare_{}", sanitize(name))
@@ -140,8 +140,8 @@ mod tests {
             "slamshare_round_retrack_total"
         );
         assert_eq!(
-            prom_gauge_key("lifecycle.arena_used_bytes"),
-            "slamshare_lifecycle_arena_used_bytes"
+            prom_gauge_key("lifecycle.map_bytes"),
+            "slamshare_lifecycle_map_bytes"
         );
     }
 
@@ -152,12 +152,12 @@ mod tests {
             .insert(prom_hist_key("round.track"), HistSnapshot::default());
         snap.counters.insert(prom_counter_key("merge.submitted"), 7);
         snap.gauges
-            .insert(prom_gauge_key("lifecycle.arena_used_bytes"), 4096);
+            .insert(prom_gauge_key("lifecycle.map_bytes"), 4096);
         assert!(snap.hist("round.track").is_some());
         assert!(snap.hist("slamshare_round_track_ms").is_some());
         assert_eq!(snap.counter("merge.submitted"), 7);
         assert_eq!(snap.counter("missing.counter"), 0);
-        assert_eq!(snap.gauge("lifecycle.arena_used_bytes"), 4096);
+        assert_eq!(snap.gauge("lifecycle.map_bytes"), 4096);
         assert_eq!(snap.gauge("missing.gauge"), 0);
     }
 

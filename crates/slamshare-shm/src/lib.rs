@@ -11,17 +11,17 @@
 //! pointers to the global map database, without any data copying".
 //!
 //! Here clients are threads of one process that share the store through
-//! an `Arc`, so there is nothing to find by name; the substrate models the
-//! rest of the contract:
+//! an `Arc`, so there is nothing to find by name and no segment allocator
+//! to ask how full it is: the map is measured, not charged (its size is
+//! whatever `slamshare-core` sums over the shards' content). The
+//! substrate models the rest of the contract:
 //!
-//! * [`arena`] — occupancy accounting (what the 2 GB segment's
-//!   allocator would report as used);
 //! * [`shared_mutex`] — a read-concurrent / write-serialized lock with
 //!   contention statistics (the named sharable mutex);
-//! * [`sharded`] — [`ShardedStore`], tying it together: concurrent
-//!   zero-copy reads, serialized writes, size accounting against its
-//!   arena — over N occupants behind N locks with per-shard epoch
-//!   counters, so a write to one region never blocks readers of another.
+//! * [`sharded`] — [`ShardedStore`]: concurrent zero-copy reads and
+//!   serialized writes over N occupants behind N locks with per-shard
+//!   epoch counters, so a write to one region never blocks readers of
+//!   another.
 //!
 //! The crate is deliberately independent of the SLAM types (generic over
 //! `T`) so it is testable in isolation; `slamshare-core` instantiates it
@@ -36,10 +36,8 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod arena;
 pub mod sharded;
 pub mod shared_mutex;
 
-pub use arena::Arena;
 pub use sharded::ShardedStore;
 pub use shared_mutex::{LockStats, SharedMutex};

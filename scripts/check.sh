@@ -7,7 +7,8 @@
 #   scripts/check.sh <stage>...   run only the named stage(s)
 #
 # Stages (in order): build test bench-norun clippy nopanic cost-model fmt
-#                    benchmark load-smoke fed-smoke virtual-gate soak loc
+#                    benchmark load-smoke fed-smoke session-repeat
+#                    virtual-gate soak loc
 # Optional stage:    bench-gate   (also appended to the default run when
 #                                  SLAMSHARE_BENCH_GATE=1 — it runs the
 #                                  benchmarks, which takes a while)
@@ -101,6 +102,11 @@ stage_fed_smoke() {
     cargo run -q --release -p bench --bin fed_smoke
 }
 
+stage_session_repeat() {
+    echo "== session repeatability (fig10 KITTI + EuRoC smoke sessions, twice each, bit-identical) =="
+    cargo run -q --release -p bench --bin session_repeat
+}
+
 stage_virtual_gate() {
     echo "== virtual-time gate (load + federation harness p99s vs results/baselines) =="
     # The harness's latencies are virtual and machine-independent, so
@@ -111,7 +117,7 @@ stage_virtual_gate() {
 }
 
 stage_soak() {
-    echo "== lifecycle soak (compressed virtual day: bounded arena + reload bit-identity) =="
+    echo "== lifecycle soak (compressed virtual day: bounded map bytes + reload bit-identity) =="
     cargo run -q --release -p bench --bin soak_smoke
 }
 
@@ -137,11 +143,12 @@ run_stage() {
         benchmark)   stage_benchmark ;;
         load-smoke)  stage_load_smoke ;;
         fed-smoke)   stage_fed_smoke ;;
+        session-repeat) stage_session_repeat ;;
         virtual-gate) stage_virtual_gate ;;
         soak)        stage_soak ;;
         loc)         stage_loc ;;
         bench-gate)  stage_bench_gate ;;
-        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic cost-model fmt benchmark load-smoke fed-smoke virtual-gate soak loc bench-gate)" >&2
+        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic cost-model fmt benchmark load-smoke fed-smoke session-repeat virtual-gate soak loc bench-gate)" >&2
            exit 2 ;;
     esac
 }
@@ -151,7 +158,7 @@ if [[ $# -gt 0 ]]; then
         run_stage "$stage"
     done
 else
-    for stage in build test bench-norun clippy nopanic cost-model fmt benchmark load-smoke fed-smoke virtual-gate soak loc; do
+    for stage in build test bench-norun clippy nopanic cost-model fmt benchmark load-smoke fed-smoke session-repeat virtual-gate soak loc; do
         run_stage "$stage"
     done
     if [[ "${SLAMSHARE_BENCH_GATE:-0}" == 1 ]]; then

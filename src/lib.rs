@@ -21,7 +21,7 @@
 //! | [`gpu`] | simulated GPU kernels + GSlice sharing |
 //! | [`slam`] | tracking, mapping, place recognition, map merging |
 //! | [`net`] | virtual-time links, wire codecs, video vs image codecs |
-//! | [`shm`] | shared-map store: occupancy arena, sharable mutex, sharded store |
+//! | [`shm`] | shared-map store: sharable mutex, sharded store |
 //! | [`core`] | the SLAM-Share system, baseline, sessions, experiments |
 //!
 //! Start with `examples/quickstart.rs`, or regenerate the paper's tables

@@ -6,7 +6,7 @@
 //!   (golden digests compared across all six configurations);
 //! * **reload equivalence** — the compressed-day soak with eviction on
 //!   produces byte-identical trajectories and map digest to a
-//!   never-evict control run, while peaking strictly lower in the arena;
+//!   never-evict control run, while peaking strictly lower in map bytes;
 //! * **delta-to-evicted race** — a federation delta targeting an evicted
 //!   region transparently reloads it before applying (the "reload" arm
 //!   of reload-or-queue), at the public `EdgeServer` surface, with the
@@ -294,10 +294,10 @@ fn soak_reload_matches_never_evict() {
         "evict/reload changed final map content"
     );
     assert!(
-        evicting.lifecycle.arena_high_water < never.lifecycle.arena_high_water,
-        "eviction did not lower the arena peak: {} vs {}",
-        evicting.lifecycle.arena_high_water,
-        never.lifecycle.arena_high_water
+        evicting.lifecycle.map_bytes_high_water < never.lifecycle.map_bytes_high_water,
+        "eviction did not lower the map-bytes peak: {} vs {}",
+        evicting.lifecycle.map_bytes_high_water,
+        never.lifecycle.map_bytes_high_water
     );
 }
 
@@ -437,7 +437,7 @@ fn maintenance_races_with_live_deltas() {
     let (kfs, mps, _) = server.global_map_stats();
     assert_eq!(kfs, ROUNDS, "keyframes lost in the evict/write race");
     assert_eq!(mps, ROUNDS * 4, "map points lost in the evict/write race");
-    let (used, _) = server.store.arena_stats();
+    let (_, _, used) = server.store.stats();
     assert!(used > 0);
 }
 
