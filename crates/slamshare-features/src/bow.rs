@@ -101,9 +101,14 @@ impl<'de> Deserialize<'de> for Vocabulary {}
 impl Vocabulary {
     /// Train a vocabulary by recursive k-medians clustering.
     ///
-    /// `branching` clusters per node, `depth` levels. Training is
-    /// deterministic given `seed`. Degenerate inputs (fewer descriptors
-    /// than clusters) simply produce a smaller tree.
+    /// `branching` clusters per node, `depth` levels, at most 8 rounds of
+    /// assign-then-update per node. Training is deterministic given
+    /// `seed`. Degenerate inputs (fewer descriptors than clusters) simply
+    /// produce a smaller tree.
+    ///
+    /// Each update buckets a node's members in one pass and takes one
+    /// branch-free [`Descriptor::bit_median`] per cluster, so a round
+    /// costs a few adds per descriptor byte rather than a branch per bit.
     pub fn train(
         descriptors: &[Descriptor],
         branching: usize,
@@ -259,6 +264,7 @@ fn kmedians(
         .collect();
 
     let mut assignment = vec![0usize; subset.len()];
+    let mut buckets: Vec<Vec<Descriptor>> = vec![Vec::new(); k];
     for _iter in 0..8 {
         // Assign.
         let mut changed = false;
@@ -277,18 +283,7 @@ fn kmedians(
                 changed = true;
             }
         }
-        // Update.
-        for (ci, centroid) in centroids.iter_mut().enumerate() {
-            let members: Vec<Descriptor> = subset
-                .iter()
-                .enumerate()
-                .filter(|(si, _)| assignment[*si] == ci)
-                .map(|(_, &di)| all[di])
-                .collect();
-            if !members.is_empty() {
-                *centroid = Descriptor::bit_median(&members);
-            }
-        }
+        update_centroids(all, subset, &assignment, &mut centroids, &mut buckets);
         if !changed {
             break;
         }
@@ -300,6 +295,29 @@ fn kmedians(
     }
     clusters.retain(|(_, m)| !m.is_empty());
     clusters
+}
+
+/// The k-medians update: each centroid with members becomes their
+/// [`Descriptor::bit_median`]. One pass over `subset` buckets the members
+/// (in subset order) into `buckets`, scratch kept across iterations.
+fn update_centroids(
+    all: &[Descriptor],
+    subset: &[usize],
+    assignment: &[usize],
+    centroids: &mut [Descriptor],
+    buckets: &mut [Vec<Descriptor>],
+) {
+    for bucket in buckets.iter_mut() {
+        bucket.clear();
+    }
+    for (&ci, &di) in assignment.iter().zip(subset) {
+        buckets[ci].push(all[di]);
+    }
+    for (centroid, members) in centroids.iter_mut().zip(buckets.iter()) {
+        if !members.is_empty() {
+            *centroid = Descriptor::bit_median(members);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -391,6 +409,52 @@ mod tests {
         for _ in 0..50 {
             let d = random_descriptor(&mut rng);
             assert_eq!(v2.quantize(&d), v.quantize_scalar(&d));
+        }
+    }
+
+    /// The update as one filter-and-collect pass per cluster: the oracle
+    /// for [`update_centroids`].
+    fn update_centroids_filtered(
+        all: &[Descriptor],
+        subset: &[usize],
+        assignment: &[usize],
+        centroids: &mut [Descriptor],
+    ) {
+        for (ci, centroid) in centroids.iter_mut().enumerate() {
+            let members: Vec<Descriptor> = subset
+                .iter()
+                .enumerate()
+                .filter(|(si, _)| assignment[*si] == ci)
+                .map(|(_, &di)| all[di])
+                .collect();
+            if !members.is_empty() {
+                *centroid = Descriptor::bit_median(&members);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Bucketing in one pass moves every centroid exactly where the
+        /// per-cluster filter does, including clusters left empty.
+        #[test]
+        fn bucketed_update_matches_filtered_update(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..300,
+            k in 1usize..12,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let all: Vec<Descriptor> = (0..n).map(|_| random_descriptor(&mut rng)).collect();
+            let subset: Vec<usize> = (0..rng.gen_range(0..n + 1))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            let assignment: Vec<usize> = subset.iter().map(|_| rng.gen_range(0..k)).collect();
+            let start: Vec<Descriptor> = (0..k).map(|_| random_descriptor(&mut rng)).collect();
+            let mut expected = start.clone();
+            update_centroids_filtered(&all, &subset, &assignment, &mut expected);
+            let mut got = start;
+            let mut buckets = vec![Vec::new(); k];
+            update_centroids(&all, &subset, &assignment, &mut got, &mut buckets);
+            proptest::prop_assert_eq!(got, expected);
         }
     }
 

@@ -85,21 +85,25 @@ impl Descriptor {
     /// is the centroid operation for k-medians clustering in Hamming space
     /// (used to train the BoW vocabulary) and for ORB-SLAM's "distinctive
     /// descriptor" selection.
+    ///
+    /// The count runs one bit plane at a time across all 32 byte lanes,
+    /// adding `(byte >> bit) & 1` with no branch; the lane loops vectorize.
     pub fn bit_median(descs: &[Descriptor]) -> Descriptor {
         assert!(!descs.is_empty());
-        let mut counts = [0u32; DESC_BITS];
+        // counts[bit][byte]: inputs with bit `bit` of byte `byte` set.
+        let mut counts = [[0u32; DESC_BYTES]; 8];
         for d in descs {
-            for (i, count) in counts.iter_mut().enumerate() {
-                if d.get_bit(i) {
-                    *count += 1;
+            for (bit, plane) in counts.iter_mut().enumerate() {
+                for (count, &byte) in plane.iter_mut().zip(&d.0) {
+                    *count += u32::from((byte >> bit) & 1);
                 }
             }
         }
         let half = descs.len() as u32 / 2;
         let mut out = Descriptor::ZERO;
-        for (i, &c) in counts.iter().enumerate() {
-            if c > half {
-                out.set_bit(i);
+        for (bit, plane) in counts.iter().enumerate() {
+            for (byte, &count) in out.0.iter_mut().zip(plane) {
+                *byte |= u8::from(count > half) << bit;
             }
         }
         out

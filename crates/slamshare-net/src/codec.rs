@@ -16,6 +16,14 @@
 //!   dither exactly as H.264's transform quantization does, so static
 //!   background costs nothing and only moving texture edges are coded.
 //!
+//! The P-frame encoder scans 16-pixel blocks: an unchanged block is
+//! skipped on one lane-wise compare, and a literal group's deltas are
+//! written as one slice, while the reference is advanced in place. Its
+//! bytes are the per-pixel scan's (kept as the test oracle). A P-frame
+//! decodes only if its token stream consumes the whole payload, to the
+//! byte; it is validated before it touches the reference, then applied
+//! to the reference in place.
+//!
 //! The decoder reconstructs what the encoder reconstructed, so encoder
 //! and decoder never drift. P-frame loss is bounded by the quantizer
 //! dead-zone (texture contrast ≥ 45 ≫ dead-zone), which is why SLAM
@@ -196,22 +204,31 @@ pub struct ImageCodec;
 impl ImageCodec {
     /// Encode one frame losslessly (left-prediction + PackBits).
     pub fn encode(img: &GrayImage) -> EncodedFrame {
+        ImageCodec::encode_with(img, &mut Vec::new())
+    }
+
+    /// [`ImageCodec::encode`] with the left-prediction residuals built in
+    /// `residuals`, scratch whose capacity is reused.
+    fn encode_with(img: &GrayImage, residuals: &mut Vec<u8>) -> EncodedFrame {
         let t0 = Instant::now();
         let mut out = BytesMut::with_capacity(img.data.len() / 2 + 16);
         out.put_u8(MAGIC_INTRA);
         out.put_u32_le(img.width as u32);
         out.put_u32_le(img.height as u32);
         // Row-wise left-prediction residuals.
-        let mut residuals = Vec::with_capacity(img.data.len());
-        for y in 0..img.height {
-            let row = &img.data[y * img.width..(y + 1) * img.width];
-            let mut prev = 0u8;
-            for &v in row {
-                residuals.push(v.wrapping_sub(prev));
-                prev = v;
+        residuals.clear();
+        residuals.resize(img.data.len(), 0);
+        let width = img.width.max(1);
+        for (res, row) in residuals
+            .chunks_exact_mut(width)
+            .zip(img.data.chunks_exact(width))
+        {
+            res[0] = row[0];
+            for ((r, &v), &left) in res[1..].iter_mut().zip(&row[1..]).zip(row) {
+                *r = v.wrapping_sub(left);
             }
         }
-        packbits_encode(&mut out, &residuals);
+        packbits_encode(&mut out, residuals);
         EncodedFrame {
             data: out.freeze(),
             is_iframe: true,
@@ -266,6 +283,103 @@ impl ImageCodec {
 // Inter-frame video coding.
 // ---------------------------------------------------------------------
 
+/// Pixels per step of the P-frame scan: one 128-bit register of byte
+/// lanes, which is SSE2 on baseline x86-64.
+const LANES: usize = 16;
+
+/// Byte `i` (little-endian) is `0xFF` iff pixel `i` of the block moved
+/// by more than `dead` from the reference, else `0`: a lane-wise
+/// `abs_diff > dead` (SSE2 `pmaxub`/`pminub`/`psubb`, then `pcmpeqb`),
+/// read out as one 128-bit word whose `trailing_zeros() / 8` is the first
+/// moved lane. Portable, safe Rust with no intrinsics and no build flag;
+/// the lane loop is what LLVM lowers.
+#[inline(always)]
+fn changed_lanes(cur: &[u8; LANES], prev: &[u8; LANES], dead: u8) -> u128 {
+    let mut moved = [0u8; LANES];
+    for ((m, &c), &p) in moved.iter_mut().zip(cur).zip(prev) {
+        *m = 0u8.wrapping_sub(u8::from(c.abs_diff(p) > dead));
+    }
+    u128::from_le_bytes(moved)
+}
+
+/// How many leading pixels of `cur` are all changed (`changed`) or all
+/// unchanged (`!changed`) against `reference`, which may be longer. Whole
+/// 16-pixel blocks of the run cost one [`changed_lanes`] each.
+fn run_length(cur: &[u8], reference: &[u8], dead: u8, changed: bool) -> usize {
+    // Lanes that end the run read non-zero.
+    let flip = if changed { u128::MAX } else { 0 };
+    let (blocks, tail) = cur.as_chunks::<LANES>();
+    let (ref_blocks, _) = reference.as_chunks::<LANES>();
+    for (b, (c, r)) in blocks.iter().zip(ref_blocks).enumerate() {
+        let ends = changed_lanes(c, r, dead) ^ flip;
+        if ends != 0 {
+            return b * LANES + ends.trailing_zeros() as usize / 8;
+        }
+    }
+    let at = blocks.len() * LANES;
+    at + tail
+        .iter()
+        .zip(&reference[at..])
+        .take_while(|(&c, &r)| (c.abs_diff(r) > dead) == changed)
+        .count()
+}
+
+/// The P-frame token stream: the residual of `cur` against `reference`,
+/// appended to `out`, with `reference` advanced in place to the
+/// decoder-visible reconstruction.
+///
+/// Tokens are `(u16 zero-run, u8 literal-count, count × wrapping deltas)`.
+/// Changed pixels cluster along moving edges (especially with
+/// anti-aliased rendering), so grouping consecutive literals amortizes the
+/// run header across the whole edge. A pixel is *changed* when it differs
+/// from the reference by more than `dead`; a changed pixel is coded
+/// exactly and copied into `reference`, an unchanged one keeps the
+/// reference value. Zero runs over `u16::MAX` are flushed as empty-literal
+/// tokens, literal groups stop at 255, and the zero run after the last
+/// changed pixel is not coded.
+///
+/// Both runs are measured a block at a time ([`run_length`]): an
+/// unchanged 16-pixel block costs one compare, not sixteen. The output is
+/// byte for byte the per-pixel scan's (`encode_residuals_scalar`, the test
+/// oracle).
+fn encode_residuals(out: &mut Vec<u8>, cur: &[u8], reference: &mut [u8], dead: u8) {
+    debug_assert_eq!(cur.len(), reference.len());
+    let n = cur.len();
+    let mut start = 0usize;
+    loop {
+        let mut zero_run = run_length(&cur[start..], &reference[start..], dead, false);
+        start += zero_run;
+        if start == n {
+            return;
+        }
+        while zero_run > u16::MAX as usize {
+            out.put_u16_le(u16::MAX);
+            out.put_u8(0);
+            zero_run -= u16::MAX as usize;
+        }
+        let end = start
+            + run_length(
+                &cur[start..n.min(start + 255)],
+                &reference[start..],
+                dead,
+                true,
+            );
+        out.put_u16_le(zero_run as u16);
+        out.put_u8((end - start) as u8);
+        out.extend(
+            cur[start..end]
+                .iter()
+                .zip(&mut reference[start..end])
+                .map(|(&c, r)| {
+                    let delta = c.wrapping_sub(*r);
+                    *r = c;
+                    delta
+                }),
+        );
+        start = end;
+    }
+}
+
 /// Streaming video encoder (I + P frames).
 #[derive(Debug, Clone)]
 pub struct VideoEncoder {
@@ -273,11 +387,16 @@ pub struct VideoEncoder {
     pub deadzone: u8,
     /// Force an I-frame every this many frames.
     pub iframe_interval: usize,
-    /// The decoder-visible previous frame (encoder-side reconstruction).
+    /// The decoder-visible previous frame (encoder-side reconstruction),
+    /// advanced in place by each P-frame.
     reference: Option<GrayImage>,
     frames_since_iframe: usize,
     /// The receiver requested a resync: the next frame is intra-coded.
     force_iframe: bool,
+    /// Intra residual scratch, reused across I-frames.
+    residuals: Vec<u8>,
+    /// Size of the last P-frame: the next one's capacity.
+    last_pframe_len: usize,
 }
 
 impl Default for VideoEncoder {
@@ -295,6 +414,8 @@ impl VideoEncoder {
             reference: None,
             frames_since_iframe: 0,
             force_iframe: false,
+            residuals: Vec::new(),
+            last_pframe_len: 4096,
         }
     }
 
@@ -316,68 +437,70 @@ impl VideoEncoder {
                         || self.frames_since_iframe + 1 >= self.iframe_interval
                 }
             };
-        let reference = match &self.reference {
+        let reference = match &mut self.reference {
             Some(r) if !need_iframe => r,
             _ => {
-                let encoded = ImageCodec::encode(img);
-                self.reference = Some(img.clone());
+                let encoded = ImageCodec::encode_with(img, &mut self.residuals);
+                self.reference
+                    .get_or_insert_with(|| GrayImage::new(0, 0))
+                    .copy_from(img);
                 self.frames_since_iframe = 0;
                 self.force_iframe = false;
                 return encoded;
             }
         };
         let t0 = Instant::now();
-        let mut out = BytesMut::with_capacity(4096);
+        let mut out = Vec::with_capacity(self.last_pframe_len);
         out.put_u8(MAGIC_PREDICTED);
         out.put_u32_le(img.width as u32);
         out.put_u32_le(img.height as u32);
-
-        // Residual tokens: (u16 zero-run, u8 literal-count, count × wrapping
-        // deltas). Changed pixels cluster along moving edges (especially
-        // with anti-aliased rendering), so grouping consecutive literals
-        // amortizes the run header across the whole edge.
-        let mut recon = reference.clone();
-        let mut zero_run: u32 = 0;
-        let dead = self.deadzone as i16;
-        let n = img.data.len();
-        let changed = |idx: usize| -> bool {
-            (img.data[idx] as i16 - reference.data[idx] as i16).abs() > dead
-        };
-        let mut idx = 0usize;
-        while idx < n {
-            if !changed(idx) {
-                zero_run += 1;
-                idx += 1;
-                continue;
-            }
-            // Flush zero runs ≥ u16::MAX in chunks with empty literals.
-            while zero_run > u16::MAX as u32 {
-                out.put_u16_le(u16::MAX);
-                out.put_u8(0);
-                zero_run -= u16::MAX as u32;
-            }
-            // Greedily extend the literal group over consecutive changed
-            // pixels (cap 255 per token).
-            let start = idx;
-            while idx < n && idx - start < 255 && changed(idx) {
-                idx += 1;
-            }
-            out.put_u16_le(zero_run as u16);
-            out.put_u8((idx - start) as u8);
-            for k in start..idx {
-                let d = img.data[k] as i16 - reference.data[k] as i16;
-                out.put_u8((d as i32 & 0xFF) as u8);
-                recon.data[k] = img.data[k];
-            }
-            zero_run = 0;
-        }
-        self.reference = Some(recon);
+        encode_residuals(&mut out, &img.data, &mut reference.data, self.deadzone);
+        self.last_pframe_len = out.len();
         self.frames_since_iframe += 1;
         EncodedFrame {
-            data: out.freeze(),
+            data: Bytes::from(out),
             is_iframe: false,
             encode_ms: t0.elapsed().as_secs_f64() * 1e3,
         }
+    }
+}
+
+/// Check a P-frame token stream against a `pixels`-pixel frame: every
+/// token whole, every literal inside the frame, and the last token ending
+/// exactly at the end of `tokens`.
+fn validate_tokens(tokens: &[u8], pixels: usize) -> Result<(), CodecError> {
+    let (mut i, mut idx) = (0usize, 0usize);
+    while i < tokens.len() {
+        let [lo, hi, count] = *tokens
+            .get(i..i + 3)
+            .and_then(|h| h.as_array())
+            .ok_or(CodecError::Truncated)?;
+        let count = count as usize;
+        i += 3 + count;
+        idx += u16::from_le_bytes([lo, hi]) as usize + count;
+        if i > tokens.len() || idx > pixels {
+            return Err(CodecError::Truncated);
+        }
+    }
+    Ok(())
+}
+
+/// Add a validated token stream's deltas to `image` in place.
+fn apply_tokens(tokens: &[u8], image: &mut [u8]) {
+    let (mut i, mut idx) = (0usize, 0usize);
+    while i + 3 <= tokens.len() {
+        let run = u16::from_le_bytes([tokens[i], tokens[i + 1]]) as usize;
+        let count = tokens[i + 2] as usize;
+        i += 3;
+        idx += run;
+        for (p, &d) in image[idx..idx + count]
+            .iter_mut()
+            .zip(&tokens[i..i + count])
+        {
+            *p = p.wrapping_add(d);
+        }
+        idx += count;
+        i += count;
     }
 }
 
@@ -386,7 +509,9 @@ impl VideoEncoder {
 /// Decoding is **total**: any byte sequence returns `Ok` or a typed
 /// [`CodecError`], never panics, and a failed decode leaves the decoder's
 /// reference state untouched (the error is observable, the stream state
-/// is not corrupted further).
+/// is not corrupted further). A P-frame decodes only if its token stream
+/// consumes the whole payload: a frame cut anywhere inside a token, even
+/// inside its 3-byte header, is `Truncated`.
 #[derive(Debug, Clone, Default)]
 pub struct VideoDecoder {
     reference: Option<GrayImage>,
@@ -413,6 +538,9 @@ impl VideoDecoder {
     /// decode still leaves the reference untouched (only `out`, which is
     /// scratch from the caller's point of view, holds unspecified bytes
     /// after an `Err`).
+    ///
+    /// A P-frame's tokens are validated first, then applied to the
+    /// reference in place, which is copied once into `out`.
     pub fn decode_into(&mut self, data: &[u8], out: &mut GrayImage) -> Result<f64, CodecError> {
         if data.is_empty() {
             return Err(CodecError::Truncated);
@@ -431,34 +559,17 @@ impl VideoDecoder {
                     return Err(CodecError::Truncated);
                 }
                 let (width, height) = read_dims(data)?;
-                let Some(reference) = &self.reference else {
+                let Some(reference) = &mut self.reference else {
                     return Err(CodecError::MissingReference);
                 };
                 if reference.width != width || reference.height != height {
                     return Err(CodecError::DimensionMismatch);
                 }
+                // Only a whole, in-bounds token stream advances the
+                // reference.
+                validate_tokens(&data[9..], reference.data.len())?;
+                apply_tokens(&data[9..], &mut reference.data);
                 out.copy_from(reference);
-                let mut idx = 0usize;
-                let mut i = 9;
-                while i + 3 <= data.len() {
-                    let run = u16::from_le_bytes([data[i], data[i + 1]]) as usize;
-                    let count = data[i + 2] as usize;
-                    i += 3;
-                    idx += run;
-                    if i + count > data.len() || idx + count > out.data.len() {
-                        return Err(CodecError::Truncated);
-                    }
-                    for k in 0..count {
-                        out.data[idx + k] = out.data[idx + k].wrapping_add(data[i + k]);
-                    }
-                    idx += count;
-                    i += count;
-                }
-                // Only now — with the frame fully decoded — does the
-                // reference advance.
-                if let Some(r) = &mut self.reference {
-                    r.copy_from(out);
-                }
                 Ok(t0.elapsed().as_secs_f64() * 1e3)
             }
             m => Err(CodecError::BadMagic(m)),
@@ -478,6 +589,132 @@ mod tests {
                 .with_seed(2),
         );
         ((0..n).map(|i| ds.render_frame(i)).collect(), ds)
+    }
+
+    /// The per-pixel P-frame scan: the oracle for [`encode_residuals`].
+    fn encode_residuals_scalar(out: &mut Vec<u8>, cur: &[u8], reference: &mut [u8], dead: u8) {
+        let mut zero_run: u32 = 0;
+        let dead = dead as i16;
+        let n = cur.len();
+        let changed = |reference: &[u8], idx: usize| -> bool {
+            (cur[idx] as i16 - reference[idx] as i16).abs() > dead
+        };
+        let mut idx = 0usize;
+        while idx < n {
+            if !changed(reference, idx) {
+                zero_run += 1;
+                idx += 1;
+                continue;
+            }
+            while zero_run > u16::MAX as u32 {
+                out.put_u16_le(u16::MAX);
+                out.put_u8(0);
+                zero_run -= u16::MAX as u32;
+            }
+            let start = idx;
+            while idx < n && idx - start < 255 && changed(reference, idx) {
+                idx += 1;
+            }
+            out.put_u16_le(zero_run as u16);
+            out.put_u8((idx - start) as u8);
+            for k in start..idx {
+                let d = cur[k] as i16 - reference[k] as i16;
+                out.put_u8((d as i32 & 0xFF) as u8);
+                reference[k] = cur[k];
+            }
+            zero_run = 0;
+        }
+    }
+
+    /// A reference of `n` pixels and a current frame that moved from it:
+    /// most pixels by a little (dither), some by a lot (edges), in runs.
+    fn moved_pair(seed: u64, n: usize) -> (Vec<u8>, Vec<u8>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reference: Vec<u8> = (0..n).map(|_| rng.next_u32() as u8).collect();
+        let mut cur = reference.clone();
+        let mut i = 0;
+        while i < n {
+            let len = rng.gen_range(1..300).min(n - i);
+            let big = rng.gen_bool(0.3);
+            for p in &mut cur[i..i + len] {
+                let step = if big {
+                    rng.next_u32() as u8
+                } else {
+                    rng.gen_range(0..12)
+                };
+                *p = p.wrapping_add(step);
+            }
+            i += len;
+        }
+        (reference, cur)
+    }
+
+    proptest::proptest! {
+        /// The block scan writes the per-pixel scan's bytes and leaves the
+        /// same reconstruction, at every dead zone.
+        #[test]
+        fn block_scan_matches_per_pixel_scan(
+            seed in proptest::prelude::any::<u64>(),
+            n in 0usize..3000,
+            dead in proptest::prelude::any::<u8>(),
+        ) {
+            let (reference, cur) = moved_pair(seed, n);
+            let (mut expected, mut expected_ref) = (vec![0xA2], reference.clone());
+            encode_residuals_scalar(&mut expected, &cur, &mut expected_ref, dead);
+            let (mut got, mut got_ref) = (vec![0xA2], reference);
+            encode_residuals(&mut got, &cur, &mut got_ref, dead);
+            proptest::prop_assert_eq!(got, expected);
+            proptest::prop_assert_eq!(got_ref, expected_ref);
+        }
+    }
+
+    #[test]
+    fn zero_runs_past_u16_max_match_per_pixel_scan() {
+        // One changed pixel after 200 000 unchanged ones, and a literal
+        // group far longer than 255.
+        let mut reference = vec![7u8; 200_700];
+        let mut cur = reference.clone();
+        cur[200_000..200_700].fill(200);
+        let mut expected = Vec::new();
+        encode_residuals_scalar(&mut expected, &cur, &mut reference.clone(), 10);
+        let mut got = Vec::new();
+        encode_residuals(&mut got, &cur, &mut reference, 10);
+        assert_eq!(got, expected);
+        assert_eq!(reference, cur);
+    }
+
+    #[test]
+    fn pframe_cut_inside_its_last_token_is_truncated() {
+        let (fs, _) = frames(2);
+        let mut enc = VideoEncoder::default();
+        let i0 = enc.encode(&fs[0]);
+        let p = enc.encode(&fs[1]);
+        let mut clean = VideoDecoder::new();
+        clean.decode(&i0.data).unwrap();
+        let (expected, _) = clean.decode(&p.data).unwrap();
+        // Walk the tokens to the last one's first byte.
+        let (mut i, mut last) = (9, 9);
+        while i < p.data.len() {
+            last = i;
+            i += 3 + p.data[i + 2] as usize;
+        }
+        assert_eq!(i, p.data.len());
+        assert!(p.data.len() - last > 3, "last token carries literals");
+        let mut dec = VideoDecoder::new();
+        dec.decode(&i0.data).unwrap();
+        for cut in last + 1..p.data.len() {
+            assert_eq!(
+                dec.decode(&p.data[..cut]).map(|_| ()),
+                Err(CodecError::Truncated),
+                "cut at {cut} of {}",
+                p.data.len()
+            );
+        }
+        // The reference never moved: the intact frame decodes bit-exactly.
+        let (d, _) = dec.decode(&p.data).unwrap();
+        assert_eq!(d, expected);
     }
 
     #[test]

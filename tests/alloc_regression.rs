@@ -14,6 +14,9 @@
 //! returned features' own buffers, and a third holds the two-lane route,
 //! where the eyes run side by side, to those plus one spawn per frame.
 //!
+//! A fourth phase decodes a moving stereo sequence, whose P-frames carry
+//! tokens, so the decoder's validate-and-apply path runs while counted.
+//!
 //! One `#[test]` only: the counter is process-global, so a second
 //! concurrently-running test would attribute its allocations to ours.
 
@@ -197,5 +200,46 @@ fn steady_state_frame_path_allocates_nothing() {
         delta <= TWO_LANE_BUDGET * MEASURED as u64,
         "two-lane front half performed {delta} heap allocations over {MEASURED} frames \
          (budget {TWO_LANE_BUDGET} per frame)"
+    );
+
+    // ---- Phase 4: the decoder's token path on a moving sequence ----
+    // Phase 1's P-frames repeat one image and carry no tokens. Here
+    // consecutive frames move, so every P-frame is validated and applied
+    // token by token; the second pass over the same payloads (each pass
+    // opens on its I-frame) must not touch the allocator.
+    const MOVING: usize = 8;
+    let moving = Dataset::build(
+        DatasetConfig::new(TracePreset::V202)
+            .with_frames(MOVING)
+            .with_seed(5),
+    );
+    let mut enc_l = VideoEncoder::default();
+    let mut enc_r = VideoEncoder::default();
+    let stream: Vec<(Vec<u8>, Vec<u8>)> = (0..MOVING)
+        .map(|i| {
+            let (l, r) = moving.render_stereo_frame(i);
+            (
+                enc_l.encode(&l).data.to_vec(),
+                enc_r.encode(&r).data.to_vec(),
+            )
+        })
+        .collect();
+    assert!(
+        stream[1..].iter().all(|(l, r)| l.len() > 9 && r.len() > 9),
+        "moving P-frames carry no tokens — phase 4 is vacuous"
+    );
+    let mut decode_pass = |dec_l: &mut VideoDecoder, dec_r: &mut VideoDecoder| {
+        for (l, r) in &stream {
+            dec_l.decode_into(l, &mut left).expect("left decode");
+            dec_r.decode_into(r, &mut right).expect("right decode");
+        }
+    };
+    decode_pass(&mut dec_l, &mut dec_r);
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    decode_pass(&mut dec_l, &mut dec_r);
+    let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        delta, 0,
+        "decoding a moving sequence performed {delta} heap allocations over {MOVING} frames"
     );
 }
