@@ -2,9 +2,9 @@
 //! (DESIGN.md §5; the shared-memory and video ablations live in the
 //! table4 and table3 benches respectively).
 
+use bench::experiments::ablations;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::ablations;
 
 fn bench(c: &mut Criterion) {
     let imu = ablations::run_imu_ablation(bench_effort());
@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
     // Kernel: the whole IMU ablation replay is itself fast; time one
     // 240-frame replay.
     c.bench_function("ablations/imu_replay_240_frames", |b| {
-        b.iter(|| ablations::run_imu_ablation(slamshare_core::experiments::Effort::Smoke))
+        b.iter(|| ablations::run_imu_ablation(bench::experiments::Effort::Smoke))
     });
 }
 

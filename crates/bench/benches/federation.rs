@@ -23,11 +23,11 @@
 //! machine's speed through the service-time feed, so pinning them would
 //! couple the gate to whichever box last regenerated the frame bench.
 
+use bench::load::{self, LoadConfig, LoadReport};
 use bench::{gate, results_dir, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use slamshare_core::federation::{Federation, ServerId};
-use slamshare_core::load::{self, LoadConfig, LoadReport};
 use slamshare_core::server::ServerConfig;
 use slamshare_math::Vec3;
 use slamshare_net::fed::{FedMessage, MapDelta};

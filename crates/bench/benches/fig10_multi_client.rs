@@ -1,9 +1,9 @@
 //! Bench: Fig. 10 — multi-client merge timelines (EuRoC + KITTI), plus
 //! the map-merge kernel (Algorithm 2 in shared memory).
 
+use bench::experiments::fig10;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::fig10;
 use slamshare_slam::ids::ClientId;
 use slamshare_slam::map::Map;
 use slamshare_slam::merge::map_merge;

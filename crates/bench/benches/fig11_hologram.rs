@@ -1,10 +1,10 @@
 //! Bench: Fig. 11 — hologram positioning with/without sharing, plus the
 //! per-render perception kernel.
 
+use bench::experiments::fig11;
+use bench::hologram::perceived_position;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::fig11;
-use slamshare_core::hologram::perceived_position;
 use slamshare_math::{Quat, Vec3, SE3};
 
 fn bench(c: &mut Criterion) {

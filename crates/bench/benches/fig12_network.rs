@@ -1,9 +1,9 @@
 //! Bench: Fig. 12 — network-condition sensitivity, plus the virtual-link
 //! kernel used to shape every transfer.
 
+use bench::experiments::fig12;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::fig12;
 use slamshare_net::link::{Link, LinkConfig};
 use slamshare_sim::clock::SimTime;
 

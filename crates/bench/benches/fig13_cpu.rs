@@ -1,11 +1,11 @@
 //! Bench: Fig. 13 — client CPU utilization, plus the two per-frame client
 //! workloads whose ratio the figure reports.
 
+use bench::baseline::{BaselineClient, BaselineConfig};
+use bench::client::ClientDevice;
+use bench::experiments::fig13;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::baseline::{BaselineClient, BaselineConfig};
-use slamshare_core::client::ClientDevice;
-use slamshare_core::experiments::fig13;
 use slamshare_slam::SlamConfig;
 
 fn bench(c: &mut Criterion) {

@@ -1,9 +1,9 @@
 //! Bench: Fig. 5 — CPU tracking-latency breakdown, plus the per-frame
 //! CPU tracking kernel.
 
+use bench::experiments::fig5;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::fig5;
 
 fn bench(c: &mut Criterion) {
     let result = fig5::run(bench_effort());

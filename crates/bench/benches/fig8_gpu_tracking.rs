@@ -1,9 +1,9 @@
 //! Bench: Fig. 8 — CPU vs. simulated-GPU tracking, plus both extraction
 //! kernels for a direct device comparison.
 
+use bench::experiments::fig8;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::fig8;
 use slamshare_gpu::{kernels, GpuExecutor};
 
 fn bench(c: &mut Criterion) {

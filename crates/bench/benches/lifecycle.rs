@@ -10,7 +10,7 @@
 //!   other p95. They are wall-clock on the recording host (`host_cores`).
 //! * **`steady_arena_max_bytes`** — the measured peak map size
 //!   (`LifecycleReport::map_bytes_high_water`) of the fully deterministic
-//!   compressed-day soak (`lifecycle::soak`); the key keeps its old name
+//!   compressed-day soak (`bench::soak`); the key keeps its old name
 //!   so committed baselines stay comparable. This is a byte count, not a
 //!   latency, so the gate treats it as an absolute ceiling: any growth
 //!   over the committed baseline fails, with no jitter tolerance. It is
@@ -18,10 +18,11 @@
 //!   bounded" contract.
 
 use bench::save_json;
+use bench::soak;
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use slamshare_core::gmap::{LockSeeds, ShardedGlobalMap};
-use slamshare_core::lifecycle::{soak, LifecycleConfig, LifecycleManager};
+use slamshare_core::lifecycle::{LifecycleConfig, LifecycleManager};
 use slamshare_features::{Descriptor, KeyPoint};
 use slamshare_math::{Vec2, Vec3, SE3};
 use slamshare_slam::ids::{ClientId, IdAllocator};

@@ -1,7 +1,7 @@
 //! Bench (extension): the thousand-client load harness.
 //!
 //! Writes `results/BENCH_load.json` from one overload run of
-//! [`slamshare_core::load`]: ≥512 synthetic clients (effort-scaled) with
+//! [`bench::load`]: ≥512 synthetic clients (effort-scaled) with
 //! heterogeneous link tiers, scripted churn (graceful leaves, silent
 //! crashes with rejoin, duplicate joins, garbage-byte faults), an
 //! admission bound below the offered population, and fewer service lanes
@@ -25,10 +25,10 @@
 //! The Criterion kernel times one small smoke-scale run end to end
 //! (about 0.3 s) — the harness must stay cheap enough to live in CI.
 
+use bench::load::{self, LoadConfig, LoadReport};
 use bench::save_json;
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slamshare_core::load::{self, LoadConfig, LoadReport};
 
 /// Offered client population per effort tier. The committed baseline is
 /// generated at the default (`quick`) tier: 512 clients.

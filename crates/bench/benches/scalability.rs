@@ -2,10 +2,10 @@
 //! users" claim, measured as lock traffic and per-frame latency while N
 //! client threads share one global map.
 
+use bench::experiments::scalability;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::scalability;
-use slamshare_shm::SharedMutex;
+use slamshare_core::gmap::SharedMutex;
 
 fn bench(c: &mut Criterion) {
     let result = scalability::run(bench_effort());

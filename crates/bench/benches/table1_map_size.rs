@@ -1,9 +1,9 @@
 //! Bench: Table 1 — map size vs. keyframes, plus the map-serialization
 //! kernel the baseline pays on every exchange.
 
+use bench::experiments::table1;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::table1;
 use slamshare_net::wire;
 
 fn bench(c: &mut Criterion) {

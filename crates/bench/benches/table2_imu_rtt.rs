@@ -1,9 +1,9 @@
 //! Bench: Table 2 — IMU-compensated accuracy vs. RTT, plus the
 //! Algorithm-1 motion-model kernel (the client's per-frame work).
 
+use bench::experiments::table2;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::table2;
 use slamshare_math::{Quat, Vec3, SE3};
 use slamshare_slam::imu::{ClientMotionModel, Preintegrated};
 

@@ -1,8 +1,9 @@
 //! Bench: Table 3 — video vs. image transfer, plus both codec kernels.
 
+use bench::experiments::table3;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::table3;
+use slamshare_features::GrayImage;
 use slamshare_net::codec::{ImageCodec, VideoDecoder, VideoEncoder};
 
 fn bench(c: &mut Criterion) {
@@ -20,21 +21,34 @@ fn bench(c: &mut Criterion) {
     c.bench_function("table3/image_encode", |b| {
         b.iter(|| ImageCodec::encode(std::hint::black_box(&f0)))
     });
+    // One encoder and one decoder for the whole run, with an I-frame
+    // interval the timed loop never reaches: primed with the I-frame of
+    // `f0`, each iteration then codes exactly one P-frame, `f1` and `f0`
+    // in turn.
     c.bench_function("table3/video_pframe_encode", |b| {
+        let mut enc = VideoEncoder::default();
+        enc.iframe_interval = usize::MAX;
+        enc.encode(&f0);
+        let frames = [&f1, &f0];
+        let mut k = 0;
         b.iter(|| {
-            let mut enc = VideoEncoder::default();
-            enc.encode(&f0);
-            enc.encode(std::hint::black_box(&f1))
+            k += 1;
+            enc.encode(std::hint::black_box(frames[k % 2]))
         })
     });
     c.bench_function("table3/video_stream_decode", |b| {
         let mut enc = VideoEncoder::default();
+        enc.iframe_interval = usize::MAX;
         let i = enc.encode(&f0);
-        let p = enc.encode(&f1);
+        let payloads = [enc.encode(&f1).data, enc.encode(&f0).data];
+        let mut dec = VideoDecoder::new();
+        let mut out = GrayImage::new(0, 0);
+        dec.decode_into(&i.data, &mut out).unwrap();
+        let mut k = 0;
         b.iter(|| {
-            let mut dec = VideoDecoder::new();
-            dec.decode(&i.data).unwrap();
-            dec.decode(std::hint::black_box(&p.data)).unwrap()
+            k += 1;
+            dec.decode_into(std::hint::black_box(&payloads[k % 2]), &mut out)
+                .unwrap()
         })
     });
 }

@@ -1,9 +1,9 @@
 //! Bench: Table 4 — merge-latency breakdown, plus the serialize and
 //! deserialize kernels the shared-memory design eliminates.
 
+use bench::experiments::table4;
 use bench::{bench_effort, save_json};
 use criterion::{criterion_group, criterion_main, Criterion};
-use slamshare_core::experiments::table4;
 use slamshare_net::wire;
 
 fn bench(c: &mut Criterion) {

@@ -14,7 +14,7 @@
 //! deserialization, real merging, and link transfer charged on the
 //! virtual-time channel — which is exactly what Table 4 itemizes.
 
-use crate::metrics::{BandwidthAccounting, CpuAccounting};
+use crate::accounting::{BandwidthAccounting, CpuAccounting};
 use slamshare_features::bow::Vocabulary;
 use slamshare_features::GrayImage;
 use slamshare_gpu::GpuExecutor;

@@ -10,7 +10,7 @@
 //! Usage: `fed_smoke [n_clients] [n_servers]`; honors
 //! `SLAMSHARE_TEST_SEED`.
 
-use slamshare_core::load::{self, LoadConfig};
+use bench::load::{self, LoadConfig};
 
 fn main() {
     let n: usize = std::env::args()

@@ -8,7 +8,7 @@
 //!
 //! Usage: `load_smoke [n_clients]`; honors `SLAMSHARE_TEST_SEED`.
 
-use slamshare_core::load::{self, LoadConfig};
+use bench::load::{self, LoadConfig};
 
 fn main() {
     let n: usize = std::env::args()

@@ -6,7 +6,7 @@
 //!
 //! Usage: `session_repeat`.
 
-use slamshare_core::experiments::{fig10, Effort};
+use bench::experiments::{fig10, Effort};
 
 /// What two runs of one scenario must agree on.
 #[derive(Debug, PartialEq, Eq)]

@@ -1,5 +1,5 @@
 //! Day-long-session soak for the CI gate: the compressed virtual-day
-//! scenario from `slamshare_core::lifecycle::soak` — churning clients
+//! scenario from `bench::soak` — churning clients
 //! migrating across work areas, lifecycle maintenance ticking on the
 //! merge cadence, and a revisit tail that relocalizes against regions
 //! evicted hours (of virtual time) earlier. Asserts the two soak
@@ -14,8 +14,8 @@
 //!
 //! Usage: `soak_smoke [day|smoke]`; honors `SLAMSHARE_TEST_SEED`.
 
+use bench::soak::{self, SoakConfig};
 use slamshare_core::gmap::ShardedGlobalMap;
-use slamshare_core::lifecycle::soak::{self, SoakConfig};
 
 /// Map-size budget for the day preset. The evicting day peaks ~2.2 MiB;
 /// the never-evict control ~5.6 MiB — so the bound trips if eviction

@@ -7,7 +7,7 @@
 //! All CPU work is wall-clock measured and charged to the client's CPU
 //! account, which is how Fig. 13's 35× client-CPU gap is reproduced.
 
-use crate::metrics::{BandwidthAccounting, CpuAccounting};
+use crate::accounting::{BandwidthAccounting, CpuAccounting};
 use slamshare_features::GrayImage;
 use slamshare_math::SE3;
 use slamshare_net::codec::VideoEncoder;

@@ -10,9 +10,9 @@
 //! N grows.
 
 use super::Effort;
-use crate::qos::QueuedFrame;
-use crate::server::{EdgeServer, ServerConfig};
 use serde::Serialize;
+use slamshare_core::qos::QueuedFrame;
+use slamshare_core::server::{EdgeServer, ServerConfig};
 use slamshare_net::codec::VideoEncoder;
 use slamshare_sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slamshare_slam::vocabulary;

@@ -10,9 +10,9 @@
 
 use super::Effort;
 use crate::baseline::{baseline_exchange_round, BaselineClient, BaselineConfig, BaselineServer};
-use crate::qos::QueuedFrame;
-use crate::server::{EdgeServer, ServerConfig};
 use serde::Serialize;
+use slamshare_core::qos::QueuedFrame;
+use slamshare_core::server::{EdgeServer, ServerConfig};
 use slamshare_net::codec::VideoEncoder;
 use slamshare_net::link::{Channel, LinkConfig};
 use slamshare_sim::clock::SimTime;

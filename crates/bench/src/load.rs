@@ -4,13 +4,13 @@
 //! scaling question — what happens to an edge server when *hundreds* of
 //! devices with heterogeneous radios join, leave, and crash mid-stream —
 //! is exactly the regime where the admission/backpressure machinery in
-//! [`crate::qos`] earns its keep. This module drives that machinery at
+//! [`slamshare_core::qos`] earns its keep. This module drives that machinery at
 //! scale: every client is synthetic, every link is a
 //! [`slamshare_net::link::Link`] flow model, and the whole run advances on
 //! a [`slamshare_sim::clock::EventQueue`] in virtual microseconds.
 //!
 //! What is *real* is the whole server side. The harness builds a
-//! [`Federation`] of [`EdgeServer`](crate::server::EdgeServer)s (one of
+//! [`Federation`] of [`EdgeServer`](slamshare_core::server::EdgeServer)s (one of
 //! them when `n_servers == 1`) and enters it only through `register_on` /
 //! `offer_frame` / `process_queued_rounds` / `handoff_to` /
 //! `deregister_client`, so typed admission, the bounded staging queues
@@ -59,9 +59,9 @@ use slamshare_sim::trajectory::GazePolicy;
 use slamshare_sim::{EventQueue, SimTime, Trajectory};
 use slamshare_slam::vocabulary;
 
-use crate::federation::{Federation, HandoffResult};
-use crate::qos::{QueuedFrame, RegisterError};
-use crate::server::ServerConfig;
+use slamshare_core::federation::{Federation, HandoffResult};
+use slamshare_core::qos::{QueuedFrame, RegisterError};
+use slamshare_core::server::ServerConfig;
 
 // ---------------------------------------------------------------------
 // Deterministic RNG
@@ -176,7 +176,7 @@ const ADMISSION_RETRY_S: f64 = 0.5;
 /// What varies between load runs; fully serializable so a bench result
 /// can embed the exact configuration that produced it. Everything no run
 /// varies is a constant of this module, and each client's staged-frame
-/// queue has the server's capacity ([`crate::qos::INGRESS_QUEUE_CAP`]).
+/// queue has the server's capacity ([`slamshare_core::qos::INGRESS_QUEUE_CAP`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadConfig {
     /// Clients that will *attempt* to join (ids `1..=n_clients`).
@@ -294,7 +294,7 @@ impl LoadConfig {
 /// Which ownership band (edge server) serves world position `x`. The
 /// world the trajectory generator draws from is x ∈ ±100 m; it is split
 /// into `n_servers` equal-width static bands, mirroring the region
-/// partition [`crate::federation::OwnershipMap`] applies to map shards.
+/// partition [`slamshare_core::federation::OwnershipMap`] applies to map shards.
 pub fn owner_of_x(n_servers: usize, x: f64) -> usize {
     if n_servers <= 1 {
         return 0;
@@ -580,7 +580,7 @@ impl Device {
 /// What a front end in front of the servers holds per live registration.
 /// Everything else about a client — its admission slot, staged queue,
 /// ingest state machine, GPU slice and counters — lives in the real
-/// [`EdgeServer`](crate::server::EdgeServer) it is registered on.
+/// [`EdgeServer`](slamshare_core::server::EdgeServer) it is registered on.
 #[derive(Default)]
 struct Registration {
     last_heard: SimTime,
@@ -1089,12 +1089,12 @@ fn drive(
     // ------------------------------------------------------------------
     // Fold the servers' own counters: live per-client + retired aggregate.
     // ------------------------------------------------------------------
-    let mut queues = crate::qos::QueueSnapshot::default();
+    let mut queues = slamshare_core::qos::QueueSnapshot::default();
     let mut queue_residual = 0u64;
     let mut decode_errors = 0u64;
     let mut ingest_dropped = 0u64;
     let mut resyncs = 0u64;
-    let mut adm = crate::qos::AdmissionSnapshot::default();
+    let mut adm = slamshare_core::qos::AdmissionSnapshot::default();
     for server in (0..n_servers).filter_map(|i| fe.fed.server(i)) {
         let m = server.metrics();
         for q in m.queues.values().chain([&m.retired.queues]) {

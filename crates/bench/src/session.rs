@@ -16,8 +16,8 @@ use crate::baseline::{
     baseline_exchange_round, BaselineClient, BaselineConfig, BaselineRoundLatency, BaselineServer,
 };
 use crate::client::ClientDevice;
-use crate::qos::QueuedFrame;
-use crate::server::{EdgeServer, ServerConfig, ServerFrameResult};
+use slamshare_core::qos::QueuedFrame;
+use slamshare_core::server::{EdgeServer, ServerConfig, ServerFrameResult};
 use slamshare_features::bow::Vocabulary;
 use slamshare_gpu::model::charge;
 use slamshare_math::{Vec3, SE3};

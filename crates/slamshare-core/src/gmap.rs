@@ -1,9 +1,9 @@
 //! The region-sharded global map.
 //!
 //! Partitions the global map's content into N spatial/covisibility
-//! **regions**, each stored in its own shard of a
-//! [`ShardedStore`] (one lock + one epoch counter per region), plus a
-//! top-level **directory** mapping keyframes to regions and tracking
+//! **regions**, each stored in its own shard of a `ShardedStore` (the
+//! private `store` submodule: one lock + one epoch counter per region),
+//! plus a top-level **directory** mapping keyframes to regions and tracking
 //! which regions are connected by covisibility. Speculative tracks read
 //! only the regions their local-map window can touch; commits write-lock
 //! only the regions their component covers. Clients working in disjoint
@@ -57,7 +57,7 @@
 //! # Locking discipline
 //!
 //! * Shard locks are acquired in ascending index order (enforced by
-//!   [`ShardedStore`] itself).
+//!   `ShardedStore` itself).
 //! * The directory mutex is only ever taken **after** shard locks
 //!   (validation, residency check, the end of a write) or alone
 //!   (resolve) — never before them, and never across a write closure.
@@ -98,7 +98,6 @@
 use parking_lot::Mutex;
 use slamshare_math::Vec3;
 use slamshare_net::fed::{decode_region_snapshot, encode_region_snapshot, RegionSnapshot};
-use slamshare_shm::{LockStats, ShardedStore};
 use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId, MapPointId};
 use slamshare_slam::map::{
     KeyFrame, Map, MapPoint, MapRead, MapView, MapWrite, RegionAssigner, RegionGraph,
@@ -107,6 +106,11 @@ use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap};
 use std::iter::Peekable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod store;
+
+use store::ShardedStore;
+pub use store::{LockStats, SharedMutex};
 
 /// Component-write attempts before escalating to an all-region write:
 /// a write whose components keep growing under it (a concurrent write

@@ -1,91 +1,48 @@
 //! # slamshare-core
 //!
-//! The SLAM-Share **system** (the paper's primary contribution), assembled
-//! from the substrates:
+//! The SLAM-Share **server** (the paper's primary contribution, Fig. 3):
+//! an orchestrator, one tracking/mapping process per client, and a merge
+//! process over one shared global map.
 //!
 //! * [`server`] — the edge server: one tracking/mapping process per client
 //!   (Fig. 3, Processes A/B) sharing a GSlice-partitioned simulated GPU,
-//!   plus the merge process M operating on the global map in the
-//!   shared-memory store;
-//! * [`client`] — the thin AR device: IMU-only pose extrapolation between
-//!   server replies (Algorithm 1), H.264-style video upload, pose fusion;
-//! * [`baseline`] — the Edge-SLAM-style comparison system (Fig. 4b):
-//!   full SLAM on the client, 5-second hold-down, serialize → ship →
-//!   merge → ship-back map exchange;
-//! * [`session`] — the multi-user virtual-time session driver that runs
-//!   either system over synthetic datasets and network links and records
-//!   timelines;
-//! * [`hologram`] — shared-hologram placement/perception (Fig. 11);
+//!   plus the merge process M operating on the global map;
+//! * [`gmap`] — the region-sharded global map in the shared-memory store
+//!   (sharable mutexes, per-region locks and epochs);
+//! * [`merge_worker`] — the merge process M: one merge job per client,
+//!   on its own thread or on the committing caller;
 //! * [`ingest`] — fault-isolated per-client video decode with the
 //!   I-frame resync protocol (no malformed byte may panic the server);
-//! * [`metrics`] — CPU/bandwidth accounting and ATE re-exports;
-//! * [`experiments`] — one runner per table/figure of the paper's
-//!   evaluation (see DESIGN.md §3), shared by the Criterion benches and
-//!   the examples.
+//! * [`qos`] — admission control and the bounded per-client ingress
+//!   queues;
+//! * [`federation`] — several servers, each owning a band of the world,
+//!   with client handoff and region deltas between them;
+//! * [`lifecycle`] — map pruning, cold-region eviction and
+//!   reload-on-demand for long-running sessions;
+//! * [`metrics`] — the server's health counters and ATE re-exports.
+//!
+//! What drives the server — the thin AR devices, the Edge-SLAM-style
+//! baseline, the session driver, the load harness and one runner per
+//! table/figure of the paper — lives in the `bench` crate (re-exported
+//! as `slam_share::harness`).
+//!
+//! A panic anywhere in here poisons a client mutex or a region lock for
+//! every client, strands a client mid-transfer, or silently ends process
+//! M; adversarial client bytes must produce typed errors. So unwrap,
+//! expect and panic are compile errors in all non-test code of the crate.
 
-pub mod baseline;
-pub mod client;
-pub mod experiments;
-// Federation moves state between servers' shared maps; a panic here
-// strands a client mid-transfer, so the module carries the same no-panic
-// gate as the gmap/ingest/qos shared-state paths.
-#[cfg_attr(
+#![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
+
 pub mod federation;
-// Every byte behind the sharded global map's locks is shared state; a
-// panic inside would poison it for every client (same invariant as
-// slamshare-shm).
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod gmap;
-pub mod hologram;
-// The ingest path shares slamshare-net's no-panic invariant: adversarial
-// client bytes must produce typed errors, never a panic.
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod ingest;
 pub mod lifecycle;
-pub mod load;
-// Merge jobs run under the destination regions' write locks, on a thread
-// nobody supervises (or on a committing round worker): a panic there
-// poisons shared map state or silently ends process M.
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod merge_worker;
 pub mod metrics;
-// Load-shedding decisions run on the shared ingress path for every
-// client; a panic there is a server-wide outage, so the module carries
-// the same no-panic gate as ingest.
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod qos;
-// The server holds every client mutex and every region lock a round takes;
-// a panic there poisons them for every client, so it carries the same
-// no-panic gate as the modules it drives.
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 pub mod server;
-// The session drives a live server (and the baseline's fat clients) round
-// after round; a config it cannot honour drops that client, never aborts
-// the run.
-#[cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-pub mod session;
 
-pub use client::ClientDevice;
 pub use server::EdgeServer;
-pub use session::{Session, SessionConfig, SystemKind};

@@ -296,6 +296,10 @@ pub struct EdgeServer {
     /// deregistration so their drops/purges keep counting in the server
     /// totals (see [`crate::metrics::RetiredSnapshot`]).
     retired: Mutex<RetiredSnapshot>,
+    /// The id allocator each departed client had reached. Its keyframes
+    /// and map points stay in the global map, so a rejoin under the same
+    /// id continues from here instead of reusing their ids.
+    departed_ids: HashMap<u16, IdAllocator>,
     /// `(timestamp, client, outcome)` log of merges.
     merge_log: Mutex<Vec<(f64, u16, MergeOutcome)>>,
     /// The round's one worker budget: a CPU executor whose chunker fans
@@ -369,6 +373,7 @@ impl EdgeServer {
             queue_counters: HashMap::new(),
             admission,
             retired: Mutex::new(RetiredSnapshot::default()),
+            departed_ids: HashMap::new(),
             merge_log: Mutex::new(Vec::new()),
             round_exec: GpuExecutor::cpu_with_workers(
                 std::thread::available_parallelism()
@@ -469,17 +474,22 @@ impl EdgeServer {
     /// are live at once, and a live id cannot be re-registered — the
     /// existing process is left untouched and the caller gets
     /// [`RegisterError::AlreadyRegistered`]. A deregistered (departed or
-    /// crashed) client's id can be re-registered freely — the slot was
-    /// reclaimed in full.
+    /// crashed) client's id can be re-registered — the slot was reclaimed
+    /// in full — and the new process continues the keyframe and map-point
+    /// id space its predecessor reached, whose content is still in the
+    /// global map.
     pub fn try_register_client(&mut self, id: u16) -> Result<(), RegisterError> {
         self.admission.try_admit(id)?;
         let client_id = ClientId(id);
-        let system = SlamSystem::new(
+        let mut system = SlamSystem::new(
             client_id,
             self.config.slam.clone(),
             self.vocab.clone(),
             self.gpu.register(id as u32),
         );
+        if let Some(alloc) = self.departed_ids.remove(&id) {
+            system.continue_ids(alloc);
+        }
         let ingest = VideoIngest::new();
         let queue = FrameQueue::new(INGRESS_QUEUE_CAP);
         self.ingest_counters.insert(id, ingest.counters());
@@ -507,17 +517,24 @@ impl EdgeServer {
     /// counting in the server totals, so `offered == served + dropped +
     /// purged` stays checkable across arbitrary churn and handoff. A
     /// rejoin with the same id then starts from completely fresh
-    /// ingest/queue/counter state. Unknown ids are a no-op.
+    /// ingest/queue/counter state; only the process's id allocator is
+    /// kept, for the rejoin to continue. Unknown ids are a no-op.
     pub fn deregister_client(&mut self, id: u16) {
         // One metrics write section: a concurrent metrics read sees the
         // counters either live (per-id) or retired (aggregate), never
         // both and never neither.
         self.cut.write(|| {
             if let Some(process) = self.clients.remove(&id) {
+                let mut process = process.into_inner();
                 // Count still-staged frames as purged so queue accounting
                 // stays balanced across churn. Must happen before the
                 // counter handles are folded below.
-                process.lock().queue.purge();
+                process.queue.purge();
+                let alloc = match &process.phase {
+                    Phase::Local(system) => &system.map.alloc,
+                    Phase::Shared { alloc, .. } => alloc,
+                };
+                self.departed_ids.insert(id, alloc.clone());
             }
             let ingest = self.ingest_counters.remove(&id).map(|c| c.snapshot());
             let queue = self.queue_counters.remove(&id).map(|c| c.snapshot());

@@ -21,7 +21,7 @@
 //!
 //! Map state lives in [`map::Map`], designed so the *same* structure can be
 //! owned locally (baseline) or placed in the shared-memory store
-//! (`slamshare-shm`) and mutated by multiple server processes.
+//! (`slamshare-core::gmap`) and mutated by multiple server processes.
 
 pub mod eval;
 pub mod ids;

@@ -3,7 +3,7 @@
 //! A [`Map`] is the unit of state SLAM-Share consolidates on the edge
 //! server. The same structure serves as a client-local map in the baseline
 //! (where it gets serialized across the network — `slamshare-net`) and as
-//! the shared-memory global map (where it lives in the `slamshare-shm`
+//! the shared-memory global map (where it lives in `slamshare-core::gmap`'s
 //! store and is reached by handle, zero-copy).
 
 use crate::ids::{ClientId, IdAllocator, KeyFrameId, MapPointId};

@@ -17,7 +17,7 @@
 //!   which is orthogonal to everything the paper evaluates (documented in
 //!   DESIGN.md).
 
-use crate::ids::ClientId;
+use crate::ids::{ClientId, IdAllocator};
 use crate::imu::Preintegrated;
 use crate::map::Map;
 use crate::mapping::{LocalMapper, MappingConfig};
@@ -99,6 +99,10 @@ pub struct SlamSystem {
     /// Accumulated IMU rotation state for mono bootstrap.
     imu_buffer: Vec<ImuSample>,
     bootstrapped: bool,
+    /// Where the map's id space starts: a fresh allocator, or the one
+    /// given to [`SlamSystem::continue_ids`]. A failed bootstrap restarts
+    /// the map from here.
+    id_seed: IdAllocator,
 }
 
 impl SlamSystem {
@@ -126,6 +130,24 @@ impl SlamSystem {
             mono_init: None,
             imu_buffer: Vec::new(),
             bootstrapped: false,
+            id_seed: IdAllocator::new(client),
+        }
+    }
+
+    /// Continue the id space `alloc` has reached instead of starting at
+    /// 0: a client that rejoins a server whose global map still holds
+    /// its earlier keyframes and map points must not reuse their ids.
+    /// Call before the first frame.
+    pub fn continue_ids(&mut self, alloc: IdAllocator) {
+        self.map.alloc = alloc.clone();
+        self.id_seed = alloc;
+    }
+
+    /// An empty map whose allocator starts at the id seed.
+    fn fresh_map(&self) -> Map {
+        Map {
+            alloc: self.id_seed.clone(),
+            ..Map::default()
         }
     }
 
@@ -208,7 +230,7 @@ impl SlamSystem {
             self.frame_poses.push((input.timestamp, pose0));
         } else {
             // Not enough structure: drop the keyframe and retry next frame.
-            self.map = Map::new(self.map.alloc.client);
+            self.map = self.fresh_map();
         }
         StepResult {
             frame_idx: idx,
@@ -327,7 +349,7 @@ impl SlamSystem {
         } else {
             // Failed despite sufficient baseline (too few matches /
             // parallax): reset and re-seed with the newer frame.
-            self.map = Map::new(self.map.alloc.client);
+            self.map = self.fresh_map();
             self.mono_init = Some(MonoInit {
                 frame_idx: idx,
                 timestamp: obs1.timestamp,

@@ -9,7 +9,7 @@
 //! cargo run --release --example drone_fleet
 //! ```
 
-use slamshare_core::experiments::{fig5, fig8, Effort};
+use bench::experiments::{fig5, fig8, Effort};
 
 fn main() {
     println!("Fig. 5 — why tracking needs help (CPU breakdown):\n");

@@ -10,7 +10,7 @@
 //! cargo run --release --example multi_user_ar
 //! ```
 
-use slamshare_core::experiments::{fig10, fig11, Effort};
+use bench::experiments::{fig10, fig11, Effort};
 
 fn main() {
     println!("running the 3-client EuRoC merge session (this renders and tracks\nevery frame — expect a minute or two)…\n");

@@ -9,7 +9,7 @@
 //! cargo run --release --example network_study
 //! ```
 
-use slamshare_core::experiments::{fig12, table4, Effort};
+use bench::experiments::{fig12, table4, Effort};
 
 fn main() {
     println!("Table 4 — merge latency breakdown (SLAM-Share vs baseline):\n");

@@ -9,7 +9,7 @@
 //! cargo run --release --example vehicle_convoy
 //! ```
 
-use slamshare_core::experiments::{fig10, table3, Effort};
+use bench::experiments::{fig10, table3, Effort};
 
 fn main() {
     println!("Fig. 10c — KITTI-05 split across three vehicles:\n");

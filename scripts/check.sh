@@ -47,31 +47,33 @@ stage_clippy() {
 }
 
 stage_nopanic() {
-    echo "== no-panic gate (slamshare-net, slamshare-shm, slamshare-gpu, slamshare-features, core federation/gmap/ingest/merge_worker/qos/server/session, slam map/merge/recognition/tracking) =="
+    echo "== no-panic gate (slamshare-net, slamshare-gpu, slamshare-features, slamshare-core, slam map/merge/recognition/tracking, bench session) =="
     # Shared-state paths deny unwrap/expect/panic via in-source
-    # #![cfg_attr(not(test), deny(...))] attributes (crate-level in
-    # slamshare-net, slamshare-shm, and slamshare-gpu — the executor and
-    # slice scheduler sit under every client's tracking submissions — and
-    # in slamshare-features — the one extraction pipeline those submissions
+    # #![cfg_attr(not(test), deny(...))] attributes (crate-wide in
+    # slamshare-net; in slamshare-gpu — the executor and slice scheduler
+    # sit under every client's tracking submissions; in
+    # slamshare-features — the one extraction pipeline those submissions
     # run, its kernels, and the Hamming and window-search kernels tracking
-    # runs on its output; slamshare-features also forbids unsafe code;
-    # module-level on
-    # slamshare-core::{federation,gmap,ingest,merge_worker,qos,server,session}
-    # and slamshare-slam::{map,merge,recognition,tracking} — a panic under a client
-    # mutex or a region lock would poison shared state for every client,
-    # and one on the merge thread silently ends process M). A plain clippy
-    # pass compiles those lints as hard errors; CLI -D flags must NOT be used
-    # here — they leak into the vendored workspace path deps.
-    cargo clippy -q -p slamshare-net -p slamshare-core -p slamshare-shm -p slamshare-slam -p slamshare-gpu -p slamshare-features
+    # runs on its output; slamshare-features also forbids unsafe code; and
+    # in slamshare-core — the server, whose client mutexes and region locks
+    # a panic would poison for every client, and whose merge thread it
+    # would silently end);
+    # module-level on slamshare-slam::{map,merge,recognition,tracking} and
+    # on the bench harness's session driver, which must drop a client it
+    # cannot serve rather than abort the run). A plain clippy pass compiles
+    # those lints as hard errors; CLI -D flags must NOT be used here — they
+    # leak into the vendored workspace path deps.
+    cargo clippy -q -p slamshare-net -p slamshare-core -p slamshare-slam -p slamshare-gpu -p slamshare-features -p bench
 }
 
 stage_cost_model() {
-    echo "== cost model stays out of the server (slamshare-slam, core server.rs) =="
+    echo "== cost model stays out of the server (slamshare-slam, slamshare-core) =="
     # Modeled GPU time is made in one place, slamshare_gpu::model::charge,
-    # and only by callers that report it (experiments, the session driver).
-    # The tracker and the server handle wall time and kernel stats only.
+    # and only by callers that report it (the bench harness's experiments
+    # and session driver). The tracker and the whole server crate handle
+    # wall time and kernel stats only.
     if grep -rnE 'modeled_|model::charge|launch_ms' \
-        crates/slamshare-slam/src crates/slamshare-core/src/server.rs; then
+        crates/slamshare-slam/src crates/slamshare-core/src; then
         echo "cost-model: the lines above bring modeled time into the server" >&2
         return 1
     fi

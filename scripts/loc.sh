@@ -67,6 +67,28 @@ read_file() {
     if [[ "$1" == tree ]]; then cat "$2"; else git show "$1:$2"; fi
 }
 
+# $1: "tree" or a git ref; $2: struct name; stdout: the crate sources
+# that define `pub struct <name> {`. Found by name on each side, so a
+# struct whose module moved to another crate still reads as the same
+# options.
+struct_files() {
+    if [[ "$1" == tree ]]; then
+        grep -rlE "^ *pub struct $2 \{" crates/*/src --include='*.rs' || true
+    else
+        git grep -lE "^ *pub struct $2 \{" "$1" -- 'crates/*/src/*.rs' | sed "s|^$1:||" || true
+    fi
+}
+
+# $1: "tree" or a git ref; $2: struct name; stdout: its `pub` field count,
+# wherever it is defined.
+config_fields() {
+    local n=0 f
+    for f in $(struct_files "$1" "$2"); do
+        n=$((n + $(read_file "$1" "$f" | field_count "$2")))
+    done
+    echo "$n"
+}
+
 # $1: "tree" or a git ref; $2: per-file counter (stdin: one Rust file);
 # stdout: "<crate> <sum of the counter>" per crate.
 per_crate() {
@@ -105,29 +127,18 @@ option_row() {
 
 echo
 printf '%-22s %10s %10s %8s\n' "config fields" "$BASE" "tree" "delta"
-while read -r name path; do
-    b=$(read_file "$BASE" "$path" 2>/dev/null | field_count "$name")
-    t=$(read_file tree "$path" 2>/dev/null | field_count "$name")
-    option_row "$name" "$b" "$t"
-done <<'EOF'
-ServerConfig crates/slamshare-core/src/server.rs
-LoadConfig crates/slamshare-core/src/load.rs
-SessionConfig crates/slamshare-core/src/session.rs
-BaselineConfig crates/slamshare-core/src/baseline.rs
-LifecycleConfig crates/slamshare-core/src/lifecycle.rs
-SoakConfig crates/slamshare-core/src/lifecycle.rs
-MappingConfig crates/slamshare-slam/src/mapping.rs
-TrackerConfig crates/slamshare-slam/src/tracking.rs
-OrbExtractorConfig crates/slamshare-features/src/extractor.rs
-DatasetConfig crates/slamshare-sim/src/dataset.rs
-EOF
+for name in ServerConfig LoadConfig SessionConfig BaselineConfig LifecycleConfig SoakConfig \
+    MappingConfig TrackerConfig OrbExtractorConfig DatasetConfig; do
+    option_row "$name" "$(config_fields "$BASE" "$name")" "$(config_fields tree "$name")"
+done
 
 echo
 printf '%-22s %10s %10s %8s\n' "cargo features" "$BASE" "tree" "delta"
 for manifest in $( (git ls-tree -r --name-only "$BASE" -- crates; find crates -name Cargo.toml) |
     grep -E '^crates/[^/]+/Cargo\.toml$' | sort -u); do
-    b=$(read_file "$BASE" "$manifest" 2>/dev/null | feature_count)
-    t=$(read_file tree "$manifest" 2>/dev/null | feature_count)
+    # A crate that exists on one side only has no features on the other.
+    b=$({ read_file "$BASE" "$manifest" 2>/dev/null || true; } | feature_count)
+    t=$({ read_file tree "$manifest" 2>/dev/null || true; } | feature_count)
     option_row "$(cut -d/ -f2 <<<"$manifest")" "$b" "$t"
 done
 printf '%-22s %10s %10s\n' "options" "removed" "added"

@@ -21,8 +21,8 @@
 //! | [`gpu`] | simulated GPU kernels + GSlice sharing |
 //! | [`slam`] | tracking, mapping, place recognition, map merging |
 //! | [`net`] | virtual-time links, wire codecs, video vs image codecs |
-//! | [`shm`] | shared-map store: sharable mutex, sharded store |
-//! | [`core`] | the SLAM-Share system, baseline, sessions, experiments |
+//! | [`core`] | the SLAM-Share server: per-client processes, merge process, shared global map |
+//! | [`harness`] | what drives the server: clients, baseline, sessions, load, experiments |
 //!
 //! Start with `examples/quickstart.rs`, or regenerate the paper's tables
 //! and figures with `cargo bench --workspace` (results land in
@@ -61,11 +61,11 @@
 //! println!("{} keyframes, {} map points", slam.map.n_keyframes(), slam.map.n_mappoints());
 //! ```
 
+pub use ::bench as harness;
 pub use slamshare_core as core;
 pub use slamshare_features as features;
 pub use slamshare_gpu as gpu;
 pub use slamshare_math as math;
 pub use slamshare_net as net;
-pub use slamshare_shm as shm;
 pub use slamshare_sim as sim;
 pub use slamshare_slam as slam;

@@ -2,9 +2,9 @@
 //! hall, private origins; after SLAM-Share merges them, a hologram placed
 //! by one is perceived near its true spot by the other.
 
-use slam_share::core::experiments::Effort;
-use slam_share::core::hologram::perception_error;
-use slam_share::core::session::{ClientSpec, Session, SessionConfig, SystemKind};
+use slam_share::harness::experiments::Effort;
+use slam_share::harness::hologram::perception_error;
+use slam_share::harness::session::{ClientSpec, Session, SessionConfig, SystemKind};
 use slam_share::math::SE3;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::vocabulary;

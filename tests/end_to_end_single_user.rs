@@ -4,7 +4,7 @@
 
 use slam_share::core::qos::QueuedFrame;
 use slam_share::core::server::{EdgeServer, ServerConfig};
-use slam_share::core::ClientDevice;
+use slam_share::harness::ClientDevice;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::{eval, vocabulary};
 use std::sync::Arc;

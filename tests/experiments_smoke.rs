@@ -1,7 +1,7 @@
 //! Smoke-run every paper experiment end-to-end and sanity-check the
 //! rendered outputs. The full-scale versions run under `cargo bench`.
 
-use slam_share::core::experiments::*;
+use slam_share::harness::experiments::*;
 
 #[test]
 fn table1_smoke() {

@@ -3,10 +3,10 @@
 //! clients' results by a single bit, and must recover via the I-frame
 //! resync + relocalization protocol once honest bytes resume.
 
-use slam_share::core::client::ClientDevice;
 use slam_share::core::ingest::ClientIngestSnapshot;
 use slam_share::core::qos::QueuedFrame;
 use slam_share::core::server::{EdgeServer, ServerConfig, ServerFrameResult};
+use slam_share::harness::client::ClientDevice;
 use slam_share::net::codec::{payload_is_iframe, VideoEncoder};
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::vocabulary;

@@ -26,9 +26,10 @@
 
 use slam_share::core::federation::{Federation, ServerId};
 use slam_share::core::gmap::{LockSeeds, ShardedGlobalMap};
-use slam_share::core::lifecycle::{soak, LifecycleConfig, LifecycleManager};
+use slam_share::core::lifecycle::{LifecycleConfig, LifecycleManager};
 use slam_share::core::server::ServerConfig;
 use slam_share::features::{Descriptor, KeyPoint};
+use slam_share::harness::soak;
 use slam_share::math::{Vec2, Vec3, SE3};
 use slam_share::net::link::LinkConfig;
 use slam_share::sim::camera::StereoRig;

@@ -14,9 +14,9 @@
 //! script, the link-loss draws, and the fault injection — the properties
 //! must hold for every seed.
 
-use slam_share::core::load::{self, LoadConfig};
 use slam_share::core::qos::{QueuedFrame, RegisterError, INGRESS_QUEUE_CAP};
 use slam_share::core::server::{EdgeServer, ServerConfig};
+use slam_share::harness::load::{self, LoadConfig};
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::vocabulary;

@@ -11,9 +11,9 @@
 //! mutex and leaves recording disabled and the registry reset behind it.
 
 use parking_lot::Mutex;
-use slam_share::core::load::{self, LoadConfig};
 use slam_share::core::qos::QueuedFrame;
 use slam_share::core::server::{EdgeServer, ServerConfig};
+use slam_share::harness::load::{self, LoadConfig};
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::vocabulary;
