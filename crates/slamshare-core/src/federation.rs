@@ -14,8 +14,9 @@
 //! * **Delta exchange** — when a merge on server A lands content whose
 //!   camera centers fall in regions owned by server B, the foreign
 //!   sub-fragment is serialized as a [`slamshare_net::fed::MapDelta`]
-//!   (the same `AppliedMerge`-shaped plan the async merge worker applies
-//!   locally), shipped over the A→B [`Link`] in virtual time, and
+//!   (the client's merged keyframes and points in those regions, as the
+//!   merge left them in A's map), shipped over the A→B [`Link`] in
+//!   virtual time, and
 //!   absorbed on B under **only B's region locks**
 //!   ([`EdgeServer::absorb_external_fragment`] returns the locked-region
 //!   receipt so tests can verify that).

@@ -2,10 +2,14 @@
 //!
 //! SLAM-Share's merges "occur asynchronously, whenever a client observes
 //! something that matches the global map" (§4.1). Every merge the server
-//! performs is one [`MergeJob`] run by the same body:
+//! performs is one [`MergeJob`] run by the same body, in three steps:
 //!
-//! 1. the commit stage **submits** a clone of the client's local map;
-//! 2. the job lands it in **one locked pass**: a single
+//! 1. **pause**: the server submits a clone of the client's local map and
+//!    stops the client's local mapping, as ORB-SLAM3 stops its local
+//!    mapper for the length of a merge. The client keeps tracking every
+//!    frame but inserts no keyframe, so its live map stays the submitted
+//!    snapshot;
+//! 2. **weld**: the job lands the snapshot in **one locked pass**: a single
 //!    [`ShardedGlobalMap::with_component_write`] over every region
 //!    ([`LockSeeds::all`], which first reloads any evicted region) runs
 //!    [`plan_merge`] — the read-only detect/align half, querying the live
@@ -14,28 +18,34 @@
 //!    on the same view, in place. Nothing can move between the plan and
 //!    the apply, so a job never re-plans; commits wait for the pass while
 //!    it holds the locks, which the keypoint-grid weld keeps short;
-//! 3. the client's commit **collects** the completion: keyframes and
-//!    points it created after submitting (the delta) are transformed,
-//!    remapped across the job's point fusions and absorbed, and the
-//!    process switches to shared-map tracking.
+//! 3. **collect**: the client's next commit takes the completion. An
+//!    applied merge already holds everything the client mapped, so the
+//!    process just switches to shared-map tracking; a job that found no
+//!    common region resumes the client's local mapping.
 //!
 //! [`ServerConfig::async_merge`](crate::server::ServerConfig::async_merge)
 //! picks only *where* a submitted job runs: on the worker thread (the
-//! submitting commit does not wait for it) or right there on the
-//! submitting caller (no thread is spawned; the completion is ready when
-//! `submit` returns, so the delta of step 3 is empty).
+//! submitting commit does not wait for it, and the pause spans the frames
+//! until the completion is collected) or right there on the submitting
+//! caller (no thread is spawned; the completion is ready when `submit`
+//! returns and is collected in the same commit, so the pause never spans
+//! a frame).
+//!
+//! The desk is keyed by client id. A client that departs with a job in
+//! flight or uncollected is [`MergeWorker::forget`]ten: its completion is
+//! dropped, now or when it arrives, so a later client under the same id
+//! never collects a merge it did not submit.
 
 use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use crate::metrics::{MergeWorkerStats, MetricsCut};
 use parking_lot::Mutex;
 use slamshare_features::bow::Vocabulary;
 use slamshare_sim::camera::PinholeCamera;
-use slamshare_slam::ids::{KeyFrameId, MapPointId};
 use slamshare_slam::map::Map;
 use slamshare_slam::merge::{apply_merge_plan_with, plan_merge, MergeReport};
 use slamshare_slam::optimize::MappingArena;
 use slamshare_slam::recognition::ShardedKeyframeDatabase;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -59,14 +69,6 @@ pub struct AppliedMerge {
     pub report: MergeReport,
     /// Job start → applied wall time, ms.
     pub merge_ms: f64,
-    /// Keyframe ids of the submitted map (now in the global map). The
-    /// client's live map minus these is the post-submission delta.
-    pub absorbed_kfs: BTreeSet<KeyFrameId>,
-    /// Map-point ids of the submitted map.
-    pub absorbed_mps: BTreeSet<MapPointId>,
-    /// Client points fused away during the weld → the surviving global
-    /// point, for remapping delta observations.
-    pub fused: HashMap<MapPointId, MapPointId>,
 }
 
 #[derive(Default)]
@@ -75,6 +77,9 @@ struct Desk {
     in_flight: HashSet<u16>,
     /// Finished jobs awaiting collection by the client's commit path.
     done: HashMap<u16, MergeCompletion>,
+    /// In-flight jobs whose client departed: their completion is dropped
+    /// on arrival.
+    abandoned: HashSet<u16>,
 }
 
 /// Everything a job needs to plan and apply a merge.
@@ -101,13 +106,16 @@ impl Shared {
     /// completion on the desk.
     fn run(&self, job: MergeJob, arena: &mut MappingArena) {
         let client = job.client;
-        let completion = self
-            .ctx
-            .cut
-            .write(|| run_job(&self.ctx, &self.stats, arena, job));
-        let mut desk = self.desk.lock();
-        desk.done.insert(client, completion);
-        desk.in_flight.remove(&client);
+        self.ctx.cut.write(|| {
+            let completion = run_job(&self.ctx, &self.stats, arena, job);
+            let mut desk = self.desk.lock();
+            desk.in_flight.remove(&client);
+            if desk.abandoned.remove(&client) {
+                self.stats.record_stale_completion();
+            } else {
+                desk.done.insert(client, completion);
+            }
+        });
     }
 }
 
@@ -143,12 +151,15 @@ impl MergeWorker {
     }
 
     /// Book `job` on the desk unless its client already has one in flight
-    /// or awaiting collection, then run it where `thread` says — the one
-    /// place a job's placement is decided: down the channel when `thread`
-    /// is given, else right here. `false` when the job was a duplicate or
-    /// the thread is gone (it panicked in a job) and nothing ran.
-    fn place(&self, job: MergeJob, thread: Option<&WorkerThread>) -> bool {
+    /// or awaiting collection, then run it — the one place a job's
+    /// placement is decided: right here when `on_caller` or when there is
+    /// no merge thread (its completion is then ready on return), else down
+    /// the thread's channel. Returns whether the job was accepted: `false`
+    /// when it was a duplicate or the thread is gone (it panicked in a
+    /// job) and nothing ran.
+    pub fn submit(&self, job: MergeJob, on_caller: bool) -> bool {
         let client = job.client;
+        let thread = self.thread.as_ref().filter(|_| !on_caller);
         {
             let mut desk = self.shared.desk.lock();
             if desk.in_flight.contains(&client) || desk.done.contains_key(&client) {
@@ -174,23 +185,21 @@ impl MergeWorker {
         placed
     }
 
-    /// Hand a merge job to the configured placement unless one for this
-    /// client is already in flight or awaiting collection. Returns
-    /// whether the job was accepted; on the caller placement its
-    /// completion is ready on return.
-    pub fn submit(&self, job: MergeJob) -> bool {
-        self.place(job, self.thread.as_ref())
-    }
-
-    /// [`MergeWorker::submit`], but on the calling thread whatever the
-    /// configured placement.
-    pub(crate) fn run_now(&self, job: MergeJob) -> bool {
-        self.place(job, None)
-    }
-
     /// Collect a finished merge for `client`, if any.
     pub fn take_completion(&self, client: u16) -> Option<MergeCompletion> {
         self.shared.desk.lock().done.remove(&client)
+    }
+
+    /// `client` departed: drop its uncollected completion, or the one its
+    /// in-flight job will leave, and count it stale. The id's desk entry
+    /// frees once no job of the departed client is running.
+    pub(crate) fn forget(&self, client: u16) {
+        let mut desk = self.shared.desk.lock();
+        if desk.done.remove(&client).is_some() {
+            self.shared.stats.record_stale_completion();
+        } else if desk.in_flight.contains(&client) {
+            desk.abandoned.insert(client);
+        }
     }
 
     /// Whether nothing is queued or running (completions may still await
@@ -269,17 +278,11 @@ fn land(ctx: &MergeContext, arena: &mut MappingArena, cmap: Map) -> Option<Appli
             if !plan.viable() {
                 return (None, false);
             }
-            let absorbed_kfs = cmap.keyframes.keys().copied().collect();
-            let absorbed_mps = cmap.mappoints.keys().copied().collect();
             let _span = slamshare_obs::span!("merge.apply");
-            let (report, fused) =
-                apply_merge_plan_with(gmap, &ctx.db, cmap, &plan, &ctx.cam, arena);
+            let report = apply_merge_plan_with(gmap, &ctx.db, cmap, &plan, &ctx.cam, arena);
             let applied = AppliedMerge {
                 report,
                 merge_ms: 0.0,
-                absorbed_kfs,
-                absorbed_mps,
-                fused: fused.into_iter().collect(),
             };
             (Some(applied), true)
         });
@@ -310,6 +313,32 @@ mod tests {
         }
     }
 
+    /// A departed client's completion is never collected under its id:
+    /// dropped at once when it already waits on the desk, and on arrival
+    /// when the job is still running; either way it counts as stale, and
+    /// the id takes a new job once the old one is done.
+    #[test]
+    fn a_forgotten_clients_completion_is_dropped_now_or_on_arrival() {
+        let worker = MergeWorker::new(context(), false);
+        assert!(worker.submit(job(1), false));
+        worker.forget(1);
+        assert!(worker.take_completion(1).is_none());
+
+        // Client 2's job is running on the (absent) thread when it departs.
+        worker.shared.desk.lock().in_flight.insert(2);
+        worker.forget(2);
+        assert!(
+            !worker.submit(job(2), false),
+            "a second job under a running one"
+        );
+        worker.shared.run(job(2), &mut MappingArena::default());
+        assert!(worker.take_completion(2).is_none());
+        assert_eq!(worker.stats().snapshot().stale_completions, 2);
+
+        assert!(worker.submit(job(2), false), "the id stayed booked");
+        assert!(worker.take_completion(2).is_some());
+    }
+
     /// A merge thread that died (a panic in a job) must not wedge the
     /// server: its queue refuses new jobs without leaving them booked as
     /// in flight, and nobody waits for it to go idle.
@@ -328,13 +357,16 @@ mod tests {
         // What the dead thread was holding when it went.
         worker.shared.desk.lock().in_flight.insert(9);
 
-        assert!(!worker.submit(job(1)), "a closed channel accepted a job");
+        assert!(
+            !worker.submit(job(1), false),
+            "a closed channel accepted a job"
+        );
         assert!(worker.is_idle(), "a dead thread is waited for");
         assert!(worker.shared.desk.lock().in_flight.contains(&9));
         assert!(!worker.shared.desk.lock().in_flight.contains(&1));
         // Refused again because the thread is gone — not as a duplicate
         // of the first, which would not count.
-        assert!(!worker.submit(job(1)));
+        assert!(!worker.submit(job(1), false));
         let stats = worker.stats().snapshot();
         assert_eq!(stats.worker_lost, 2, "{stats:?}");
         assert_eq!(stats.submitted, 0, "{stats:?}");

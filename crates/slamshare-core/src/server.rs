@@ -18,8 +18,14 @@
 //!
 //! Until a client's map has been merged, the client process runs a
 //! self-contained SLAM system on a local map (exactly how a fresh
-//! ORB-SLAM3 session starts); the merge trigger then welds it in and the
-//! process switches to tracking/mapping directly on the shared map.
+//! ORB-SLAM3 session starts). A merge is then **pause, weld, collect**:
+//! the merge trigger submits the local map and pauses the client's
+//! mapping (it keeps tracking every frame, but inserts no keyframe, as
+//! ORB-SLAM3 stops local mapping during a merge); process M welds the
+//! snapshot in; and the client's next commit collects the result and
+//! switches the process to tracking/mapping directly on the shared map.
+//! The paused local map is the submitted snapshot, so nothing is left
+//! over to reconcile.
 //!
 //! # Concurrency
 //!
@@ -72,7 +78,8 @@
 //! plans and applies it in one write over every region, so nothing can
 //! move between plan and apply. With [`ServerConfig::async_merge`] that
 //! write runs on the worker's own thread: the submitting commit does not
-//! wait for it, and other writes wait only while it holds the locks.
+//! wait for it, other writes wait only while it holds the locks, and the
+//! joiner tracks on its paused local map until it collects the result.
 //!
 //! The place-recognition inverted index ([`EdgeServer::db`]) lives
 //! *outside* the store: it is sharded with per-shard locks
@@ -90,7 +97,7 @@ use crate::qos::{
     Admission, FrameQueue, QueueCounters, QueuedFrame, RegisterError, INGRESS_QUEUE_CAP,
 };
 use parking_lot::Mutex;
-use slamshare_features::bow::{BowVector, Vocabulary};
+use slamshare_features::bow::Vocabulary;
 use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu};
 use slamshare_math::{Sim3, SE3};
 use slamshare_net::codec::CodecError;
@@ -101,7 +108,7 @@ use slamshare_slam::merge::MergeReport;
 use slamshare_slam::recognition::{self, ShardedKeyframeDatabase};
 use slamshare_slam::system::{FrameInput, SlamConfig, SlamSystem};
 use slamshare_slam::tracking::{FrontEnd, MotionState, SensorMode, StageTimings, Tracked, Tracker};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -117,8 +124,8 @@ pub struct ServerConfig {
     /// (see [`crate::merge_worker`]). `true`: on the merge worker's own
     /// thread, so the submitting commit does not wait for
     /// `DetectCommonRegion`/RANSAC (other writes wait while the merge
-    /// holds the region locks) and the client collects the result at a
-    /// later commit. `false` (the
+    /// holds the region locks) and the client, its mapping paused in the
+    /// meantime, collects the result at a later commit. `false` (the
     /// default): on the committing thread, no thread spawned, collected
     /// in the same commit — the placement the round pipeline's
     /// bit-exactness guarantee is stated against.
@@ -217,7 +224,6 @@ enum Phase {
 
 /// One per-client server process.
 struct ClientProcess {
-    id: ClientId,
     phase: Phase,
     /// Fault-isolated video decode + resync state machine.
     ingest: VideoIngest,
@@ -480,9 +486,8 @@ impl EdgeServer {
     /// global map.
     pub fn try_register_client(&mut self, id: u16) -> Result<(), RegisterError> {
         self.admission.try_admit(id)?;
-        let client_id = ClientId(id);
         let mut system = SlamSystem::new(
-            client_id,
+            ClientId(id),
             self.config.slam.clone(),
             self.vocab.clone(),
             self.gpu.register(id as u32),
@@ -497,7 +502,6 @@ impl EdgeServer {
         self.clients.insert(
             id,
             Mutex::new(ClientProcess {
-                id: client_id,
                 phase: Phase::Local(Box::new(system)),
                 ingest,
                 next_merge_at_kfs: self.config.merge_after_keyframes,
@@ -535,6 +539,9 @@ impl EdgeServer {
                     Phase::Shared { alloc, .. } => alloc,
                 };
                 self.departed_ids.insert(id, alloc.clone());
+                // A merge this process submitted is not the next one's
+                // under the same id.
+                self.merge_worker.forget(id);
             }
             let ingest = self.ingest_counters.remove(&id).map(|c| c.snapshot());
             let queue = self.queue_counters.remove(&id).map(|c| c.snapshot());
@@ -999,16 +1006,14 @@ impl EdgeServer {
 
         // Merge trigger (process M): a ready local map goes to the worker,
         // and whatever the worker has finished for this client — just now
-        // on this thread, or earlier on its own — is collected.
-        if let Phase::Local(system) = &process.phase {
-            if system.is_bootstrapped() && system.map.n_keyframes() >= process.next_merge_at_kfs {
-                // The worker refuses duplicates, so re-offering every
-                // frame while a job is in flight is harmless.
-                self.merge_worker.submit(MergeJob {
-                    client,
-                    timestamp,
-                    cmap: system.map.clone(),
-                });
+        // on this thread, or earlier on its own — is collected. A paused
+        // client's map is the snapshot already in flight.
+        if let Phase::Local(system) = &mut process.phase {
+            if !system.mapping_paused()
+                && system.is_bootstrapped()
+                && system.map.n_keyframes() >= process.next_merge_at_kfs
+            {
+                self.submit_job(system, client, timestamp, false);
             }
             if let Some(outcome) = self.collect_merge(process, client) {
                 result.merged = true;
@@ -1022,14 +1027,13 @@ impl EdgeServer {
         result
     }
 
-    /// Collect the worker's finished job for `client`, if there is one.
-    /// An applied merge already welded the submitted snapshot into the
-    /// global map; absorb the client's post-snapshot *delta* (keyframes
-    /// and points it created while the job ran on the worker's thread —
-    /// nothing, when it ran on this one), remap delta observations across
-    /// the job's point fusions, and switch the client to shared-map
-    /// tracking. A job that found no common region pushes the client's
-    /// next attempt out by two keyframes.
+    /// Collect the worker's finished job for `client`, if there is one —
+    /// the last step of pause, weld, collect. An applied merge welded the
+    /// submitted snapshot into the global map, and the client has mapped
+    /// nothing since (its mapping was paused), so the process switches to
+    /// shared-map tracking, carrying its executor, last frame pose and id
+    /// allocator over. A job that found no common region resumes local
+    /// mapping and pushes the client's next attempt out by two keyframes.
     fn collect_merge(&self, process: &mut ClientProcess, client: u16) -> Option<MergeOutcome> {
         let completion = self.merge_worker.take_completion(client)?;
         let Phase::Local(system) = &mut process.phase else {
@@ -1037,97 +1041,14 @@ impl EdgeServer {
             self.merge_worker.stats().record_stale_completion();
             return None;
         };
-        let Some(applied) = completion.applied else {
+        let Some(AppliedMerge { report, merge_ms }) = completion.applied else {
+            system.pause_mapping(false);
             process.next_merge_at_kfs = system.map.n_keyframes() + 2;
             return None;
         };
-        let AppliedMerge {
-            report,
-            merge_ms,
-            absorbed_kfs,
-            absorbed_mps,
-            fused,
-        } = applied;
-        let mut delta = std::mem::replace(&mut system.map, Map::new(process.id));
         let exec = system.tracker.exec.clone();
         let last_frame_pose = system.frame_poses.last().map(|(_, p)| *p);
-
-        // Everything in the submitted snapshot is already global; what
-        // remains is the delta.
-        delta.keyframes.retain(|id, _| !absorbed_kfs.contains(id));
-        delta.mappoints.retain(|id, _| !absorbed_mps.contains(id));
-        if let Some(t) = &report.transform {
-            delta.transform_all(t);
-        }
-        // Delta observations of snapshot points the weld fused away
-        // follow the fusion to the surviving global point.
-        for kf in delta.keyframes.values_mut() {
-            for slot in kf.matched_points.iter_mut() {
-                if let Some(mp) = slot {
-                    if let Some(keep) = fused.get(mp) {
-                        *slot = Some(*keep);
-                    }
-                }
-            }
-        }
-
-        let alloc = delta.alloc.clone();
-        if !delta.keyframes.is_empty() || !delta.mappoints.is_empty() {
-            let delta_kf_ids: BTreeSet<KeyFrameId> = delta.keyframes.keys().copied().collect();
-            let delta_bows: Vec<(u64, BowVector)> = delta
-                .keyframes
-                .values()
-                .map(|kf| (kf.id.0, kf.bow.clone()))
-                .collect();
-            // Lock the components of every absorbed snapshot keyframe
-            // (they cover every global entity the delta references —
-            // fusions moved delta observations onto points observed by
-            // snapshot keyframes) plus the regions where the transformed
-            // delta content itself lands.
-            let seeds = LockSeeds {
-                kfs: absorbed_kfs.iter().copied().collect(),
-                positions: delta
-                    .keyframes
-                    .values()
-                    .map(|kf| kf.pose_cw.camera_center())
-                    .collect(),
-                all: false,
-            };
-            self.store.with_component_write(&seeds, |map, _| {
-                // Points first: keyframe insertion below registers
-                // observations on them.
-                for (id, mut mp) in delta.mappoints {
-                    mp.observations.retain(|&(kf_id, idx)| {
-                        if delta_kf_ids.contains(&kf_id) {
-                            return true;
-                        }
-                        // Observation from a snapshot keyframe (mono
-                        // triangulation against an older keyframe):
-                        // reconcile the global copy's back-reference,
-                        // which predates this point.
-                        match map.keyframe_mut(kf_id) {
-                            Some(kf) => match kf.matched_points[idx] {
-                                None => {
-                                    kf.matched_points[idx] = Some(id);
-                                    true
-                                }
-                                Some(existing) => existing == id,
-                            },
-                            None => false,
-                        }
-                    });
-                    map.put_mappoint(mp);
-                }
-                for (_, kf) in delta.keyframes {
-                    map.insert_keyframe(kf);
-                }
-                ((), true)
-            });
-            for (id, bow) in delta_bows {
-                self.db.add(id, bow);
-            }
-        }
-
+        let alloc = system.map.alloc.clone();
         self.enter_shared_phase(
             process,
             client,
@@ -1147,13 +1068,17 @@ impl EdgeServer {
     /// Install an externally-built local map for a not-yet-merged client
     /// (the late-joiner upload of §4.3.1: a device arrives with a map it
     /// built offline and contributes the whole thing at once). A no-op for
-    /// a client that is already merged or not registered.
+    /// a client that is already merged, has a merge in flight (its map is
+    /// the submitted snapshot until the job is collected) or is not
+    /// registered.
     pub fn adopt_local_map(&self, client: u16, map: Map) {
         let Some(process) = self.clients.get(&client) else {
             return;
         };
         if let Phase::Local(system) = &mut process.lock().phase {
-            system.map = map;
+            if !system.mapping_paused() {
+                system.map = map;
+            }
         }
     }
 
@@ -1170,15 +1095,35 @@ impl EdgeServer {
     pub fn merge_client_now(&self, client: u16, timestamp: f64) -> Option<MergeOutcome> {
         let mut process = self.clients.get(&client)?.lock();
         self.cut.write(|| {
-            if let Phase::Local(system) = &process.phase {
-                self.merge_worker.run_now(MergeJob {
-                    client,
-                    timestamp,
-                    cmap: system.map.clone(),
-                });
+            if let Phase::Local(system) = &mut process.phase {
+                self.submit_job(system, client, timestamp, true);
             }
             self.collect_merge(&mut process, client)
         })
+    }
+
+    /// The one way a merge job is made: submit a clone of `system`'s local
+    /// map as `client`'s job — on the calling thread when `on_caller`,
+    /// else where [`ServerConfig::async_merge`] places it — and, when the
+    /// worker accepts it, pause the client's mapping until the completion
+    /// is collected.
+    fn submit_job(
+        &self,
+        system: &mut SlamSystem,
+        client: u16,
+        timestamp: f64,
+        on_caller: bool,
+    ) -> bool {
+        let job = MergeJob {
+            client,
+            timestamp,
+            cmap: system.map.clone(),
+        };
+        let accepted = self.merge_worker.submit(job, on_caller);
+        if accepted {
+            system.pause_mapping(true);
+        }
+        accepted
     }
 
     /// Transition a just-merged client process to shared-map tracking,
@@ -1233,26 +1178,24 @@ impl EdgeServer {
 
     /// Hand `client`'s current local map to the merge worker — queued on
     /// its thread, or merged before this returns, per
-    /// [`ServerConfig::async_merge`]; the client's next commit collects
-    /// the result. Returns whether a job was accepted — `false` when the
-    /// client is not registered, already merged or not yet bootstrapped,
-    /// or a job for it is already in flight.
+    /// [`ServerConfig::async_merge`] — and pause the client's mapping: its
+    /// frames are tracked but insert no keyframe until the client's next
+    /// commit after the job finishes collects the result. Returns whether
+    /// a job was accepted — `false` when the client is not registered,
+    /// already merged or not yet bootstrapped, or a job for it (or for a
+    /// departed client under its id) is still in flight.
     pub fn submit_merge(&self, client: u16, timestamp: f64) -> bool {
         let Some(process) = self.clients.get(&client) else {
             return false;
         };
-        let process = process.lock();
-        let Phase::Local(system) = &process.phase else {
+        let mut process = process.lock();
+        let Phase::Local(system) = &mut process.phase else {
             return false;
         };
         if !system.is_bootstrapped() {
             return false;
         }
-        self.merge_worker.submit(MergeJob {
-            client,
-            timestamp,
-            cmap: system.map.clone(),
-        })
+        self.submit_job(system, client, timestamp, false)
     }
 
     /// Block until the merge worker has nothing queued or running

@@ -2,9 +2,9 @@
 //!
 //! Two message kinds cross the server↔server links:
 //!
-//! * [`MapDelta`] — an `AppliedMerge`-style fragment of the global map
-//!   (the keyframes/mappoints a merge added plus its fusion substitutions)
-//!   bound for the server that owns the destination regions. The fragment
+//! * [`MapDelta`] — a fragment of the global map (the keyframes/mappoints
+//!   a client's merge landed, plus room for fusion substitutions) bound
+//!   for the server that owns the destination regions. The fragment
 //!   reuses the [`crate::wire`] map codec, so the delta path inherits the
 //!   codec's bounded-allocation guarantees.
 //! * [`Handoff`] — a client transfer notice: the session facts the new

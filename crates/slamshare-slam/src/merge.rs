@@ -66,7 +66,7 @@ pub fn map_merge(
     // Unconditional-merge semantics (the baseline server): with no common
     // region the plan carries no transform and the apply absorbs the
     // fragment unaligned.
-    apply_merge_plan(gmap, db, cmap, &plan, cam).0
+    apply_merge_plan(gmap, db, cmap, &plan, cam)
 }
 
 /// A merge decision computed read-only — `DetectCommonRegion` over every
@@ -180,19 +180,16 @@ pub fn plan_merge(
 /// fuse the planned duplicates, weld by projection and bundle-adjust the
 /// seam — the write half of Algorithm 2. Run it on the map the plan was
 /// computed from, unchanged since: the server's merge worker plans and
-/// applies under one write of the global map.
-///
-/// Returns the report plus every `(client_mp, surviving_global_mp)`
-/// fusion actually applied (planned ones and those found by the
-/// projection weld) — the server's merge worker needs these to remap the
-/// observations the client made after submitting its map.
+/// applies under one write of the global map. The client map is welded
+/// whole; the server pauses the client's mapping while its job is in
+/// flight, so nothing it maps later needs reconciling with the weld.
 pub fn apply_merge_plan(
     gmap: &mut Map,
     db: &ShardedKeyframeDatabase,
     cmap: Map,
     plan: &MergePlan,
     cam: &PinholeCamera,
-) -> (MergeReport, Vec<(MapPointId, MapPointId)>) {
+) -> MergeReport {
     apply_merge_plan_with(gmap, db, cmap, plan, cam, &mut MappingArena::default())
 }
 
@@ -208,7 +205,7 @@ pub fn apply_merge_plan_with(
     plan: &MergePlan,
     cam: &PinholeCamera,
     arena: &mut MappingArena,
-) -> (MergeReport, Vec<(MapPointId, MapPointId)>) {
+) -> MergeReport {
     let mut report = MergeReport {
         transform: plan.transform,
         aligned: plan.transform.is_some(),
@@ -220,13 +217,12 @@ pub fn apply_merge_plan_with(
         n_kf_added: cmap.n_keyframes(),
         n_mp_added: cmap.n_mappoints(),
     };
-    let mut fused: Vec<(MapPointId, MapPointId)> = Vec::new();
 
     let Some(transform) = plan.transform else {
         // Empty-global (become_global) or forced-absorb semantics: plain
         // insertion, no alignment, no weld.
         absorb(gmap, cmap, db);
-        return (report, fused);
+        return report;
     };
     cmap.transform_all(&transform);
     let client_kf_ids: Vec<KeyFrameId> = cmap.keyframes.keys().copied().collect();
@@ -236,7 +232,6 @@ pub fn apply_merge_plan_with(
     for (c_mp, g_mp) in &plan.fuse_pairs {
         gmap.fuse_mappoints(*g_mp, *c_mp);
         report.n_fused += 1;
-        fused.push((*c_mp, *g_mp));
     }
 
     // Weld by projection (ORB-SLAM3's SearchAndFuse): project the
@@ -247,7 +242,7 @@ pub fn apply_merge_plan_with(
     // and bundle adjustment has nothing to pull them with.
     if let Some(anchor) = plan.ba_anchor {
         let t_fuse = std::time::Instant::now();
-        report.n_fused += weld_by_projection(gmap, &client_kf_ids, anchor, cam, arena, &mut fused);
+        report.n_fused += weld_by_projection(gmap, &client_kf_ids, anchor, cam, arena);
         slamshare_obs::observe_ms!("mapping.fuse", t_fuse.elapsed().as_secs_f64() * 1e3);
     }
 
@@ -265,21 +260,19 @@ pub fn apply_merge_plan_with(
         ));
     }
 
-    (report, fused)
+    report
 }
 
 /// Project the global-map points near `anchor` into each client keyframe
 /// and associate/fuse matches — the weld that makes post-merge bundle
 /// adjustment effective. Returns the number of new cross-map
-/// associations; every fusion it applies is appended to `fused` as
-/// `(dropped_client_mp, surviving_global_mp)`.
+/// associations.
 fn weld_by_projection(
     gmap: &mut impl MapWrite,
     client_kfs: &[KeyFrameId],
     anchor: KeyFrameId,
     cam: &PinholeCamera,
     arena: &mut MappingArena,
-    fused: &mut Vec<(MapPointId, MapPointId)>,
 ) -> usize {
     // Candidate points: the anchor's local map, restricted to points not
     // owned by the merging client.
@@ -351,7 +344,6 @@ fn weld_by_projection(
             match op {
                 Op::Fuse { keep, drop } => {
                     gmap.fuse_mappoints(keep, drop);
-                    fused.push((drop, keep));
                     n_assoc += 1;
                 }
                 Op::Observe { mp, kp } => {
@@ -394,15 +386,6 @@ pub fn absorb(gmap: &mut impl MapWrite, cmap: Map, db: &ShardedKeyframeDatabase)
     }
     for mp in cmap.mappoints.into_values() {
         gmap.put_mappoint(mp);
-    }
-}
-
-impl crate::map::KeyFrame {
-    /// Test helper: recover the frame index from the keyframe timestamp
-    /// (frames are at 1/30 s in the test datasets).
-    #[doc(hidden)]
-    pub fn frame_index_proxy(&self) -> usize {
-        (self.timestamp * 30.0).round() as usize
     }
 }
 
@@ -565,6 +548,12 @@ mod tests {
     }
 
     /// Build a small client map from dataset frames at ground-truth poses.
+    /// The frame index a keyframe was made from, read off its timestamp
+    /// (frames are at 1/30 s in the test datasets).
+    fn frame_index_proxy(kf: &crate::map::KeyFrame) -> usize {
+        (kf.timestamp * 30.0).round() as usize
+    }
+
     fn client_map(client: u16, frames: &[usize], seed: u64) -> (Map, Dataset) {
         let max = frames.iter().max().unwrap() + 1;
         let ds = Dataset::build(
@@ -678,7 +667,7 @@ mod tests {
             .values()
             .filter(|kf| kf.id.client() == ClientId(2))
         {
-            let truth = ds.gt_position(kf.frame_index_proxy());
+            let truth = ds.gt_position(frame_index_proxy(kf));
             let err = (kf.pose_cw.camera_center() - truth).norm();
             assert!(err < 0.3, "client KF off by {err} m after merge");
         }

@@ -103,6 +103,9 @@ pub struct SlamSystem {
     /// given to [`SlamSystem::continue_ids`]. A failed bootstrap restarts
     /// the map from here.
     id_seed: IdAllocator,
+    /// Local mapping is stopped: frames are tracked, no keyframe is
+    /// inserted ([`SlamSystem::pause_mapping`]).
+    mapping_paused: bool,
 }
 
 impl SlamSystem {
@@ -131,6 +134,7 @@ impl SlamSystem {
             imu_buffer: Vec::new(),
             bootstrapped: false,
             id_seed: IdAllocator::new(client),
+            mapping_paused: false,
         }
     }
 
@@ -159,6 +163,18 @@ impl SlamSystem {
         self.frame_count
     }
 
+    /// Stop (`true`) or resume local mapping, as ORB-SLAM3's merge stops
+    /// its local mapper for the length of a merge: while paused, every
+    /// frame is still tracked and its pose recorded, but no keyframe is
+    /// inserted, so the map stays exactly as it was when paused.
+    pub fn pause_mapping(&mut self, paused: bool) {
+        self.mapping_paused = paused;
+    }
+
+    pub fn mapping_paused(&self) -> bool {
+        self.mapping_paused
+    }
+
     /// Process one frame through tracking (+ mapping when a keyframe is
     /// requested).
     pub fn process_frame(&mut self, input: FrameInput<'_>) -> StepResult {
@@ -180,7 +196,7 @@ impl SlamSystem {
             input.pose_hint,
         );
         let mut keyframe_inserted = false;
-        if !obs.lost && obs.keyframe_requested {
+        if !obs.lost && obs.keyframe_requested && !self.mapping_paused {
             let report = self
                 .mapper
                 .insert_keyframe(&mut self.map, &self.vocab, &obs);
@@ -428,6 +444,49 @@ mod tests {
         let r = eval::ate(&sys.trajectory, &gt, false, 1e-3).expect("ate");
         assert!(r.rmse < 0.10, "stereo ATE {} m over 12 frames", r.rmse);
         assert!(r.n >= 10, "only {} frames tracked", r.n);
+    }
+
+    /// A paused system tracks and records every frame but leaves its map
+    /// exactly as it was.
+    #[test]
+    fn paused_mapping_tracks_without_inserting_keyframes() {
+        let ds = Dataset::build(
+            DatasetConfig::new(TracePreset::V202)
+                .with_frames(12)
+                .with_seed(11),
+        );
+        let mut sys = SlamSystem::new(
+            ClientId(1),
+            SlamConfig::stereo(ds.rig),
+            Arc::new(vocabulary::train_random(42)),
+            Arc::new(GpuExecutor::cpu()),
+        );
+        let step = |sys: &mut SlamSystem, i: usize| {
+            let (left, right) = ds.render_stereo_frame(i);
+            sys.process_frame(FrameInput {
+                timestamp: ds.frame_time(i),
+                left: &left,
+                right: Some(&right),
+                imu: &[],
+                pose_hint: None,
+            })
+        };
+        for i in 0..4 {
+            step(&mut sys, i);
+        }
+        sys.pause_mapping(true);
+        let (kfs, mps, poses) = (
+            sys.map.n_keyframes(),
+            sys.map.n_mappoints(),
+            sys.frame_poses.len(),
+        );
+        for i in 4..12 {
+            let r = step(&mut sys, i);
+            assert!(r.tracked, "frame {i} lost while paused");
+            assert!(!r.keyframe_inserted, "frame {i} mapped while paused");
+        }
+        assert_eq!((sys.map.n_keyframes(), sys.map.n_mappoints()), (kfs, mps));
+        assert_eq!(sys.frame_poses.len(), poses + 8);
     }
 
     #[test]
