@@ -217,7 +217,6 @@ fn bench(c: &mut Criterion) {
             from_server: 0,
             seq: i as u64 + 1,
             fragment: frag,
-            fused: Vec::new(),
         })
         .encode();
         total_bytes += bytes.len() as u64;

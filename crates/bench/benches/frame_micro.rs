@@ -2,7 +2,8 @@
 //! tracking path — warm ORB extraction (frame arena + SoA describe) and
 //! its four sub-stages, FAST alone over the frame's cells, FAST + NMS per
 //! pyramid level (cells, retried cells, corners before and after NMS,
-//! detect time), the server's stereo front half on two lanes,
+//! detect time), the server's plain and keyframe front halves on two
+//! lanes,
 //! batched stereo matching (row-bucket CSR + strip Hamming kernel), the
 //! fused orient+describe kernel against its separate scalar pair, and
 //! *search local points* through the keypoint grid against the full scan.
@@ -53,8 +54,13 @@ struct BenchFrame {
     fast_p95_ms: f64,
     /// The detect stage per pyramid level, on one lane.
     levels: Vec<LevelDetect>,
+    /// `Tracker::extract_left` with a 2-lane executor: the plain front
+    /// half, the left eye on both lanes.
+    frame_p50_ms: f64,
+    frame_p95_ms: f64,
     /// `Tracker::extract_frame` on a stereo pair with a 2-lane executor:
-    /// both eyes, side by side, plus the stereo match.
+    /// a keyframe's front half, the left eye and then the right on both
+    /// lanes, plus the stereo match.
     stereo_frame_p50_ms: f64,
     stereo_frame_p95_ms: f64,
     /// Batched stereo matching of one extracted stereo pair.
@@ -209,6 +215,9 @@ fn bench(c: &mut Criterion) {
         Arc::new(GpuExecutor::cpu_with_workers(2)),
     );
     tracker.extract_frame(&left, Some(&right));
+    let frame_ms = time_reps(reps, || {
+        std::hint::black_box(tracker.extract_left(&left));
+    });
     let stereo_frame_ms = time_reps(reps, || {
         std::hint::black_box(tracker.extract_frame(&left, Some(&right)));
     });
@@ -305,6 +314,8 @@ fn bench(c: &mut Criterion) {
         fast_p50_ms: percentile(&fast_ms, 0.50),
         fast_p95_ms: percentile(&fast_ms, 0.95),
         levels,
+        frame_p50_ms: percentile(&frame_ms, 0.50),
+        frame_p95_ms: percentile(&frame_ms, 0.95),
         stereo_frame_p50_ms: percentile(&stereo_frame_ms, 0.50),
         stereo_frame_p95_ms: percentile(&stereo_frame_ms, 0.95),
         stereo_match_p50_ms: percentile(&stereo_ms, 0.50),
@@ -319,12 +330,13 @@ fn bench(c: &mut Criterion) {
     };
     println!(
         "extract p50 {:.2} ms (pyramid {:.2}, detect {:.2}, distribute {:.2}, describe {:.2}), \
-         stereo frame on 2 lanes p50 {:.2} ms",
+         on 2 lanes: front half p50 {:.2} ms, keyframe front half p50 {:.2} ms",
         out.extract_p50_ms,
         out.pyramid_p50_ms,
         out.detect_p50_ms,
         out.distribute_p50_ms,
         out.describe_p50_ms,
+        out.frame_p50_ms,
         out.stereo_frame_p50_ms,
     );
     println!(

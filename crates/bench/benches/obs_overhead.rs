@@ -12,8 +12,9 @@
 //! * `stages` — per-stage latency distributions (count/p50/p95/mean) of
 //!   the enabled run, drained from the span registry: the round pipeline
 //!   phases (`round.decode` / `round.track` / `round.commit`, with the
-//!   lock-free `round.frontend` inside the track and the stale-track
-//!   redo `round.retrack` inside the commit), the tracking sub-stages,
+//!   lock-free `round.frontend` inside the track, a keyframe's right-eye
+//!   step `round.stereo` inside either, and the stale-track redo
+//!   `round.retrack` inside the commit), the tracking sub-stages,
 //!   region lock wait and read-/write-side hold, local BA passes and the
 //!   merge worker, plus the monotonic counters. The session is long
 //!   enough for both clients to share the map, so `round.retrack` has
@@ -39,13 +40,15 @@ const CLIENTS: usize = 2;
 
 /// The span taxonomy the instrumentation emits (see DESIGN.md); the
 /// report keeps this order so the JSON diff stays stable run to run.
-const STAGES: [&str; 16] = [
+const STAGES: [&str; 18] = [
     "round.decode",
     "round.track",
     "round.frontend",
+    "round.stereo",
     "round.commit",
     "round.retrack",
     "track.extract",
+    "track.extract_right",
     "track.stereo_match",
     "track.predict",
     "track.search_local_points",

@@ -164,7 +164,8 @@ mod tests {
         assert!(row.frames_timed >= 2, "{row:?}");
         assert!(row.total_ms > 0.0);
         // The paper's core observation: extraction is the largest stage
-        // (>50 % with stereo's double extraction).
+        // (>50 %; a stereo frame extracts its right eye too only when it
+        // inserts a keyframe).
         assert!(
             row.orb_extract_ms > 0.4 * row.total_ms,
             "extraction only {:.1} of {:.1} ms",

@@ -424,7 +424,6 @@ impl Federation {
                 from_server: from as u32,
                 seq,
                 fragment: part,
-                fused: Vec::new(),
             });
             let bytes = msg.encode();
             let delivered = match self.links.get_mut(&(from, to)) {

@@ -39,10 +39,12 @@
 //! (keyframe insertion under the write lock, merge trigger) is
 //! serialized, in client-id order. A merged client's track runs in the two
 //! halves [`slamshare_slam::tracking`] splits it into: the map-free front
-//! half (both ORB extractions + stereo match, ~90 % of the cost) outside
-//! any map lock, once per frame, and the map-bound back half (search
-//! local points + pose optimisation, a few ms) under the component's read
-//! lock. Tracking is *speculative*: the back half reads the global map as
+//! half (the left eye's ORB extraction, most of the cost) outside any map
+//! lock, once per frame, and the map-bound back half (search local points
+//! and pose optimisation, a few ms) under the component's read lock. Only
+//! a frame whose track requests a keyframe extracts its right eye and
+//! stereo-matches it, also outside every map lock, before insertion.
+//! Tracking is *speculative*: the back half reads the global map as
 //! it stood at round start, and the commit stage transparently redoes it
 //! — on the already-extracted features — if an earlier commit in the same
 //! round wrote the map, which makes a round of N bit-identical to N rounds
@@ -98,6 +100,7 @@ use crate::qos::{
 };
 use parking_lot::Mutex;
 use slamshare_features::bow::Vocabulary;
+use slamshare_features::GrayImage;
 use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu};
 use slamshare_math::{Sim3, SE3};
 use slamshare_net::codec::CodecError;
@@ -263,9 +266,13 @@ enum StagedFrame {
     /// `stamp` is the `(region, epoch)` set the speculative track read
     /// under. `pose_hint` is the *effective* hint (upload hint or
     /// relocalization pose), so a redo replays the identical inputs.
+    /// `right` is the decoded right image, kept until the commit in case
+    /// a re-track turns the frame into a keyframe request; it goes back
+    /// to the client's decode pool after the commit.
     Shared {
         decode_ms: f64,
         front_end: FrontEnd,
+        right: Option<GrayImage>,
         tracked: Tracked,
         stamp: Vec<(usize, u64)>,
         pre_track: MotionState,
@@ -346,6 +353,24 @@ fn retrack(
         ref_kf,
         pose_hint,
     )
+}
+
+/// The front half's second step for a frame whose track requests a
+/// keyframe: the right eye and the stereo match, outside every map lock,
+/// at most once per frame.
+fn right_eye_for_keyframe(
+    tracker: &Tracker,
+    front_end: &mut FrontEnd,
+    tracked: &Tracked,
+    right: Option<&GrayImage>,
+) {
+    if !tracked.keyframe_requested || front_end.right_ran() {
+        return;
+    }
+    if let Some(right) = right {
+        let _span = slamshare_obs::span!("round.stereo");
+        tracker.extract_right(front_end, right);
+    }
 }
 
 impl EdgeServer {
@@ -605,10 +630,12 @@ impl EdgeServer {
     ///    payload that fails to decode drops only its own client into
     ///    resync (see [`crate::ingest`]) and never reaches tracking. A
     ///    pre-merge client then runs its whole pipeline on its own map. A
-    ///    merged client runs the *front half* (ORB extraction on both
-    ///    eyes, stereo matching) lock-free, then the *back half* (search
-    ///    local points, pose optimisation) reading the global map under
-    ///    its component's concurrent read lock.
+    ///    merged client runs the *front half* (ORB extraction on the
+    ///    left eye, on all of its GPU slice's lanes) lock-free, then the
+    ///    *back half* (search local points, pose optimisation) reading
+    ///    the global map under its component's concurrent read lock; when
+    ///    that track requests a keyframe, the right eye is extracted and
+    ///    stereo-matched next, still lock-free.
     /// 2. **Commit** — keyframe insertion and merge triggering run
     ///    sequentially in client-id order; if a commit writes the global
     ///    map, the remaining merged clients' speculative tracks are
@@ -616,6 +643,8 @@ impl EdgeServer {
     ///    the features already extracted (milliseconds, not a second
     ///    extraction), so the returned results are exactly what rounds
     ///    of one in client-id order would produce (timing fields aside).
+    ///    A redo that turns a frame into a keyframe request extracts its
+    ///    right eye there, before the region write lock is taken.
     pub fn process_queued_round(&self) -> Vec<(u16, ServerFrameResult)> {
         let mut clients: Vec<(u16, &Mutex<ClientProcess>)> =
             self.clients.iter().map(|(&id, p)| (id, p)).collect();
@@ -767,14 +796,11 @@ impl EdgeServer {
                 // The map-free front half runs before any region lock is
                 // taken, and once: every later (re-)track of this frame,
                 // and the relocalization query, work from its features.
-                let front_end = {
+                let mut front_end = {
                     let _span = slamshare_obs::span!("round.frontend");
-                    tracker.extract_frame(&left_img, right_img.as_ref())
+                    tracker.extract_left(&left_img)
                 };
                 process.ingest.recycle(left_img);
-                if let Some(r) = right_img {
-                    process.ingest.recycle(r);
-                }
                 // Relocalizing / persistently lost clients drop to the
                 // degraded GPU class: their output no longer feeds a
                 // live overlay, so interactive clients outrank them for
@@ -829,9 +855,11 @@ impl EdgeServer {
                         stamp.to_vec(),
                     )
                 });
+                right_eye_for_keyframe(tracker, &mut front_end, &tracked, right_img.as_ref());
                 let staged = StagedFrame::Shared {
                     decode_ms,
                     front_end,
+                    right: right_img,
                     tracked,
                     stamp,
                     pre_track,
@@ -899,7 +927,8 @@ impl EdgeServer {
             StagedFrame::Local(result) => result,
             StagedFrame::Shared {
                 decode_ms,
-                front_end,
+                mut front_end,
+                right,
                 mut tracked,
                 mut stamp,
                 pre_track,
@@ -927,6 +956,10 @@ impl EdgeServer {
                         (redo, st.to_vec())
                     });
                 }
+                // A redo may have turned the frame into a keyframe
+                // request; a later in-lock redo can only withdraw one.
+                right_eye_for_keyframe(tracker, &mut front_end, &tracked, right.as_ref());
+                tracked.timings = front_end.timings_with(tracked.timings);
                 // Keyframe insertion, write-locking only the component
                 // the keyframe lands in: the reference keyframe's
                 // regions plus the region under the new camera center.
@@ -986,6 +1019,11 @@ impl EdgeServer {
                         tracker.note_keyframe(tracked.n_tracked + n_new);
                     }
                     mapping_ms = t1.elapsed().as_secs_f64() * 1e3;
+                }
+                // The commit is done with the right image — hand the
+                // buffer back to the decode pool.
+                if let Some(right) = right {
+                    process.ingest.recycle(right);
                 }
                 ServerFrameResult {
                     frame_idx: tracked.frame_idx,

@@ -10,10 +10,10 @@
 //! on scoped crossbeam threads, a worker's panic re-raised on the caller —
 //! and it is the workspace's only scoped-thread chunker: the extraction
 //! pipeline in `slamshare-features` drives it directly so each worker
-//! keeps its own reusable buffers, the tracker extracts a stereo pair's
-//! two eyes as a two-item `par_map` whose items each run on a
-//! [`GpuExecutor::narrowed`] share of the lanes, and the edge server's
-//! round stage runs on a `cpu_with_workers` executor's `par_map`.
+//! keeps its own reusable buffers (the tracker extracts each eye on all
+//! of a client's lanes, the right eye after the left and only for a
+//! keyframe), and the edge server's round stage runs on a
+//! `cpu_with_workers` executor's `par_map`.
 //! [`KernelStats`] records what a kernel call ran — wall times, lane
 //! time, launches and bytes handed across — and nothing modeled; what
 //! that costs on a modeled device is [`crate::model::charge`]'s to say.
@@ -92,15 +92,6 @@ impl GpuExecutor {
 
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// This executor with `workers` lanes (at least 1): a share of the
-    /// lanes for one of several batches run side by side. Work split
-    /// across narrowed shares — the two eyes of a stereo frame — records
-    /// the lane-milliseconds each share spent, so charged together it
-    /// costs what one call on all the lanes spending the same would.
-    pub fn narrowed(&self, workers: usize) -> GpuExecutor {
-        GpuExecutor::cpu_with_workers(workers)
     }
 
     /// Apply `f` to every item, in parallel across the workers (on the
@@ -257,13 +248,5 @@ mod tests {
         assert_eq!(lanes.len(), 3);
         assert_eq!(lanes[0], Some(caller));
         assert!(lanes[1..].iter().all(|t| t.is_some() && *t != Some(caller)));
-    }
-
-    #[test]
-    fn narrowed_keeps_a_share_of_the_lanes() {
-        let gpu = GpuExecutor::v100();
-        let half = gpu.narrowed(gpu.workers() / 2);
-        assert_eq!(half.workers(), (gpu.workers() / 2).max(1));
-        assert_eq!(GpuExecutor::cpu_with_workers(3).narrowed(0).workers(), 1);
     }
 }

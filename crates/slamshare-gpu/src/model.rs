@@ -175,9 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn a_narrowed_share_is_charged_its_lanes_over_the_slice() {
+    fn a_share_of_the_lanes_is_charged_its_lanes_over_the_slice() {
         let gpu = GpuExecutor::v100();
-        let half = gpu.narrowed(gpu.workers() / 2);
+        let half = GpuExecutor::cpu_with_workers(gpu.workers() / 2);
         let stats = KernelStats {
             kernel_ms: 10.0,
             lane_ms: 10.0 * half.workers() as f64,
@@ -189,11 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn two_narrowed_halves_charge_as_one_full_width_call() {
-        // The two eyes of a stereo frame, each on half the lanes: their
-        // stats accumulated are charged exactly as one call on all the
-        // lanes that spent the same lane-ms with the same launches and
-        // copies.
+    fn two_half_width_calls_charge_as_one_full_width_call() {
+        // Two calls, each on half the lanes: their stats accumulated are
+        // charged exactly as one call on all the lanes that spent the
+        // same lane-ms with the same launches and copies.
         let m = GpuModel::v100();
         let eye = |kernel_ms: f64| KernelStats {
             host_ms: 0.3,

@@ -3,8 +3,8 @@
 //! Two message kinds cross the server↔server links:
 //!
 //! * [`MapDelta`] — a fragment of the global map (the keyframes/mappoints
-//!   a client's merge landed, plus room for fusion substitutions) bound
-//!   for the server that owns the destination regions. The fragment
+//!   a client's merge landed) bound for the server that owns the
+//!   destination regions. The fragment
 //!   reuses the [`crate::wire`] map codec, so the delta path inherits the
 //!   codec's bounded-allocation guarantees.
 //! * [`Handoff`] — a client transfer notice: the session facts the new
@@ -23,14 +23,11 @@ use slamshare_slam::map::Map;
 
 /// Wire-format version for the federation family. Bump on any layout
 /// change — peers reject mismatches with [`FederationError::BadVersion`].
-pub const FED_WIRE_VERSION: u8 = 1;
+pub const FED_WIRE_VERSION: u8 = 2;
 
 const TAG_DELTA: u8 = 1;
 const TAG_HANDOFF: u8 = 2;
 const TAG_REGION: u8 = 3;
-
-/// Sanity bound on fused-pair counts inside one delta.
-const MAX_FUSED: usize = 1 << 22;
 
 /// Sanity bound on the point-age table inside one region snapshot.
 const MAX_AGES: usize = 1 << 24;
@@ -87,9 +84,6 @@ pub struct MapDelta {
     pub seq: u64,
     /// The map fragment to absorb.
     pub fragment: Map,
-    /// Fusion substitutions the merge performed, as raw
-    /// `(duplicate_id, canonical_id)` map-point id pairs.
-    pub fused: Vec<(u64, u64)>,
 }
 
 /// A client transfer notice from the old home server to the new one.
@@ -127,11 +121,6 @@ impl FedMessage {
                 w.u32(d.from_server);
                 w.u64(d.seq);
                 w.bytes(&encode_map(&d.fragment));
-                w.u64(d.fused.len() as u64);
-                for &(dup, canon) in &d.fused {
-                    w.u64(dup);
-                    w.u64(canon);
-                }
             }
             FedMessage::Handoff(h) => {
                 w.u8(TAG_HANDOFF);
@@ -166,19 +155,10 @@ impl FedMessage {
                 let seq = r.u64()?;
                 let fragment_bytes = r.bytes()?;
                 let fragment = decode_map(&fragment_bytes)?;
-                let n_fused = r.seq_len()?;
-                if n_fused > MAX_FUSED {
-                    return Err(FederationError::Wire(WireError::BadLength(n_fused as u64)));
-                }
-                let mut fused = Vec::with_capacity(n_fused);
-                for _ in 0..n_fused {
-                    fused.push((r.u64()?, r.u64()?));
-                }
                 Ok(FedMessage::Delta(MapDelta {
                     from_server,
                     seq,
                     fragment,
-                    fused,
                 }))
             }
             TAG_HANDOFF => {
@@ -331,14 +311,12 @@ mod tests {
             from_server: 3,
             seq: 41,
             fragment: sample_fragment(),
-            fused: vec![(10, 20), (30, 40)],
         });
         let bytes = msg.encode();
         match FedMessage::decode(&bytes).unwrap() {
             FedMessage::Delta(d) => {
                 assert_eq!(d.from_server, 3);
                 assert_eq!(d.seq, 41);
-                assert_eq!(d.fused, vec![(10, 20), (30, 40)]);
                 assert_eq!(d.fragment.n_keyframes(), 1);
                 assert_eq!(d.fragment.n_mappoints(), 1);
             }
@@ -430,7 +408,6 @@ mod tests {
             from_server: 0,
             seq: 0,
             fragment: sample_fragment(),
-            fused: vec![],
         })
         .encode();
         assert!(matches!(
@@ -472,7 +449,6 @@ mod tests {
             from_server: 2,
             seq: 1,
             fragment: sample_fragment(),
-            fused: vec![(1, 2)],
         });
         let bytes = msg.encode();
         for cut in 0..bytes.len() {
@@ -497,22 +473,6 @@ mod tests {
         }
         for cut in 0..buf.len() {
             let _ = FedMessage::decode(&buf[..cut]);
-        }
-    }
-
-    #[test]
-    fn oversized_fused_count_rejected() {
-        let mut w = WireWriter::new();
-        w.u8(FED_WIRE_VERSION);
-        w.u8(TAG_DELTA);
-        w.u32(0);
-        w.u64(0);
-        w.bytes(&encode_map(&sample_fragment()));
-        w.u64(u64::MAX);
-        let bytes = w.finish();
-        match FedMessage::decode(&bytes) {
-            Err(FederationError::Wire(WireError::BadLength(_))) => {}
-            other => panic!("expected BadLength, got {other:?}"),
         }
     }
 }

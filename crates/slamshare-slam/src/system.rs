@@ -176,7 +176,8 @@ impl SlamSystem {
     }
 
     /// Process one frame through tracking (+ mapping when a keyframe is
-    /// requested).
+    /// requested and mapping is not paused). Only a frame that inserts a
+    /// keyframe extracts its right eye.
     pub fn process_frame(&mut self, input: FrameInput<'_>) -> StepResult {
         let idx = self.frame_count;
         self.frame_count += 1;
@@ -186,17 +187,25 @@ impl SlamSystem {
             return self.bootstrap_step(idx, input);
         }
 
-        let obs = self.tracker.track(
+        // Tracking reads the left eye only; the right eye and the stereo
+        // match run for a keyframe that will be inserted, and for no
+        // other frame.
+        let mut front_end = self.tracker.extract_left(input.left);
+        let tracked = self.tracker.track_extracted(
+            &front_end,
             idx,
             input.timestamp,
-            input.left,
-            input.right,
             &self.map,
             None,
             input.pose_hint,
         );
+        let insert = tracked.keyframe_requested && !self.mapping_paused;
+        if let Some(right) = input.right.filter(|_| insert) {
+            self.tracker.extract_right(&mut front_end, right);
+        }
+        let obs = front_end.into_observation(tracked);
         let mut keyframe_inserted = false;
-        if !obs.lost && obs.keyframe_requested && !self.mapping_paused {
+        if insert {
             let report = self
                 .mapper
                 .insert_keyframe(&mut self.map, &self.vocab, &obs);

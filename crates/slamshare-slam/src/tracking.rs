@@ -5,7 +5,8 @@
 //!
 //! 1. **ORB-Extraction** — pyramid + FAST + descriptors (CPU or simulated
 //!    GPU via `slamshare-gpu`), >50 % of CPU tracking time;
-//! 2. **ORB-Matching** — stereo left↔right matching (stereo mode only);
+//! 2. **ORB-Matching** — stereo left↔right matching (stereo mode, and
+//!    only for a frame that inserts a keyframe; see below);
 //! 3. **Pose Prediction** — constant-velocity motion model, or an
 //!    IMU/externally supplied hint;
 //! 4. **Search Local Points** — project local map points, windowed
@@ -15,12 +16,21 @@
 //!
 //! Stages 1–2 read neither the map nor the motion model; stages 3–5 read
 //! both but cost a tenth as much. The tracker therefore runs in two
-//! halves: [`Tracker::extract_frame`] (1–2, the map-free *front half*,
-//! once per frame) produces a [`FrontEnd`], and
+//! halves: [`Tracker::extract_left`] (1 on the left eye, the map-free
+//! *front half*, once per frame) produces a [`FrontEnd`], and
 //! [`Tracker::track_extracted`] (3–5, the map-bound *back half*) turns it
 //! into a [`Tracked`] pose. The server runs the front half outside every
 //! map lock and redoes only the back half when a speculative track went
 //! stale; [`Tracker::track`] is the composition of the two.
+//!
+//! The back half reads left keypoints only and optimises a monocular
+//! reprojection error, so nothing reads stereo depth but the mapper's
+//! point creation. The right eye is therefore a second step,
+//! [`Tracker::extract_right`] (1 on the right eye, then 2), taken only for
+//! a frame whose track requests a keyframe, before it is inserted, and at
+//! most once per frame; [`Tracker::extract_frame`] takes both steps at
+//! once for a frame that is seeded as a keyframe. Each eye runs on all of
+//! the executor's lanes, one after the other.
 
 use crate::ids::{KeyFrameId, MapPointId};
 use crate::map::MapRead;
@@ -87,7 +97,8 @@ pub struct StageTimings {
     pub pose_predict_ms: f64,
     pub search_local_ms: f64,
     pub optimize_ms: f64,
-    /// Both eyes' extraction kernels.
+    /// The extraction kernels of the eyes that ran: the left, plus the
+    /// right on a keyframe.
     pub extract: KernelStats,
     /// The search-local-points kernel and its host-side conflict pass.
     pub search: KernelStats,
@@ -142,32 +153,43 @@ pub struct FrameObservation {
     pub timings: StageTimings,
 }
 
-/// The map-free front half of one frame ([`Tracker::extract_frame`]):
-/// left-image features with stereo depth filled in, plus what the two
-/// stages cost. Depends only on the images, so any number of
-/// [`Tracker::track_extracted`] calls may share one.
+/// The map-free front half of one frame ([`Tracker::extract_left`]):
+/// left-image features, with stereo depth filled in once
+/// [`Tracker::extract_right`] has run, plus what the stages cost. Depends
+/// only on the images, so any number of [`Tracker::track_extracted`]
+/// calls may share one.
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
     pub features: ExtractedFeatures,
-    /// Wall time of both eyes' extraction.
+    /// Wall time of the extraction: the left eye's, plus the right eye's
+    /// once it ran.
     pub extract_ms: f64,
-    /// What both eyes' extraction kernels ran, accumulated: side by side
-    /// on narrowed halves of the lanes, each eye records the lanes it
-    /// used, so the sum holds the lane-milliseconds spent, not the
-    /// overlapped wall time.
+    /// What the extraction kernels ran, accumulated over the eyes that
+    /// ran.
     pub extract: KernelStats,
-    /// Wall time of the stereo match alone (0 in mono).
+    /// Wall time of the stereo match alone (0 until the right eye ran,
+    /// and in mono).
     pub stereo_match_ms: f64,
+    /// [`Tracker::extract_right`] has run on this frame.
+    right_ran: bool,
 }
 
 impl FrontEnd {
-    /// The two front-half stages' share of a frame's [`StageTimings`].
-    fn timings(&self) -> StageTimings {
+    /// Whether the right eye has been extracted and matched into these
+    /// features.
+    pub fn right_ran(&self) -> bool {
+        self.right_ran
+    }
+
+    /// `timings` with the front-half stages replaced by this front end's
+    /// as they stand now: a track's timings made whole after the right
+    /// eye ran behind it.
+    pub fn timings_with(&self, timings: StageTimings) -> StageTimings {
         StageTimings {
             orb_extract_ms: self.extract_ms,
             orb_match_ms: self.stereo_match_ms,
             extract: self.extract,
-            ..Default::default()
+            ..timings
         }
     }
 
@@ -188,14 +210,16 @@ impl FrontEnd {
             n_tracked: 0,
             lost: false,
             keyframe_requested: true,
-            timings: self.timings(),
+            timings: self.timings_with(StageTimings::default()),
         };
         self.into_observation(tracked)
     }
 
     /// The frame's observation once `tracked` is final: the features move
-    /// in, nothing is copied.
+    /// in, nothing is copied, and the timings include a right eye that
+    /// ran after the track.
     pub fn into_observation(self, tracked: Tracked) -> FrameObservation {
+        let timings = self.timings_with(tracked.timings);
         FrameObservation {
             frame_idx: tracked.frame_idx,
             timestamp: tracked.timestamp,
@@ -206,7 +230,7 @@ impl FrontEnd {
             n_tracked: tracked.n_tracked,
             lost: tracked.lost,
             keyframe_requested: tracked.keyframe_requested,
-            timings: tracked.timings,
+            timings,
         }
     }
 }
@@ -225,7 +249,8 @@ pub struct Tracked {
     pub n_tracked: usize,
     pub lost: bool,
     pub keyframe_requested: bool,
-    /// All five stages: the front end's two plus this back half's three.
+    /// All five stages: the front end's two as they stood when tracked,
+    /// plus this back half's three.
     pub timings: StageTimings,
 }
 
@@ -243,11 +268,8 @@ pub struct MotionState {
 /// The tracking front end for one camera stream.
 pub struct Tracker {
     pub config: TrackerConfig,
+    /// One extractor for both eyes, one after the other.
     pub extractor: OrbExtractor,
-    /// The right eye's extractor: its own arena, so the two eyes of a
-    /// stereo pair can be extracted at once. Cold until the first stereo
-    /// frame.
-    right_extractor: OrbExtractor,
     /// Kernel executor; `GpuExecutor::cpu()` gives the sequential paper
     /// baseline, `GpuExecutor::v100()` the accelerated path.
     pub exec: Arc<GpuExecutor>,
@@ -271,12 +293,9 @@ pub struct Tracker {
 
 impl Tracker {
     pub fn new(config: TrackerConfig, exec: Arc<GpuExecutor>) -> Tracker {
-        let extractor = OrbExtractor::with_defaults();
-        let right_extractor = extractor.clone();
         Tracker {
             config,
-            extractor,
-            right_extractor,
+            extractor: OrbExtractor::with_defaults(),
             exec,
             last_pose: None,
             velocity: SE3::IDENTITY,
@@ -346,37 +365,6 @@ impl Tracker {
         kernels::gpu_extract(&self.exec, &self.extractor, image)
     }
 
-    /// Both eyes of a stereo pair, and their kernel stats accumulated.
-    /// With two or more lanes the eyes are the two items of one `par_map`
-    /// on the client's executor, each extracted in its own arena on a
-    /// [`GpuExecutor::narrowed`] half of the lanes — on a 2-lane slice the
-    /// left eye runs on the caller and the right on one spawned thread,
-    /// neither opening a scope of its own. With one lane they run in
-    /// sequence on the caller. The features are the same bits either way.
-    fn extract_stereo(
-        &self,
-        left: &GrayImage,
-        right: &GrayImage,
-    ) -> (ExtractedFeatures, ExtractedFeatures, KernelStats) {
-        let half = self.exec.narrowed(self.exec.workers() / 2);
-        let eyes = [(&self.extractor, left), (&self.right_extractor, right)];
-        let extract = |&(extractor, image): &(&OrbExtractor, &GrayImage)| {
-            kernels::gpu_extract(&half, extractor, image)
-        };
-        let [(left_features, mut stats), (right_features, right)] = if self.exec.workers() < 2 {
-            // No `par_map`: its result vector would be this path's only
-            // allocation beyond the features.
-            eyes.each_ref().map(extract)
-        } else {
-            self.exec
-                .par_map(&eyes, extract)
-                .try_into()
-                .unwrap_or_else(|_| unreachable!("par_map returns one result per item"))
-        };
-        stats.accumulate(right);
-        (left_features, right_features, stats)
-    }
-
     /// Stereo-match left features against right-image features, filling
     /// `right_x`/`depth` on the left keypoints. Returns the match count.
     ///
@@ -396,46 +384,65 @@ impl Tracker {
         )
     }
 
-    /// The map-free front half: ORB extraction on both eyes and the
-    /// stereo match. Reads neither the map nor the motion state, so it
-    /// needs no map lock and its result survives any number of re-tracks.
-    pub fn extract_frame(&self, left: &GrayImage, right: Option<&GrayImage>) -> FrontEnd {
-        // 1. ORB extraction on both eyes.
+    /// The map-free front half: ORB extraction on the left eye, on all of
+    /// the executor's lanes. Reads neither the map nor the motion state,
+    /// so it needs no map lock and its result survives any number of
+    /// re-tracks.
+    pub fn extract_left(&self, left: &GrayImage) -> FrontEnd {
         let t0 = Instant::now();
-        let (mut features, right_features, extract) =
-            match right.filter(|_| self.config.mode == SensorMode::Stereo) {
-                Some(right) => {
-                    let (left, right, stats) = self.extract_stereo(left, right);
-                    (left, Some(right), stats)
-                }
-                None => {
-                    let (left, stats) = self.extract(left);
-                    (left, None, stats)
-                }
-            };
+        let (features, extract) = self.extract(left);
         let extract_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        // 2. Stereo matching, on its own clock.
-        let mut stereo_match_ms = 0.0;
-        if let Some(right_features) = &right_features {
-            let t1 = Instant::now();
-            self.stereo_match(&mut features, right_features);
-            stereo_match_ms = t1.elapsed().as_secs_f64() * 1e3;
-        }
-
         // Once per frame, however often the back half is redone.
         slamshare_obs::observe_ms!("track.extract", extract_ms);
-        slamshare_obs::observe_ms!("track.stereo_match", stereo_match_ms);
         FrontEnd {
             features,
             extract_ms,
             extract,
-            stereo_match_ms,
+            stereo_match_ms: 0.0,
+            right_ran: false,
         }
     }
 
-    /// Track one frame against `map`: [`Tracker::extract_frame`] then
-    /// [`Tracker::track_extracted`].
+    /// The front half's second step, for a frame that inserts a keyframe:
+    /// extract the right eye on all of the executor's lanes, after the
+    /// left, and stereo-match it into the left keypoints' `right_x` /
+    /// `depth`, adding both stages' cost to `front_end`. Runs at most once
+    /// per front end; a repeat call, or any call in mono, does nothing.
+    /// The back half reads no depth, so a track before and after this
+    /// step is the same.
+    pub fn extract_right(&self, front_end: &mut FrontEnd, right: &GrayImage) {
+        if front_end.right_ran || self.config.mode != SensorMode::Stereo {
+            return;
+        }
+        front_end.right_ran = true;
+        let t0 = Instant::now();
+        let (right_features, extract) = self.extract(right);
+        let extract_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let t1 = Instant::now();
+        self.stereo_match(&mut front_end.features, &right_features);
+        let stereo_match_ms = t1.elapsed().as_secs_f64() * 1e3;
+        front_end.extract_ms += extract_ms;
+        front_end.extract.accumulate(extract);
+        front_end.stereo_match_ms = stereo_match_ms;
+        slamshare_obs::observe_ms!("track.extract_right", extract_ms);
+        slamshare_obs::observe_ms!("track.stereo_match", stereo_match_ms);
+    }
+
+    /// The front half of a frame that inserts a keyframe, both steps at
+    /// once: [`Tracker::extract_left`], then [`Tracker::extract_right`]
+    /// when a right image is given. What bootstrap and seeded keyframes
+    /// use.
+    pub fn extract_frame(&self, left: &GrayImage, right: Option<&GrayImage>) -> FrontEnd {
+        let mut front_end = self.extract_left(left);
+        if let Some(right) = right {
+            self.extract_right(&mut front_end, right);
+        }
+        front_end
+    }
+
+    /// Track one frame against `map`: [`Tracker::extract_left`], then
+    /// [`Tracker::track_extracted`], then — only when the track requests a
+    /// keyframe — [`Tracker::extract_right`].
     #[allow(clippy::too_many_arguments)]
     pub fn track(
         &mut self,
@@ -447,9 +454,12 @@ impl Tracker {
         ref_kf: Option<KeyFrameId>,
         pose_hint: Option<SE3>,
     ) -> FrameObservation {
-        let front_end = self.extract_frame(left, right);
+        let mut front_end = self.extract_left(left);
         let tracked =
             self.track_extracted(&front_end, frame_idx, timestamp, map, ref_kf, pose_hint);
+        if let Some(right) = right.filter(|_| tracked.keyframe_requested) {
+            self.extract_right(&mut front_end, right);
+        }
         front_end.into_observation(tracked)
     }
 
@@ -470,7 +480,7 @@ impl Tracker {
         pose_hint: Option<SE3>,
     ) -> Tracked {
         let features = &front_end.features;
-        let mut timings = front_end.timings();
+        let mut timings = front_end.timings_with(StageTimings::default());
 
         // 3. Pose prediction.
         let t0 = Instant::now();
@@ -690,8 +700,11 @@ mod tests {
             let (left, right) = ds.render_stereo_frame(i);
             let t = ds.frame_time(i);
             let want = whole.track(i, t, &left, Some(&right), &map, None, None);
-            let front_end = halves.extract_frame(&left, Some(&right));
+            let mut front_end = halves.extract_left(&left);
             let tracked = halves.track_extracted(&front_end, i, t, &map, None, None);
+            if tracked.keyframe_requested {
+                halves.extract_right(&mut front_end, &right);
+            }
             let got = front_end.into_observation(tracked);
             assert!(!want.lost, "frame {i} lost — comparison is vacuous");
             assert_eq!(bits(&got), bits(&want), "frame {i}");
@@ -706,15 +719,20 @@ mod tests {
         for i in 1..4 {
             let (left, right) = ds.render_stereo_frame(i);
             let t = ds.frame_time(i);
-            let front_end = once.extract_frame(&left, Some(&right));
+            let front_end = once.extract_left(&left);
             let want = once.track_extracted(&front_end, i, t, &map, None, None);
 
             // The server's redo: speculative track, rewind, track again —
             // here against an emptied map in between, so the rewind has
-            // real state (lost counter, velocity) to undo.
+            // real state (lost counter, velocity) to undo — with the right
+            // eye run in between, as a speculative keyframe request does:
+            // the back half reads no depth.
+            let mut front_end = twice.extract_left(&left);
             let pre_track = twice.motion_state();
             let stale = twice.track_extracted(&front_end, i, t, &Map::new(ClientId(1)), None, None);
             assert!(stale.lost);
+            twice.extract_right(&mut front_end, &right);
+            assert!(front_end.features.keypoints.iter().any(|k| k.has_stereo()));
             twice.restore_motion_state(pre_track);
             let got = twice.track_extracted(&front_end, i, t, &map, None, None);
 
@@ -728,6 +746,57 @@ mod tests {
             format!("{:?}", twice.motion_state()),
             format!("{:?}", once.motion_state())
         );
+    }
+
+    /// The lazy keyframe path — the left front half on two lanes, then the
+    /// right-eye step — gives the eager oracle's features bit for bit:
+    /// each eye extracted alone, then the stereo match.
+    #[test]
+    fn lazy_right_eye_matches_eager_extraction_bit_for_bit() {
+        let ds = Dataset::build(
+            DatasetConfig::new(TracePreset::V202)
+                .with_frames(4)
+                .with_seed(test_seed()),
+        );
+        let oracle = Tracker::new(TrackerConfig::stereo(ds.rig), Arc::new(GpuExecutor::cpu()));
+        let lazy = Tracker::new(
+            TrackerConfig::stereo(ds.rig),
+            Arc::new(GpuExecutor::cpu_with_workers(2)),
+        );
+        let stereo_bits = |f: &ExtractedFeatures| -> Vec<(u64, u64)> {
+            f.keypoints
+                .iter()
+                .map(|k| (k.right_x.to_bits(), k.depth.to_bits()))
+                .collect()
+        };
+        for i in 0..4 {
+            let (left, right) = ds.render_stereo_frame(i);
+            let (mut want, _) = oracle.extract(&left);
+            let (want_right, _) = oracle.extract(&right);
+            assert!(oracle.stereo_match(&mut want, &want_right) > 0);
+
+            let mut front_end = lazy.extract_left(&left);
+            assert!(!front_end.right_ran());
+            assert!(
+                !front_end.features.keypoints.iter().any(|k| k.has_stereo()),
+                "frame {i}: stereo depth before the right eye ran"
+            );
+            assert_eq!(front_end.stereo_match_ms, 0.0);
+            assert_eq!(front_end.extract.launches, 2);
+            lazy.extract_right(&mut front_end, &right);
+            assert!(front_end.right_ran());
+            assert_eq!(front_end.extract.launches, 4);
+            // A second call is a no-op.
+            let before = stereo_bits(&front_end.features);
+            lazy.extract_right(&mut front_end, &right);
+            assert_eq!(front_end.extract.launches, 4);
+            assert_eq!(stereo_bits(&front_end.features), before);
+
+            let got = &front_end.features;
+            assert_eq!(got.keypoints, want.keypoints, "frame {i}");
+            assert_eq!(stereo_bits(got), stereo_bits(&want), "frame {i}");
+            assert_eq!(got.descriptors, want.descriptors, "frame {i}");
+        }
     }
 
     #[test]
@@ -881,9 +950,8 @@ mod tests {
         // On a simulated-GPU executor `orb_match_ms` must be the wall
         // time of the stereo match alone, not right-image extraction
         // booked under the wrong stage.
-        let (map, ds, cpu_tracker) = seeded_map_and_dataset();
-        let mut tracker = Tracker::new(cpu_tracker.config.clone(), Arc::new(GpuExecutor::v100()));
-        tracker.reset_motion(ds.gt_pose_cw(0));
+        let (_, ds, cpu_tracker) = seeded_map_and_dataset();
+        let tracker = Tracker::new(cpu_tracker.config.clone(), Arc::new(GpuExecutor::v100()));
         let (left, right) = ds.render_stereo_frame(1);
         let (left_features, _) = tracker.extract(&left);
         let (right_features, _) = tracker.extract(&right);
@@ -895,7 +963,11 @@ mod tests {
                 t0.elapsed().as_secs_f64() * 1e3
             })
             .fold(0.0, f64::max);
-        let obs = tracker.track(1, ds.frame_time(1), &left, Some(&right), &map, None, None);
+        // A keyframe's front half, where the right eye and the match run.
+        let obs = tracker
+            .extract_frame(&left, Some(&right))
+            .into_seed_observation(1, ds.frame_time(1), ds.gt_pose_cw(1));
+        assert!(obs.timings.orb_match_ms > 0.0);
         assert!(
             obs.timings.orb_match_ms <= 10.0 * direct_ms + 5.0,
             "track booked {} ms of stereo matching; the match alone takes {direct_ms} ms",

@@ -336,7 +336,7 @@ fn extraction_deterministic_across_worker_counts() {
         ("workers=1", GpuExecutor::cpu_with_workers(1)),
         ("workers=2", GpuExecutor::cpu_with_workers(2)),
         ("workers=4", GpuExecutor::cpu_with_workers(4)),
-        // An odd lane count: one lane per eye, the third unused.
+        // An odd lane count.
         ("workers=3", GpuExecutor::cpu_with_workers(3)),
         ("v100", GpuExecutor::v100()),
         ("jetson", GpuExecutor::for_model(&GpuModel::jetson_like())),

@@ -339,7 +339,6 @@ fn delta_applies_under_destination_owner_region_locks() {
         from_server: 0,
         seq: 1,
         fragment: frag,
-        fused: Vec::new(),
     });
     let bytes = msg.encode();
     let receipt = fed

@@ -5,7 +5,8 @@
 //! the work actually done, whose stage spans account for the round's
 //! wall time when the pipeline is serialized, and which shows the
 //! re-track contract: features extracted once per frame, a stale track
-//! redone in milliseconds, the region read lock held only that long.
+//! redone in milliseconds, the region read lock held only that long —
+//! and the right eye extracted only for the frames that need its depth.
 //!
 //! Recording is process-global, so every test here serializes on one
 //! mutex and leaves recording disabled and the registry reset behind it.
@@ -122,6 +123,7 @@ fn multi_client_round_snapshot_covers_every_stage() {
         "round.frontend",
         "round.commit",
         "track.extract",
+        "track.extract_right",
         "track.stereo_match",
         "track.search_local_points",
         "track.optimize",
@@ -218,12 +220,24 @@ fn stale_tracks_are_redone_without_re_extracting() {
         (out, session.server.metrics().obs)
     });
 
-    // Extraction ran exactly once per frame served — bootstrap, local
-    // and shared phase alike — however many tracks were redone.
+    // The left eye's extraction ran exactly once per frame served —
+    // bootstrap, local and shared phase alike — however many tracks were
+    // redone; the right eye's, at most once, and only on some frames.
     let extract = obs.hist("track.extract").unwrap();
     assert_eq!(extract.count, (CLIENTS * FRAMES) as u64);
     assert!(shared_frames > 0, "no client reached the shared phase");
     assert_eq!(obs.hist("round.frontend").unwrap().count, shared_frames);
+    let extract_right = obs.hist("track.extract_right").unwrap();
+    assert!(
+        (CLIENTS as u64..extract.count).contains(&extract_right.count),
+        "the right eye ran on {} of {} frames",
+        extract_right.count,
+        extract.count
+    );
+    assert_eq!(
+        obs.hist("track.stereo_match").unwrap().count,
+        extract_right.count
+    );
 
     // At least one speculative track went stale, and redoing it cost the
     // map-bound half only. The 10 ms bound (ROADMAP item 2) is asserted
@@ -264,8 +278,9 @@ fn stale_tracks_are_redone_without_re_extracting() {
 }
 
 /// One level down: on the default (simulated-GPU) server every `track.*`
-/// front-half histogram is wall-clock, so extraction plus stereo matching
-/// account for the front half they make up.
+/// front-half histogram is wall-clock, so the left eye's extraction
+/// accounts for the front half, and a keyframe's right-eye extraction plus
+/// stereo matching for the stereo step it makes up.
 #[test]
 fn track_stages_tile_the_front_half() {
     let _gate = OBS_GATE.lock();
@@ -279,8 +294,9 @@ fn track_stages_tile_the_front_half() {
             assert!(session.server.is_merged(c), "client {c} never merged");
         }
         // Record shared-phase frames only, so every `track.extract`
-        // sample has its `round.frontend` twin: on a shared host the
-        // per-frame cost drifts too much to compare different frames.
+        // sample has its `round.frontend` twin, and every
+        // `track.extract_right` its `round.stereo` twin: on a shared host
+        // the per-frame cost drifts too much to compare different frames.
         slamshare_obs::reset();
         session.run(WARMUP..FRAMES);
         ((), session.server.metrics().obs)
@@ -291,17 +307,29 @@ fn track_stages_tile_the_front_half() {
             .unwrap_or_else(|| panic!("stage {stage} missing from snapshot"))
             .p50_ms
     };
-    assert_eq!(
-        obs.hist("track.extract").map(|h| h.count),
-        obs.hist("round.frontend").map(|h| h.count)
+    let count = |stage: &str| obs.hist(stage).map(|h| h.count);
+    assert_eq!(count("track.extract"), count("round.frontend"));
+    assert_eq!(count("track.extract_right"), count("round.stereo"));
+    assert_eq!(count("track.stereo_match"), count("round.stereo"));
+    assert!(
+        count("round.stereo") < count("round.frontend"),
+        "every shared frame extracted its right eye"
     );
     let front_half_ms = p50("round.frontend");
-    let parts_ms = p50("track.extract") + p50("track.stereo_match");
-    let ratio = parts_ms / front_half_ms;
+    let ratio = p50("track.extract") / front_half_ms;
     assert!(
         (0.9..=1.1).contains(&ratio),
-        "p50 track.extract + track.stereo_match = {parts_ms:.2} ms against a \
-         {front_half_ms:.2} ms round.frontend p50 (ratio {ratio:.2}): a stage \
+        "p50 track.extract = {:.2} ms against a {front_half_ms:.2} ms round.frontend \
+         p50 (ratio {ratio:.2}): a stage histogram is not on the wall clock",
+        p50("track.extract")
+    );
+    let stereo_ms = p50("round.stereo");
+    let parts_ms = p50("track.extract_right") + p50("track.stereo_match");
+    let ratio = parts_ms / stereo_ms;
+    assert!(
+        (0.9..=1.1).contains(&ratio),
+        "p50 track.extract_right + track.stereo_match = {parts_ms:.2} ms against a \
+         {stereo_ms:.2} ms round.stereo p50 (ratio {ratio:.2}): a stage \
          histogram is not on the wall clock"
     );
 }
