@@ -120,7 +120,7 @@ fn slam_ate(
         });
         gt.push((ds.frame_time(i), ds.gt_position(i)));
     }
-    eval::ate(&sys.trajectory, &gt, !stereo, 1e-4)
+    eval::ate(&sys.trajectory(), &gt, !stereo, 1e-4)
         .map(|a| a.rmse)
         .unwrap_or(f64::NAN)
 }

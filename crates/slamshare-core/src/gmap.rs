@@ -100,10 +100,10 @@ use slamshare_math::Vec3;
 use slamshare_net::fed::{decode_region_snapshot, encode_region_snapshot, RegionSnapshot};
 use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId, MapPointId};
 use slamshare_slam::map::{
-    KeyFrame, Map, MapPoint, MapRead, MapView, MapWrite, RegionAssigner, RegionGraph,
+    merge_ascending, KeyFrame, Map, MapPoint, MapRead, MapView, MapWrite, RegionAssigner,
+    RegionGraph,
 };
-use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap};
-use std::iter::Peekable;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -1019,36 +1019,13 @@ impl<'a, K: Ord + Copy, V> Stitched<'a, K, V> {
     }
 
     /// Entities in ascending id order.
-    fn values(&self) -> StitchedValues<'_, K, V> {
-        StitchedValues {
-            heads: self
-                .parts
+    fn values(&self) -> impl Iterator<Item = &V> {
+        merge_ascending(
+            self.parts
                 .iter()
-                .map(|p| p.iter().peekable())
-                .chain(std::iter::once(self.fresh.iter().peekable()))
-                .collect(),
-        }
-    }
-}
-
-/// Ascending-id merge over a [`Stitched`]'s parts.
-struct StitchedValues<'s, K, V> {
-    heads: Vec<Peekable<btree_map::Iter<'s, K, V>>>,
-}
-
-impl<'s, K: Ord, V> Iterator for StitchedValues<'s, K, V> {
-    type Item = &'s V;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut best: Option<(usize, &'s K)> = None;
-        for (i, head) in self.heads.iter_mut().enumerate() {
-            if let Some(&(k, _)) = head.peek() {
-                if best.is_none_or(|(_, b)| k < b) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        self.heads.get_mut(best?.0)?.next().map(|(_, v)| v)
+                .map(|p| &**p)
+                .chain(std::iter::once(&self.fresh)),
+        )
     }
 }
 

@@ -20,6 +20,10 @@
 //!    so tracking restarts from a place-recognition hint instead of a
 //!    bogus constant-velocity prediction.
 //!
+//! The decoders own the decoded frames: each advances its reference in
+//! place and lends it ([`VideoIngest::left`], [`VideoIngest::right`])
+//! until the next decode, so a frame is never copied out.
+//!
 //! Everything is counted in [`IngestCounters`] (lock-free atomics shared
 //! with [`crate::server::EdgeServer::metrics`]) so a flaky client is
 //! visible in operations, not just in logs.
@@ -92,27 +96,25 @@ pub struct ClientIngestSnapshot {
     pub relocalizations: u64,
 }
 
-/// What the decode stage hands the tracking stage for one frame.
+/// What the decode stage tells the tracking stage about one frame. The
+/// images themselves stay in the client's decoders, which lend them
+/// ([`VideoIngest::left`], [`VideoIngest::right`]) until the next decode.
 #[derive(Debug)]
 pub enum DecodeOutcome {
-    /// Both eyes decoded; tracking proceeds.
+    /// Every eye that came decoded; tracking proceeds.
     Decoded {
-        left: GrayImage,
-        right: Option<GrayImage>,
         decode_ms: f64,
         /// First good frame after a resync: the tracker's motion model is
         /// stale — relocalize before tracking.
         relocalize: bool,
+        /// A right-eye payload came and decoded ([`VideoIngest::right`]).
+        stereo: bool,
     },
     /// The frame never reaches tracking. `fault` carries the codec error
     /// when this frame itself failed to decode; `None` when it was
     /// discarded while awaiting the resync I-frame.
     Dropped { fault: Option<CodecError> },
 }
-
-/// How many decoded-image buffers one client's ingest keeps for reuse —
-/// enough for a stereo pair in flight plus a spare of each eye.
-const IMAGE_POOL_CAP: usize = 4;
 
 /// The per-client ingest state machine (decoders + resync state).
 #[derive(Debug, Default)]
@@ -123,30 +125,11 @@ pub struct VideoIngest {
     /// decodes.
     awaiting_resync: bool,
     counters: Arc<IngestCounters>,
-    /// Free list of decoded-image buffers. [`VideoIngest::decode`] pops
-    /// from here (the video stream keeps a fixed resolution, so a
-    /// recycled buffer already has the right capacity) and the server
-    /// hands frames back via [`VideoIngest::recycle`] once tracking is
-    /// done with them — the steady-state decode path then allocates
-    /// nothing.
-    pool: Vec<GrayImage>,
 }
 
 impl VideoIngest {
     pub fn new() -> VideoIngest {
         VideoIngest::default()
-    }
-
-    /// Return a decoded frame's buffer for reuse by a later decode. Extra
-    /// buffers beyond a small cap are dropped.
-    pub fn recycle(&mut self, img: GrayImage) {
-        if self.pool.len() < IMAGE_POOL_CAP {
-            self.pool.push(img);
-        }
-    }
-
-    fn pooled_image(&mut self) -> GrayImage {
-        self.pool.pop().unwrap_or_else(|| GrayImage::new(0, 0))
     }
 
     /// The shared counter block (clone the `Arc` for lock-free metrics).
@@ -160,6 +143,19 @@ impl VideoIngest {
         self.awaiting_resync
     }
 
+    /// The left eye of the last frame that decoded, lent by its decoder
+    /// until the next [`VideoIngest::decode`].
+    pub fn left(&self) -> &GrayImage {
+        self.decoder_left.frame()
+    }
+
+    /// The right eye of the last frame whose right payload decoded, lent
+    /// like [`VideoIngest::left`]. It is this frame's only when the
+    /// outcome said `stereo`.
+    pub fn right(&self) -> &GrayImage {
+        self.decoder_right.frame()
+    }
+
     /// Inform the state machine that one or more of this stream's frames
     /// were discarded *before* decode (a backpressure eviction, or uplink
     /// loss detected by a sequence gap): the decoder references no longer
@@ -170,9 +166,10 @@ impl VideoIngest {
         self.awaiting_resync = true;
     }
 
-    /// Decode one uploaded frame (both eyes). Total: any payload yields a
-    /// [`DecodeOutcome`], never a panic, and a failed decode leaves the
-    /// decoder references untouched (guaranteed by [`VideoDecoder`]).
+    /// Decode one uploaded frame (both eyes) in the decoders, which then
+    /// lend it. Total: any payload yields a [`DecodeOutcome`], never a
+    /// panic, and a failed decode leaves the decoder references untouched
+    /// (guaranteed by [`VideoDecoder`]).
     pub fn decode(&mut self, left: &[u8], right: Option<&[u8]>) -> DecodeOutcome {
         let _span = slamshare_obs::span!("round.decode");
         // Desynced: only a full intra frame can re-anchor the stream.
@@ -185,23 +182,12 @@ impl VideoIngest {
         }
 
         let t0 = Instant::now();
-        let mut left_img = self.pooled_image();
-        if let Err(e) = self.decoder_left.decode_into(left, &mut left_img) {
-            self.recycle(left_img);
+        if let Err(e) = self.decoder_left.decode_lent(left) {
             return self.fault(e);
         }
-        let right_img = match right {
-            Some(r) => {
-                let mut img = self.pooled_image();
-                if let Err(e) = self.decoder_right.decode_into(r, &mut img) {
-                    self.recycle(img);
-                    self.recycle(left_img);
-                    return self.fault(e);
-                }
-                Some(img)
-            }
-            None => None,
-        };
+        if let Some(Err(e)) = right.map(|r| self.decoder_right.decode_lent(r)) {
+            return self.fault(e);
+        }
         let decode_ms = t0.elapsed().as_secs_f64() * 1e3;
         self.counters.record_frame_decoded();
         slamshare_obs::counter_inc!("ingest.frames_decoded");
@@ -212,10 +198,9 @@ impl VideoIngest {
             self.counters.record_resync();
         }
         DecodeOutcome::Decoded {
-            left: left_img,
-            right: right_img,
             decode_ms,
             relocalize,
+            stereo: right.is_some(),
         }
     }
 
@@ -334,10 +319,10 @@ mod tests {
         let r3 = enc_r.encode(&image(13));
         match ingest.decode(&l3.data, Some(&r3.data)) {
             DecodeOutcome::Decoded {
-                relocalize, right, ..
+                relocalize, stereo, ..
             } => {
                 assert!(relocalize);
-                assert!(right.is_some());
+                assert!(stereo);
             }
             DecodeOutcome::Dropped { .. } => panic!("full stereo resync dropped"),
         }

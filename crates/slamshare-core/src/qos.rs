@@ -5,7 +5,7 @@
 //! behavior under overload" turns into latency collapse for everyone.
 //! This module is the server's two load-shedding mechanisms:
 //!
-//! * [`Admission`] — a bounded live-client set
+//! * [`Admission`] — the bound on the server's client table
 //!   ([`crate::server::ServerConfig::max_clients`]). Registration beyond
 //!   the bound is refused with a typed [`RegisterError`] instead of
 //!   silently degrading every admitted client; re-registering a live id
@@ -32,14 +32,14 @@ use slamshare_math::SE3;
 use slamshare_net::codec::payload_is_iframe;
 use slamshare_sim::clock::SimTime;
 use slamshare_sim::imu::ImuSample;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Typed refusal of a client registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegisterError {
-    /// The live-client set is full ([`Admission::max_clients`]).
+    /// The client table is full ([`crate::server::ServerConfig::max_clients`]).
     AtCapacity { max: usize },
     /// The id is already live. Re-registering must not silently replace
     /// the existing process (that leaks its GPU slices and counters);
@@ -62,7 +62,7 @@ impl std::fmt::Display for RegisterError {
 
 impl std::error::Error for RegisterError {}
 
-/// Lock-free admission counters, shared with the metrics reader.
+/// Lock-free admission counters.
 #[derive(Debug, Default)]
 pub struct AdmissionCounters {
     admitted: AtomicU64,
@@ -86,12 +86,13 @@ pub struct AdmissionSnapshot {
     pub departed: u64,
 }
 
-/// The bounded live-client set.
+/// The admission rule over the server's client table: the bound, the
+/// decision counters and the refusal order. Which ids are live is the
+/// table's to say; this holds no set of its own.
 #[derive(Debug, Default)]
 pub struct Admission {
     max_clients: Option<usize>,
-    live: BTreeSet<u16>,
-    counters: Arc<AdmissionCounters>,
+    counters: AdmissionCounters,
 }
 
 impl Admission {
@@ -102,15 +103,12 @@ impl Admission {
         }
     }
 
-    /// The configured bound (`None` = unbounded).
-    pub fn max_clients(&self) -> Option<usize> {
-        self.max_clients
-    }
-
-    /// Admit `id` into the live set, or refuse with a typed error. A
-    /// duplicate id is refused as such even when the set is also full.
-    pub fn try_admit(&mut self, id: u16) -> Result<(), RegisterError> {
-        if self.live.contains(&id) {
+    /// Admit `id` to a table of `live` ids, of which `id` is one when
+    /// `is_live`, or refuse with a typed error. A duplicate id is refused
+    /// as such even when the table is also full. On `Ok` the caller adds
+    /// `id` to its table.
+    pub fn try_admit(&self, id: u16, is_live: bool, live: usize) -> Result<(), RegisterError> {
+        if is_live {
             self.counters
                 .rejected_duplicate
                 .fetch_add(1, Ordering::Relaxed);
@@ -118,7 +116,7 @@ impl Admission {
             return Err(RegisterError::AlreadyRegistered(id));
         }
         if let Some(max) = self.max_clients {
-            if self.live.len() >= max {
+            if live >= max {
                 self.counters
                     .rejected_capacity
                     .fetch_add(1, Ordering::Relaxed);
@@ -126,30 +124,21 @@ impl Admission {
                 return Err(RegisterError::AtCapacity { max });
             }
         }
-        self.live.insert(id);
         self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         slamshare_obs::counter_inc!("admission.admitted");
         Ok(())
     }
 
-    /// Remove `id` from the live set (freeing its slot for reuse — a
-    /// crashed client's id may be re-admitted later). Returns whether it
-    /// was live.
-    pub fn depart(&mut self, id: u16) -> bool {
-        let was_live = self.live.remove(&id);
-        if was_live {
-            self.counters.departed.fetch_add(1, Ordering::Relaxed);
-        }
-        was_live
+    /// Count a live id's removal from the table (its slot is free for
+    /// reuse — a crashed client's id may be re-admitted later).
+    pub fn depart(&self) {
+        self.counters.departed.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
-    pub fn snapshot(&self) -> AdmissionSnapshot {
+    /// The counters, with `live` the table's current length.
+    pub fn snapshot(&self, live: usize) -> AdmissionSnapshot {
         AdmissionSnapshot {
-            live: self.live.len() as u64,
+            live: live as u64,
             admitted: self.counters.admitted.load(Ordering::Relaxed),
             rejected_capacity: self.counters.rejected_capacity.load(Ordering::Relaxed),
             rejected_duplicate: self.counters.rejected_duplicate.load(Ordering::Relaxed),
@@ -324,6 +313,7 @@ impl FrameQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn frame(idx: usize, iframe: bool) -> QueuedFrame {
         // MAGIC_INTRA-tagged payloads start with b"IF"; anything else is
@@ -343,20 +333,55 @@ mod tests {
         }
     }
 
+    /// A client table as the server keeps one, admitting through
+    /// [`Admission`].
+    struct Table {
+        adm: Admission,
+        live: BTreeSet<u16>,
+    }
+
+    impl Table {
+        fn new(max_clients: Option<usize>) -> Table {
+            Table {
+                adm: Admission::new(max_clients),
+                live: BTreeSet::new(),
+            }
+        }
+
+        fn admit(&mut self, id: u16) -> Result<(), RegisterError> {
+            self.adm
+                .try_admit(id, self.live.contains(&id), self.live.len())?;
+            self.live.insert(id);
+            Ok(())
+        }
+
+        fn depart(&mut self, id: u16) -> bool {
+            let was_live = self.live.remove(&id);
+            if was_live {
+                self.adm.depart();
+            }
+            was_live
+        }
+
+        fn snapshot(&self) -> AdmissionSnapshot {
+            self.adm.snapshot(self.live.len())
+        }
+    }
+
     #[test]
     fn admission_enforces_capacity_and_uniqueness() {
-        let mut adm = Admission::new(Some(2));
-        assert_eq!(adm.try_admit(1), Ok(()));
-        assert_eq!(adm.try_admit(2), Ok(()));
-        assert_eq!(adm.try_admit(3), Err(RegisterError::AtCapacity { max: 2 }));
+        let mut adm = Table::new(Some(2));
+        assert_eq!(adm.admit(1), Ok(()));
+        assert_eq!(adm.admit(2), Ok(()));
+        assert_eq!(adm.admit(3), Err(RegisterError::AtCapacity { max: 2 }));
         // Duplicate wins over capacity in the error taxonomy.
-        assert_eq!(adm.try_admit(1), Err(RegisterError::AlreadyRegistered(1)));
+        assert_eq!(adm.admit(1), Err(RegisterError::AlreadyRegistered(1)));
         // Departure frees the slot; the departed id can be re-admitted
         // (crashed clients reconnect with the same id).
         assert!(adm.depart(1));
         assert!(!adm.depart(1));
-        assert_eq!(adm.try_admit(3), Ok(()));
-        assert_eq!(adm.try_admit(1), Err(RegisterError::AtCapacity { max: 2 }));
+        assert_eq!(adm.admit(3), Ok(()));
+        assert_eq!(adm.admit(1), Err(RegisterError::AtCapacity { max: 2 }));
         let snap = adm.snapshot();
         assert_eq!(snap.live, 2);
         assert_eq!(snap.admitted, 3);
@@ -367,11 +392,11 @@ mod tests {
 
     #[test]
     fn unbounded_admission_never_rejects_capacity() {
-        let mut adm = Admission::new(None);
+        let mut adm = Table::new(None);
         for id in 0..500 {
-            assert_eq!(adm.try_admit(id), Ok(()));
+            assert_eq!(adm.admit(id), Ok(()));
         }
-        assert_eq!(adm.live_count(), 500);
+        assert_eq!(adm.snapshot().live, 500);
     }
 
     #[test]

@@ -101,7 +101,7 @@ use crate::qos::{
 use parking_lot::Mutex;
 use slamshare_features::bow::Vocabulary;
 use slamshare_features::GrayImage;
-use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu};
+use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu, SlicePriority};
 use slamshare_math::{Sim3, SE3};
 use slamshare_net::codec::CodecError;
 use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId};
@@ -111,7 +111,7 @@ use slamshare_slam::merge::MergeReport;
 use slamshare_slam::recognition::{self, ShardedKeyframeDatabase};
 use slamshare_slam::system::{FrameInput, SlamConfig, SlamSystem};
 use slamshare_slam::tracking::{FrontEnd, MotionState, SensorMode, StageTimings, Tracked, Tracker};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -228,7 +228,8 @@ enum Phase {
 /// One per-client server process.
 struct ClientProcess {
     phase: Phase,
-    /// Fault-isolated video decode + resync state machine.
+    /// Fault-isolated video decode + resync state machine; its decoders
+    /// lend the frame last decoded.
     ingest: VideoIngest,
     /// Keyframe count at which the merge process next examines this
     /// client's local map (grows after each failed attempt — process M
@@ -237,10 +238,15 @@ struct ClientProcess {
     /// Bounded staging queue between the network and the round pipeline
     /// ([`EdgeServer::offer_frame`] / [`EdgeServer::process_queued_round`]).
     queue: FrameQueue,
-    /// Whether the GPU scheduler currently holds this client in the
-    /// degraded priority class (relocalizing / persistently lost). Kept
-    /// here so priority transitions fire only on edges, not per frame.
-    degraded: bool,
+}
+
+/// One row of the client table: the client's process, and lock-free
+/// handles to the counters its ingest and staging queue write, so
+/// [`EdgeServer::metrics`] and a round's skip check never take its mutex.
+struct ClientEntry {
+    process: Mutex<ClientProcess>,
+    ingest: Arc<IngestCounters>,
+    queue: Arc<QueueCounters>,
 }
 
 /// Consecutive lost frames after which a shared-phase tracker gives up on
@@ -248,7 +254,10 @@ struct ClientProcess {
 const RELOC_AFTER_LOST: usize = 3;
 
 /// Output of the (parallelizable) tracking stage, consumed by the
-/// serialized commit stage.
+/// serialized commit stage. It holds no image: the frame's eyes stay in
+/// the client's decoders, which lend them to the commit too. A lent frame
+/// stays valid until the client's next decode, and only the client's next
+/// round decodes again.
 enum StagedFrame {
     /// The frame never decoded (codec fault, or dropped while awaiting
     /// the resync I-frame). Nothing reached tracking; the commit stage
@@ -266,13 +275,12 @@ enum StagedFrame {
     /// `stamp` is the `(region, epoch)` set the speculative track read
     /// under. `pose_hint` is the *effective* hint (upload hint or
     /// relocalization pose), so a redo replays the identical inputs.
-    /// `right` is the decoded right image, kept until the commit in case
-    /// a re-track turns the frame into a keyframe request; it goes back
-    /// to the client's decode pool after the commit.
+    /// `stereo` says a right eye came, for a re-track that turns the frame
+    /// into a keyframe request.
     Shared {
         decode_ms: f64,
         front_end: FrontEnd,
-        right: Option<GrayImage>,
+        stereo: bool,
         tracked: Tracked,
         stamp: Vec<(usize, u64)>,
         pre_track: MotionState,
@@ -294,16 +302,12 @@ pub struct EdgeServer {
     pub db: Arc<ShardedKeyframeDatabase>,
     pub gpu: Arc<SharedGpu>,
     pub vocab: Arc<Vocabulary>,
-    /// One mutex per client process: frames for different clients may be
-    /// processed concurrently; frames for one client serialize.
-    clients: HashMap<u16, Mutex<ClientProcess>>,
-    /// Lock-free handles to each client's ingest counters, so
-    /// [`EdgeServer::metrics`] never touches a client mutex.
-    ingest_counters: HashMap<u16, Arc<IngestCounters>>,
-    /// Lock-free handles to each client's staging-queue counters (same
-    /// contract as `ingest_counters`).
-    queue_counters: HashMap<u16, Arc<QueueCounters>>,
-    /// The bounded live-client set ([`ServerConfig::max_clients`]).
+    /// The client table, in id order: the one definition of which
+    /// clients are live. One mutex per client process: frames for
+    /// different clients may be processed concurrently; frames for one
+    /// client serialize.
+    clients: BTreeMap<u16, ClientEntry>,
+    /// The admission rule over `clients` ([`ServerConfig::max_clients`]).
     admission: Admission,
     /// Aggregate final counters of departed clients, folded at
     /// deregistration so their drops/purges keep counting in the server
@@ -399,9 +403,7 @@ impl EdgeServer {
             db,
             gpu,
             vocab,
-            clients: HashMap::new(),
-            ingest_counters: HashMap::new(),
-            queue_counters: HashMap::new(),
+            clients: BTreeMap::new(),
             admission,
             retired: Mutex::new(RetiredSnapshot::default()),
             departed_ids: HashMap::new(),
@@ -449,15 +451,15 @@ impl EdgeServer {
         let obs = slamshare_obs::snapshot();
         let (mut metrics, consistent) = self.cut.read_checked(|| ServerMetrics {
             per_client: self
-                .ingest_counters
+                .clients
                 .iter()
-                .map(|(&id, c)| (id, c.snapshot()))
+                .map(|(&id, c)| (id, c.ingest.snapshot()))
                 .collect(),
-            admission: self.admission.snapshot(),
+            admission: self.admission_snapshot(),
             queues: self
-                .queue_counters
+                .clients
                 .iter()
-                .map(|(&id, c)| (id, c.snapshot()))
+                .map(|(&id, c)| (id, c.queue.snapshot()))
                 .collect(),
             retired: *self.retired.lock(),
             merge_worker: self.merge_worker_stats(),
@@ -510,7 +512,8 @@ impl EdgeServer {
     /// id space its predecessor reached, whose content is still in the
     /// global map.
     pub fn try_register_client(&mut self, id: u16) -> Result<(), RegisterError> {
-        self.admission.try_admit(id)?;
+        self.admission
+            .try_admit(id, self.clients.contains_key(&id), self.clients.len())?;
         let mut system = SlamSystem::new(
             ClientId(id),
             self.config.slam.clone(),
@@ -522,17 +525,18 @@ impl EdgeServer {
         }
         let ingest = VideoIngest::new();
         let queue = FrameQueue::new(INGRESS_QUEUE_CAP);
-        self.ingest_counters.insert(id, ingest.counters());
-        self.queue_counters.insert(id, queue.counters());
         self.clients.insert(
             id,
-            Mutex::new(ClientProcess {
-                phase: Phase::Local(Box::new(system)),
-                ingest,
-                next_merge_at_kfs: self.config.merge_after_keyframes,
-                queue,
-                degraded: false,
-            }),
+            ClientEntry {
+                ingest: ingest.counters(),
+                queue: queue.counters(),
+                process: Mutex::new(ClientProcess {
+                    phase: Phase::Local(Box::new(system)),
+                    ingest,
+                    next_merge_at_kfs: self.config.merge_after_keyframes,
+                    queue,
+                }),
+            },
         );
         Ok(())
     }
@@ -553,36 +557,33 @@ impl EdgeServer {
         // counters either live (per-id) or retired (aggregate), never
         // both and never neither.
         self.cut.write(|| {
-            if let Some(process) = self.clients.remove(&id) {
-                let mut process = process.into_inner();
-                // Count still-staged frames as purged so queue accounting
-                // stays balanced across churn. Must happen before the
-                // counter handles are folded below.
-                process.queue.purge();
-                let alloc = match &process.phase {
-                    Phase::Local(system) => &system.map.alloc,
-                    Phase::Shared { alloc, .. } => alloc,
-                };
-                self.departed_ids.insert(id, alloc.clone());
-                // A merge this process submitted is not the next one's
-                // under the same id.
-                self.merge_worker.forget(id);
-            }
-            let ingest = self.ingest_counters.remove(&id).map(|c| c.snapshot());
-            let queue = self.queue_counters.remove(&id).map(|c| c.snapshot());
-            if ingest.is_some() || queue.is_some() {
-                self.retired
-                    .lock()
-                    .fold(queue.unwrap_or_default(), ingest.unwrap_or_default());
-            }
-            self.admission.depart(id);
+            let Some(entry) = self.clients.remove(&id) else {
+                return;
+            };
+            let mut process = entry.process.into_inner();
+            // Count still-staged frames as purged so queue accounting
+            // stays balanced across churn. Must happen before the
+            // counters are folded below.
+            process.queue.purge();
+            let alloc = match &process.phase {
+                Phase::Local(system) => &system.map.alloc,
+                Phase::Shared { alloc, .. } => alloc,
+            };
+            self.departed_ids.insert(id, alloc.clone());
+            // A merge this process submitted is not the next one's
+            // under the same id.
+            self.merge_worker.forget(id);
+            self.retired
+                .lock()
+                .fold(entry.queue.snapshot(), entry.ingest.snapshot());
+            self.admission.depart();
             self.gpu.deregister(id as u32);
         });
     }
 
     /// The admission controller's current counters.
     pub fn admission_snapshot(&self) -> crate::qos::AdmissionSnapshot {
-        self.admission.snapshot()
+        self.admission.snapshot(self.clients.len())
     }
 
     /// Stage an uploaded frame into `client`'s bounded ingress queue
@@ -597,18 +598,18 @@ impl EdgeServer {
         client: u16,
         frame: QueuedFrame,
     ) -> Result<Option<QueuedFrame>, ClientError> {
-        let process = self
+        let entry = self
             .clients
             .get(&client)
             .ok_or(ClientError::UnknownClient(client))?;
-        Ok(process.lock().queue.offer(frame))
+        Ok(entry.process.lock().queue.offer(frame))
     }
 
     /// Frames currently staged for `client`.
     pub fn staged_depth(&self, client: u16) -> usize {
         self.clients
             .get(&client)
-            .map(|p| p.lock().queue.len())
+            .map(|c| c.process.lock().queue.len())
             .unwrap_or(0)
     }
 
@@ -645,22 +646,25 @@ impl EdgeServer {
     ///    of one in client-id order would produce (timing fields aside).
     ///    A redo that turns a frame into a keyframe request extracts its
     ///    right eye there, before the region write lock is taken.
+    ///
+    /// Both stages read a frame's images where its client's decoders lend
+    /// them ([`crate::ingest::VideoIngest::left`]). A lent frame stays valid
+    /// until that client's next decode, and only its next round performs
+    /// one, so the commit sees the images the track stage saw.
     pub fn process_queued_round(&self) -> Vec<(u16, ServerFrameResult)> {
-        let mut clients: Vec<(u16, &Mutex<ClientProcess>)> =
-            self.clients.iter().map(|(&id, p)| (id, p)).collect();
-        clients.sort_unstable_by_key(|&(id, _)| id);
         let mut popped: Vec<(u16, &Mutex<ClientProcess>, QueuedFrame)> = Vec::new();
-        for (id, process) in clients {
+        for (&id, entry) in &self.clients {
             // A client with nothing staged is skipped on its lock-free
             // queue counters, so a round never waits on the mutex of a
             // client it would not serve (e.g. one `merge_client_now` is
             // welding). Relaxed loads suffice: an offer that happens-before
             // this round is visible to them, and one racing it was never
             // ordered into this round anyway.
-            let staged = self.queue_counters.get(&id).map(|c| c.snapshot());
-            if staged.is_some_and(|q| q.offered == q.accounted()) {
+            let staged = entry.queue.snapshot();
+            if staged.offered == staged.accounted() {
                 continue;
             }
+            let process = &entry.process;
             let mut locked = process.lock();
             if let Some(frame) = locked.queue.pop() {
                 // A frame staged after an eviction decodes against a
@@ -685,7 +689,7 @@ impl EdgeServer {
     pub fn is_merged(&self, id: u16) -> bool {
         self.clients
             .get(&id)
-            .map(|c| matches!(c.lock().phase, Phase::Shared { .. }))
+            .map(|c| matches!(c.process.lock().phase, Phase::Shared { .. }))
             .unwrap_or(false)
     }
 
@@ -730,47 +734,44 @@ impl EdgeServer {
         decoded: DecodeOutcome,
     ) -> StagedFrame {
         let _span = slamshare_obs::span!("round.track");
-        let (left_img, right_img, decode_ms, relocalize) = match decoded {
+        let (decode_ms, relocalize, stereo) = match decoded {
             DecodeOutcome::Decoded {
-                left,
-                right,
                 decode_ms,
                 relocalize,
-            } => (left, right, decode_ms, relocalize),
+                stereo,
+            } => (decode_ms, relocalize, stereo),
             DecodeOutcome::Dropped { fault } => {
                 // A faulted/desynced stream is headed for relocalization:
                 // demote it in the GPU scheduler until it recovers.
-                self.note_priority(process, client, true);
+                self.note_priority(client, SlicePriority::Degraded);
                 return StagedFrame::Faulted {
                     frame_idx: frame.frame_idx,
                     fault,
                 };
             }
         };
-        let counters = process.ingest.counters();
+        // The decoders lend the frame; the process keeps it until its
+        // next decode.
+        let ClientProcess { phase, ingest, .. } = process;
+        let left_img = ingest.left();
+        let right_img = stereo.then(|| ingest.right());
 
         // Refresh the client's GPU slice (GSlice repartitions on churn).
         let exec = self.gpu.executor(client as u32);
 
         // Track (and, pre-merge, map locally).
-        let (staged, degraded_now) = match &mut process.phase {
+        let (staged, prio) = match phase {
             Phase::Local(system) => {
                 if let Some(exec) = &exec {
                     system.tracker.exec = exec.clone();
                 }
                 let step = system.process_frame(FrameInput {
                     timestamp: frame.timestamp,
-                    left: &left_img,
-                    right: right_img.as_ref(),
+                    left: left_img,
+                    right: right_img,
                     imu: &frame.imu,
                     pose_hint: frame.pose_hint,
                 });
-                // Tracking is done with the images — hand the buffers back
-                // to the decode pool.
-                process.ingest.recycle(left_img);
-                if let Some(r) = right_img {
-                    process.ingest.recycle(r);
-                }
                 let staged = StagedFrame::Local(ServerFrameResult {
                     frame_idx: frame.frame_idx,
                     pose: step.pose_cw,
@@ -785,7 +786,7 @@ impl EdgeServer {
                     decode_error: None,
                     relocalized: false,
                 });
-                (staged, false)
+                (staged, SlicePriority::Interactive)
             }
             Phase::Shared {
                 tracker, last_kf, ..
@@ -798,14 +799,17 @@ impl EdgeServer {
                 // and the relocalization query, work from its features.
                 let mut front_end = {
                     let _span = slamshare_obs::span!("round.frontend");
-                    tracker.extract_left(&left_img)
+                    tracker.extract_left(left_img)
                 };
-                process.ingest.recycle(left_img);
                 // Relocalizing / persistently lost clients drop to the
                 // degraded GPU class: their output no longer feeds a
                 // live overlay, so interactive clients outrank them for
                 // SM slices until they re-acquire the map.
-                let degraded_now = relocalize || tracker.consecutive_lost() >= RELOC_AFTER_LOST;
+                let prio = if relocalize || tracker.consecutive_lost() >= RELOC_AFTER_LOST {
+                    SlicePriority::Degraded
+                } else {
+                    SlicePriority::Interactive
+                };
                 // Recovery: after a resync (frames were lost — the motion
                 // model no longer describes frame-to-frame motion) or
                 // sustained tracking loss, restart from place
@@ -830,7 +834,7 @@ impl EdgeServer {
                             tracker.reset_motion(pose);
                             pose_hint = Some(pose);
                             relocalized = true;
-                            counters.record_relocalization();
+                            ingest.counters().record_relocalization();
                         }
                     }
                 }
@@ -855,38 +859,32 @@ impl EdgeServer {
                         stamp.to_vec(),
                     )
                 });
-                right_eye_for_keyframe(tracker, &mut front_end, &tracked, right_img.as_ref());
+                right_eye_for_keyframe(tracker, &mut front_end, &tracked, right_img);
                 let staged = StagedFrame::Shared {
                     decode_ms,
                     front_end,
-                    right: right_img,
+                    stereo,
                     tracked,
                     stamp,
                     pre_track,
                     pose_hint,
                     relocalized,
                 };
-                (staged, degraded_now)
+                (staged, prio)
             }
         };
-        self.note_priority(process, client, degraded_now);
+        self.note_priority(client, prio);
         staged
     }
 
-    /// Move a client between GPU priority classes on state *edges* only
-    /// (the slice table rebalances on a transition, so per-frame calls
-    /// would thrash the write lock).
-    fn note_priority(&self, process: &mut ClientProcess, client: u16, degraded: bool) {
-        if process.degraded == degraded {
-            return;
+    /// Move a client between GPU priority classes on state *edges* only:
+    /// the slice table is the one record of a client's class, read under
+    /// its read lock, and written (a rebalance) only when the class
+    /// changes, so per-frame calls never thrash the write lock.
+    fn note_priority(&self, client: u16, prio: SlicePriority) {
+        if self.gpu.priority(client as u32) != Some(prio) {
+            self.gpu.set_priority(client as u32, prio);
         }
-        process.degraded = degraded;
-        let prio = if degraded {
-            slamshare_gpu::SlicePriority::Degraded
-        } else {
-            slamshare_gpu::SlicePriority::Interactive
-        };
-        self.gpu.set_priority(client as u32, prio);
     }
 
     /// The serialized half: keyframe insertion under the write lock and
@@ -928,19 +926,20 @@ impl EdgeServer {
             StagedFrame::Shared {
                 decode_ms,
                 mut front_end,
-                right,
+                stereo,
                 mut tracked,
                 mut stamp,
                 pre_track,
                 pose_hint,
                 relocalized,
             } => {
+                let ClientProcess { phase, ingest, .. } = &mut *process;
                 let Phase::Shared {
                     tracker,
                     mapper,
                     last_kf,
                     alloc,
-                } = &mut process.phase
+                } = phase
                 else {
                     unreachable!("staged shared frame for a pre-merge client")
                 };
@@ -958,7 +957,8 @@ impl EdgeServer {
                 }
                 // A redo may have turned the frame into a keyframe
                 // request; a later in-lock redo can only withdraw one.
-                right_eye_for_keyframe(tracker, &mut front_end, &tracked, right.as_ref());
+                let right = stereo.then(|| ingest.right());
+                right_eye_for_keyframe(tracker, &mut front_end, &tracked, right);
                 tracked.timings = front_end.timings_with(tracked.timings);
                 // Keyframe insertion, write-locking only the component
                 // the keyframe lands in: the reference keyframe's
@@ -1019,11 +1019,6 @@ impl EdgeServer {
                         tracker.note_keyframe(tracked.n_tracked + n_new);
                     }
                     mapping_ms = t1.elapsed().as_secs_f64() * 1e3;
-                }
-                // The commit is done with the right image — hand the
-                // buffer back to the decode pool.
-                if let Some(right) = right {
-                    process.ingest.recycle(right);
                 }
                 ServerFrameResult {
                     frame_idx: tracked.frame_idx,
@@ -1110,10 +1105,10 @@ impl EdgeServer {
     /// the submitted snapshot until the job is collected) or is not
     /// registered.
     pub fn adopt_local_map(&self, client: u16, map: Map) {
-        let Some(process) = self.clients.get(&client) else {
+        let Some(entry) = self.clients.get(&client) else {
             return;
         };
-        if let Phase::Local(system) = &mut process.lock().phase {
+        if let Phase::Local(system) = &mut entry.process.lock().phase {
             if !system.mapping_paused() {
                 system.map = map;
             }
@@ -1131,7 +1126,7 @@ impl EdgeServer {
     /// and when the client is already merged, has a job in flight or is
     /// not registered.
     pub fn merge_client_now(&self, client: u16, timestamp: f64) -> Option<MergeOutcome> {
-        let mut process = self.clients.get(&client)?.lock();
+        let mut process = self.clients.get(&client)?.process.lock();
         self.cut.write(|| {
             if let Phase::Local(system) = &mut process.phase {
                 self.submit_job(system, client, timestamp, true);
@@ -1223,10 +1218,10 @@ impl EdgeServer {
     /// already merged or not yet bootstrapped, or a job for it (or for a
     /// departed client under its id) is still in flight.
     pub fn submit_merge(&self, client: u16, timestamp: f64) -> bool {
-        let Some(process) = self.clients.get(&client) else {
+        let Some(entry) = self.clients.get(&client) else {
             return false;
         };
-        let mut process = process.lock();
+        let mut process = entry.process.lock();
         let Phase::Local(system) = &mut process.phase else {
             return false;
         };
@@ -1259,18 +1254,15 @@ impl EdgeServer {
     /// is what makes the pre-merge ATE spike (different origins) and the
     /// post-merge collapse visible.
     pub fn pending_local_trajectories(&self) -> Vec<(u16, Vec<(f64, slamshare_math::Vec3)>)> {
-        let mut out: Vec<_> = self
-            .clients
+        self.clients
             .iter()
-            .filter_map(|(&id, p)| match &p.lock().phase {
+            .filter_map(|(&id, c)| match &c.process.lock().phase {
                 Phase::Local(system) if !system.map.is_empty() => {
                     Some((id, system.map.trajectory()))
                 }
                 _ => None,
             })
-            .collect();
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
+            .collect()
     }
 
     /// Snapshot of the global map's size (keyframes, map points, bytes).

@@ -28,8 +28,8 @@ pub(crate) fn round_to_u8(v: f64) -> u8 {
     (t + u32::from(v - t as f64 >= 0.5)).min(255) as u8
 }
 
-/// A row-major 8-bit grayscale image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A row-major 8-bit grayscale image (the default is 0×0).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GrayImage {
     pub width: usize,
     pub height: usize,

@@ -512,9 +512,17 @@ fn apply_tokens(tokens: &[u8], image: &mut [u8]) {
 /// is not corrupted further). A P-frame decodes only if its token stream
 /// consumes the whole payload: a frame cut anywhere inside a token, even
 /// inside its 3-byte header, is `Truncated`.
+///
+/// The decoded frame *is* the reference, advanced in place and lent
+/// ([`VideoDecoder::decode_lent`]) until the next decode: no copy.
 #[derive(Debug, Clone, Default)]
 pub struct VideoDecoder {
-    reference: Option<GrayImage>,
+    /// The last decoded frame; empty (0×0) until the first I-frame, as
+    /// no decoded frame is (`read_dims` refuses a zero side).
+    reference: GrayImage,
+    /// An I-frame decodes here and is swapped in only on success; the
+    /// swapped-out buffer is the next I-frame's scratch.
+    scratch: GrayImage,
     /// PackBits scratch for I-frame decodes, reused across frames.
     residuals: Vec<u8>,
 }
@@ -526,54 +534,56 @@ impl VideoDecoder {
 
     /// Decode the next frame of the stream. Returns `(image, decode_ms)`.
     pub fn decode(&mut self, data: &[u8]) -> Result<(GrayImage, f64), CodecError> {
-        let mut img = GrayImage::new(0, 0);
-        let ms = self.decode_into(data, &mut img)?;
-        Ok((img, ms))
+        let (img, ms) = self.decode_lent(data)?;
+        Ok((img.clone(), ms))
     }
 
-    /// [`VideoDecoder::decode`] into a caller-owned image, reusing its
-    /// pixel buffer — a warm decode loop at fixed resolution performs no
-    /// heap allocation. The decoded pixels and decoder state transitions
-    /// are identical to [`VideoDecoder::decode`]'s; in particular a failed
-    /// decode still leaves the reference untouched (only `out`, which is
-    /// scratch from the caller's point of view, holds unspecified bytes
-    /// after an `Err`).
-    ///
-    /// A P-frame's tokens are validated first, then applied to the
-    /// reference in place, which is copied once into `out`.
+    /// [`VideoDecoder::decode_lent`], then one copy into `out`, reusing its
+    /// buffer; `out` is untouched on `Err`. Kept for `benchmark/`'s codec
+    /// replay until that package next opens (ROADMAP item 8).
     pub fn decode_into(&mut self, data: &[u8], out: &mut GrayImage) -> Result<f64, CodecError> {
-        if data.is_empty() {
-            return Err(CodecError::Truncated);
-        }
-        match data[0] {
-            MAGIC_INTRA => {
-                let ms = ImageCodec::decode_into(data, &mut self.residuals, out)?;
-                self.reference
-                    .get_or_insert_with(|| GrayImage::new(0, 0))
-                    .copy_from(out);
-                Ok(ms)
+        let (img, ms) = self.decode_lent(data)?;
+        out.copy_from(img);
+        Ok(ms)
+    }
+
+    /// Decode the next frame of the stream in place and lend it with the
+    /// decode time in ms. A P-frame's tokens are validated, then applied
+    /// to the reference; an I-frame decodes into scratch that is swapped
+    /// in. A failed decode of either kind leaves the lent frame untouched.
+    pub fn decode_lent(&mut self, data: &[u8]) -> Result<(&GrayImage, f64), CodecError> {
+        let t0 = Instant::now();
+        match data.first() {
+            None => return Err(CodecError::Truncated),
+            Some(&MAGIC_INTRA) => {
+                ImageCodec::decode_into(data, &mut self.residuals, &mut self.scratch)?;
+                std::mem::swap(&mut self.reference, &mut self.scratch);
             }
-            MAGIC_PREDICTED => {
-                let t0 = Instant::now();
+            Some(&MAGIC_PREDICTED) => {
                 if data.len() < 9 {
                     return Err(CodecError::Truncated);
                 }
                 let (width, height) = read_dims(data)?;
-                let Some(reference) = &mut self.reference else {
+                if self.reference.data.is_empty() {
                     return Err(CodecError::MissingReference);
-                };
-                if reference.width != width || reference.height != height {
+                }
+                if self.reference.width != width || self.reference.height != height {
                     return Err(CodecError::DimensionMismatch);
                 }
                 // Only a whole, in-bounds token stream advances the
                 // reference.
-                validate_tokens(&data[9..], reference.data.len())?;
-                apply_tokens(&data[9..], &mut reference.data);
-                out.copy_from(reference);
-                Ok(t0.elapsed().as_secs_f64() * 1e3)
+                validate_tokens(&data[9..], self.reference.data.len())?;
+                apply_tokens(&data[9..], &mut self.reference.data);
             }
-            m => Err(CodecError::BadMagic(m)),
+            Some(&m) => return Err(CodecError::BadMagic(m)),
         }
+        Ok((&self.reference, t0.elapsed().as_secs_f64() * 1e3))
+    }
+
+    /// The frame the last successful decode lent (a 0×0 image before the
+    /// first).
+    pub fn frame(&self) -> &GrayImage {
+        &self.reference
     }
 }
 
@@ -858,6 +868,56 @@ mod tests {
         // against the intact reference.
         let (d, _) = dec.decode(&p.data).unwrap();
         assert_eq!(d.width, fs[1].width);
+    }
+
+    /// An I/P/P/fault/I stream, whose faults are a corrupt P-frame and a
+    /// corrupt I-frame: the lent frame is `decode_into`'s output byte for
+    /// byte, and a failed decode of either kind leaves it as it was.
+    #[test]
+    fn lent_frame_matches_decode_into_and_survives_faults() {
+        let (fs, _) = frames(5);
+        let mut enc = VideoEncoder::default();
+        let i0 = enc.encode(&fs[0]);
+        let p1 = enc.encode(&fs[1]);
+        let p2 = enc.encode(&fs[2]);
+        let p3 = enc.encode(&fs[3]);
+        enc.request_iframe();
+        let i4 = enc.encode(&fs[4]);
+        assert!(i0.is_iframe && i4.is_iframe);
+        assert!(!p1.is_iframe && !p2.is_iframe && !p3.is_iframe);
+        assert!(
+            p3.data.len() > 9,
+            "the P-frame to corrupt carries no tokens"
+        );
+        let stream: [(&[u8], bool); 6] = [
+            (&i0.data, true),
+            (&p1.data, true),
+            (&p2.data, true),
+            (&p3.data[..p3.data.len() - 1], false),
+            (&i4.data[..i4.data.len() / 2], false),
+            (&i4.data, true),
+        ];
+        let mut lent = VideoDecoder::new();
+        let mut copied = VideoDecoder::new();
+        let mut out = GrayImage::new(0, 0);
+        for (k, (payload, decodes)) in stream.into_iter().enumerate() {
+            let before = lent.frame().clone();
+            let got = lent.decode_lent(payload).map(|(img, _)| img.clone());
+            let want = copied.decode_into(payload, &mut out).map(|_| out.clone());
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    assert!(decodes, "payload {k} decoded");
+                    assert_eq!(got, want, "payload {k}: lent frame differs");
+                    assert_eq!(lent.frame(), &got);
+                }
+                (Err(got), Err(want)) => {
+                    assert!(!decodes, "payload {k} failed: {got:?}");
+                    assert_eq!(got, want);
+                    assert_eq!(lent.frame(), &before, "payload {k} moved the frame");
+                }
+                (got, want) => panic!("payload {k}: lent {got:?}, copied {want:?}"),
+            }
+        }
     }
 
     #[test]

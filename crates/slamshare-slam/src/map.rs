@@ -457,13 +457,7 @@ impl MapRead for MapView<'_> {
     }
 
     fn keyframes_iter(&self) -> Box<dyn Iterator<Item = &KeyFrame> + '_> {
-        let mut all: Vec<&KeyFrame> = self
-            .parts
-            .iter()
-            .flat_map(|m| m.keyframes.values())
-            .collect();
-        all.sort_by_key(|kf| kf.id);
-        Box::new(all.into_iter())
+        Box::new(merge_ascending(self.parts.iter().map(|m| &m.keyframes)))
     }
 
     fn n_keyframes(&self) -> usize {
@@ -473,6 +467,24 @@ impl MapRead for MapView<'_> {
     fn n_mappoints(&self) -> usize {
         self.parts.iter().map(|m| m.mappoints.len()).sum()
     }
+}
+
+/// The values of several id-keyed maps in ascending key order: how a
+/// view stitched over disjoint fragments iterates as one map holding all
+/// of them would. Ids are unique across shards (`check_invariants`
+/// enforces it); on a repeat the earlier part's value comes first.
+pub fn merge_ascending<'a, K: Ord + 'a, V: 'a>(
+    parts: impl IntoIterator<Item = &'a BTreeMap<K, V>>,
+) -> impl Iterator<Item = &'a V> {
+    let mut heads: Vec<_> = parts.into_iter().map(|p| p.iter().peekable()).collect();
+    std::iter::from_fn(move || {
+        let (next, _) = heads
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, head)| head.peek().map(|&(k, _)| (i, k)))
+            .min_by(|a, b| a.1.cmp(b.1))?;
+        heads.get_mut(next)?.next().map(|(_, v)| v)
+    })
 }
 
 /// Deterministic spatial region assignment: hash of the ~`cell_size`-meter

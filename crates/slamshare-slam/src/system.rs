@@ -90,9 +90,7 @@ pub struct SlamSystem {
     pub tracker: Tracker,
     pub mapper: LocalMapper,
     pub vocab: Arc<Vocabulary>,
-    /// Estimated per-frame trajectory `(timestamp, camera center)`.
-    pub trajectory: Vec<(f64, Vec3)>,
-    /// Per-frame poses (world→camera) for downstream consumers.
+    /// Per-frame poses (world→camera) of every tracked frame.
     pub frame_poses: Vec<(f64, SE3)>,
     frame_count: usize,
     mono_init: Option<MonoInit>,
@@ -127,7 +125,6 @@ impl SlamSystem {
             tracker,
             mapper,
             vocab,
-            trajectory: Vec::new(),
             frame_poses: Vec::new(),
             frame_count: 0,
             mono_init: None,
@@ -157,6 +154,14 @@ impl SlamSystem {
 
     pub fn is_bootstrapped(&self) -> bool {
         self.bootstrapped
+    }
+
+    /// Estimated per-frame trajectory `(timestamp, camera center)`.
+    pub fn trajectory(&self) -> Vec<(f64, Vec3)> {
+        self.frame_poses
+            .iter()
+            .map(|(t, pose)| (*t, pose.camera_center()))
+            .collect()
     }
 
     pub fn frames_processed(&self) -> usize {
@@ -214,8 +219,6 @@ impl SlamSystem {
             keyframe_inserted = true;
         }
         if !obs.lost {
-            self.trajectory
-                .push((input.timestamp, obs.pose_cw.camera_center()));
             self.frame_poses.push((input.timestamp, obs.pose_cw));
         }
         StepResult {
@@ -250,8 +253,6 @@ impl SlamSystem {
             self.bootstrapped = true;
             self.tracker.reset_motion(pose0);
             self.tracker.note_keyframe(report.n_new_points);
-            self.trajectory
-                .push((input.timestamp, pose0.camera_center()));
             self.frame_poses.push((input.timestamp, pose0));
         } else {
             // Not enough structure: drop the keyframe and retry next frame.
@@ -356,10 +357,6 @@ impl SlamSystem {
             self.bootstrapped = true;
             self.tracker.reset_motion(pose1);
             self.tracker.note_keyframe(report.n_new_points);
-            self.trajectory
-                .push((init.timestamp, pose0.camera_center()));
-            self.trajectory
-                .push((obs1.timestamp, pose1.camera_center()));
             self.frame_poses.push((init.timestamp, pose0));
             self.frame_poses.push((obs1.timestamp, pose1));
             let _ = init.frame_idx;
@@ -450,7 +447,7 @@ mod tests {
         let gt: Vec<(f64, Vec3)> = (0..12)
             .map(|i| (ds.frame_time(i), ds.gt_position(i)))
             .collect();
-        let r = eval::ate(&sys.trajectory, &gt, false, 1e-3).expect("ate");
+        let r = eval::ate(&sys.trajectory(), &gt, false, 1e-3).expect("ate");
         assert!(r.rmse < 0.10, "stereo ATE {} m over 12 frames", r.rmse);
         assert!(r.n >= 10, "only {} frames tracked", r.n);
     }
@@ -529,7 +526,7 @@ mod tests {
         let gt: Vec<(f64, Vec3)> = (0..frames)
             .map(|i| (ds.frame_time(i), ds.gt_position(i)))
             .collect();
-        let r = eval::ate(&sys.trajectory, &gt, true, 1e-3).expect("ate");
+        let r = eval::ate(&sys.trajectory(), &gt, true, 1e-3).expect("ate");
         assert!(r.rmse < 0.15, "mono ATE {} m", r.rmse);
         assert!(r.n >= frames - 4, "only {} frames tracked", r.n);
     }

@@ -66,7 +66,7 @@ fn main() {
         sys.map.n_mappoints(),
         sys.map.approx_bytes() as f64 / 1e6
     );
-    match eval::ate(&sys.trajectory, &gt, false, 1e-4) {
+    match eval::ate(&sys.trajectory(), &gt, false, 1e-4) {
         Some(a) => println!(
             "absolute trajectory error: RMSE {:.3} m (mean {:.3}, max {:.3}, {} poses)",
             a.rmse, a.mean, a.max, a.n

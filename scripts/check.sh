@@ -7,8 +7,8 @@
 #   scripts/check.sh <stage>...   run only the named stage(s)
 #
 # Stages (in order): build test bench-norun clippy nopanic cost-model fmt
-#                    benchmark load-smoke fed-smoke session-repeat
-#                    virtual-gate soak loc
+#                    benchmark benchmark-smoke load-smoke fed-smoke
+#                    session-repeat virtual-gate soak loc
 # Optional stage:    bench-gate   (also appended to the default run when
 #                                  SLAMSHARE_BENCH_GATE=1 — it runs the
 #                                  benchmarks, which takes a while)
@@ -94,6 +94,32 @@ stage_benchmark() {
     cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 }
 
+stage_benchmark_smoke() {
+    echo "== benchmark/ smoke: every workload at seeds 1 and 2, each run correct with no failed operation =="
+    # `benchmark` above only builds and lints the package; this runs it, so
+    # an incorrect output fails here rather than first in a benchmark run.
+    # Seeds 1 and 2 are the ones the package records ATEs for. The
+    # closed-loop workloads always run to their checkpoint round, so the
+    # window only bounds paced4: 0.1 s is the shortest that still serves
+    # it a frame (at 0.01 s it serves none and reads incorrect). The
+    # build and the run's outputs go under target/; nothing under
+    # benchmark/ is written.
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml \
+        --target-dir target/benchmark
+    local workload seed last
+    for workload in solo shared4 paced4 join_churn; do
+        for seed in 1 2; do
+            last=$(target/benchmark/release/benchmark --workload "$workload" --seed "$seed" \
+                --seconds 0.1 --trace 0 | tail -n 1)
+            if [[ "$last" != '{"correct": true, '*'"failed": 0, '* ]]; then
+                echo "benchmark-smoke: $workload seed $seed ended: ${last:0:120}" >&2
+                return 1
+            fi
+            echo "  $workload seed $seed: correct, 0 failed"
+        done
+    done
+}
+
 stage_load_smoke() {
     echo "== load-harness smoke (64 virtual clients, churn + admission bound) =="
     cargo run -q --release -p bench --bin load_smoke
@@ -143,6 +169,7 @@ run_stage() {
         cost-model)  stage_cost_model ;;
         fmt)         stage_fmt ;;
         benchmark)   stage_benchmark ;;
+        benchmark-smoke) stage_benchmark_smoke ;;
         load-smoke)  stage_load_smoke ;;
         fed-smoke)   stage_fed_smoke ;;
         session-repeat) stage_session_repeat ;;
@@ -150,7 +177,7 @@ run_stage() {
         soak)        stage_soak ;;
         loc)         stage_loc ;;
         bench-gate)  stage_bench_gate ;;
-        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic cost-model fmt benchmark load-smoke fed-smoke session-repeat virtual-gate soak loc bench-gate)" >&2
+        *) echo "unknown stage: $1 (build test bench-norun clippy nopanic cost-model fmt benchmark benchmark-smoke load-smoke fed-smoke session-repeat virtual-gate soak loc bench-gate)" >&2
            exit 2 ;;
     esac
 }
@@ -160,7 +187,7 @@ if [[ $# -gt 0 ]]; then
         run_stage "$stage"
     done
 else
-    for stage in build test bench-norun clippy nopanic cost-model fmt benchmark load-smoke fed-smoke session-repeat virtual-gate soak loc; do
+    for stage in build test bench-norun clippy nopanic cost-model fmt benchmark benchmark-smoke load-smoke fed-smoke session-repeat virtual-gate soak loc; do
         run_stage "$stage"
     done
     if [[ "${SLAMSHARE_BENCH_GATE:-0}" == 1 ]]; then

@@ -16,8 +16,10 @@
 //! returned features' own buffers, and a third holds the two-lane route
 //! to those plus one scoped spawn per extraction batch: two per eye.
 //!
-//! A fourth phase decodes a moving stereo sequence, whose P-frames carry
-//! tokens, so the decoder's validate-and-apply path runs while counted.
+//! A fourth phase decodes a moving stereo sequence the way the server
+//! does — through a client's ingest, whose decoders advance their
+//! reference in place and lend it — so the P-frames' validate-and-apply
+//! path and the I-frames' scratch swap run while counted.
 //!
 //! One `#[test]` only: the counter is process-global, so a second
 //! concurrently-running test would attribute its allocations to ours.
@@ -220,11 +222,14 @@ fn steady_state_frame_path_allocates_nothing() {
         );
     }
 
-    // ---- Phase 4: the decoder's token path on a moving sequence ----
+    // ---- Phase 4: the server's lent decode path on a moving sequence ----
     // Phase 1's P-frames repeat one image and carry no tokens. Here
     // consecutive frames move, so every P-frame is validated and applied
-    // token by token; the second pass over the same payloads (each pass
-    // opens on its I-frame) must not touch the allocator.
+    // token by token, and each pass opens on its I-frame, which decodes
+    // into the decoder's scratch and is swapped in. Two warm passes grow
+    // both the reference and the scratch; the third pass over the same
+    // payloads must not touch the allocator.
+    use slam_share::core::ingest::{DecodeOutcome, VideoIngest};
     const MOVING: usize = 8;
     let moving = Dataset::build(
         DatasetConfig::new(TracePreset::V202)
@@ -246,15 +251,21 @@ fn steady_state_frame_path_allocates_nothing() {
         stream[1..].iter().all(|(l, r)| l.len() > 9 && r.len() > 9),
         "moving P-frames carry no tokens — phase 4 is vacuous"
     );
-    let mut decode_pass = |dec_l: &mut VideoDecoder, dec_r: &mut VideoDecoder| {
+    let mut ingest = VideoIngest::new();
+    let decode_pass = |ingest: &mut VideoIngest| {
         for (l, r) in &stream {
-            dec_l.decode_into(l, &mut left).expect("left decode");
-            dec_r.decode_into(r, &mut right).expect("right decode");
+            let outcome = ingest.decode(l, Some(r));
+            assert!(
+                matches!(outcome, DecodeOutcome::Decoded { stereo: true, .. }),
+                "clean stereo frame not decoded: {outcome:?}"
+            );
+            assert_eq!(ingest.left().data.len(), ingest.right().data.len());
         }
     };
-    decode_pass(&mut dec_l, &mut dec_r);
+    decode_pass(&mut ingest);
+    decode_pass(&mut ingest);
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    decode_pass(&mut dec_l, &mut dec_r);
+    decode_pass(&mut ingest);
     let delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
     assert_eq!(
         delta, 0,
