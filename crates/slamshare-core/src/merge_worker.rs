@@ -20,7 +20,9 @@
 //!    it holds the locks, which the keypoint-grid weld keeps short;
 //! 3. **collect**: the client's next commit takes the completion. An
 //!    applied merge already holds everything the client mapped, so the
-//!    process just switches to shared-map tracking; a job that found no
+//!    client's one `SlamSystem` is reset in place — a new tracker and
+//!    mapper, its local map emptied down to its id allocator — and goes
+//!    on tracking and mapping on the shared map; a job that found no
 //!    common region resumes the client's local mapping.
 //!
 //! [`ServerConfig::async_merge`](crate::server::ServerConfig::async_merge)
@@ -38,6 +40,7 @@
 
 use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use crate::metrics::{MergeWorkerStats, MetricsCut};
+use crate::server::MergeOutcome;
 use parking_lot::Mutex;
 use slamshare_features::bow::Vocabulary;
 use slamshare_sim::camera::PinholeCamera;
@@ -61,14 +64,7 @@ pub struct MergeCompletion {
     pub timestamp: f64,
     /// `None` when no common region was found — the client keeps its
     /// local map and retries once coverage grows.
-    pub applied: Option<AppliedMerge>,
-}
-
-/// A merge landed in the global map.
-pub struct AppliedMerge {
-    pub report: MergeReport,
-    /// Job start → applied wall time, ms.
-    pub merge_ms: f64,
+    pub applied: Option<MergeOutcome>,
 }
 
 #[derive(Default)]
@@ -250,12 +246,12 @@ fn run_job(
     job: MergeJob,
 ) -> MergeCompletion {
     let t0 = Instant::now();
-    let mut applied = land(ctx, arena, job.cmap);
-    match &mut applied {
-        Some(a) => {
-            a.merge_ms = t0.elapsed().as_secs_f64() * 1e3;
-            stats.record_applied(a.merge_ms);
-        }
+    let applied = land(ctx, arena, job.cmap).map(|report| MergeOutcome {
+        report,
+        merge_ms: t0.elapsed().as_secs_f64() * 1e3,
+    });
+    match &applied {
+        Some(a) => stats.record_applied(a.merge_ms),
         None => stats.record_no_region(),
     }
     MergeCompletion {
@@ -267,7 +263,7 @@ fn run_job(
 /// Weld `cmap` into the global map in one write over every region: plan
 /// on the locked view, then apply the plan to that same view when it is
 /// viable. `None` when there is no common region yet.
-fn land(ctx: &MergeContext, arena: &mut MappingArena, cmap: Map) -> Option<AppliedMerge> {
+fn land(ctx: &MergeContext, arena: &mut MappingArena, cmap: Map) -> Option<MergeReport> {
     let (applied, _) = ctx
         .store
         .with_component_write(&LockSeeds::all(), |gmap, _| {
@@ -280,11 +276,7 @@ fn land(ctx: &MergeContext, arena: &mut MappingArena, cmap: Map) -> Option<Appli
             }
             let _span = slamshare_obs::span!("merge.apply");
             let report = apply_merge_plan_with(gmap, &ctx.db, cmap, &plan, &ctx.cam, arena);
-            let applied = AppliedMerge {
-                report,
-                merge_ms: 0.0,
-            };
-            (Some(applied), true)
+            (Some(report), true)
         });
     applied
 }

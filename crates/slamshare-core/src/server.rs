@@ -23,9 +23,9 @@
 //! mapping (it keeps tracking every frame, but inserts no keyframe, as
 //! ORB-SLAM3 stops local mapping during a merge); process M welds the
 //! snapshot in; and the client's next commit collects the result and
-//! switches the process to tracking/mapping directly on the shared map.
-//! The paused local map is the submitted snapshot, so nothing is left
-//! over to reconcile.
+//! resets the same process in place to track and map directly on the
+//! shared map. The paused local map is the submitted snapshot, so nothing
+//! is left over to reconcile.
 //!
 //! # Concurrency
 //!
@@ -90,7 +90,7 @@
 
 use crate::gmap::{LockSeeds, ShardedGlobalMap};
 use crate::ingest::{DecodeOutcome, IngestCounters, VideoIngest};
-use crate::merge_worker::{AppliedMerge, MergeContext, MergeJob, MergeWorker};
+use crate::merge_worker::{MergeContext, MergeJob, MergeWorker};
 use crate::metrics::{
     MapShardingSnapshot, MergeWorkerSnapshot, MetricsCut, RegionLockStat, RetiredSnapshot,
     ServerMetrics,
@@ -102,7 +102,7 @@ use parking_lot::Mutex;
 use slamshare_features::bow::Vocabulary;
 use slamshare_features::GrayImage;
 use slamshare_gpu::{GpuExecutor, GpuModel, SharedGpu, SlicePriority};
-use slamshare_math::{Sim3, SE3};
+use slamshare_math::SE3;
 use slamshare_net::codec::CodecError;
 use slamshare_slam::ids::{ClientId, IdAllocator, KeyFrameId};
 use slamshare_slam::map::{transform_pose_cw, Map, MapRead, MapWrite};
@@ -209,24 +209,22 @@ pub struct MergeOutcome {
     pub merge_ms: f64,
 }
 
+/// Where a client's keyframes land.
 enum Phase {
-    /// Building a local map (pre-merge).
-    Local(Box<SlamSystem>),
-    /// Tracking/mapping directly on the shared global map.
-    Shared {
-        tracker: Box<Tracker>,
-        mapper: Box<LocalMapper>,
-        last_kf: Option<KeyFrameId>,
-        /// The client's own id space, continued from its local-phase
-        /// map. Kept per-client (not in the shared map) so commit
-        /// interleaving across clients can never change the ids a
-        /// client's keyframes get.
-        alloc: IdAllocator,
-    },
+    /// In the client's own `system.map` (pre-merge).
+    Local,
+    /// In the shared global map, tracked against it; `last_kf` is the
+    /// client's newest keyframe there.
+    Shared { last_kf: Option<KeyFrameId> },
 }
 
 /// One per-client server process.
 struct ClientProcess {
+    /// The client's one SLAM system, from registration to departure. After
+    /// the merge its tracker and mapper work on the global map, and its
+    /// emptied `map` keeps only `alloc`, the client's own id space, so
+    /// commit interleaving across clients never changes a client's ids.
+    system: Box<SlamSystem>,
     phase: Phase,
     /// Fault-isolated video decode + resync state machine; its decoders
     /// lend the frame last decoded.
@@ -238,6 +236,13 @@ struct ClientProcess {
     /// Bounded staging queue between the network and the round pipeline
     /// ([`EdgeServer::offer_frame`] / [`EdgeServer::process_queued_round`]).
     queue: FrameQueue,
+}
+
+impl ClientProcess {
+    /// The client's system while its keyframes still land in its own map.
+    fn local_system(&mut self) -> Option<&mut SlamSystem> {
+        matches!(self.phase, Phase::Local).then_some(&mut *self.system)
+    }
 }
 
 /// One row of the client table: the client's process, and lock-free
@@ -531,7 +536,8 @@ impl EdgeServer {
                 ingest: ingest.counters(),
                 queue: queue.counters(),
                 process: Mutex::new(ClientProcess {
-                    phase: Phase::Local(Box::new(system)),
+                    system: Box::new(system),
+                    phase: Phase::Local,
                     ingest,
                     next_merge_at_kfs: self.config.merge_after_keyframes,
                     queue,
@@ -565,11 +571,7 @@ impl EdgeServer {
             // stays balanced across churn. Must happen before the
             // counters are folded below.
             process.queue.purge();
-            let alloc = match &process.phase {
-                Phase::Local(system) => &system.map.alloc,
-                Phase::Shared { alloc, .. } => alloc,
-            };
-            self.departed_ids.insert(id, alloc.clone());
+            self.departed_ids.insert(id, process.system.map.alloc);
             // A merge this process submitted is not the next one's
             // under the same id.
             self.merge_worker.forget(id);
@@ -752,19 +754,23 @@ impl EdgeServer {
         };
         // The decoders lend the frame; the process keeps it until its
         // next decode.
-        let ClientProcess { phase, ingest, .. } = process;
+        let ClientProcess {
+            system,
+            phase,
+            ingest,
+            ..
+        } = process;
         let left_img = ingest.left();
         let right_img = stereo.then(|| ingest.right());
 
         // Refresh the client's GPU slice (GSlice repartitions on churn).
-        let exec = self.gpu.executor(client as u32);
+        if let Some(exec) = self.gpu.executor(client as u32) {
+            system.tracker.exec = exec;
+        }
 
         // Track (and, pre-merge, map locally).
         let (staged, prio) = match phase {
-            Phase::Local(system) => {
-                if let Some(exec) = &exec {
-                    system.tracker.exec = exec.clone();
-                }
+            Phase::Local => {
                 let step = system.process_frame(FrameInput {
                     timestamp: frame.timestamp,
                     left: left_img,
@@ -788,12 +794,8 @@ impl EdgeServer {
                 });
                 (staged, SlicePriority::Interactive)
             }
-            Phase::Shared {
-                tracker, last_kf, ..
-            } => {
-                if let Some(exec) = &exec {
-                    tracker.exec = exec.clone();
-                }
+            Phase::Shared { last_kf } => {
+                let tracker = &mut system.tracker;
                 // The map-free front half runs before any region lock is
                 // taken, and once: every later (re-)track of this frame,
                 // and the relocalization query, work from its features.
@@ -933,16 +935,21 @@ impl EdgeServer {
                 pose_hint,
                 relocalized,
             } => {
-                let ClientProcess { phase, ingest, .. } = &mut *process;
-                let Phase::Shared {
-                    tracker,
-                    mapper,
-                    last_kf,
-                    alloc,
-                } = phase
-                else {
+                let ClientProcess {
+                    system,
+                    phase,
+                    ingest,
+                    ..
+                } = &mut *process;
+                let Phase::Shared { last_kf } = phase else {
                     unreachable!("staged shared frame for a pre-merge client")
                 };
+                let SlamSystem {
+                    tracker,
+                    mapper,
+                    map: own_map,
+                    ..
+                } = &mut **system;
                 // Cheap staleness pre-check (lock-free): an earlier
                 // commit (same round) or a background merge bumped a
                 // region this track read. Rewind the motion state and
@@ -999,9 +1006,9 @@ impl EdgeServer {
                         // New entities draw ids from the client's own
                         // allocator, not the view's, so ids are
                         // independent of commit interleaving.
-                        *map.alloc_mut() = alloc.clone();
+                        *map.alloc_mut() = own_map.alloc.clone();
                         let report = mapper.insert_keyframe(map, &self.vocab, &obs);
-                        *alloc = map.alloc_mut().clone();
+                        own_map.alloc = map.alloc_mut().clone();
                         let out = report.kf_id.map(|kf_id| {
                             let bow = map
                                 .keyframe(kf_id)
@@ -1041,7 +1048,8 @@ impl EdgeServer {
         // and whatever the worker has finished for this client — just now
         // on this thread, or earlier on its own — is collected. A paused
         // client's map is the snapshot already in flight.
-        if let Phase::Local(system) = &mut process.phase {
+        if matches!(process.phase, Phase::Local) {
+            let system = &mut process.system;
             if !system.mapping_paused()
                 && system.is_bootstrapped()
                 && system.map.n_keyframes() >= process.next_merge_at_kfs
@@ -1063,35 +1071,62 @@ impl EdgeServer {
     /// Collect the worker's finished job for `client`, if there is one —
     /// the last step of pause, weld, collect. An applied merge welded the
     /// submitted snapshot into the global map, and the client has mapped
-    /// nothing since (its mapping was paused), so the process switches to
-    /// shared-map tracking, carrying its executor, last frame pose and id
-    /// allocator over. A job that found no common region resumes local
-    /// mapping and pushes the client's next attempt out by two keyframes.
+    /// nothing since (its mapping was paused), so the client's system is
+    /// reset in place for the shared map: a new tracker on the same
+    /// executor, its motion model carried into the global frame, and a new
+    /// mapper, so the keyframe clock and the BA schedule start over; its
+    /// local map and pose history are emptied, all but the id allocator the
+    /// shared phase goes on drawing from. A job that found no common region
+    /// resumes local mapping and pushes the client's next attempt out by
+    /// two keyframes.
     fn collect_merge(&self, process: &mut ClientProcess, client: u16) -> Option<MergeOutcome> {
         let completion = self.merge_worker.take_completion(client)?;
-        let Phase::Local(system) = &mut process.phase else {
+        let Some(system) = process.local_system() else {
             // The client left its local phase since the job was taken.
             self.merge_worker.stats().record_stale_completion();
             return None;
         };
-        let Some(AppliedMerge { report, merge_ms }) = completion.applied else {
-            system.pause_mapping(false);
+        system.pause_mapping(false);
+        let Some(outcome) = completion.applied else {
             process.next_merge_at_kfs = system.map.n_keyframes() + 2;
             return None;
         };
-        let exec = system.tracker.exec.clone();
-        let last_frame_pose = system.frame_poses.last().map(|(_, p)| *p);
-        let alloc = system.map.alloc.clone();
-        self.enter_shared_phase(
-            process,
-            client,
-            report.transform.as_ref(),
-            exec,
-            last_frame_pose,
-            alloc,
+        let config = &self.config.slam;
+        let mut tracker = Tracker::new(config.tracker.clone(), system.tracker.exec.clone());
+        let last_pose = system.frame_poses.last().map(|&(_, p)| {
+            let transform = outcome.report.transform.as_ref();
+            transform.map_or(p, |t| transform_pose_cw(&p, t))
+        });
+        // The client's own most recent keyframe anchors its local map
+        // neighbourhood in the global map.
+        let client_id = ClientId(client);
+        let own_latest = self.store.with_view(|view| {
+            view.keyframes_iter()
+                .filter(|kf| kf.id.client() == client_id)
+                .max_by(|a, b| a.timestamp.total_cmp(&b.timestamp).then(a.id.cmp(&b.id)))
+                .map(|kf| (kf.id, kf.pose_cw))
+        });
+        // A late joiner whose map was adopted wholesale has no per-frame
+        // pose history; seed the motion model from its newest (already
+        // transformed) keyframe instead.
+        if let Some(pose) = last_pose.or(own_latest.map(|(_, pose)| pose)) {
+            tracker.reset_motion(pose);
+        }
+        system.tracker = tracker;
+        system.mapper = LocalMapper::new(
+            config.tracker.mode,
+            config.tracker.rig,
+            config.mapping.clone(),
         );
+        system.map = Map {
+            alloc: system.map.alloc.clone(),
+            ..Map::default()
+        };
+        system.frame_poses.clear();
+        process.phase = Phase::Shared {
+            last_kf: own_latest.map(|(id, _)| id),
+        };
 
-        let outcome = MergeOutcome { report, merge_ms };
         self.merge_log
             .lock()
             .push((completion.timestamp, client, outcome.clone()));
@@ -1108,7 +1143,7 @@ impl EdgeServer {
         let Some(entry) = self.clients.get(&client) else {
             return;
         };
-        if let Phase::Local(system) = &mut entry.process.lock().phase {
+        if let Some(system) = entry.process.lock().local_system() {
             if !system.mapping_paused() {
                 system.map = map;
             }
@@ -1128,7 +1163,7 @@ impl EdgeServer {
     pub fn merge_client_now(&self, client: u16, timestamp: f64) -> Option<MergeOutcome> {
         let mut process = self.clients.get(&client)?.process.lock();
         self.cut.write(|| {
-            if let Phase::Local(system) = &mut process.phase {
+            if let Some(system) = process.local_system() {
                 self.submit_job(system, client, timestamp, true);
             }
             self.collect_merge(&mut process, client)
@@ -1159,56 +1194,6 @@ impl EdgeServer {
         accepted
     }
 
-    /// Transition a just-merged client process to shared-map tracking,
-    /// carrying the tracker's motion state (transformed into the global
-    /// frame) and the client's id allocator over.
-    fn enter_shared_phase(
-        &self,
-        process: &mut ClientProcess,
-        client: u16,
-        transform: Option<&Sim3>,
-        exec: Arc<GpuExecutor>,
-        last_frame_pose: Option<SE3>,
-        alloc: IdAllocator,
-    ) {
-        let mut tracker = Box::new(Tracker::new(self.config.slam.tracker.clone(), exec));
-        let last_pose = last_frame_pose.map(|p| match transform {
-            Some(t) => transform_pose_cw(&p, t),
-            None => p,
-        });
-        if let Some(p) = last_pose {
-            tracker.reset_motion(p);
-        }
-        let mapper = Box::new(LocalMapper::new(
-            self.config.slam.tracker.mode,
-            self.config.slam.tracker.rig,
-            self.config.slam.mapping.clone(),
-        ));
-        // The client's own most recent keyframe anchors its local map
-        // neighbourhood in the global map.
-        let client_id = ClientId(client);
-        let own_latest = self.store.with_view(|view| {
-            view.keyframes_iter()
-                .filter(|kf| kf.id.client() == client_id)
-                .max_by(|a, b| a.timestamp.total_cmp(&b.timestamp).then(a.id.cmp(&b.id)))
-                .map(|kf| (kf.id, kf.pose_cw))
-        });
-        // A late joiner whose map was adopted wholesale has no per-frame
-        // pose history; seed the motion model from its newest (already
-        // transformed) keyframe instead.
-        if last_pose.is_none() {
-            if let Some((_, pose)) = own_latest {
-                tracker.reset_motion(pose);
-            }
-        }
-        process.phase = Phase::Shared {
-            tracker,
-            mapper,
-            last_kf: own_latest.map(|(id, _)| id),
-            alloc,
-        };
-    }
-
     /// Hand `client`'s current local map to the merge worker — queued on
     /// its thread, or merged before this returns, per
     /// [`ServerConfig::async_merge`] — and pause the client's mapping: its
@@ -1222,7 +1207,7 @@ impl EdgeServer {
             return false;
         };
         let mut process = entry.process.lock();
-        let Phase::Local(system) = &mut process.phase else {
+        let Some(system) = process.local_system() else {
             return false;
         };
         if !system.is_bootstrapped() {
@@ -1256,11 +1241,10 @@ impl EdgeServer {
     pub fn pending_local_trajectories(&self) -> Vec<(u16, Vec<(f64, slamshare_math::Vec3)>)> {
         self.clients
             .iter()
-            .filter_map(|(&id, c)| match &c.process.lock().phase {
-                Phase::Local(system) if !system.map.is_empty() => {
-                    Some((id, system.map.trajectory()))
-                }
-                _ => None,
+            .filter_map(|(&id, c)| {
+                let mut process = c.process.lock();
+                let system = process.local_system().filter(|s| !s.map.is_empty())?;
+                Some((id, system.map.trajectory()))
             })
             .collect()
     }

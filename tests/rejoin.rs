@@ -17,7 +17,7 @@ use slam_share::core::server::{EdgeServer, ServerConfig, ServerFrameResult};
 use slam_share::net::codec::VideoEncoder;
 use slam_share::sim::dataset::{Dataset, DatasetConfig, TracePreset};
 use slam_share::slam::ids::ClientId;
-use slam_share::slam::map::MapRead;
+use slam_share::slam::map::{Map, MapRead};
 use slam_share::slam::vocabulary;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -240,5 +240,71 @@ fn a_joiner_maps_nothing_while_its_merge_is_in_flight() {
     );
     if let Err(e) = server.store.check_invariants() {
         panic!("map invariant broken after the merge: {e}");
+    }
+}
+
+/// The local-map entry points refuse a client whose keyframes no longer
+/// land in its own map: a merged client (it has no local map to submit,
+/// adopt or report) and a joiner whose job is in flight (its map is the
+/// submitted snapshot until the job is collected).
+#[test]
+fn merged_and_paused_clients_refuse_the_local_map_calls() {
+    let ds = dataset();
+    let server = {
+        let mut server = thread_merge_server(&ds);
+        server.try_register_client(1).unwrap();
+        server.try_register_client(2).unwrap();
+        server
+    };
+    let mut resident = Device::new();
+    resident.run(&server, &ds, 1, 0..=44);
+    assert!(
+        server.submit_merge(1, ds.frame_time(44)),
+        "client 1 not ready"
+    );
+    server.wait_merge_idle();
+    assert!(resident.round(&server, &ds, 1, 45).merged);
+    let mut joiner = Device::new();
+    joiner.run(&server, &ds, 2, 2..=9);
+    assert!(server.is_merged(1));
+    assert!(!server.is_merged(2));
+
+    // Merged client 1.
+    let t = ds.frame_time(46);
+    let merges = server.merge_log().len();
+    assert!(!server.submit_merge(1, t), "a merged client submitted");
+    assert!(server.merge_client_now(1, t).is_none());
+    assert_eq!(server.merge_log().len(), merges);
+    let stats = server.global_map_stats();
+    server.adopt_local_map(1, Map::new(ClientId(1)));
+    assert_eq!(server.global_map_stats(), stats);
+    // It goes on mapping in its own id space.
+    let kfs = keyframe_times(&server, 1).len();
+    for r in resident.run(&server, &ds, 1, 46..=52) {
+        assert!(r.merged && r.tracked, "frame {}: {r:?}", r.frame_idx);
+    }
+    assert!(keyframe_times(&server, 1).len() > kfs, "no keyframe added");
+
+    let pending = server.pending_local_trajectories();
+    let ids: Vec<u16> = pending.iter().map(|&(id, _)| id).collect();
+    assert_eq!(ids, [2]);
+
+    // Client 2, its job held on the merge thread by a read view of the
+    // whole map. Nothing in here takes a store lock.
+    let t = ds.frame_time(9);
+    server.store.with_view(|_| {
+        assert!(server.submit_merge(2, t), "client 2 not ready");
+        server.adopt_local_map(2, Map::new(ClientId(2)));
+        assert_eq!(
+            server.pending_local_trajectories(),
+            pending,
+            "a paused map was replaced"
+        );
+        assert!(!server.submit_merge(2, t), "a second job in flight");
+    });
+    server.wait_merge_idle();
+    assert!(joiner.round(&server, &ds, 2, 10).merged);
+    if let Err(e) = server.store.check_invariants() {
+        panic!("map invariant broken: {e}");
     }
 }
